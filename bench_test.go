@@ -693,6 +693,36 @@ func BenchmarkTraceCodecXTRP2(b *testing.B) {
 	b.ReportMetric(ratio, "x-smaller")
 }
 
+// BenchmarkXTRP2Encode times XTRP2 encoding alone — delta transform,
+// pattern mining and writing — on the grid trace of the codec
+// benchmarks and on the farm-stencil composed preset, both at 16
+// threads: the encode layer of a cold request.
+func BenchmarkXTRP2Encode(b *testing.B) {
+	fs, err := benchmarks.ByName("farm-stencil")
+	if err != nil {
+		b.Fatal(err)
+	}
+	farm, err := core.Measure(fs.Factory(fs.DefaultSize())(16), core.MeasureOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		tr   *Trace
+	}{{"grid16", measureGrid(b, 16)}, {"farm-stencil16", farm}} {
+		b.Run(c.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := trace.WriteBinary2(&buf, c.tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(c.tr.Events)), "ns/event")
+		})
+	}
+}
+
 // BenchmarkPatternReplay compares event-by-event replay against
 // pattern-native replay with steady-state fast-forward on compiled
 // (XTRP2) traces of the paper kernels. Loop-heavy kernels (mgrid, grid)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"extrap/internal/core"
+	"extrap/internal/pcxx/dist"
 	"extrap/internal/trace"
 )
 
@@ -46,6 +47,34 @@ func TestAllBenchmarksVerify(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGridEmptyTiles covers processor grids whose ceil-sized blocks
+// leave the last processor row or column an empty tile (16 rows over 5
+// processor rows is 4+4+4+4+0). Those threads must idle like the
+// threads beyond the square grid, and their neighbours must treat the
+// shared edge as a physical boundary, so measurement succeeds and the
+// Jacobi result still verifies against the sequential reference.
+func TestGridEmptyTiles(t *testing.T) {
+	cases := []struct{ n, threads int }{
+		{16, 32}, {8, 30}, {8, 32}, {12, 30}, {12, 32}, {4, 12},
+	}
+	for _, tc := range cases {
+		cells := dist.NewDist2D(tc.n, tc.n, tc.threads, dist.Block, dist.Block)
+		empty := false
+		for id := 0; id < cells.UsedThreads(); id++ {
+			if r, c := cells.TileShape(id); r == 0 || c == 0 {
+				empty = true
+			}
+		}
+		if !empty {
+			t.Fatalf("N=%d threads=%d: no empty tile, the case tests nothing", tc.n, tc.threads)
+		}
+		prog := Grid{}.Factory(Size{N: tc.n, Iters: 3, Verify: true})(tc.threads)
+		if _, err := core.Measure(prog, core.MeasureOptions{}); err != nil {
+			t.Errorf("grid N=%d threads=%d: %v", tc.n, tc.threads, err)
+		}
 	}
 }
 

@@ -20,6 +20,9 @@ import (
 // attribution records the true strip sizes (hundreds of bytes).
 // The (BLOCK,BLOCK) square processor grid also idles threads when the
 // thread count is not a perfect square — the 4→8 plateau of Figure 4.
+// Ceil-sized blocks can leave the last processor rows or columns with an
+// empty tile (16 rows over 5 processor rows is 4+4+4+4+0); such threads
+// idle too, and their edge is a physical boundary to their neighbours.
 type Grid struct{}
 
 func init() { register(Grid{}) }
@@ -95,7 +98,7 @@ func (Grid) Factory(size Size) core.ProgramFactory {
 					dist.NewBlock(threads, threads), int64(maxTile*8))
 
 				return func(t *pcxx.Thread) {
-					used := t.ID() < pr*pc
+					used := ownsTile(cells, t.ID())
 					var me *gridBlock
 					if used {
 						me = blocks.Local(t, t.ID())
@@ -119,19 +122,19 @@ func (Grid) Factory(size Size) core.ProgramFactory {
 								down := t.ID() + pc
 								left := t.ID() - 1
 								right := t.ID() + 1
-								if myRow > 0 {
+								if myRow > 0 && ownsTile(cells, up) {
 									nb := blocks.ReadPart(t, up, int64(me.cols*8))
 									gUp = lastRow(nb)
 								}
-								if myRow < pr-1 {
+								if myRow < pr-1 && ownsTile(cells, down) {
 									nb := blocks.ReadPart(t, down, int64(me.cols*8))
 									gDown = firstRow(nb)
 								}
-								if myCol > 0 {
+								if myCol > 0 && ownsTile(cells, left) {
 									nb := blocks.ReadPart(t, left, int64(me.rows*8))
 									gLeft = lastCol(nb)
 								}
-								if myCol < pc-1 {
+								if myCol < pc-1 && ownsTile(cells, right) {
 									nb := blocks.ReadPart(t, right, int64(me.rows*8))
 									gRight = firstCol(nb)
 								}
@@ -162,6 +165,12 @@ func (Grid) Factory(size Size) core.ProgramFactory {
 			},
 		}
 	}
+}
+
+// ownsTile reports whether thread id has a non-empty tile of cells.
+func ownsTile(cells *dist.Dist2D, id int) bool {
+	r, c := cells.TileShape(id)
+	return r > 0 && c > 0
 }
 
 // jacobiSweep computes one Jacobi update of the tile using the supplied

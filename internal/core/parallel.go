@@ -169,7 +169,7 @@ func NewBoundedTraceCache(maxEntries int) *TraceCache {
 
 // SetBackend attaches a durable tier behind the memory cache: misses
 // consult the backend before re-measuring, and fresh measurements are
-// written through as encoded XTRP1 bytes. Attach the backend before the
+// written through as encoded bytes in the cache's format. Attach the backend before the
 // cache is shared across goroutines (typically right after
 // construction); it must not change while lookups are running.
 func (c *TraceCache) SetBackend(b TraceBackend) { c.backend = b }
@@ -221,11 +221,12 @@ func (c *TraceCache) backendGet(key CacheKey) ([]byte, bool) {
 }
 
 // NewEncodedTraceCache returns a bounded cache that stores measurements
-// as compact XTRP1 bytes rather than live *trace.Trace values. Consumers
-// decode their own streaming cursor from the immutable bytes, so a hit
-// can never be mutated by another cell, and resident size per entry is
-// the 37-byte-per-event encoding instead of the in-memory event slice
-// plus translation. maxTraceBytes (> 0) rejects any measurement whose
+// as compact encoded bytes (XTRP1 unless SetFormat selects XTRP2) rather
+// than live *trace.Trace values. Consumers decode their own streaming
+// cursor from the immutable bytes, so a hit can never be mutated by
+// another cell, and resident size per entry is the encoding (37 bytes
+// per event in XTRP1, loop-compacted in XTRP2) instead of the in-memory
+// event slice plus translation. maxTraceBytes (> 0) rejects any measurement whose
 // encoding exceeds the budget with ErrTraceTooLarge.
 func NewEncodedTraceCache(maxEntries int, maxTraceBytes int64) *TraceCache {
 	c := NewBoundedTraceCache(maxEntries)
@@ -401,8 +402,8 @@ func (c *TraceCache) encodedLocked(key CacheKey, e *cacheEntry, measure func() (
 	return e.enc, e.err
 }
 
-// Encoded returns the memoized measurement for key as immutable XTRP1
-// bytes, running measure on first use. Valid only on an encoded cache.
+// Encoded returns the memoized measurement for key as immutable encoded
+// bytes in the cache's format, running measure on first use. Valid only on an encoded cache.
 func (c *TraceCache) Encoded(key CacheKey, measure func() (*trace.Trace, error)) ([]byte, error) {
 	if !c.encoded {
 		return nil, errors.New("core: Encoded called on a non-encoded TraceCache")

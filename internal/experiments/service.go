@@ -39,8 +39,9 @@ func NewService(workers, cacheEntries int) *Service {
 }
 
 // NewStreamingService returns a Service backed by an encoded trace
-// cache: measurements stay resident as compact immutable XTRP1 bytes
-// and every prediction runs the bounded-memory streaming pipeline
+// cache: measurements stay resident as compact immutable encoded bytes
+// (XTRP1 unless SetTraceFormat selects the loop-compacted XTRP2, as
+// extrap serve does by default) and every prediction runs the bounded-memory streaming pipeline
 // (incremental decode → streaming translate → streaming simulate).
 // Predictions are byte-identical to the in-memory Service's, but a
 // request's transient footprint is the translation buffer rather than

@@ -93,8 +93,9 @@ type Config struct {
 	// is rejected with 413 trace_too_large (and the rejection is
 	// memoized — the measurement is deterministic, so it would exceed
 	// the budget every time). Cached measurements are held as compact
-	// XTRP1 bytes and predictions stream through bounded cursors, so
-	// this budget, times CacheEntries, bounds cache memory. 0 selects
+	// encoded bytes in TraceFormat (XTRP2 by default) and predictions
+	// stream through bounded cursors, so this budget, times
+	// CacheEntries, bounds cache memory. 0 selects
 	// the default of 256 MiB; < 0 disables the budget.
 	MaxTraceBytes int64
 	// TraceFormat selects the wire format for cached measurement

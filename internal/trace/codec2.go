@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 
 	"extrap/internal/vtime"
@@ -336,6 +337,13 @@ const (
 // least minerLadder[k] rows, and later passes re-mine the literal gaps.
 var minerLadder = [...]int{1 << 14, 1 << 11, 1 << 8, 1 << 5, minRepeatSavings}
 
+// patternCaps bounds the pattern table a miner may build. Encoders mine
+// up to the format's own caps (formatCaps); tests lower them to reach the
+// table-full path on small traces.
+type patternCaps struct{ patterns, tableRows int }
+
+var formatCaps = patternCaps{patterns: MaxPatterns, tableRows: MaxPatternTableRows}
+
 // program ops produced by the miner: either a literal half-open row
 // range [start, end) or count replays of pattern id.
 type progOp struct {
@@ -350,8 +358,8 @@ type progOp struct {
 //
 // Detection is a rolling hash over minerWindow-row n-grams: a window
 // hash seen p positions ago suggests period p; the candidate block is
-// then verified (and its repeat run counted) by direct row comparison,
-// so hash collisions cost a failed verify, never a wrong encoding.
+// then verified (and its repeat run counted) by exact comparison, so
+// hash collisions cost a failed verify, never a wrong encoding.
 //
 // Mining is multi-scale. A single greedy pass commits the first (and so
 // shortest-period) run it can verify, and once rows are consumed no
@@ -367,19 +375,28 @@ type progOp struct {
 // pass used to find. A run can still shadow a larger one within a rung's
 // ~8× band, but never across bands. Long runs also matter beyond size:
 // they are what the simulator's steady-state fast-forward can skip.
-func minePatterns(rows []row) ([][]row, []progOp) {
-	m := miner{byHash: make(map[uint64][]uint32)}
+//
+// Cost: rows are hashed and interned into dense ids once, so every
+// verification is an exact integer compare, and window hashes are
+// computed once for all rungs. Within a scan, the maximal run where
+// ids[k] == ids[k+p] is memoized per candidate period p, so a periodic
+// run that a rung rejects (it saves too few rows) is verified once per
+// candidate period rather than again at every window position inside
+// it, and each rung costs about one pass over its literal gaps.
+func minePatterns(rows []row, caps patternCaps) ([][]row, []progOp) {
+	m := newMiner(rows, caps)
 	ops := []progOp{{literal: true, start: 0, end: len(rows)}}
+	var next []progOp
 	for _, minSavings := range minerLadder {
-		var next []progOp
+		next = next[:0]
 		for _, op := range ops {
 			if !op.literal || op.end-op.start <= minSavings {
 				next = append(next, op)
 				continue
 			}
-			next = append(next, m.scan(rows, op.start, op.end, minSavings)...)
+			next = m.scan(next, op.start, op.end, minSavings)
 		}
-		ops = next
+		ops, next = next, ops
 	}
 	// Drop the empty sentinel a zero-row trace leaves behind.
 	out := ops[:0]
@@ -392,43 +409,225 @@ func minePatterns(rows []row) ([][]row, []progOp) {
 	return m.patterns, out
 }
 
-// miner carries the pattern table shared by both mining passes.
+// Rolling window hash: win(e) = Σ hashRow(rows[k]) · whBase^(e-1-k) over
+// the window k ∈ [e-minerWindow, e), mod 2^64.
+const whBase = 0x100000001b3
+
+// miner carries the row ids, the window hashes and the pattern table
+// shared by every rung, plus per-scan buffers reused across scans.
 type miner struct {
-	patterns  [][]row
+	rows []row
+	caps patternCaps
+	// ids[i] is the dense id of rows[i]: ids are equal exactly when rows
+	// are, so verification never compares rows.
+	ids []uint32
+	// win[e] is the hash of the window rows[e-minerWindow:e], for
+	// e ≥ minerWindow.
+	win []uint64
+
+	patterns [][]row
+	// patStart[id] is where patterns[id] starts in rows.
+	patStart  []int
 	tableRows int
-	// byHash dedups pattern bodies (values are candidate ids to
-	// compare against, so collisions stay correct).
+	// byHash dedups pattern bodies by a hash of their ids (values are
+	// candidate ids to compare against, so collisions stay correct).
 	byHash map[uint64][]uint32
+
+	// seen is the scan's open-addressed window table (seenN keys),
+	// reset per scan and grown past half load; spare is the other buffer
+	// of that growth, kept for reuse.
+	seen, spare []occ
+	seenN       int
+	// runs[p] memoizes the last verified run of period p; only entries
+	// stamped with the current scan's stamp are valid. It grows past
+	// minTableSlots entries only for longer periods.
+	runs  []periodRun
+	stamp uint32
 }
 
-func (m *miner) intern(body []row) (uint32, bool) {
-	h := hashRows(body)
+// occ records a window hash's first and most recent occurrence (as the
+// index just past the window); last == 0 marks an empty slot.
+type occ struct {
+	key         uint64
+	first, last int
+}
+
+// periodRun is a maximal half-open range [rs, re) of positions k with
+// ids[k] == ids[k+p], capped above at the scan's hi-p. Its start is
+// maximal or at the literal start in force when it was verified; callers
+// clip it to the current one.
+type periodRun struct {
+	rs, re int
+	stamp  uint32
+}
+
+// The miner's tables start at minTableSlots entries and double as
+// needed, so their size follows the distinct rows, windows and periods —
+// few, in a loop-structured trace — rather than the row count. The
+// open-addressed ones (row interning, window occurrences) grow past half
+// load.
+const minTableSlots = 1 << 10
+
+// slotOf spreads a hash over a power-of-two table (Fibonacci hashing).
+func slotOf(h uint64, mask int) int {
+	return int((h*0x9e3779b97f4a7c15)>>32) & mask
+}
+
+// internSlot maps a row hash to the row that first had it.
+type internSlot struct {
+	h   uint64
+	rep int // index+1 of the row that owns the id; 0 = empty
+}
+
+func newMiner(rows []row, caps patternCaps) *miner {
+	n := len(rows)
+	m := &miner{
+		rows:   rows,
+		caps:   caps,
+		ids:    make([]uint32, n),
+		win:    make([]uint64, n+1),
+		byHash: make(map[uint64][]uint32),
+		runs:   make([]periodRun, minTableSlots),
+	}
+	// Intern rows (ids in first-appearance order) and roll the window
+	// hash, each from a single hashRow per row.
+	tab := make([]internSlot, minTableSlots)
+	// whPow = whBase^(minerWindow-1), for removing the oldest row.
+	whPow := uint64(1)
+	for i := 1; i < minerWindow; i++ {
+		whPow *= whBase
+	}
+	var ring [minerWindow]uint64 // the window's row hashes
+	var wh uint64
+	nid := uint32(0)
+	for i := range rows {
+		h := hashRow(&rows[i])
+		mask := len(tab) - 1
+		s := slotOf(h, mask)
+		for tab[s].rep != 0 && (tab[s].h != h || rows[tab[s].rep-1] != rows[i]) {
+			s = (s + 1) & mask
+		}
+		if e := &tab[s]; e.rep != 0 {
+			m.ids[i] = m.ids[e.rep-1]
+		} else {
+			*e = internSlot{h: h, rep: i + 1}
+			m.ids[i] = nid
+			if nid++; 2*int(nid) > len(tab) {
+				tab = growIntern(tab)
+			}
+		}
+		if i >= minerWindow {
+			wh -= ring[i%minerWindow] * whPow
+		}
+		wh = wh*whBase + h
+		ring[i%minerWindow] = h
+		m.win[i+1] = wh
+	}
+	return m
+}
+
+// growIntern rehashes an intern table into twice the slots.
+func growIntern(old []internSlot) []internSlot {
+	tab := make([]internSlot, 2*len(old))
+	mask := len(tab) - 1
+	for _, e := range old {
+		if e.rep == 0 {
+			continue
+		}
+		s := slotOf(e.h, mask)
+		for tab[s].rep != 0 {
+			s = (s + 1) & mask
+		}
+		tab[s] = e
+	}
+	return tab
+}
+
+// growSeen rehashes the window table into twice the slots.
+func (m *miner) growSeen() {
+	size := 2 * len(m.seen)
+	if cap(m.spare) < size {
+		m.spare = make([]occ, size)
+	}
+	tab := m.spare[:size]
+	clear(tab)
+	mask := size - 1
+	for _, e := range m.seen {
+		if e.last == 0 {
+			continue
+		}
+		s := slotOf(e.key, mask)
+		for tab[s].last != 0 {
+			s = (s + 1) & mask
+		}
+		tab[s] = e
+	}
+	m.seen, m.spare = tab, m.seen
+}
+
+// intern returns the table id of the body rows[start:start+p], adding it
+// if new; false means the table is full.
+func (m *miner) intern(start, p int) (uint32, bool) {
+	body := m.ids[start : start+p]
+	h := uint64(p) + 0x9e3779b97f4a7c15
+	for _, id := range body {
+		h = (h ^ uint64(id)) * 0x100000001b3
+	}
 	for _, id := range m.byHash[h] {
-		if rowsEqual(m.patterns[id], body) {
+		s := m.patStart[id]
+		if slices.Equal(m.ids[s:s+len(m.patterns[id])], body) {
 			return id, true
 		}
 	}
-	if len(m.patterns) >= MaxPatterns || m.tableRows+len(body) > MaxPatternTableRows {
+	if len(m.patterns) >= m.caps.patterns || m.tableRows+p > m.caps.tableRows {
 		return 0, false
 	}
 	id := uint32(len(m.patterns))
-	m.patterns = append(m.patterns, body)
-	m.tableRows += len(body)
+	m.patterns = append(m.patterns, m.rows[start:start+p])
+	m.patStart = append(m.patStart, start)
+	m.tableRows += p
 	m.byHash[h] = append(m.byHash[h], id)
 	return id, true
 }
 
-// scan mines rows[lo:hi) for periodic runs saving at least minSavings
-// rows each, returning ops (repeats and literal gaps) covering the range
-// exactly.
-func (m *miner) scan(rows []row, lo, hi, minSavings int) []progOp {
-	var ops []progOp
-	flushLiteral := func(start, end int) {
-		if start < end {
-			ops = append(ops, progOp{literal: true, start: start, end: end})
+// periodRun returns the maximal run [rs, re) ∋ k where ids[x] ==
+// ids[x+p], searched no lower than lit and no higher than limit, or
+// ok=false when ids[k] != ids[k+p] (or k ≥ limit). A verified run is
+// memoized for the rest of the scan, and a memoized run of a divisor q
+// of p seeds the search: q-periodic [a, b) makes [a, b-(p-q)) p-periodic.
+func (m *miner) periodRun(p, k, lit, limit, q int) (rs, re int, ok bool) {
+	if p >= len(m.runs) {
+		m.runs = append(m.runs, make([]periodRun, max(p+1, 2*len(m.runs))-len(m.runs))...)
+	}
+	r := &m.runs[p]
+	if r.stamp == m.stamp && r.rs <= k && k < r.re {
+		return r.rs, r.re, true
+	}
+	ids := m.ids
+	if k >= limit || ids[k] != ids[k+p] {
+		return 0, 0, false
+	}
+	rs, re = k, k+1
+	if q > 0 && p%q == 0 {
+		if h := &m.runs[q]; h.stamp == m.stamp && h.rs <= k && k < h.re-(p-q) {
+			rs, re = h.rs, h.re-(p-q)
 		}
 	}
+	for rs > lit && ids[rs-1] == ids[rs-1+p] {
+		rs--
+	}
+	for re < limit && ids[re] == ids[re+p] {
+		re++
+	}
+	*r = periodRun{rs: rs, re: re, stamp: m.stamp}
+	return rs, re, true
+}
 
+// scan mines rows[lo:hi) for periodic runs saving at least minSavings
+// rows each, appending ops (repeats and literal gaps) covering the range
+// exactly.
+func (m *miner) scan(ops []progOp, lo, hi, minSavings int) []progOp {
+	m.stamp++
 	// seen maps a window hash to the indices just past its first and
 	// most recent occurrences. The nearest occurrence proposes the
 	// shortest candidate period, but inside a loop body that itself
@@ -437,78 +636,84 @@ func (m *miner) scan(rows []row, lo, hi, minSavings int) []progOp {
 	// first occurrence breaks that masking: the first time a
 	// once-per-iteration window reoccurs, its distance to the first
 	// occurrence is exactly one whole loop period.
-	type occ struct{ first, last int }
-	seen := make(map[uint64]occ, (hi-lo)/4+1)
-	lit := lo // start of the pending literal run
-	var wh uint64
-	wlen := 0 // rows currently in the rolling window
-	const whBase = 0x100000001b3
-	// whPow = whBase^(minerWindow-1), for removing the oldest row.
-	whPow := uint64(1)
-	for i := 1; i < minerWindow; i++ {
-		whPow *= whBase
+	if cap(m.seen) < minTableSlots {
+		m.seen = make([]occ, minTableSlots)
 	}
+	m.seen, m.seenN = m.seen[:minTableSlots], 0
+	clear(m.seen)
+	lit := lo // start of the pending literal run
 
-	for i := lo; i < hi; i++ {
-		rh := hashRow(&rows[i])
-		if wlen == minerWindow {
-			wh -= hashRow(&rows[i-minerWindow]) * whPow
-		} else {
-			wlen++
+	for end := lo + minerWindow; end <= hi; end++ {
+		wh := m.win[end] // window covers rows[end-minerWindow : end]
+		seen := m.seen
+		mask := len(seen) - 1
+		s := slotOf(wh, mask)
+		for seen[s].last != 0 && seen[s].key != wh {
+			s = (s + 1) & mask
 		}
-		wh = wh*whBase + rh
-		if wlen < minerWindow {
-			continue
-		}
-		end := i + 1 // window covers rows[end-minerWindow : end]
-		o, ok := seen[wh]
-		if !ok {
-			seen[wh] = occ{first: end, last: end}
-			continue
-		}
-		seen[wh] = occ{first: o.first, last: end}
-		for _, j := range [2]int{o.last, o.first} {
-			if j >= end {
-				continue
+		o := &seen[s]
+		if o.last == 0 {
+			*o = occ{key: wh, first: end, last: end}
+			if m.seenN++; 2*m.seenN > len(seen) {
+				m.growSeen()
 			}
+			continue
+		}
+		cands := [2]int{o.last, o.first}
+		o.last = end
+		q := 0 // the period verified just before, a divisor hint
+		for c, j := range cands {
 			p := end - j
-			if p > MaxPatternRows || end-p < lit {
+			if (c == 1 && j == cands[0]) || p > MaxPatternRows || j < lit {
 				continue
 			}
-			// Candidate period p. Anchor the body at end-p and extend it
-			// backward while the periodicity holds, so the first iteration
-			// of a loop is captured instead of left literal.
-			start := end - p
-			for start > lit && rows[start-1] == rows[start-1+p] {
-				start--
+			// Candidate period p. Anchor the body at j = end-p and extend
+			// it backward while the periodicity holds, so the first
+			// iteration of a loop is captured instead of left literal; the
+			// body then repeats while the periodicity continues, up to hi.
+			start, runEnd := j, j
+			if j > lit {
+				if rs, re, ok := m.periodRun(p, j-1, lit, hi-p, q); ok {
+					start, runEnd = max(rs, lit), re
+				}
 			}
-			body := rows[start : start+p]
-			count := uint64(1)
-			for next := start + int(count)*p; next+p <= hi && rowsEqual(rows[next:next+p], body); next += p {
-				count++
+			if start == j {
+				if _, re, ok := m.periodRun(p, j, lit, hi-p, q); ok {
+					runEnd = re
+				}
 			}
-			if count < 2 || int(count-1)*p < minSavings {
+			q = p
+			// The run saves (count-1)·p ≤ span rows; most candidates fail
+			// that bound, so the division is left to the rest.
+			span := runEnd - start
+			if span < p || span < minSavings {
 				continue
 			}
-			id, ok := m.intern(body)
+			count := 1 + span/p
+			if (count-1)*p < minSavings {
+				continue
+			}
+			id, ok := m.intern(start, p)
 			if !ok {
 				// Table full: leave the run literal and keep scanning.
 				continue
 			}
-			flushLiteral(lit, start)
-			ops = append(ops, progOp{id: id, count: count})
-			consumed := start + int(count)*p
-			lit = consumed
-			// Restart the window past the consumed run; stale map entries
-			// are harmless (candidates are verified by comparison).
-			if consumed > i+1 {
-				i = consumed - 1
-				wh, wlen = 0, 0
+			if lit < start {
+				ops = append(ops, progOp{literal: true, start: lit, end: start})
+			}
+			ops = append(ops, progOp{id: id, count: uint64(count)})
+			lit = start + count*p
+			// Restart the window past the consumed run; stale table
+			// entries are harmless (candidates are verified exactly).
+			if lit > end {
+				end = lit + minerWindow - 1
 			}
 			break
 		}
 	}
-	flushLiteral(lit, hi)
+	if lit < hi {
+		ops = append(ops, progOp{literal: true, start: lit, end: hi})
+	}
 	return ops
 }
 
@@ -523,30 +728,17 @@ func hashRow(r *row) uint64 {
 	return h
 }
 
-func hashRows(rows []row) uint64 {
-	h := uint64(len(rows)) + 0x9e3779b97f4a7c15
-	for i := range rows {
-		h = h*0x100000001b3 + hashRow(&rows[i])
-	}
-	return h
-}
-
-func rowsEqual(a, b []row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // WriteBinary2 encodes the trace to w in the XTRP2 format: the events
 // are rewritten as delta rows, mined for repeated blocks, and emitted
 // as a pattern table plus a program of literal runs and repeats.
 func WriteBinary2(w io.Writer, t *Trace) error {
+	return writeBinary2(w, t, minePatterns, formatCaps)
+}
+
+// writeBinary2 is WriteBinary2 with the pattern miner and its table caps
+// as parameters, so tests can encode through a reference miner and
+// compare bytes.
+func writeBinary2(w io.Writer, t *Trace, mine func([]row, patternCaps) ([][]row, []progOp), caps patternCaps) error {
 	hdr := t.Header()
 	if hdr.NumThreads < 0 || hdr.NumThreads > MaxThreads {
 		return fmt.Errorf("trace: thread count %d out of range [0,%d]", hdr.NumThreads, MaxThreads)
@@ -570,7 +762,7 @@ func WriteBinary2(w io.Writer, t *Trace) error {
 	for i := range t.Events {
 		rows[i] = st.rowOf(&t.Events[i])
 	}
-	patterns, ops := minePatterns(rows)
+	patterns, ops := mine(rows, caps)
 
 	// Pass 2: write.
 	bw := bufio.NewWriter(w)
@@ -614,16 +806,14 @@ func WriteBinary2(w io.Writer, t *Trace) error {
 		_, err := bw.Write(vb[:n])
 		return err
 	}
+	var rb [1 + 5*binary.MaxVarintLen64]byte
 	putRow := func(r *row) error {
-		if err := bw.WriteByte(byte(r.kind)); err != nil {
-			return err
-		}
+		b := append(rb[:0], byte(r.kind))
 		for _, v := range [...]int64{r.dTime, r.dThread, r.dA0, r.dA1, r.dA2} {
-			if err := putUvarint(zigzag(v)); err != nil {
-				return err
-			}
+			b = binary.AppendUvarint(b, zigzag(v))
 		}
-		return nil
+		_, err := bw.Write(b)
+		return err
 	}
 	for _, body := range patterns {
 		if err := putUvarint(uint64(len(body))); err != nil {

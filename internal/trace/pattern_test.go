@@ -120,30 +120,7 @@ func TestPatternSourceSkipIterations(t *testing.T) {
 // covering the rotation.
 func TestMinerFindsRotatedLongPeriod(t *testing.T) {
 	const threads, rounds, reads = 4, 24, 16
-	tr := New(threads)
-	clock := vtime.Time(0)
-	for th := 0; th < threads; th++ {
-		tr.Append(Event{Time: clock, Kind: KindThreadStart, Thread: int32(th), Arg0: threads})
-	}
-	for r := 0; r < rounds; r++ {
-		for slot := 0; slot < threads; slot++ {
-			th := (r + slot) % threads // rotated schedule
-			for j := 0; j < reads; j++ {
-				clock += 300
-				tr.Append(Event{Time: clock, Kind: KindRemoteRead, Thread: int32(th),
-					Arg0: int64((th + 1) % threads), Arg1: 512, Arg2: PackRef(1, int32(th))})
-			}
-			clock += 100
-			tr.Append(Event{Time: clock, Kind: KindBarrierEntry, Thread: int32(th), Arg0: int64(r)})
-		}
-		for slot := 0; slot < threads; slot++ {
-			tr.Append(Event{Time: clock, Kind: KindBarrierExit, Thread: int32((r + slot) % threads), Arg0: int64(r)})
-		}
-	}
-	for th := 0; th < threads; th++ {
-		clock += 10
-		tr.Append(Event{Time: clock, Kind: KindThreadEnd, Thread: int32(th)})
-	}
+	tr := makeRotatedTrace(threads, rounds, reads)
 
 	// True period: the rotation cycle = threads rounds.
 	rowsPerRound := threads*(reads+1) + threads
@@ -174,4 +151,35 @@ func TestMinerFindsRotatedLongPeriod(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameTrace(t, tr, back)
+}
+
+// makeRotatedTrace builds rounds of a barrier loop in which each thread
+// issues reads remote reads before entering the barrier, with the thread
+// order rotated by one every round.
+func makeRotatedTrace(threads, rounds, reads int) *Trace {
+	tr := New(threads)
+	clock := vtime.Time(0)
+	for th := 0; th < threads; th++ {
+		tr.Append(Event{Time: clock, Kind: KindThreadStart, Thread: int32(th), Arg0: int64(threads)})
+	}
+	for r := 0; r < rounds; r++ {
+		for slot := 0; slot < threads; slot++ {
+			th := (r + slot) % threads // rotated schedule
+			for j := 0; j < reads; j++ {
+				clock += 300
+				tr.Append(Event{Time: clock, Kind: KindRemoteRead, Thread: int32(th),
+					Arg0: int64((th + 1) % threads), Arg1: 512, Arg2: PackRef(1, int32(th))})
+			}
+			clock += 100
+			tr.Append(Event{Time: clock, Kind: KindBarrierEntry, Thread: int32(th), Arg0: int64(r)})
+		}
+		for slot := 0; slot < threads; slot++ {
+			tr.Append(Event{Time: clock, Kind: KindBarrierExit, Thread: int32((r + slot) % threads), Arg0: int64(r)})
+		}
+	}
+	for th := 0; th < threads; th++ {
+		clock += 10
+		tr.Append(Event{Time: clock, Kind: KindThreadEnd, Thread: int32(th)})
+	}
+	return tr
 }
