@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -417,13 +418,14 @@ func TestJobCancel(t *testing.T) {
 	// Freeze the job at its first cell so the cancel races nothing.
 	frozen := make(chan struct{})
 	release := make(chan struct{})
-	var once bool
+	// Cells run on pool goroutines, so the first-cell latch must be
+	// race-free; later cells block in Do until the first is released.
+	var once sync.Once
 	srv.jobs.SetCellHook(func(string, int) {
-		if !once {
-			once = true
+		once.Do(func() {
 			close(frozen)
 			<-release
-		}
+		})
 	})
 
 	body := `{"benchmark":"grid","size":16,"iters":4,"machine":"cm5","procs":[1,2,4]}`
