@@ -725,21 +725,27 @@ func BenchmarkXTRP2Encode(b *testing.B) {
 
 // BenchmarkPatternReplay compares event-by-event replay against
 // pattern-native replay with steady-state fast-forward on compiled
-// (XTRP2) traces of the paper kernels. Loop-heavy kernels (mgrid, grid)
-// spend most of their trace inside mined repeat bodies, so the
-// fast-forward skips the bulk of the simulation; embar is embarrassingly
-// parallel with a tiny loop-free trace, included as the honest lower
-// bound (~1×, nothing to skip). Every pattern-mode iteration asserts the
+// (XTRP2) traces of the paper kernels. Loop-heavy kernels (mgrid, grid,
+// at 8 threads and grid again at 32) spend most of their trace inside
+// mined repeat bodies, so the fast-forward skips the bulk of the
+// simulation; embar is embarrassingly parallel with a tiny loop-free
+// trace, included as the honest lower bound (~1×, nothing to skip), and
+// pipeline8 at 32 threads is the loop-poor case whose repeats are too
+// short to repay a state fingerprint, where pattern replay must cost no
+// more than event replay. Every pattern-mode iteration asserts the
 // prediction is byte-identical to the event-mode reference, and the
 // fast-forward hit counters are reported per operation.
 func BenchmarkPatternReplay(b *testing.B) {
 	kernels := []struct {
-		name string
-		size benchmarks.Size
+		label, name string
+		size        benchmarks.Size
+		threads     int
 	}{
-		{"mgrid", benchmarks.Size{N: 16, Iters: 240}},
-		{"grid", benchmarks.Size{N: 64, Iters: 324}},
-		{"embar", benchmarks.Size{N: 17}},
+		{"mgrid", "mgrid", benchmarks.Size{N: 16, Iters: 240}, 8},
+		{"grid", "grid", benchmarks.Size{N: 64, Iters: 324}, 8},
+		{"embar", "embar", benchmarks.Size{N: 17}, 8},
+		{"grid32", "grid", benchmarks.Size{N: 64, Iters: 324}, 32},
+		{"pipeline8-32", "pipeline8", benchmarks.Size{N: 32, Iters: 2}, 32},
 	}
 	cfg := machine.GenericDM().Config
 	for _, k := range kernels {
@@ -747,7 +753,7 @@ func BenchmarkPatternReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tr, err := core.Measure(g.Factory(k.size)(8), core.MeasureOptions{})
+		tr, err := core.Measure(g.Factory(k.size)(k.threads), core.MeasureOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -767,7 +773,7 @@ func BenchmarkPatternReplay(b *testing.B) {
 		for _, mode := range []sim.ReplayMode{sim.ReplayEvent, sim.ReplayPattern} {
 			mcfg := cfg
 			mcfg.Replay = mode
-			b.Run(k.name+"/"+mode.String(), func(b *testing.B) {
+			b.Run(k.label+"/"+mode.String(), func(b *testing.B) {
 				before := sim.ReadReplayCounters()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -777,7 +783,7 @@ func BenchmarkPatternReplay(b *testing.B) {
 					}
 					if pred.Result.TotalTime != want {
 						b.Fatalf("%s/%s prediction %v != event-replay reference %v",
-							k.name, mode, pred.Result.TotalTime, want)
+							k.label, mode, pred.Result.TotalTime, want)
 					}
 				}
 				b.StopTimer()

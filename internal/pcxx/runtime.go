@@ -233,11 +233,26 @@ func (t *Thread) Call() {
 	t.Compute(t.rt.cfg.Cost.CallTime)
 }
 
+// rotateResume restores the historical resume order, in which the last
+// thread to reach a barrier kept running after releasing the others, so
+// each epoch started one thread later than the one before. Only tests
+// set it, as the oracle proving that resume order never changes a
+// per-thread trace or a prediction.
+var rotateResume bool
+
 // Barrier synchronizes all n threads at a global barrier: the thread
 // records its entry, parks until the last thread arrives, and records its
 // exit when rescheduled. On the 1-processor measurement host this is the
 // only point where the processor switches threads — the property trace
 // translation depends on.
+//
+// The last arriver releases the waiters and then yields behind them, so
+// every barrier epoch runs its threads in id order. Each thread's events
+// and compute deltas are the same in any order; a fixed order also makes
+// the merged trace of a loop repeat every iteration instead of every n,
+// which is what lets the miner find short loop bodies and replay skip
+// them. The exit is recorded on resumption, as for every waiter, so no
+// other thread's compute lands in this thread's next delta.
 func (t *Thread) Barrier() {
 	rt := t.rt
 	seq := rt.barrierSeq[t.id]
@@ -249,10 +264,13 @@ func (t *Thread) Barrier() {
 		t.th.Park()
 	} else {
 		rt.arrived = 0
-		ws := rt.waiting
-		rt.waiting = nil
-		for _, w := range ws {
+		for _, w := range rt.waiting {
 			w.Unpark()
+		}
+		released := len(rt.waiting) > 0
+		rt.waiting = rt.waiting[:0]
+		if released && !rotateResume {
+			t.th.Yield()
 		}
 	}
 	rt.record(trace.Event{Kind: trace.KindBarrierExit, Thread: int32(t.id), Arg0: seq})

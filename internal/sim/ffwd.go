@@ -3,7 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"extrap/internal/sim/network"
@@ -73,6 +73,20 @@ const (
 	ffMaxSkipSteps = 1 << 30
 )
 
+// Fingerprint size estimate, in slots, from sizes the pipeline already
+// holds (see fpSlots). The per-item counts follow the traversals below:
+// a thread is 22 engine slots plus 6 in translate, a processor about 5
+// plus its NI queue front in each network, a future event 6 plus 6 for
+// the message it may carry, a buffered translated event 6; the fixed
+// part covers the decoder registers, the barrier windows and the scalars.
+const (
+	ffSlotsPerThread  = 28
+	ffSlotsPerProc    = 7
+	ffSlotsPerFEL     = 12
+	ffSlotsPerPending = 6
+	ffSlotsFixed      = 128
+)
+
 // Fast-forward telemetry, process-wide (mirrors the codec's compression
 // counters; surfaced on /debug/vars by the serving layer).
 var (
@@ -120,6 +134,19 @@ type ffState struct {
 	snapOp    int    // repeat-op instance fpA belongs to
 	fails     int
 	abandoned bool
+
+	scratch fpScratch
+}
+
+// fpScratch is the engine fingerprint's working memory, kept across
+// probes so a snapshot allocates nothing once the buffers have grown:
+// the canonical FEL order, the message rename table (indexed by slab
+// slot, holding rename+1 so zero means unseen, and zeroed again after
+// every walk), and the slots in first-encounter order.
+type fpScratch struct {
+	order     []int32
+	rename    []int64
+	encounter []int32
 }
 
 // newFFState engages fast-forward when the source pipeline exposes its
@@ -166,6 +193,12 @@ func (ff *ffState) observe(ctx context.Context, e *engine, steps int) (int, erro
 		ff.abandoned = false
 	}
 	if ff.abandoned || repLeft < ffMinRepLeft {
+		return steps, nil
+	}
+	// Pay as you go: a snapshot is worth taking only while the repeat
+	// still owes at least as many rows as the fingerprint pushes slots,
+	// the most a skip from here could save against what it costs.
+	if repLeft*uint64(bodyLen) < uint64(e.fpSlots(ff.src.Pending())) {
 		return steps, nil
 	}
 	stride := uint64(1)
@@ -261,7 +294,14 @@ func (ff *ffState) appendAll(e *engine, fp *trace.ReplayFingerprint) bool {
 	if !ff.src.AppendReplayFingerprint(fp) {
 		return false
 	}
-	return e.appendReplayFingerprint(fp)
+	return e.appendReplayFingerprint(fp, &ff.scratch)
+}
+
+// fpSlots estimates the slot count of one appendAll, given the number
+// of translated events buffered in the stream.
+func (e *engine) fpSlots(pending int) int {
+	return ffSlotsPerThread*e.n + ffSlotsPerProc*e.nprocs + ffSlotsPerFEL*len(e.fel.q) +
+		ffSlotsPerPending*pending + ffSlotsFixed
 }
 
 // --- engine fingerprint -----------------------------------------------------
@@ -284,7 +324,7 @@ func (ff *ffState) appendAll(e *engine, fp *trace.ReplayFingerprint) bool {
 // heap layout or slab naming are behaviorally identical, and the shift
 // application is order- and name-independent, so skipping from such a
 // state is exact.
-func (e *engine) appendReplayFingerprint(fp *trace.ReplayFingerprint) bool {
+func (e *engine) appendReplayFingerprint(fp *trace.ReplayFingerprint, sc *fpScratch) bool {
 	if e.fail != nil || e.out != nil {
 		return false
 	}
@@ -292,26 +332,32 @@ func (e *engine) appendReplayFingerprint(fp *trace.ReplayFingerprint) bool {
 
 	// Canonical FEL order and msg-handle renaming, computed up front so
 	// every section (service queues included) uses the same naming.
-	order := make([]int32, len(e.fel.q))
-	for i := range order {
-		order[i] = int32(i)
+	order := sc.order[:0]
+	for i := range e.fel.q {
+		order = append(order, int32(i))
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := &e.fel.q[order[i]], &e.fel.q[order[j]]
-		if a.at != b.at {
-			return a.at < b.at
+	slices.SortFunc(order, func(i, j int32) int {
+		switch {
+		case before(&e.fel.q[i], &e.fel.q[j]):
+			return -1
+		case before(&e.fel.q[j], &e.fel.q[i]):
+			return 1
 		}
-		return a.seq < b.seq
+		return 0
 	})
-	rename := make(map[int32]int64)
-	var encounter []int32
+	sc.order = order
+	if len(sc.rename) < e.msgs.used {
+		sc.rename = make([]int64, e.msgs.used)
+	}
+	rename := sc.rename
+	encounter := sc.encounter[:0]
 	visit := func(mi int32) {
 		if mi == noMsg {
 			return
 		}
-		if _, ok := rename[mi]; !ok {
-			rename[mi] = int64(len(encounter))
+		if rename[mi] == 0 {
 			encounter = append(encounter, mi)
+			rename[mi] = int64(len(encounter))
 		}
 	}
 	for _, qi := range order {
@@ -332,7 +378,7 @@ func (e *engine) appendReplayFingerprint(fp *trace.ReplayFingerprint) bool {
 		if mi == noMsg {
 			return -1
 		}
-		return rename[mi]
+		return rename[mi] - 1
 	}
 	fp.Push(trace.FPSim, int64(now))
 	fp.Push(trace.FPExact, int64(e.done))
@@ -456,6 +502,10 @@ func (e *engine) appendReplayFingerprint(fp *trace.ReplayFingerprint) bool {
 	if e.intra != nil {
 		pushNet(fp, e.intra, now)
 	}
+	for _, mi := range encounter {
+		rename[mi] = 0
+	}
+	sc.encounter = encounter
 	return true
 }
 

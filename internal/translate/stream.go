@@ -107,6 +107,10 @@ func (s *Stream) SourceDuration() vtime.Time { return s.srcDuration }
 // idealized parallel execution time once the stream is drained.
 func (s *Stream) Duration() vtime.Time { return s.maxTranslated }
 
+// Pending reports how many translated events sit buffered across all
+// per-thread cursors.
+func (s *Stream) Pending() int { return s.pending }
+
 // Err returns the sticky stream error, if any (io.EOF is not an error).
 func (s *Stream) Err() error { return s.err }
 

@@ -161,6 +161,46 @@ func TestReplayEquivalenceComposed(t *testing.T) {
 	}
 }
 
+// TestFastForwardEngagesAtAllThreadCounts pins fast-forward coverage on
+// the loop kernel: grid at its default size (324 sweeps) must skip at
+// least 90% of its sweeps at every thread count and processor
+// multiplexing, with predictions byte-identical to event replay. It
+// reads the process-wide replay counters, so it must not run in
+// parallel with other replays.
+func TestFastForwardEngagesAtAllThreadCounts(t *testing.T) {
+	g, err := benchmarks.ByName("grid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := g.DefaultSize()
+	for _, threads := range []int{8, 16, 32} {
+		enc := encodeKernel(t, "grid", size, threads)
+		for _, procs := range []int{threads, threads / 2, threads / 4} {
+			cfg := machine.GenericDM().Config
+			cfg.Procs = procs
+			cfg.Replay = sim.ReplayPattern
+			before := sim.ReadReplayCounters()
+			got, err := core.ExtrapolateEncoded(context.Background(), enc, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			skipped := sim.ReadReplayCounters().IterationsSkipped - before.IterationsSkipped
+			if skipped*10 < uint64(size.Iters)*9 {
+				t.Errorf("grid/%d threads on %d procs: fast-forward skipped %d of %d sweeps, want ≥ 90%%",
+					threads, procs, skipped, size.Iters)
+			}
+			cfg.Replay = sim.ReplayEvent
+			want, err := core.ExtrapolateEncoded(context.Background(), enc, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("grid/%d threads on %d procs: pattern replay diverged from event replay", threads, procs)
+			}
+		}
+	}
+}
+
 // bigElem is a collection element large enough for partial transfers.
 type bigElem [4096]byte
 
