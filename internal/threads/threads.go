@@ -10,6 +10,17 @@
 // sound: the time between two consecutive events of a thread is pure,
 // uninterrupted computation of that thread.
 //
+// The ready queue is FIFO: threads start in id order, and Yield and
+// Unpark append to the back. Which thread runs next never changes what a
+// thread computes or the deltas between its events, but it does decide
+// the order of the merged 1-processor trace. Callers that want that
+// trace to repeat with the program's loops keep the order fixed: the
+// pcxx barrier unparks its waiters in arrival order and then yields the
+// last arriver behind them, so every barrier epoch runs in id order. (If
+// the last arriver kept running instead, each epoch would start one
+// thread later than the one before, and an n-thread loop's merged trace
+// would repeat only every n iterations.)
+//
 // The implementation maps each user thread onto a goroutine but enforces
 // mutual exclusion with a baton: exactly one goroutine (a thread or the
 // scheduler) runs at any instant, and hand-offs are explicit channel

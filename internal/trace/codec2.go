@@ -64,12 +64,14 @@ var binary2Magic = [5]byte{'X', 'T', 'R', 'P', '2'}
 const (
 	// MaxPatterns bounds the pattern-table entry count.
 	MaxPatterns = 1 << 16
-	// MaxPatternRows bounds the rows of a single pattern body. Real loop
-	// periods can be large: a barrier loop's merged row period is
-	// threads × per-thread rows, multiplied again when the scheduler
-	// rotates thread order across iterations (16 threads × 17 rows × a
-	// 16-round rotation ≈ 4.4k rows), so the cap leaves headroom above
-	// that while still bounding a hostile stream's allocation.
+	// MaxPatternRows bounds the rows of a single pattern body. A barrier
+	// loop's merged row period is threads × per-thread rows (grid at 32
+	// threads: 308 rows), because measurement resumes threads in id order
+	// at every barrier. Traces measured before that order was fixed,
+	// which stores may still hold, rotated the thread order by one each
+	// barrier, so their periods were up to n times longer (grid at 32
+	// threads mined a 4928-row body). The cap keeps those decodable with
+	// headroom while still bounding a hostile stream's allocation.
 	MaxPatternRows = 1 << 14
 	// MaxPatternTableRows bounds the cumulative rows across all pattern
 	// bodies. Rows are parsed incrementally from actual input bytes (≥ 6
@@ -335,6 +337,10 @@ const (
 // minerLadder is the descending savings bar of the multi-scale mining
 // passes (see minePatterns): pass k commits only runs eliminating at
 // least minerLadder[k] rows, and later passes re-mine the literal gaps.
+// The top rung is sized for whole-program loops, whatever their body
+// length: grid's 324 sweeps at 32 threads save about 100k rows, and the
+// long rotated-order bodies of older traces (see MaxPatternRows) still
+// clear it. Changing a rung changes the encoding, so the ladder stays.
 var minerLadder = [...]int{1 << 14, 1 << 11, 1 << 8, 1 << 5, minRepeatSavings}
 
 // patternCaps bounds the pattern table a miner may build. Encoders mine
