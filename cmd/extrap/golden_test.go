@@ -5,21 +5,37 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"extrap/internal/compose"
 )
 
 // TestExperimentGoldens pins what the extrapolator computes, not just
-// that its paths agree: the full experiment suite and a composed-workload
-// sweep must reproduce committed outputs byte for byte. A failure means
-// some prediction changed. If the change is deliberate, regenerate with
-// EXTRAP_GOLDEN_UPDATE=1 and say why in the change; never regenerate to
-// silence an accidental drift.
+// that its paths agree: the full experiment suite and the composed-
+// workload sweeps (nested.json exact and fitted, plus every compose
+// preset fed in as an ad-hoc spec file) must reproduce committed outputs
+// byte for byte. A failure means some prediction changed. If the change
+// is deliberate, regenerate with EXTRAP_GOLDEN_UPDATE=1 and say why in
+// the change; never regenerate to silence an accidental drift.
 func TestExperimentGoldens(t *testing.T) {
+	nested := filepath.Join("..", "..", "internal", "compose", "testdata", "nested.json")
 	cases := []struct {
 		golden string
 		args   []string
 	}{
 		{"experiment_all.golden", []string{"all"}},
-		{"workload_nested.golden", []string{"-workload", filepath.Join("..", "..", "internal", "compose", "testdata", "nested.json")}},
+		{"workload_nested.golden", []string{"-workload", nested}},
+		{"workload_nested_fitted.golden", []string{"-mode", "fitted", "-workload", nested}},
+	}
+	dir := t.TempDir()
+	for _, p := range compose.Presets() {
+		path := filepath.Join(dir, p.Name()+".json")
+		if err := os.WriteFile(path, p.Workload().SpecJSON(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, struct {
+			golden string
+			args   []string
+		}{"workload_" + p.Name() + ".golden", []string{"-workload", path}})
 	}
 	for _, c := range cases {
 		t.Run(strings.TrimSuffix(c.golden, ".golden"), func(t *testing.T) {
