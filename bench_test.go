@@ -234,7 +234,7 @@ func BenchmarkSimulation(b *testing.B) {
 	cfg := machine.GenericDM().Config
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Simulate(pt, cfg); err != nil {
+		if _, err := sim.Simulate(context.Background(), nil, pt, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -256,7 +256,7 @@ func BenchmarkSimulationArena(b *testing.B) {
 	arena := sim.NewArena()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.SimulateArena(arena, pt, cfg); err != nil {
+		if _, err := sim.Simulate(context.Background(), arena, pt, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -301,20 +301,20 @@ func sweepBatchGrid(b *testing.B) []experiments.SweepJob {
 
 // BenchmarkSweepBatch measures sweep throughput over the 24-cell
 // machine-parameter grid on the streaming service, per-cell versus
-// batched. One worker in both arms, so the ratio isolates the kernel:
-// the sequential arm replays decode→translate→simulate per cell, the
-// batched arm decodes and translates the shared trace once and
-// advances 8 machine models per pass. Results are byte-identical at
-// any batch size (covered by the determinism tests); the committed
-// baseline pins batch8 at ≥ 3× sequential cells/sec with fewer
-// allocs per cell.
+// batched. One worker in both arms, so the ratio isolates the
+// execution shape: the sequential arm replays decode→translate→simulate
+// per cell through the pattern cursor, fast-forwarding the grid's
+// steady sweeps; the batched arm decodes and translates the shared
+// trace once and simulates up to 8 machine models one after another
+// over it, event by event. Results are byte-identical at any batch size
+// (covered by the determinism tests).
 func BenchmarkSweepBatch(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
 		batch int
 	}{{"sequential", 1}, {"batch8", 8}} {
 		b.Run(bc.name, func(b *testing.B) {
-			svc := experiments.NewStreamingService(1, 64, 0)
+			svc := experiments.NewService(1, 64, 0)
 			svc.SetBatchSize(bc.batch)
 			jobs := sweepBatchGrid(b)
 			ctx := context.Background()
@@ -373,7 +373,7 @@ func BenchmarkSweepFitted(b *testing.B) {
 		fitted bool
 	}{{"exact", false}, {"fitted", true}} {
 		b.Run(bc.name, func(b *testing.B) {
-			svc := experiments.NewStreamingService(1, 64, 0)
+			svc := experiments.NewService(1, 64, 0)
 			jobs := []experiments.SweepJob{sweepFittedJob(b)}
 			ctx := context.Background()
 			run := func() ([][]metrics.Point, error) {
@@ -549,7 +549,7 @@ func bigTraceEncoded(b *testing.B, cfg sim.Config) (enc []byte, nEvents int, wan
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := sim.Simulate(pt, cfg)
+	res, err := sim.Simulate(context.Background(), nil, pt, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -723,18 +723,19 @@ func BenchmarkXTRP2Encode(b *testing.B) {
 	}
 }
 
-// BenchmarkPatternReplay compares event-by-event replay against
-// pattern-native replay with steady-state fast-forward on compiled
-// (XTRP2) traces of the paper kernels. Loop-heavy kernels (mgrid, grid,
+// BenchmarkPatternReplay compares the event-replay oracle (a plain
+// record decoder, no pattern cursor) against production pattern-native
+// replay with steady-state fast-forward on compiled (XTRP2) traces of
+// the paper kernels. Loop-heavy kernels (mgrid, grid,
 // at 8 threads and grid again at 32) spend most of their trace inside
 // mined repeat bodies, so the fast-forward skips the bulk of the
 // simulation; embar is embarrassingly parallel with a tiny loop-free
 // trace, included as the honest lower bound (~1×, nothing to skip), and
 // pipeline8 at 32 threads is the loop-poor case whose repeats are too
 // short to repay a state fingerprint, where pattern replay must cost no
-// more than event replay. Every pattern-mode iteration asserts the
-// prediction is byte-identical to the event-mode reference, and the
-// fast-forward hit counters are reported per operation.
+// more than event replay. Every iteration asserts the prediction is
+// byte-identical to the event-replay reference, and the fast-forward
+// hit counters are reported per operation.
 func BenchmarkPatternReplay(b *testing.B) {
 	kernels := []struct {
 		label, name string
@@ -763,32 +764,34 @@ func BenchmarkPatternReplay(b *testing.B) {
 		}
 		enc := buf.Bytes()
 		nEvents := len(tr.Events)
-		ecfg := cfg
-		ecfg.Replay = sim.ReplayEvent
-		ref, err := core.ExtrapolateEncoded(context.Background(), enc, ecfg)
+		ref, err := eventReplay(context.Background(), enc, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		want := ref.Result.TotalTime
-		for _, mode := range []sim.ReplayMode{sim.ReplayEvent, sim.ReplayPattern} {
-			mcfg := cfg
-			mcfg.Replay = mode
-			b.Run(k.label+"/"+mode.String(), func(b *testing.B) {
+		for _, arm := range []struct {
+			mode string
+			run  func(context.Context, []byte, sim.Config) (*core.Prediction, error)
+		}{
+			{"event", eventReplay},
+			{"pattern", core.ExtrapolateEncoded},
+		} {
+			b.Run(k.label+"/"+arm.mode, func(b *testing.B) {
 				before := sim.ReadReplayCounters()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					pred, err := core.ExtrapolateEncoded(context.Background(), enc, mcfg)
+					pred, err := arm.run(context.Background(), enc, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}
 					if pred.Result.TotalTime != want {
 						b.Fatalf("%s/%s prediction %v != event-replay reference %v",
-							k.label, mode, pred.Result.TotalTime, want)
+							k.label, arm.mode, pred.Result.TotalTime, want)
 					}
 				}
 				b.StopTimer()
 				b.ReportMetric(float64(nEvents)/1e3, "kevents")
-				if mode == sim.ReplayPattern {
+				if arm.mode == "pattern" {
 					after := sim.ReadReplayCounters()
 					n := float64(b.N)
 					b.ReportMetric(float64(after.FastForwards-before.FastForwards)/n, "ffwd/op")

@@ -15,7 +15,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -222,6 +221,42 @@ func readTrace(path string) (*trace.Trace, error) {
 	return tr, err
 }
 
+// printPrediction renders simulate's report for one prediction.
+func printPrediction(out io.Writer, env machine.Env, res *sim.Result, ideal vtime.Time) {
+	fmt.Fprintf(out, "environment: %s (%s)\n", env.Name, env.Description)
+	fmt.Fprintln(out, res)
+	fmt.Fprintf(out, "ideal parallel time: %v   predicted/ideal: %.2f\n",
+		ideal, float64(res.TotalTime)/float64(ideal))
+	fmt.Fprintln(out, metrics.ComputeBreakdown(res))
+}
+
+// extrapolateFile runs a measurement trace file through the streaming
+// pipeline. Binary traces (either XTRP format) decode incrementally, so
+// even very large traces extrapolate at buffer-sized memory; text
+// traces are read whole and streamed from memory.
+func extrapolateFile(path string, cfg sim.Config) (*core.Prediction, error) {
+	ctx := context.Background()
+	if filepath.Ext(path) != ".txt" {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		d, err := trace.NewAnyDecoder(f)
+		if err == nil {
+			return core.ExtrapolateReader(ctx, d.Header(), d, cfg)
+		}
+		if err != trace.ErrBadMagic {
+			return nil, err
+		}
+	}
+	tr, err := readTrace(path)
+	if err != nil {
+		return nil, err
+	}
+	return core.ExtrapolateReader(ctx, tr.Header(), tr.Reader(), cfg)
+}
+
 func cmdStats(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	in := fs.String("i", "", "input trace file")
@@ -279,7 +314,6 @@ func cmdSimulate(args []string, out io.Writer) error {
 	policy := fs.String("policy", "", "override service policy: no-interrupt|interrupt|poll")
 	pollUs := fs.Float64("poll-interval", 500, "poll interval in µs (with -policy poll)")
 	emit := fs.String("emit-trace", "", "write the extrapolated event trace to this file")
-	stream := fs.Bool("stream", false, "bounded-memory pipeline: decode, translate, and simulate the trace as a stream (binary traces only; output is identical)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -315,52 +349,18 @@ func cmdSimulate(args []string, out io.Writer) error {
 	}
 	cfg.EmitTrace = *emit != ""
 
-	var res *sim.Result
-	var ideal vtime.Time
-	if *stream {
-		// The streaming pipeline pulls events through bounded cursors, so
-		// even very large traces extrapolate at buffer-sized memory. It
-		// needs the incrementally decodable binary format.
-		if filepath.Ext(*in) == ".txt" {
-			return fmt.Errorf("simulate: -stream requires the binary trace format")
-		}
-		f, err := os.Open(*in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		d, err := trace.NewAnyDecoder(bufio.NewReader(f))
-		if err != nil {
-			return err
-		}
-		pred, err := core.ExtrapolateReader(context.Background(), d.Header(), d, cfg)
-		if err != nil {
-			return err
-		}
-		res, ideal = pred.Result, pred.Ideal
-	} else {
-		tr, err := readTrace(*in)
-		if err != nil {
-			return err
-		}
-		oc, err := core.Extrapolate(tr, cfg)
-		if err != nil {
-			return err
-		}
-		res, ideal = oc.Result, oc.Parallel.Duration()
+	pred, err := extrapolateFile(*in, cfg)
+	if err != nil {
+		return err
 	}
-	fmt.Fprintf(out, "environment: %s (%s)\n", env.Name, env.Description)
-	fmt.Fprintln(out, res)
-	fmt.Fprintf(out, "ideal parallel time: %v   predicted/ideal: %.2f\n",
-		ideal, float64(res.TotalTime)/float64(ideal))
-	fmt.Fprintln(out, metrics.ComputeBreakdown(res))
+	printPrediction(out, env, pred.Result, pred.Ideal)
 	if cfg.EmitTrace {
 		f, err := os.Create(*emit)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		if err := trace.WriteBinary(f, res.Trace); err != nil {
+		if err := trace.WriteBinary(f, pred.Result.Trace); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "extrapolated trace written to %s\n", *emit)
@@ -623,13 +623,11 @@ func parseExperimentFlags(args []string) (opts experiments.Options, id, workload
 	fs := flag.NewFlagSet("experiment", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "small problem sizes and a short processor ladder")
 	workers := fs.Int("workers", 0, "worker goroutines for the measurement/simulation grid (0 = all CPUs, 1 = sequential; output is identical at any value)")
-	batch := fs.Int("batch", 0, "batched grid simulation: advance up to this many machine models per pass over a shared measured trace (≤ 1 = per-cell; output is identical at any value)")
+	batch := fs.Int("batch", 0, "batched grid simulation: cells sharing a measurement decode and translate it once and simulate up to this many machine models over it (≤ 1 = per-cell; output is identical at any value)")
 	csv := fs.String("csv", "", "also write each table as CSV into this directory")
 	svg := fs.String("svg", "", "also write each figure as SVG into this directory")
 	storeFlag := fs.String("store", "", "durable artifact store directory: measurements persist there and repeated runs reuse them instead of re-measuring (empty = in-memory only)")
-	formatFlag := fs.String("trace-format", "", "run over an encoded trace cache in this wire format (xtrp1|xtrp2); output is byte-identical to the default in-memory run (empty = in-memory)")
 	modeFlag := fs.String("mode", "", "grid mode: exact (default — simulate every ladder cell) or fitted (simulate sparse anchors, answer the rest from an analytic least-squares fit)")
-	replayFlag := fs.String("replay", "", "XTRP2 replay mode: pattern (default — compiled pattern programs with steady-state fast-forward) or event (flat event-by-event); output is byte-identical either way")
 	workloadFlag := fs.String("workload", "", "sweep a composed workload (JSON pattern spec file) over the modeled machines instead of running a registered experiment")
 	if err = fs.Parse(args); err != nil {
 		return opts, "", "", "", "", "", err
@@ -643,12 +641,6 @@ func parseExperimentFlags(args []string) (opts experiments.Options, id, workload
 	case *workloadFlag != "" && fs.NArg() != 0:
 		return opts, "", "", "", "", "", fmt.Errorf("experiment: -workload replaces the experiment id; drop %q", fs.Arg(0))
 	}
-	var tf trace.Format
-	if *formatFlag != "" {
-		if tf, err = trace.ParseFormat(*formatFlag); err != nil {
-			return opts, "", "", "", "", "", fmt.Errorf("experiment: %w", err)
-		}
-	}
 	mode := *modeFlag
 	switch mode {
 	case "", "exact":
@@ -657,13 +649,7 @@ func parseExperimentFlags(args []string) (opts experiments.Options, id, workload
 	default:
 		return opts, "", "", "", "", "", fmt.Errorf("experiment: -mode must be \"exact\" or \"fitted\", got %q", mode)
 	}
-	var replay sim.ReplayMode
-	if *replayFlag != "" {
-		if replay, err = sim.ParseReplayMode(*replayFlag); err != nil {
-			return opts, "", "", "", "", "", fmt.Errorf("experiment: %w", err)
-		}
-	}
-	return experiments.Options{Quick: *quick, Workers: *workers, BatchSize: *batch, TraceFormat: tf, FitMode: mode, Replay: replay}, fs.Arg(0), *workloadFlag, *csv, *svg, *storeFlag, nil
+	return experiments.Options{Quick: *quick, Workers: *workers, BatchSize: *batch, FitMode: mode}, fs.Arg(0), *workloadFlag, *csv, *svg, *storeFlag, nil
 }
 
 func cmdExperiment(args []string, w io.Writer) error {
@@ -715,8 +701,8 @@ func cmdExperiment(args []string, w io.Writer) error {
 // workloadMachines and workloadLadder fix the sweep grid for
 // `extrap experiment -workload`: the machine set and processor ladder
 // are not flags, so the printed table is a pure function of the spec
-// file — CI diffs the output across -workers, -batch, and -trace-format
-// knobs to prove the synthesis pipeline deterministic.
+// file — CI diffs the output across -workers and -batch to prove the
+// synthesis pipeline deterministic.
 var workloadMachines = []string{"cm5", "generic-dm", "shared-mem"}
 
 func workloadLadder(quick bool) []int {
@@ -727,10 +713,11 @@ func workloadLadder(quick bool) []int {
 }
 
 // runWorkloadSweep parses a composed-workload spec file, synthesizes its
-// pcxx program, and sweeps it over the fixed machine set and ladder,
-// printing one exact integer-nanosecond cell per (procs, machine). The
-// table is byte-identical at any worker count, batch size, or trace
-// format — the same invariant the registered experiments carry.
+// pcxx program, and sweeps it over the fixed machine set and ladder
+// through the same Service `extrap serve` runs, printing one exact
+// integer-nanosecond cell per (procs, machine). The table is
+// byte-identical at any worker count or batch size — the same
+// invariant the registered experiments carry.
 func runWorkloadSweep(opts experiments.Options, path string, w io.Writer) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -741,15 +728,8 @@ func runWorkloadSweep(opts experiments.Options, path string, w io.Writer) error 
 		return fmt.Errorf("experiment: workload %s: %w", path, err)
 	}
 
-	var svc *experiments.Service
-	if opts.TraceFormat != 0 {
-		svc = experiments.NewStreamingService(opts.Workers, 64, 0)
-		svc.SetTraceFormat(opts.TraceFormat)
-	} else {
-		svc = experiments.NewService(opts.Workers, 64)
-	}
+	svc := experiments.NewService(opts.Workers, 64, 0)
 	svc.SetBatchSize(opts.BatchSize)
-	svc.SetReplay(opts.Replay)
 	if opts.Backend != nil {
 		svc.SetBackend(opts.Backend)
 	}

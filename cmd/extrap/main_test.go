@@ -2,10 +2,15 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"extrap/internal/core"
+	"extrap/internal/machine"
+	"extrap/internal/trace"
 )
 
 // runCmd dispatches a CLI command in-process and returns its output.
@@ -104,44 +109,66 @@ func TestSimulateEmitTrace(t *testing.T) {
 	}
 }
 
-// TestSimulateStreamMatchesInMemory: -stream runs the bounded-memory
-// pipeline, and its report must be byte-identical to the in-memory
-// path's for every output section (result, ideal time, breakdown).
+// TestSimulateStreamMatchesInMemory: `simulate` runs every trace —
+// binary or text — through the streaming pipeline; its report and its
+// -emit-trace bytes must equal what the in-memory pipeline oracle
+// (core.Extrapolate) computes from the same file.
 func TestSimulateStreamMatchesInMemory(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "g.xtrp")
-	runCmd(t, "run", "-bench", "grid", "-n", "4", "-size", "16", "-iters", "6", "-o", path)
-
-	inMem := runCmd(t, "simulate", "-i", path, "-env", "cm5")
-	streamed := runCmd(t, "simulate", "-i", path, "-env", "cm5", "-stream")
-	if inMem != streamed {
-		t.Errorf("-stream output differs from in-memory:\n--- in-memory ---\n%s\n--- stream ---\n%s", inMem, streamed)
-	}
-
-	// The emitted extrapolated traces must match too.
-	emitMem := filepath.Join(dir, "mem.xtrp")
-	emitStream := filepath.Join(dir, "stream.xtrp")
-	runCmd(t, "simulate", "-i", path, "-env", "generic-dm", "-emit-trace", emitMem)
-	runCmd(t, "simulate", "-i", path, "-env", "generic-dm", "-emit-trace", emitStream, "-stream")
-	memBytes, err := os.ReadFile(emitMem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamBytes, err := os.ReadFile(emitStream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(memBytes, streamBytes) {
-		t.Error("emitted traces differ between -stream and in-memory simulate")
-	}
-
-	// Text traces cannot stream (the codec is line-oriented, not
-	// incremental): -stream must refuse rather than misparse.
+	bin := filepath.Join(dir, "g.xtrp")
+	runCmd(t, "run", "-bench", "grid", "-n", "4", "-size", "16", "-iters", "6", "-o", bin)
 	txt := filepath.Join(dir, "g.txt")
 	runCmd(t, "run", "-bench", "grid", "-n", "2", "-size", "16", "-iters", "2", "-text", "-o", txt)
-	var buf bytes.Buffer
-	if err := dispatch("simulate", []string{"-i", txt, "-env", "cm5", "-stream"}, &buf); err == nil {
-		t.Error("-stream accepted a text trace")
+	emit := filepath.Join(dir, "emit.xtrp")
+	for _, path := range []string{bin, txt} {
+		tr, err := readTrace(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			env  string
+			emit bool
+		}{{"cm5", false}, {"generic-dm", true}} {
+			env, err := machine.ByName(tc.env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			args := []string{"-i", path, "-env", tc.env}
+			cfg := env.Config
+			if tc.emit {
+				args = append(args, "-emit-trace", emit)
+				cfg.EmitTrace = true
+			}
+			got := runCmd(t, "simulate", args...)
+
+			oc, err := core.Extrapolate(tr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			printPrediction(&want, env, oc.Result, oc.Parallel.Duration())
+			if tc.emit {
+				fmt.Fprintf(&want, "extrapolated trace written to %s\n", emit)
+			}
+			if got != want.String() {
+				t.Errorf("%s on %s: simulate output differs from the in-memory oracle:\n--- oracle ---\n%s\n--- simulate ---\n%s",
+					filepath.Base(path), tc.env, want.String(), got)
+			}
+			if !tc.emit {
+				continue
+			}
+			gotBytes, err := os.ReadFile(emit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wantBytes bytes.Buffer
+			if err := trace.WriteBinary(&wantBytes, oc.Result.Trace); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotBytes, wantBytes.Bytes()) {
+				t.Errorf("%s: emitted trace differs from the in-memory oracle's", filepath.Base(path))
+			}
+		}
 	}
 }
 
@@ -396,15 +423,13 @@ func TestExperimentFittedRuns(t *testing.T) {
 
 // TestExperimentWorkloadSweep: `-workload spec.json` synthesizes the
 // composed program and prints a table that is byte-identical across
-// worker counts and trace formats — the determinism CI diffs exactly
-// this output.
+// worker counts and batch sizes — the determinism CI diffs exactly this
+// output.
 func TestExperimentWorkloadSweep(t *testing.T) {
 	spec := filepath.Join("..", "..", "internal", "compose", "testdata", "nested.json")
 	runs := [][]string{
 		{"-quick", "-workload", spec},
 		{"-quick", "-workers", "4", "-batch", "8", "-workload", spec},
-		{"-quick", "-trace-format", "xtrp1", "-workload", spec},
-		{"-quick", "-trace-format", "xtrp2", "-workers", "4", "-workload", spec},
 	}
 	var want string
 	for i, args := range runs {

@@ -24,7 +24,7 @@ import (
 // returns both, with cleanup registered.
 func newWorkerServer(t *testing.T, gc time.Duration) (*Worker, *httptest.Server) {
 	t.Helper()
-	svc := experiments.NewStreamingService(2, 64, 256<<20)
+	svc := experiments.NewService(2, 64, 256<<20)
 	w := NewWorker(svc, gc)
 	t.Cleanup(w.Close)
 	mux := http.NewServeMux()
@@ -329,7 +329,7 @@ func TestRetryAfterSeconds(t *testing.T) {
 // the lease. Only after the shard turns terminal does the (restarted)
 // clock age it out.
 func TestRunningShardHoldsLease(t *testing.T) {
-	svc := experiments.NewStreamingService(1, 64, 0)
+	svc := experiments.NewService(1, 64, 0)
 	w := NewWorker(svc, 5*time.Millisecond)
 	t.Cleanup(w.Close)
 

@@ -262,9 +262,9 @@ var executeShard = ExecuteShard
 
 // ExecuteShard runs one measurement group's cells through svc: the
 // shared measurement is taken (or found in cache/store) once, then
-// every machine's model is simulated over it — through the batch kernel
-// in BatchSize chunks when the service has batching enabled, per-cell
-// otherwise. Both paths are byte-identical to the solo sweep's cells
+// every machine's model is simulated over it — in BatchSize chunks
+// sharing one decode and translation when the service has batching
+// enabled, per-cell otherwise. Both paths are byte-identical to the solo sweep's cells
 // for the same parameters: they call the same Predict/PredictBatch the
 // solo grid runner and jobs queue use, and the returned TotalNs values
 // are exact integers. Exported because the coordinator runs exactly

@@ -11,9 +11,10 @@ import (
 )
 
 // ExtrapolateBatch answers K what-if questions against one measurement:
-// the trace is translated once and the simulator advances one machine
-// model per config over the shared read-only parallel trace, reusing
-// the dense per-lane state between lanes. Each prediction is
+// the trace is translated once and the K machine models are simulated
+// one after another over the shared read-only parallel trace, reusing
+// one arena's dense state between lanes. Lanes never fast-forward (the
+// materialized trace carries no pattern cursor). Each prediction is
 // byte-identical to what Extrapolate/ExtrapolateEncoded produces for
 // the same (trace, config) pair — batching is purely an amortization of
 // the decode and translation passes.
@@ -25,13 +26,14 @@ func ExtrapolateBatch(ctx context.Context, tr *trace.Trace, cfgs []sim.Config) (
 	if err != nil {
 		return nil, err
 	}
-	results, err := sim.SimulateBatchContext(ctx, pt, cfgs)
-	if err != nil {
-		return nil, err
-	}
 	measured, ideal := tr.Duration(), pt.Duration()
-	out := make([]*Prediction, len(results))
-	for i, res := range results {
+	out := make([]*Prediction, len(cfgs))
+	a := sim.NewArena()
+	for i, cfg := range cfgs {
+		res, err := sim.Simulate(ctx, a, pt, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("core: batch lane %d: %w", i, err)
+		}
 		out[i] = &Prediction{Measured1P: measured, Ideal: ideal, Result: res}
 	}
 	return out, nil

@@ -48,20 +48,6 @@ func TestCancelledContextStopsEachStage(t *testing.T) {
 	}
 }
 
-func TestParallelSweepContextCancellation(t *testing.T) {
-	f := func(n int) Program { return testProgram(n) }
-	if _, err := ParallelSweepContext(cancelledCtx(), f, MeasureOptions{}, freeConfig(), []int{1, 2, 4}, 2); !errors.Is(err, context.Canceled) {
-		t.Errorf("ParallelSweepContext error = %v, want context.Canceled", err)
-	}
-	pts, err := ParallelSweepContext(context.Background(), f, MeasureOptions{}, freeConfig(), []int{1, 2}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 || pts[0].Procs != 1 || pts[1].Procs != 2 {
-		t.Errorf("sweep points = %+v", pts)
-	}
-}
-
 // flakyCtx is a context whose Err starts returning DeadlineExceeded
 // after a fixed number of polls — a deterministic stand-in for a
 // deadline that fires mid-measurement.

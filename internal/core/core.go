@@ -6,15 +6,14 @@
 //
 //	Program ──Measure──▶ Trace ──Translate──▶ ParallelTrace ──Extrapolate──▶ Result
 //
-// The package also provides the processor-scaling sweep driver used by
-// every experiment.
+// The package also provides the measurement memo cache (TraceCache) the
+// experiment grids and the server share.
 package core
 
 import (
 	"context"
 	"fmt"
 
-	"extrap/internal/metrics"
 	"extrap/internal/pcxx"
 	"extrap/internal/sim"
 	"extrap/internal/trace"
@@ -130,7 +129,7 @@ func ExtrapolateContext(ctx context.Context, tr *trace.Trace, cfg sim.Config) (*
 	if err != nil {
 		return nil, err
 	}
-	res, err := sim.SimulateContext(ctx, pt, cfg)
+	res, err := sim.Simulate(ctx, nil, pt, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -156,15 +155,6 @@ func RunContext(ctx context.Context, p Program, opts MeasureOptions, cfg sim.Con
 // ProgramFactory builds a program for a given thread count — how
 // benchmarks parameterize processor-scaling sweeps.
 type ProgramFactory func(threads int) Program
-
-// SweepProcs measures the program at each thread count and extrapolates
-// each to the same number of processors under cfg, returning the scaling
-// series. The per-count measurement matches the paper's method: each
-// processor count gets its own n-thread, 1-processor measurement run.
-// SweepProcs runs sequentially; ParallelSweep is the concurrent form.
-func SweepProcs(f ProgramFactory, opts MeasureOptions, cfg sim.Config, procCounts []int) ([]metrics.Point, error) {
-	return ParallelSweep(f, opts, cfg, procCounts, 1)
-}
 
 // DefaultProcCounts is the paper's processor scaling ladder.
 func DefaultProcCounts() []int { return []int{1, 2, 4, 8, 16, 32} }

@@ -83,9 +83,23 @@ func TestRunPipeline(t *testing.T) {
 	}
 }
 
+// sweep is the paper's scaling-series method as a loop over Run: each
+// processor count gets its own n-thread, 1-processor measurement,
+// extrapolated to n processors under cfg.
+func sweep(f ProgramFactory, cfg sim.Config, procs []int) ([]metrics.Point, error) {
+	points := make([]metrics.Point, len(procs))
+	for i, n := range procs {
+		out, err := Run(f(n), MeasureOptions{}, cfg)
+		if err != nil {
+			return nil, err
+		}
+		points[i] = metrics.Point{Procs: n, Time: out.Result.TotalTime}
+	}
+	return points, nil
+}
+
 func TestSweepProcs(t *testing.T) {
-	points, err := SweepProcs(func(n int) Program { return testProgram(n) },
-		MeasureOptions{}, freeConfig(), []int{1, 2, 4})
+	points, err := sweep(func(n int) Program { return testProgram(n) }, freeConfig(), []int{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +135,7 @@ func TestSweepStrongScaling(t *testing.T) {
 			},
 		}
 	}
-	points, err := SweepProcs(strong, MeasureOptions{}, freeConfig(), []int{1, 2, 4})
+	points, err := sweep(strong, freeConfig(), []int{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +146,7 @@ func TestSweepStrongScaling(t *testing.T) {
 }
 
 func TestSweepPropagatesErrors(t *testing.T) {
-	_, err := SweepProcs(func(n int) Program { return Program{Name: "bad", Threads: n} },
-		MeasureOptions{}, freeConfig(), []int{1})
+	_, err := sweep(func(n int) Program { return Program{Name: "bad", Threads: n} }, freeConfig(), []int{1})
 	if err == nil || !strings.Contains(err.Error(), "bad") {
 		t.Fatalf("error %v does not identify the failing program", err)
 	}

@@ -56,10 +56,11 @@ func fuzzProgram(data []byte) (*trace.Trace, error) {
 
 // FuzzPatternReplayEquivalence is the tentpole invariant under fuzzing:
 // for any measurable program, the XTRP2 encoding replayed through the
-// pattern-native path (compiled pattern programs + steady-state
-// fast-forward) must produce a prediction byte-identical to flat
-// event-by-event replay — same totals, same per-thread breakdowns, same
-// network statistics.
+// production path (ExtrapolateEncoded: compiled pattern programs +
+// steady-state fast-forward) must produce a prediction byte-identical
+// to the event-replay oracle (ExtrapolateReader over a plain decoder,
+// which carries no pattern cursor) — same totals, same per-thread
+// breakdowns, same network statistics.
 func FuzzPatternReplayEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 12, 2, 0, 0, 9, 17, 4, 1})
@@ -75,12 +76,14 @@ func FuzzPatternReplayEquivalence(f *testing.F) {
 			t.Fatalf("encode: %v", err)
 		}
 		cfg := sim.DefaultConfig()
-		cfg.Replay = sim.ReplayEvent
-		want, err := ExtrapolateEncoded(context.Background(), buf.Bytes(), cfg)
+		d, err := trace.NewAnyDecoder(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ExtrapolateReader(context.Background(), d.Header(), d, cfg)
 		if err != nil {
 			t.Fatalf("event replay: %v", err)
 		}
-		cfg.Replay = sim.ReplayPattern
 		got, err := ExtrapolateEncoded(context.Background(), buf.Bytes(), cfg)
 		if err != nil {
 			t.Fatalf("pattern replay: %v", err)

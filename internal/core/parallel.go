@@ -9,43 +9,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"extrap/internal/metrics"
-	"extrap/internal/pool"
-	"extrap/internal/sim"
 	"extrap/internal/trace"
 	"extrap/internal/translate"
 )
-
-// ParallelSweep is the concurrent form of SweepProcs: it measures and
-// extrapolates every processor count of the ladder across at most
-// workers goroutines (≤ 0 selects GOMAXPROCS). Results land in ladder
-// order and errors surface exactly as the sequential sweep would report
-// them, so any worker count produces identical output — measurement is
-// deterministic (fixed seed) and each point's pipeline is independent.
-func ParallelSweep(f ProgramFactory, opts MeasureOptions, cfg sim.Config, procCounts []int, workers int) ([]metrics.Point, error) {
-	return ParallelSweepContext(context.Background(), f, opts, cfg, procCounts, workers)
-}
-
-// ParallelSweepContext is ParallelSweep under a caller deadline: each
-// ladder point checks the context before starting and threads it through
-// its measure/translate/simulate pipeline, so one cancellation abandons
-// the whole sweep.
-func ParallelSweepContext(ctx context.Context, f ProgramFactory, opts MeasureOptions, cfg sim.Config, procCounts []int, workers int) ([]metrics.Point, error) {
-	points := make([]metrics.Point, len(procCounts))
-	err := pool.Run(workers, len(procCounts), func(i int) error {
-		n := procCounts[i]
-		out, err := RunContext(ctx, f(n), opts, cfg)
-		if err != nil {
-			return fmt.Errorf("core: sweep at %d procs: %w", n, err)
-		}
-		points[i] = metrics.Point{Procs: n, Time: out.Result.TotalTime}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return points, nil
-}
 
 // CacheKey identifies one deterministic measurement run for memoization:
 // the program (benchmark name plus any variant tag), its size
@@ -95,10 +61,10 @@ type lruNode struct {
 // TraceBackend is a durable tier behind a TraceCache: measurements the
 // memory cache does not hold are looked up here (as encoded trace bytes
 // in the named format) before being re-measured, and fresh measurements
-// are written through. internal/store implements it with a
+// are written through as XTRP2. internal/store implements it with a
 // content-addressed on-disk store, keying each format separately
-// (CacheKey.CanonicalFormat) so XTRP1 and XTRP2 artifacts of one
-// measurement coexist.
+// (CacheKey.CanonicalFormat) so XTRP1 artifacts of stores written
+// before the XTRP2 migration stay readable next to XTRP2 ones.
 //
 // Both methods must be safe for concurrent use. GetTrace returns
 // (payload, true) only for bytes it can vouch for (the store verifies
@@ -110,21 +76,28 @@ type TraceBackend interface {
 	PutTrace(key CacheKey, format trace.Format, enc []byte)
 }
 
-// TraceCache memoizes measurement traces (and their translations) across
-// the cells of a parameter-grid experiment. Grids vary only the
-// simulation Config between cells, so each distinct measurement runs
-// once and is then simulated under every configuration — which is safe
-// because Translate and Simulate treat their inputs as read-only (a
-// guard test enforces this).
+// TraceCache memoizes measurement traces across the cells of a
+// parameter grid. Grids vary only the simulation Config between cells,
+// so each distinct measurement runs once and is then simulated under
+// every configuration. It has two modes serving two callers:
 //
-// A TraceCache is safe for concurrent use. Cached traces are shared, not
-// copied: callers must not mutate them.
+//   - in-memory (NewTraceCache, NewBoundedTraceCache): shared
+//     *trace.Trace values and their memoized translations, read through
+//     Measure and Translated — the experiment grids' shape. Sharing is
+//     safe because Translate and Simulate treat their inputs as
+//     read-only (a guard test enforces this); callers must not mutate
+//     what they get.
+//   - encoded (NewEncodedTraceCache): compact immutable XTRP2 bytes,
+//     read through Encoded and replayed by the streaming pipeline — the
+//     bounded-memory server's shape.
+//
+// Either mode writes fresh measurements through to a backend as XTRP2.
+// A TraceCache is safe for concurrent use.
 type TraceCache struct {
 	mu      sync.Mutex
 	max     int
 	encoded bool  // cache compact encoded bytes instead of shared traces
 	maxB    int64 // per-trace encoded-size budget (0 = unlimited)
-	format  trace.Format
 	entries map[CacheKey]*list.Element
 	order   *list.List // front = most recently used; values are *lruNode
 	// flights tracks entries whose first measurement is still running,
@@ -135,8 +108,8 @@ type TraceCache struct {
 	lookups atomic.Int64
 	misses  atomic.Int64
 	// Compression accounting across fresh encodes: rawBytes is what the
-	// flat XTRP1 encoding would have cost, encBytes what the configured
-	// format actually cost.
+	// flat XTRP1 encoding would have cost, encBytes what XTRP2 actually
+	// cost.
 	rawBytes atomic.Int64
 	encBytes atomic.Int64
 }
@@ -169,30 +142,16 @@ func NewBoundedTraceCache(maxEntries int) *TraceCache {
 
 // SetBackend attaches a durable tier behind the memory cache: misses
 // consult the backend before re-measuring, and fresh measurements are
-// written through as encoded bytes in the cache's format. Attach the backend before the
-// cache is shared across goroutines (typically right after
-// construction); it must not change while lookups are running.
+// written through as XTRP2 bytes. Attach the backend before the cache
+// is shared across goroutines (typically right after construction); it
+// must not change while lookups are running.
 func (c *TraceCache) SetBackend(b TraceBackend) { c.backend = b }
-
-// SetFormat selects the binary format the cache encodes fresh
-// measurements into (and the key scheme it consults the backend under).
-// The zero value means XTRP1. Like SetBackend, set it before the cache
-// is shared across goroutines.
-func (c *TraceCache) SetFormat(f trace.Format) { c.format = f }
-
-// Format returns the configured encoding format (XTRP1 if unset).
-func (c *TraceCache) Format() trace.Format {
-	if c.format == 0 {
-		return trace.FormatXTRP1
-	}
-	return c.format
-}
 
 // CompressionStats reports the cache's encoding economics across fresh
 // measurements: RawBytes is what the flat 37-byte-per-event XTRP1
-// encoding would occupy, EncodedBytes what the configured format
-// actually produced. Backend hits are excluded (their raw size is
-// unknown without a decode).
+// encoding would occupy, EncodedBytes what XTRP2 actually produced.
+// Backend hits are excluded (their raw size is unknown without a
+// decode).
 type CompressionStats struct {
 	RawBytes     int64
 	EncodedBytes int64
@@ -203,31 +162,40 @@ func (c *TraceCache) Compression() CompressionStats {
 	return CompressionStats{RawBytes: c.rawBytes.Load(), EncodedBytes: c.encBytes.Load()}
 }
 
-// backendGet looks the key up in the durable tier under the cache's
-// format, falling back to the XTRP1 key so stores written before a
-// format migration keep their value: decode auto-detects by magic, so
-// fallback bytes are served as-is.
+// backendGet looks the key up in the durable tier under the XTRP2 key,
+// falling back to the XTRP1 key so stores written before the format
+// migration keep their value: decode auto-detects by magic, so fallback
+// bytes are served as-is.
 func (c *TraceCache) backendGet(key CacheKey) ([]byte, bool) {
-	f := c.Format()
-	if enc, ok := c.backend.GetTrace(key, f); ok {
+	if enc, ok := c.backend.GetTrace(key, trace.FormatXTRP2); ok {
 		return enc, true
 	}
-	if f != trace.FormatXTRP1 {
-		if enc, ok := c.backend.GetTrace(key, trace.FormatXTRP1); ok {
-			return enc, true
-		}
+	return c.backend.GetTrace(key, trace.FormatXTRP1)
+}
+
+// encode renders a fresh measurement as XTRP2, enforcing the per-trace
+// budget on the actual encoding (its size depends on what the miner
+// finds), and records the compression accounting for accepted bytes.
+func (c *TraceCache) encode(tr *trace.Trace) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := trace.WriteBinary2(&buf, tr); err != nil {
+		return nil, err
 	}
-	return nil, false
+	if c.maxB > 0 && int64(buf.Len()) > c.maxB {
+		return nil, fmt.Errorf("%w: %d encoded bytes, budget %d", ErrTraceTooLarge, buf.Len(), c.maxB)
+	}
+	c.rawBytes.Add(trace.EncodedSize(tr.Header(), len(tr.Events)))
+	c.encBytes.Add(int64(buf.Len()))
+	return buf.Bytes(), nil
 }
 
 // NewEncodedTraceCache returns a bounded cache that stores measurements
-// as compact encoded bytes (XTRP1 unless SetFormat selects XTRP2) rather
-// than live *trace.Trace values. Consumers decode their own streaming
-// cursor from the immutable bytes, so a hit can never be mutated by
-// another cell, and resident size per entry is the encoding (37 bytes
-// per event in XTRP1, loop-compacted in XTRP2) instead of the in-memory
-// event slice plus translation. maxTraceBytes (> 0) rejects any measurement whose
-// encoding exceeds the budget with ErrTraceTooLarge.
+// as compact XTRP2 bytes rather than live *trace.Trace values.
+// Consumers decode their own streaming cursor from the immutable bytes,
+// so a hit can never be mutated by another cell, and resident size per
+// entry is the loop-compacted encoding instead of the in-memory event
+// slice plus translation. maxTraceBytes (> 0) rejects any measurement
+// whose encoding exceeds the budget with ErrTraceTooLarge.
 func NewEncodedTraceCache(maxEntries int, maxTraceBytes int64) *TraceCache {
 	c := NewBoundedTraceCache(maxEntries)
 	c.encoded = true
@@ -325,13 +293,8 @@ func (c *TraceCache) measureLocked(key CacheKey, e *cacheEntry, measure func() (
 	}
 	e.tr, e.err, e.measured = tr, err, true
 	if err == nil && c.backend != nil {
-		raw := trace.EncodedSize(tr.Header(), len(tr.Events))
-		var buf bytes.Buffer
-		buf.Grow(int(raw))
-		if werr := trace.WriteBinaryFormat(&buf, tr, c.Format()); werr == nil {
-			c.rawBytes.Add(raw)
-			c.encBytes.Add(int64(buf.Len()))
-			c.backend.PutTrace(key, c.Format(), buf.Bytes())
+		if enc, werr := c.encode(tr); werr == nil {
+			c.backend.PutTrace(key, trace.FormatXTRP2, enc)
 		}
 	}
 	c.settle(key, e)
@@ -371,39 +334,19 @@ func (c *TraceCache) encodedLocked(key CacheKey, e *cacheEntry, measure func() (
 		return nil, err
 	}
 	if err == nil {
-		f := c.Format()
-		raw := trace.EncodedSize(tr.Header(), len(tr.Events))
-		// XTRP1's size is exact arithmetic, so its budget check runs
-		// before encoding a single byte; XTRP2's size depends on what the
-		// miner finds, so its check runs on the actual encoding.
-		if f == trace.FormatXTRP1 && c.maxB > 0 && raw > c.maxB {
-			err = fmt.Errorf("%w: %d encoded bytes, budget %d", ErrTraceTooLarge, raw, c.maxB)
-		} else {
-			var buf bytes.Buffer
-			if f == trace.FormatXTRP1 {
-				buf.Grow(int(raw))
-			}
-			if werr := trace.WriteBinaryFormat(&buf, tr, f); werr != nil {
-				err = werr
-			} else if c.maxB > 0 && int64(buf.Len()) > c.maxB {
-				err = fmt.Errorf("%w: %d encoded bytes, budget %d", ErrTraceTooLarge, buf.Len(), c.maxB)
-			} else {
-				e.enc = buf.Bytes()
-				c.rawBytes.Add(raw)
-				c.encBytes.Add(int64(buf.Len()))
-			}
-		}
+		e.enc, err = c.encode(tr)
 	}
 	e.err, e.measured = err, true
 	if e.err == nil && c.backend != nil {
-		c.backend.PutTrace(key, c.Format(), e.enc)
+		c.backend.PutTrace(key, trace.FormatXTRP2, e.enc)
 	}
 	c.settle(key, e)
 	return e.enc, e.err
 }
 
 // Encoded returns the memoized measurement for key as immutable encoded
-// bytes in the cache's format, running measure on first use. Valid only on an encoded cache.
+// bytes (XTRP2, or XTRP1 read from a pre-migration backend), running
+// measure on first use. Valid only on an encoded cache.
 func (c *TraceCache) Encoded(key CacheKey, measure func() (*trace.Trace, error)) ([]byte, error) {
 	if !c.encoded {
 		return nil, errors.New("core: Encoded called on a non-encoded TraceCache")
@@ -416,43 +359,28 @@ func (c *TraceCache) Encoded(key CacheKey, measure func() (*trace.Trace, error))
 
 // Measure returns the memoized measurement trace for key, running
 // measure on first use. Concurrent callers with the same key block until
-// the single measurement completes and then share its trace. On an
-// encoded cache each caller receives its own freshly decoded copy, so
-// mutating it cannot leak into other cells.
+// the single measurement completes and then share its trace. Valid only
+// on an in-memory cache.
 func (c *TraceCache) Measure(key CacheKey, measure func() (*trace.Trace, error)) (*trace.Trace, error) {
+	if c.encoded {
+		return nil, errors.New("core: Measure called on an encoded TraceCache")
+	}
 	e := c.entry(key)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if c.encoded {
-		enc, err := c.encodedLocked(key, e, measure)
-		if err != nil {
-			return nil, err
-		}
-		return trace.ReadBinaryAny(bytes.NewReader(enc))
-	}
 	return c.measureLocked(key, e, measure)
 }
 
 // Translated returns the memoized translation of the measurement for
-// key, measuring and translating on first use. On an encoded cache the
-// translation is rebuilt per call from a private decode (nothing shared
-// escapes); streaming consumers should prefer Encoded with
-// ExtrapolateEncoded instead.
+// key, measuring and translating on first use. Valid only on an
+// in-memory cache.
 func (c *TraceCache) Translated(key CacheKey, measure func() (*trace.Trace, error)) (*translate.ParallelTrace, error) {
+	if c.encoded {
+		return nil, errors.New("core: Translated called on an encoded TraceCache")
+	}
 	e := c.entry(key)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if c.encoded {
-		enc, err := c.encodedLocked(key, e, measure)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := trace.ReadBinaryAny(bytes.NewReader(enc))
-		if err != nil {
-			return nil, err
-		}
-		return translate.Translate(tr)
-	}
 	tr, err := c.measureLocked(key, e, measure)
 	if err != nil {
 		return nil, err

@@ -4,41 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 
 	"extrap/internal/trace"
 )
-
-// TestParallelSweepMatchesSequential: the concurrent sweep must be
-// observably identical to the sequential one at any worker count.
-func TestParallelSweepMatchesSequential(t *testing.T) {
-	procs := []int{1, 2, 4, 8}
-	want, err := ParallelSweep(testProgram, MeasureOptions{}, freeConfig(), procs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 4} {
-		got, err := ParallelSweep(testProgram, MeasureOptions{}, freeConfig(), procs, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: points %v, want %v", workers, got, want)
-		}
-	}
-}
-
-func TestSweepProcsStillSequential(t *testing.T) {
-	pts, err := SweepProcs(testProgram, MeasureOptions{}, freeConfig(), []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 || pts[0].Procs != 1 || pts[1].Procs != 2 {
-		t.Fatalf("unexpected points %v", pts)
-	}
-}
 
 // TestTraceCacheSingleflight: concurrent lookups of one key run the
 // measurement exactly once and share the resulting trace pointer.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -38,7 +39,7 @@ func TestPipelineInputsReadOnly(t *testing.T) {
 	cfgs := []sim.Config{freeConfig(), freeConfig()}
 	cfgs[1].MipsRatio = 0.5
 	for _, cfg := range cfgs {
-		if _, err := sim.Simulate(pt, cfg); err != nil {
+		if _, err := sim.Simulate(context.Background(), nil, pt, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -62,7 +63,7 @@ func TestSimulateSharedTraceConcurrently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.Simulate(pt, freeConfig())
+	want, err := sim.Simulate(context.Background(), nil, pt, freeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestSimulateSharedTraceConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := sim.Simulate(pt, freeConfig())
+			res, err := sim.Simulate(context.Background(), nil, pt, freeConfig())
 			if err != nil {
 				t.Error(err)
 				return

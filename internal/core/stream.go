@@ -40,7 +40,7 @@ func ExtrapolateReader(ctx context.Context, hdr trace.Header, src trace.Reader, 
 	if err != nil {
 		return nil, err
 	}
-	res, err := sim.SimulateStreamContext(ctx, s, cfg)
+	res, err := sim.SimulateStream(ctx, s, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -60,14 +60,14 @@ func ExtrapolateReader(ctx context.Context, hdr trace.Header, src trace.Reader, 
 // ExtrapolateEncoded is ExtrapolateReader over a binary-encoded
 // measurement in either XTRP format (detected by magic): the trace is
 // decoded incrementally as the pipeline pulls events, so even the
-// decode step stays at chunk-sized memory. For XTRP2 bytes under the
-// default pattern replay mode, the compiled pattern table and repeat
-// program become a live cursor the whole pipeline can see, letting the
-// simulator fast-forward steady loop iterations; event replay mode (or
-// a non-XTRP2 input) falls back to the plain record decoder. Both paths
-// produce byte-identical predictions.
+// decode step stays at chunk-sized memory. For XTRP2 bytes the compiled
+// pattern table and repeat program become a live cursor the whole
+// pipeline can see, letting the simulator fast-forward steady loop
+// iterations; XTRP1 bytes (pre-migration stores) go through the plain
+// record decoder. ExtrapolateReader over trace.NewAnyDecoder is the
+// event-replay reference: same predictions, no fast-forward.
 func ExtrapolateEncoded(ctx context.Context, enc []byte, cfg sim.Config) (*Prediction, error) {
-	if cfg.Replay == sim.ReplayPattern && trace.IsXTRP2(enc) {
+	if trace.IsXTRP2(enc) {
 		ps, err := trace.NewPatternSource(enc)
 		if err != nil {
 			return nil, err

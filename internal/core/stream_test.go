@@ -170,7 +170,7 @@ func TestSharedCacheHitPurity(t *testing.T) {
 			if i%2 == 1 {
 				cfg.MipsRatio = 2
 			}
-			if _, err := sim.Simulate(pt, cfg); err != nil {
+			if _, err := sim.Simulate(context.Background(), nil, pt, cfg); err != nil {
 				t.Error(err)
 			}
 		}(g)
@@ -190,24 +190,29 @@ func TestSharedCacheHitPurity(t *testing.T) {
 	}
 }
 
-// TestEncodedCacheMeasureCopies: decoded copies handed out by an encoded
-// cache are private — mutating one never corrupts later hits.
+// TestEncodedCacheMeasureCopies: a trace decoded from an encoded cache's
+// bytes is a private copy — mutating it never corrupts later hits,
+// because the cache only ever hands out the immutable encoding.
 func TestEncodedCacheMeasureCopies(t *testing.T) {
 	c := NewEncodedTraceCache(4, 0)
 	key := CacheKey{Bench: "test", Threads: 4}
 	measure := func() (*trace.Trace, error) { return Measure(testProgram(4), MeasureOptions{}) }
-	first, err := c.Measure(key, measure)
-	if err != nil {
-		t.Fatal(err)
+	decode := func() *trace.Trace {
+		enc, err := c.Encoded(key, measure)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := trace.ReadBinaryAny(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
 	}
+	first := decode()
 	want := first.Events[0]
 	first.Events[0].Time += 999 // vandalize the copy
 
-	second, err := c.Measure(key, measure)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Events[0] != want {
+	if second := decode(); second.Events[0] != want {
 		t.Fatal("mutating one decoded copy leaked into the cache")
 	}
 }
@@ -229,11 +234,19 @@ func TestEncodedCacheTraceTooLarge(t *testing.T) {
 	}
 }
 
-// TestEncodedOnNonEncodedCache: misuse is an error, not silent decay.
+// TestEncodedOnNonEncodedCache: misuse is an error, not silent decay —
+// in either direction.
 func TestEncodedOnNonEncodedCache(t *testing.T) {
 	c := NewTraceCache()
 	if _, err := c.Encoded(CacheKey{Bench: "x"}, nil); err == nil {
 		t.Fatal("Encoded on shared cache succeeded")
+	}
+	enc := NewEncodedTraceCache(1, 0)
+	if _, err := enc.Measure(CacheKey{Bench: "x"}, nil); err == nil {
+		t.Fatal("Measure on encoded cache succeeded")
+	}
+	if _, err := enc.Translated(CacheKey{Bench: "x"}, nil); err == nil {
+		t.Fatal("Translated on encoded cache succeeded")
 	}
 	if c.Streams() {
 		t.Fatal("shared cache claims to stream")

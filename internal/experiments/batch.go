@@ -49,8 +49,8 @@ func (s *BatchStats) Snapshot() BatchSnapshot {
 
 // batchOptions configures runGrid's batched execution.
 type batchOptions struct {
-	// size is the maximum number of machine models advanced per batched
-	// simulation call; ≤ 1 disables batching (pure per-cell execution).
+	// size is the maximum number of machine models simulated per batch
+	// unit; ≤ 1 disables batching (pure per-cell execution).
 	size int
 	// stats, when non-nil, receives batch counters.
 	stats *BatchStats
@@ -65,7 +65,7 @@ var arenaPool = sync.Pool{New: func() any { return sim.NewArena() }}
 // simulateCell runs one in-memory simulation with pooled dense state.
 func simulateCell(ctx context.Context, pt *translate.ParallelTrace, cfg sim.Config) (*sim.Result, error) {
 	a := arenaPool.Get().(*sim.Arena)
-	res, err := sim.SimulateArenaContext(ctx, a, pt, cfg)
+	res, err := sim.Simulate(ctx, a, pt, cfg)
 	arenaPool.Put(a)
 	return res, err
 }
@@ -118,10 +118,12 @@ type batchUnit struct {
 
 // runGridBatched is runGrid's batched execution: cells are grouped by
 // measurement key, groups are chunked to the batch size, and chunks fan
-// out across the worker pool. Each chunk advances its lanes over the
-// group's shared translated trace through the batch kernel, which is
-// byte-identical to per-cell simulation, so the assembled grid matches
-// the sequential path exactly at any worker count and batch size.
+// out across the worker pool. Each chunk simulates its lanes one after
+// another over the group's shared translated trace, reusing one pooled
+// arena. Lanes run the same engine as per-cell simulation (without
+// fast-forward, which needs a pattern cursor), so the assembled grid
+// matches the sequential path exactly at any worker count and batch
+// size.
 func runGridBatched(ctx context.Context, cache *core.TraceCache, workers int, bo batchOptions, jobs []SweepJob, cells []gridCell, points [][]metrics.Point) error {
 	groups := make(map[core.CacheKey]*batchGroup)
 	var order []*batchGroup
@@ -181,28 +183,26 @@ func runGridBatched(ctx context.Context, cache *core.TraceCache, workers int, bo
 		if err != nil {
 			return err
 		}
-		cfgs := make([]sim.Config, len(unit.cells))
-		for i, ci := range unit.cells {
-			cfgs[i] = jobs[cells[ci].job].Cfg
-		}
-		var results []*sim.Result
 		labels := pprof.Labels(
-			"batch_size", strconv.Itoa(len(cfgs)),
+			"batch_size", strconv.Itoa(len(unit.cells)),
 			"grid", g.key.Bench+"/n="+strconv.Itoa(n),
 		)
 		pprof.Do(ctx, labels, func(ctx context.Context) {
-			results, err = sim.SimulateBatchContext(ctx, pt, cfgs)
+			for _, ci := range unit.cells {
+				c := cells[ci]
+				var res *sim.Result
+				if res, err = simulateCell(ctx, pt, jobs[c.job].Cfg); err != nil {
+					return
+				}
+				points[c.job][c.pt] = metrics.Point{Procs: n, Time: res.TotalTime}
+			}
 		})
 		if err != nil {
 			return err
 		}
 		if bo.stats != nil {
 			bo.stats.Batches.Add(1)
-			bo.stats.CellsBatched.Add(int64(len(cfgs)))
-		}
-		for i, ci := range unit.cells {
-			c := cells[ci]
-			points[c.job][c.pt] = metrics.Point{Procs: n, Time: results[i].TotalTime}
+			bo.stats.CellsBatched.Add(int64(len(unit.cells)))
 		}
 		return nil
 	})

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"extrap/internal/core"
 	"extrap/internal/machine"
 	"extrap/internal/metrics"
 	"extrap/internal/pcxx"
@@ -84,22 +85,12 @@ func TestBatchedGridByteIdentical(t *testing.T) {
 
 func runGridMode(t *testing.T, streaming bool, cfgs []sim.Config, procs []int, workers, batch int, stats *BatchStats) [][]metrics.Point {
 	t.Helper()
-	var svc *Service
+	cache := core.NewBoundedTraceCache(64)
 	if streaming {
-		svc = NewStreamingService(workers, 64, 0)
-	} else {
-		svc = NewService(workers, 64)
+		cache = core.NewEncodedTraceCache(64, 0)
 	}
-	svc.SetBatchSize(batch)
-	if stats != nil {
-		points, err := runGrid(context.Background(), svc.cache, workers,
-			batchOptions{size: batch, stats: stats}, gridJobs(t, "cyclic", cfgs, procs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return points
-	}
-	points, err := svc.SweepGrid(context.Background(), gridJobs(t, "cyclic", cfgs, procs))
+	points, err := runGrid(context.Background(), cache, workers,
+		batchOptions{size: batch, stats: stats}, gridJobs(t, "cyclic", cfgs, procs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +102,8 @@ func runGridMode(t *testing.T, streaming bool, cfgs []sim.Config, procs []int, w
 // per-cell path and count the fallbacks.
 func TestBatchSingletonFallback(t *testing.T) {
 	var stats BatchStats
-	svc := NewStreamingService(1, 64, 0)
 	jobs := gridJobs(t, "cyclic", machineGrid(1), []int{1, 2, 4})
-	points, err := runGrid(context.Background(), svc.cache, 1,
+	points, err := runGrid(context.Background(), core.NewEncodedTraceCache(64, 0), 1,
 		batchOptions{size: 8, stats: &stats}, jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -127,38 +117,49 @@ func TestBatchSingletonFallback(t *testing.T) {
 	}
 }
 
-// TestPredictBatchMatchesPredict: PredictBatch must equal per-config
-// Predict field-for-field in both cache modes.
+// TestPredictBatchMatchesPredict: PredictBatch must equal, field for
+// field, both the in-memory pipeline oracle (core.Extrapolate on the
+// same measurement) and per-config Predict (streaming, fast-forwarding).
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	cfgs := machineGrid(4)
 	b := mustBench(t, "cyclic")
 	sz := Options{Quick: true}.size(b)
-	for _, streaming := range []bool{false, true} {
-		name := "in-memory"
-		if streaming {
-			name = "streaming"
-		}
-		t.Run(name, func(t *testing.T) {
-			var svc *Service
-			if streaming {
-				svc = NewStreamingService(1, 64, 0)
-			} else {
-				svc = NewService(1, 64)
-			}
-			batch, err := svc.PredictBatch(context.Background(), b, sz, 4, pcxx.ActualSize, cfgs)
+	ctx := context.Background()
+	svc := NewService(1, 64, 0)
+	batch, err := svc.PredictBatch(ctx, b, sz, 4, pcxx.ActualSize, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch) != len(cfgs) {
+		t.Fatalf("%d predictions for %d configs", len(batch), len(cfgs))
+	}
+	tr, err := core.Measure(b.Factory(sz)(4), core.MeasureOptions{SizeMode: pcxx.ActualSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ref := range []struct {
+		name    string
+		predict func(sim.Config) (*core.Prediction, error)
+	}{
+		{"in-memory", func(cfg sim.Config) (*core.Prediction, error) {
+			out, err := core.Extrapolate(tr, cfg)
 			if err != nil {
-				t.Fatal(err)
+				return nil, err
 			}
-			if len(batch) != len(cfgs) {
-				t.Fatalf("%d predictions for %d configs", len(batch), len(cfgs))
-			}
+			return &core.Prediction{Measured1P: out.Measurement.Duration(), Ideal: out.Parallel.Duration(), Result: out.Result}, nil
+		}},
+		{"streaming", func(cfg sim.Config) (*core.Prediction, error) {
+			return svc.Predict(ctx, b, sz, 4, pcxx.ActualSize, cfg)
+		}},
+	} {
+		t.Run(ref.name, func(t *testing.T) {
 			for i, cfg := range cfgs {
-				want, err := svc.Predict(context.Background(), b, sz, 4, pcxx.ActualSize, cfg)
+				want, err := ref.predict(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(want, batch[i]) {
-					t.Errorf("lane %d differs:\npredict      %+v / %+v\npredictBatch %+v / %+v",
+					t.Errorf("lane %d differs:\nreference    %+v / %+v\npredictBatch %+v / %+v",
 						i, want, want.Result, batch[i], batch[i].Result)
 				}
 			}

@@ -16,8 +16,6 @@ import (
 	"extrap/internal/core"
 	"extrap/internal/metrics"
 	"extrap/internal/report"
-	"extrap/internal/sim"
-	"extrap/internal/trace"
 )
 
 // Options controls an experiment run.
@@ -40,21 +38,15 @@ type Options struct {
 	// at disk speed; results are byte-identical either way.
 	Backend core.TraceBackend
 	// BatchSize > 1 groups grid cells that share a measurement and
-	// advances up to this many machine models per pass over the shared
-	// translated trace. Output is byte-identical at any batch size; the
-	// knob trades per-cell decode/translate work (and, on an encoded
-	// cache, the streaming path's bounded memory) for sweep throughput.
-	// ≤ 1 keeps the per-cell path.
+	// simulates up to this many machine models one after another over
+	// the shared translated trace, reusing one arena. Output is
+	// byte-identical at any batch size; the knob trades per-cell
+	// decode/translate work for sweep throughput. ≤ 1 keeps the per-cell
+	// path.
 	BatchSize int
 	// BatchStats, when non-nil, accumulates batch counters for this
 	// run (batches issued, cells batched, sequential fallbacks).
 	BatchStats *BatchStats
-	// TraceFormat, when non-zero, runs the experiment over an encoded
-	// trace cache holding measurements in that wire format, exercising
-	// the streaming pipeline end to end. Output is byte-identical to
-	// the default in-memory run — this knob exists so CI can diff an
-	// experiment across trace formats.
-	TraceFormat trace.Format
 	// FitMode selects how grids produce their ladder cells: "" or
 	// "exact" simulates every cell; "fitted" simulates only the sparse
 	// anchor set the model package's refinement selects and evaluates
@@ -62,13 +54,6 @@ type Options struct {
 	// nanoseconds). Fitted output trades exactness on non-anchor cells
 	// for a fraction of the simulation work; anchor cells stay exact.
 	FitMode string
-	// Replay selects how XTRP2-encoded traces replay through the
-	// simulator: sim.ReplayPattern (the zero value — compiled pattern
-	// programs with steady-state fast-forward) or sim.ReplayEvent
-	// (flat event-by-event replay). Output is byte-identical in both
-	// modes; the knob exists for rollback and A/B comparison in CI.
-	// Only meaningful with an encoded TraceFormat of XTRP2.
-	Replay sim.ReplayMode
 }
 
 func (o Options) procs() []int {

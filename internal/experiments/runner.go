@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"math"
 
@@ -27,17 +28,15 @@ type runner struct {
 	cache *core.TraceCache
 }
 
+// newRunnerCache builds an experiment run's memo cache. Experiment grids
+// simulate each measurement under many configurations, so the in-memory
+// cache (one shared translation per measurement) is the production
+// choice; tests swap in the encoded cache to run the suite through the
+// server's streaming pipeline.
+var newRunnerCache = core.NewTraceCache
+
 func newRunner(opts Options) *runner {
-	r := &runner{opts: opts}
-	if opts.TraceFormat != 0 {
-		// Format-pinned runs go through the encoded cache so the chosen
-		// wire format is actually on the hot path (encode, then stream-
-		// decode per cell), not just a label.
-		r.cache = core.NewEncodedTraceCache(0, 0)
-		r.cache.SetFormat(opts.TraceFormat)
-	} else {
-		r.cache = core.NewTraceCache()
-	}
+	r := &runner{opts: opts, cache: newRunnerCache()}
 	if opts.Backend != nil {
 		r.cache.SetBackend(opts.Backend)
 	}
@@ -75,17 +74,31 @@ func MeasurementKey(bench string, size benchmarks.Size, threads int, mopts core.
 // measured returns the (cached) measurement trace for one benchmark run.
 // The returned trace is shared — callers must treat it as read-only.
 func (r *runner) measured(bench string, size benchmarks.Size, threads int, mopts core.MeasureOptions, f core.ProgramFactory) (*trace.Trace, error) {
-	return r.cache.Measure(cacheKey(bench, size, threads, mopts), func() (*trace.Trace, error) {
-		return core.Measure(f(threads), mopts)
-	})
+	key := cacheKey(bench, size, threads, mopts)
+	measure := func() (*trace.Trace, error) { return core.Measure(f(threads), mopts) }
+	if !r.cache.Streams() {
+		return r.cache.Measure(key, measure)
+	}
+	enc, err := r.cache.Encoded(key, measure)
+	if err != nil {
+		return nil, err
+	}
+	return trace.ReadBinaryAny(bytes.NewReader(enc))
 }
 
 // translated returns the (cached) translated trace for one benchmark run,
 // measuring and translating on first use.
 func (r *runner) translated(bench string, size benchmarks.Size, threads int, mopts core.MeasureOptions, f core.ProgramFactory) (*translate.ParallelTrace, error) {
-	return r.cache.Translated(cacheKey(bench, size, threads, mopts), func() (*trace.Trace, error) {
-		return core.Measure(f(threads), mopts)
-	})
+	if !r.cache.Streams() {
+		return r.cache.Translated(cacheKey(bench, size, threads, mopts), func() (*trace.Trace, error) {
+			return core.Measure(f(threads), mopts)
+		})
+	}
+	tr, err := r.measured(bench, size, threads, mopts, f)
+	if err != nil {
+		return nil, err
+	}
+	return translate.Translate(tr)
 }
 
 // SweepJob is one curve of a parameter grid: a benchmark swept over the
@@ -126,9 +139,6 @@ func (r *runner) job(b benchmarks.Benchmark, mode pcxx.SizeMode, cfg sim.Config,
 // runGrid fans the grid across the experiment's worker pool, through
 // the fitted path when the run's FitMode selects it.
 func (r *runner) runGrid(jobs []SweepJob) ([][]metrics.Point, error) {
-	for i := range jobs {
-		jobs[i].Cfg.Replay = r.opts.Replay
-	}
 	if r.opts.FitMode == "fitted" {
 		return runGridFitted(context.Background(), r.cache, r.opts.Workers, jobs)
 	}
@@ -155,9 +165,9 @@ type gridCell struct{ job, pt int }
 // count.
 //
 // With bo.size > 1 cells that share a measurement are simulated in
-// batches through the batch kernel (see runGridBatched); the assembled
-// output is byte-identical at any batch size because the batch kernel
-// itself is byte-identical to per-cell simulation.
+// batches over one materialized translation (see runGridBatched); the
+// assembled output is byte-identical at any batch size because each
+// lane runs the same engine as per-cell simulation.
 func runGrid(ctx context.Context, cache *core.TraceCache, workers int, bo batchOptions, jobs []SweepJob) ([][]metrics.Point, error) {
 	// Flatten the grid so the pool load-balances across cells of every
 	// job, not one job at a time.
@@ -277,5 +287,5 @@ func runGridFitted(ctx context.Context, cache *core.TraceCache, workers int, job
 
 // simulate runs one simulation of an already-translated trace.
 func simulate(pt *translate.ParallelTrace, cfg sim.Config) (*sim.Result, error) {
-	return sim.Simulate(pt, cfg)
+	return sim.Simulate(context.Background(), nil, pt, cfg)
 }

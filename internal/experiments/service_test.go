@@ -15,16 +15,16 @@ func quickSize(b benchmarks.Benchmark) benchmarks.Size {
 }
 
 func TestServiceExtrapolateSharesMeasurements(t *testing.T) {
-	s := NewService(2, 0)
+	s := NewService(2, 0, 0)
 	b := mustBench(t, "grid")
 	size := quickSize(b)
 	ctx := context.Background()
 
-	first, err := s.Extrapolate(ctx, b, size, 4, pcxx.ActualSize, freeCfg())
+	first, err := s.Predict(ctx, b, size, 4, pcxx.ActualSize, freeCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := s.Extrapolate(ctx, b, size, 4, pcxx.ActualSize, freeCfg())
+	second, err := s.Predict(ctx, b, size, 4, pcxx.ActualSize, freeCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +50,12 @@ func TestServiceSweepMatchesRunnerGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewService(3, 0)
-	got, err := s.Sweep(context.Background(), job)
+	s := NewService(3, 0, 0)
+	series, err := s.SweepGrid(context.Background(), []SweepJob{job})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := series[0]
 	if len(got) != len(want[0]) {
 		t.Fatalf("sweep returned %d points, want %d", len(got), len(want[0]))
 	}
@@ -66,7 +67,7 @@ func TestServiceSweepMatchesRunnerGrid(t *testing.T) {
 }
 
 func TestServiceSweepSharesCacheWithExtrapolate(t *testing.T) {
-	s := NewService(2, 0)
+	s := NewService(2, 0, 0)
 	b := mustBench(t, "cyclic")
 	size := quickSize(b)
 	job := SweepJob{
@@ -77,12 +78,12 @@ func TestServiceSweepSharesCacheWithExtrapolate(t *testing.T) {
 		Cfg:     freeCfg(),
 		Procs:   []int{1, 2, 4},
 	}
-	if _, err := s.Sweep(context.Background(), job); err != nil {
+	if _, err := s.SweepGrid(context.Background(), []SweepJob{job}); err != nil {
 		t.Fatal(err)
 	}
 	_, missesAfterSweep := s.CacheStats()
 	// A single prediction at a ladder point must reuse the sweep's trace.
-	if _, err := s.Extrapolate(context.Background(), b, size, 2, pcxx.ActualSize, freeCfg()); err != nil {
+	if _, err := s.Predict(context.Background(), b, size, 2, pcxx.ActualSize, freeCfg()); err != nil {
 		t.Fatal(err)
 	}
 	_, misses := s.CacheStats()
@@ -92,18 +93,18 @@ func TestServiceSweepSharesCacheWithExtrapolate(t *testing.T) {
 }
 
 func TestServiceCancellation(t *testing.T) {
-	s := NewService(2, 0)
+	s := NewService(2, 0, 0)
 	b := mustBench(t, "grid")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.Extrapolate(ctx, b, quickSize(b), 4, pcxx.ActualSize, freeCfg()); !errors.Is(err, context.Canceled) {
-		t.Errorf("Extrapolate error = %v, want context.Canceled", err)
+	if _, err := s.Predict(ctx, b, quickSize(b), 4, pcxx.ActualSize, freeCfg()); !errors.Is(err, context.Canceled) {
+		t.Errorf("Predict error = %v, want context.Canceled", err)
 	}
 	job := SweepJob{Name: b.Name(), Size: quickSize(b), Factory: b.Factory(quickSize(b)), Cfg: freeCfg(), Procs: []int{1, 2}}
-	if _, err := s.Sweep(ctx, job); !errors.Is(err, context.Canceled) {
-		t.Errorf("Sweep error = %v, want context.Canceled", err)
+	if _, err := s.SweepGrid(ctx, []SweepJob{job}); !errors.Is(err, context.Canceled) {
+		t.Errorf("SweepGrid error = %v, want context.Canceled", err)
 	}
-	if _, err := s.Extrapolate(context.Background(), b, quickSize(b), 0, pcxx.ActualSize, freeCfg()); err == nil {
+	if _, err := s.Predict(context.Background(), b, quickSize(b), 0, pcxx.ActualSize, freeCfg()); err == nil {
 		t.Error("zero thread count accepted")
 	}
 }

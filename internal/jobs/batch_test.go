@@ -57,7 +57,7 @@ func TestMultiMachineJobBatchedMatchesPerMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	svc := experiments.NewStreamingService(2, 64, 0)
+	svc := experiments.NewService(2, 64, 0)
 	svc.SetBackend(st)
 	svc.SetBatchSize(8)
 	m, err := Open(Config{Dir: filepath.Join(dir, "jobs"), Service: svc, Store: st, Workers: 1})
@@ -103,7 +103,7 @@ func TestMultiMachineCrashResumeBatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := experiments.NewStreamingService(1, 64, 0)
+	svc := experiments.NewService(1, 64, 0)
 	svc.SetBackend(st)
 	svc.SetBatchSize(4)
 	m1, err := Open(Config{Dir: filepath.Join(dir, "jobs"), Service: svc, Store: st, Workers: 1})
@@ -151,7 +151,7 @@ func TestMultiMachineCrashResumeBatched(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	svc2 := experiments.NewStreamingService(1, 64, 0)
+	svc2 := experiments.NewService(1, 64, 0)
 	svc2.SetBackend(st2)
 	svc2.SetBatchSize(4)
 	m2, err := Open(Config{Dir: filepath.Join(dir, "jobs"), Service: svc2, Store: st2, Workers: 1})

@@ -72,7 +72,7 @@ func newDispatchManager(t *testing.T, dir string, run PointRunner) (*Manager, *s
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	svc := experiments.NewStreamingService(2, 64, 0)
+	svc := experiments.NewService(2, 64, 0)
 	svc.SetBackend(st)
 	m, err := Open(Config{
 		Dir:      filepath.Join(dir, "jobs"),
@@ -124,7 +124,7 @@ func TestDispatchedJobMatchesLocal(t *testing.T) {
 	}
 	want := waitStatus(t, mLocal, idLocal, StatusDone)
 
-	svcForRunner := experiments.NewStreamingService(2, 64, 0)
+	svcForRunner := experiments.NewService(2, 64, 0)
 	run := &localRunner{svc: svcForRunner}
 	mDisp, _ := newDispatchManager(t, t.TempDir(), run)
 	idDisp, err := mDisp.Submit(spec)
@@ -149,7 +149,7 @@ func TestDispatchedJobResumesFromStore(t *testing.T) {
 	dir := t.TempDir()
 	spec := Spec{Benchmark: "grid", Size: 16, Iters: 4, Machines: []string{"cm5", "generic-dm"}, Procs: []int{1, 2, 4}}
 
-	svc1 := experiments.NewStreamingService(2, 64, 0)
+	svc1 := experiments.NewService(2, 64, 0)
 	run1 := &localRunner{svc: svc1}
 	m1, _ := newDispatchManager(t, dir, run1)
 	id, err := m1.Submit(spec)
@@ -163,7 +163,7 @@ func TestDispatchedJobResumesFromStore(t *testing.T) {
 	// records survive in the store.
 	rewriteRunning(t, filepath.Join(dir, "jobs"), id)
 
-	svc2 := experiments.NewStreamingService(2, 64, 0)
+	svc2 := experiments.NewService(2, 64, 0)
 	run2 := &localRunner{svc: svc2}
 	m2, _ := newDispatchManager(t, dir, run2)
 	got := waitStatus(t, m2, id, StatusDone)
@@ -202,7 +202,7 @@ func TestDispatchedWorkloadJob(t *testing.T) {
 		t.Errorf("submitted workload job names %q, want derived %q", want.Spec.Benchmark, wl.Name())
 	}
 
-	run := &localRunner{svc: experiments.NewStreamingService(2, 64, 0)}
+	run := &localRunner{svc: experiments.NewService(2, 64, 0)}
 	mDisp, _ := newDispatchManager(t, t.TempDir(), run)
 	idDisp, err := mDisp.Submit(spec)
 	if err != nil {

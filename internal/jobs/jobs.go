@@ -682,11 +682,12 @@ func (m *Manager) runJob(id string) {
 // With the Service's batch size > 1 and several machines, cells are
 // scheduled one ladder point at a time: every machine's cell at that
 // point shares one measurement, so the misses (after per-cell store
-// lookup) run through PredictBatch in batch-size chunks — one pass over
-// the shared trace per chunk. Each cell still persists individually
-// under its own content address the moment its lane lands, so crash
-// resume is exactly as fine-grained as the per-cell path, and the batch
-// kernel's byte-identity means the stored records match it exactly.
+// lookup) run through PredictBatch in batch-size chunks — one decode
+// and translation of the shared trace per chunk. Each cell still
+// persists individually under its own content address the moment its
+// lane lands, so crash resume is exactly as fine-grained as the
+// per-cell path, and batching's byte-identity means the stored records
+// match it exactly.
 func (m *Manager) runCells(ctx context.Context, j *Job, b benchmarks.Benchmark, sz benchmarks.Size, envs []machine.Env) error {
 	procs := j.spec.Procs
 	if m.cfg.Dispatch != nil {

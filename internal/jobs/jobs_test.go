@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +8,7 @@ import (
 	"time"
 
 	"extrap/internal/benchmarks"
+	"extrap/internal/core"
 	"extrap/internal/experiments"
 	"extrap/internal/machine"
 	"extrap/internal/metrics"
@@ -30,7 +30,7 @@ func newTestManager(t *testing.T, dir string) (*Manager, *store.Store) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	svc := experiments.NewStreamingService(2, 64, 0)
+	svc := experiments.NewService(2, 64, 0)
 	svc.SetBackend(st)
 	m, err := Open(Config{
 		Dir:     filepath.Join(dir, "jobs"),
@@ -69,7 +69,8 @@ func waitStatus(t *testing.T, m *Manager, id string, want Status) Snapshot {
 }
 
 // syncPoints computes the same sweep through the synchronous in-memory
-// path — the byte-identity reference.
+// library pipeline (core.Run per ladder point) — the byte-identity
+// reference.
 func syncPoints(t *testing.T, spec Spec) []metrics.Point {
 	t.Helper()
 	b, err := benchmarks.ByName(spec.Benchmark)
@@ -82,17 +83,13 @@ func syncPoints(t *testing.T, spec Spec) []metrics.Point {
 	}
 	sz := b.DefaultSize()
 	sz.N, sz.Iters, sz.Verify = spec.Size, spec.Iters, false
-	svc := experiments.NewService(2, 64)
-	points, err := svc.Sweep(context.Background(), experiments.SweepJob{
-		Name:    b.Name(),
-		Size:    sz,
-		Factory: b.Factory(sz),
-		Mode:    pcxx.ActualSize,
-		Cfg:     env.Config,
-		Procs:   spec.Procs,
-	})
-	if err != nil {
-		t.Fatal(err)
+	points := make([]metrics.Point, len(spec.Procs))
+	for i, n := range spec.Procs {
+		out, err := core.Run(b.Factory(sz)(n), core.MeasureOptions{SizeMode: pcxx.ActualSize}, env.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points[i] = metrics.Point{Procs: n, Time: out.Result.TotalTime}
 	}
 	return points
 }
@@ -154,7 +151,7 @@ func TestCrashResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := experiments.NewStreamingService(1, 64, 0)
+	svc := experiments.NewService(1, 64, 0)
 	svc.SetBackend(st)
 
 	// Freeze the job after its second cell completes: cells run
@@ -205,7 +202,7 @@ func TestCrashResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	svc2 := experiments.NewStreamingService(1, 64, 0)
+	svc2 := experiments.NewService(1, 64, 0)
 	svc2.SetBackend(st2)
 	m2, err := Open(Config{Dir: filepath.Join(dir, "jobs"), Service: svc2, Store: st2, Workers: 1})
 	if err != nil {
@@ -319,7 +316,7 @@ func TestDoneJobSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := experiments.NewStreamingService(2, 64, 0)
+	svc := experiments.NewService(2, 64, 0)
 	svc.SetBackend(st)
 	m1, err := Open(Config{Dir: filepath.Join(dir, "jobs"), Service: svc, Store: st, Workers: 1})
 	if err != nil {

@@ -227,8 +227,8 @@ func fittedJobResponse(snap jobs.Snapshot, resp JobStatusResponse) (JobStatusRes
 
 // jobArtifacts reports the job's measurement traces resident in the
 // durable store: one entry per ladder point whose trace has been
-// persisted, trying the server's configured format first and the XTRP1
-// key as fallback (a store written before a format migration). The
+// persisted, trying the XTRP2 key first and the XTRP1 key as fallback
+// (a store written before the format migration). The
 // measurement is shared across machines, so the list has one entry per
 // proc count regardless of how many curves the job sweeps.
 func (s *Server) jobArtifacts(snap jobs.Snapshot) []JobArtifact {
@@ -236,7 +236,7 @@ func (s *Server) jobArtifacts(snap jobs.Snapshot) []JobArtifact {
 	var out []JobArtifact
 	for _, n := range snap.Spec.Procs {
 		key := experiments.MeasurementKey(snap.Spec.Benchmark, sz, n, core.MeasureOptions{SizeMode: pcxx.ActualSize})
-		for _, f := range []trace.Format{s.cfg.TraceFormat, trace.FormatXTRP1} {
+		for _, f := range []trace.Format{trace.FormatXTRP2, trace.FormatXTRP1} {
 			if bytes, ok := s.store.Size(key.CanonicalFormat(f)); ok {
 				out = append(out, JobArtifact{Procs: n, Format: f.String(), EncodedBytes: bytes})
 				break

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,6 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"extrap/internal/benchmarks"
+	"extrap/internal/core"
+	"extrap/internal/experiments"
+	"extrap/internal/pcxx"
+	"extrap/internal/store"
 	"extrap/internal/trace"
 )
 
@@ -199,16 +205,48 @@ func TestJobResultSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestMixedFormatStoreAcrossRestart: a store directory written by an
-// XTRP1 server keeps working after a restart onto the XTRP2 default.
-// The finished job reads back byte-identically, its old artifacts are
-// served under their XTRP1 keys (the format fallback), and new work on
-// the restarted server persists in XTRP2 — both formats coexisting in
-// one store, with the mixed-store answers matching a fresh all-XTRP2
-// server's.
+// seedXTRP1Store writes flat XTRP1 measurement artifacts for grid
+// (size 16, 4 iterations) at each thread count into the store at dir,
+// under the pre-migration trace/v1 keys — the shape of a store written
+// before the cache moved to XTRP2.
+func seedXTRP1Store(t *testing.T, dir string, threads ...int) {
+	t.Helper()
+	st, err := store.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	b, err := benchmarks.ByName("grid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sz := b.DefaultSize()
+	sz.N, sz.Iters, sz.Verify = 16, 4, false
+	mopts := core.MeasureOptions{SizeMode: pcxx.ActualSize}
+	for _, n := range threads {
+		tr, err := core.Measure(b.Factory(sz)(n), mopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := trace.WriteBinary(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		st.PutTrace(experiments.MeasurementKey(b.Name(), sz, n, mopts), trace.FormatXTRP1, buf.Bytes())
+	}
+}
+
+// TestMixedFormatStoreAcrossRestart: a store directory holding
+// pre-migration XTRP1 artifacts keeps working. A job over those
+// measurements replays them under their XTRP1 keys (the format
+// fallback) instead of re-measuring, its finished result reads back
+// byte-identically after a restart, and new work persists in XTRP2 —
+// both formats coexisting in one store, with the mixed-store answers
+// matching a fresh all-XTRP2 server's.
 func TestMixedFormatStoreAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1 := newTestServer(t, Config{StoreDir: dir, TraceFormat: trace.FormatXTRP1})
+	seedXTRP1Store(t, dir, 1, 2)
+	s1, ts1 := newTestServer(t, Config{StoreDir: dir})
 
 	body := `{"benchmark":"grid","size":16,"iters":4,"machine":"cm5","procs":[1,2]}`
 	status, subBody := post(t, ts1.URL+"/v1/jobs", body)
@@ -223,16 +261,27 @@ func TestMixedFormatStoreAcrossRestart(t *testing.T) {
 	if first.Status != "done" {
 		t.Fatalf("job finished %+v", first)
 	}
+	if _, misses := s1.svc.CacheStats(); misses != 0 {
+		t.Errorf("server re-measured %d pre-migration traces instead of replaying them", misses)
+	}
 	wantResult, err := json.Marshal(first.Result)
 	if err != nil {
 		t.Fatal(err)
+	}
+	_, fresh1 := newTestServer(t, Config{StoreDir: t.TempDir()})
+	status, freshSweep := post(t, fresh1.URL+"/v1/sweep", body)
+	if status != http.StatusOK {
+		t.Fatalf("fresh sweep: status %d: %s", status, freshSweep)
+	}
+	if string(wantResult) != strings.TrimSpace(freshSweep) {
+		t.Errorf("XTRP1-store answer differs from fresh server:\n%s\nvs\n%s", wantResult, strings.TrimSpace(freshSweep))
 	}
 	ts1.Close()
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Restart on the same directory with the (default) XTRP2 format.
+	// Restart on the same directory.
 	_, ts2 := newTestServer(t, Config{StoreDir: dir})
 	resumed := waitJob(t, ts2.URL, sub.ID)
 	if resumed.Status != "done" {
@@ -243,7 +292,7 @@ func TestMixedFormatStoreAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(gotResult) != string(wantResult) {
-		t.Errorf("result changed across format migration:\n%s\nvs\n%s", gotResult, wantResult)
+		t.Errorf("result changed across restart:\n%s\nvs\n%s", gotResult, wantResult)
 	}
 	if len(resumed.Artifacts) != 2 {
 		t.Fatalf("artifacts = %+v, want one per ladder point", resumed.Artifacts)

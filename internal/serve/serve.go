@@ -43,9 +43,7 @@ import (
 	"extrap/internal/metrics"
 	"extrap/internal/model"
 	"extrap/internal/pcxx"
-	"extrap/internal/sim"
 	"extrap/internal/store"
-	"extrap/internal/trace"
 	"extrap/internal/vtime"
 )
 
@@ -78,11 +76,12 @@ type Config struct {
 	Workers int
 	// BatchSize > 1 enables batched sweep simulation: grid cells that
 	// share a measurement (same benchmark/size/threads under different
-	// machine models — multi-machine sweeps and jobs) advance up to
-	// BatchSize machine models per pass over the shared translated
-	// trace. Responses are byte-identical at any batch size; the knob
-	// trades the streaming path's per-cell bounded memory for sweep
-	// throughput. ≤ 1 keeps the per-cell streaming path.
+	// machine models — multi-machine sweeps and jobs) decode and
+	// translate it once and simulate up to BatchSize machine models one
+	// after another over the materialized trace. Responses are
+	// byte-identical at any batch size; the knob trades the streaming
+	// path's per-cell bounded memory and fast-forward for fewer decode
+	// and translation passes. ≤ 1 keeps the per-cell streaming path.
 	BatchSize int
 	// CacheEntries bounds the measurement memo cache (LRU-evicted past
 	// the bound) so clients iterating request parameters cannot grow
@@ -93,26 +92,10 @@ type Config struct {
 	// is rejected with 413 trace_too_large (and the rejection is
 	// memoized — the measurement is deterministic, so it would exceed
 	// the budget every time). Cached measurements are held as compact
-	// encoded bytes in TraceFormat (XTRP2 by default) and predictions
-	// stream through bounded cursors, so this budget, times
-	// CacheEntries, bounds cache memory. 0 selects
+	// XTRP2 bytes and predictions stream through bounded cursors, so
+	// this budget, times CacheEntries, bounds cache memory. 0 selects
 	// the default of 256 MiB; < 0 disables the budget.
 	MaxTraceBytes int64
-	// TraceFormat selects the wire format for cached measurement
-	// traces: trace.FormatXTRP2 (the default — loop-compacted, compiled
-	// pattern replay) or trace.FormatXTRP1 (flat records). Predictions
-	// are byte-identical across formats; the knob exists for rollback
-	// and A/B comparison. Artifacts persisted under either format keep
-	// loading after a format switch — the cache falls back to the XTRP1
-	// key when the current format's artifact is absent.
-	TraceFormat trace.Format
-	// Replay selects how XTRP2-encoded measurements replay through the
-	// simulator: sim.ReplayPattern (the zero default — compiled pattern
-	// programs with steady-state fast-forward) or sim.ReplayEvent (flat
-	// event-by-event replay). Responses are byte-identical in both
-	// modes; the knob exists for rollback and A/B comparison.
-	// Fast-forward counters are exported under "sim" in /debug/vars.
-	Replay sim.ReplayMode
 	// StoreDir, when non-empty, roots the durable artifact store:
 	// measurement traces and job cell results persist there (content-
 	// addressed, checksummed), the measurement cache reads through to it,
@@ -191,9 +174,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.JobWorkers <= 0 {
 		cfg.JobWorkers = 1
 	}
-	if cfg.TraceFormat == 0 {
-		cfg.TraceFormat = trace.FormatXTRP2
-	}
 	if cfg.Role == "" {
 		cfg.Role = RoleSolo
 	}
@@ -219,14 +199,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg: cfg,
-		svc: experiments.NewStreamingService(cfg.Workers, cfg.CacheEntries, cfg.MaxTraceBytes),
+		svc: experiments.NewService(cfg.Workers, cfg.CacheEntries, cfg.MaxTraceBytes),
 		lim: newLimiter(cfg.MaxInFlight, cfg.QueueWait),
 		met: newMetricsSet(),
 		log: logger,
 	}
 	s.svc.SetBatchSize(cfg.BatchSize)
-	s.svc.SetTraceFormat(cfg.TraceFormat)
-	s.svc.SetReplay(cfg.Replay)
 	if cfg.StoreDir != "" {
 		st, err := store.Open(cfg.StoreDir, cfg.StoreBytes)
 		if err != nil {

@@ -14,8 +14,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"extrap/internal/sim"
 )
 
 // newTestServer returns a Server with quiet logging and test-friendly
@@ -300,22 +298,23 @@ func TestDebugVarsExportsCacheHits(t *testing.T) {
 	}
 }
 
-// TestDebugVarsSimReplaySubmap: /debug/vars exposes the pattern-replay
-// kernel counters under extrap_serve.sim, and replay_mode_event tracks
-// the configured replay mode.
+// TestDebugVarsSimReplaySubmap: /debug/vars exposes the replay kernel
+// counters under extrap_serve.sim — exactly the four counters, whichever
+// replay path served the traffic: per-cell pattern replay (a single
+// extrapolation) or event replay over a materialized trace (the lanes of
+// a batched multi-machine sweep).
 func TestDebugVarsSimReplaySubmap(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		mode      sim.ReplayMode
-		wantEvent int64
+		name, path, body string
+		cfg              Config
 	}{
-		{"pattern", sim.ReplayPattern, 0},
-		{"event", sim.ReplayEvent, 1},
+		{"pattern", "/v1/extrapolate", extrapBody("grid", 4, "cm5"), Config{}},
+		{"event", "/v1/sweep", `{"benchmark":"grid","size":16,"iters":4,"machines":["cm5","shared-mem"],"procs":[1,2,4]}`, Config{BatchSize: 8}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, ts := newTestServer(t, Config{Replay: tc.mode})
-			if status, b := post(t, ts.URL+"/v1/extrapolate", extrapBody("grid", 4, "cm5")); status != http.StatusOK {
-				t.Fatalf("extrapolate: status %d: %s", status, b)
+			_, ts := newTestServer(t, tc.cfg)
+			if status, b := post(t, ts.URL+tc.path, tc.body); status != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", tc.path, status, b)
 			}
 			status, varsBody := get(t, ts.URL+"/debug/vars")
 			if status != http.StatusOK {
@@ -338,8 +337,8 @@ func TestDebugVarsSimReplaySubmap(t *testing.T) {
 					t.Errorf("sim submap missing %q\n%.400s", key, varsBody)
 				}
 			}
-			if got := sm["replay_mode_event"]; got != tc.wantEvent {
-				t.Errorf("replay_mode_event = %d, want %d", got, tc.wantEvent)
+			if len(sm) != 4 {
+				t.Errorf("sim submap has keys beyond the four counters: %v", sm)
 			}
 		})
 	}

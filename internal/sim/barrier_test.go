@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"extrap/internal/pcxx"
@@ -26,7 +27,7 @@ func TestTreeBarrierMessagesProduceValidTrace(t *testing.T) {
 		RequestBytes:     16,
 	}
 	cfg.EmitTrace = true
-	res, err := Simulate(pt, cfg)
+	res, err := Simulate(context.Background(), nil, pt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestTreeBarrierOrdering(t *testing.T) {
 		Topology:    network.Bus{},
 	}
 	cfg.EmitTrace = true
-	res, err := Simulate(pt, cfg)
+	res, err := Simulate(context.Background(), nil, pt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestLinearMessageBarrierReleaseOrder(t *testing.T) {
 		Topology:    network.Bus{},
 	}
 	cfg.EmitTrace = true
-	res, err := Simulate(pt, cfg)
+	res, err := Simulate(context.Background(), nil, pt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestAnalyticVariantsCheaperThanMessages(t *testing.T) {
 				StartupTime: 20 * vtime.Microsecond,
 				Topology:    network.Bus{},
 			}
-			res, err := Simulate(pt, cfg)
+			res, err := Simulate(context.Background(), nil, pt, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -124,11 +125,14 @@ func assertSameResult(t *testing.T, label string, want, got *Result) {
 	}
 }
 
-// TestSimulateBatchMatchesPerCell is the batch-equivalence property:
-// for randomized workloads and mixed-model batches (different barrier
-// algorithms, topologies, policies, and placements in ONE batch),
-// SimulateBatch must equal per-cell Simulate event-for-event.
+// TestSimulateBatchMatchesPerCell is the batch-equivalence property: a
+// K-config batch — the lanes simulated one after another over one arena
+// on a shared translated trace, as the sweep engines run it — must equal
+// per-cell fresh simulation event-for-event, for randomized workloads
+// and mixed-model batches (different barrier algorithms, topologies,
+// policies, and placements in ONE batch).
 func TestSimulateBatchMatchesPerCell(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 12; trial++ {
 		n := []int{2, 4, 8}[rng.Intn(3)]
@@ -138,19 +142,17 @@ func TestSimulateBatchMatchesPerCell(t *testing.T) {
 		for i := range cfgs {
 			cfgs[i] = randomConfig(rng, n)
 		}
-		batch, err := SimulateBatch(pt, cfgs)
-		if err != nil {
-			t.Fatalf("trial %d: batch: %v", trial, err)
-		}
-		if len(batch) != k {
-			t.Fatalf("trial %d: %d results for %d configs", trial, len(batch), k)
-		}
+		a := NewArena()
 		for i, cfg := range cfgs {
-			want, err := Simulate(pt, cfg)
+			got, err := Simulate(ctx, a, pt, cfg)
+			if err != nil {
+				t.Fatalf("trial %d lane %d: batch: %v", trial, i, err)
+			}
+			want, err := Simulate(ctx, nil, pt, cfg)
 			if err != nil {
 				t.Fatalf("trial %d lane %d: per-cell: %v", trial, i, err)
 			}
-			assertSameResult(t, labelFor(trial, i, n, cfg), want, batch[i])
+			assertSameResult(t, labelFor(trial, i, n, cfg), want, got)
 		}
 	}
 }
@@ -175,51 +177,6 @@ func itoa(v int) string {
 	return string(b[i:])
 }
 
-// TestSimulateBatchStreamMatchesPerCell runs the streaming batch entry
-// point (binary decode → streaming translate → batch) against per-cell
-// streaming simulation over the same bytes.
-func TestSimulateBatchStreamMatchesPerCell(t *testing.T) {
-	const n = 8
-	tr := richMeasurement(t, n)
-	var enc bytes.Buffer
-	if err := trace.WriteBinary(&enc, tr); err != nil {
-		t.Fatal(err)
-	}
-	var cfgs []Config
-	for _, cfg := range streamEquivConfigs(n) {
-		cfg.EmitTrace = true
-		cfgs = append(cfgs, cfg)
-	}
-
-	d, err := trace.NewDecoder(bytes.NewReader(enc.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := translate.NewStream(d.Header(), d, translate.StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := SimulateBatchStream(s, cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cfg := range cfgs {
-		d, err := trace.NewDecoder(bytes.NewReader(enc.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := translate.NewStream(d.Header(), d, translate.StreamOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := SimulateStream(s, cfg)
-		if err != nil {
-			t.Fatalf("lane %d: stream per-cell: %v", i, err)
-		}
-		assertSameResult(t, "stream lane "+itoa(i), want, batch[i])
-	}
-}
-
 // TestArenaReuseAcrossHeterogeneousRuns reuses ONE arena across
 // different workloads and models interleaved — the runner's sequential
 // reuse pattern — and demands bit-identical results to fresh
@@ -239,11 +196,11 @@ func TestArenaReuseAcrossHeterogeneousRuns(t *testing.T) {
 	}
 	a := NewArena()
 	for i, c := range cells {
-		want, err := Simulate(c.pt, c.cfg)
+		want, err := Simulate(context.Background(), nil, c.pt, c.cfg)
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
-		got, err := SimulateArena(a, c.pt, c.cfg)
+		got, err := Simulate(context.Background(), a, c.pt, c.cfg)
 		if err != nil {
 			t.Fatalf("cell %d (arena): %v", i, err)
 		}
@@ -251,34 +208,42 @@ func TestArenaReuseAcrossHeterogeneousRuns(t *testing.T) {
 	}
 }
 
-// TestSimulateBatchLaneError: an invalid lane aborts the batch with the
-// lane index in the error; valid earlier lanes do not mask it.
+// TestSimulateBatchLaneError: a batch lane that fails mid-run (here a
+// deadlocked trace: one thread waits at a barrier the other never
+// enters) surfaces its error and leaves the shared arena reusable —
+// the lanes after it stay bit-identical to fresh simulations.
 func TestSimulateBatchLaneError(t *testing.T) {
-	pt := measureAndTranslate(t, 4, func(th *pcxx.Thread) {
-		th.Compute(10 * vtime.Microsecond)
-		th.Barrier()
-	})
-	bad := zeroConfig()
-	bad.Procs = 3 // 4 threads not divisible by 3
-	_, err := SimulateBatch(pt, []Config{zeroConfig(), bad})
-	if err == nil {
-		t.Fatal("expected lane error")
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(3))
+	pt := randomWorkload(t, rng, 2)
+	stuck := &translate.ParallelTrace{
+		NumThreads: 2,
+		Threads: [][]trace.Event{
+			{
+				{Time: 0, Kind: trace.KindThreadStart, Thread: 0, Arg0: 2},
+				{Time: 10 * vtime.Microsecond, Kind: trace.KindBarrierEntry, Thread: 0, Arg0: 0},
+			},
+			{{Time: 0, Kind: trace.KindThreadStart, Thread: 1, Arg0: 2}},
+		},
+		Barriers: 1,
 	}
-	if !strings.Contains(err.Error(), "lane 1") {
-		t.Errorf("error %q does not name lane 1", err)
-	}
-}
-
-// TestSimulateBatchEmpty: zero configs is a no-op, not an error.
-func TestSimulateBatchEmpty(t *testing.T) {
-	pt := measureAndTranslate(t, 2, func(th *pcxx.Thread) {
-		th.Barrier()
-	})
-	res, err := SimulateBatch(pt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 0 {
-		t.Fatalf("got %d results for empty batch", len(res))
+	a := NewArena()
+	for lane := 0; lane < 4; lane++ {
+		cfg := randomConfig(rng, 2)
+		if lane == 1 {
+			if _, err := Simulate(ctx, a, stuck, zeroConfig()); err == nil || !strings.Contains(err.Error(), "did not finish") {
+				t.Fatalf("deadlocked lane: err = %v, want a mid-run deadlock error", err)
+			}
+			continue
+		}
+		got, err := Simulate(ctx, a, pt, cfg)
+		if err != nil {
+			t.Fatalf("lane %d: %v", lane, err)
+		}
+		want, err := Simulate(ctx, nil, pt, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResult(t, "lane "+itoa(lane), want, got)
 	}
 }

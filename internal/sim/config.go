@@ -201,43 +201,6 @@ type Config struct {
 	// EmitTrace, when set, makes the simulator produce the extrapolated
 	// event trace alongside the aggregate results.
 	EmitTrace bool
-	// Replay selects how compiled (XTRP2) traces are replayed: the
-	// default pattern mode keeps the loop structure live and lets the
-	// kernel fast-forward provably steady iterations; event mode forces
-	// event-by-event replay. Predictions are byte-identical either way —
-	// the knob exists for cross-checking and diagnosis, so it is not
-	// part of any cache key.
-	Replay ReplayMode
-}
-
-// ReplayMode selects the trace replay strategy. The zero value is
-// pattern-native replay so every existing call site gets the fast path.
-type ReplayMode uint8
-
-const (
-	// ReplayPattern replays compiled traces through the pattern IR with
-	// steady-state fast-forward (the default).
-	ReplayPattern ReplayMode = iota
-	// ReplayEvent forces event-by-event replay with no fast-forward.
-	ReplayEvent
-)
-
-func (m ReplayMode) String() string {
-	if m == ReplayEvent {
-		return "event"
-	}
-	return "pattern"
-}
-
-// ParseReplayMode parses "pattern" or "event".
-func ParseReplayMode(s string) (ReplayMode, error) {
-	switch s {
-	case "pattern":
-		return ReplayPattern, nil
-	case "event":
-		return ReplayEvent, nil
-	}
-	return 0, fmt.Errorf("sim: unknown replay mode %q (want pattern or event)", s)
 }
 
 // Validate checks the full configuration.

@@ -9,6 +9,9 @@ import (
 	"extrap/internal/vtime"
 )
 
+// TestSimulateContextMatchesSimulate: a live, cancellable context (the
+// event loop polls it) must not perturb the simulation — the result
+// equals a run under context.Background.
 func TestSimulateContextMatchesSimulate(t *testing.T) {
 	pt := measureAndTranslate(t, 4, func(th *pcxx.Thread) {
 		for i := 0; i < 3; i++ {
@@ -16,16 +19,18 @@ func TestSimulateContextMatchesSimulate(t *testing.T) {
 			th.Barrier()
 		}
 	})
-	want, err := Simulate(pt, zeroConfig())
+	want, err := Simulate(context.Background(), nil, pt, zeroConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SimulateContext(context.Background(), pt, zeroConfig())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := Simulate(ctx, nil, pt, zeroConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.TotalTime != want.TotalTime {
-		t.Errorf("SimulateContext time %v != Simulate time %v", got.TotalTime, want.TotalTime)
+		t.Errorf("cancellable-context time %v != background time %v", got.TotalTime, want.TotalTime)
 	}
 }
 
@@ -36,7 +41,7 @@ func TestSimulateContextCancelled(t *testing.T) {
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := SimulateContext(ctx, pt, zeroConfig())
+	_, err := Simulate(ctx, nil, pt, zeroConfig())
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("error = %v, want context.Canceled", err)
 	}

@@ -25,7 +25,7 @@ import (
 // replay for the tail. Any snapshot disagreement — structural change,
 // non-uniform stride — means the loop is not (yet) steady and replay
 // simply continues event by event, so predictions are byte-identical to
-// ReplayEvent by construction.
+// event-by-event replay by construction.
 //
 // The fingerprint/shift traversals here mirror each other slot for
 // slot, as do their counterparts in internal/translate and the decoder
@@ -152,7 +152,7 @@ type fpScratch struct {
 // newFFState engages fast-forward when the source pipeline exposes its
 // compiled pattern cursor; it returns nil otherwise.
 func newFFState(cfg *Config, src Source) *ffState {
-	if src == nil || cfg.Replay != ReplayPattern || cfg.EmitTrace {
+	if src == nil || cfg.EmitTrace {
 		return nil
 	}
 	ts, ok := src.(*translate.Stream)
@@ -198,7 +198,8 @@ func (ff *ffState) observe(ctx context.Context, e *engine, steps int) (int, erro
 	// Pay as you go: a snapshot is worth taking only while the repeat
 	// still owes at least as many rows as the fingerprint pushes slots,
 	// the most a skip from here could save against what it costs.
-	if repLeft*uint64(bodyLen) < uint64(e.fpSlots(ff.src.Pending())) {
+	slots := e.fpSlots(ff.src.Pending())
+	if repLeft*uint64(bodyLen) < uint64(slots) {
 		return steps, nil
 	}
 	stride := uint64(1)
@@ -207,6 +208,7 @@ func (ff *ffState) observe(ctx context.Context, e *engine, steps int) (int, erro
 	}
 	if !ff.haveSnap {
 		ff.fpA.Reset()
+		ff.fpA.Grow(slots)
 		if ff.appendAll(e, &ff.fpA) {
 			ff.haveSnap = true
 			ff.snapIters = it
@@ -219,6 +221,7 @@ func (ff *ffState) observe(ctx context.Context, e *engine, steps int) (int, erro
 		return steps, nil
 	}
 	ff.fpB.Reset()
+	ff.fpB.Grow(slots)
 	if !ff.appendAll(e, &ff.fpB) {
 		ff.haveSnap = false
 		return steps, nil
@@ -332,7 +335,7 @@ func (e *engine) appendReplayFingerprint(fp *trace.ReplayFingerprint, sc *fpScra
 
 	// Canonical FEL order and msg-handle renaming, computed up front so
 	// every section (service queues included) uses the same naming.
-	order := sc.order[:0]
+	order := slices.Grow(sc.order[:0], len(e.fel.q))
 	for i := range e.fel.q {
 		order = append(order, int32(i))
 	}
@@ -350,7 +353,7 @@ func (e *engine) appendReplayFingerprint(fp *trace.ReplayFingerprint, sc *fpScra
 		sc.rename = make([]int64, e.msgs.used)
 	}
 	rename := sc.rename
-	encounter := sc.encounter[:0]
+	encounter := slices.Grow(sc.encounter[:0], e.msgs.used)
 	visit := func(mi int32) {
 		if mi == noMsg {
 			return

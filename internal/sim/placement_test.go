@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"extrap/internal/pcxx"
@@ -61,7 +62,7 @@ func TestPlacementAffectsClusterLocality(t *testing.T) {
 	run := func(p Placement) vtime.Time {
 		c := cfg
 		c.Placement = p
-		res, err := Simulate(pt, c)
+		res, err := Simulate(context.Background(), nil, pt, c)
 		if err != nil {
 			t.Fatal(err)
 		}

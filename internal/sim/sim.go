@@ -276,138 +276,27 @@ func (a *Arena) release(e *engine) {
 	a.msgs = e.msgs
 }
 
-// Reset drops per-run state so the arena can be reused; allocations are
-// retained. Calling Reset is optional — acquire reinitializes
-// everything — but makes the lifecycle explicit for long-held arenas.
-func (a *Arena) Reset() {
-	a.msgs.reset()
-}
-
-// Simulate replays the translated parallel trace against the target
-// environment described by cfg and returns the predicted performance
-// information and metrics. The input trace is read-only: neither the
-// event slices nor the ParallelTrace header are modified, so one
-// translation may be simulated under many configurations (and from many
-// goroutines) concurrently.
-func Simulate(pt *translate.ParallelTrace, cfg Config) (*Result, error) {
-	return SimulateContext(context.Background(), pt, cfg)
-}
-
 // ctxCheckMask paces the event loop's cancellation polls: the context is
 // consulted once every (mask+1) events, keeping the check off the
 // per-event hot path while still bounding how long a cancelled
 // simulation keeps running.
 const ctxCheckMask = 1<<13 - 1
 
-// SimulateContext is Simulate with a cancellation point: the event loop
-// polls ctx periodically and abandons the simulation with ctx's error
-// (wrapped, so errors.Is sees context.Canceled / DeadlineExceeded) when
-// the caller's deadline passes. Serving layers use this to bound
-// per-request simulation time.
-func SimulateContext(ctx context.Context, pt *translate.ParallelTrace, cfg Config) (*Result, error) {
-	return simulate(ctx, cfg, pt.NumThreads, pt.Phases, pt.Barriers, pt.Events(),
-		func(t *thr, i int) { t.evs = pt.Threads[i] }, nil, nil)
-}
-
-// SimulateArena is Simulate drawing its dense state from a — reusing the
-// thread/processor/barrier tables, event list, and message slab across
-// runs so repeated simulations of sweep cells allocate almost nothing.
-// Results are bit-identical to Simulate.
-func SimulateArena(a *Arena, pt *translate.ParallelTrace, cfg Config) (*Result, error) {
-	return SimulateArenaContext(context.Background(), a, pt, cfg)
-}
-
-// SimulateArenaContext is SimulateArena with a cancellation point.
-func SimulateArenaContext(ctx context.Context, a *Arena, pt *translate.ParallelTrace, cfg Config) (*Result, error) {
+// Simulate replays the translated parallel trace against the target
+// environment described by cfg and returns the predicted performance
+// information and metrics. The input trace is read-only: neither the
+// event slices nor the ParallelTrace header are modified, so one
+// translation may be simulated under many configurations (and from many
+// goroutines) concurrently. A non-nil arena a supplies recycled dense
+// state (thread/processor/barrier tables, event list, message slab), so
+// repeated simulations — sweep cells, or the K lanes of a batch run as a
+// loop over one arena — allocate almost nothing; results are
+// bit-identical to a fresh engine. The event loop polls ctx
+// periodically and abandons the simulation with ctx's error (wrapped, so
+// errors.Is sees context.Canceled / DeadlineExceeded).
+func Simulate(ctx context.Context, a *Arena, pt *translate.ParallelTrace, cfg Config) (*Result, error) {
 	return simulate(ctx, cfg, pt.NumThreads, pt.Phases, pt.Barriers, pt.Events(),
 		func(t *thr, i int) { t.evs = pt.Threads[i] }, a, nil)
-}
-
-// SimulateBatch replays one translated trace under K machine
-// configurations in a single call: the per-thread event slices are
-// shared read-only across all K lanes while each lane advances its own
-// future-event-list and dense thread/processor/barrier state, recycled
-// through one arena so allocations stay flat in K. Lane i's Result is
-// bit-identical to Simulate(pt, cfgs[i]); a lane configuration error
-// aborts the batch with that lane's error.
-func SimulateBatch(pt *translate.ParallelTrace, cfgs []Config) ([]*Result, error) {
-	return SimulateBatchContext(context.Background(), pt, cfgs)
-}
-
-// SimulateBatchContext is SimulateBatch with a cancellation point,
-// polled within each lane.
-func SimulateBatchContext(ctx context.Context, pt *translate.ParallelTrace, cfgs []Config) ([]*Result, error) {
-	out := make([]*Result, len(cfgs))
-	a := NewArena()
-	for i, cfg := range cfgs {
-		res, err := SimulateArenaContext(ctx, a, pt, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("sim: batch lane %d: %w", i, err)
-		}
-		out[i] = res
-	}
-	return out, nil
-}
-
-// SimulateBatchStream is SimulateBatch over streaming cursors. Per-thread
-// cursors are single-shot, so the source is drained exactly once into
-// materialized per-thread slices which the K lanes then share — batching
-// trades the streaming path's bounded memory for one resident copy of
-// the translated trace. Lane results are bit-identical to
-// SimulateStream on an equivalent source.
-func SimulateBatchStream(src Source, cfgs []Config) ([]*Result, error) {
-	return SimulateBatchStreamContext(context.Background(), src, cfgs)
-}
-
-// SimulateBatchStreamContext is SimulateBatchStream with a cancellation
-// point.
-func SimulateBatchStreamContext(ctx context.Context, src Source, cfgs []Config) ([]*Result, error) {
-	pt, err := materialize(src)
-	if err != nil {
-		return nil, err
-	}
-	return SimulateBatchContext(ctx, pt, cfgs)
-}
-
-// materialize drains a streaming source into a ParallelTrace usable by
-// the slice fast path. Cursors are consumed round-robin, one event per
-// thread per round, so a translate stream's bounded cross-thread
-// buffering (consumer skew stays within one event per thread) is never
-// exceeded.
-func materialize(src Source) (*translate.ParallelTrace, error) {
-	n := src.NumThreads()
-	pt := &translate.ParallelTrace{
-		NumThreads: n,
-		Threads:    make([][]trace.Event, n),
-		Phases:     append([]string(nil), src.Phases()...),
-	}
-	readers := make([]trace.Reader, n)
-	for i := range readers {
-		readers[i] = src.Thread(i)
-	}
-	maxBar := int64(-1)
-	for live := n; live > 0; {
-		for i := 0; i < n; i++ {
-			if readers[i] == nil {
-				continue
-			}
-			ev, err := readers[i].Next()
-			if err == io.EOF {
-				readers[i] = nil
-				live--
-				continue
-			}
-			if err != nil {
-				return nil, fmt.Errorf("sim: batch materialize thread %d: %w", i, err)
-			}
-			if ev.Kind == trace.KindBarrierEntry && ev.Arg0 > maxBar {
-				maxBar = ev.Arg0
-			}
-			pt.Threads[i] = append(pt.Threads[i], ev)
-		}
-	}
-	pt.Barriers = int(maxBar + 1)
-	return pt, nil
 }
 
 // Source provides translated per-thread event cursors to a streaming
@@ -420,20 +309,14 @@ type Source interface {
 	Thread(i int) trace.Reader
 }
 
-// SimulateStream runs the simulation over streaming per-thread cursors
-// instead of a materialized ParallelTrace, so peak memory is bounded by
-// the source's buffering rather than the trace size. Results are
-// byte-identical to Simulate on the equivalent materialized trace.
-func SimulateStream(src Source, cfg Config) (*Result, error) {
-	return SimulateStreamContext(context.Background(), src, cfg)
-}
-
-// SimulateStreamContext is SimulateStream with a cancellation point.
-// When the source is a translate stream fed by a compiled (XTRP2)
-// pattern cursor and cfg.Replay is ReplayPattern, the engine
-// fast-forwards provably steady pattern iterations (see ffwd.go);
-// results stay byte-identical to event-by-event replay.
-func SimulateStreamContext(ctx context.Context, src Source, cfg Config) (*Result, error) {
+// SimulateStream runs the simulation over single-shot streaming
+// per-thread cursors instead of a materialized ParallelTrace, so peak
+// memory is bounded by the source's buffering rather than the trace
+// size. Results are byte-identical to Simulate on the equivalent
+// materialized trace. When src is a translate stream fed by a compiled
+// (XTRP2) pattern cursor and cfg.EmitTrace is off, the engine
+// fast-forwards provably steady pattern iterations (see ffwd.go).
+func SimulateStream(ctx context.Context, src Source, cfg Config) (*Result, error) {
 	return simulate(ctx, cfg, src.NumThreads(), src.Phases(), 0, 0,
 		func(t *thr, i int) { t.src = src.Thread(i) }, nil, src)
 }

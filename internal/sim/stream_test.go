@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -84,7 +85,7 @@ func TestStreamMatchesSlice(t *testing.T) {
 	}
 	for name, cfg := range streamEquivConfigs(n) {
 		cfg.EmitTrace = true
-		want, err := Simulate(pt, cfg)
+		want, err := Simulate(context.Background(), nil, pt, cfg)
 		if err != nil {
 			t.Fatalf("%s: slice path: %v", name, err)
 		}
@@ -92,7 +93,7 @@ func TestStreamMatchesSlice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SimulateStream(s, cfg)
+		got, err := SimulateStream(context.Background(), s, cfg)
 		if err != nil {
 			t.Fatalf("%s: stream path: %v", name, err)
 		}
@@ -134,7 +135,7 @@ func TestStreamOverBinaryDecoder(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := policyConfig(Interrupt, 0)
-	got, err := SimulateStream(s, cfg)
+	got, err := SimulateStream(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestStreamOverBinaryDecoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Simulate(pt, cfg)
+	want, err := Simulate(context.Background(), nil, pt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestStreamSourceErrorAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = SimulateStream(s, zeroConfig())
+	_, err = SimulateStream(context.Background(), s, zeroConfig())
 	if err == nil || !strings.Contains(err.Error(), "barrier") {
 		t.Fatalf("SimulateStream = %v, want barrier validation error", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Pattern-native replay: the XTRP2 pattern table and replay program as a
@@ -387,9 +388,10 @@ const (
 // parallel (class, value) slots, assembled in a deterministic traversal
 // order by each layer's AppendFingerprint.
 type ReplayFingerprint struct {
-	cls  []uint8
-	vals []int64
-	max  [fpClassCount]int64
+	cls    []uint8
+	vals   []int64
+	max    [fpClassCount]int64
+	accums int // FPAccum slots pushed
 }
 
 // Reset clears the fingerprint for reuse, keeping capacity.
@@ -397,6 +399,14 @@ func (f *ReplayFingerprint) Reset() {
 	f.cls = f.cls[:0]
 	f.vals = f.vals[:0]
 	f.max = [fpClassCount]int64{}
+	f.accums = 0
+}
+
+// Grow reserves room for n more slots, so a snapshot of an estimated
+// size allocates once instead of growing slot by slot.
+func (f *ReplayFingerprint) Grow(n int) {
+	f.cls = slices.Grow(f.cls, n)
+	f.vals = slices.Grow(f.vals, n)
 }
 
 // Push appends one slot.
@@ -405,6 +415,9 @@ func (f *ReplayFingerprint) Push(cls uint8, v int64) {
 	f.vals = append(f.vals, v)
 	if v > f.max[cls] {
 		f.max[cls] = v
+	}
+	if cls == FPAccum {
+		f.accums++
 	}
 }
 
@@ -455,7 +468,7 @@ func DiffFingerprints(prev, curr *ReplayFingerprint, d *ReplayDeltas) bool {
 	var have [fpClassCount]bool
 	d.Sim, d.Trans, d.Orig, d.Bar = 0, 0, 0, 0
 	d.BarT, d.BarS = 0, 0
-	d.accum = d.accum[:0]
+	d.accum = slices.Grow(d.accum[:0], prev.accums)
 	d.pos = 0
 	for i, pv := range prev.vals {
 		cls := prev.cls[i]

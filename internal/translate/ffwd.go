@@ -37,17 +37,17 @@ func (s *Stream) AppendReplayFingerprint(fp *trace.ReplayFingerprint) bool {
 	if s.err != nil || s.srcDone {
 		return false
 	}
-	fp.Push(trace.FPOrig, int64(s.lastTime))
-	fp.Push(trace.FPOrig, int64(s.srcDuration))
-	fp.Push(trace.FPTrans, int64(s.maxTranslated))
-	fp.Push(trace.FPAccum, int64(s.idx))
+	fp.Push(trace.FPOrig, int64(s.x.lastTime))
+	fp.Push(trace.FPTrans, int64(s.x.maxTranslated))
+	fp.Push(trace.FPAccum, int64(s.x.idx))
 	fp.Push(trace.FPExact, int64(s.pending))
-	for i := 0; i < s.n; i++ {
-		fp.Push(trace.FPBarID, s.nextBarrier[i])
-		fp.PushBool(s.inBarrier[i])
-		fp.Push(trace.FPOrig, int64(s.lastOrig[i]))
-		fp.Push(trace.FPTrans, int64(s.lastTranslated[i]))
-		fp.PushBool(s.started[i])
+	for i := range s.x.threads {
+		t := &s.x.threads[i]
+		fp.Push(trace.FPBarID, t.nextBarrier)
+		fp.PushBool(t.inBarrier)
+		fp.Push(trace.FPOrig, int64(t.lastOrig))
+		fp.Push(trace.FPTrans, int64(t.lastTranslated))
+		fp.PushBool(t.started)
 		q := &s.queues[i]
 		fp.Push(trace.FPExact, int64(q.size))
 		for k := 0; k < q.size; k++ {
@@ -64,14 +64,14 @@ func (s *Stream) AppendReplayFingerprint(fp *trace.ReplayFingerprint) bool {
 			fp.Push(trace.FPExact, e.Arg2)
 		}
 	}
-	nb := len(s.barriers)
+	nb := len(s.x.barriers)
 	fp.Push(trace.FPBarID, int64(nb))
 	lo := nb - ffBarWindow
 	if lo < 0 {
 		lo = 0
 	}
 	for id := lo; id < nb; id++ {
-		b := &s.barriers[id]
+		b := &s.x.barriers[id]
 		fp.Push(trace.FPExact, int64(b.entries))
 		if b.release == 0 {
 			fp.Push(trace.FPExact, 0)
@@ -87,14 +87,14 @@ func (s *Stream) AppendReplayFingerprint(fp *trace.ReplayFingerprint) bool {
 // event would have left it. The traversal mirrors
 // AppendReplayFingerprint slot for slot.
 func (s *Stream) ApplyReplayShift(j int64, d *trace.ReplayDeltas) {
-	s.lastTime += vtime.Time(j * d.Orig)
-	s.srcDuration += vtime.Time(j * d.Orig)
-	s.maxTranslated += vtime.Time(j * d.Trans)
-	s.idx += int(j * d.NextAccum())
-	for i := 0; i < s.n; i++ {
-		s.nextBarrier[i] += j * d.Bar
-		s.lastOrig[i] += vtime.Time(j * d.Orig)
-		s.lastTranslated[i] += vtime.Time(j * d.Trans)
+	s.x.lastTime += vtime.Time(j * d.Orig)
+	s.x.maxTranslated += vtime.Time(j * d.Trans)
+	s.x.idx += int(j * d.NextAccum())
+	for i := range s.x.threads {
+		t := &s.x.threads[i]
+		t.nextBarrier += j * d.Bar
+		t.lastOrig += vtime.Time(j * d.Orig)
+		t.lastTranslated += vtime.Time(j * d.Trans)
 		q := &s.queues[i]
 		for k := 0; k < q.size; k++ {
 			e := &q.buf[(q.head+k)%len(q.buf)]
@@ -110,30 +110,30 @@ func (s *Stream) ApplyReplayShift(j int64, d *trace.ReplayDeltas) {
 	// provably never read again (see ffBarWindow), so event replay's
 	// frozen values and these zeros are indistinguishable.
 	grow := j * d.Bar
-	nb := len(s.barriers)
+	nb := len(s.x.barriers)
 	w := ffBarWindow
 	if nb < w {
 		w = nb
 	}
 	if grow > 0 {
 		var win [ffBarWindow]barrierState
-		copy(win[:w], s.barriers[nb-w:])
+		copy(win[:w], s.x.barriers[nb-w:])
 		for id := nb - w; id < nb; id++ {
-			s.barriers[id] = barrierState{}
+			s.x.barriers[id] = barrierState{}
 		}
 		for k := int64(0); k < grow; k++ {
-			s.barriers = append(s.barriers, barrierState{})
+			s.x.barriers = append(s.x.barriers, barrierState{})
 		}
 		for k := 0; k < w; k++ {
 			b := win[k]
 			if b.release != 0 {
 				b.release += vtime.Time(j * d.BarT)
 			}
-			s.barriers[len(s.barriers)-w+k] = b
+			s.x.barriers[len(s.x.barriers)-w+k] = b
 		}
 	} else {
 		for id := nb - w; id < nb; id++ {
-			if b := &s.barriers[id]; b.release != 0 {
+			if b := &s.x.barriers[id]; b.release != 0 {
 				b.release += vtime.Time(j * d.BarT)
 			}
 		}

@@ -36,31 +36,16 @@ type StreamOptions struct {
 // A Stream and its cursors are single-consumer and not safe for
 // concurrent use — exactly like the underlying trace.Reader.
 type Stream struct {
-	n        int
-	overhead vtime.Time
-	phases   []string
-	src      trace.Reader
+	phases []string
+	src    trace.Reader
+	x      translator
 
 	queues     []eventQueue
+	cursors    []threadCursor
 	pending    int
 	maxPending int
 	srcDone    bool
 	err        error
-
-	// Inline validation state (mirrors Trace.Validate).
-	lastTime    vtime.Time
-	nextBarrier []int64
-	inBarrier   []bool
-
-	// Translation state (mirrors Translate).
-	lastOrig       []vtime.Time
-	lastTranslated []vtime.Time
-	started        []bool
-	barriers       []barrierState // indexed by barrier id (ids are dense)
-	idx            int
-
-	srcDuration   vtime.Time // timestamp of the last source event
-	maxTranslated vtime.Time // latest translated timestamp seen
 }
 
 // NewStream starts a streaming translation of the trace described by hdr
@@ -70,42 +55,49 @@ func NewStream(hdr trace.Header, src trace.Reader, opts StreamOptions) (*Stream,
 		return nil, fmt.Errorf("translate: NumThreads = %d, want > 0", hdr.NumThreads)
 	}
 	n := hdr.NumThreads
-	return &Stream{
-		n:           n,
-		overhead:    hdr.EventOverhead,
-		phases:      hdr.Phases,
-		src:         src,
-		queues:      make([]eventQueue, n),
-		maxPending:  opts.MaxPending,
-		nextBarrier: make([]int64, n),
-		inBarrier:   make([]bool, n),
-
-		lastOrig:       make([]vtime.Time, n),
-		lastTranslated: make([]vtime.Time, n),
-		started:        make([]bool, n),
-	}, nil
+	s := &Stream{
+		phases:     hdr.Phases,
+		src:        src,
+		x:          newTranslator(n, hdr.EventOverhead),
+		queues:     make([]eventQueue, n),
+		cursors:    make([]threadCursor, n),
+		maxPending: opts.MaxPending,
+	}
+	// Every thread buffers at least a few events, so the queues' first
+	// buffers are carved from one slab instead of n allocations.
+	slab := make([]trace.Event, n*queueSlab)
+	for i := range s.queues {
+		s.queues[i].buf = slab[i*queueSlab : (i+1)*queueSlab : (i+1)*queueSlab]
+		s.cursors[i] = threadCursor{s: s, id: i}
+	}
+	return s, nil
 }
 
 // NumThreads returns n.
-func (s *Stream) NumThreads() int { return s.n }
+func (s *Stream) NumThreads() int { return s.x.n }
 
 // Phases returns the phase-name table carried over from the source.
 func (s *Stream) Phases() []string { return s.phases }
 
 // Thread returns the translated event cursor for thread i.
-func (s *Stream) Thread(i int) trace.Reader { return &threadCursor{s: s, id: i} }
+func (s *Stream) Thread(i int) trace.Reader {
+	if i < 0 || i >= len(s.cursors) {
+		return &threadCursor{s: s, id: i} // every Next reports the range error
+	}
+	return &s.cursors[i]
+}
 
 // Barriers reports the number of global barriers seen so far; it is the
 // program's total once the stream is drained.
-func (s *Stream) Barriers() int { return len(s.barriers) }
+func (s *Stream) Barriers() int { return len(s.x.barriers) }
 
 // SourceDuration reports the timestamp of the last source event pulled —
 // the 1-processor virtual execution time once the stream is drained.
-func (s *Stream) SourceDuration() vtime.Time { return s.srcDuration }
+func (s *Stream) SourceDuration() vtime.Time { return s.x.lastTime }
 
 // Duration reports the latest translated timestamp produced so far — the
 // idealized parallel execution time once the stream is drained.
-func (s *Stream) Duration() vtime.Time { return s.maxTranslated }
+func (s *Stream) Duration() vtime.Time { return s.x.maxTranslated }
 
 // Pending reports how many translated events sit buffered across all
 // per-thread cursors.
@@ -134,8 +126,8 @@ func (c *threadCursor) Next() (trace.Event, error) { return c.s.next(c.id) }
 // next returns thread id's next translated event, pulling the source as
 // needed.
 func (s *Stream) next(id int) (trace.Event, error) {
-	if id < 0 || id >= s.n {
-		return trace.Event{}, fmt.Errorf("translate: thread %d out of range [0,%d)", id, s.n)
+	if id < 0 || id >= s.x.n {
+		return trace.Event{}, fmt.Errorf("translate: thread %d out of range [0,%d)", id, s.x.n)
 	}
 	for {
 		if q := &s.queues[id]; q.size > 0 {
@@ -158,132 +150,27 @@ func (s *Stream) next(id int) (trace.Event, error) {
 func (s *Stream) pull() {
 	e, err := s.src.Next()
 	if err == io.EOF {
-		s.finish()
+		if s.err = s.x.finish(); s.err == nil {
+			s.srcDone = true
+		}
 		return
+	}
+	if err == nil {
+		err = s.x.step(&e)
 	}
 	if err != nil {
 		s.err = err
 		return
 	}
-
-	// Inline structural validation, mirroring Trace.Validate.
-	if !e.Kind.Valid() {
-		s.err = fmt.Errorf("trace: event %d has invalid kind %d", s.idx, e.Kind)
-		return
-	}
-	if e.Time < s.lastTime {
-		s.err = fmt.Errorf("trace: event %d time %v precedes previous %v", s.idx, e.Time, s.lastTime)
-		return
-	}
-	s.lastTime = e.Time
-	if int(e.Thread) < 0 || int(e.Thread) >= s.n {
-		s.err = fmt.Errorf("trace: event %d thread %d out of range [0,%d)", s.idx, e.Thread, s.n)
-		return
-	}
-	th := int(e.Thread)
-	switch e.Kind {
-	case trace.KindBarrierEntry:
-		if s.inBarrier[th] {
-			s.err = fmt.Errorf("trace: event %d: thread %d enters barrier %d while already in a barrier", s.idx, th, e.Arg0)
-			return
-		}
-		if e.Arg0 != s.nextBarrier[th] {
-			s.err = fmt.Errorf("trace: event %d: thread %d enters barrier %d, want %d", s.idx, th, e.Arg0, s.nextBarrier[th])
-			return
-		}
-		s.inBarrier[th] = true
-	case trace.KindBarrierExit:
-		if !s.inBarrier[th] {
-			s.err = fmt.Errorf("trace: event %d: thread %d exits barrier %d without entering", s.idx, th, e.Arg0)
-			return
-		}
-		if e.Arg0 != s.nextBarrier[th] {
-			s.err = fmt.Errorf("trace: event %d: thread %d exits barrier %d, want %d", s.idx, th, e.Arg0, s.nextBarrier[th])
-			return
-		}
-		s.inBarrier[th] = false
-		s.nextBarrier[th]++
-	case trace.KindRemoteRead, trace.KindRemoteWrite:
-		if e.Arg1 < 0 {
-			s.err = fmt.Errorf("trace: event %d: negative transfer size %d", s.idx, e.Arg1)
-			return
-		}
-		if e.Arg0 < 0 || int(e.Arg0) >= s.n {
-			s.err = fmt.Errorf("trace: event %d: owner thread %d out of range", s.idx, e.Arg0)
-			return
-		}
-	}
-
-	// Translation proper, mirroring Translate event for event.
-	var tNew vtime.Time
-	if !s.started[th] {
-		tNew = 0
-		s.started[th] = true
-	} else {
-		delta := e.Time - s.lastOrig[th] - s.overhead
-		if delta < 0 {
-			delta = 0
-		}
-		tNew = s.lastTranslated[th] + delta
-	}
-
-	switch e.Kind {
-	case trace.KindBarrierEntry:
-		for int64(len(s.barriers)) <= e.Arg0 {
-			s.barriers = append(s.barriers, barrierState{})
-		}
-		b := &s.barriers[e.Arg0]
-		b.entries++
-		if tNew > b.release {
-			b.release = tNew
-		}
-	case trace.KindBarrierExit:
-		if e.Arg0 < 0 || e.Arg0 >= int64(len(s.barriers)) || s.barriers[e.Arg0].entries != s.n {
-			got := 0
-			if e.Arg0 >= 0 && e.Arg0 < int64(len(s.barriers)) {
-				got = s.barriers[e.Arg0].entries
-			}
-			s.err = fmt.Errorf(
-				"translate: event %d: exit of barrier %d before all %d threads entered (%d so far) — was the measurement preemptive?",
-				s.idx, e.Arg0, s.n, got)
-			return
-		}
-		tNew = s.barriers[e.Arg0].release
-	}
-
-	s.lastOrig[th] = e.Time
-	s.lastTranslated[th] = tNew
-	s.srcDuration = e.Time
-	if tNew > s.maxTranslated {
-		s.maxTranslated = tNew
-	}
-	s.idx++
-
-	e.Time = tNew
-	s.queues[th].push(e)
+	s.queues[e.Thread].push(e)
 	s.pending++
 	if s.maxPending > 0 && s.pending > s.maxPending {
 		s.err = fmt.Errorf("translate: %d translated events buffered, cap %d — consumer skew exceeds the stream buffer", s.pending, s.maxPending)
 	}
 }
 
-// finish runs the end-of-trace invariants once the source is exhausted.
-func (s *Stream) finish() {
-	for th, b := range s.inBarrier {
-		if b {
-			s.err = fmt.Errorf("trace: thread %d still inside barrier %d at end of trace", th, s.nextBarrier[th])
-			return
-		}
-	}
-	for th := 1; th < s.n; th++ {
-		if s.nextBarrier[th] != s.nextBarrier[0] {
-			s.err = fmt.Errorf("trace: thread %d completed %d barriers, thread 0 completed %d",
-				th, s.nextBarrier[th], s.nextBarrier[0])
-			return
-		}
-	}
-	s.srcDone = true
-}
+// queueSlab is each thread queue's initial capacity, in events.
+const queueSlab = 16
 
 // eventQueue is a growable ring-buffer FIFO of events. Capacity grows to
 // the high-water mark of one thread's buffered skew and is then reused,
@@ -296,7 +183,7 @@ type eventQueue struct {
 
 func (q *eventQueue) push(e trace.Event) {
 	if q.size == len(q.buf) {
-		grown := make([]trace.Event, max(16, 2*len(q.buf)))
+		grown := make([]trace.Event, max(queueSlab, 2*len(q.buf)))
 		for i := 0; i < q.size; i++ {
 			grown[i] = q.buf[(q.head+i)%len(q.buf)]
 		}

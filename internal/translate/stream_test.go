@@ -158,7 +158,9 @@ func TestStreamOverDecoder(t *testing.T) {
 }
 
 // TestStreamRejectsMalformed: the inline validation must catch the same
-// violations Trace.Validate catches, including the end-of-trace checks.
+// violations Trace.Validate catches, including the end-of-trace checks,
+// and Translate (which shares the per-event step) must reject every
+// case with the same error.
 func TestStreamRejectsMalformed(t *testing.T) {
 	cases := []struct {
 		name string
@@ -193,8 +195,64 @@ func TestStreamRejectsMalformed(t *testing.T) {
 			[]trace.Event{{Time: 1, Kind: trace.KindRemoteRead, Thread: 0, Arg0: 0, Arg1: -4}},
 			"negative transfer size",
 		},
+		{
+			"invalid kind",
+			[]trace.Event{{Time: 1, Kind: 0xee, Thread: 0}},
+			"invalid kind",
+		},
+		{
+			"owner out of range",
+			[]trace.Event{{Time: 1, Kind: trace.KindRemoteWrite, Thread: 0, Arg0: 2, Arg1: 8}},
+			"owner thread 2 out of range",
+		},
+		{
+			"barrier id skipped",
+			[]trace.Event{{Time: 1, Kind: trace.KindBarrierEntry, Thread: 0, Arg0: 1}},
+			"want 0",
+		},
+		{
+			"re-entry inside a barrier",
+			[]trace.Event{
+				{Time: 1, Kind: trace.KindBarrierEntry, Thread: 0},
+				{Time: 2, Kind: trace.KindBarrierEntry, Thread: 0},
+			},
+			"while already in a barrier",
+		},
+		{
+			"exit of the wrong barrier",
+			[]trace.Event{
+				{Time: 1, Kind: trace.KindBarrierEntry, Thread: 0},
+				{Time: 2, Kind: trace.KindBarrierEntry, Thread: 1},
+				{Time: 3, Kind: trace.KindBarrierExit, Thread: 0, Arg0: 1},
+			},
+			"exits barrier 1, want 0",
+		},
+		{
+			"exit before all entered",
+			[]trace.Event{
+				{Time: 1, Kind: trace.KindBarrierEntry, Thread: 0},
+				{Time: 2, Kind: trace.KindBarrierExit, Thread: 0},
+			},
+			"before all",
+		},
+		{
+			"thread left inside a barrier",
+			[]trace.Event{
+				{Time: 1, Kind: trace.KindBarrierEntry, Thread: 0},
+				{Time: 2, Kind: trace.KindBarrierEntry, Thread: 1},
+				{Time: 3, Kind: trace.KindBarrierExit, Thread: 0},
+				{Time: 4, Kind: trace.KindBarrierExit, Thread: 1},
+				{Time: 5, Kind: trace.KindBarrierEntry, Thread: 0, Arg0: 1},
+				{Time: 6, Kind: trace.KindBarrierEntry, Thread: 1, Arg0: 1},
+				{Time: 7, Kind: trace.KindBarrierExit, Thread: 1, Arg0: 1},
+			},
+			"still inside barrier",
+		},
 	}
 	for _, tc := range cases {
+		if _, err := Translate(&trace.Trace{NumThreads: 2, Events: tc.evs}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Translate = %v, want error containing %q", tc.name, err, tc.want)
+		}
 		s, err := NewStream(trace.Header{NumThreads: 2}, trace.NewSliceReader(tc.evs), StreamOptions{})
 		if err != nil {
 			t.Fatal(err)

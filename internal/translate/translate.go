@@ -99,15 +99,16 @@ func (pt *ParallelTrace) ThreadTrace(i int) *trace.Trace {
 	return out
 }
 
-// Translate converts a validated 1-processor measurement trace into a
+// Translate converts a 1-processor measurement trace into a
 // ParallelTrace. It processes the merged events in measurement order,
-// maintaining per-thread delta chains; because the measurement runtime
-// only switches threads at barriers, all entries of a barrier precede all
-// its exits in the merged order, so barrier release times are complete by
-// the time the first exit is translated.
+// validating each as it goes and maintaining per-thread delta chains;
+// because the measurement runtime only switches threads at barriers,
+// all entries of a barrier precede all its exits in the merged order, so
+// barrier release times are complete by the time the first exit is
+// translated. A trace Trace.Validate rejects is rejected here too.
 func Translate(tr *trace.Trace) (*ParallelTrace, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("translate: %w", err)
+	if tr.NumThreads <= 0 {
+		return nil, fmt.Errorf("translate: NumThreads = %d, want > 0", tr.NumThreads)
 	}
 	n := tr.NumThreads
 	pt := &ParallelTrace{
@@ -118,68 +119,166 @@ func Translate(tr *trace.Trace) (*ParallelTrace, error) {
 	for i := range pt.Threads {
 		pt.Threads[i] = []trace.Event{}
 	}
-
-	lastOrig := make([]vtime.Time, n)       // original timestamp of thread's previous event
-	lastTranslated := make([]vtime.Time, n) // translated timestamp of thread's previous event
-	started := make([]bool, n)
-
-	// Validation guarantees barrier ids are dense and increasing, so a
-	// flat slice indexed by id replaces a map: the per-event lookup on
-	// the hot path is a bounds check and an add, not a hash probe.
-	barriers := make([]barrierState, 0, 64)
-
-	for idx, e := range tr.Events {
-		th := int(e.Thread)
-		var tNew vtime.Time
-		if !started[th] {
-			// A thread's first event anchors its chain at time 0: in the
-			// ideal n-processor run all threads start together.
-			tNew = 0
-			started[th] = true
-		} else {
-			delta := e.Time - lastOrig[th] - tr.EventOverhead
-			if delta < 0 {
-				// The overhead estimate exceeded the measured gap (e.g.
-				// back-to-back events); clamp rather than run time
-				// backwards.
-				delta = 0
-			}
-			tNew = lastTranslated[th] + delta
+	x := newTranslator(n, tr.EventOverhead)
+	for _, e := range tr.Events {
+		if err := x.step(&e); err != nil {
+			return nil, err
 		}
-
-		switch e.Kind {
-		case trace.KindBarrierEntry:
-			for int64(len(barriers)) <= e.Arg0 {
-				barriers = append(barriers, barrierState{})
-			}
-			b := &barriers[e.Arg0]
-			b.entries++
-			if tNew > b.release {
-				b.release = tNew
-			}
-		case trace.KindBarrierExit:
-			if e.Arg0 < 0 || e.Arg0 >= int64(len(barriers)) || barriers[e.Arg0].entries != n {
-				got := 0
-				if e.Arg0 >= 0 && e.Arg0 < int64(len(barriers)) {
-					got = barriers[e.Arg0].entries
-				}
-				return nil, fmt.Errorf(
-					"translate: event %d: exit of barrier %d before all %d threads entered (%d so far) — was the measurement preemptive?",
-					idx, e.Arg0, n, got)
-			}
-			// Instant barrier: the thread leaves when the last thread
-			// entered, regardless of when the 1-processor scheduler
-			// happened to resume it.
-			tNew = barriers[e.Arg0].release
-		}
-
-		lastOrig[th] = e.Time
-		lastTranslated[th] = tNew
-		e.Time = tNew
-		pt.Threads[th] = append(pt.Threads[th], e)
+		pt.Threads[e.Thread] = append(pt.Threads[e.Thread], e)
 	}
-	pt.Barriers = len(barriers)
+	if err := x.finish(); err != nil {
+		return nil, err
+	}
+	pt.Barriers = len(x.barriers)
 	return pt, nil
+}
+
+// translator is the per-event validate-and-translate step shared by
+// Translate and Stream. step checks one merged measurement event
+// against the structural rules of Trace.Validate and rewrites its
+// timestamp onto the idealized n-processor timescale:
+//
+//   - a thread's first event anchors its chain at time 0 (in the ideal
+//     n-processor run all threads start together);
+//   - every later event keeps its inter-event delta, less the recorded
+//     per-event instrumentation overhead (clamped at zero rather than
+//     running time backwards);
+//   - a barrier exit is moved to the latest translated entry of that
+//     barrier (instant barrier), regardless of when the 1-processor
+//     scheduler happened to resume the thread.
+//
+// finish runs the end-of-trace invariants once the source is exhausted.
+type translator struct {
+	n        int
+	overhead vtime.Time
+
+	lastTime      vtime.Time     // timestamp of the previous source event
+	threads       []threadState  // indexed by thread id
+	barriers      []barrierState // indexed by barrier id (ids are dense)
+	idx           int            // source events translated so far
+	maxTranslated vtime.Time     // latest translated timestamp produced
+}
+
+// threadState is one thread's validation state (mirroring
+// Trace.Validate) and delta chain.
+type threadState struct {
+	lastOrig       vtime.Time // original timestamp of the thread's previous event
+	lastTranslated vtime.Time // translated timestamp of the thread's previous event
+	nextBarrier    int64      // id of the next barrier the thread must enter
+	inBarrier      bool       // between a barrier entry and its exit
+	started        bool       // the thread has emitted its first event
+}
+
+func newTranslator(n int, overhead vtime.Time) translator {
+	return translator{
+		n:        n,
+		overhead: overhead,
+		threads:  make([]threadState, n),
+		// Validation guarantees barrier ids are dense and increasing, so
+		// a flat slice indexed by id replaces a map: the per-event lookup
+		// is a bounds check and an add, not a hash probe.
+		barriers: make([]barrierState, 0, 64),
+	}
+}
+
+// step validates e and rewrites e.Time to its translated timestamp.
+func (x *translator) step(e *trace.Event) error {
+	if !e.Kind.Valid() {
+		return fmt.Errorf("trace: event %d has invalid kind %d", x.idx, e.Kind)
+	}
+	if e.Time < x.lastTime {
+		return fmt.Errorf("trace: event %d time %v precedes previous %v", x.idx, e.Time, x.lastTime)
+	}
+	th := int(e.Thread)
+	if th < 0 || th >= x.n {
+		return fmt.Errorf("trace: event %d thread %d out of range [0,%d)", x.idx, e.Thread, x.n)
+	}
+	t := &x.threads[th]
+	switch e.Kind {
+	case trace.KindBarrierEntry:
+		if t.inBarrier {
+			return fmt.Errorf("trace: event %d: thread %d enters barrier %d while already in a barrier", x.idx, th, e.Arg0)
+		}
+		if e.Arg0 != t.nextBarrier {
+			return fmt.Errorf("trace: event %d: thread %d enters barrier %d, want %d", x.idx, th, e.Arg0, t.nextBarrier)
+		}
+		t.inBarrier = true
+	case trace.KindBarrierExit:
+		if !t.inBarrier {
+			return fmt.Errorf("trace: event %d: thread %d exits barrier %d without entering", x.idx, th, e.Arg0)
+		}
+		if e.Arg0 != t.nextBarrier {
+			return fmt.Errorf("trace: event %d: thread %d exits barrier %d, want %d", x.idx, th, e.Arg0, t.nextBarrier)
+		}
+		t.inBarrier = false
+		t.nextBarrier++
+	case trace.KindRemoteRead, trace.KindRemoteWrite:
+		if e.Arg1 < 0 {
+			return fmt.Errorf("trace: event %d: negative transfer size %d", x.idx, e.Arg1)
+		}
+		if e.Arg0 < 0 || int(e.Arg0) >= x.n {
+			return fmt.Errorf("trace: event %d: owner thread %d out of range", x.idx, e.Arg0)
+		}
+	}
+
+	var tNew vtime.Time
+	if t.started {
+		delta := e.Time - t.lastOrig - x.overhead
+		if delta < 0 {
+			delta = 0
+		}
+		tNew = t.lastTranslated + delta
+	} else {
+		t.started = true
+	}
+	switch e.Kind {
+	case trace.KindBarrierEntry:
+		for int64(len(x.barriers)) <= e.Arg0 {
+			x.barriers = append(x.barriers, barrierState{})
+		}
+		b := &x.barriers[e.Arg0]
+		b.entries++
+		if tNew > b.release {
+			b.release = tNew
+		}
+	case trace.KindBarrierExit:
+		// The exit's id passed validation, so its entry record exists.
+		b := x.barriers[e.Arg0]
+		if b.entries != x.n {
+			return fmt.Errorf(
+				"translate: event %d: exit of barrier %d before all %d threads entered (%d so far) — was the measurement preemptive?",
+				x.idx, e.Arg0, x.n, b.entries)
+		}
+		tNew = b.release
+	}
+
+	x.lastTime = e.Time
+	t.lastOrig = e.Time
+	t.lastTranslated = tNew
+	if tNew > x.maxTranslated {
+		x.maxTranslated = tNew
+	}
+	x.idx++
+	e.Time = tNew
+	return nil
+}
+
+// finish checks the end-of-trace invariants: no thread is stuck inside
+// a barrier and all threads completed equally many barriers (the
+// data-parallel model has only global barriers).
+func (x *translator) finish() error {
+	for th, t := range x.threads {
+		if t.inBarrier {
+			return fmt.Errorf("trace: thread %d still inside barrier %d at end of trace", th, t.nextBarrier)
+		}
+	}
+	for th, t := range x.threads {
+		if t.nextBarrier != x.threads[0].nextBarrier {
+			return fmt.Errorf("trace: thread %d completed %d barriers, thread 0 completed %d",
+				th, t.nextBarrier, x.threads[0].nextBarrier)
+		}
+	}
+	return nil
 }
 
 // barrierState tracks one global barrier during translation: how many

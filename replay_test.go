@@ -37,17 +37,27 @@ func encodeKernel(t *testing.T, name string, size benchmarks.Size, threads int) 
 	return buf.Bytes()
 }
 
-// bothModes extrapolates enc under cfg in event and pattern replay mode
-// and asserts the predictions are byte-identical (the tentpole
-// invariant). It returns the pattern-mode prediction.
+// eventReplay is the event-replay oracle: the streaming pipeline over a
+// plain record decoder, which carries no pattern cursor, so the
+// simulator replays every event and never fast-forwards.
+func eventReplay(ctx context.Context, enc []byte, cfg sim.Config) (*core.Prediction, error) {
+	d, err := trace.NewAnyDecoder(bytes.NewReader(enc))
+	if err != nil {
+		return nil, err
+	}
+	return core.ExtrapolateReader(ctx, d.Header(), d, cfg)
+}
+
+// bothModes extrapolates enc under cfg through production
+// (core.ExtrapolateEncoded: pattern replay with fast-forward) and the
+// event-replay oracle, and asserts the predictions are byte-identical
+// (the tentpole invariant). It returns the production prediction.
 func bothModes(t *testing.T, enc []byte, cfg sim.Config) *core.Prediction {
 	t.Helper()
-	cfg.Replay = sim.ReplayEvent
-	want, err := core.ExtrapolateEncoded(context.Background(), enc, cfg)
+	want, err := eventReplay(context.Background(), enc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Replay = sim.ReplayPattern
 	got, err := core.ExtrapolateEncoded(context.Background(), enc, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -108,33 +118,37 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestReplayEquivalenceBatch asserts the batch kernel honors the replay
-// mode uniformly: a multi-config batch answered in pattern mode equals
-// the same batch answered in event mode, cell for cell.
+// TestReplayEquivalenceBatch: every lane of a batch (one decode and
+// translation into a materialized trace, lanes simulated event by event
+// over it) must equal the per-cell production path (pattern replay with
+// fast-forward) for the same config — and the per-cell side must
+// actually fast-forward, or the comparison proves nothing about it.
 func TestReplayEquivalenceBatch(t *testing.T) {
-	enc := encodeKernel(t, "grid", benchmarks.Size{N: 16, Iters: 20}, 8)
-	mk := func(m sim.ReplayMode) []sim.Config {
-		a := machine.GenericDM().Config
-		b := a
-		b.MipsRatio = 2.0
-		c := a
-		c.Barrier.Algorithm = sim.TreeBarrier
-		cfgs := []sim.Config{a, b, c}
-		for i := range cfgs {
-			cfgs[i].Replay = m
+	// Grid's default 324 sweeps give fast-forward a loop to skip.
+	enc := encodeKernel(t, "grid", benchmarks.Size{N: 64, Iters: 324}, 8)
+	a := machine.GenericDM().Config
+	b := a
+	b.MipsRatio = 2.0
+	c := a
+	c.Barrier.Algorithm = sim.TreeBarrier
+	cfgs := []sim.Config{a, b, c}
+	batch, err := core.ExtrapolateEncodedBatch(context.Background(), enc, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sim.ReadReplayCounters()
+	for i, cfg := range cfgs {
+		want, err := core.ExtrapolateEncoded(context.Background(), enc, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return cfgs
+		if !reflect.DeepEqual(batch[i], want) {
+			t.Fatalf("lane %d: batched event replay diverged from per-cell pattern replay:\n  batch:    %+v\n  per-cell: %+v",
+				i, batch[i].Result, want.Result)
+		}
 	}
-	want, err := core.ExtrapolateEncodedBatch(context.Background(), enc, mk(sim.ReplayEvent))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := core.ExtrapolateEncodedBatch(context.Background(), enc, mk(sim.ReplayPattern))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("batched pattern replay diverged from batched event replay")
+	if ffs := sim.ReadReplayCounters().FastForwards - before.FastForwards; ffs == 0 {
+		t.Error("per-cell pattern replay never fast-forwarded")
 	}
 }
 
@@ -178,7 +192,6 @@ func TestFastForwardEngagesAtAllThreadCounts(t *testing.T) {
 		for _, procs := range []int{threads, threads / 2, threads / 4} {
 			cfg := machine.GenericDM().Config
 			cfg.Procs = procs
-			cfg.Replay = sim.ReplayPattern
 			before := sim.ReadReplayCounters()
 			got, err := core.ExtrapolateEncoded(context.Background(), enc, cfg)
 			if err != nil {
@@ -189,8 +202,7 @@ func TestFastForwardEngagesAtAllThreadCounts(t *testing.T) {
 				t.Errorf("grid/%d threads on %d procs: fast-forward skipped %d of %d sweeps, want ≥ 90%%",
 					threads, procs, skipped, size.Iters)
 			}
-			cfg.Replay = sim.ReplayEvent
-			want, err := core.ExtrapolateEncoded(context.Background(), enc, cfg)
+			want, err := eventReplay(context.Background(), enc, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -370,7 +382,6 @@ func (c *pollCountingCtx) Err() error {
 func TestReplayCancellationBudget(t *testing.T) {
 	enc := encodeKernel(t, "mgrid", benchmarks.Size{N: 16, Iters: 240}, 8)
 	cfg := machine.GenericDM().Config
-	cfg.Replay = sim.ReplayPattern
 
 	// Count the polls of a healthy full run.
 	counter := &pollCountingCtx{tripAt: -1, done: make(chan struct{})}
