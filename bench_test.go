@@ -212,6 +212,49 @@ func BenchmarkMeasurement(b *testing.B) {
 	}
 }
 
+// measurementSuiteSizes is one mid-range size per sweep-cold kernel, the
+// middle of the (size, iters) range the end-to-end sweep-cold workload
+// draws from.
+var measurementSuiteSizes = []struct {
+	name string
+	size benchmarks.Size
+}{
+	{"embar", benchmarks.Size{N: 15}},
+	{"cyclic", benchmarks.Size{N: 636, Iters: 28}},
+	{"sparse", benchmarks.Size{N: 1530, Iters: 1}},
+	{"grid", benchmarks.Size{N: 41, Iters: 33}},
+	{"mgrid", benchmarks.Size{N: 48, Iters: 2}},
+	{"poisson", benchmarks.Size{N: 56}},
+	{"sort", benchmarks.Size{N: 16330}},
+}
+
+// BenchmarkMeasurementSuite times what a cold sweep measures: one
+// operation is the instrumented 1-processor run of a kernel at every
+// thread count of the ladder (1…32), each built from its own program
+// factory as the server builds every cell's.
+func BenchmarkMeasurementSuite(b *testing.B) {
+	for _, k := range measurementSuiteSizes {
+		b.Run(k.name, func(b *testing.B) {
+			bm, err := benchmarks.ByName(k.name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var events int
+			for i := 0; i < b.N; i++ {
+				events = 0
+				for _, threads := range core.DefaultProcCounts() {
+					tr, err := core.Measure(bm.Factory(k.size)(threads), core.MeasureOptions{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					events += len(tr.Events)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
+		})
+	}
+}
+
 // BenchmarkTranslation times trace translation on a Grid trace.
 func BenchmarkTranslation(b *testing.B) {
 	tr := measureGrid(b, 16)

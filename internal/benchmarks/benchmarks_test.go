@@ -2,12 +2,14 @@ package benchmarks
 
 import (
 	"errors"
+	"math"
 	"sort"
 	"testing"
 
 	"extrap/internal/core"
 	"extrap/internal/pcxx/dist"
 	"extrap/internal/trace"
+	"extrap/internal/vtime"
 )
 
 // smallSizes gives each benchmark a fast, verification-friendly size.
@@ -204,6 +206,62 @@ func TestAllSortedByName(t *testing.T) {
 				names[i] = b.Name()
 			}
 			t.Fatalf("All() not sorted by name: %v", names)
+		}
+	}
+}
+
+// TestDSTBasisMatchesInlineSine: the tabulated transform must produce the
+// same bits as evaluating each basis sine inline, term by term in the
+// same order, so hoisting the table changes no Poisson value.
+func TestDSTBasisMatchesInlineSine(t *testing.T) {
+	rng := vtime.NewRand(7)
+	for _, g := range []int{1, 2, 7, 40, 72} {
+		basis := dstBasis(g)
+		in := make([]float64, g)
+		for i := range in {
+			in[i] = rng.Float64() - 0.5
+		}
+		got := dstRow(in, basis)
+		for k := 0; k < g; k++ {
+			s := 0.0
+			for j := 0; j < g; j++ {
+				s += in[j] * math.Sin(math.Pi*float64((j+1)*(k+1))/float64(g+1))
+			}
+			if math.Float64bits(got[k]) != math.Float64bits(s) {
+				t.Fatalf("g=%d k=%d: tabulated %v, inline %v", g, k, got[k], s)
+			}
+		}
+	}
+}
+
+// TestMergeKeepMatchesFullMerge: writing only the kept half must equal
+// the matching half of a full stable merge, ties and runs included.
+func TestMergeKeepMatchesFullMerge(t *testing.T) {
+	rng := vtime.NewRand(11)
+	for _, m := range []int{1, 2, 5, 64} {
+		for rep := 0; rep < 50; rep++ {
+			a, b := make([]float64, m), make([]float64, m)
+			for i := range a {
+				a[i] = float64(rng.Intn(8)) // small range forces ties
+				b[i] = float64(rng.Intn(8))
+			}
+			sort.Float64s(a)
+			sort.Float64s(b)
+			full := append(append([]float64{}, a...), b...)
+			sort.Float64s(full)
+			for _, low := range []bool{true, false} {
+				want := full[m:]
+				if low {
+					want = full[:m]
+				}
+				got := make([]float64, m)
+				mergeKeep(got, a, b, low)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("m=%d low=%v: got %v, want %v (a=%v b=%v)", m, low, got, want, a, b)
+					}
+				}
+			}
 		}
 	}
 }

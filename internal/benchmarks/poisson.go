@@ -45,16 +45,30 @@ func poissonRHS(g int) []float64 {
 	return f
 }
 
-// dstRow computes the (unnormalized) DST-I of a row: out[k] =
-// Σ_j in[j]·sin(π(j+1)(k+1)/(g+1)). Shared by the parallel program and
-// the reference.
-func dstRow(in []float64) []float64 {
+// dstBasis tabulates the g×g DST-I basis, basis[k*g+j] =
+// sin(π(j+1)(k+1)/(g+1)). The table is host-side bookkeeping: the cost
+// model charges each transform its full 3g² flops either way.
+func dstBasis(g int) []float64 {
+	basis := make([]float64, g*g)
+	for k := 0; k < g; k++ {
+		for j := 0; j < g; j++ {
+			basis[k*g+j] = math.Sin(math.Pi * float64((j+1)*(k+1)) / float64(g+1))
+		}
+	}
+	return basis
+}
+
+// dstRow computes the (unnormalized) DST-I of a row against its basis:
+// out[k] = Σ_j in[j]·basis[k*g+j]. Shared by the parallel program and the
+// reference.
+func dstRow(in, basis []float64) []float64 {
 	g := len(in)
 	out := make([]float64, g)
-	for k := 0; k < g; k++ {
+	for k := range out {
+		row := basis[k*g : (k+1)*g]
 		s := 0.0
-		for j := 0; j < g; j++ {
-			s += in[j] * math.Sin(math.Pi*float64((j+1)*(k+1))/float64(g+1))
+		for j, x := range in {
+			s += x * row[j]
 		}
 		out[k] = s
 	}
@@ -85,11 +99,11 @@ func poissonTridiag(lambda float64, d []float64) []float64 {
 
 // poissonReference solves the whole problem sequentially with the same
 // transform and solve kernels.
-func poissonReference(g int, f []float64) [][]float64 {
+func poissonReference(g int, f, basis []float64) [][]float64 {
 	// Transform rows.
 	ft := make([][]float64, g)
 	for r := 0; r < g; r++ {
-		ft[r] = dstRow(f[r*g : (r+1)*g])
+		ft[r] = dstRow(f[r*g:(r+1)*g], basis)
 	}
 	// Solve per transformed column k.
 	ut := make([][]float64, g)
@@ -111,7 +125,7 @@ func poissonReference(g int, f []float64) [][]float64 {
 	out := make([][]float64, g)
 	scale := 2 / float64(g+1)
 	for r := 0; r < g; r++ {
-		row := dstRow(ut[r])
+		row := dstRow(ut[r], basis)
 		for c := range row {
 			row[c] *= scale
 		}
@@ -125,6 +139,7 @@ func poissonReference(g int, f []float64) [][]float64 {
 func (Poisson) Factory(size Size) core.ProgramFactory {
 	g := size.N
 	f := poissonRHS(g)
+	basis := dstBasis(g)
 	return func(threads int) core.Program {
 		return core.Program{
 			Name:    "poisson",
@@ -145,7 +160,7 @@ func (Poisson) Factory(size Size) core.ProgramFactory {
 						mine.lo = lo
 						mine.rows = make([][]float64, cnt)
 						for r := 0; r < cnt; r++ {
-							mine.rows[r] = dstRow(f[(lo+r)*g : (lo+r+1)*g])
+							mine.rows[r] = dstRow(f[(lo+r)*g:(lo+r+1)*g], basis)
 							t.Flops(3 * g * g) // g output entries × g terms
 						}
 					})
@@ -214,7 +229,7 @@ func (Poisson) Factory(size Size) core.ProgramFactory {
 					scale := 2 / float64(g+1)
 					result := make([][]float64, cnt)
 					for r := 0; r < cnt; r++ {
-						row := dstRow(back[r])
+						row := dstRow(back[r], basis)
 						for c := range row {
 							row[c] *= scale
 						}
@@ -224,7 +239,7 @@ func (Poisson) Factory(size Size) core.ProgramFactory {
 					t.Barrier()
 
 					if size.Verify {
-						ref := poissonReference(g, f)
+						ref := poissonReference(g, f, basis)
 						for r := 0; r < cnt; r++ {
 							for c := 0; c < g; c++ {
 								got := result[r][c]

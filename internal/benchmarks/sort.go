@@ -61,6 +61,10 @@ func (Sort) Factory(size Size) core.ProgramFactory {
 					mine := blocks.Local(t, id)
 					mine.keys = make([]float64, m)
 					copy(mine.keys, input[id*m:(id+1)*m])
+					// The merge-split writes into spare and swaps it in,
+					// leaving the old block intact for the partner whose
+					// pre-barrier snapshot still points at it.
+					spare := make([]float64, m)
 					// Local sort: ~m·log₂(m) comparison work.
 					sort.Float64s(mine.keys)
 					t.Ops(m * log2int(m) * 3)
@@ -77,7 +81,8 @@ func (Sort) Factory(size Size) core.ProgramFactory {
 							t.Barrier()
 							ascending := id&k == 0
 							keepLow := (id < partner) == ascending
-							mine.keys = mergeKeep(mine.keys, theirs.keys, keepLow)
+							mergeKeep(spare, mine.keys, theirs.keys, keepLow)
+							mine.keys, spare = spare, mine.keys
 							t.Ops(2 * m)
 							t.Mem(2 * m * 8)
 							t.Barrier()
@@ -99,29 +104,34 @@ func (Sort) Factory(size Size) core.ProgramFactory {
 	}
 }
 
-// mergeKeep merges two sorted blocks and keeps the lower or upper half,
-// still sorted ascending.
-func mergeKeep(a, b []float64, low bool) []float64 {
-	m := len(a)
-	merged := make([]float64, 0, 2*m)
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			merged = append(merged, a[i])
-			i++
+// mergeKeep merges two sorted blocks of len(out) keys and writes the
+// lower or upper half of the merge into out, still sorted ascending: the
+// lower half merges from the front, the upper half from the back. out
+// must not alias a or b.
+func mergeKeep(out, a, b []float64, low bool) {
+	if low {
+		i, j := 0, 0
+		for k := range out {
+			if j == len(b) || (i < len(a) && a[i] <= b[j]) {
+				out[k] = a[i]
+				i++
+			} else {
+				out[k] = b[j]
+				j++
+			}
+		}
+		return
+	}
+	i, j := len(a)-1, len(b)-1
+	for k := len(out) - 1; k >= 0; k-- {
+		if j < 0 || (i >= 0 && a[i] > b[j]) {
+			out[k] = a[i]
+			i--
 		} else {
-			merged = append(merged, b[j])
-			j++
+			out[k] = b[j]
+			j--
 		}
 	}
-	merged = append(merged, a[i:]...)
-	merged = append(merged, b[j:]...)
-	if low {
-		return merged[:m]
-	}
-	out := make([]float64, m)
-	copy(out, merged[m:])
-	return out
 }
 
 // log2int returns floor(log2(n)) for n ≥ 1.

@@ -92,12 +92,33 @@ func measure(ctx context.Context, p Program, opts MeasureOptions) (*trace.Trace,
 		cfg.Interrupt = ctx.Err
 	}
 	rt := pcxx.NewRuntime(cfg)
-	body := p.Setup(rt)
+	body, err := setup(p, rt)
+	if err != nil {
+		return nil, fmt.Errorf("core: measuring %q: %w", p.Name, err)
+	}
 	tr, err := rt.Run(body)
 	if err != nil {
 		return nil, fmt.Errorf("core: measuring %q: %w", p.Name, err)
 	}
 	return tr, nil
+}
+
+// setup runs the program's Setup, turning a panic into an error the way
+// the scheduler turns a thread-body panic into one: an error value is
+// wrapped, anything else formatted. Setup runs on whatever goroutine
+// measures — a server's pool worker, which nothing else recovers — so a
+// size the program cannot lay out must fail the request, not the process.
+func setup(p Program, rt *pcxx.Runtime) (body func(*pcxx.Thread), err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if e, ok := r.(error); ok {
+				err = fmt.Errorf("setup failed: %w", e)
+			} else {
+				err = fmt.Errorf("setup panicked: %v", r)
+			}
+		}
+	}()
+	return p.Setup(rt), nil
 }
 
 // Outcome bundles every artifact of one full extrapolation.

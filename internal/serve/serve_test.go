@@ -438,6 +438,28 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 }
 
+// TestUnmeasurableSizeIs422: a size whose program cannot be laid out
+// (sort with fewer keys than threads, mgrid without multigrid levels)
+// fails in the program's Setup, for a sweep on a pool worker. Both routes
+// must answer 422 extrapolation_failed, and the server must stay up.
+func TestUnmeasurableSizeIs422(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	for _, c := range []struct{ path, body string }{
+		{"/v1/sweep", `{"benchmark":"sort","size":16,"machine":"cm5"}`},
+		{"/v1/sweep", `{"benchmark":"mgrid","size":2,"machine":"cm5"}`},
+		{"/v1/extrapolate", `{"benchmark":"sort","size":16,"threads":32,"machine":"cm5"}`},
+		{"/v1/extrapolate", `{"benchmark":"mgrid","size":2,"threads":4,"machine":"cm5"}`},
+	} {
+		status, body := post(t, ts.URL+c.path, c.body)
+		if status != http.StatusUnprocessableEntity || !strings.Contains(body, `"code":"extrapolation_failed"`) {
+			t.Errorf("%s %s: status %d body %s, want 422 extrapolation_failed", c.path, c.body, status, body)
+		}
+	}
+	if status, body := get(t, ts.URL+"/v1/healthz"); status != http.StatusOK {
+		t.Fatalf("healthz after failed measurements: status %d: %s", status, body)
+	}
+}
+
 // TestRegistryEndpoints: benchmark and machine listings enumerate the
 // registries in sorted order.
 func TestRegistryEndpoints(t *testing.T) {

@@ -22,9 +22,14 @@
 // would repeat only every n iterations.)
 //
 // The implementation maps each user thread onto a goroutine but enforces
-// mutual exclusion with a baton: exactly one goroutine (a thread or the
-// scheduler) runs at any instant, and hand-offs are explicit channel
-// sends. The result is deterministic regardless of GOMAXPROCS.
+// mutual exclusion with a baton: exactly one goroutine runs at any
+// instant, and hand-offs are explicit channel sends. The baton passes
+// straight from thread to thread: a thread that yields, parks or exits
+// takes the next ready thread off the queue and resumes it itself, one
+// send per switch. The goroutine calling Run only starts the first
+// thread and collects the outcome — completion, a panic, or a deadlock —
+// and, on failure, unwinds the unfinished threads. The result is
+// deterministic regardless of GOMAXPROCS.
 package threads
 
 import (
@@ -65,8 +70,9 @@ type Thread struct {
 	id    int
 	sched *Scheduler
 	state State
-	// resume delivers the baton to this thread. Buffered so the scheduler
-	// never blocks handing it over before the thread is receiving.
+	// resume delivers the baton to this thread. Buffered so a hand-off
+	// never blocks before the thread is receiving, and so a thread that
+	// yields with nobody else ready can resume itself.
 	resume chan struct{}
 }
 
@@ -81,8 +87,8 @@ func (t *Thread) State() State { return t.state }
 // again after every other ready thread has had a turn.
 func (t *Thread) Yield() {
 	t.state = StateReady
-	t.sched.ready = append(t.sched.ready, t)
-	t.switchToScheduler()
+	t.sched.ready.push(t)
+	t.switchAway()
 }
 
 // Park blocks the thread until some other thread (or scheduler hook)
@@ -90,7 +96,7 @@ func (t *Thread) Yield() {
 // is reported by the scheduler.
 func (t *Thread) Park() {
 	t.state = StateParked
-	t.switchToScheduler()
+	t.switchAway()
 }
 
 // Unpark makes a parked thread runnable again (appended to the ready
@@ -102,14 +108,14 @@ func (t *Thread) Unpark() {
 		panic(fmt.Sprintf("threads: Unpark of thread %d in state %v", t.id, t.state))
 	}
 	t.state = StateReady
-	t.sched.ready = append(t.sched.ready, t)
+	t.sched.ready.push(t)
 }
 
-// switchToScheduler hands the baton back and blocks until the scheduler
-// resumes this thread. A resume during scheduler abort unwinds the
-// thread's stack instead of returning to the body.
-func (t *Thread) switchToScheduler() {
-	t.sched.baton <- schedToken{}
+// switchAway passes the baton on and blocks until some thread (or the
+// scheduler's unwind) resumes this one. A resume during scheduler abort
+// unwinds the thread's stack instead of returning to the body.
+func (t *Thread) switchAway() {
+	t.sched.handOff()
 	<-t.resume
 	if t.sched.aborting {
 		panic(abortPanic{})
@@ -117,27 +123,54 @@ func (t *Thread) switchToScheduler() {
 	t.state = StateRunning
 }
 
-// exit marks the thread done and hands the baton back permanently.
+// exit marks the thread done and passes the baton on for good.
 func (t *Thread) exit() {
 	t.state = StateDone
 	t.sched.live--
-	t.sched.baton <- schedToken{}
+	t.sched.handOff()
 }
-
-type schedToken struct{}
 
 // abortPanic unwinds a thread's stack when the scheduler aborts a failed
 // run; it is swallowed by the thread's recover rather than reported as a
 // program panic.
 type abortPanic struct{}
 
+// readyQueue is the FIFO of runnable threads: a ring over a buffer
+// allocated once. A thread is queued only while it is ready and is never
+// queued twice, so n slots always suffice.
+type readyQueue struct {
+	buf        []*Thread
+	head, size int
+}
+
+func (q *readyQueue) push(t *Thread) {
+	i := q.head + q.size
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = t
+	q.size++
+}
+
+func (q *readyQueue) pop() *Thread {
+	t := q.buf[q.head]
+	q.buf[q.head] = nil
+	if q.head++; q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.size--
+	return t
+}
+
 // Scheduler runs N cooperative threads to completion.
 type Scheduler struct {
 	threads []*Thread
-	ready   []*Thread
+	ready   readyQueue
 	live    int
-	// baton receives control whenever a thread yields, parks, or exits.
-	baton chan schedToken
+	// done returns the baton to Run: when the last thread exits, when no
+	// thread is runnable, when a body panics, and once per thread
+	// released during unwind.
+	done chan struct{}
 	// panicked carries a panic value out of a thread body.
 	panicked any
 	// aborting makes every resumed thread unwind instead of run; set by
@@ -152,18 +185,20 @@ func New(n int, body func(*Thread)) *Scheduler {
 		panic("threads: scheduler needs at least one thread")
 	}
 	s := &Scheduler{
-		baton: make(chan schedToken),
-		live:  n,
+		threads: make([]*Thread, n),
+		ready:   readyQueue{buf: make([]*Thread, n)},
+		done:    make(chan struct{}),
+		live:    n,
 	}
-	for i := 0; i < n; i++ {
+	for i := range s.threads {
 		t := &Thread{
 			id:     i,
 			sched:  s,
 			state:  StateReady,
 			resume: make(chan struct{}, 1),
 		}
-		s.threads = append(s.threads, t)
-		s.ready = append(s.ready, t)
+		s.threads[i] = t
+		s.ready.push(t)
 		go func(t *Thread) {
 			<-t.resume // wait for first dispatch
 			defer func() {
@@ -187,36 +222,46 @@ func New(n int, body func(*Thread)) *Scheduler {
 // Threads returns the scheduler's threads, indexed by id.
 func (s *Scheduler) Threads() []*Thread { return s.threads }
 
-// Run dispatches threads round-robin until all have finished. It returns
-// an error if the program deadlocks (live threads remain but none are
+// handOff passes the baton from the thread giving up the processor: to
+// the next ready thread while the run is healthy, otherwise back to Run
+// to report completion, a panic or a deadlock, or to continue unwinding.
+// A thread that yields with nobody else ready resumes itself through its
+// buffered channel, without a goroutine switch.
+func (s *Scheduler) handOff() {
+	if s.panicked == nil && !s.aborting && s.ready.size > 0 {
+		s.ready.pop().resume <- struct{}{}
+		return
+	}
+	s.done <- struct{}{}
+}
+
+// Run resumes the first thread and waits while the threads pass the
+// processor among themselves round-robin, until all have finished. It
+// returns an error if the program deadlocks (live threads remain but none are
 // runnable) or if any thread body panicked. A panic value that is an
 // error is wrapped, so errors.Is sees through to the cause — the path a
 // cancelled measurement takes out of the runtime. On any failure every
 // unfinished thread is unwound before Run returns, so a failed run
 // leaks no goroutines.
 func (s *Scheduler) Run() error {
-	for s.live > 0 {
-		if len(s.ready) == 0 {
-			parked := []int{}
-			for _, t := range s.threads {
-				if t.state == StateParked {
-					parked = append(parked, t.id)
-				}
-			}
-			s.unwind()
-			return fmt.Errorf("threads: deadlock — %d live threads, none runnable (parked: %v)", s.live, parked)
+	s.handOff()
+	<-s.done
+	if s.panicked != nil {
+		s.unwind()
+		if err, ok := s.panicked.(error); ok {
+			return fmt.Errorf("threads: thread failed: %w", err)
 		}
-		next := s.ready[0]
-		s.ready = s.ready[1:]
-		next.resume <- struct{}{}
-		<-s.baton
-		if s.panicked != nil {
-			s.unwind()
-			if err, ok := s.panicked.(error); ok {
-				return fmt.Errorf("threads: thread failed: %w", err)
+		return fmt.Errorf("threads: thread panicked: %v", s.panicked)
+	}
+	if live := s.live; live > 0 {
+		parked := []int{}
+		for _, t := range s.threads {
+			if t.state == StateParked {
+				parked = append(parked, t.id)
 			}
-			return fmt.Errorf("threads: thread panicked: %v", s.panicked)
 		}
+		s.unwind()
+		return fmt.Errorf("threads: deadlock — %d live threads, none runnable (parked: %v)", live, parked)
 	}
 	return nil
 }
@@ -224,7 +269,8 @@ func (s *Scheduler) Run() error {
 // unwind releases every unfinished thread after Run has decided to fail:
 // each one is resumed into an immediate abort panic (or, if it never
 // started, straight to exit), freeing its goroutine and stack. The baton
-// discipline holds throughout — one hand-off per thread.
+// discipline holds throughout — one hand-off per thread, each returning
+// to Run.
 func (s *Scheduler) unwind() {
 	s.aborting = true
 	for _, t := range s.threads {
@@ -232,6 +278,6 @@ func (s *Scheduler) unwind() {
 			continue
 		}
 		t.resume <- struct{}{}
-		<-s.baton
+		<-s.done
 	}
 }
