@@ -845,3 +845,44 @@ func BenchmarkPatternReplay(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWarmCell is one warm what-if cell: compile, translate and
+// simulate one cached XTRP2 measurement on one machine (cm5), the work
+// a /v1/sweep request repeats for every ladder point and machine once
+// its measurements are cached. The kernels are three of the what-if
+// mix, at default sizes. Its allocations are the per-cell garbage a
+// serving process collects.
+func BenchmarkWarmCell(b *testing.B) {
+	cells := []struct {
+		label, name string
+		threads     int
+	}{
+		{"grid16", "grid", 16},
+		{"mgrid32", "mgrid", 32},
+		{"matmul32", "matmul", 32},
+	}
+	cfg := machine.CM5().Config
+	for _, c := range cells {
+		g, err := benchmarks.ByName(c.name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr, err := core.Measure(g.Factory(g.DefaultSize())(c.threads), core.MeasureOptions{SizeMode: pcxx.ActualSize})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := trace.WriteBinary2(&buf, tr); err != nil {
+			b.Fatal(err)
+		}
+		enc := buf.Bytes()
+		b.Run(c.label, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.ExtrapolateEncoded(context.Background(), enc, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

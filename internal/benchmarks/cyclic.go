@@ -2,6 +2,7 @@ package benchmarks
 
 import (
 	"math"
+	"sync"
 
 	"extrap/internal/core"
 	"extrap/internal/pcxx"
@@ -134,8 +135,11 @@ func (Cyclic) Factory(size Size) core.ProgramFactory {
 	if batch <= 0 {
 		batch = 32
 	}
-	initial := cyclicSystems(m, batch)
+	// Inputs are built on the first measurement, not per factory: a
+	// request whose measurements are all cached never builds them.
+	systems := sync.OnceValue(func() [][]triRow { return cyclicSystems(m, batch) })
 	return func(threads int) core.Program {
+		initial := systems()
 		return core.Program{
 			Name:    "cyclic",
 			Threads: threads,

@@ -3,6 +3,7 @@ package benchmarks
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"extrap/internal/core"
 	"extrap/internal/pcxx"
@@ -68,8 +69,10 @@ func colSegsFor(d2 *dist.Dist2D, n int) [][]int {
 // combination — the entry point the Figure 9 experiment sweeps.
 func MatmulFactory(size Size, rowAttr, colAttr dist.Attr) core.ProgramFactory {
 	n := size.N
-	a, bt := matmulInput(n)
+	// Inputs are built on the first measurement (see Cyclic.Factory).
+	inputs := sync.OnceValues(func() ([]float64, []float64) { return matmulInput(n) })
 	return func(threads int) core.Program {
+		a, bt := inputs()
 		return core.Program{
 			Name:    fmt.Sprintf("matmul(%s,%s)", rowAttr, colAttr),
 			Threads: threads,

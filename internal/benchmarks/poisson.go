@@ -2,6 +2,7 @@ package benchmarks
 
 import (
 	"math"
+	"sync"
 
 	"extrap/internal/core"
 	"extrap/internal/pcxx"
@@ -138,9 +139,10 @@ func poissonReference(g int, f, basis []float64) [][]float64 {
 // transpose reads every other thread's row block once (bulk all-to-all).
 func (Poisson) Factory(size Size) core.ProgramFactory {
 	g := size.N
-	f := poissonRHS(g)
-	basis := dstBasis(g)
+	// Inputs are built on the first measurement (see Cyclic.Factory).
+	inputs := sync.OnceValues(func() ([]float64, []float64) { return poissonRHS(g), dstBasis(g) })
 	return func(threads int) core.Program {
+		f, basis := inputs()
 		return core.Program{
 			Name:    "poisson",
 			Threads: threads,

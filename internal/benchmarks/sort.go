@@ -2,6 +2,7 @@ package benchmarks
 
 import (
 	"sort"
+	"sync"
 
 	"extrap/internal/core"
 	"extrap/internal/pcxx"
@@ -47,8 +48,10 @@ func sortKeys(total int) []float64 {
 // use powers of two).
 func (Sort) Factory(size Size) core.ProgramFactory {
 	total := ceilPow2(size.N)
-	input := sortKeys(total)
+	// The keys are built on the first measurement (see Cyclic.Factory).
+	keys := sync.OnceValue(func() []float64 { return sortKeys(total) })
 	return func(threads int) core.Program {
+		input := keys()
 		return core.Program{
 			Name:    "sort",
 			Threads: threads,

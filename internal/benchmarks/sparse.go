@@ -2,6 +2,7 @@ package benchmarks
 
 import (
 	"math"
+	"sync"
 
 	"extrap/internal/core"
 	"extrap/internal/pcxx"
@@ -160,9 +161,10 @@ func (Sparse) Factory(size Size) core.ProgramFactory {
 	if iters <= 0 {
 		iters = 15
 	}
-	mat := sparseMatrix(n)
-	rhs := sparseRHS(n)
+	// Inputs are built on the first measurement (see Cyclic.Factory).
+	inputs := sync.OnceValues(func() (*spMatrix, []float64) { return sparseMatrix(n), sparseRHS(n) })
 	return func(threads int) core.Program {
+		mat, rhs := inputs()
 		return core.Program{
 			Name:    "sparse",
 			Threads: threads,

@@ -13,7 +13,7 @@ import (
 // ExtrapolateBatch answers K what-if questions against one measurement:
 // the trace is translated once and the K machine models are simulated
 // one after another over the shared read-only parallel trace, reusing
-// one arena's dense state between lanes. Lanes never fast-forward (the
+// pooled engine state between lanes. Lanes never fast-forward (the
 // materialized trace carries no pattern cursor). Each prediction is
 // byte-identical to what Extrapolate/ExtrapolateEncoded produces for
 // the same (trace, config) pair — batching is purely an amortization of
@@ -28,9 +28,8 @@ func ExtrapolateBatch(ctx context.Context, tr *trace.Trace, cfgs []sim.Config) (
 	}
 	measured, ideal := tr.Duration(), pt.Duration()
 	out := make([]*Prediction, len(cfgs))
-	a := sim.NewArena()
 	for i, cfg := range cfgs {
-		res, err := sim.Simulate(ctx, a, pt, cfg)
+		res, err := sim.Simulate(ctx, nil, pt, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("core: batch lane %d: %w", i, err)
 		}

@@ -40,6 +40,7 @@ func ExtrapolateReader(ctx context.Context, hdr trace.Header, src trace.Reader, 
 	if err != nil {
 		return nil, err
 	}
+	defer s.Release()
 	res, err := sim.SimulateStream(ctx, s, cfg)
 	if err != nil {
 		return nil, err

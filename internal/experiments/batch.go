@@ -56,20 +56,6 @@ type batchOptions struct {
 	stats *BatchStats
 }
 
-// arenaPool recycles dense simulator state (threads, processors,
-// barriers, event list, message slab) across sequential grid cells, so
-// the per-cell in-memory path does not reallocate ~½ MB per simulation.
-// Reuse is bit-identity-safe: the arena fully reinitializes on acquire.
-var arenaPool = sync.Pool{New: func() any { return sim.NewArena() }}
-
-// simulateCell runs one in-memory simulation with pooled dense state.
-func simulateCell(ctx context.Context, pt *translate.ParallelTrace, cfg sim.Config) (*sim.Result, error) {
-	a := arenaPool.Get().(*sim.Arena)
-	res, err := sim.Simulate(ctx, a, pt, cfg)
-	arenaPool.Put(a)
-	return res, err
-}
-
 // batchGroup is the set of grid cells sharing one measurement: same
 // benchmark, size, mode, and thread count — only the machine model
 // differs. The group materializes its translated trace once (guarded by
@@ -191,7 +177,7 @@ func runGridBatched(ctx context.Context, cache *core.TraceCache, workers int, bo
 			for _, ci := range unit.cells {
 				c := cells[ci]
 				var res *sim.Result
-				if res, err = simulateCell(ctx, pt, jobs[c.job].Cfg); err != nil {
+				if res, err = sim.Simulate(ctx, nil, pt, jobs[c.job].Cfg); err != nil {
 					return
 				}
 				points[c.job][c.pt] = metrics.Point{Procs: n, Time: res.TotalTime}

@@ -233,7 +233,7 @@ func cellTime(ctx context.Context, cache *core.TraceCache, job *SweepJob, n int)
 	if err != nil {
 		return 0, err
 	}
-	res, err := simulateCell(ctx, pt, job.Cfg)
+	res, err := sim.Simulate(ctx, nil, pt, job.Cfg)
 	if err != nil {
 		return 0, err
 	}

@@ -6,6 +6,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"extrap/internal/pcxx"
@@ -152,16 +153,21 @@ func Ideal() Env {
 	}
 }
 
-// Presets returns the built-in environments, sorted by name.
-func Presets() []Env {
+// presets is the built-in environment table, built and sorted once.
+// Env holds no references a caller could mutate through, so handing out
+// copies of its entries is safe.
+var presets = func() []Env {
 	envs := []Env{GenericDM(), SharedMem(), CM5(), Ideal()}
 	sort.Slice(envs, func(i, j int) bool { return envs[i].Name < envs[j].Name })
 	return envs
-}
+}()
+
+// Presets returns the built-in environments, sorted by name.
+func Presets() []Env { return slices.Clone(presets) }
 
 // ByName returns the preset with the given name.
 func ByName(name string) (Env, error) {
-	for _, e := range Presets() {
+	for _, e := range presets {
 		if e.Name == name {
 			return e, nil
 		}

@@ -495,12 +495,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		series, err = s.coord.SweepLadder(r.Context(), b.Name(), workloadBytes(b), sz, names, ladder)
 	} else {
+		// One factory serves every machine: the jobs share measurements.
+		factory := b.Factory(sz)
 		grid := make([]experiments.SweepJob, len(envs))
 		for i, env := range envs {
 			grid[i] = experiments.SweepJob{
 				Name:    b.Name(),
 				Size:    sz,
-				Factory: b.Factory(sz),
+				Factory: factory,
 				Mode:    pcxx.ActualSize,
 				Cfg:     env.Config,
 				Procs:   ladder,

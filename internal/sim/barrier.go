@@ -7,9 +7,11 @@ import (
 	"extrap/internal/vtime"
 )
 
-// barSt tracks one global barrier through the simulation.
+// barSt tracks one global barrier through the simulation. Records live
+// in the engine's barrier ring and are recycled, tree tables included,
+// when their slot is re-armed for a later id.
 type barSt struct {
-	used    bool // barrier id encountered (dense-slice occupancy marker)
+	used    bool // the slot holds barrier id's state
 	id      int64
 	entries int
 	// maxArrive is the latest entry-completion time (analytic variants
@@ -21,36 +23,64 @@ type barSt struct {
 	arrivedMsgs   int
 	lastArrProc   vtime.Time
 	released      bool
-	// Tree barrier per-node state.
+	// Tree barrier per-node state: n entries while used under the tree
+	// algorithm, empty otherwise (capacity is kept across reuse).
 	childGot    []int
 	nodeEntered []bool
 	nodeFreeAt  []vtime.Time
 	releaseSent []bool
 }
 
-// bar returns the state record for barrier id from the dense slice,
-// initializing it on first touch. Barrier ids are dense and increasing
-// (trace validation enforces this), so the slice is normally sized once
-// from ParallelTrace.Barriers; growth only happens for hand-built traces.
-// Callers never hold a *barSt across another bar call (nested calls reach
-// only already-created ids), so append-driven reallocation is safe.
+// barMask maps a barrier id onto its slot in the engine's ring, which
+// holds exactly the fast-forward window of the most recent ids.
+const barMask = ffBarWindow - 1
+
+// bar returns the state record for barrier id, arming its ring slot on
+// first touch. Only the last two ids are ever live (see ffBarWindow), so
+// a slot's previous occupant, ffBarWindow ids back, is dead when its
+// successor arms it. An id below the window, or a negative one, would
+// need a recycled record: bar records a sticky engine error instead and
+// returns nil, and the caller must return at once.
 func (e *engine) bar(id int64) *barSt {
-	for int64(len(e.bars)) <= id {
-		e.bars = append(e.bars, barSt{})
+	b := &e.bars[id&barMask]
+	if b.used && b.id == id {
+		return b
 	}
-	b := &e.bars[id]
-	if !b.used {
-		b.used = true
-		b.id = id
-		e.nbars++
-		if e.cfg.Barrier.Algorithm == TreeBarrier {
-			b.childGot = make([]int, e.n)
-			b.nodeEntered = make([]bool, e.n)
-			b.nodeFreeAt = make([]vtime.Time, e.n)
-			b.releaseSent = make([]bool, e.n)
+	if id < 0 || id < e.barHi-ffBarWindow {
+		if e.fail == nil {
+			e.fail = fmt.Errorf("sim: barrier %d is not among the %d most recent (latest %d); its state was recycled",
+				id, ffBarWindow, e.barHi-1)
 		}
+		return nil
 	}
+	n := 0
+	if e.cfg.Barrier.Algorithm == TreeBarrier {
+		n = e.n
+	}
+	*b = barSt{
+		used:        true,
+		id:          id,
+		childGot:    zeroed(b.childGot, n),
+		nodeEntered: zeroed(b.nodeEntered, n),
+		nodeFreeAt:  zeroed(b.nodeFreeAt, n),
+		releaseSent: zeroed(b.releaseSent, n),
+	}
+	if id >= e.barHi {
+		e.barHi = id + 1
+	}
+	e.nbars++
 	return b
+}
+
+// zeroed returns s resized to n zero elements, reusing its backing array
+// when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // numChildren returns the child count of node i in the binary combining
@@ -69,6 +99,9 @@ func numChildren(i, n int) int {
 // barrierEnter simulates thread t reaching global barrier id at e.now.
 func (e *engine) barrierEnter(t *thr, id int64) {
 	b := e.bar(id)
+	if b == nil {
+		return
+	}
 	b.entries++
 	bc := &e.cfg.Barrier
 	e.emit(e.now, trace.KindBarrierEntry, t.id, id, 0, 0)
@@ -185,6 +218,9 @@ func (e *engine) checkLinearComplete(b *barSt) {
 // processed (its CheckTime paid) at time doneAt.
 func (e *engine) barrierArriveServiced(m *message, doneAt vtime.Time) {
 	b := e.bar(m.barrier)
+	if b == nil {
+		return
+	}
 	switch e.cfg.Barrier.Algorithm {
 	case LinearBarrier:
 		b.arrivedMsgs++
@@ -268,6 +304,9 @@ func (e *engine) barrierReleaseArrive(m *message) {
 	noticed := vtime.Max(e.now+bc.ExitCheckTime, p.svcBusyUntil)
 	if e.cfg.Barrier.Algorithm == TreeBarrier {
 		b := e.bar(m.barrier)
+		if b == nil {
+			return
+		}
 		e.treeRelease(b, t.id, noticed)
 		// treeRelease scheduled the exit (after forwarding to children).
 		return

@@ -2,11 +2,13 @@ package sim
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"extrap/internal/pcxx"
 	"extrap/internal/sim/network"
 	"extrap/internal/trace"
+	"extrap/internal/translate"
 	"extrap/internal/vtime"
 )
 
@@ -166,6 +168,52 @@ func TestLog2Ceil(t *testing.T) {
 	for in, want := range cases {
 		if got := log2ceil(in); got != want {
 			t.Errorf("log2ceil(%d) = %d, want %d", in, got, want)
+		}
+	}
+}
+
+// barrierTrace is a hand-built two-thread trace that passes the given
+// barrier ids in order, 10 µs of compute before each.
+func barrierTrace(ids ...int64) *translate.ParallelTrace {
+	pt := &translate.ParallelTrace{NumThreads: 2, Threads: make([][]trace.Event, 2)}
+	for th := int32(0); th < 2; th++ {
+		evs := []trace.Event{{Kind: trace.KindThreadStart, Thread: th, Arg0: 2}}
+		at := vtime.Time(0)
+		for _, id := range ids {
+			at += 10 * vtime.Microsecond
+			evs = append(evs,
+				trace.Event{Time: at, Kind: trace.KindBarrierEntry, Thread: th, Arg0: id},
+				trace.Event{Time: at, Kind: trace.KindBarrierExit, Thread: th, Arg0: id})
+		}
+		evs = append(evs, trace.Event{Time: at + vtime.Microsecond, Kind: trace.KindThreadEnd, Thread: th})
+		pt.Threads[th] = evs
+	}
+	return pt
+}
+
+// TestBarrierRingRejectsRecycledIDs: the engine keeps only the most
+// recent barrier records, so an id older than that window — or a
+// negative one — is an error, never a read of a recycled slot. Ids that
+// skip ahead, or revisit an id still in the window, are fine.
+func TestBarrierRingRejectsRecycledIDs(t *testing.T) {
+	for _, alg := range []BarrierAlgorithm{LinearBarrier, TreeBarrier} {
+		cfg := zeroConfig()
+		cfg.Barrier = DefaultBarrier()
+		cfg.Barrier.Algorithm = alg
+		for _, ids := range [][]int64{{0, 1, 2}, {0, 7, 9}, {6, 4}} {
+			res, err := Simulate(context.Background(), nil, barrierTrace(ids...), cfg)
+			if err != nil {
+				t.Fatalf("%v ids %v: %v", alg, ids, err)
+			}
+			if res.Barriers != len(ids) {
+				t.Fatalf("%v ids %v: Barriers = %d", alg, ids, res.Barriers)
+			}
+		}
+		for _, ids := range [][]int64{{9, 2}, {-1}} {
+			_, err := Simulate(context.Background(), nil, barrierTrace(ids...), cfg)
+			if err == nil || !strings.Contains(err.Error(), "state was recycled") {
+				t.Fatalf("%v ids %v: err = %v, want a recycled-barrier error", alg, ids, err)
+			}
 		}
 	}
 }

@@ -148,7 +148,7 @@ func TestSimulateBatchMatchesPerCell(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d lane %d: batch: %v", trial, i, err)
 			}
-			want, err := Simulate(ctx, nil, pt, cfg)
+			want, err := Simulate(ctx, NewArena(), pt, cfg)
 			if err != nil {
 				t.Fatalf("trial %d lane %d: per-cell: %v", trial, i, err)
 			}
@@ -179,8 +179,8 @@ func itoa(v int) string {
 
 // TestArenaReuseAcrossHeterogeneousRuns reuses ONE arena across
 // different workloads and models interleaved — the runner's sequential
-// reuse pattern — and demands bit-identical results to fresh
-// allocation every time.
+// reuse pattern — and demands bit-identical results to a fresh arena
+// every time.
 func TestArenaReuseAcrossHeterogeneousRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	type cell struct {
@@ -196,7 +196,7 @@ func TestArenaReuseAcrossHeterogeneousRuns(t *testing.T) {
 	}
 	a := NewArena()
 	for i, c := range cells {
-		want, err := Simulate(context.Background(), nil, c.pt, c.cfg)
+		want, err := Simulate(context.Background(), NewArena(), c.pt, c.cfg)
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
@@ -240,7 +240,7 @@ func TestSimulateBatchLaneError(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lane %d: %v", lane, err)
 		}
-		want, err := Simulate(ctx, nil, pt, cfg)
+		want, err := Simulate(ctx, NewArena(), pt, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

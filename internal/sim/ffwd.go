@@ -41,7 +41,8 @@ import (
 // ffBarWindow matches translate's: barrier records below the last two
 // ids are provably never read again (exiting barrier b requires all
 // threads entered b, so entering b+1 pins every thread at id ≥ b), so
-// only a short tail window is fingerprinted and relocated on skip.
+// the engine keeps only this many records (the barrier ring), and they
+// are what is fingerprinted and relocated on skip. A power of two.
 const ffBarWindow = 4
 
 const (
@@ -119,7 +120,8 @@ func ReadReplayCounters() ReplayCounters {
 	}
 }
 
-// ffState orchestrates fast-forward for one streaming simulation.
+// ffState orchestrates fast-forward for one streaming simulation. It
+// lives in the Arena, so its fingerprint buffers are reused run to run.
 type ffState struct {
 	src *translate.Stream
 	cur *trace.PatternSource
@@ -149,9 +151,10 @@ type fpScratch struct {
 	encounter []int32
 }
 
-// newFFState engages fast-forward when the source pipeline exposes its
-// compiled pattern cursor; it returns nil otherwise.
-func newFFState(cfg *Config, src Source) *ffState {
+// engage arms fast-forward for a run when the source pipeline exposes
+// its compiled pattern cursor, keeping the buffers of earlier runs; it
+// returns nil otherwise.
+func (ff *ffState) engage(cfg *Config, src Source) *ffState {
 	if src == nil || cfg.EmitTrace {
 		return nil
 	}
@@ -163,8 +166,20 @@ func newFFState(cfg *Config, src Source) *ffState {
 	if cur == nil {
 		return nil
 	}
-	return &ffState{src: ts, cur: cur, snapOp: -1}
+	*ff = ffState{
+		src:     ts,
+		cur:     cur,
+		snapOp:  -1,
+		fpA:     ff.fpA,
+		fpB:     ff.fpB,
+		deltas:  ff.deltas,
+		scratch: ff.scratch,
+	}
+	return ff
 }
+
+// release drops the run's pipeline references, keeping the buffers.
+func (ff *ffState) release() { ff.src, ff.cur = nil, nil }
 
 // observe runs at the top of the engine event loop. When the decoder
 // has crossed one or more pattern-iteration boundaries since the last
@@ -476,14 +491,14 @@ func (e *engine) appendReplayFingerprint(fp *trace.ReplayFingerprint, sc *fpScra
 			fp.Push(trace.FPExact, 0)
 		}
 	}
-	nb := len(e.bars)
-	fp.Push(trace.FPBarID, int64(nb))
-	lo := nb - ffBarWindow
-	if lo < 0 {
-		lo = 0
-	}
-	for id := lo; id < nb; id++ {
-		pushBarSt(fp, &e.bars[id])
+	fp.Push(trace.FPBarID, e.barHi)
+	tree := e.cfg.Barrier.Algorithm == TreeBarrier
+	for id := max(0, e.barHi-ffBarWindow); id < e.barHi; id++ {
+		if b := &e.bars[id&barMask]; b.used && b.id == id {
+			pushBarSt(fp, b, tree)
+		} else {
+			pushBarSt(fp, &barSt{}, false) // never touched
+		}
 	}
 	fp.Push(trace.FPExact, int64(e.msgs.used))
 	fp.Push(trace.FPExact, int64(len(e.msgs.free)))
@@ -531,11 +546,12 @@ func (e *engine) pushFelEvent(fp *trace.ReplayFingerprint, ev *event, rid func(i
 	fp.Push(trace.FPExact, int64(ev.kind))
 }
 
-// pushBarSt appends one barrier record of the tail window. Time fields
-// are on the FPBarS stride: in a steady barrier loop the window slides
-// (slot w names barrier id+Δ next time, values advance with the clock),
-// in a barrier-free loop it freezes (stride 0) — both are uniform.
-func pushBarSt(fp *trace.ReplayFingerprint, b *barSt) {
+// pushBarSt appends one barrier record of the tail window; tree says
+// whether it carries tree tables. Time fields are on the FPBarS stride:
+// in a steady barrier loop the window slides (slot w names barrier id+Δ
+// next time, values advance with the clock), in a barrier-free loop it
+// freezes (stride 0) — both are uniform.
+func pushBarSt(fp *trace.ReplayFingerprint, b *barSt, tree bool) {
 	fp.PushBool(b.used)
 	if b.used {
 		fp.Push(trace.FPBarID, b.id)
@@ -549,7 +565,10 @@ func pushBarSt(fp *trace.ReplayFingerprint, b *barSt) {
 	fp.Push(trace.FPExact, int64(b.arrivedMsgs))
 	pushBarTime(fp, b.lastArrProc)
 	fp.PushBool(b.released)
-	fp.PushBool(b.childGot != nil)
+	fp.PushBool(tree)
+	if !tree {
+		return
+	}
 	for i := range b.childGot {
 		fp.Push(trace.FPExact, int64(b.childGot[i]))
 		fp.PushBool(b.nodeEntered[i])
@@ -678,37 +697,25 @@ func (e *engine) applyReplayShift(j int64, d *trace.ReplayDeltas) {
 	}
 }
 
-// shiftBars slides the barrier tail window: the dense-by-id slice grows
-// by j×Δbar zeroed records and the tracked records relocate to their
-// new ids (carrying their tree tables with them). Records falling below
-// the window are zeroed — provably never read again (see ffBarWindow),
-// so event replay's frozen values and these zeros are interchangeable.
+// shiftBars slides the barrier window by j×Δbar ids: the ring rotates
+// so every window record lands on its new id's slot, carrying its tree
+// tables, and its id and times advance. Records already below the window
+// are disarmed — provably never read again (see ffBarWindow), exactly
+// like the records the skipped iterations would have left behind.
 func (e *engine) shiftBars(j int64, d *trace.ReplayDeltas) {
 	grow := j * d.Bar
-	nb := len(e.bars)
-	w := ffBarWindow
-	if nb < w {
-		w = nb
+	lo := e.barHi - ffBarWindow
+	old := e.bars
+	for k := range old {
+		b := old[k]
+		if b.used && b.id >= lo {
+			shiftBarSt(&b, j, d)
+		} else {
+			b.used = false
+		}
+		e.bars[(int64(k)+grow)&barMask] = b
 	}
-	if grow > 0 {
-		var win [ffBarWindow]barSt
-		copy(win[:w], e.bars[nb-w:])
-		for id := nb - w; id < nb; id++ {
-			e.bars[id] = barSt{}
-		}
-		for k := int64(0); k < grow; k++ {
-			e.bars = append(e.bars, barSt{})
-		}
-		base := len(e.bars) - w
-		for k := 0; k < w; k++ {
-			shiftBarSt(&win[k], j, d)
-			e.bars[base+k] = win[k]
-		}
-	} else {
-		for id := nb - w; id < nb; id++ {
-			shiftBarSt(&e.bars[id], j, d)
-		}
-	}
+	e.barHi += grow
 }
 
 func shiftBarSt(b *barSt, j int64, d *trace.ReplayDeltas) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 
 	"extrap/internal/sim/network"
 	"extrap/internal/trace"
@@ -151,7 +152,7 @@ func (e *engine) advance(t *thr) {
 	if err != nil {
 		t.curOK = false
 		if err != io.EOF && e.fail == nil {
-			e.fail = err
+			e.fail = fmt.Errorf("sim: trace source failed: %w", err)
 		}
 		return
 	}
@@ -172,8 +173,9 @@ type prc struct {
 }
 
 // engine drives one trace-driven simulation. Threads, processors, and
-// barrier states live in dense slices (not maps or per-item heap
-// allocations) so the event loop touches contiguous memory.
+// barrier states live in dense slices and a fixed ring (not maps or
+// per-item heap allocations) so the event loop touches contiguous
+// memory.
 type engine struct {
 	cfg     Config
 	n       int
@@ -183,13 +185,20 @@ type engine struct {
 	inter   *network.Network
 	intra   *network.Network // non-nil when clustering is enabled
 	fel     fel
-	bars    []barSt // dense by barrier id
-	nbars   int     // barriers actually encountered
-	msgs    msgSlab
-	out     *trace.Trace
-	now     vtime.Time
-	done    int
-	fail    error // sticky mid-stream source error (streaming mode)
+	// bars holds the records of the ffBarWindow most recent barrier ids,
+	// slot id&barMask (see bar). barHi is one past the highest id
+	// touched, or slid to by a fast-forward skip.
+	bars  [ffBarWindow]barSt
+	barHi int64
+	nbars int // barriers actually encountered
+	msgs  msgSlab
+	out   *trace.Trace
+	now   vtime.Time
+	done  int
+	// fail is the sticky mid-run error: a streaming source error, or a
+	// barrier id whose record was already recycled. The event loop
+	// aborts with it.
+	fail error
 	// cont is the continuation register: the one event runSegment just
 	// produced, held out of the heap. The event loop dispatches it
 	// directly when it precedes everything queued (the overwhelmingly
@@ -201,79 +210,86 @@ type engine struct {
 }
 
 // Arena holds the dense simulator state — thread and processor records,
-// the future event list, barrier slots, and the message slab — so
-// repeated simulations (batch lanes, sequential sweep cells) reuse the
-// same allocations instead of rebuilding ~0.5 MB of state per run.
-// Every record is fully reinitialized when acquired, so results are
-// bit-identical to a fresh engine. An Arena is not safe for concurrent
-// use; share one per goroutine.
+// the future event list, the barrier ring with its tree tables, the
+// message slab and the fast-forward fingerprint buffers — so repeated
+// simulations reuse the same allocations instead of rebuilding them per
+// run. Every record is fully reinitialized when acquired, so results
+// are bit-identical to a fresh engine, also after a run that failed or
+// was cancelled. Nothing a run returns aliases arena memory. An Arena is
+// not safe for concurrent use; share one per goroutine.
 type Arena struct {
-	threads []thr
-	procs   []prc
-	bars    []barSt
-	felq    []event
-	msgs    msgSlab
+	e  engine
+	ff ffState
 }
 
 // NewArena returns an empty arena; state is allocated on first use and
 // grown as needed.
 func NewArena() *Arena { return &Arena{} }
 
-// acquire attaches the arena's recycled state to e, reinitializing
-// everything a fresh engine would have zero. Inner slices owned by
-// retained records (per-processor queues, tree-barrier tables) are kept
-// and re-zeroed where they are re-armed (see prc setup and bar()).
-func (a *Arena) acquire(e *engine, n, nprocs, barriersHint int) {
-	if cap(a.threads) < n {
-		a.threads = make([]thr, n)
+// arenas recycles arenas for simulations that bring none of their own,
+// so every sweep cell and served prediction reuses engine state.
+var arenas = sync.Pool{New: func() any { return NewArena() }}
+
+// acquire reinitializes the arena's engine for a run of n threads on
+// nprocs processors: every field a fresh engine would have zero is
+// zeroed, while the backing arrays — including per-processor queues and
+// the barrier slots' tree tables, re-zeroed where bar re-arms them — are
+// kept.
+func (a *Arena) acquire(cfg Config, n, nprocs int) *engine {
+	e := &a.e
+	threads := e.threads
+	if cap(threads) < n {
+		threads = make([]thr, n)
 	}
-	e.threads = a.threads[:n]
-	for i := range e.threads {
-		e.threads[i] = thr{}
+	threads = threads[:n]
+	clear(threads)
+	procs := e.procs
+	if cap(procs) < nprocs {
+		procs = make([]prc, nprocs)
 	}
-	if cap(a.procs) < nprocs {
-		a.procs = make([]prc, nprocs)
-	}
-	e.procs = a.procs[:nprocs]
-	for i := range e.procs {
-		p := &e.procs[i]
+	procs = procs[:nprocs]
+	for i := range procs {
+		p := &procs[i]
 		*p = prc{
+			id:       i,
+			current:  -1,
+			last:     -1,
 			threads:  p.threads[:0],
 			runq:     p.runq[:0],
 			svcQueue: p.svcQueue[:0],
 		}
 	}
-	// Barrier slots keep their tree tables (reset lazily in bar()) but
-	// drop all per-run scalar state, including the used marker.
-	if cap(a.bars) < barriersHint {
-		grown := make([]barSt, barriersHint)
-		copy(grown, a.bars)
-		a.bars = grown
+	bars := e.bars
+	for i := range bars {
+		bars[i].used = false
 	}
-	e.bars = a.bars[:cap(a.bars)]
-	for i := range e.bars {
-		b := &e.bars[i]
-		*b = barSt{
-			childGot:    b.childGot,
-			nodeEntered: b.nodeEntered,
-			nodeFreeAt:  b.nodeFreeAt,
-			releaseSent: b.releaseSent,
-		}
+	felq := e.fel.q[:0]
+	if cap(felq) < 4*n {
+		felq = make([]event, 0, 4*n)
 	}
-	e.fel.q = a.felq[:0]
-	e.fel.topOK = false
-	e.fel.nextSq = 0
-	a.msgs.reset()
-	e.msgs = a.msgs
+	msgs := e.msgs
+	msgs.reset()
+	*e = engine{
+		cfg:     cfg,
+		n:       n,
+		nprocs:  nprocs,
+		threads: threads,
+		procs:   procs,
+		fel:     fel{q: felq},
+		bars:    bars,
+		msgs:    msgs,
+	}
+	return e
 }
 
-// release returns e's (possibly grown) state to the arena.
-func (a *Arena) release(e *engine) {
-	a.threads = e.threads[:cap(e.threads)]
-	a.procs = e.procs[:cap(e.procs)]
-	a.bars = e.bars[:cap(e.bars)]
-	a.felq = e.fel.q[:0]
-	a.msgs = e.msgs
+// release drops the run's references into caller-owned data — event
+// sources, the emitted trace, the network models — so a pooled arena
+// pins nothing between runs.
+func (a *Arena) release() {
+	e := &a.e
+	clear(e.threads)
+	e.inter, e.intra, e.out, e.fail = nil, nil, nil, nil
+	a.ff.release()
 }
 
 // ctxCheckMask paces the event loop's cancellation polls: the context is
@@ -288,14 +304,15 @@ const ctxCheckMask = 1<<13 - 1
 // event slices nor the ParallelTrace header are modified, so one
 // translation may be simulated under many configurations (and from many
 // goroutines) concurrently. A non-nil arena a supplies recycled dense
-// state (thread/processor/barrier tables, event list, message slab), so
-// repeated simulations — sweep cells, or the K lanes of a batch run as a
-// loop over one arena — allocate almost nothing; results are
-// bit-identical to a fresh engine. The event loop polls ctx
+// state (thread/processor/barrier tables, event list, message slab), as
+// when the K lanes of a batch run as a loop over one arena; a nil arena
+// takes one from a process-wide pool. Either way repeated simulations
+// allocate almost nothing, and results are bit-identical to a fresh
+// engine. The event loop polls ctx
 // periodically and abandons the simulation with ctx's error (wrapped, so
 // errors.Is sees context.Canceled / DeadlineExceeded).
 func Simulate(ctx context.Context, a *Arena, pt *translate.ParallelTrace, cfg Config) (*Result, error) {
-	return simulate(ctx, cfg, pt.NumThreads, pt.Phases, pt.Barriers, pt.Events(),
+	return simulate(ctx, cfg, pt.NumThreads, pt.Phases, pt.Events(),
 		func(t *thr, i int) { t.evs = pt.Threads[i] }, a, nil)
 }
 
@@ -315,20 +332,21 @@ type Source interface {
 // size. Results are byte-identical to Simulate on the equivalent
 // materialized trace. When src is a translate stream fed by a compiled
 // (XTRP2) pattern cursor and cfg.EmitTrace is off, the engine
-// fast-forwards provably steady pattern iterations (see ffwd.go).
+// fast-forwards provably steady pattern iterations (see ffwd.go). Engine
+// state comes from the process-wide arena pool.
 func SimulateStream(ctx context.Context, src Source, cfg Config) (*Result, error) {
-	return simulate(ctx, cfg, src.NumThreads(), src.Phases(), 0, 0,
+	return simulate(ctx, cfg, src.NumThreads(), src.Phases(), 0,
 		func(t *thr, i int) { t.src = src.Thread(i) }, nil, src)
 }
 
 // simulate is the engine core shared by the slice and streaming entry
 // points: bind attaches thread i's event cursor (either mode) to its
-// state record. barriersHint/eventsHint pre-size internal tables and may
-// be zero when unknown (streaming). A non-nil arena supplies recycled
-// dense state; nil allocates fresh. A non-nil src (streaming mode only)
-// lets the engine engage pattern fast-forward when the source exposes
-// its compiled-trace cursor.
-func simulate(ctx context.Context, cfg Config, n int, phases []string, barriersHint, eventsHint int, bind func(t *thr, i int), arena *Arena, src Source) (*Result, error) {
+// state record. eventsHint pre-sizes the emitted trace and may be zero
+// when unknown (streaming). A non-nil arena supplies recycled dense
+// state; nil takes one from the pool. A non-nil src (streaming mode
+// only) lets the engine engage pattern fast-forward when the source
+// exposes its compiled-trace cursor.
+func simulate(ctx context.Context, cfg Config, n int, phases []string, eventsHint int, bind func(t *thr, i int), arena *Arena, src Source) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -349,20 +367,12 @@ func simulate(ctx context.Context, cfg Config, n int, phases []string, barriersH
 		return nil, fmt.Errorf("sim: thread count %d not divisible by processor count %d", n, nprocs)
 	}
 
-	e := &engine{
-		cfg:    cfg,
-		n:      n,
-		nprocs: nprocs,
+	if arena == nil {
+		arena = arenas.Get().(*Arena)
+		defer arenas.Put(arena)
 	}
-	if arena != nil {
-		arena.acquire(e, n, nprocs, barriersHint)
-		defer arena.release(e)
-	} else {
-		e.bars = make([]barSt, 0, barriersHint)
-		e.fel.q = make([]event, 0, 4*n)
-		e.procs = make([]prc, nprocs)
-		e.threads = make([]thr, n)
-	}
+	e := arena.acquire(cfg, n, nprocs)
+	defer arena.release()
 	var err error
 	if e.inter, err = network.New(cfg.Comm, nprocs); err != nil {
 		return nil, err
@@ -382,11 +392,6 @@ func simulate(ctx context.Context, cfg Config, n int, phases []string, barriersH
 	}
 
 	perProc := n / nprocs
-	for p := range e.procs {
-		e.procs[p].id = p
-		e.procs[p].current = -1
-		e.procs[p].last = -1
-	}
 	for i := 0; i < n; i++ {
 		p := placeThread(cfg.Placement, i, n, nprocs, perProc)
 		t := &e.threads[i]
@@ -427,7 +432,7 @@ func simulate(ctx context.Context, cfg Config, n int, phases []string, barriersH
 		e.requestCPU(t, 0)
 	}
 
-	ff := newFFState(&cfg, src)
+	ff := arena.ff.engage(&cfg, src)
 
 	const maxEvents = 1 << 28 // runaway-guard far above any real workload
 	steps := 0
@@ -478,7 +483,7 @@ func simulate(ctx context.Context, cfg Config, n int, phases []string, barriersH
 			e.resumeFromBarrier(t)
 		}
 		if e.fail != nil {
-			return nil, fmt.Errorf("sim: trace source failed: %w", e.fail)
+			return nil, e.fail
 		}
 		if steps++; steps > maxEvents {
 			return nil, fmt.Errorf("sim: event budget exceeded (livelock?)")
@@ -601,7 +606,10 @@ func (e *engine) releaseCPU(p *prc, at vtime.Time) {
 	p.current = -1
 	if len(p.runq) > 0 {
 		next := &e.threads[p.runq[0]]
-		p.runq = p.runq[1:]
+		// Shift rather than reslice: the queue holds at most the
+		// processor's other threads, and keeping its backing array means
+		// requeueing never reallocates, in this run or the next.
+		p.runq = p.runq[:copy(p.runq, p.runq[1:])]
 		e.grantCPU(p, next, at)
 	}
 }

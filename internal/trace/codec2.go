@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -270,7 +271,7 @@ func ReadBinaryAny(r io.Reader) (*Trace, error) {
 // readCommonHeader parses the header fields shared by XTRP1 and XTRP2
 // (everything between the magic and the event records) with the XTRP1
 // hardening rules.
-func readCommonHeader(br *bufio.Reader) (Header, uint64, error) {
+func readCommonHeader(br io.Reader) (Header, uint64, error) {
 	var hdr Header
 	var fixed [16]byte
 	if _, err := io.ReadFull(br, fixed[:]); err != nil {
@@ -859,6 +860,240 @@ const (
 	opRepeat  = 0x01
 )
 
+// wireReader parses XTRP2 wire items — uvarints, delta rows, the pattern
+// table and program op headers — from a byte window. It is the one
+// XTRP2 parser: CompileBinary hands it the whole input as the window,
+// and Decoder2 refills the window from a bufio.Reader as items are
+// consumed, so both apply the same validation with the same errors.
+type wireReader struct {
+	b []byte // unread window
+	// br, when non-nil, refills the window: b is then a suffix of the
+	// peeked bytes br has not yet discarded (peeked of them).
+	br     *bufio.Reader
+	peeked int
+	err    error // why the window holds no more than it does (refills only)
+	// slab, when non-nil, is the unused tail of the row storage that
+	// row runs are carved from (see rows).
+	slab []row
+}
+
+// Wire row bounds: a kind byte and five uvarints of 1 to
+// binary.MaxVarintLen64 bytes each.
+const (
+	minWireRow = 6
+	maxWireRow = 1 + 5*binary.MaxVarintLen64
+)
+
+// errVarintOverflow matches encoding/binary's error for an over-long
+// uvarint.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// fill makes the window hold at least k bytes when the input has them.
+func (w *wireReader) fill(k int) {
+	if w.br == nil || len(w.b) >= k {
+		return
+	}
+	w.br.Discard(w.peeked - len(w.b))
+	w.b, w.err = w.br.Peek(max(k, w.br.Buffered()))
+	w.peeked = len(w.b)
+}
+
+// short is the error for an item that ran out of input after i bytes,
+// with binary.ReadUvarint's conventions: io.EOF only when nothing was
+// read, and a refill's own error passed through.
+func (w *wireReader) short(i int) error {
+	err := w.err
+	if err == nil {
+		err = io.EOF
+	}
+	if i > 0 && err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// Read implements io.Reader over the window, for fixed-size fields.
+func (w *wireReader) Read(p []byte) (int, error) {
+	w.fill(1)
+	if len(w.b) == 0 {
+		return 0, w.short(0)
+	}
+	n := copy(p, w.b)
+	w.b = w.b[n:]
+	return n, nil
+}
+
+// uvarint parses one uvarint with binary.ReadUvarint's semantics: a
+// value that has not ended after binary.MaxVarintLen64 bytes overflows,
+// even at the end of the input.
+func (w *wireReader) uvarint() (uint64, error) {
+	// Most row deltas fit one byte, which is a complete varint.
+	if len(w.b) > 0 && w.b[0] < 0x80 {
+		x := uint64(w.b[0])
+		w.b = w.b[1:]
+		return x, nil
+	}
+	w.fill(binary.MaxVarintLen64)
+	x, n := binary.Uvarint(w.b)
+	switch {
+	case n > 0:
+		w.b = w.b[n:]
+		return x, nil
+	case n < 0 || len(w.b) >= binary.MaxVarintLen64:
+		return 0, errVarintOverflow
+	}
+	return 0, w.short(len(w.b))
+}
+
+// row parses one wire row (kind byte + five zigzag uvarints), validating
+// the kind byte.
+func (w *wireReader) row() (row, error) {
+	w.fill(maxWireRow)
+	if len(w.b) == 0 {
+		return row{}, w.short(0)
+	}
+	kind := w.b[0]
+	if !Kind(kind).Valid() {
+		return row{}, fmt.Errorf("invalid kind %d", kind)
+	}
+	w.b = w.b[1:]
+	r := row{kind: Kind(kind)}
+	for _, p := range [...]*int64{&r.dTime, &r.dThread, &r.dA0, &r.dA1, &r.dA2} {
+		u, err := w.uvarint()
+		if err != nil {
+			return row{}, err
+		}
+		*p = unzigzag(u)
+	}
+	return r, nil
+}
+
+// rows parses a run of n rows; on error it also reports the index of
+// the row that failed. Nothing is allocated ahead of the bytes actually
+// supplied. A whole-input window carves every run from one slab sized
+// by the input, len/minWireRow rows (see CompileBinary): every row
+// takes at least minWireRow bytes, so the slab holds all the rows the
+// input can encode, and a forged count runs out of bytes before it runs
+// out of slab. A refilled window's extent is unknown, so each run gets
+// its own slice, and a forged count costs append regrowth instead.
+func (w *wireReader) rows(n uint64) ([]row, uint64, error) {
+	var out []row
+	if w.slab != nil {
+		out = w.slab[:0:min(n, uint64(cap(w.slab)))]
+	} else {
+		out = make([]row, 0, min(n, 256))
+	}
+	for j := uint64(0); j < n; j++ {
+		r, err := w.row()
+		if err != nil {
+			return nil, j, err
+		}
+		out = append(out, r)
+	}
+	if w.slab != nil {
+		w.slab = w.slab[len(out):len(out)]
+	}
+	return out, n, nil
+}
+
+// patternTable parses the pattern table that follows the header: the
+// entry count, then each body's row count and rows, under the
+// MaxPatterns, MaxPatternRows and MaxPatternTableRows caps.
+func (w *wireReader) patternTable() ([][]row, error) {
+	var cnt [4]byte
+	if _, err := io.ReadFull(w, cnt[:]); err != nil {
+		return nil, err
+	}
+	npatterns := binary.LittleEndian.Uint32(cnt[:])
+	if npatterns > MaxPatterns {
+		return nil, fmt.Errorf("trace: implausible pattern count %d (max %d)", npatterns, MaxPatterns)
+	}
+	var patterns [][]row
+	tableRows := uint64(0)
+	for i := uint32(0); i < npatterns; i++ {
+		nrows, err := w.uvarint()
+		if err != nil {
+			return nil, patternErr(i, err)
+		}
+		if nrows == 0 {
+			return nil, fmt.Errorf("trace: pattern %d is empty", i)
+		}
+		if nrows > MaxPatternRows {
+			return nil, fmt.Errorf("trace: pattern %d declares %d rows (max %d)", i, nrows, MaxPatternRows)
+		}
+		if tableRows += nrows; tableRows > MaxPatternTableRows {
+			return nil, fmt.Errorf("trace: pattern table exceeds %d rows", MaxPatternTableRows)
+		}
+		body, _, err := w.rows(nrows)
+		if err != nil {
+			return nil, patternErr(i, err)
+		}
+		patterns = append(patterns, body)
+	}
+	return patterns, nil
+}
+
+func patternErr(i uint32, err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("trace: pattern %d: %w", i, err)
+}
+
+// op parses the next program op header, validated against the declared
+// event count given produced events so far: a literal run of count rows
+// (which follow on the wire), or count replays of pattern id.
+func (w *wireReader) op(produced, declare uint64, patterns [][]row) (literal bool, id uint32, count uint64, err error) {
+	w.fill(1)
+	if len(w.b) == 0 {
+		return false, 0, 0, fmt.Errorf("trace: event %d: %w", produced, eofErr(w.short(0)))
+	}
+	opc := w.b[0]
+	w.b = w.b[1:]
+	switch opc {
+	case opLiteral:
+		n, err := w.uvarint()
+		if err != nil {
+			return false, 0, 0, fmt.Errorf("trace: event %d: literal run: %w", produced, eofErr(err))
+		}
+		if n == 0 {
+			return false, 0, 0, fmt.Errorf("trace: event %d: empty literal run", produced)
+		}
+		if n > declare-produced {
+			return false, 0, 0, fmt.Errorf("trace: event %d: literal run of %d exceeds declared %d events", produced, n, declare)
+		}
+		return true, 0, n, nil
+	case opRepeat:
+		pid, err := w.uvarint()
+		if err != nil {
+			return false, 0, 0, fmt.Errorf("trace: event %d: repeat op: %w", produced, eofErr(err))
+		}
+		if pid >= uint64(len(patterns)) {
+			return false, 0, 0, fmt.Errorf("trace: event %d: repeat references pattern %d of %d", produced, pid, len(patterns))
+		}
+		count, err := w.uvarint()
+		if err != nil {
+			return false, 0, 0, fmt.Errorf("trace: event %d: repeat op: %w", produced, eofErr(err))
+		}
+		body := patterns[pid]
+		if count == 0 {
+			return false, 0, 0, fmt.Errorf("trace: event %d: repeat count 0", produced)
+		}
+		if count > MaxEvents || count*uint64(len(body)) > declare-produced {
+			return false, 0, 0, fmt.Errorf("trace: event %d: repeat of %d×%d rows exceeds declared %d events", produced, count, len(body), declare)
+		}
+		return false, uint32(pid), count, nil
+	}
+	return false, 0, 0, fmt.Errorf("trace: event %d: unknown opcode %#x", produced, opc)
+}
+
+func eofErr(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
 // Decoder2 streams an XTRP2 trace: the header and pattern table are
 // parsed once up front (bodies compiled into pre-parsed row buffers),
 // then Next reconstructs events by applying delta rows — parsed from
@@ -866,7 +1101,7 @@ const (
 // repeats. Peak memory is O(pattern table), bounded by the hardening
 // caps and by the input bytes actually read, never by declared counts.
 type Decoder2 struct {
-	br       *bufio.Reader
+	w        wireReader
 	hdr      Header
 	declare  uint64
 	produced uint64
@@ -893,55 +1128,11 @@ func newDecoder2AfterMagic(br *bufio.Reader) (*Decoder2, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Decoder2{br: br, hdr: hdr, declare: declare}
-	var cnt [4]byte
-	if _, err := io.ReadFull(br, cnt[:]); err != nil {
+	d := &Decoder2{w: wireReader{br: br}, hdr: hdr, declare: declare}
+	if d.patterns, err = d.w.patternTable(); err != nil {
 		return nil, err
 	}
-	npatterns := binary.LittleEndian.Uint32(cnt[:])
-	if npatterns > MaxPatterns {
-		return nil, fmt.Errorf("trace: implausible pattern count %d (max %d)", npatterns, MaxPatterns)
-	}
-	tableRows := uint64(0)
-	for i := uint32(0); i < npatterns; i++ {
-		nrows, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, patternErr(i, err)
-		}
-		if nrows == 0 {
-			return nil, fmt.Errorf("trace: pattern %d is empty", i)
-		}
-		if nrows > MaxPatternRows {
-			return nil, fmt.Errorf("trace: pattern %d declares %d rows (max %d)", i, nrows, MaxPatternRows)
-		}
-		if tableRows += nrows; tableRows > MaxPatternTableRows {
-			return nil, fmt.Errorf("trace: pattern table exceeds %d rows", MaxPatternTableRows)
-		}
-		// Rows are parsed one at a time from bytes actually in the input;
-		// the prealloc is capped so a forged nrows costs append regrowth,
-		// not an up-front allocation.
-		prealloc := nrows
-		if prealloc > 256 {
-			prealloc = 256
-		}
-		body := make([]row, 0, prealloc)
-		for j := uint64(0); j < nrows; j++ {
-			r, err := d.readRow()
-			if err != nil {
-				return nil, patternErr(i, err)
-			}
-			body = append(body, r)
-		}
-		d.patterns = append(d.patterns, body)
-	}
 	return d, nil
-}
-
-func patternErr(i uint32, err error) error {
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	return fmt.Errorf("trace: pattern %d: %w", i, err)
 }
 
 // NewDecoder2 reads and validates an XTRP2 header (magic included) from
@@ -965,84 +1156,18 @@ func (d *Decoder2) Header() Header { return d.hdr }
 // is untrusted and never drives allocation.
 func (d *Decoder2) Declared() uint64 { return d.declare }
 
-// readRow parses one wire row, validating the kind byte.
-func (d *Decoder2) readRow() (row, error) { return readWireRow(d.br) }
-
-// readWireRow parses one wire row (kind byte + five zigzag uvarints),
-// validating the kind byte. Shared by the streaming decoder and the
-// eager compiler in pattern.go.
-func readWireRow(br *bufio.Reader) (row, error) {
-	kind, err := br.ReadByte()
-	if err != nil {
-		return row{}, err
-	}
-	if !Kind(kind).Valid() {
-		return row{}, fmt.Errorf("invalid kind %d", kind)
-	}
-	r := row{kind: Kind(kind)}
-	for _, p := range [...]*int64{&r.dTime, &r.dThread, &r.dA0, &r.dA1, &r.dA2} {
-		u, err := binary.ReadUvarint(br)
-		if err != nil {
-			return row{}, err
-		}
-		*p = unzigzag(u)
-	}
-	return r, nil
-}
-
 // nextOp loads the next program op into the decoder state.
 func (d *Decoder2) nextOp() error {
-	opc, err := d.br.ReadByte()
+	literal, id, count, err := d.w.op(d.produced, d.declare, d.patterns)
 	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return fmt.Errorf("trace: event %d: %w", d.produced, err)
+		return err
 	}
-	switch opc {
-	case opLiteral:
-		n, err := binary.ReadUvarint(d.br)
-		if err != nil {
-			return fmt.Errorf("trace: event %d: literal run: %w", d.produced, eofErr(err))
-		}
-		if n == 0 {
-			return fmt.Errorf("trace: event %d: empty literal run", d.produced)
-		}
-		if n > d.declare-d.produced {
-			return fmt.Errorf("trace: event %d: literal run of %d exceeds declared %d events", d.produced, n, d.declare)
-		}
-		d.litLeft = n
-	case opRepeat:
-		id, err := binary.ReadUvarint(d.br)
-		if err != nil {
-			return fmt.Errorf("trace: event %d: repeat op: %w", d.produced, eofErr(err))
-		}
-		if id >= uint64(len(d.patterns)) {
-			return fmt.Errorf("trace: event %d: repeat references pattern %d of %d", d.produced, id, len(d.patterns))
-		}
-		count, err := binary.ReadUvarint(d.br)
-		if err != nil {
-			return fmt.Errorf("trace: event %d: repeat op: %w", d.produced, eofErr(err))
-		}
-		body := d.patterns[id]
-		if count == 0 {
-			return fmt.Errorf("trace: event %d: repeat count 0", d.produced)
-		}
-		if count > MaxEvents || count*uint64(len(body)) > d.declare-d.produced {
-			return fmt.Errorf("trace: event %d: repeat of %d×%d rows exceeds declared %d events", d.produced, count, len(body), d.declare)
-		}
-		d.body, d.bodyPos, d.repLeft = body, 0, count
-	default:
-		return fmt.Errorf("trace: event %d: unknown opcode %#x", d.produced, opc)
+	if literal {
+		d.litLeft = count
+	} else {
+		d.body, d.bodyPos, d.repLeft = d.patterns[id], 0, count
 	}
 	return nil
-}
-
-func eofErr(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }
 
 // Next returns the next event, io.EOF after the declared count, or a
@@ -1064,7 +1189,7 @@ func (d *Decoder2) Next() (Event, error) {
 		d.replayed++
 	case d.litLeft > 0:
 		var err error
-		r, err = d.readRow()
+		r, err = d.w.row()
 		if err != nil {
 			d.err = fmt.Errorf("trace: event %d: %w", d.produced, eofErr(err))
 			return Event{}, d.err

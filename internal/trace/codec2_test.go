@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"testing/iotest"
 
 	"extrap/internal/vtime"
 )
@@ -142,6 +143,38 @@ func TestXTRP2RoundTripViaStreamDecoder(t *testing.T) {
 	}
 	if _, err := d.Next(); err != io.EOF {
 		t.Fatalf("after last event: err = %v, want io.EOF", err)
+	}
+}
+
+// TestXTRP2DecoderRefillsMatchCompiled: the streaming decoder parses
+// through the same wire reader as the compiler, refilling its window
+// from the input as it goes. Fed in one- and few-byte reads, which put
+// every item across refill boundaries, it must yield the compiled
+// cursor's events exactly.
+func TestXTRP2DecoderRefillsMatchCompiled(t *testing.T) {
+	for _, tr := range []*Trace{makeLoopTrace(8, 120), makeRandomTrace(3000)} {
+		enc := encode2(t, tr)
+		want, err := compiledEvents(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, r := range map[string]io.Reader{
+			"one-byte": iotest.OneByteReader(bytes.NewReader(enc)),
+			"half":     iotest.HalfReader(bytes.NewReader(enc)),
+		} {
+			got, err := ReadBinaryAny(r)
+			if err != nil {
+				t.Fatalf("%s reads: %v", name, err)
+			}
+			if len(got.Events) != len(want) {
+				t.Fatalf("%s reads: %d events, compiled %d", name, len(got.Events), len(want))
+			}
+			for i := range want {
+				if got.Events[i] != want[i] {
+					t.Fatalf("%s reads: event %d = %+v, compiled %+v", name, i, got.Events[i], want[i])
+				}
+			}
+		}
 	}
 }
 
@@ -307,10 +340,13 @@ func concat(parts ...[]byte) []byte {
 	return out
 }
 
-func TestXTRP2HostileInputs(t *testing.T) {
+// xtrp2HostileCases is the hostile XTRP2 corpus: forged counts,
+// dangling and cyclic pattern refs, count overflows, truncations, bad
+// kinds and out-of-range thread deltas.
+func xtrp2HostileCases() map[string][]byte {
 	start := wireRow(byte(KindThreadStart))
 	onePattern := concat(uvarint(1), start) // 1-row pattern table
-	cases := map[string][]byte{
+	return map[string][]byte{
 		"pattern count past cap": hostile2(4, 0, MaxPatterns+1, nil),
 		"truncated table":        hostile2(4, 0, 1000, nil),
 		"empty pattern":          hostile2(4, 0, 1, uvarint(0)),
@@ -345,36 +381,100 @@ func TestXTRP2HostileInputs(t *testing.T) {
 			concat([]byte{opLiteral}, uvarint(2),
 				wireRow(byte(KindThreadStart), 0, 1),
 				wireRow(byte(KindThreadStart), 0, -2))),
+		"varint overflow": hostile2(4, 1, 0,
+			concat([]byte{opLiteral}, bytes.Repeat([]byte{0xff}, binary.MaxVarintLen64), []byte{0x01})),
+		"varint overlong at end": hostile2(4, 1, 0,
+			concat([]byte{opLiteral}, bytes.Repeat([]byte{0x80}, binary.MaxVarintLen64))),
 	}
-	for name, data := range cases {
+}
+
+// compiledEvents replays data through the production path — the
+// compiled pattern cursor every served prediction reads — to the end
+// of the stream, returning its events or its first error.
+func compiledEvents(data []byte) ([]Event, error) {
+	ps, err := NewPatternSource(data)
+	if err != nil {
+		return nil, err
+	}
+	var evs []Event
+	for {
+		e, err := ps.Next()
+		if err == io.EOF {
+			return evs, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		evs = append(evs, e)
+	}
+}
+
+// TestXTRP2HostileInputs: every hostile input is rejected by both the
+// streaming decoder and the compiled cursor, with the same error. Where
+// the varint conventions decide the error, it is binary.ReadUvarint's.
+func TestXTRP2HostileInputs(t *testing.T) {
+	wantErr := map[string]string{
+		"varint overflow":        "trace: event 0: literal run: binary: varint overflows a 64-bit integer",
+		"varint overlong at end": "trace: event 0: literal run: binary: varint overflows a 64-bit integer",
+		"truncated delta block":  "trace: event 1: unexpected EOF",
+		"pattern rows truncated": "trace: pattern 0: unexpected EOF",
+	}
+	for name, data := range xtrp2HostileCases() {
 		t.Run(name, func(t *testing.T) {
-			if tr, err := ReadBinaryAny(bytes.NewReader(data)); err == nil {
-				t.Fatalf("accepted hostile input: %d events", len(tr.Events))
+			tr, err := ReadBinaryAny(bytes.NewReader(data))
+			if err == nil {
+				t.Fatalf("decoder accepted hostile input: %d events", len(tr.Events))
+			}
+			if want, ok := wantErr[name]; ok && err.Error() != want {
+				t.Fatalf("decoder error %q, want %q", err, want)
+			}
+			evs, cerr := compiledEvents(data)
+			if cerr == nil {
+				t.Fatalf("compiled cursor accepted hostile input: %d events", len(evs))
+			}
+			if cerr.Error() != err.Error() {
+				t.Fatalf("compiled cursor error %q, decoder error %q", cerr, err)
 			}
 		})
 	}
 }
 
 // TestXTRP2HostileAllocationBounded: forged counts must not allocate
-// ahead of the bytes actually supplied.
+// ahead of the bytes actually supplied, through either the streaming
+// decoder or the compiler.
 func TestXTRP2HostileAllocationBounded(t *testing.T) {
 	cases := map[string][]byte{
 		"forged npatterns": hostile2(4, 0, MaxPatterns, nil),
 		"forged nrows":     hostile2(4, 0, 1, uvarint(MaxPatternRows)),
 		"forged nevents":   hostile2(4, 1<<39, 0, concat([]byte{opLiteral}, uvarint(1<<39))),
 	}
+	decoders := map[string]func([]byte) (int, error){
+		"decoder": func(data []byte) (int, error) {
+			tr, err := ReadBinaryAny(bytes.NewReader(data))
+			if err != nil {
+				return 0, err
+			}
+			return len(tr.Events), nil
+		},
+		"compiled": func(data []byte) (int, error) {
+			evs, err := compiledEvents(data)
+			return len(evs), err
+		},
+	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			tr, err := ReadBinaryAny(bytes.NewReader(data))
-			runtime.ReadMemStats(&after)
-			if err == nil {
-				t.Fatalf("decoded hostile trace: %d events", len(tr.Events))
-			}
-			if grown := int64(after.TotalAlloc) - int64(before.TotalAlloc); grown > 1<<20 {
-				t.Fatalf("decoding a %d-byte hostile file allocated %d bytes", len(data), grown)
+			for dname, decode := range decoders {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				n, err := decode(data)
+				runtime.ReadMemStats(&after)
+				if err == nil {
+					t.Fatalf("%s: decoded hostile trace: %d events", dname, n)
+				}
+				if grown := int64(after.TotalAlloc) - int64(before.TotalAlloc); grown > 1<<20 {
+					t.Fatalf("%s: decoding a %d-byte hostile file allocated %d bytes", dname, len(data), grown)
+				}
 			}
 		})
 	}

@@ -64,7 +64,9 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 // ahead of the input; every accepted input must survive an XTRP2
 // re-encode with identical events, and the XTRP2 encoding of any
 // accepted trace must decode back to the same events (the byte-identity
-// guarantee the prediction pipeline relies on).
+// guarantee the prediction pipeline relies on). The compiled cursor
+// that serves predictions must accept exactly the XTRP2 inputs the
+// streaming decoder accepts, yielding identical events.
 func FuzzXTRP2RoundTrip(f *testing.F) {
 	// Well-formed streams: a loop-structured trace (pattern table in
 	// use), a barrier trace, and an empty trace.
@@ -94,6 +96,21 @@ func FuzzXTRP2RoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadBinaryAny(bytes.NewReader(data))
+		if IsXTRP2(data) {
+			evs, cerr := compiledEvents(data)
+			switch {
+			case (err == nil) != (cerr == nil):
+				t.Fatalf("decoder error %v, compiled cursor error %v", err, cerr)
+			case err == nil && len(evs) != len(tr.Events):
+				t.Fatalf("compiled cursor produced %d events, decoder %d", len(evs), len(tr.Events))
+			case err == nil:
+				for i := range evs {
+					if evs[i] != tr.Events[i] {
+						t.Fatalf("event %d: compiled cursor %+v, decoder %+v", i, evs[i], tr.Events[i])
+					}
+				}
+			}
+		}
 		if err != nil {
 			return
 		}

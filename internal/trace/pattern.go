@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"slices"
@@ -40,15 +38,20 @@ type CompiledTrace struct {
 	patterns [][]row
 	sums     []bodySums
 	prog     []compiledOp
+	// lits holds every literal run's rows, materialized so replay never
+	// re-parses wire bytes, back to back in program order.
+	lits []row
 }
 
-// compiledOp is one program op with literal rows materialized, so
-// replay never re-parses wire bytes.
+// compiledOp is one program op: count replays of pattern id, or, when
+// id is literalOp, the next count rows of the literal runs.
 type compiledOp struct {
-	rows  []row // literal run (nil for a repeat op)
-	id    uint32
 	count uint64
+	id    uint32
 }
+
+// literalOp marks a literal-run op (pattern ids stay below MaxPatterns).
+const literalOp = ^uint32(0)
 
 // bodySums is the per-iteration advance a pattern body applies to the
 // delta state machine: summed over the body's rows, per kind/arg for
@@ -63,27 +66,30 @@ type bodySums struct {
 func IsXTRP2(enc []byte) bool { return bytes.HasPrefix(enc, binary2Magic[:]) }
 
 // CompileBinary parses a whole XTRP2 stream (magic included) into a
-// CompiledTrace. Validation matches Decoder2: the same hardening caps,
-// the same op bounds against the declared event count — the difference
-// is only when errors surface (compile time instead of first Next).
-// Trailing bytes past the program are ignored, as Decoder2 never reads
-// them.
-func CompileBinary(r io.Reader) (*CompiledTrace, error) {
-	br := bufio.NewReader(r)
+// CompiledTrace, straight from the bytes: no buffered reader, and every
+// row carved from one slab sized by the rows the bytes can hold.
+// Validation is Decoder2's, through the same parser: the same hardening
+// caps, the same op bounds against the declared event count, the same
+// errors — the difference is only when errors surface (compile time
+// instead of first Next). Trailing bytes past the program are ignored,
+// as Decoder2 never reads them. The CompiledTrace does not retain enc.
+func CompileBinary(enc []byte) (*CompiledTrace, error) {
+	w := &wireReader{b: enc, slab: make([]row, 0, len(enc)/minWireRow)}
 	var magic [5]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	if _, err := io.ReadFull(w, magic[:]); err != nil {
 		return nil, err
 	}
 	if magic != binary2Magic {
 		return nil, ErrBadMagic
 	}
-	// The header and pattern table are bit-identical to the streaming
-	// decoder's; reuse its parser and take ownership of the table.
-	d, err := newDecoder2AfterMagic(br)
+	hdr, declare, err := readCommonHeader(w)
 	if err != nil {
 		return nil, err
 	}
-	ct := &CompiledTrace{hdr: d.hdr, declare: d.declare, patterns: d.patterns}
+	ct := &CompiledTrace{hdr: hdr, declare: declare}
+	if ct.patterns, err = w.patternTable(); err != nil {
+		return nil, err
+	}
 	ct.sums = make([]bodySums, len(ct.patterns))
 	for i, body := range ct.patterns {
 		s := &ct.sums[i]
@@ -97,69 +103,28 @@ func CompileBinary(r io.Reader) (*CompiledTrace, error) {
 		}
 	}
 
+	// Literal runs are carved from the slab in program order, right after
+	// the pattern bodies, so together they are one contiguous run.
+	lits := w.slab
 	produced := uint64(0)
 	for produced < ct.declare {
-		opc, err := br.ReadByte()
+		literal, id, count, err := w.op(produced, ct.declare, ct.patterns)
 		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, fmt.Errorf("trace: event %d: %w", produced, err)
+			return nil, err
 		}
-		switch opc {
-		case opLiteral:
-			n, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("trace: event %d: literal run: %w", produced, eofErr(err))
-			}
-			if n == 0 {
-				return nil, fmt.Errorf("trace: event %d: empty literal run", produced)
-			}
-			if n > ct.declare-produced {
-				return nil, fmt.Errorf("trace: event %d: literal run of %d exceeds declared %d events", produced, n, ct.declare)
-			}
-			// Rows come from bytes actually read (≥ 6 each on the wire),
-			// so append regrowth — never a forged count — drives the
-			// allocation, same discipline as the pattern-table parser.
-			prealloc := n
-			if prealloc > 256 {
-				prealloc = 256
-			}
-			rows := make([]row, 0, prealloc)
-			for j := uint64(0); j < n; j++ {
-				rw, err := readWireRow(br)
-				if err != nil {
-					return nil, fmt.Errorf("trace: event %d: %w", produced+j, eofErr(err))
-				}
-				rows = append(rows, rw)
-			}
-			ct.prog = append(ct.prog, compiledOp{rows: rows})
-			produced += n
-		case opRepeat:
-			id, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("trace: event %d: repeat op: %w", produced, eofErr(err))
-			}
-			if id >= uint64(len(ct.patterns)) {
-				return nil, fmt.Errorf("trace: event %d: repeat references pattern %d of %d", produced, id, len(ct.patterns))
-			}
-			count, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("trace: event %d: repeat op: %w", produced, eofErr(err))
-			}
-			body := ct.patterns[id]
-			if count == 0 {
-				return nil, fmt.Errorf("trace: event %d: repeat count 0", produced)
-			}
-			if count > MaxEvents || count*uint64(len(body)) > ct.declare-produced {
-				return nil, fmt.Errorf("trace: event %d: repeat of %d×%d rows exceeds declared %d events", produced, count, len(body), ct.declare)
-			}
-			ct.prog = append(ct.prog, compiledOp{id: uint32(id), count: count})
-			produced += count * uint64(len(body))
-		default:
-			return nil, fmt.Errorf("trace: event %d: unknown opcode %#x", produced, opc)
+		if !literal {
+			ct.prog = append(ct.prog, compiledOp{id: id, count: count})
+			produced += count * uint64(len(ct.patterns[id]))
+			continue
 		}
+		if _, j, err := w.rows(count); err != nil {
+			return nil, fmt.Errorf("trace: event %d: %w", produced+j, eofErr(err))
+		}
+		ct.prog = append(ct.prog, compiledOp{id: literalOp, count: count})
+		produced += count
 	}
+	n := cap(lits) - cap(w.slab)
+	ct.lits = lits[:n:n]
 	return ct, nil
 }
 
@@ -192,8 +157,9 @@ type PatternSource struct {
 	produced uint64
 	opIdx    int
 
-	lit    []row // active literal run
-	litPos int
+	lit     []row // active literal run
+	litPos  int
+	litNext int // offset of the next literal run in ct.lits
 
 	body    []row // active repeat body
 	bodyID  uint32
@@ -210,7 +176,7 @@ type PatternSource struct {
 // NewPatternSource compiles enc (XTRP2 bytes) and returns a replay
 // cursor over it.
 func NewPatternSource(enc []byte) (*PatternSource, error) {
-	ct, err := CompileBinary(bytes.NewReader(enc))
+	ct, err := CompileBinary(enc)
 	if err != nil {
 		return nil, err
 	}
@@ -256,8 +222,9 @@ func (c *PatternSource) Next() (Event, error) {
 			return Event{}, c.err
 		}
 		op := &c.ct.prog[c.opIdx]
-		if op.rows != nil {
-			c.lit, c.litPos = op.rows, 0
+		if op.id == literalOp {
+			end := c.litNext + int(op.count)
+			c.lit, c.litPos, c.litNext = c.ct.lits[c.litNext:end], 0, end
 		} else {
 			c.body, c.bodyID, c.bodyPos, c.repLeft = c.ct.patterns[op.id], op.id, 0, op.count
 		}

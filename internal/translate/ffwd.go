@@ -14,12 +14,12 @@ import (
 // traversals must mirror each other exactly (same slots, same order),
 // or skips would corrupt state instead of advancing it.
 
-// ffBarWindow is how many of the most recent barrier records are
-// fingerprinted and relocated on skip. Exits are only valid for a
-// barrier all n threads have entered, and entering barrier b means the
-// thread exited b-1, which required all threads to have entered b-1 —
-// so every future access lands on one of the last two records.
-// Tracking four gives slack without scanning the whole history.
+// ffBarWindow is how many of the most recent barrier records the
+// translator keeps (its barrier ring), fingerprints and relocates on
+// skip. Exits are only valid for a barrier all n threads have entered,
+// and entering barrier b means the thread exited b-1, which required
+// all threads to have entered b-1 — so every future access lands on one
+// of the last two records. Keeping four gives slack; a power of two.
 const ffBarWindow = 4
 
 // PatternSource returns the compiled-trace cursor feeding this stream,
@@ -51,7 +51,7 @@ func (s *Stream) AppendReplayFingerprint(fp *trace.ReplayFingerprint) bool {
 		q := &s.queues[i]
 		fp.Push(trace.FPExact, int64(q.size))
 		for k := 0; k < q.size; k++ {
-			e := &q.buf[(q.head+k)%len(q.buf)]
+			e := q.at(k)
 			fp.Push(trace.FPTrans, int64(e.Time))
 			fp.Push(trace.FPExact, int64(e.Kind))
 			fp.Push(trace.FPExact, int64(e.Thread))
@@ -64,14 +64,12 @@ func (s *Stream) AppendReplayFingerprint(fp *trace.ReplayFingerprint) bool {
 			fp.Push(trace.FPExact, e.Arg2)
 		}
 	}
-	nb := len(s.x.barriers)
-	fp.Push(trace.FPBarID, int64(nb))
-	lo := nb - ffBarWindow
-	if lo < 0 {
-		lo = 0
-	}
-	for id := lo; id < nb; id++ {
-		b := &s.x.barriers[id]
+	fp.Push(trace.FPBarID, s.x.barHi)
+	for id := max(0, s.x.barHi-ffBarWindow); id < s.x.barHi; id++ {
+		b := &s.x.barriers[id&barMask]
+		if !b.used || b.id != id {
+			b = &barrierState{} // never entered
+		}
 		fp.Push(trace.FPExact, int64(b.entries))
 		if b.release == 0 {
 			fp.Push(trace.FPExact, 0)
@@ -97,45 +95,30 @@ func (s *Stream) ApplyReplayShift(j int64, d *trace.ReplayDeltas) {
 		t.lastTranslated += vtime.Time(j * d.Trans)
 		q := &s.queues[i]
 		for k := 0; k < q.size; k++ {
-			e := &q.buf[(q.head+k)%len(q.buf)]
+			e := q.at(k)
 			e.Time += vtime.Time(j * d.Trans)
 			if e.Kind == trace.KindBarrierEntry || e.Kind == trace.KindBarrierExit {
 				e.Arg0 += j * d.Bar
 			}
 		}
 	}
-	// Slide the barrier window: the dense-by-id slice grows by j×Δbar
-	// zeroed records and the tracked top records relocate to their new
-	// ids. Records falling below the window are zeroed — they are
-	// provably never read again (see ffBarWindow), so event replay's
-	// frozen values and these zeros are indistinguishable.
+	// Slide the barrier window by j×Δbar ids: each window record moves to
+	// its new id's ring slot with its release advanced. Records already
+	// below the window are disarmed — provably never read again (see
+	// ffBarWindow), like the records the skipped iterations leave behind.
 	grow := j * d.Bar
-	nb := len(s.x.barriers)
-	w := ffBarWindow
-	if nb < w {
-		w = nb
+	lo := s.x.barHi - ffBarWindow
+	old := s.x.barriers
+	s.x.barriers = [ffBarWindow]barrierState{}
+	for _, b := range old {
+		if !b.used || b.id < lo {
+			continue
+		}
+		b.id += grow
+		if b.release != 0 {
+			b.release += vtime.Time(j * d.BarT)
+		}
+		s.x.barriers[b.id&barMask] = b
 	}
-	if grow > 0 {
-		var win [ffBarWindow]barrierState
-		copy(win[:w], s.x.barriers[nb-w:])
-		for id := nb - w; id < nb; id++ {
-			s.x.barriers[id] = barrierState{}
-		}
-		for k := int64(0); k < grow; k++ {
-			s.x.barriers = append(s.x.barriers, barrierState{})
-		}
-		for k := 0; k < w; k++ {
-			b := win[k]
-			if b.release != 0 {
-				b.release += vtime.Time(j * d.BarT)
-			}
-			s.x.barriers[len(s.x.barriers)-w+k] = b
-		}
-	} else {
-		for id := nb - w; id < nb; id++ {
-			if b := &s.x.barriers[id]; b.release != 0 {
-				b.release += vtime.Time(j * d.BarT)
-			}
-		}
-	}
+	s.x.barHi += grow
 }

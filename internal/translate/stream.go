@@ -3,6 +3,7 @@ package translate
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"extrap/internal/trace"
 	"extrap/internal/vtime"
@@ -34,7 +35,8 @@ type StreamOptions struct {
 // every cursor.
 //
 // A Stream and its cursors are single-consumer and not safe for
-// concurrent use — exactly like the underlying trace.Reader.
+// concurrent use — exactly like the underlying trace.Reader. Streams
+// come from a pool: Release hands one's buffers to the next NewStream.
 type Stream struct {
 	phases []string
 	src    trace.Reader
@@ -48,29 +50,66 @@ type Stream struct {
 	err        error
 }
 
+// streams recycles released streams: their per-thread queues, cursors
+// and translator tables.
+var streams = sync.Pool{New: func() any { return new(Stream) }}
+
 // NewStream starts a streaming translation of the trace described by hdr
-// whose merged events arrive from src.
+// whose merged events arrive from src. The stream reuses the buffers of
+// a released one when the pool has any.
 func NewStream(hdr trace.Header, src trace.Reader, opts StreamOptions) (*Stream, error) {
 	if hdr.NumThreads <= 0 {
 		return nil, fmt.Errorf("translate: NumThreads = %d, want > 0", hdr.NumThreads)
 	}
+	s := streams.Get().(*Stream)
+	s.reset(hdr, src, opts)
+	return s, nil
+}
+
+// reset reinitializes s for a new translation, keeping its buffers.
+func (s *Stream) reset(hdr trace.Header, src trace.Reader, opts StreamOptions) {
 	n := hdr.NumThreads
-	s := &Stream{
+	queues := s.queues
+	if cap(queues) < n {
+		// Every thread buffers at least a few events, so the queues'
+		// first buffers are carved from one slab instead of n
+		// allocations.
+		queues = make([]eventQueue, n)
+		slab := make([]trace.Event, n*queueSlab)
+		for i := range queues {
+			queues[i].buf = slab[i*queueSlab : (i+1)*queueSlab : (i+1)*queueSlab]
+		}
+	}
+	queues = queues[:n]
+	for i := range queues {
+		queues[i].head, queues[i].size = 0, 0
+	}
+	cursors := s.cursors
+	if cap(cursors) < n {
+		cursors = make([]threadCursor, n)
+	}
+	cursors = cursors[:n]
+	for i := range cursors {
+		cursors[i] = threadCursor{s: s, id: i}
+	}
+	x := s.x
+	x.reset(n, hdr.EventOverhead)
+	*s = Stream{
 		phases:     hdr.Phases,
 		src:        src,
-		x:          newTranslator(n, hdr.EventOverhead),
-		queues:     make([]eventQueue, n),
-		cursors:    make([]threadCursor, n),
+		x:          x,
+		queues:     queues,
+		cursors:    cursors,
 		maxPending: opts.MaxPending,
 	}
-	// Every thread buffers at least a few events, so the queues' first
-	// buffers are carved from one slab instead of n allocations.
-	slab := make([]trace.Event, n*queueSlab)
-	for i := range s.queues {
-		s.queues[i].buf = slab[i*queueSlab : (i+1)*queueSlab : (i+1)*queueSlab]
-		s.cursors[i] = threadCursor{s: s, id: i}
-	}
-	return s, nil
+}
+
+// Release returns the stream's buffers to the pool for a later
+// NewStream. Neither the stream nor any cursor it handed out may be used
+// afterwards; values already returned by them stay valid.
+func (s *Stream) Release() {
+	s.src, s.phases, s.err = nil, nil, nil
+	streams.Put(s)
 }
 
 // NumThreads returns n.
@@ -89,7 +128,7 @@ func (s *Stream) Thread(i int) trace.Reader {
 
 // Barriers reports the number of global barriers seen so far; it is the
 // program's total once the stream is drained.
-func (s *Stream) Barriers() int { return len(s.x.barriers) }
+func (s *Stream) Barriers() int { return int(s.x.barHi) }
 
 // SourceDuration reports the timestamp of the last source event pulled —
 // the 1-processor virtual execution time once the stream is drained.
@@ -169,35 +208,42 @@ func (s *Stream) pull() {
 	}
 }
 
-// queueSlab is each thread queue's initial capacity, in events.
+// queueSlab is each thread queue's initial capacity, in events; a power
+// of two, like every capacity the queue grows to.
 const queueSlab = 16
 
 // eventQueue is a growable ring-buffer FIFO of events. Capacity grows to
 // the high-water mark of one thread's buffered skew and is then reused,
-// so steady-state translation does not allocate per event.
+// so steady-state translation does not allocate per event. Capacities
+// are powers of two, so positions wrap by mask, and events hold no
+// pointers, so popped slots are left as they are.
 type eventQueue struct {
 	buf  []trace.Event
 	head int
 	size int
 }
 
+// at returns the k-th queued event, k < size.
+func (q *eventQueue) at(k int) *trace.Event {
+	return &q.buf[(q.head+k)&(len(q.buf)-1)]
+}
+
 func (q *eventQueue) push(e trace.Event) {
 	if q.size == len(q.buf) {
 		grown := make([]trace.Event, max(queueSlab, 2*len(q.buf)))
 		for i := 0; i < q.size; i++ {
-			grown[i] = q.buf[(q.head+i)%len(q.buf)]
+			grown[i] = *q.at(i)
 		}
 		q.buf = grown
 		q.head = 0
 	}
-	q.buf[(q.head+q.size)%len(q.buf)] = e
+	*q.at(q.size) = e
 	q.size++
 }
 
 func (q *eventQueue) pop() trace.Event {
 	e := q.buf[q.head]
-	q.buf[q.head] = trace.Event{}
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.size--
 	return e
 }

@@ -129,7 +129,7 @@ func Translate(tr *trace.Trace) (*ParallelTrace, error) {
 	if err := x.finish(); err != nil {
 		return nil, err
 	}
-	pt.Barriers = len(x.barriers)
+	pt.Barriers = int(x.barHi)
 	return pt, nil
 }
 
@@ -152,11 +152,16 @@ type translator struct {
 	n        int
 	overhead vtime.Time
 
-	lastTime      vtime.Time     // timestamp of the previous source event
-	threads       []threadState  // indexed by thread id
-	barriers      []barrierState // indexed by barrier id (ids are dense)
-	idx           int            // source events translated so far
-	maxTranslated vtime.Time     // latest translated timestamp produced
+	lastTime vtime.Time    // timestamp of the previous source event
+	threads  []threadState // indexed by thread id
+	// barriers holds the records of the ffBarWindow most recent barrier
+	// ids, slot id&barMask: a thread enters barrier b+1 only after all
+	// threads entered b, so only the last two ids are ever live. barHi is
+	// one past the highest id entered (the barrier count so far).
+	barriers      [ffBarWindow]barrierState
+	barHi         int64
+	idx           int        // source events translated so far
+	maxTranslated vtime.Time // latest translated timestamp produced
 }
 
 // threadState is one thread's validation state (mirroring
@@ -170,16 +175,24 @@ type threadState struct {
 }
 
 func newTranslator(n int, overhead vtime.Time) translator {
-	return translator{
-		n:        n,
-		overhead: overhead,
-		threads:  make([]threadState, n),
-		// Validation guarantees barrier ids are dense and increasing, so
-		// a flat slice indexed by id replaces a map: the per-event lookup
-		// is a bounds check and an add, not a hash probe.
-		barriers: make([]barrierState, 0, 64),
-	}
+	var x translator
+	x.reset(n, overhead)
+	return x
 }
+
+// reset reinitializes x for an n-thread trace, reusing its thread table.
+func (x *translator) reset(n int, overhead vtime.Time) {
+	threads := x.threads
+	if cap(threads) < n {
+		threads = make([]threadState, n)
+	}
+	threads = threads[:n]
+	clear(threads)
+	*x = translator{n: n, overhead: overhead, threads: threads}
+}
+
+// barMask maps a barrier id onto its ring slot.
+const barMask = ffBarWindow - 1
 
 // step validates e and rewrites e.Time to its translated timestamp.
 func (x *translator) step(e *trace.Event) error {
@@ -233,17 +246,25 @@ func (x *translator) step(e *trace.Event) error {
 	}
 	switch e.Kind {
 	case trace.KindBarrierEntry:
-		for int64(len(x.barriers)) <= e.Arg0 {
-			x.barriers = append(x.barriers, barrierState{})
+		// Validation made the id this thread's next barrier, so a new id
+		// is exactly barHi and arms the slot of the dead id barHi-4.
+		b := &x.barriers[e.Arg0&barMask]
+		if e.Arg0 >= x.barHi {
+			*b = barrierState{used: true, id: e.Arg0}
+			x.barHi = e.Arg0 + 1
+		} else if err := x.live(b, e.Arg0); err != nil {
+			return err
 		}
-		b := &x.barriers[e.Arg0]
 		b.entries++
 		if tNew > b.release {
 			b.release = tNew
 		}
 	case trace.KindBarrierExit:
 		// The exit's id passed validation, so its entry record exists.
-		b := x.barriers[e.Arg0]
+		b := &x.barriers[e.Arg0&barMask]
+		if err := x.live(b, e.Arg0); err != nil {
+			return err
+		}
 		if b.entries != x.n {
 			return fmt.Errorf(
 				"translate: event %d: exit of barrier %d before all %d threads entered (%d so far) — was the measurement preemptive?",
@@ -281,10 +302,23 @@ func (x *translator) finish() error {
 	return nil
 }
 
+// live checks that ring slot b still holds barrier id. Validation keeps
+// every access within the last two ids, so a recycled slot means a
+// broken invariant, reported rather than read.
+func (x *translator) live(b *barrierState, id int64) error {
+	if !b.used || b.id != id {
+		return fmt.Errorf("translate: event %d: barrier %d is not among the %d most recent (latest %d); its state was recycled",
+			x.idx, id, ffBarWindow, x.barHi-1)
+	}
+	return nil
+}
+
 // barrierState tracks one global barrier during translation: how many
 // threads have entered and the latest translated entry time (which
 // becomes the release time).
 type barrierState struct {
+	used    bool // the ring slot holds barrier id's state
+	id      int64
 	entries int
 	release vtime.Time
 }
