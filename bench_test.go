@@ -17,6 +17,7 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -667,7 +668,7 @@ func BenchmarkInMemoryPipelineMemory(b *testing.B) {
 // BenchmarkStoreRoundTrip times one durable-store artifact round trip:
 // Put an encoded mid-size Grid trace under a fresh key, then Get it
 // back. Covers the content-address hash, the payload checksum, the
-// atomic temp-file+rename write, and the full read-side verification.
+// segment append, and the full read-side verification.
 func BenchmarkStoreRoundTrip(b *testing.B) {
 	tr := measureGrid(b, 16)
 	var buf bytes.Buffer
@@ -691,6 +692,37 @@ func BenchmarkStoreRoundTrip(b *testing.B) {
 			b.Fatal("store round trip lost the artifact")
 		}
 	}
+}
+
+// BenchmarkStorePutParallel times puts into a fresh store from two
+// goroutines, each putting distinct 2.5 KB artifacts: the shape of two
+// cold requests persisting their traces at once. ns/op is wall time per
+// put with both goroutines running.
+func BenchmarkStorePutParallel(b *testing.B) {
+	st, err := store.Open(b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	const size = 2560
+	b.SetBytes(size)
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			payload := bytes.Repeat([]byte{byte(g)}, size)
+			for i := g; i < b.N; i += 2 {
+				copy(payload, strconv.Itoa(i))
+				if err := st.Put("bench/store-put|"+strconv.Itoa(i), payload); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // BenchmarkTraceCodec times the binary codec round trip.

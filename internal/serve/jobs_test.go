@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -380,8 +381,14 @@ func TestVarsStoreJobsCounters(t *testing.T) {
 	if st == nil || jb == nil {
 		t.Fatalf("missing store/jobs submaps:\n%s", varsBody)
 	}
-	if st["puts"] < 1 || st["objects"] < 1 || st["bytes"] < 1 {
-		t.Errorf("store counters %+v, want puts/objects/bytes ≥ 1", st)
+	if st["puts"] < 1 || st["objects"] < 1 || st["bytes"] < 1 || st["segments"] < 1 {
+		t.Errorf("store counters %+v, want puts/objects/bytes/segments ≥ 1", st)
+	}
+	if _, ok := st["dead_bytes"]; !ok {
+		t.Errorf("store counters %+v lack dead_bytes", st)
+	}
+	if _, ok := st["compacted_bytes"]; !ok {
+		t.Errorf("store counters %+v lack compacted_bytes", st)
 	}
 	if jb["done"] != 1 || jb["submitted"] != 1 {
 		t.Errorf("jobs counters %+v, want done=1 submitted=1", jb)
@@ -410,23 +417,29 @@ func TestCorruptArtifactRecomputedThroughServer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Flip one byte deep inside every artifact payload.
-	arts, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*.art"))
+	// Flip the last payload byte of every record in every segment. A
+	// record is a 77-byte XART1 header, whose bytes 37..45 hold the
+	// little-endian payload length, then the payload.
+	segs, err := filepath.Glob(filepath.Join(dir, "segments", "*.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(arts) == 0 {
-		t.Fatal("no artifacts persisted by first sweep")
-	}
-	for _, p := range arts {
+	records := 0
+	for _, p := range segs {
 		raw, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw[len(raw)-1] ^= 0xFF
+		for off := 0; off+77 <= len(raw); records++ {
+			off += 77 + int(binary.LittleEndian.Uint64(raw[off+37:]))
+			raw[off-1] ^= 0xFF
+		}
 		if err := os.WriteFile(p, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if records == 0 {
+		t.Fatal("no artifacts persisted by first sweep")
 	}
 
 	_, ts2 := newTestServer(t, Config{StoreDir: dir})

@@ -139,6 +139,9 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 		setInt(sv, "put_errors", st.PutErrors)
 		setInt(sv, "objects", st.Objects)
 		setInt(sv, "bytes", st.Bytes)
+		setInt(sv, "segments", st.Segments)
+		setInt(sv, "dead_bytes", st.DeadBytes)
+		setInt(sv, "compacted_bytes", st.CompactedBytes)
 		root.Set("store", sv)
 	}
 	if s.coord != nil {

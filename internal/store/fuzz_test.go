@@ -3,6 +3,9 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -75,4 +78,91 @@ func canonicalBytes(idx map[[32]byte]indexMeta) []byte {
 		}
 	}
 	return encodeIndex(objs)
+}
+
+// FuzzSegmentScan feeds arbitrary bytes to Open as a segment. The header
+// walk must never panic, never allocate past the segment's size however
+// large a length a header declares, and accept only whole records laid
+// end to end. Every record it accepts must then be either served
+// byte-exact or, failing verification, quarantined with its bytes; the
+// rest of the segment is cut into quarantine.
+func FuzzSegmentScan(f *testing.F) {
+	valid := appendRecord(nil, KeyHash("a"), []byte("alpha"))
+	valid = appendRecord(valid, KeyHash("b"), bytes.Repeat([]byte("beta"), 40))
+	f.Add(valid)
+	f.Add([]byte{})
+	f.Add(valid[:len(valid)-5])
+	f.Add(append(append([]byte{}, valid...), "junk"...))
+	f.Add(appendRecord(append([]byte{}, valid...), KeyHash("a"), []byte("superseding alpha")))
+	corrupt := append([]byte{}, valid...)
+	corrupt[len(corrupt)-1] ^= 0xFF
+	f.Add(corrupt)
+	huge := appendRecord(nil, KeyHash("huge"), nil)
+	binary.LittleEndian.PutUint64(huge[37:], 1<<40)
+	f.Add(huge)
+	badMagic := append([]byte{}, valid...)
+	badMagic[artifactHeaderSize+5] = 'Z'
+	f.Add(badMagic)
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		size := int64(len(raw))
+		// The least of three runs, so that allocations of other
+		// goroutines in the test binary do not count.
+		least := ^uint64(0)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := scanRecords(bytes.NewReader(raw), size, func([32]byte, int64, int64) {}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least > uint64(size)+1024 {
+			t.Fatalf("scanning %d bytes allocated %d", size, least)
+		}
+
+		type record struct{ off, n int64 }
+		latest := map[[32]byte]record{}
+		next := int64(0)
+		end, err := scanRecords(bytes.NewReader(raw), size, func(h [32]byte, off, n int64) {
+			if off != next || n < artifactHeaderSize || off+n > size {
+				t.Fatalf("record [%d,+%d) does not follow %d inside %d bytes", off, n, next, size)
+			}
+			next = off + n
+			latest[h] = record{off, n}
+		})
+		if err != nil || end != next {
+			t.Fatalf("scan ended at %d after records ending at %d (err %v)", end, next, err)
+		}
+
+		dir := t.TempDir()
+		segDir := filepath.Join(dir, segmentsDirName)
+		if err := os.MkdirAll(segDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(segDir, "0000000001.seg"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for h, r := range latest {
+			rec := raw[r.off : r.off+r.n]
+			if got, ok := s.GetByHash(h); ok {
+				if !bytes.Equal(got, rec[artifactHeaderSize:]) {
+					t.Fatalf("served %x differs from its record", h[:4])
+				}
+				continue
+			}
+			if q, err := os.ReadFile(s.quarantinePath(h)); err != nil || !bytes.Equal(q, rec) {
+				t.Fatalf("record %x neither served nor quarantined (err %v)", h[:4], err)
+			}
+		}
+		if info, err := os.Stat(filepath.Join(segDir, "0000000001.seg")); err != nil || info.Size() != end {
+			t.Fatalf("segment not cut to %d: %v", end, err)
+		}
+	})
 }

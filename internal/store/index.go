@@ -7,8 +7,8 @@ package store
 //	entries count × (hash [32]byte, size uint64, seq uint64)
 //
 // The index exists only so LRU eviction order survives a restart; the
-// object-directory scan on Open decides which artifacts actually exist
-// and how big they are. The decoder therefore treats the file as
+// segment scan on Open decides which artifacts actually exist and how
+// big they are. The decoder therefore treats the file as
 // untrusted input — the same discipline as the trace codec: nothing is
 // allocated from the header-declared count beyond a fixed cap, entries
 // are read incrementally, and any structural violation (bad magic,
@@ -43,8 +43,8 @@ const (
 )
 
 // indexMeta is what the index contributes per artifact: its recency
-// stamp. Size is carried for forward compatibility but the scan's stat
-// wins.
+// stamp. Size is carried for forward compatibility, but the record size
+// the segment scan reads wins.
 type indexMeta struct {
 	size int64
 	seq  uint64
@@ -104,8 +104,8 @@ func encodeIndex(objs []object) []byte {
 	return buf
 }
 
-// writeIndex persists the index atomically (temp file + rename), the
-// same crash discipline as artifacts.
+// writeIndex persists the index atomically (temp file + rename), so a
+// crash mid-flush leaves the previous index in place.
 func writeIndex(path string, objs []object) error {
 	if len(objs) > maxIndexEntries {
 		// Persist the most recent cap's worth; the rest re-enter as

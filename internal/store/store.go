@@ -1,6 +1,6 @@
 // Package store implements a content-addressed, checksummed, on-disk
 // artifact store for the expensive products of the extrapolation
-// pipeline: encoded XTRP1 measurement traces and serialized prediction
+// pipeline: encoded measurement traces and serialized prediction
 // results. It is the durable tier behind core.TraceCache — memory in
 // front, disk behind, one measurement pipeline — so a restarted server
 // (or a repeated CLI run pointed at the same directory) replays work it
@@ -33,35 +33,51 @@
 //
 // # On-disk layout
 //
-//	<dir>/objects/<hh>/<hash>.art   one artifact (hh = first hex byte)
-//	<dir>/quarantine/<hash>.art     artifacts that failed verification
+//	<dir>/segments/<n>.seg          append-only XART1 records, n in creation order
+//	<dir>/quarantine/<hash>.art     records that failed verification
+//	<dir>/quarantine/<n>-<off>.tail bytes cut from a segment's torn tail
 //	<dir>/index                     advisory recency index (see index.go)
 //
-// Each .art file carries a header binding it to its key and payload:
-// magic "XART1", the 32-byte key hash, the payload length, and the
-// payload's own SHA-256. Get re-verifies all of it on every read; any
-// mismatch (truncation, flipped byte, wrong key) moves the file to
-// quarantine/ and reports a miss, so a corrupt artifact is recomputed
-// and never served. Writes go to a temp file in the same directory and
-// are renamed into place, so a crash can leave stray temp files but
-// never a half-written artifact under a final name.
+// Each record binds itself to its key and payload: magic "XART1", the
+// 32-byte key hash, the payload length, the payload's own SHA-256, then
+// the payload. A Put builds the record and appends it to the active
+// segment with a single write; the active segment rolls over to a new
+// file once it reaches segmentBytes. Appends assume a single writer, so
+// a directory belongs to one open Store at a time. A Get reads the
+// record back with one ReadAt and re-verifies all of it; any mismatch
+// (truncation, flipped byte, wrong key) drops the artifact, copies the
+// bytes read to quarantine/ and reports a miss, so a corrupt artifact
+// is recomputed and never served.
 //
-// The index is advisory: it persists LRU recency and sizes so eviction
-// order survives restarts, but the directory scan on Open is the source
-// of truth for which artifacts exist. A missing or corrupt index is
+// Open walks every segment's record headers in order; payloads are
+// verified on read, not at Open. A record that is short or structurally
+// invalid ends its segment, as the torn tail of a write cut by a crash
+// would: the segment is truncated there and the cut bytes move to
+// quarantine/, so every segment stays a sequence of whole records. A
+// later record of a hash supersedes an earlier one. A store directory
+// written in the older one-file-per-artifact layout (objects/<hh>/
+// <hash>.art) is imported once: each file is verified, appended and
+// removed, and a corrupt one moves to quarantine/.
+//
+// Eviction is LRU per record and only forgets the record; the bytes
+// stay in their segment as dead space. The background goroutine deletes
+// a sealed segment once no resident artifact lives in it, and compacts
+// one that is less than half live by re-appending its live records,
+// verified, to the active segment — except, under a byte budget, the
+// segment holding the least recently used artifact, which eviction is
+// already draining.
+//
+// The index is advisory: it persists LRU recency so eviction order
+// survives restarts, but the segment scan on Open is the source of
+// truth for which artifacts exist. A missing or corrupt index is
 // rebuilt, never trusted.
 package store
 
 import (
-	"bytes"
 	"container/list"
 	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -72,61 +88,74 @@ import (
 	"extrap/internal/trace"
 )
 
-var artifactMagic = [5]byte{'X', 'A', 'R', 'T', '1'}
-
 const (
-	// artifactHeaderSize is the fixed prefix of every .art file:
-	// magic[5] + keyhash[32] + paylen uint64 + paysum[32].
-	artifactHeaderSize = 5 + 32 + 8 + 32
-
-	// maxArtifactBytes caps how large an artifact file the store will
-	// read back. Files are written by this process, but the directory
-	// is still treated as semi-trusted input after a restart: a file
-	// grown by corruption or tampering is quarantined, not slurped.
-	maxArtifactBytes = 1 << 32
-
 	// flushInterval is how often the background goroutine persists a
 	// dirty index. Close always flushes, so the interval only bounds
 	// how much recency information a crash can lose — and the index is
 	// advisory anyway.
 	flushInterval = 2 * time.Second
+
+	// segmentBytes is the size at which the active segment is sealed
+	// and a new one started. Large enough that creating a file is rare
+	// next to appending to one; small enough that compaction rewrites
+	// little at a time.
+	segmentBytes = 8 << 20
+
+	// maxPooledRecord bounds the record buffers Put keeps for reuse; a
+	// larger one is left to the collector rather than kept alive.
+	maxPooledRecord = 1 << 20
 )
 
 // object is one resident artifact's bookkeeping: its content address,
-// its on-disk size, and its recency stamp (persisted in the index so
-// eviction order survives restarts).
+// its record's size and location, and its recency stamp (persisted in
+// the index so eviction order survives restarts).
 type object struct {
 	hash [32]byte
 	size int64
 	seq  uint64
+	seg  *segment
+	off  int64
 }
 
 // Stats is a point-in-time snapshot of store traffic and occupancy.
 type Stats struct {
-	Hits        int64 // Get served a verified artifact
-	Misses      int64 // Get found nothing (or nothing servable)
-	Evictions   int64 // artifacts removed by the byte-budget LRU
-	Corruptions int64 // artifacts that failed verification and were quarantined
-	Puts        int64 // artifacts written
-	PutErrors   int64 // writes that failed (durability lost, correctness kept)
-	Objects     int64 // artifacts currently resident
-	Bytes       int64 // total on-disk bytes of resident artifacts
+	Hits           int64 // Get served a verified artifact
+	Misses         int64 // Get found nothing (or nothing servable)
+	Evictions      int64 // artifacts removed by the byte-budget LRU
+	Corruptions    int64 // artifacts that failed verification and were quarantined
+	Puts           int64 // artifacts written
+	PutErrors      int64 // writes that failed (durability lost, correctness kept)
+	Objects        int64 // artifacts currently resident
+	Bytes          int64 // total record bytes of resident artifacts
+	Segments       int64 // segment files on disk
+	DeadBytes      int64 // segment bytes no resident artifact holds
+	CompactedBytes int64 // record bytes rewritten by compaction
 }
 
 // Store is a content-addressed artifact store with an LRU byte budget.
 // It is safe for concurrent use and implements core.TraceBackend, so it
 // plugs directly behind a TraceCache via SetBackend.
 type Store struct {
-	dir      string
-	maxBytes int64 // 0 = unlimited
+	dir       string
+	maxBytes  int64 // 0 = unlimited
+	rollBytes int64 // active segment size that starts a new one
 
-	mu      sync.Mutex
-	objects map[[32]byte]*list.Element
-	order   *list.List // front = most recently used; values are *object
-	bytes   int64
-	seq     uint64
-	dirty   bool
-	closed  bool
+	// wmu serializes appends. Fields marked "wmu+mu" are written only
+	// holding both locks and may be read holding either. Lock order:
+	// wmu before mu.
+	wmu sync.Mutex
+
+	mu       sync.Mutex
+	objects  map[[32]byte]*list.Element
+	order    *list.List // front = most recently used; values are *object
+	bytes    int64      // record bytes of resident artifacts
+	segs     []*segment // every segment on disk, in creation order
+	segBytes int64      // record bytes of every segment
+	active   *segment   // wmu+mu; nil until the first append
+	nextSeg  uint64     // wmu+mu; id of the next segment to create
+	seq      uint64
+	dirty    bool
+	closed   bool // wmu+mu
 
 	evictCh chan struct{}
 	done    chan struct{}
@@ -138,131 +167,70 @@ type Store struct {
 	corruptions atomic.Int64
 	puts        atomic.Int64
 	putErrors   atomic.Int64
+	compacted   atomic.Int64
 }
 
 // Open opens (creating if needed) the artifact store rooted at dir,
 // keeping at most maxBytes of artifacts on disk (0 = unlimited). It
-// loads the advisory index, scans the object directory to reconcile it
-// with reality, and starts the background eviction/flush goroutine.
-// Call Close to stop the goroutine and persist the index.
+// scans the segments, imports a legacy object directory, applies the
+// advisory index's recency, and starts the background eviction,
+// compaction and flush goroutine. Call Close to stop the goroutine and
+// persist the index.
 func Open(dir string, maxBytes int64) (*Store, error) {
-	for _, sub := range []string{objectsDirName, quarantineDirName} {
+	return open(dir, maxBytes, segmentBytes)
+}
+
+// open is Open with the rollover size as a parameter, so tests can
+// exercise rollover and compaction on small stores.
+func open(dir string, maxBytes, rollBytes int64) (*Store, error) {
+	for _, sub := range []string{segmentsDirName, quarantineDirName} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("store: create %s: %w", sub, err)
 		}
 	}
 	s := &Store{
-		dir:      dir,
-		maxBytes: maxBytes,
-		objects:  make(map[[32]byte]*list.Element),
-		order:    list.New(),
-		evictCh:  make(chan struct{}, 1),
-		done:     make(chan struct{}),
+		dir:       dir,
+		maxBytes:  maxBytes,
+		rollBytes: rollBytes,
+		objects:   make(map[[32]byte]*list.Element),
+		order:     list.New(),
+		nextSeg:   1,
+		evictCh:   make(chan struct{}, 1),
+		done:      make(chan struct{}),
 	}
 	if err := s.warmStart(); err != nil {
+		for _, seg := range s.segs {
+			seg.f.Close()
+		}
 		return nil, err
 	}
 	s.wg.Add(1)
 	go s.loop()
-	// A budget smaller than what survived the restart trims eagerly.
+	// A budget smaller than what survived the restart trims eagerly, and
+	// segments left sparse by superseded records get reclaimed.
 	s.signalEvict()
 	return s, nil
 }
 
 const (
-	objectsDirName    = "objects"
+	segmentsDirName   = "segments"
+	legacyDirName     = "objects"
 	quarantineDirName = "quarantine"
 	indexFileName     = "index"
 )
 
-// warmStart rebuilds the resident set: the directory scan decides WHICH
-// artifacts exist and how big they are; the advisory index only
-// contributes recency stamps for hashes it knows. Unknown artifacts
-// (index lost or stale) enter as least recently used.
-func (s *Store) warmStart() error {
-	// Reclaim index temp files left by a crash mid-flush.
-	if strays, err := filepath.Glob(filepath.Join(s.dir, "index-*.tmp")); err == nil {
-		for _, p := range strays {
-			os.Remove(p)
-		}
-	}
-	recency := map[[32]byte]uint64{}
-	if raw, err := os.ReadFile(filepath.Join(s.dir, indexFileName)); err == nil {
-		if idx, derr := decodeIndex(raw); derr == nil {
-			for h, meta := range idx {
-				recency[h] = meta.seq
-			}
-		}
-		// A corrupt index is rebuilt from the scan — by design, not an
-		// error: the index is a hint, the directory is the truth.
-	}
+var errClosed = errors.New("store: closed")
 
-	type scanned struct {
-		obj  object
-		path string
-	}
-	var found []scanned
-	root := filepath.Join(s.dir, objectsDirName)
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		name := d.Name()
-		if filepath.Ext(name) != ".art" {
-			// Stray temp file from a crashed write; reclaim it.
-			os.Remove(path)
-			return nil
-		}
-		var h [32]byte
-		raw, derr := hex.DecodeString(name[:len(name)-len(".art")])
-		if derr != nil || len(raw) != 32 {
-			os.Remove(path)
-			return nil
-		}
-		copy(h[:], raw)
-		info, ierr := d.Info()
-		if ierr != nil {
-			return nil
-		}
-		found = append(found, scanned{object{hash: h, size: info.Size(), seq: recency[h]}, path})
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("store: scan objects: %w", err)
-	}
-
-	// Insert oldest-first so the recency list ends up back-to-front.
-	for i := 1; i < len(found); i++ {
-		for j := i; j > 0 && found[j].obj.seq < found[j-1].obj.seq; j-- {
-			found[j], found[j-1] = found[j-1], found[j]
-		}
-	}
-	for _, f := range found {
-		o := f.obj
-		s.objects[o.hash] = s.order.PushFront(&object{hash: o.hash, size: o.size, seq: o.seq})
-		s.bytes += o.size
-		if o.seq > s.seq {
-			s.seq = o.seq
-		}
-	}
-	return nil
-}
+// recordBufs recycles the buffers Put builds records in: a record is
+// written and then forgotten, so its buffer can carry the next one.
+var recordBufs sync.Pool // of *[]byte
 
 // KeyHash returns the store's content address for a canonical key
 // string: its SHA-256.
 func KeyHash(key string) [32]byte { return sha256.Sum256([]byte(key)) }
 
-func (s *Store) objectPath(h [32]byte) string {
-	name := hex.EncodeToString(h[:])
-	return filepath.Join(s.dir, objectsDirName, name[:2], name+".art")
-}
-
-func (s *Store) quarantinePath(h [32]byte) string {
-	return filepath.Join(s.dir, quarantineDirName, hex.EncodeToString(h[:])+".art")
-}
-
 // Get returns the verified payload stored under key, or (nil, false).
-// Corruption of any kind — truncation, checksum mismatch, a file bound
+// Corruption of any kind — truncation, checksum mismatch, a record bound
 // to a different key — quarantines the artifact and reports a miss, so
 // callers recompute instead of consuming bad bytes.
 func (s *Store) Get(key string) ([]byte, bool) {
@@ -276,8 +244,10 @@ func (s *Store) Get(key string) ([]byte, bool) {
 func (s *Store) GetByHash(h [32]byte) ([]byte, bool) {
 	s.mu.Lock()
 	el, ok := s.objects[h]
+	var o object
 	if ok {
 		s.touchLocked(el)
+		o = *el.Value.(*object)
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -285,61 +255,71 @@ func (s *Store) GetByHash(h [32]byte) ([]byte, bool) {
 		return nil, false
 	}
 
-	payload, err := readArtifact(s.objectPath(h), h)
-	if err != nil {
-		s.drop(h)
-		if errors.Is(err, fs.ErrNotExist) {
-			// Lost a race with eviction (or the file vanished); nothing
-			// to quarantine.
-			s.misses.Add(1)
-			return nil, false
-		}
-		s.corruptions.Add(1)
+	rec := make([]byte, o.size)
+	n, err := o.seg.f.ReadAt(rec, o.off)
+	if errors.Is(err, os.ErrClosed) {
+		// Lost a race with compaction, which closes a segment once its
+		// records have moved (or with Close): nothing to quarantine.
 		s.misses.Add(1)
-		os.Rename(s.objectPath(h), s.quarantinePath(h))
+		return nil, false
+	}
+	payload, err := verifyRecord(rec[:n], h)
+	if err != nil {
+		s.quarantine(h, o.seg, o.off, rec[:n])
+		s.misses.Add(1)
 		return nil, false
 	}
 	s.hits.Add(1)
 	return payload, true
 }
 
-// Put stores payload under key, atomically (temp file + rename). A key
-// already resident is a no-op: artifacts are deterministic functions of
-// their key, so the resident bytes are already correct. Put failures
-// lose durability, never correctness — the error is returned for
-// logging and counted in Stats, and the caller's in-memory result is
-// unaffected.
+// Put stores payload under key with one append to the active segment.
+// A key already resident is a no-op: artifacts are deterministic
+// functions of their key, so the resident bytes are already correct.
+// Put failures lose durability, never correctness — the error is
+// returned for logging and counted in Stats, and the caller's in-memory
+// result is unaffected.
 func (s *Store) Put(key string, payload []byte) error {
 	h := KeyHash(key)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return errors.New("store: closed")
+		return errClosed
 	}
 	if el, ok := s.objects[h]; ok {
 		s.touchLocked(el)
-		s.dirty = true
 		s.mu.Unlock()
 		return nil
 	}
 	s.mu.Unlock()
 
-	size, err := writeArtifact(s.objectPath(h), h, payload)
+	if int64(len(payload)) > maxArtifactBytes-artifactHeaderSize {
+		s.putErrors.Add(1)
+		return fmt.Errorf("store: put: %d-byte payload exceeds the artifact cap", len(payload))
+	}
+	bp, _ := recordBufs.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	rec := appendRecord((*bp)[:0], h, payload)
+	defer func() {
+		if cap(rec) <= maxPooledRecord {
+			*bp = rec
+			recordBufs.Put(bp)
+		}
+	}()
+	over := false
+	err := s.writeRecord(rec, func(seg *segment, off int64) {
+		if _, ok := s.objects[h]; ok {
+			return // a concurrent Put of the same key won; this copy is dead
+		}
+		s.insertLocked(&object{hash: h, size: int64(len(rec)), seg: seg, off: off})
+		over = s.maxBytes > 0 && s.bytes > s.maxBytes
+	})
 	if err != nil {
 		s.putErrors.Add(1)
 		return fmt.Errorf("store: put: %w", err)
 	}
-
-	s.mu.Lock()
-	if _, ok := s.objects[h]; !ok {
-		s.seq++
-		s.objects[h] = s.order.PushFront(&object{hash: h, size: size, seq: s.seq})
-		s.bytes += size
-		s.dirty = true
-	}
-	over := s.maxBytes > 0 && s.bytes > s.maxBytes
-	s.mu.Unlock()
-
 	s.puts.Add(1)
 	if over {
 		s.signalEvict()
@@ -362,7 +342,7 @@ func (s *Store) PutTrace(key core.CacheKey, format trace.Format, enc []byte) {
 }
 
 // Size reports the encoded payload size of a resident artifact (its
-// on-disk size minus the fixed artifact header), or false if no such
+// record size minus the fixed record header), or false if no such
 // artifact is resident. It reads only the in-memory index — no disk I/O
 // and no recency update — so serving layers can report per-artifact
 // storage costs cheaply.
@@ -374,11 +354,18 @@ func (s *Store) Size(key string) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	sz := el.Value.(*object).size - artifactHeaderSize
-	if sz < 0 {
-		sz = 0
-	}
-	return sz, true
+	return el.Value.(*object).size - artifactHeaderSize, true
+}
+
+// insertLocked makes o resident as the most recently used artifact; the
+// caller holds s.mu and has checked that o.hash is not resident.
+func (s *Store) insertLocked(o *object) {
+	s.seq++
+	o.seq = s.seq
+	s.objects[o.hash] = s.order.PushFront(o)
+	s.bytes += o.size
+	o.seg.live += o.size
+	s.dirty = true
 }
 
 // touchLocked refreshes an object's recency; the caller holds s.mu.
@@ -389,16 +376,37 @@ func (s *Store) touchLocked(el *list.Element) {
 	s.dirty = true
 }
 
-// drop removes an object from the resident set (not the disk).
-func (s *Store) drop(h [32]byte) {
+// removeLocked forgets a resident object; its record becomes dead
+// bytes in its segment. The caller holds s.mu.
+func (s *Store) removeLocked(el *list.Element) {
+	o := el.Value.(*object)
+	s.bytes -= o.size
+	o.seg.live -= o.size
+	s.order.Remove(el)
+	delete(s.objects, o.hash)
+	s.dirty = true
+}
+
+// quarantine handles a record that failed verification: if h still
+// lives at (seg, off) it is dropped, counted as a corruption, and the
+// bytes read are kept in quarantine/ for postmortems. A stale location
+// (a concurrent reader got there first, or a re-put replaced it) is
+// left alone.
+func (s *Store) quarantine(h [32]byte, seg *segment, off int64, rec []byte) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.objects[h]; ok {
-		s.bytes -= el.Value.(*object).size
-		s.order.Remove(el)
-		delete(s.objects, h)
-		s.dirty = true
+	el, ok := s.objects[h]
+	ok = ok && el.Value.(*object).seg == seg && el.Value.(*object).off == off
+	if ok {
+		s.removeLocked(el)
 	}
+	s.mu.Unlock()
+	if !ok {
+		return
+	}
+	s.corruptions.Add(1)
+	// Losing the postmortem copy costs diagnostics, not correctness.
+	_ = os.WriteFile(s.quarantinePath(h), rec, 0o644)
+	s.signalEvict()
 }
 
 func (s *Store) signalEvict() {
@@ -408,8 +416,8 @@ func (s *Store) signalEvict() {
 	}
 }
 
-// loop is the background goroutine: it trims past-budget artifacts and
-// periodically persists a dirty index.
+// loop is the background goroutine: it trims past-budget artifacts,
+// reclaims sparse segments, and periodically persists a dirty index.
 func (s *Store) loop() {
 	defer s.wg.Done()
 	t := time.NewTicker(flushInterval)
@@ -420,31 +428,21 @@ func (s *Store) loop() {
 			return
 		case <-s.evictCh:
 			s.evictToBudget()
+			s.reclaim()
 		case <-t.C:
 			s.flushIfDirty()
 		}
 	}
 }
 
-// evictToBudget removes least-recently-used artifacts until the byte
-// budget is met. File removal happens outside the lock; a concurrent
-// Get that already looked the object up simply misses on read.
+// evictToBudget forgets least-recently-used artifacts until the byte
+// budget is met. Their records stay on disk until reclaim deletes or
+// compacts the segment holding them.
 func (s *Store) evictToBudget() {
-	for {
-		s.mu.Lock()
-		if s.maxBytes <= 0 || s.bytes <= s.maxBytes || s.order.Len() == 0 {
-			s.mu.Unlock()
-			return
-		}
-		el := s.order.Back()
-		o := el.Value.(*object)
-		s.bytes -= o.size
-		s.order.Remove(el)
-		delete(s.objects, o.hash)
-		s.dirty = true
-		s.mu.Unlock()
-
-		os.Remove(s.objectPath(o.hash))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.maxBytes > 0 && s.bytes > s.maxBytes && s.order.Len() > 0 {
+		s.removeLocked(s.order.Back())
 		s.evictions.Add(1)
 	}
 }
@@ -483,114 +481,56 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	objects := int64(s.order.Len())
 	resident := s.bytes
+	segs := int64(len(s.segs))
+	dead := s.segBytes - s.bytes
 	s.mu.Unlock()
 	return Stats{
-		Hits:        s.hits.Load(),
-		Misses:      s.misses.Load(),
-		Evictions:   s.evictions.Load(),
-		Corruptions: s.corruptions.Load(),
-		Puts:        s.puts.Load(),
-		PutErrors:   s.putErrors.Load(),
-		Objects:     objects,
-		Bytes:       resident,
+		Hits:           s.hits.Load(),
+		Misses:         s.misses.Load(),
+		Evictions:      s.evictions.Load(),
+		Corruptions:    s.corruptions.Load(),
+		Puts:           s.puts.Load(),
+		PutErrors:      s.putErrors.Load(),
+		Objects:        objects,
+		Bytes:          resident,
+		Segments:       segs,
+		DeadBytes:      dead,
+		CompactedBytes: s.compacted.Load(),
 	}
 }
 
-// Close stops the background goroutine and persists the index. The
-// store must not be used after Close.
+// Close stops the background goroutine, persists the index and closes
+// the segment files. The store must not be used after Close.
 func (s *Store) Close() error {
+	s.wmu.Lock()
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
+	already := s.closed
 	s.closed = true
 	s.mu.Unlock()
+	s.wmu.Unlock()
+	if already {
+		return nil
+	}
 	close(s.done)
 	s.wg.Wait()
 	s.evictToBudget()
 	s.mu.Lock()
 	idx := s.snapshotIndexLocked()
 	s.dirty = false
+	segs := s.segs
 	s.mu.Unlock()
-	if err := writeIndex(filepath.Join(s.dir, indexFileName), idx); err != nil {
+	err := writeIndex(filepath.Join(s.dir, indexFileName), idx)
+	for _, seg := range segs {
+		// Segments are only appended with WriteAt, which reports every
+		// failure; closing a file adds no error worth surfacing.
+		seg.f.Close()
+	}
+	if err != nil {
 		return fmt.Errorf("store: close: %w", err)
 	}
 	return nil
 }
 
-// readArtifact reads and fully verifies one artifact file: magic, key
-// binding, declared length, and payload checksum.
-func readArtifact(path string, want [32]byte) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if info.Size() < artifactHeaderSize || info.Size() > maxArtifactBytes {
-		return nil, fmt.Errorf("store: artifact size %d out of range", info.Size())
-	}
-	var hdr [artifactHeaderSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return nil, fmt.Errorf("store: artifact header: %w", err)
-	}
-	if !bytes.Equal(hdr[:5], artifactMagic[:]) {
-		return nil, errors.New("store: bad artifact magic")
-	}
-	if !bytes.Equal(hdr[5:37], want[:]) {
-		return nil, errors.New("store: artifact bound to a different key")
-	}
-	plen := binary.LittleEndian.Uint64(hdr[37:45])
-	if int64(plen) != info.Size()-artifactHeaderSize {
-		return nil, fmt.Errorf("store: declared payload %d bytes, file holds %d",
-			plen, info.Size()-artifactHeaderSize)
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(f, payload); err != nil {
-		return nil, fmt.Errorf("store: artifact payload: %w", err)
-	}
-	sum := sha256.Sum256(payload)
-	if !bytes.Equal(hdr[45:77], sum[:]) {
-		return nil, errors.New("store: payload checksum mismatch")
-	}
-	return payload, nil
-}
-
-// writeArtifact writes an artifact atomically: a temp file in the final
-// directory, then a rename. Returns the file size for accounting.
-func writeArtifact(path string, h [32]byte, payload []byte) (int64, error) {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, err
-	}
-	f, err := os.CreateTemp(dir, "put-*.tmp")
-	if err != nil {
-		return 0, err
-	}
-	tmp := f.Name()
-	var hdr [artifactHeaderSize]byte
-	copy(hdr[:5], artifactMagic[:])
-	copy(hdr[5:37], h[:])
-	binary.LittleEndian.PutUint64(hdr[37:45], uint64(len(payload)))
-	sum := sha256.Sum256(payload)
-	copy(hdr[45:77], sum[:])
-	_, err = f.Write(hdr[:])
-	if err == nil {
-		_, err = f.Write(payload)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	return int64(artifactHeaderSize + len(payload)), nil
+func (s *Store) quarantinePath(h [32]byte) string {
+	return filepath.Join(s.dir, quarantineDirName, fmt.Sprintf("%x.art", h))
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -55,48 +56,71 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCorruptionQuarantinedNeverServed: every corruption mode — flipped
-// payload byte, truncation, wrong key binding, bad magic — must yield a
-// miss, move the artifact to quarantine, and let a re-put recompute it.
+// recordAt returns the segment path, offset and length of key's
+// resident record.
+func recordAt(t *testing.T, s *Store, key string) (string, int64, int64) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.objects[KeyHash(key)]
+	if !ok {
+		t.Fatalf("%q not resident", key)
+	}
+	o := el.Value.(*object)
+	return s.segmentPath(o.seg.id), o.off, o.size
+}
+
+// TestCorruptionQuarantinedNeverServed: every corruption mode of a record
+// inside a segment — flipped payload byte, flipped checksum byte, wrong
+// key binding, bad magic, truncation, a grown declared length — must
+// yield a miss, count a corruption, keep the bytes read in quarantine,
+// leave the neighbouring record servable, and let a re-put recompute it.
 func TestCorruptionQuarantinedNeverServed(t *testing.T) {
-	corruptions := map[string]func(raw []byte) []byte{
-		"flipped payload byte": func(raw []byte) []byte {
-			raw[artifactHeaderSize+3] ^= 0x01
-			return raw
+	corruptions := map[string]func(seg []byte, off, n int64) []byte{
+		"flipped payload byte": func(seg []byte, off, n int64) []byte {
+			seg[off+artifactHeaderSize+3] ^= 0x01
+			return seg
 		},
-		"flipped checksum byte": func(raw []byte) []byte {
-			raw[45] ^= 0x80
-			return raw
+		"flipped checksum byte": func(seg []byte, off, n int64) []byte {
+			seg[off+45] ^= 0x80
+			return seg
 		},
-		"wrong key binding": func(raw []byte) []byte {
-			raw[5] ^= 0xFF
-			return raw
+		"wrong key binding": func(seg []byte, off, n int64) []byte {
+			seg[off+5] ^= 0xFF
+			return seg
 		},
-		"bad magic": func(raw []byte) []byte {
-			raw[0] = 'Z'
-			return raw
+		"bad magic": func(seg []byte, off, n int64) []byte {
+			seg[off] = 'Z'
+			return seg
 		},
-		"truncated": func(raw []byte) []byte {
-			return raw[:len(raw)-7]
+		"truncated": func(seg []byte, off, n int64) []byte {
+			return seg[:off+n-7]
 		},
-		"grown": func(raw []byte) []byte {
-			return append(raw, 0xEE)
+		"grown": func(seg []byte, off, n int64) []byte {
+			plen := binary.LittleEndian.Uint64(seg[off+37:])
+			binary.LittleEndian.PutUint64(seg[off+37:], plen+1)
+			return seg
 		},
 	}
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {
-			s, dir := openTemp(t, 0)
+			s, _ := openTemp(t, 0)
+			neighbour, nPayload := "trace/v1|bench=\"neighbour\"", []byte("neighbour payload")
 			key := "trace/v1|bench=\"corrupt\""
 			payload := bytes.Repeat([]byte{7}, 256)
+			if err := s.Put(neighbour, nPayload); err != nil {
+				t.Fatal(err)
+			}
 			if err := s.Put(key, payload); err != nil {
 				t.Fatal(err)
 			}
-			path := s.objectPath(KeyHash(key))
+			path, off, n := recordAt(t, s, key)
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, corrupt(raw), 0o644); err != nil {
+			bad := corrupt(raw, off, n)
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
 				t.Fatal(err)
 			}
 
@@ -106,11 +130,18 @@ func TestCorruptionQuarantinedNeverServed(t *testing.T) {
 			if st := s.Stats(); st.Corruptions != 1 {
 				t.Errorf("Corruptions = %d, want 1", st.Corruptions)
 			}
-			if _, err := os.Stat(path); !os.IsNotExist(err) {
-				t.Error("corrupt artifact still under its object path")
+			if _, ok := s.Size(key); ok {
+				t.Error("corrupt artifact still resident")
 			}
-			if _, err := os.Stat(s.quarantinePath(KeyHash(key))); err != nil {
-				t.Errorf("corrupt artifact not in quarantine: %v", err)
+			q, err := os.ReadFile(s.quarantinePath(KeyHash(key)))
+			if err != nil {
+				t.Fatalf("corrupt artifact not in quarantine: %v", err)
+			}
+			if want := bad[off:min(off+n, int64(len(bad)))]; !bytes.Equal(q, want) {
+				t.Errorf("quarantine holds %d bytes, want the %d corrupt record bytes", len(q), len(want))
+			}
+			if got, ok := s.Get(neighbour); !ok || !bytes.Equal(got, nPayload) {
+				t.Error("corruption of one record cost its neighbour")
 			}
 			// Recompute path: a fresh Put succeeds and serves again.
 			if err := s.Put(key, payload); err != nil {
@@ -120,9 +151,8 @@ func TestCorruptionQuarantinedNeverServed(t *testing.T) {
 			if !ok || !bytes.Equal(got, payload) {
 				t.Fatal("re-put after quarantine does not serve the good payload")
 			}
-			// Quarantine keeps the bad bytes for postmortems.
-			if _, err := os.Stat(filepath.Join(dir, quarantineDirName)); err != nil {
-				t.Fatal(err)
+			if st := s.Stats(); st.Corruptions != 1 {
+				t.Errorf("Corruptions = %d after re-put, want still 1", st.Corruptions)
 			}
 		})
 	}
