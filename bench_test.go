@@ -310,16 +310,18 @@ func BenchmarkSimulationArena(b *testing.B) {
 // sweepBatchGrid builds the machine-parameter what-if grid for
 // BenchmarkSweepBatch: 24 GenericDM variants on one processor with the
 // model barrier, varying MIPS ratio × barrier cost. Every cell shares
-// the single 16-thread Grid measurement — exactly the workload batched
-// replay amortizes, since the per-cell streaming path must decode and
-// translate that shared trace once per cell.
-func sweepBatchGrid(b *testing.B) []experiments.SweepJob {
+// the one 16-thread measurement of the named kernel, so a warm sweep
+// measures nothing and each cell decodes, translates and simulates that
+// shared trace on its own. A zero sz selects the kernel's default size.
+func sweepBatchGrid(b *testing.B, name string, sz benchmarks.Size) []experiments.SweepJob {
 	b.Helper()
-	g, err := benchmarks.ByName("grid")
+	k, err := benchmarks.ByName(name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sz := benchmarks.Size{N: 32, Iters: 60}
+	if sz == (benchmarks.Size{}) {
+		sz = k.DefaultSize()
+	}
 	base := machine.GenericDM().Config
 	base.Procs = 1
 	base.Barrier.Algorithm = sim.LinearBarrier
@@ -331,9 +333,9 @@ func sweepBatchGrid(b *testing.B) []experiments.SweepJob {
 			cfg.MipsRatio = mips
 			cfg.Barrier.ModelTime = bt * vtime.Microsecond
 			jobs = append(jobs, experiments.SweepJob{
-				Name:    g.Name(),
+				Name:    k.Name(),
 				Size:    sz,
-				Factory: g.Factory(sz),
+				Factory: k.Factory(sz),
 				Mode:    pcxx.ActualSize,
 				Cfg:     cfg,
 				Procs:   []int{16},
@@ -343,24 +345,26 @@ func sweepBatchGrid(b *testing.B) []experiments.SweepJob {
 	return jobs
 }
 
-// BenchmarkSweepBatch measures sweep throughput over the 24-cell
-// machine-parameter grid on the streaming service, per-cell versus
-// batched. One worker in both arms, so the ratio isolates the
-// execution shape: the sequential arm replays decode→translate→simulate
-// per cell through the pattern cursor, fast-forwarding the grid's
-// steady sweeps; the batched arm decodes and translates the shared
-// trace once and simulates up to 8 machine models one after another
-// over it, event by event. Results are byte-identical at any batch size
-// (covered by the determinism tests).
+// BenchmarkSweepBatch measures warm sweep throughput over the 24-cell
+// machine-parameter grid on the streaming service, one worker, every
+// cell on the per-cell path. The arms sit on both sides of
+// fast-forward: grid (the "sequential" arm, N=32 for 60 sweeps) is
+// loop-heavy, so each cell skips its steady sweeps; cyclic and
+// pipeline8 (default sizes) are loop-poor, so each cell replays nearly
+// every event and most of its time goes to re-decoding and
+// re-translating a trace that does not depend on the machine.
 func BenchmarkSweepBatch(b *testing.B) {
 	for _, bc := range []struct {
-		name  string
-		batch int
-	}{{"sequential", 1}, {"batch8", 8}} {
+		name, kernel string
+		size         benchmarks.Size
+	}{
+		{"sequential", "grid", benchmarks.Size{N: 32, Iters: 60}},
+		{"cyclic", "cyclic", benchmarks.Size{}},
+		{"pipeline8", "pipeline8", benchmarks.Size{}},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			svc := experiments.NewService(1, 64, 0)
-			svc.SetBatchSize(bc.batch)
-			jobs := sweepBatchGrid(b)
+			jobs := sweepBatchGrid(b, bc.kernel, bc.size)
 			ctx := context.Background()
 			if _, err := svc.SweepGrid(ctx, jobs); err != nil {
 				b.Fatal(err)

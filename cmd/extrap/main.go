@@ -183,7 +183,7 @@ func cmdRun(args []string, out io.Writer) error {
 	if *text {
 		err = trace.WriteText(f, tr)
 	} else {
-		err = trace.WriteBinary(f, tr)
+		err = trace.WriteBinary2(f, tr)
 	}
 	if err != nil {
 		return err
@@ -360,7 +360,7 @@ func cmdSimulate(args []string, out io.Writer) error {
 			return err
 		}
 		defer f.Close()
-		if err := trace.WriteBinary(f, pred.Result.Trace); err != nil {
+		if err := trace.WriteBinary2(f, pred.Result.Trace); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "extrapolated trace written to %s\n", *emit)
@@ -563,7 +563,7 @@ func cmdExport(args []string, out io.Writer) error {
 	case "text":
 		err = trace.WriteText(f, tr)
 	case "binary":
-		err = trace.WriteBinary(f, tr)
+		err = trace.WriteBinary2(f, tr)
 	default:
 		return fmt.Errorf("export: unknown format %q", *format)
 	}
@@ -585,7 +585,7 @@ func cmdExport(args []string, out io.Writer) error {
 			if err != nil {
 				return err
 			}
-			if err := trace.WriteBinary(tf, pt.ThreadTrace(i)); err != nil {
+			if err := trace.WriteBinary2(tf, pt.ThreadTrace(i)); err != nil {
 				tf.Close()
 				return err
 			}
@@ -623,7 +623,6 @@ func parseExperimentFlags(args []string) (opts experiments.Options, id, workload
 	fs := flag.NewFlagSet("experiment", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "small problem sizes and a short processor ladder")
 	workers := fs.Int("workers", 0, "worker goroutines for the measurement/simulation grid (0 = all CPUs, 1 = sequential; output is identical at any value)")
-	batch := fs.Int("batch", 0, "batched grid simulation: cells sharing a measurement decode and translate it once and simulate up to this many machine models over it (≤ 1 = per-cell; output is identical at any value)")
 	csv := fs.String("csv", "", "also write each table as CSV into this directory")
 	svg := fs.String("svg", "", "also write each figure as SVG into this directory")
 	storeFlag := fs.String("store", "", "durable artifact store directory: measurements persist there and repeated runs reuse them instead of re-measuring (empty = in-memory only)")
@@ -649,7 +648,7 @@ func parseExperimentFlags(args []string) (opts experiments.Options, id, workload
 	default:
 		return opts, "", "", "", "", "", fmt.Errorf("experiment: -mode must be \"exact\" or \"fitted\", got %q", mode)
 	}
-	return experiments.Options{Quick: *quick, Workers: *workers, BatchSize: *batch, FitMode: mode}, fs.Arg(0), *workloadFlag, *csv, *svg, *storeFlag, nil
+	return experiments.Options{Quick: *quick, Workers: *workers, FitMode: mode}, fs.Arg(0), *workloadFlag, *csv, *svg, *storeFlag, nil
 }
 
 func cmdExperiment(args []string, w io.Writer) error {
@@ -701,7 +700,7 @@ func cmdExperiment(args []string, w io.Writer) error {
 // workloadMachines and workloadLadder fix the sweep grid for
 // `extrap experiment -workload`: the machine set and processor ladder
 // are not flags, so the printed table is a pure function of the spec
-// file — CI diffs the output across -workers and -batch to prove the
+// file — CI diffs the output across -workers to prove the
 // synthesis pipeline deterministic.
 var workloadMachines = []string{"cm5", "generic-dm", "shared-mem"}
 
@@ -716,8 +715,8 @@ func workloadLadder(quick bool) []int {
 // pcxx program, and sweeps it over the fixed machine set and ladder
 // through the same Service `extrap serve` runs, printing one exact
 // integer-nanosecond cell per (procs, machine). The table is
-// byte-identical at any worker count or batch size — the same
-// invariant the registered experiments carry.
+// byte-identical at any worker count — the same invariant the
+// registered experiments carry.
 func runWorkloadSweep(opts experiments.Options, path string, w io.Writer) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -729,7 +728,6 @@ func runWorkloadSweep(opts experiments.Options, path string, w io.Writer) error 
 	}
 
 	svc := experiments.NewService(opts.Workers, 64, 0)
-	svc.SetBatchSize(opts.BatchSize)
 	if opts.Backend != nil {
 		svc.SetBackend(opts.Backend)
 	}

@@ -162,7 +162,7 @@ func TestSimulateStreamMatchesInMemory(t *testing.T) {
 				t.Fatal(err)
 			}
 			var wantBytes bytes.Buffer
-			if err := trace.WriteBinary(&wantBytes, oc.Result.Trace); err != nil {
+			if err := trace.WriteBinary2(&wantBytes, oc.Result.Trace); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(gotBytes, wantBytes.Bytes()) {
@@ -355,8 +355,8 @@ func TestExportCommand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) < 10 || string(data[:5]) != "XTRP1" {
-		t.Fatalf("split file is not a binary trace (%d bytes)", len(data))
+	if len(data) < 10 || string(data[:5]) != "XTRP2" {
+		t.Fatalf("split file is not an XTRP2 trace (%d bytes)", len(data))
 	}
 	var buf bytes.Buffer
 	if err := dispatch("export", []string{"-i", src, "-format", "bogus"}, &buf); err == nil {
@@ -423,13 +423,12 @@ func TestExperimentFittedRuns(t *testing.T) {
 
 // TestExperimentWorkloadSweep: `-workload spec.json` synthesizes the
 // composed program and prints a table that is byte-identical across
-// worker counts and batch sizes — the determinism CI diffs exactly this
-// output.
+// worker counts — the determinism CI diffs exactly this output.
 func TestExperimentWorkloadSweep(t *testing.T) {
 	spec := filepath.Join("..", "..", "internal", "compose", "testdata", "nested.json")
 	runs := [][]string{
 		{"-quick", "-workload", spec},
-		{"-quick", "-workers", "4", "-batch", "8", "-workload", spec},
+		{"-quick", "-workers", "4", "-workload", spec},
 	}
 	var want string
 	for i, args := range runs {

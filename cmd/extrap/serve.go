@@ -26,7 +26,6 @@ func cmdServe(args []string, out io.Writer) error {
 	queueWait := fs.Duration("queue-wait", 500*time.Millisecond, "how long an excess request may wait for a slot before a 429 (0 rejects immediately)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request pipeline deadline")
 	workers := fs.Int("workers", 0, "worker goroutines per sweep request (0 = all CPUs)")
-	batch := fs.Int("batch", 0, "batched sweep simulation: cells sharing a measurement decode and translate it once and simulate up to this many machine models over it (multi-machine sweeps/jobs; ≤ 1 = per-cell; responses are byte-identical at any value)")
 	cacheEntries := fs.Int("cache-entries", 256, "measurement memo-cache bound (LRU-evicted past it)")
 	maxTraceBytes := fs.Int64("max-trace-bytes", 256<<20, "per-measurement encoded-trace budget in bytes; requests past it get 413 (-1 = unlimited)")
 	storeDir := fs.String("store-dir", "", "durable artifact store directory; enables on-disk trace/prediction reuse and the async jobs API (empty = in-memory only)")
@@ -77,7 +76,6 @@ func cmdServe(args []string, out io.Writer) error {
 		QueueWait:      *queueWait,
 		RequestTimeout: *timeout,
 		Workers:        *workers,
-		BatchSize:      *batch,
 		CacheEntries:   *cacheEntries,
 		MaxTraceBytes:  *maxTraceBytes,
 		StoreDir:       *storeDir,

@@ -78,7 +78,7 @@ func TestXTRP2CompressionOnBenchmarks(t *testing.T) {
 // contract end to end: for every combination of kernel, machine model,
 // and barrier algorithm tried, the streaming prediction from XTRP2
 // bytes equals — field for field — the prediction from XTRP1 bytes and
-// the in-memory pipeline's, and so does the batched path.
+// the in-memory pipeline's.
 func TestPredictionsByteIdenticalAcrossFormats(t *testing.T) {
 	machines := []sim.Config{
 		machine.GenericDM().Config,
@@ -118,18 +118,6 @@ func TestPredictionsByteIdenticalAcrossFormats(t *testing.T) {
 				p2.Ideal != oc.Parallel.Duration() {
 				t.Errorf("%s cfg %d: XTRP2 streaming prediction differs from the in-memory pipeline", name, i)
 			}
-		}
-		// Batched lanes over the once-decoded XTRP2 bytes match too.
-		b1, err := core.ExtrapolateEncodedBatch(ctx, enc1, cfgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b2, err := core.ExtrapolateEncodedBatch(ctx, enc2, cfgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(b1, b2) {
-			t.Errorf("%s: batched predictions differ between formats", name)
 		}
 	}
 }

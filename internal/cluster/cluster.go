@@ -4,15 +4,14 @@
 // trace groups: every cell of one group shares a measurement (same
 // benchmark, size, and thread count — only the machine model differs),
 // and cells of different groups share nothing. A Coordinator therefore
-// partitions a sweep exactly the way the batch runner groups cells —
-// one shard per measurement group — and dispatches each shard to a
-// worker replica over HTTP. Workers execute shards through their own
-// experiments.Service (the same pipeline the solo server runs), return
-// per-cell results as exact virtual-nanosecond integers, and the
-// coordinator merges them into the same []metrics.Point series the solo
-// path produces — so distributed output is byte-identical to solo
-// output by construction: the numbers are exact integers and the
-// rendering path is shared.
+// partitions a sweep into one shard per measurement group and
+// dispatches each shard to a worker replica over HTTP. Workers execute
+// shards through their own experiments.Service (the same pipeline the
+// solo server runs), return per-cell results as exact virtual-
+// nanosecond integers, and the coordinator merges them into the same
+// []metrics.Point series the solo path produces — so distributed output
+// is byte-identical to solo output by construction: the numbers are
+// exact integers and the rendering path is shared.
 //
 // # Protocol
 //

@@ -15,7 +15,6 @@ import (
 	"extrap/internal/experiments"
 	"extrap/internal/machine"
 	"extrap/internal/pcxx"
-	"extrap/internal/sim"
 )
 
 // maxActiveShards bounds concurrently resident shards on one worker —
@@ -262,45 +261,20 @@ var executeShard = ExecuteShard
 
 // ExecuteShard runs one measurement group's cells through svc: the
 // shared measurement is taken (or found in cache/store) once, then
-// every machine's model is simulated over it — in BatchSize chunks
-// sharing one decode and translation when the service has batching
-// enabled, per-cell otherwise. Both paths are byte-identical to the solo sweep's cells
-// for the same parameters: they call the same Predict/PredictBatch the
-// solo grid runner and jobs queue use, and the returned TotalNs values
-// are exact integers. Exported because the coordinator runs exactly
-// this as its local-fallback path — one executor, two call sites.
+// every machine's model is simulated over it cell by cell. Each cell
+// calls the same Predict the solo grid runner and jobs queue use, so
+// the returned TotalNs values are exact integers byte-identical to the
+// solo sweep's cells for the same parameters. Exported because the
+// coordinator runs exactly this as its local-fallback path — one
+// executor, two call sites.
 func ExecuteShard(ctx context.Context, svc *experiments.Service, b benchmarks.Benchmark, sz benchmarks.Size, threads int, envs []machine.Env) ([]CellResult, error) {
 	cells := make([]CellResult, len(envs))
-	batch := svc.BatchSize()
-	if batch < 1 {
-		batch = 1
-	}
-	if batch == 1 || len(envs) == 1 {
-		for i, env := range envs {
-			pred, err := svc.Predict(ctx, b, sz, threads, pcxx.ActualSize, env.Config)
-			if err != nil {
-				return nil, err
-			}
-			cells[i] = CellResult{Machine: env.Name, Procs: threads, TotalNs: int64(pred.Result.TotalTime)}
-		}
-		return cells, nil
-	}
-	for lo := 0; lo < len(envs); lo += batch {
-		hi := lo + batch
-		if hi > len(envs) {
-			hi = len(envs)
-		}
-		cfgs := make([]sim.Config, hi-lo)
-		for i, env := range envs[lo:hi] {
-			cfgs[i] = env.Config
-		}
-		preds, err := svc.PredictBatch(ctx, b, sz, threads, pcxx.ActualSize, cfgs)
+	for i, env := range envs {
+		pred, err := svc.Predict(ctx, b, sz, threads, pcxx.ActualSize, env.Config)
 		if err != nil {
 			return nil, err
 		}
-		for i, env := range envs[lo:hi] {
-			cells[lo+i] = CellResult{Machine: env.Name, Procs: threads, TotalNs: int64(preds[i].Result.TotalTime)}
-		}
+		cells[i] = CellResult{Machine: env.Name, Procs: threads, TotalNs: int64(pred.Result.TotalTime)}
 	}
 	return cells, nil
 }

@@ -10,7 +10,7 @@
 // every downstream subsystem: its Name() is derived from the canonical
 // encoding ("wl:" + 32 hex digits of the SHA-256), so cache keys, store
 // addresses, coordinator shard affinity, and job resume all work
-// unchanged, and byte-identity across workers/batch/format/restart holds
+// unchanged, and byte-identity across workers/format/restart holds
 // because the lowered program is a pure function of the normalized spec.
 package compose
 

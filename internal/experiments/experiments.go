@@ -37,16 +37,6 @@ type Options struct {
 	// are written through. Repeated runs against the same store replay
 	// at disk speed; results are byte-identical either way.
 	Backend core.TraceBackend
-	// BatchSize > 1 groups grid cells that share a measurement and
-	// simulates up to this many machine models one after another over
-	// the shared translated trace, reusing one arena. Output is
-	// byte-identical at any batch size; the knob trades per-cell
-	// decode/translate work for sweep throughput. ≤ 1 keeps the per-cell
-	// path.
-	BatchSize int
-	// BatchStats, when non-nil, accumulates batch counters for this
-	// run (batches issued, cells batched, sequential fallbacks).
-	BatchStats *BatchStats
 	// FitMode selects how grids produce their ladder cells: "" or
 	// "exact" simulates every cell; "fitted" simulates only the sparse
 	// anchor set the model package's refinement selects and evaluates

@@ -142,8 +142,7 @@ func (r *runner) runGrid(jobs []SweepJob) ([][]metrics.Point, error) {
 	if r.opts.FitMode == "fitted" {
 		return runGridFitted(context.Background(), r.cache, r.opts.Workers, jobs)
 	}
-	return runGrid(context.Background(), r.cache, r.opts.Workers,
-		batchOptions{size: r.opts.BatchSize, stats: r.opts.BatchStats}, jobs)
+	return runGrid(context.Background(), r.cache, r.opts.Workers, jobs)
 }
 
 // gridCell addresses one (job, ladder index) cell of a flattened grid.
@@ -163,12 +162,7 @@ type gridCell struct{ job, pt int }
 // trace. The streaming pipeline is byte-identical to the in-memory
 // one, so the grid's output is the same either way, at any worker
 // count.
-//
-// With bo.size > 1 cells that share a measurement are simulated in
-// batches over one materialized translation (see runGridBatched); the
-// assembled output is byte-identical at any batch size because each
-// lane runs the same engine as per-cell simulation.
-func runGrid(ctx context.Context, cache *core.TraceCache, workers int, bo batchOptions, jobs []SweepJob) ([][]metrics.Point, error) {
+func runGrid(ctx context.Context, cache *core.TraceCache, workers int, jobs []SweepJob) ([][]metrics.Point, error) {
 	// Flatten the grid so the pool load-balances across cells of every
 	// job, not one job at a time.
 	var cells []gridCell
@@ -179,35 +173,23 @@ func runGrid(ctx context.Context, cache *core.TraceCache, workers int, bo batchO
 			cells = append(cells, gridCell{j, i})
 		}
 	}
-	var err error
-	if bo.size > 1 {
-		err = runGridBatched(ctx, cache, workers, bo, jobs, cells, points)
-	} else {
-		err = pool.Run(workers, len(cells), func(c int) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			return runCellSequential(ctx, cache, jobs, cells, points, c)
-		})
-	}
+	err := pool.Run(workers, len(cells), func(c int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		job := &jobs[cells[c].job]
+		n := job.Procs[cells[c].pt]
+		total, err := cellTime(ctx, cache, job, n)
+		if err != nil {
+			return err
+		}
+		points[cells[c].job][cells[c].pt] = metrics.Point{Procs: n, Time: total}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	return points, nil
-}
-
-// runCellSequential executes one grid cell on the per-cell path:
-// streaming pipeline on an encoded cache, pooled-arena simulation of
-// the shared translated trace otherwise.
-func runCellSequential(ctx context.Context, cache *core.TraceCache, jobs []SweepJob, cells []gridCell, points [][]metrics.Point, c int) error {
-	job := &jobs[cells[c].job]
-	n := job.Procs[cells[c].pt]
-	total, err := cellTime(ctx, cache, job, n)
-	if err != nil {
-		return err
-	}
-	points[cells[c].job][cells[c].pt] = metrics.Point{Procs: n, Time: total}
-	return nil
 }
 
 // cellTime measures (through the memo cache) and simulates one cell,

@@ -30,8 +30,6 @@ import (
 type Service struct {
 	cache   *core.TraceCache
 	workers int
-	batch   int
-	bstats  BatchStats
 }
 
 // NewService returns a Service whose sweeps fan out over at most workers
@@ -66,83 +64,37 @@ func (s *Service) CompressionStats() core.CompressionStats { return s.cache.Comp
 // queue — can match their cell parallelism to the engine's.
 func (s *Service) Workers() int { return s.workers }
 
-// SetBatchSize enables batched sweep simulation: grid cells sharing a
-// measurement decode and translate it once and simulate up to k
-// machine models one after another over the shared trace. k ≤ 1 keeps
-// the per-cell path. Responses are byte-identical at any batch size.
-// Set before the Service starts handling requests.
-func (s *Service) SetBatchSize(k int) { s.batch = k }
-
-// BatchSize reports the configured batch width (≤ 1 means per-cell).
-func (s *Service) BatchSize() int { return s.batch }
-
-// BatchStats reports cumulative batched-sweep counters.
-func (s *Service) BatchStats() BatchSnapshot { return s.bstats.Snapshot() }
-
-// encoded returns the (cached) encoded measurement for one benchmark
-// configuration. The context bounds the measurement (polled at safe
-// points in the runtime); a measurement aborted by the caller's
-// deadline is not memoized — the error goes to that caller alone and
-// the next request re-measures under its own deadline — so a timeout
-// never poisons the cache.
-func (s *Service) encoded(ctx context.Context, b benchmarks.Benchmark, size benchmarks.Size, threads int, mode pcxx.SizeMode) ([]byte, error) {
+// Predict predicts one benchmark configuration on one target
+// environment: measure (or reuse) the threads-thread trace and run it
+// through the streaming pipeline under cfg. The context bounds every
+// stage, including the measurement (polled at safe points in the
+// runtime); a measurement aborted by the caller's deadline is not
+// memoized — the error goes to that caller alone and the next request
+// re-measures under its own deadline — so a timeout never poisons the
+// cache.
+func (s *Service) Predict(ctx context.Context, b benchmarks.Benchmark, size benchmarks.Size, threads int, mode pcxx.SizeMode, cfg sim.Config) (*core.Prediction, error) {
 	if threads <= 0 {
 		return nil, fmt.Errorf("experiments: invalid thread count %d", threads)
 	}
 	mopts := core.MeasureOptions{SizeMode: mode}
-	return s.cache.Encoded(cacheKey(b.Name(), size, threads, mopts), func() (*trace.Trace, error) {
+	enc, err := s.cache.Encoded(cacheKey(b.Name(), size, threads, mopts), func() (*trace.Trace, error) {
 		return core.MeasureContext(ctx, b.Factory(size)(threads), mopts)
 	})
-}
-
-// Predict predicts one benchmark configuration on one target
-// environment: measure (or reuse) the threads-thread trace and run it
-// through the streaming pipeline under cfg. The context bounds every
-// stage, including the measurement.
-func (s *Service) Predict(ctx context.Context, b benchmarks.Benchmark, size benchmarks.Size, threads int, mode pcxx.SizeMode, cfg sim.Config) (*core.Prediction, error) {
-	enc, err := s.encoded(ctx, b, size, threads, mode)
 	if err != nil {
 		return nil, err
 	}
 	return core.ExtrapolateEncoded(ctx, enc, cfg)
 }
 
-// PredictBatch answers one prediction per config against a single
-// shared measurement — the trace for (benchmark, size, threads) is
-// decoded and translated once and every config's machine model is
-// simulated over it in turn. Each returned prediction is byte-identical
-// to what Predict returns for the same config.
-func (s *Service) PredictBatch(ctx context.Context, b benchmarks.Benchmark, size benchmarks.Size, threads int, mode pcxx.SizeMode, cfgs []sim.Config) ([]*core.Prediction, error) {
-	if len(cfgs) == 0 {
-		return nil, nil
-	}
-	enc, err := s.encoded(ctx, b, size, threads, mode)
-	if err != nil {
-		return nil, err
-	}
-	out, err := core.ExtrapolateEncodedBatch(ctx, enc, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	if len(cfgs) > 1 {
-		s.bstats.Batches.Add(1)
-		s.bstats.CellsBatched.Add(int64(len(cfgs)))
-	} else {
-		s.bstats.FallbackSequential.Add(1)
-	}
-	return out, nil
-}
-
 // SweepGrid runs several sweep jobs as one grid, returning one series
-// per job in job order. Running related jobs together is what lets
-// batching engage: cells that name the same benchmark, size, and
-// thread count — the same measurement under different machine models —
-// share one decode and translation when the Service's batch size
-// allows. Output is byte-identical to running the jobs one at a time,
-// at any worker count and batch size.
+// per job in job order. Every cell runs the per-cell path of Predict:
+// cells that name the same benchmark, size, and thread count share one
+// measurement through the cache, and each streams its own prediction
+// from the cached bytes, fast-forwarding steady loop iterations.
+// Output is byte-identical to running the jobs one at a time, at any
+// worker count.
 func (s *Service) SweepGrid(ctx context.Context, jobs []SweepJob) ([][]metrics.Point, error) {
-	bo := batchOptions{size: s.batch, stats: &s.bstats}
-	return runGrid(ctx, s.cache, s.workers, bo, jobs)
+	return runGrid(ctx, s.cache, s.workers, jobs)
 }
 
 // SweepGridFitted answers each job's ladder through the analytic fitted

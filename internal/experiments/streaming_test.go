@@ -63,7 +63,7 @@ func TestStreamingServiceMatchesInMemory(t *testing.T) {
 		Cfg:     freeCfg(),
 		Procs:   []int{1, 2, 4},
 	}}
-	wantPts, err := runGrid(ctx, core.NewTraceCache(), 2, batchOptions{}, jobs)
+	wantPts, err := runGrid(ctx, core.NewTraceCache(), 2, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,6 @@ import (
 	"extrap/internal/model"
 	"extrap/internal/pcxx"
 	"extrap/internal/pool"
-	"extrap/internal/sim"
 	"extrap/internal/store"
 	"extrap/internal/vtime"
 )
@@ -94,8 +93,7 @@ type Spec struct {
 	// Machines names several target environments swept against the same
 	// measurements — one curve per machine. Cells are addressed
 	// machine-major: the grid is Machines × Procs and every machine's
-	// cells at one ladder point share a measurement, which is what lets
-	// the engine's batched simulation kernel engage.
+	// cells at one ladder point share one measurement.
 	Machines []string `json:"machines,omitempty"`
 	Procs    []int    `json:"procs"`
 	// Mode is "" / ModeExact (every cell simulated) or ModeFitted
@@ -678,16 +676,6 @@ func (m *Manager) runJob(id string) {
 // touching the pipeline (that is the resume path after a crash) — and
 // otherwise computes it through the experiment engine and persists it
 // before reporting done.
-//
-// With the Service's batch size > 1 and several machines, cells are
-// scheduled one ladder point at a time: every machine's cell at that
-// point shares one measurement, so the misses (after per-cell store
-// lookup) run through PredictBatch in batch-size chunks — one decode
-// and translation of the shared trace per chunk. Each cell still
-// persists individually under its own content address the moment its
-// lane lands, so crash resume is exactly as fine-grained as the
-// per-cell path, and batching's byte-identity means the stored records
-// match it exactly.
 func (m *Manager) runCells(ctx context.Context, j *Job, b benchmarks.Benchmark, sz benchmarks.Size, envs []machine.Env) error {
 	procs := j.spec.Procs
 	if m.cfg.Dispatch != nil {
@@ -695,77 +683,32 @@ func (m *Manager) runCells(ctx context.Context, j *Job, b benchmarks.Benchmark, 
 			return m.runDispatchedPoint(ctx, j, b, sz, envs, pi)
 		})
 	}
-	batch := m.cfg.Service.BatchSize()
-	if batch > 1 && len(envs) > 1 {
-		return pool.Run(m.cfg.Service.Workers(), len(procs), func(pi int) error {
-			return m.runLadderPoint(ctx, j, b, sz, envs, pi, batch)
-		})
-	}
 	return pool.Run(m.cfg.Service.Workers(), len(envs)*len(procs), func(c int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		mi, pi := c/len(procs), c%len(procs)
-		if m.cellHook != nil {
-			m.cellHook(j.id, c)
-		}
-		n := procs[pi]
-		key := experiments.MeasurementKey(b.Name(), sz, n, core.MeasureOptions{SizeMode: pcxx.ActualSize})
-		if pt, ok := m.loadCell(key, envs[mi], n); ok {
-			return m.finishCell(j, mi, pi, pt)
-		}
-		pred, err := m.cfg.Service.Predict(ctx, b, sz, n, pcxx.ActualSize, envs[mi].Config)
-		if err != nil {
-			return err
-		}
-		return m.storeCell(j, key, envs[mi], mi, pi, n, pred)
+		return m.runCell(ctx, j, b, sz, envs[mi], mi, pi)
 	})
 }
 
-// runLadderPoint executes every machine's cell at one ladder point:
-// store lookups first, then the missing cells batched over the shared
-// measurement.
-func (m *Manager) runLadderPoint(ctx context.Context, j *Job, b benchmarks.Benchmark, sz benchmarks.Size, envs []machine.Env, pi, batch int) error {
-	if err := ctx.Err(); err != nil {
+// runCell executes machine mi's cell at ladder index pi: store lookup
+// first, otherwise one prediction through the Service, persisted under
+// the cell's own content address the moment it lands.
+func (m *Manager) runCell(ctx context.Context, j *Job, b benchmarks.Benchmark, sz benchmarks.Size, env machine.Env, mi, pi int) error {
+	if m.cellHook != nil {
+		m.cellHook(j.id, mi*len(j.spec.Procs)+pi)
+	}
+	n := j.spec.Procs[pi]
+	key := experiments.MeasurementKey(b.Name(), sz, n, core.MeasureOptions{SizeMode: pcxx.ActualSize})
+	if pt, ok := m.loadCell(key, env, n); ok {
+		return m.finishCell(j, mi, pi, pt)
+	}
+	pred, err := m.cfg.Service.Predict(ctx, b, sz, n, pcxx.ActualSize, env.Config)
+	if err != nil {
 		return err
 	}
-	procs := j.spec.Procs
-	n := procs[pi]
-	key := experiments.MeasurementKey(b.Name(), sz, n, core.MeasureOptions{SizeMode: pcxx.ActualSize})
-	var missing []int // machine indices whose cell is not in the store
-	for mi := range envs {
-		if m.cellHook != nil {
-			m.cellHook(j.id, mi*len(procs)+pi)
-		}
-		if pt, ok := m.loadCell(key, envs[mi], n); ok {
-			if err := m.finishCell(j, mi, pi, pt); err != nil {
-				return err
-			}
-			continue
-		}
-		missing = append(missing, mi)
-	}
-	for lo := 0; lo < len(missing); lo += batch {
-		hi := lo + batch
-		if hi > len(missing) {
-			hi = len(missing)
-		}
-		chunk := missing[lo:hi]
-		cfgs := make([]sim.Config, len(chunk))
-		for i, mi := range chunk {
-			cfgs[i] = envs[mi].Config
-		}
-		preds, err := m.cfg.Service.PredictBatch(ctx, b, sz, n, pcxx.ActualSize, cfgs)
-		if err != nil {
-			return err
-		}
-		for i, mi := range chunk {
-			if err := m.storeCell(j, key, envs[mi], mi, pi, n, preds[i]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return m.storeCell(j, key, env, mi, pi, n, pred.Result.TotalTime)
 }
 
 // runDispatchedPoint executes one ladder point through the Dispatch
@@ -809,7 +752,7 @@ func (m *Manager) runDispatchedPoint(ctx context.Context, j *Job, b benchmarks.B
 		return fmt.Errorf("jobs: dispatch returned %d cells for %d machines", len(times), len(missing))
 	}
 	for i, mi := range missing {
-		if err := m.storeCellTime(j, key, envs[mi], mi, pi, n, times[i]); err != nil {
+		if err := m.storeCell(j, key, envs[mi], mi, pi, n, times[i]); err != nil {
 			return err
 		}
 	}
@@ -819,9 +762,9 @@ func (m *Manager) runDispatchedPoint(ctx context.Context, j *Job, b benchmarks.B
 // runFitted executes a fitted job: the model package's residual-driven
 // refinement picks which ladder points to truly simulate, and each
 // selected anchor runs through the SAME per-point executors the exact
-// grid uses — store lookup first (the resume path), then dispatch,
-// batch, or per-cell simulation — so anchors persist under the same
-// content addresses as exact cells. After a SIGKILL the deterministic
+// grid uses — store lookup first (the resume path), then dispatch or
+// per-cell simulation — so anchors persist under the same content
+// addresses as exact cells. After a SIGKILL the deterministic
 // refinement re-requests exactly the anchors the interrupted run
 // persisted; those load from the store and only the remainder computes.
 // On success the job's curves collapse to the anchor series — all that
@@ -870,36 +813,16 @@ func (m *Manager) runFitted(ctx context.Context, j *Job, b benchmarks.Benchmark,
 
 // simLadderPoint executes every machine's cell at ladder index pi
 // through whichever executor the manager is configured with — the same
-// three-way split runCells makes for the whole grid, applied to one
-// point.
+// split runCells makes for the whole grid, applied to one point.
 func (m *Manager) simLadderPoint(ctx context.Context, j *Job, b benchmarks.Benchmark, sz benchmarks.Size, envs []machine.Env, pi int) error {
 	if m.cfg.Dispatch != nil {
 		return m.runDispatchedPoint(ctx, j, b, sz, envs, pi)
 	}
-	if batch := m.cfg.Service.BatchSize(); batch > 1 && len(envs) > 1 {
-		return m.runLadderPoint(ctx, j, b, sz, envs, pi, batch)
-	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	procs := j.spec.Procs
-	n := procs[pi]
-	key := experiments.MeasurementKey(b.Name(), sz, n, core.MeasureOptions{SizeMode: pcxx.ActualSize})
-	for mi := range envs {
-		if m.cellHook != nil {
-			m.cellHook(j.id, mi*len(procs)+pi)
-		}
-		if pt, ok := m.loadCell(key, envs[mi], n); ok {
-			if err := m.finishCell(j, mi, pi, pt); err != nil {
-				return err
-			}
-			continue
-		}
-		pred, err := m.cfg.Service.Predict(ctx, b, sz, n, pcxx.ActualSize, envs[mi].Config)
-		if err != nil {
-			return err
-		}
-		if err := m.storeCell(j, key, envs[mi], mi, pi, n, pred); err != nil {
+	for mi, env := range envs {
+		if err := m.runCell(ctx, j, b, sz, env, mi, pi); err != nil {
 			return err
 		}
 	}
@@ -922,15 +845,9 @@ func (m *Manager) loadCell(key core.CacheKey, env machine.Env, n int) (metrics.P
 	return metrics.Point{Procs: rec.Procs, Time: vtime.Time(rec.TotalNs)}, true
 }
 
-// storeCell persists one computed cell under its content address and
-// records it done.
-func (m *Manager) storeCell(j *Job, key core.CacheKey, env machine.Env, mi, pi, n int, pred *core.Prediction) error {
-	return m.storeCellTime(j, key, env, mi, pi, n, pred.Result.TotalTime)
-}
-
-// storeCellTime is storeCell for a result already reduced to its exact
-// total — the form shard results arrive in from a dispatch runner.
-func (m *Manager) storeCellTime(j *Job, key core.CacheKey, env machine.Env, mi, pi, n int, total vtime.Time) error {
+// storeCell persists one computed cell's exact total under its content
+// address and records it done.
+func (m *Manager) storeCell(j *Job, key core.CacheKey, env machine.Env, mi, pi, n int, total vtime.Time) error {
 	rec, err := json.Marshal(cellRecord{Procs: n, TotalNs: int64(total)})
 	if err != nil {
 		return err

@@ -10,7 +10,7 @@ import (
 )
 
 // multiSpec is a multi-machine sweep: every machine's cell at one
-// ladder point shares a measurement, so the batched path engages.
+// ladder point shares a measurement.
 func multiSpec() Spec {
 	return Spec{
 		Benchmark: "grid", Size: 16, Iters: 4,
@@ -47,9 +47,10 @@ func snapshotCurves(s Snapshot) [][]string {
 	return out
 }
 
-// TestMultiMachineJobBatchedMatchesPerMachine: a multi-machine job run
-// through the batched kernel must produce, per machine, exactly the
-// curve a synchronous single-machine sweep produces.
+// TestMultiMachineJobBatchedMatchesPerMachine: a multi-machine job —
+// several machines run as one grid over shared measurements — must
+// produce, per machine, exactly the curve a synchronous single-machine
+// sweep produces.
 func TestMultiMachineJobBatchedMatchesPerMachine(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(filepath.Join(dir, "store"), 0)
@@ -59,7 +60,6 @@ func TestMultiMachineJobBatchedMatchesPerMachine(t *testing.T) {
 	t.Cleanup(func() { st.Close() })
 	svc := experiments.NewService(2, 64, 0)
 	svc.SetBackend(st)
-	svc.SetBatchSize(8)
 	m, err := Open(Config{Dir: filepath.Join(dir, "jobs"), Service: svc, Store: st, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -80,21 +80,18 @@ func TestMultiMachineJobBatchedMatchesPerMachine(t *testing.T) {
 		t.Fatalf("%d curves for %d machines", len(s.Curves), len(spec.Machines))
 	}
 	if got, want := snapshotCurves(s), syncCurves(t, spec); !reflect.DeepEqual(got, want) {
-		t.Errorf("batched job curves differ from per-machine sweeps:\n got %v\nwant %v", got, want)
+		t.Errorf("multi-machine job curves differ from per-machine sweeps:\n got %v\nwant %v", got, want)
 	}
 	if !reflect.DeepEqual(s.Points, s.Curves[0]) {
 		t.Errorf("Points %v does not alias first curve %v", s.Points, s.Curves[0])
 	}
-	if bs := svc.BatchStats(); bs.CellsBatched == 0 {
-		t.Errorf("batch counters = %+v, want batched cells", bs)
-	}
 }
 
-// TestMultiMachineCrashResumeBatched: the durability contract under the
-// batched path — a multi-machine job frozen mid-grid by a crash-shaped
-// Close resumes on the next Open, restores every already-persisted cell
-// from the artifact store, and completes with per-machine curves
-// identical to the synchronous per-cell path.
+// TestMultiMachineCrashResumeBatched: the durability contract for a
+// multi-machine job — frozen mid-grid by a crash-shaped Close, it
+// resumes on the next Open, restores every already-persisted cell from
+// the artifact store, and completes with per-machine curves identical
+// to the synchronous single-machine sweeps.
 func TestMultiMachineCrashResumeBatched(t *testing.T) {
 	dir := t.TempDir()
 	spec := multiSpec()
@@ -105,20 +102,18 @@ func TestMultiMachineCrashResumeBatched(t *testing.T) {
 	}
 	svc := experiments.NewService(1, 64, 0)
 	svc.SetBackend(st)
-	svc.SetBatchSize(4)
 	m1, err := Open(Config{Dir: filepath.Join(dir, "jobs"), Service: svc, Store: st, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Ladder points run sequentially (one service worker); within a
-	// point the hook fires machine by machine at flat index
-	// machine*len(procs)+point. Freezing at machine 1 of the last
-	// ladder point (flat 5) leaves the first two points' cells — six of
-	// nine — computed and persisted.
+	// Cells run sequentially (one service worker) in flat machine-major
+	// order, machine*len(procs)+point. Freezing at machine 2's first
+	// ladder point (flat 6) leaves machines 0 and 1 — six of nine cells
+	// — computed and persisted.
 	blocked := make(chan struct{})
 	release := make(chan struct{})
 	m1.cellHook = func(_ string, cell int) {
-		if cell == 1*len(spec.Procs)+2 {
+		if cell == 2*len(spec.Procs) {
 			close(blocked)
 			<-release
 		}
@@ -153,7 +148,6 @@ func TestMultiMachineCrashResumeBatched(t *testing.T) {
 	defer st2.Close()
 	svc2 := experiments.NewService(1, 64, 0)
 	svc2.SetBackend(st2)
-	svc2.SetBatchSize(4)
 	m2, err := Open(Config{Dir: filepath.Join(dir, "jobs"), Service: svc2, Store: st2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +156,7 @@ func TestMultiMachineCrashResumeBatched(t *testing.T) {
 
 	s := waitStatus(t, m2, id, StatusDone)
 	if got, want := snapshotCurves(s), syncCurves(t, spec); !reflect.DeepEqual(got, want) {
-		t.Errorf("resumed batched job curves differ from per-machine sweeps:\n got %v\nwant %v", got, want)
+		t.Errorf("resumed multi-machine job curves differ from per-machine sweeps:\n got %v\nwant %v", got, want)
 	}
 	stats := m2.Stats()
 	if stats.CellsLoaded < 6 {

@@ -120,9 +120,10 @@ type SweepRequest struct {
 	Machine string `json:"machine,omitempty"`
 	// Machines names several target environments to sweep against the
 	// same measurements — the "measure once, ask many what-if questions"
-	// shape, where the server's batched simulation kernel engages. The
-	// response is one curve per machine (MultiSweepResponse). Exactly
-	// one of Machine / Machines must be set.
+	// shape: each ladder point is measured once and simulated under
+	// every machine. The response is one curve per machine
+	// (MultiSweepResponse). Exactly one of Machine / Machines must be
+	// set.
 	Machines []string `json:"machines,omitempty"`
 	// Procs is the ladder; empty selects the paper's {1,2,4,8,16,32}.
 	Procs []int `json:"procs,omitempty"`

@@ -2,7 +2,7 @@ package serve
 
 // Tests for the fitted sweep mode: provenance and interval fields on
 // every point, the ≤ 25% anchor contract on dense ladders, byte
-// identity across worker counts and batch sizes, and the guarantee that
+// identity across worker counts, and the guarantee that
 // the default exact mode's bytes are untouched by the mode field's
 // existence.
 
@@ -102,13 +102,12 @@ func TestFittedSweepSparseAnchors(t *testing.T) {
 
 // TestFittedSweepByteIdenticalAcrossWorkersAndBatch: the fit is pure
 // deterministic arithmetic over exact anchors, so fitted bodies must
-// not depend on worker count or batch size — including the multi-
-// machine shape, whose anchors run through the batch kernel.
+// not depend on worker count — including the multi-machine shape,
+// whose anchors simulate every machine at each anchor point.
 func TestFittedSweepByteIdenticalAcrossWorkersAndBatch(t *testing.T) {
 	configs := []Config{
 		{Workers: 1},
 		{Workers: 4},
-		{Workers: 4, BatchSize: 8},
 	}
 	for _, mf := range []string{`"machine":"cm5"`, `"machines":["cm5","generic-dm","shared-mem"]`} {
 		body := fittedSweepBody(mf, 48)

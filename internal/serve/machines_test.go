@@ -11,8 +11,7 @@ const multiSweepBody = `{"benchmark":"grid","size":16,"iters":4,"machines":["cm5
 
 // TestSweepMachinesMultiCurve: a machines sweep answers one curve per
 // machine, each byte-identical to the single-machine sweep of that
-// machine, and the whole body is byte-identical whether the server
-// batches or not.
+// machine, and the whole body is byte-identical at any worker count.
 func TestSweepMachinesMultiCurve(t *testing.T) {
 	_, plain := newTestServer(t, Config{})
 	status, base := post(t, plain.URL+"/v1/sweep", multiSweepBody)
@@ -43,39 +42,13 @@ func TestSweepMachinesMultiCurve(t *testing.T) {
 		}
 	}
 
-	srv, batched := newTestServer(t, Config{BatchSize: 8, Workers: 4})
-	status, got := post(t, batched.URL+"/v1/sweep", multiSweepBody)
+	_, wide := newTestServer(t, Config{Workers: 4})
+	status, got := post(t, wide.URL+"/v1/sweep", multiSweepBody)
 	if status != http.StatusOK {
-		t.Fatalf("batched multi sweep: status %d: %s", status, got)
+		t.Fatalf("4-worker multi sweep: status %d: %s", status, got)
 	}
 	if got != base {
-		t.Errorf("batched response differs from per-cell response:\n%s\nvs\n%s", got, base)
-	}
-	if bs := srv.svc.BatchStats(); bs.CellsBatched == 0 {
-		t.Errorf("batch counters = %+v, want batched cells", bs)
-	}
-
-	// The batch counters surface on /debug/vars.
-	status, vars := get(t, batched.URL+"/debug/vars")
-	if status != http.StatusOK {
-		t.Fatalf("vars: status %d", status)
-	}
-	var root map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(vars), &root); err != nil {
-		t.Fatal(err)
-	}
-	var es struct {
-		Batch struct {
-			Batches            int64 `json:"batches"`
-			CellsBatched       int64 `json:"cells_batched"`
-			FallbackSequential int64 `json:"fallback_sequential"`
-		} `json:"batch"`
-	}
-	if err := json.Unmarshal(root["extrap_serve"], &es); err != nil {
-		t.Fatal(err)
-	}
-	if es.Batch.Batches == 0 || es.Batch.CellsBatched == 0 {
-		t.Errorf("vars batch counters = %+v, want nonzero batches and cells", es.Batch)
+		t.Errorf("4-worker response differs from the default server's:\n%s\nvs\n%s", got, base)
 	}
 }
 
@@ -101,12 +74,13 @@ func TestSweepMachinesValidation(t *testing.T) {
 }
 
 // TestJobMachinesBatchedByteIdenticalAcrossRestart: a multi-machine job
-// on a batching server completes with a MultiResult byte-identical to
-// the synchronous machines sweep, and a fresh server — batching off —
-// on the same store serves the identical result without recomputing.
+// on a 2-worker server completes with a MultiResult byte-identical to
+// the synchronous machines sweep, and a fresh server with default
+// settings on the same store serves the identical result without
+// recomputing.
 func TestJobMachinesBatchedByteIdenticalAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1 := newTestServer(t, Config{StoreDir: dir, BatchSize: 8, Workers: 2})
+	s1, ts1 := newTestServer(t, Config{StoreDir: dir, Workers: 2})
 
 	status, syncBody := post(t, ts1.URL+"/v1/sweep", multiSweepBody)
 	if status != http.StatusOK {
@@ -151,6 +125,6 @@ func TestJobMachinesBatchedByteIdenticalAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(got) != string(async) {
-		t.Errorf("result changed across restart (batch off):\n%s\nvs\n%s", got, async)
+		t.Errorf("result changed across restart:\n%s\nvs\n%s", got, async)
 	}
 }

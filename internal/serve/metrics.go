@@ -30,7 +30,6 @@ type metricsSet struct {
 	jobsSubmitted *expvar.Int // jobs accepted via POST /v1/jobs
 	storeVars     *expvar.Map // artifact store hit/miss/evict/corrupt (set when a store is open)
 	jobsVars      *expvar.Map // jobs queued/running/done/failed (set when jobs are enabled)
-	batchVars     *expvar.Map // batched-sweep counters (batches, cells_batched, fallback_sequential)
 	compVars      *expvar.Map // trace-compaction counters (raw/encoded bytes, replay vs literal)
 	clusterVars   *expvar.Map // shard routing/execution counters (set when Role isn't solo)
 	fittedVars    *expvar.Map // fitted-sweep counters (runs, iterations, anchors, fitted cells)
@@ -50,7 +49,6 @@ func newMetricsSet() *metricsSet {
 		jobsSubmitted: new(expvar.Int),
 		storeVars:     new(expvar.Map).Init(),
 		jobsVars:      new(expvar.Map).Init(),
-		batchVars:     new(expvar.Map).Init(),
 		compVars:      new(expvar.Map).Init(),
 		clusterVars:   new(expvar.Map).Init(),
 		fittedVars:    new(expvar.Map).Init(),
@@ -99,12 +97,6 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	setInt(cv, "replayed_events", int64(tc.ReplayEvents))
 	setInt(cv, "literal_events", int64(tc.LiteralEvents))
 	root.Set("compression", cv)
-	bs := s.svc.BatchStats()
-	bv := s.met.batchVars
-	setInt(bv, "batches", bs.Batches)
-	setInt(bv, "cells_batched", bs.CellsBatched)
-	setInt(bv, "fallback_sequential", bs.FallbackSequential)
-	root.Set("batch", bv)
 	fc := model.ReadCounters()
 	fv := s.met.fittedVars
 	setInt(fv, "runs", fc.Runs)

@@ -30,6 +30,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"path/filepath"
+	runtimepprof "runtime/pprof"
 	"strconv"
 	"time"
 
@@ -74,15 +75,6 @@ type Config struct {
 	// Workers bounds the goroutines a sweep fans its ladder across;
 	// ≤ 0 selects GOMAXPROCS.
 	Workers int
-	// BatchSize > 1 enables batched sweep simulation: grid cells that
-	// share a measurement (same benchmark/size/threads under different
-	// machine models — multi-machine sweeps and jobs) decode and
-	// translate it once and simulate up to BatchSize machine models one
-	// after another over the materialized trace. Responses are
-	// byte-identical at any batch size; the knob trades the streaming
-	// path's per-cell bounded memory and fast-forward for fewer decode
-	// and translation passes. ≤ 1 keeps the per-cell streaming path.
-	BatchSize int
 	// CacheEntries bounds the measurement memo cache (LRU-evicted past
 	// the bound) so clients iterating request parameters cannot grow
 	// server memory without limit; ≤ 0 selects the default of 256.
@@ -204,7 +196,6 @@ func New(cfg Config) (*Server, error) {
 		met: newMetricsSet(),
 		log: logger,
 	}
-	s.svc.SetBatchSize(cfg.BatchSize)
 	if cfg.StoreDir != "" {
 		st, err := store.Open(cfg.StoreDir, cfg.StoreBytes)
 		if err != nil {
@@ -294,8 +285,8 @@ func (s *Server) Close() error {
 // middleware.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/extrapolate", s.limited(s.handleExtrapolate))
-	mux.HandleFunc("POST /v1/sweep", s.limited(s.handleSweep))
+	mux.HandleFunc("POST /v1/extrapolate", s.limited("extrapolate", s.handleExtrapolate))
+	mux.HandleFunc("POST /v1/sweep", s.limited("sweep", s.handleSweep))
 	mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
 	mux.HandleFunc("GET /v1/jobs", s.handleJobList)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
@@ -373,9 +364,13 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 	})
 }
 
-// limited gates a compute handler behind the in-flight limiter and arms
-// the per-request deadline that the pipeline observes.
-func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
+// limited gates a compute handler behind the in-flight limiter, arms
+// the per-request deadline that the pipeline observes, and runs the
+// handler under the pprof label route=<route>, so CPU profiles split
+// by route. route is a fixed name, never the request path, which
+// clients control.
+func (s *Server) limited(route string, h http.HandlerFunc) http.HandlerFunc {
+	labels := runtimepprof.Labels("route", route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !s.lim.acquire(r.Context()) {
 			s.met.rejected.Add(1)
@@ -392,7 +387,9 @@ func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
 		defer s.met.inflight.Add(-1)
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
-		h(w, r.WithContext(ctx))
+		runtimepprof.Do(ctx, labels, func(ctx context.Context) {
+			h(w, r.WithContext(ctx))
+		})
 	}
 }
 
@@ -443,10 +440,9 @@ func (s *Server) handleExtrapolate(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSweep serves POST /v1/sweep. A request naming several machines
-// runs them as one grid sharing the ladder's measurements — the shape
-// where the batched simulation kernel engages — and answers one curve
-// per machine; a single-machine request keeps the original response
-// shape, byte-identical at any batch size.
+// runs them as one grid sharing the ladder's measurements and answers
+// one curve per machine; a single-machine request keeps the original
+// response shape.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if apiErr := decodeJSON(r, &req); apiErr != nil {
@@ -560,10 +556,10 @@ func buildSweepResponse(bench, machineName string, size, iters int, points []met
 // runFittedSweep runs the sparse fitted pipeline: an analytic fit over
 // anchors the refinement chooses, each anchor simulated through the same
 // executor the exact path uses — the coordinator's shard fan-out when
-// clustered (only the sparse anchors are dispatched), the local batch
-// executor otherwise. The fit itself is deterministic arithmetic, so
-// fitted responses are byte-identical across worker counts, batch sizes,
-// and replicas for the same request.
+// clustered (only the sparse anchors are dispatched), the same shard
+// executor run locally otherwise. The fit itself is deterministic arithmetic, so
+// fitted responses are byte-identical across worker counts and replicas
+// for the same request.
 func (s *Server) runFittedSweep(ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, envs []machine.Env, ladder []int) (*model.Result, *apiError) {
 	var sim model.Simulator
 	if s.coord != nil {

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -206,7 +207,7 @@ func TestRetryAfterScalesWithBacklog(t *testing.T) {
 	req := httptest.NewRequest(http.MethodPost, "/v1/extrapolate",
 		strings.NewReader(extrapBody("grid", 4, "cm5"))).WithContext(ctx)
 	rec := httptest.NewRecorder()
-	s.limited(func(http.ResponseWriter, *http.Request) {
+	s.limited("extrapolate", func(http.ResponseWriter, *http.Request) {
 		t.Error("handler ran despite shed")
 	})(rec, req)
 	if rec.Code != http.StatusTooManyRequests {
@@ -218,6 +219,21 @@ func TestRetryAfterScalesWithBacklog(t *testing.T) {
 	}
 	if ra < 1+waiters {
 		t.Errorf("Retry-After = %d with backlog %d, want >= %d", ra, waiters, 1+waiters)
+	}
+}
+
+// TestLimitedLabelsRoute: a handler behind limited runs under the pprof
+// label route=<name>, so CPU profiles attribute its work to the route.
+func TestLimitedLabelsRoute(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	var got string
+	var ok bool
+	req := httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader("{}"))
+	s.limited("sweep", func(_ http.ResponseWriter, r *http.Request) {
+		got, ok = pprof.Label(r.Context(), "route")
+	})(httptest.NewRecorder(), req)
+	if !ok || got != "sweep" {
+		t.Errorf("route label = %q (set: %v), want \"sweep\"", got, ok)
 	}
 }
 
@@ -300,21 +316,29 @@ func TestDebugVarsExportsCacheHits(t *testing.T) {
 
 // TestDebugVarsSimReplaySubmap: /debug/vars exposes the replay kernel
 // counters under extrap_serve.sim — exactly the four counters, whichever
-// replay path served the traffic: per-cell pattern replay (a single
-// extrapolation) or event replay over a materialized trace (the lanes of
-// a batched multi-machine sweep).
+// replay path served the traffic: pattern replay of a cached XTRP2
+// measurement, or event replay of a pre-migration XTRP1 artifact read
+// from the store (its plain decoder carries no pattern cursor).
 func TestDebugVarsSimReplaySubmap(t *testing.T) {
 	for _, tc := range []struct {
-		name, path, body string
-		cfg              Config
+		name  string
+		xtrp1 bool
 	}{
-		{"pattern", "/v1/extrapolate", extrapBody("grid", 4, "cm5"), Config{}},
-		{"event", "/v1/sweep", `{"benchmark":"grid","size":16,"iters":4,"machines":["cm5","shared-mem"],"procs":[1,2,4]}`, Config{BatchSize: 8}},
+		{"pattern", false},
+		{"event", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, ts := newTestServer(t, tc.cfg)
-			if status, b := post(t, ts.URL+tc.path, tc.body); status != http.StatusOK {
-				t.Fatalf("%s: status %d: %s", tc.path, status, b)
+			var cfg Config
+			if tc.xtrp1 {
+				cfg.StoreDir = t.TempDir()
+				seedXTRP1Store(t, cfg.StoreDir, 4)
+			}
+			srv, ts := newTestServer(t, cfg)
+			if status, b := post(t, ts.URL+"/v1/extrapolate", extrapBody("grid", 4, "cm5")); status != http.StatusOK {
+				t.Fatalf("extrapolate: status %d: %s", status, b)
+			}
+			if _, misses := srv.svc.CacheStats(); tc.xtrp1 && misses != 0 {
+				t.Fatalf("server re-measured instead of replaying the XTRP1 artifact")
 			}
 			status, varsBody := get(t, ts.URL+"/debug/vars")
 			if status != http.StatusOK {

@@ -22,7 +22,7 @@ var workloadSweepBody = `{"workload":` + workloadSpec +
 // TestWorkloadSweepByteIdenticalMatrix is the tentpole acceptance test
 // for composed workloads: the same nested spec served via /v1/sweep
 // must answer byte-identically across solo vs coordinator+2-workers and
-// per-cell vs batch-8 simulation.
+// across worker counts.
 func TestWorkloadSweepByteIdenticalMatrix(t *testing.T) {
 	_, solo := newTestServer(t, Config{Workers: 2})
 	status, want := post(t, solo.URL+"/v1/sweep", workloadSweepBody)
@@ -36,10 +36,10 @@ func TestWorkloadSweepByteIdenticalMatrix(t *testing.T) {
 	_, w1 := newWorkerServer(t, Config{Workers: 2})
 	_, w2 := newWorkerServer(t, Config{Workers: 2})
 	coordSrv, coord := newCoordinatorServer(t, Config{Workers: 2}, w1.URL, w2.URL)
-	_, batch8 := newTestServer(t, Config{Workers: 2, BatchSize: 8})
+	_, workers4 := newTestServer(t, Config{Workers: 4})
 	variants := map[string]*httptest.Server{
 		"coordinator+2workers": coord,
-		"batch8":               batch8,
+		"workers4":             workers4,
 	}
 	for name, ts := range variants {
 		status, got := post(t, ts.URL+"/v1/sweep", workloadSweepBody)

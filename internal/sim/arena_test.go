@@ -16,7 +16,7 @@ import (
 )
 
 // randomWorkload builds a measured-and-translated trace with rng-chosen
-// imbalance, remote traffic, and barrier count, so batch-equivalence is
+// imbalance, remote traffic, and barrier count, so arena reuse is
 // exercised over many workload shapes rather than one.
 func randomWorkload(t *testing.T, rng *rand.Rand, n int) *translate.ParallelTrace {
 	t.Helper()
@@ -125,11 +125,10 @@ func assertSameResult(t *testing.T, label string, want, got *Result) {
 	}
 }
 
-// TestSimulateBatchMatchesPerCell is the batch-equivalence property: a
-// K-config batch — the lanes simulated one after another over one arena
-// on a shared translated trace, as the sweep engines run it — must equal
-// per-cell fresh simulation event-for-event, for randomized workloads
-// and mixed-model batches (different barrier algorithms, topologies,
+// TestSimulateBatchMatchesPerCell: a batch of K configs simulated one
+// after another over one arena on a shared translated trace must equal
+// fresh simulation event-for-event, for randomized workloads and
+// mixed-model batches (different barrier algorithms, topologies,
 // policies, and placements in ONE batch).
 func TestSimulateBatchMatchesPerCell(t *testing.T) {
 	ctx := context.Background()
@@ -178,9 +177,8 @@ func itoa(v int) string {
 }
 
 // TestArenaReuseAcrossHeterogeneousRuns reuses ONE arena across
-// different workloads and models interleaved — the runner's sequential
-// reuse pattern — and demands bit-identical results to a fresh arena
-// every time.
+// different workloads and models interleaved and demands bit-identical
+// results to a fresh arena every time.
 func TestArenaReuseAcrossHeterogeneousRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	type cell struct {
@@ -208,10 +206,10 @@ func TestArenaReuseAcrossHeterogeneousRuns(t *testing.T) {
 	}
 }
 
-// TestSimulateBatchLaneError: a batch lane that fails mid-run (here a
-// deadlocked trace: one thread waits at a barrier the other never
-// enters) surfaces its error and leaves the shared arena reusable —
-// the lanes after it stay bit-identical to fresh simulations.
+// TestSimulateBatchLaneError: a simulation that fails mid-run on a
+// shared arena (here a deadlocked trace: one thread waits at a barrier
+// the other never enters) surfaces its error and leaves the arena
+// reusable — the runs after it stay bit-identical to fresh simulations.
 func TestSimulateBatchLaneError(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(3))

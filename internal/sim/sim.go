@@ -304,9 +304,9 @@ const ctxCheckMask = 1<<13 - 1
 // event slices nor the ParallelTrace header are modified, so one
 // translation may be simulated under many configurations (and from many
 // goroutines) concurrently. A non-nil arena a supplies recycled dense
-// state (thread/processor/barrier tables, event list, message slab), as
-// when the K lanes of a batch run as a loop over one arena; a nil arena
-// takes one from a process-wide pool. Either way repeated simulations
+// state (thread/processor/barrier tables, event list, message slab) that
+// the caller reuses across simulations run one after another; a nil
+// arena takes one from a process-wide pool. Either way repeated simulations
 // allocate almost nothing, and results are bit-identical to a fresh
 // engine. The event loop polls ctx
 // periodically and abandons the simulation with ctx's error (wrapped, so

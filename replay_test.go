@@ -118,33 +118,38 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestReplayEquivalenceBatch: every lane of a batch (one decode and
-// translation into a materialized trace, lanes simulated event by event
-// over it) must equal the per-cell production path (pattern replay with
-// fast-forward) for the same config — and the per-cell side must
-// actually fast-forward, or the comparison proves nothing about it.
+// TestReplayEquivalenceBatch: for every config of a what-if batch
+// against one measurement, the per-cell production path (pattern replay
+// with fast-forward) must equal the materialized oracle — the decoded
+// trace translated in full and simulated event by event
+// (core.ExtrapolateContext) — and the per-cell side must actually
+// fast-forward, or the comparison proves nothing about it.
 func TestReplayEquivalenceBatch(t *testing.T) {
 	// Grid's default 324 sweeps give fast-forward a loop to skip.
 	enc := encodeKernel(t, "grid", benchmarks.Size{N: 64, Iters: 324}, 8)
+	tr, err := trace.ReadBinaryAny(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
 	a := machine.GenericDM().Config
 	b := a
 	b.MipsRatio = 2.0
 	c := a
 	c.Barrier.Algorithm = sim.TreeBarrier
-	cfgs := []sim.Config{a, b, c}
-	batch, err := core.ExtrapolateEncodedBatch(context.Background(), enc, cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	before := sim.ReadReplayCounters()
-	for i, cfg := range cfgs {
-		want, err := core.ExtrapolateEncoded(context.Background(), enc, cfg)
+	for i, cfg := range []sim.Config{a, b, c} {
+		oc, err := core.ExtrapolateContext(context.Background(), tr, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(batch[i], want) {
-			t.Fatalf("lane %d: batched event replay diverged from per-cell pattern replay:\n  batch:    %+v\n  per-cell: %+v",
-				i, batch[i].Result, want.Result)
+		want := &core.Prediction{Measured1P: tr.Duration(), Ideal: oc.Parallel.Duration(), Result: oc.Result}
+		got, err := core.ExtrapolateEncoded(context.Background(), enc, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("config %d: per-cell pattern replay diverged from the materialized oracle:\n  per-cell: %+v\n  oracle:   %+v",
+				i, got.Result, want.Result)
 		}
 	}
 	if ffs := sim.ReadReplayCounters().FastForwards - before.FastForwards; ffs == 0 {
