@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"extrap/internal/core"
+	"extrap/internal/request"
 	"extrap/internal/trace"
 )
 
@@ -33,7 +34,7 @@ func ArtifactHandler(src ArtifactSource) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		raw, err := hex.DecodeString(r.PathValue("keyhash"))
 		if err != nil || len(raw) != 32 {
-			writeError(w, errf(http.StatusBadRequest, "invalid_keyhash",
+			request.WriteError(w, request.Errorf(http.StatusBadRequest, "invalid_keyhash",
 				"keyhash must be 64 hex characters (SHA-256 of the canonical key)"))
 			return
 		}
@@ -41,7 +42,7 @@ func ArtifactHandler(src ArtifactSource) http.HandlerFunc {
 		copy(h[:], raw)
 		payload, ok := src.GetByHash(h)
 		if !ok {
-			writeError(w, errf(http.StatusNotFound, "unknown_artifact",
+			request.WriteError(w, request.Errorf(http.StatusNotFound, "unknown_artifact",
 				"no verifiable artifact under %s", r.PathValue("keyhash")))
 			return
 		}

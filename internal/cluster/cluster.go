@@ -53,51 +53,26 @@
 //
 // Peers are semi-trusted: they are replicas run by the same operator,
 // but a worker still treats every inbound shard spec as hostile input —
-// registry names are resolved (never trusted), list lengths and work
-// products are capped with the same discipline as the public API, and
-// malformed requests answer 4xx without panicking. Artifact payloads
+// it passes the public API's resolver and ceilings (package request)
+// plus the shard-only rules, and malformed requests answer 4xx without
+// panicking. Artifact payloads
 // are served only after the store's checksum verification, so a
 // corrupted artifact is quarantined, never shipped to a peer.
 package cluster
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"strconv"
 
 	"extrap/internal/benchmarks"
-	"extrap/internal/compose"
-	"extrap/internal/core"
 	"extrap/internal/machine"
-	"extrap/internal/pcxx"
+	"extrap/internal/request"
 )
 
-// shardWorkUnits estimates one shard's measurement cost: the
-// benchmark's own estimator when it has one (composed workloads know
-// their event totals), else the size×iters×threads proxy the public
-// API has always used.
-func shardWorkUnits(b benchmarks.Benchmark, sz benchmarks.Size, threads int) int64 {
-	if we, ok := b.(benchmarks.WorkEstimator); ok {
-		return we.WorkUnits(sz, threads)
-	}
-	return int64(sz.N) * int64(sz.Iters) * int64(threads)
-}
-
 // Protocol ceilings. Shard specs arrive from peers, not end users, but
-// the caps discipline is the same as the public API's: nothing is
-// allocated or executed from unvalidated counts.
+// they pass the public API's resolver and ceilings (package request);
+// these bound only what is shard-specific.
 const (
-	// MaxShardMachines bounds the machine list of one shard. It matches
-	// the public sweep API's machine bound: a shard is a slice of a
-	// request that already passed that bound.
-	MaxShardMachines = 16
-	// MaxShardThreads bounds the measured thread count, matching the
-	// public API's threads ceiling.
-	MaxShardThreads = 256
-	// MaxShardWorkUnits bounds size × iters × threads for one shard,
-	// matching the public API's per-request work budget.
-	MaxShardWorkUnits = 1 << 26
 	// MaxShardBodyBytes caps an inbound shard spec's encoded size.
 	MaxShardBodyBytes = 1 << 16
 	// MinLeaseMs / MaxLeaseMs bound the lease a coordinator may request.
@@ -168,112 +143,47 @@ type ShardStatus struct {
 	Cells  []CellResult `json:"cells,omitempty"`
 }
 
-// apiError mirrors the serving layer's typed error envelope
-// ({"error":{code,message}}) so internal endpoints speak the same error
-// dialect as the public API.
-type apiError struct {
-	Status  int    `json:"-"`
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-func (e *apiError) Error() string { return e.Message }
-
-func errf(status int, code, format string, args ...any) *apiError {
-	return &apiError{Status: status, Code: code, Message: fmt.Sprintf(format, args...)}
-}
-
-func writeError(w http.ResponseWriter, e *apiError) {
-	body, _ := json.Marshal(struct {
-		Error *apiError `json:"error"`
-	}{e})
-	body = append(body, '\n')
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(e.Status)
-	w.Write(body)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		writeError(w, errf(http.StatusInternalServerError, "internal", "encoding response: %v", err))
-		return
-	}
-	body = append(body, '\n')
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(status)
-	w.Write(body)
-}
-
-// resolve validates a shard spec against the live registries and the
-// protocol ceilings, returning the resolved benchmark, size, and
-// environments. Every failure is a 4xx — a spec that fails here would
-// fail identically on any replica, so the coordinator must not retry it.
-func (sp *ShardSpec) resolve() (benchmarks.Benchmark, benchmarks.Size, []machine.Env, *apiError) {
-	if sp.Benchmark == "" {
-		return nil, benchmarks.Size{}, nil, errf(http.StatusBadRequest, "missing_benchmark", "benchmark is required")
-	}
-	var b benchmarks.Benchmark
-	if len(sp.Workload) > 0 {
-		wl, err := compose.FromJSON(sp.Workload)
-		if err != nil {
-			return nil, benchmarks.Size{}, nil, errf(http.StatusBadRequest, "invalid_workload", "%v", err)
-		}
-		// The shard's cache keys and content addresses are derived from
-		// Benchmark, so the spec bytes must actually be the workload that
-		// name promises.
-		if wl.Name() != sp.Benchmark {
-			return nil, benchmarks.Size{}, nil, errf(http.StatusBadRequest, "workload_mismatch",
-				"workload spec derives %s but the shard names %s", wl.Name(), sp.Benchmark)
-		}
-		b = wl
-	} else {
-		var err error
-		b, err = benchmarks.ByName(sp.Benchmark)
-		if err != nil {
-			return nil, benchmarks.Size{}, nil, errf(http.StatusBadRequest, "unknown_benchmark", "%v", err)
-		}
-	}
-	if sp.Size < 1 || sp.Iters < 1 {
-		return nil, benchmarks.Size{}, nil, errf(http.StatusBadRequest, "invalid_size",
-			"shard size parameters must be resolved and positive, got size=%d iters=%d", sp.Size, sp.Iters)
-	}
-	if sp.Threads < 1 || sp.Threads > MaxShardThreads {
-		return nil, benchmarks.Size{}, nil, errf(http.StatusBadRequest, "invalid_threads",
-			"threads must be in [1, %d], got %d", MaxShardThreads, sp.Threads)
-	}
-	if w := shardWorkUnits(b, benchmarks.Size{N: sp.Size, Iters: sp.Iters}, sp.Threads); w > MaxShardWorkUnits {
-		return nil, benchmarks.Size{}, nil, errf(http.StatusBadRequest, "work_budget_exceeded",
-			"shard work %d exceeds the budget %d", w, int64(MaxShardWorkUnits))
-	}
-	if len(sp.Machines) == 0 {
-		return nil, benchmarks.Size{}, nil, errf(http.StatusBadRequest, "invalid_machines", "machines is required")
-	}
-	if len(sp.Machines) > MaxShardMachines {
-		return nil, benchmarks.Size{}, nil, errf(http.StatusBadRequest, "invalid_machines",
-			"machines has %d entries, max %d", len(sp.Machines), MaxShardMachines)
-	}
-	if sp.LeaseMs != 0 && (sp.LeaseMs < MinLeaseMs || sp.LeaseMs > MaxLeaseMs) {
-		return nil, benchmarks.Size{}, nil, errf(http.StatusBadRequest, "invalid_lease",
+// checkShardRules checks what only a shard must satisfy, ahead of the
+// shared resolver so these error codes stand: a shard names its
+// benchmark and carries resolved sizes (size ≥ 1; iters ≥ 0, since
+// kernels without an iteration count resolve to 0), at least one
+// machine, and a lease within bounds.
+func (sp *ShardSpec) checkShardRules() *request.Error {
+	switch {
+	case sp.Benchmark == "":
+		return request.Errorf(http.StatusBadRequest, "missing_benchmark", "benchmark is required")
+	case sp.Size < 1 || sp.Iters < 0:
+		return request.Errorf(http.StatusBadRequest, "invalid_size",
+			"shard size parameters must be resolved, got size=%d iters=%d", sp.Size, sp.Iters)
+	case len(sp.Machines) == 0:
+		return request.Errorf(http.StatusBadRequest, "invalid_machines", "machines is required")
+	case sp.LeaseMs != 0 && (sp.LeaseMs < MinLeaseMs || sp.LeaseMs > MaxLeaseMs):
+		return request.Errorf(http.StatusBadRequest, "invalid_lease",
 			"lease_ms must be 0 (default) or in [%d, %d], got %d", MinLeaseMs, MaxLeaseMs, sp.LeaseMs)
 	}
-	envs := make([]machine.Env, len(sp.Machines))
-	seen := make(map[string]bool, len(sp.Machines))
-	for i, name := range sp.Machines {
-		env, err := machine.ByName(name)
-		if err != nil {
-			return nil, benchmarks.Size{}, nil, errf(http.StatusBadRequest, "unknown_machine", "%v", err)
-		}
-		if seen[env.Name] {
-			return nil, benchmarks.Size{}, nil, errf(http.StatusBadRequest, "invalid_machines",
-				"machine %q listed more than once", env.Name)
-		}
-		seen[env.Name] = true
-		envs[i] = env
+	return nil
+}
+
+// resolve validates a shard spec — the shard-only rules, then the public
+// API's resolver, which also requires a workload spec to derive the
+// shard's name — and returns the resolved benchmark, size, and
+// environments. Every failure is a 4xx — a spec that fails here would
+// fail identically on any replica, so the coordinator must not retry it.
+func (sp *ShardSpec) resolve() (benchmarks.Benchmark, benchmarks.Size, []machine.Env, *request.Error) {
+	if apiErr := sp.checkShardRules(); apiErr != nil {
+		return nil, benchmarks.Size{}, nil, apiErr
 	}
-	sz := benchmarks.Size{N: sp.Size, Iters: sp.Iters}
+	b, sz, apiErr := request.ResolveProgram(sp.Benchmark, sp.Workload, sp.Size, sp.Iters)
+	if apiErr == nil {
+		apiErr = request.CheckMeasurement(b, sz, sp.Threads)
+	}
+	if apiErr != nil {
+		return nil, benchmarks.Size{}, nil, apiErr
+	}
+	envs, apiErr := request.ResolveMachines(sp.Machines)
+	if apiErr != nil {
+		return nil, benchmarks.Size{}, nil, apiErr
+	}
 	return b, sz, envs, nil
 }
 
@@ -302,17 +212,3 @@ func RetryAfterSeconds(backlog, capacity int) int {
 // service drain in seconds (requests are bounded by work budgets), so
 // advising a longer back-off would only desynchronize honest clients.
 const maxRetryAfterSeconds = 30
-
-// measurementKey is the canonical cache key of the shard's shared
-// measurement — identical to the key the solo sweep path computes, so
-// affinity routing, store addresses, and single-flight dedup all speak
-// one key language.
-func (sp *ShardSpec) measurementKey() core.CacheKey {
-	return core.CacheKey{
-		Bench:   sp.Benchmark,
-		N:       sp.Size,
-		Iters:   sp.Iters,
-		Threads: sp.Threads,
-		Opts:    core.MeasureOptions{SizeMode: pcxx.ActualSize},
-	}
-}

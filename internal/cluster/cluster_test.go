@@ -17,6 +17,7 @@ import (
 	"extrap/internal/core"
 	"extrap/internal/experiments"
 	"extrap/internal/machine"
+	"extrap/internal/request"
 	"extrap/internal/trace"
 )
 
@@ -67,7 +68,7 @@ const validShard = `{"benchmark":"grid","size":16,"iters":4,"threads":2,"machine
 // counters must classify them all as rejections.
 func TestDispatchRejectsHostileSpecs(t *testing.T) {
 	w, ts := newWorkerServer(t, 0)
-	manyMachines := `["cm5"` + strings.Repeat(`,"cm5"`, MaxShardMachines) + `]`
+	manyMachines := `["cm5"` + strings.Repeat(`,"cm5"`, request.MaxMachines) + `]`
 	cases := []struct {
 		name, body, wantCode string
 	}{
@@ -78,7 +79,7 @@ func TestDispatchRejectsHostileSpecs(t *testing.T) {
 		{"unresolved size", `{"benchmark":"grid","size":0,"iters":4,"threads":2,"machines":["cm5"]}`, "invalid_size"},
 		{"negative iters", `{"benchmark":"grid","size":16,"iters":-1,"threads":2,"machines":["cm5"]}`, "invalid_size"},
 		{"zero threads", `{"benchmark":"grid","size":16,"iters":4,"threads":0,"machines":["cm5"]}`, "invalid_threads"},
-		{"threads over cap", fmt.Sprintf(`{"benchmark":"grid","size":16,"iters":4,"threads":%d,"machines":["cm5"]}`, MaxShardThreads+1), "invalid_threads"},
+		{"threads over cap", fmt.Sprintf(`{"benchmark":"grid","size":16,"iters":4,"threads":%d,"machines":["cm5"]}`, request.MaxThreads+1), "invalid_threads"},
 		{"work budget", fmt.Sprintf(`{"benchmark":"grid","size":%d,"iters":%d,"threads":256,"machines":["cm5"]}`, 1<<16, 1<<16), "work_budget_exceeded"},
 		{"no machines", `{"benchmark":"grid","size":16,"iters":4,"threads":2,"machines":[]}`, "invalid_machines"},
 		{"too many machines", `{"benchmark":"grid","size":16,"iters":4,"threads":2,"machines":` + manyMachines + `}`, "invalid_machines"},
@@ -95,6 +96,49 @@ func TestDispatchRejectsHostileSpecs(t *testing.T) {
 	}
 	if st := w.Stats(); st.Rejected != int64(len(cases)) || st.Accepted != 0 {
 		t.Errorf("stats after hostile dispatches: %+v, want %d rejected, 0 accepted", st, len(cases))
+	}
+}
+
+// TestDispatchAcceptsZeroIterationKernel: iters 0 is the resolved
+// value for a kernel without an iteration count (embar), so a shard
+// carrying it is accepted and runs to done — the shape every
+// coordinator sends for embar, sort, poisson and matmul.
+func TestDispatchAcceptsZeroIterationKernel(t *testing.T) {
+	w, ts := newWorkerServer(t, 0)
+	status, body := postShard(t, ts.URL, `{"benchmark":"embar","size":16,"iters":0,"threads":2,"machines":["cm5"]}`)
+	if status != http.StatusAccepted {
+		t.Fatalf("dispatch: status %d: %s, want 202", status, body)
+	}
+	var acc ShardAccepted
+	if err := json.Unmarshal([]byte(body), &acc); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		status, body = getURL(t, ts.URL+"/v1/internal/shards/"+acc.ID)
+		if status != http.StatusOK {
+			t.Fatalf("poll: status %d: %s", status, body)
+		}
+		var st ShardStatus
+		if err := json.Unmarshal([]byte(body), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Status == ShardDone {
+			if len(st.Cells) != 1 || st.Cells[0].Machine != "cm5" || st.Cells[0].TotalNs <= 0 {
+				t.Fatalf("done shard has bad cells: %+v", st)
+			}
+			break
+		}
+		if st.Status == ShardFailed {
+			t.Fatalf("shard failed: %s", st.Error)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("shard did not finish in time")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := w.Stats(); st.Accepted != 1 || st.Rejected != 0 {
+		t.Errorf("stats = %+v, want 1 accepted, 0 rejected", st)
 	}
 }
 

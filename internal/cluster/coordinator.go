@@ -14,9 +14,10 @@ import (
 	"time"
 
 	"extrap/internal/benchmarks"
+	"extrap/internal/core"
 	"extrap/internal/experiments"
-	"extrap/internal/machine"
 	"extrap/internal/metrics"
+	"extrap/internal/pcxx"
 	"extrap/internal/vtime"
 )
 
@@ -175,7 +176,7 @@ func (c *Coordinator) RunPoint(ctx context.Context, bench string, workload []byt
 		LeaseMs:   c.cfg.LeaseMs,
 	}
 	h := fnv.New32a()
-	io.WriteString(h, spec.measurementKey().Canonical())
+	io.WriteString(h, experiments.MeasurementKey(bench, sz, threads, core.MeasureOptions{SizeMode: pcxx.ActualSize}).Canonical())
 	start := int(h.Sum32()) % len(c.peers)
 	if start < 0 {
 		start += len(c.peers)
@@ -424,19 +425,4 @@ func (c *Coordinator) SweepLadder(ctx context.Context, bench string, workload []
 		}
 	}
 	return points, nil
-}
-
-// ResolveEnvs maps machine names onto registry environments, mirroring
-// the validation the serving layer already did; exported for callers
-// that need the env list alongside SweepLadder results.
-func ResolveEnvs(names []string) ([]machine.Env, error) {
-	envs := make([]machine.Env, len(names))
-	for i, name := range names {
-		env, err := machine.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		envs[i] = env
-	}
-	return envs, nil
 }

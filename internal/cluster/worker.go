@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"sync"
@@ -15,6 +14,7 @@ import (
 	"extrap/internal/experiments"
 	"extrap/internal/machine"
 	"extrap/internal/pcxx"
+	"extrap/internal/request"
 )
 
 // maxActiveShards bounds concurrently resident shards on one worker —
@@ -150,17 +150,15 @@ func (w *Worker) gcLoop(interval time.Duration) {
 // background, and answer 202 with the shard ID to poll.
 func (w *Worker) HandleDispatch(rw http.ResponseWriter, r *http.Request) {
 	var spec ShardSpec
-	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, MaxShardBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if apiErr := request.DecodeJSON(r, &spec, MaxShardBodyBytes); apiErr != nil {
 		w.rejected.Add(1)
-		writeError(rw, errf(http.StatusBadRequest, "invalid_json", "decoding shard spec: %v", err))
+		request.WriteError(rw, apiErr)
 		return
 	}
 	b, sz, envs, apiErr := spec.resolve()
 	if apiErr != nil {
 		w.rejected.Add(1)
-		writeError(rw, apiErr)
+		request.WriteError(rw, apiErr)
 		return
 	}
 	lease := time.Duration(spec.LeaseMs) * time.Millisecond
@@ -170,7 +168,7 @@ func (w *Worker) HandleDispatch(rw http.ResponseWriter, r *http.Request) {
 
 	var raw [8]byte
 	if _, err := rand.Read(raw[:]); err != nil {
-		writeError(rw, errf(http.StatusInternalServerError, "internal", "shard id: %v", err))
+		request.WriteError(rw, request.Errorf(http.StatusInternalServerError, "internal", "shard id: %v", err))
 		return
 	}
 	id := "s-" + hex.EncodeToString(raw[:])
@@ -189,7 +187,7 @@ func (w *Worker) HandleDispatch(rw http.ResponseWriter, r *http.Request) {
 		cancel()
 		w.rejected.Add(1)
 		rw.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds(resident, maxActiveShards)))
-		writeError(rw, errf(http.StatusTooManyRequests, "overloaded",
+		request.WriteError(rw, request.Errorf(http.StatusTooManyRequests, "overloaded",
 			"worker at its shard limit (%d resident); retry shortly", maxActiveShards))
 		return
 	}
@@ -219,7 +217,7 @@ func (w *Worker) HandleDispatch(rw http.ResponseWriter, r *http.Request) {
 		sh.mu.Unlock()
 	}()
 
-	writeJSON(rw, http.StatusAccepted, ShardAccepted{ID: id, Status: ShardRunning, LeaseMs: int(lease / time.Millisecond)})
+	request.WriteJSON(rw, http.StatusAccepted, ShardAccepted{ID: id, Status: ShardRunning, LeaseMs: int(lease / time.Millisecond)})
 }
 
 // HandlePoll serves GET /v1/internal/shards/{id}: report the shard's
@@ -234,7 +232,7 @@ func (w *Worker) HandlePoll(rw http.ResponseWriter, r *http.Request) {
 	sh, ok := w.shards[id]
 	w.mu.Unlock()
 	if !ok {
-		writeError(rw, errf(http.StatusNotFound, "unknown_shard",
+		request.WriteError(rw, request.Errorf(http.StatusNotFound, "unknown_shard",
 			"no shard %q (never dispatched here, collected, or lease expired)", id))
 		return
 	}
@@ -252,7 +250,7 @@ func (w *Worker) HandlePoll(rw http.ResponseWriter, r *http.Request) {
 		w.mu.Unlock()
 		sh.cancel()
 	}
-	writeJSON(rw, http.StatusOK, st)
+	request.WriteJSON(rw, http.StatusOK, st)
 }
 
 // executeShard is the dispatch goroutine's executor, indirect so tests

@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 
 	"extrap/internal/benchmarks"
-	"extrap/internal/compose"
 	"extrap/internal/core"
 	"extrap/internal/experiments"
 	"extrap/internal/machine"
@@ -40,6 +39,7 @@ import (
 	"extrap/internal/model"
 	"extrap/internal/pcxx"
 	"extrap/internal/pool"
+	"extrap/internal/request"
 	"extrap/internal/store"
 	"extrap/internal/vtime"
 )
@@ -60,22 +60,13 @@ func (s Status) Terminal() bool {
 	return s == StatusDone || s == StatusFailed || s == StatusCancelled
 }
 
-// Job modes. The zero value and ModeExact both select the exact grid —
-// every cell simulated. ModeFitted simulates only the sparse anchor set
-// the model package's refinement selects and persists those anchors as
-// ordinary cells; the dense fitted curve is re-derived at render time
-// (model.Replay), so fitted jobs resume after a crash exactly like
-// exact ones — completed anchors load from the store, the deterministic
-// refinement re-requests the same set, and the rendered bytes match.
-const (
-	ModeExact  = "exact"
-	ModeFitted = "fitted"
-)
-
 // Spec is the resolved description of one sweep job: concrete size
 // parameters (defaults already substituted) and registry names. Specs
 // are persisted verbatim, so their resolution must be stable across
-// restarts — Submit resolves and validates before writing anything.
+// restarts — Submit resolves and validates before writing anything, and
+// every run, a resume included, resolves the persisted spec again
+// through the same request.Sweep resolver as POST /v1/jobs. Its fields
+// are request.Sweep's, which it converts to.
 type Spec struct {
 	Benchmark string `json:"benchmark"`
 	// Workload, when set, is a composed workload's spec JSON: the job
@@ -96,9 +87,10 @@ type Spec struct {
 	// cells at one ladder point share one measurement.
 	Machines []string `json:"machines,omitempty"`
 	Procs    []int    `json:"procs"`
-	// Mode is "" / ModeExact (every cell simulated) or ModeFitted
-	// (sparse anchors simulated, dense curve fitted at render time).
-	// Persisted as "" for exact, so pre-mode job files load unchanged.
+	// Mode is "" (exact: every cell simulated) or request.ModeFitted
+	// (sparse anchors simulated, dense curve fitted at render time; see
+	// runFitted). Persisted as "" for exact, so pre-mode job files load
+	// unchanged.
 	Mode string `json:"mode,omitempty"`
 }
 
@@ -337,23 +329,22 @@ func (m *Manager) loadAll() error {
 }
 
 // Submit validates, resolves, persists, and enqueues one sweep job,
-// returning its ID. The spec is resolved before anything is written:
-// defaults are substituted so the persisted spec — and therefore every
+// returning its ID; a spec that fails resolution returns the resolver's
+// *request.Error. The spec is resolved before anything is written: the
+// derived name, the normalized workload spec, defaults, the ladder and
+// the mode are substituted, so the persisted spec — and therefore every
 // content address derived from it — is stable across restarts.
 func (m *Manager) Submit(spec Spec) (string, error) {
-	b, sz, _, err := resolveSpec(spec)
-	if err != nil {
-		return "", err
+	rs, apiErr := request.Sweep(spec).Resolve()
+	if apiErr != nil {
+		return "", apiErr
 	}
-	spec.Benchmark = b.Name()
-	spec.Size = sz.N
-	spec.Iters = sz.Iters
-	if spec.Mode == ModeExact {
-		spec.Mode = "" // normalize: "" and "exact" are one mode
-	}
-	if len(spec.Procs) == 0 {
-		spec.Procs = core.DefaultProcCounts()
-	}
+	spec.Benchmark = rs.Bench.Name()
+	spec.Workload = request.WorkloadJSON(rs.Bench)
+	spec.Size = rs.Size.N
+	spec.Iters = rs.Size.Iters
+	spec.Procs = rs.Procs
+	spec.Mode = rs.Mode
 
 	var raw [8]byte
 	if _, err := rand.Read(raw[:]); err != nil {
@@ -570,15 +561,14 @@ func readJobFile(path string) (jobFile, error) {
 	default:
 		return jobFile{}, fmt.Errorf("jobs: unknown status %q", jf.Status)
 	}
-	if len(jf.Spec.Procs) == 0 || len(jf.Spec.Procs) > 1<<10 {
-		return jobFile{}, fmt.Errorf("jobs: job has %d ladder entries", len(jf.Spec.Procs))
-	}
-	if len(jf.Spec.Machines) > 1<<10 {
-		return jobFile{}, fmt.Errorf("jobs: job has %d machines", len(jf.Spec.Machines))
+	// The ladder and machine ceilings are the resolver's, applied when
+	// the job runs; a persisted ladder is never empty.
+	if len(jf.Spec.Procs) == 0 {
+		return jobFile{}, errors.New("jobs: job has an empty ladder")
 	}
 	if jf.Status == StatusDone {
 		nm := len(jf.Spec.machineNames())
-		if jf.Spec.Mode == ModeFitted {
+		if jf.Spec.Mode == request.ModeFitted {
 			// A fitted job persists only its anchors: at least one per
 			// curve, machine-major, never more than the full grid.
 			if len(jf.Points) == 0 || len(jf.Points)%nm != 0 || len(jf.Points) > nm*len(jf.Spec.Procs) {
@@ -620,22 +610,28 @@ func (m *Manager) runJob(id string) {
 	j.cancel = cancel
 	j.done = 0
 	nm := len(j.spec.machineNames())
-	j.points = make([][]metrics.Point, nm)
-	j.havePt = make([][]bool, nm)
-	for mi := range j.points {
-		j.points[mi] = make([]metrics.Point, len(j.spec.Procs))
-		j.havePt[mi] = make([]bool, len(j.spec.Procs))
-	}
-	spec := j.spec
 	m.mu.Unlock()
 	m.persist(j)
 
-	b, sz, envs, err := resolveSpec(spec)
-	if err == nil {
-		if spec.Mode == ModeFitted {
-			err = m.runFitted(ctx, j, b, sz, envs)
+	// A resumed job's spec comes from a file on disk, so every run passes
+	// the resolver again — ceilings included — before a cell is allocated.
+	var err error
+	rs, apiErr := request.Sweep(j.spec).Resolve()
+	if apiErr != nil {
+		err = apiErr
+	} else {
+		m.mu.Lock()
+		j.points = make([][]metrics.Point, nm)
+		j.havePt = make([][]bool, nm)
+		for mi := range j.points {
+			j.points[mi] = make([]metrics.Point, len(j.spec.Procs))
+			j.havePt[mi] = make([]bool, len(j.spec.Procs))
+		}
+		m.mu.Unlock()
+		if rs.Mode == request.ModeFitted {
+			err = m.runFitted(ctx, j, rs.Bench, rs.Size, rs.Envs)
 		} else {
-			err = m.runCells(ctx, j, b, sz, envs)
+			err = m.runCells(ctx, j, rs.Bench, rs.Size, rs.Envs)
 		}
 	}
 
@@ -644,7 +640,7 @@ func (m *Manager) runJob(id string) {
 	switch {
 	case err == nil:
 		j.status = StatusDone
-		if j.spec.Mode != ModeFitted {
+		if j.spec.Mode != request.ModeFitted {
 			j.done = nm * len(j.spec.Procs)
 		}
 		// A fitted job's done count stays at anchors × machines — the
@@ -867,69 +863,6 @@ func (m *Manager) finishCell(j *Job, mi, pi int, pt metrics.Point) error {
 	}
 	m.mu.Unlock()
 	return m.persist(j)
-}
-
-// resolveSpec maps a persisted spec back onto live registry objects,
-// substituting benchmark defaults for zero size fields exactly as the
-// synchronous API does — so a job's cells land on the same content
-// addresses as the equivalent synchronous sweep.
-func resolveSpec(sp Spec) (benchmarks.Benchmark, benchmarks.Size, []machine.Env, error) {
-	var b benchmarks.Benchmark
-	if len(sp.Workload) > 0 {
-		wl, err := compose.FromJSON(sp.Workload)
-		if err != nil {
-			return nil, benchmarks.Size{}, nil, fmt.Errorf("jobs: invalid workload: %w", err)
-		}
-		// A persisted spec carries both fields; the cells' content
-		// addresses key by Benchmark, so the bytes must still derive it.
-		if sp.Benchmark != "" && sp.Benchmark != wl.Name() {
-			return nil, benchmarks.Size{}, nil, fmt.Errorf("jobs: workload derives %s but the spec names %s", wl.Name(), sp.Benchmark)
-		}
-		b = wl
-	} else {
-		if sp.Benchmark == "" {
-			return nil, benchmarks.Size{}, nil, errors.New("jobs: benchmark is required")
-		}
-		var err error
-		b, err = benchmarks.ByName(sp.Benchmark)
-		if err != nil {
-			return nil, benchmarks.Size{}, nil, fmt.Errorf("jobs: %w", err)
-		}
-	}
-	if sp.Machine != "" && len(sp.Machines) > 0 {
-		return nil, benchmarks.Size{}, nil, errors.New("jobs: machine and machines are mutually exclusive")
-	}
-	names := sp.machineNames()
-	envs := make([]machine.Env, len(names))
-	for i, name := range names {
-		env, err := machine.ByName(name)
-		if err != nil {
-			return nil, benchmarks.Size{}, nil, fmt.Errorf("jobs: %w", err)
-		}
-		envs[i] = env
-	}
-	if sp.Size < 0 || sp.Iters < 0 {
-		return nil, benchmarks.Size{}, nil, fmt.Errorf("jobs: negative size parameters (%d, %d)", sp.Size, sp.Iters)
-	}
-	sz := b.DefaultSize()
-	if sp.Size > 0 {
-		sz.N = sp.Size
-	}
-	if sp.Iters > 0 {
-		sz.Iters = sp.Iters
-	}
-	sz.Verify = false
-	for _, n := range sp.Procs {
-		if n < 1 {
-			return nil, benchmarks.Size{}, nil, fmt.Errorf("jobs: invalid ladder entry %d", n)
-		}
-	}
-	switch sp.Mode {
-	case "", ModeExact, ModeFitted:
-	default:
-		return nil, benchmarks.Size{}, nil, fmt.Errorf("jobs: unknown mode %q", sp.Mode)
-	}
-	return b, sz, envs, nil
 }
 
 func pointsToRecords(pts []metrics.Point) []cellRecord {

@@ -36,11 +36,13 @@ func newCoordinatorServer(t *testing.T, cfg Config, peers ...string) (*Server, *
 }
 
 // sweepBodies is the matrix of sweep requests the distributed tests
-// compare against solo: single machine, multi machine, multi point.
+// compare against solo: single machine, multi machine, multi point, and
+// a kernel without an iteration count (embar's iters resolve to 0).
 var sweepBodies = []string{
 	`{"benchmark":"grid","size":16,"iters":4,"machine":"cm5","procs":[1,2,4,8]}`,
 	`{"benchmark":"grid","size":16,"iters":4,"machines":["cm5","generic-dm","shared-mem"],"procs":[1,2,3,4,5,6,7,8]}`,
 	`{"benchmark":"cyclic","size":12,"iters":3,"machines":["cm5","generic-dm"],"procs":[1,2,4]}`,
+	`{"benchmark":"embar","size":16,"machines":["cm5","generic-dm"],"procs":[1,2,4,8]}`,
 }
 
 // TestDistributedSweepByteIdentical is the tentpole acceptance test: a
@@ -181,17 +183,21 @@ func TestDistributedJobsByteIdentical(t *testing.T) {
 		Config{Workers: 2, StoreDir: t.TempDir()}, w1.URL, w2.URL)
 	_, solo := newTestServer(t, Config{Workers: 2, StoreDir: t.TempDir()})
 
-	spec := `{"benchmark":"grid","size":16,"iters":4,"machines":["cm5","generic-dm"],"procs":[1,2,4]}`
-	soloJob := waitJob(t, solo.URL, submitJob(t, solo.URL, spec))
-	distJob := waitJob(t, coord.URL, submitJob(t, coord.URL, spec))
-	if soloJob.Status != "done" {
-		t.Fatalf("solo job: %+v", soloJob)
-	}
-	if distJob.Status != "done" {
-		t.Fatalf("distributed job: %+v", distJob)
-	}
-	if got, want := resultJSON(t, distJob), resultJSON(t, soloJob); got != want {
-		t.Errorf("distributed job result differs from solo:\n%s\nvs\n%s", got, want)
+	for _, spec := range []string{
+		`{"benchmark":"grid","size":16,"iters":4,"machines":["cm5","generic-dm"],"procs":[1,2,4]}`,
+		`{"benchmark":"embar","size":16,"machines":["cm5","generic-dm"],"procs":[1,2,4]}`,
+	} {
+		soloJob := waitJob(t, solo.URL, submitJob(t, solo.URL, spec))
+		distJob := waitJob(t, coord.URL, submitJob(t, coord.URL, spec))
+		if soloJob.Status != "done" {
+			t.Fatalf("solo job %s: %+v", spec, soloJob)
+		}
+		if distJob.Status != "done" {
+			t.Fatalf("distributed job %s: %+v", spec, distJob)
+		}
+		if got, want := resultJSON(t, distJob), resultJSON(t, soloJob); got != want {
+			t.Errorf("distributed job result differs from solo for %s:\n%s\nvs\n%s", spec, got, want)
+		}
 	}
 }
 
@@ -413,6 +419,7 @@ func TestDistributedFittedSweepByteIdentical(t *testing.T) {
 	for _, body := range []string{
 		fittedSweepBody(`"machine":"cm5"`, 40),
 		fittedSweepBody(`"machines":["cm5","generic-dm"]`, 40),
+		fmt.Sprintf(`{"benchmark":"embar","size":16,"machines":["cm5","generic-dm"],"procs":%s,"mode":"fitted"}`, denseLadderJSON(24)),
 	} {
 		status, want := post(t, solo.URL+"/v1/sweep", body)
 		if status != http.StatusOK {

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"extrap/internal/model"
+	"extrap/internal/request"
 	"extrap/internal/vtime"
 )
 
@@ -181,7 +182,7 @@ func TestFittedModeValidation(t *testing.T) {
 
 	// Past even the fitted cap.
 	status, body = post(t, ts.URL+"/v1/sweep",
-		fmt.Sprintf(`{"benchmark":"grid","machine":"cm5","procs":%s,"mode":"fitted"}`, denseLadderJSON(maxFittedLadderLen+1)))
+		fmt.Sprintf(`{"benchmark":"grid","machine":"cm5","procs":%s,"mode":"fitted"}`, denseLadderJSON(request.MaxFittedLadderLen+1)))
 	if status != http.StatusBadRequest || !strings.Contains(body, `"code":"invalid_procs"`) {
 		t.Errorf("oversized fitted ladder: status %d body %s, want 400 invalid_procs", status, body)
 	}

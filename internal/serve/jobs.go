@@ -15,6 +15,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 
 	"extrap/internal/benchmarks"
@@ -23,6 +24,7 @@ import (
 	"extrap/internal/jobs"
 	"extrap/internal/model"
 	"extrap/internal/pcxx"
+	"extrap/internal/request"
 	"extrap/internal/trace"
 	"extrap/internal/vtime"
 )
@@ -80,55 +82,41 @@ type JobArtifact struct {
 // requireJobs gates the jobs endpoints on the durable store.
 func (s *Server) requireJobs(w http.ResponseWriter) bool {
 	if s.jobs == nil {
-		writeError(w, errf(http.StatusServiceUnavailable, "store_disabled",
+		request.WriteError(w, request.Errorf(http.StatusServiceUnavailable, "store_disabled",
 			"async jobs need the durable store; start the server with -store-dir"))
 		return false
 	}
 	return true
 }
 
-// handleJobSubmit serves POST /v1/jobs. The body is a SweepRequest —
-// the same shape, validation, and ceilings as POST /v1/sweep.
+// handleJobSubmit serves POST /v1/jobs. The body is a SweepRequest,
+// with the same shape, validation, and ceilings as POST /v1/sweep: the
+// public program rule here, then jobs.Submit's sweep resolver, the one
+// every resume of the job passes too.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.requireJobs(w) {
 		return
 	}
 	var req SweepRequest
-	if apiErr := decodeJSON(r, &req); apiErr != nil {
-		writeError(w, apiErr)
+	if apiErr := request.DecodeJSON(r, &req, maxBodyBytes); apiErr != nil {
+		request.WriteError(w, apiErr)
 		return
 	}
-	b, sz, envs, ladder, apiErr := req.resolve()
-	if apiErr != nil {
-		writeError(w, apiErr)
+	if apiErr := checkOneProgram(req.Benchmark, req.Workload); apiErr != nil {
+		request.WriteError(w, apiErr)
 		return
 	}
-	spec := jobs.Spec{
-		Benchmark: b.Name(),
-		// For a composed workload, the normalized spec JSON persists with
-		// the job (Benchmark then holds the derived wl:<hash> name); nil
-		// for registry benchmarks, presets included.
-		Workload: workloadBytes(b),
-		Size:     sz.N,
-		Iters:    sz.Iters,
-		Procs:    ladder,
-		Mode:     req.Mode, // resolve normalized: "" (exact) or "fitted"
-	}
-	if len(req.Machines) == 0 {
-		spec.Machine = envs[0].Name
-	} else {
-		spec.Machines = make([]string, len(envs))
-		for i, env := range envs {
-			spec.Machines[i] = env.Name
-		}
-	}
-	id, err := s.jobs.Submit(spec)
+	id, err := s.jobs.Submit(jobs.Spec(req))
 	if err != nil {
-		writeError(w, errf(http.StatusServiceUnavailable, "job_rejected", "%v", err))
+		var apiErr *request.Error
+		if !errors.As(err, &apiErr) {
+			apiErr = request.Errorf(http.StatusServiceUnavailable, "job_rejected", "%v", err)
+		}
+		request.WriteError(w, apiErr)
 		return
 	}
 	s.met.jobsSubmitted.Add(1)
-	writeJSON(w, http.StatusAccepted, JobSubmitResponse{ID: id, Status: string(jobs.StatusQueued)})
+	request.WriteJSON(w, http.StatusAccepted, JobSubmitResponse{ID: id, Status: string(jobs.StatusQueued)})
 }
 
 // jobSummary renders a job snapshot's progress fields — everything but
@@ -160,12 +148,12 @@ func jobSummary(snap jobs.Snapshot) JobStatusResponse {
 // whose persisted anchors no longer replay (store corruption or
 // tampering) answers 500 rather than serving a curve that cannot be
 // trusted.
-func jobResponse(snap jobs.Snapshot) (JobStatusResponse, *apiError) {
+func jobResponse(snap jobs.Snapshot) (JobStatusResponse, *request.Error) {
 	resp := jobSummary(snap)
 	if snap.Status != jobs.StatusDone {
 		return resp, nil
 	}
-	if snap.Spec.Mode == jobs.ModeFitted {
+	if snap.Spec.Mode == request.ModeFitted {
 		return fittedJobResponse(snap, resp)
 	}
 	if len(snap.Spec.Machines) == 0 {
@@ -191,7 +179,7 @@ func jobResponse(snap jobs.Snapshot) (JobStatusResponse, *apiError) {
 // its persisted anchors. Snapshot curves hold the anchors machine-major
 // with identical processor sequences per machine, which is exactly the
 // transpose of model.Anchor's per-point layout.
-func fittedJobResponse(snap jobs.Snapshot, resp JobStatusResponse) (JobStatusResponse, *apiError) {
+func fittedJobResponse(snap jobs.Snapshot, resp JobStatusResponse) (JobStatusResponse, *request.Error) {
 	anchors := make([]model.Anchor, len(snap.Curves[0]))
 	for ai := range anchors {
 		times := make([]vtime.Time, len(snap.Curves))
@@ -202,7 +190,7 @@ func fittedJobResponse(snap jobs.Snapshot, resp JobStatusResponse) (JobStatusRes
 	}
 	res, err := model.Replay(snap.Spec.Procs, anchors, model.Options{})
 	if err != nil {
-		return resp, errf(http.StatusInternalServerError, "fitted_replay_failed",
+		return resp, request.Errorf(http.StatusInternalServerError, "fitted_replay_failed",
 			"job %s: persisted anchors do not replay: %v", snap.ID, err)
 	}
 	if len(snap.Spec.Machines) == 0 {
@@ -214,7 +202,7 @@ func fittedJobResponse(snap jobs.Snapshot, resp JobStatusResponse) (JobStatusRes
 		Benchmark: snap.Spec.Benchmark,
 		Size:      snap.Spec.Size,
 		Iters:     snap.Spec.Iters,
-		Mode:      modeFitted,
+		Mode:      request.ModeFitted,
 		Curves:    make([]SweepCurve, len(snap.Spec.Machines)),
 	}
 	for i, name := range snap.Spec.Machines {
@@ -253,16 +241,16 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	}
 	snap, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, errf(http.StatusNotFound, "unknown_job", "no job %q", r.PathValue("id")))
+		request.WriteError(w, request.Errorf(http.StatusNotFound, "unknown_job", "no job %q", r.PathValue("id")))
 		return
 	}
 	resp, apiErr := jobResponse(snap)
 	if apiErr != nil {
-		writeError(w, apiErr)
+		request.WriteError(w, apiErr)
 		return
 	}
 	resp.Artifacts = s.jobArtifacts(snap)
-	writeJSON(w, http.StatusOK, resp)
+	request.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleJobList serves GET /v1/jobs: all known jobs, without results
@@ -278,7 +266,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 		// suffices — no result rendering, no replay.
 		out[i] = jobSummary(snap)
 	}
-	writeJSON(w, http.StatusOK, out)
+	request.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleJobCancel serves DELETE /v1/jobs/{id}. Cancelling a terminal
@@ -289,13 +277,13 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	snap, ok := s.jobs.Cancel(r.PathValue("id"))
 	if !ok {
-		writeError(w, errf(http.StatusNotFound, "unknown_job", "no job %q", r.PathValue("id")))
+		request.WriteError(w, request.Errorf(http.StatusNotFound, "unknown_job", "no job %q", r.PathValue("id")))
 		return
 	}
 	resp, apiErr := jobResponse(snap)
 	if apiErr != nil {
-		writeError(w, apiErr)
+		request.WriteError(w, apiErr)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	request.WriteJSON(w, http.StatusOK, resp)
 }

@@ -206,6 +206,59 @@ func TestJobResultSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestResumedJobRevalidatesCeilings: a resumed job's spec comes from a
+// file on disk, so it passes the public resolver again before any cell
+// runs. A job file rewritten (as rewriteJobRunning does) to an exact
+// ladder of 17 entries — over the exact cap, under the fitted cap, and
+// accepted by the job-file reader — fails on reopen with the resolver's
+// invalid_procs message and computes no cell.
+func TestResumedJobRevalidatesCeilings(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Config{StoreDir: dir})
+	id := submitJob(t, ts1.URL, `{"benchmark":"grid","size":16,"iters":4,"machine":"cm5","procs":[1,2,4]}`)
+	if first := waitJob(t, ts1.URL, id); first.Status != "done" {
+		t.Fatalf("first run: %+v", first)
+	}
+	ts1.Close()
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(dir, "jobs", id+".json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jf map[string]any
+	if err := json.Unmarshal(raw, &jf); err != nil {
+		t.Fatal(err)
+	}
+	ladder := make([]int, 17)
+	for i := range ladder {
+		ladder[i] = i + 1
+	}
+	jf["spec"].(map[string]any)["procs"] = ladder
+	jf["status"] = "running"
+	jf["done_cells"] = 0
+	delete(jf, "points")
+	out, err := json.Marshal(jf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, ts2 := newTestServer(t, Config{StoreDir: dir})
+	resumed := waitJob(t, ts2.URL, id)
+	if want := "ladder has 17 entries, max 16"; resumed.Status != "failed" || resumed.Error != want {
+		t.Errorf("resumed job: status %q error %q, want failed with %q", resumed.Status, resumed.Error, want)
+	}
+	if st := s2.jobs.Stats(); st.CellsComputed != 0 {
+		t.Errorf("resumed job computed %d cells past the ladder ceiling", st.CellsComputed)
+	}
+}
+
 // seedXTRP1Store writes flat XTRP1 measurement artifacts for grid
 // (size 16, 4 iterations) at each thread count into the store at dir,
 // under the pre-migration trace/v1 keys — the shape of a store written

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"extrap/internal/request"
 )
 
 const multiSweepBody = `{"benchmark":"grid","size":16,"iters":4,"machines":["cm5","shared-mem","generic-dm"],"procs":[1,2,4]}`
@@ -63,7 +65,7 @@ func TestSweepMachinesValidation(t *testing.T) {
 		{"unknown entry", `{"benchmark":"grid","machines":["cm5","nosuch"]}`, "unknown_machine"},
 		{"duplicate entry", `{"benchmark":"grid","machines":["cm5","cm5"]}`, "invalid_machines"},
 		{"neither field", `{"benchmark":"grid"}`, "missing_machine"},
-		{"too many", `{"benchmark":"grid","machines":[` + strings.Repeat(`"cm5",`, maxSweepMachines) + `"ideal"]}`, "invalid_machines"},
+		{"too many", `{"benchmark":"grid","machines":[` + strings.Repeat(`"cm5",`, request.MaxMachines) + `"ideal"]}`, "invalid_machines"},
 	}
 	for _, tc := range cases {
 		status, body := post(t, ts.URL+"/v1/sweep", tc.body)

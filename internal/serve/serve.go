@@ -21,7 +21,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -44,6 +43,7 @@ import (
 	"extrap/internal/metrics"
 	"extrap/internal/model"
 	"extrap/internal/pcxx"
+	"extrap/internal/request"
 	"extrap/internal/store"
 	"extrap/internal/vtime"
 )
@@ -378,7 +378,7 @@ func (s *Server) limited(route string, h http.HandlerFunc) http.HandlerFunc {
 			// instead of a constant, so clients behind a pile-up spread out.
 			w.Header().Set("Retry-After",
 				strconv.Itoa(cluster.RetryAfterSeconds(s.lim.backlog(), s.cfg.MaxInFlight)))
-			writeError(w, errf(http.StatusTooManyRequests, "overloaded",
+			request.WriteError(w, request.Errorf(http.StatusTooManyRequests, "overloaded",
 				"server at its in-flight limit; retry shortly"))
 			return
 		}
@@ -396,20 +396,20 @@ func (s *Server) limited(route string, h http.HandlerFunc) http.HandlerFunc {
 // handleExtrapolate serves POST /v1/extrapolate.
 func (s *Server) handleExtrapolate(w http.ResponseWriter, r *http.Request) {
 	var req ExtrapolateRequest
-	if apiErr := decodeJSON(r, &req); apiErr != nil {
-		writeError(w, apiErr)
+	if apiErr := request.DecodeJSON(r, &req, maxBodyBytes); apiErr != nil {
+		request.WriteError(w, apiErr)
 		return
 	}
 	b, sz, env, procs, apiErr := req.resolve()
 	if apiErr != nil {
-		writeError(w, apiErr)
+		request.WriteError(w, apiErr)
 		return
 	}
 	cfg := env.Config
 	cfg.Procs = procs
 	pred, err := s.svc.Predict(r.Context(), b, sz, req.Threads, pcxx.ActualSize, cfg)
 	if err != nil {
-		writeError(w, pipelineError(err))
+		request.WriteError(w, pipelineError(err))
 		return
 	}
 	resp := ExtrapolateResponse{
@@ -436,7 +436,7 @@ func (s *Server) handleExtrapolate(w http.ResponseWriter, r *http.Request) {
 		Service:     bd.Service,
 		CPUWait:     bd.CPUWait,
 	}
-	writeJSON(w, http.StatusOK, resp)
+	request.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleSweep serves POST /v1/sweep. A request naming several machines
@@ -445,37 +445,38 @@ func (s *Server) handleExtrapolate(w http.ResponseWriter, r *http.Request) {
 // response shape.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if apiErr := decodeJSON(r, &req); apiErr != nil {
-		writeError(w, apiErr)
+	if apiErr := request.DecodeJSON(r, &req, maxBodyBytes); apiErr != nil {
+		request.WriteError(w, apiErr)
 		return
 	}
-	b, sz, envs, ladder, apiErr := req.resolve()
+	rs, apiErr := req.resolve()
 	if apiErr != nil {
-		writeError(w, apiErr)
+		request.WriteError(w, apiErr)
 		return
 	}
-	if req.Mode == modeFitted {
+	b, sz, envs, ladder := rs.Bench, rs.Size, rs.Envs, rs.Procs
+	if rs.Mode == request.ModeFitted {
 		res, apiErr := s.runFittedSweep(r.Context(), b, sz, envs, ladder)
 		if apiErr != nil {
-			writeError(w, apiErr)
+			request.WriteError(w, apiErr)
 			return
 		}
 		if len(req.Machines) == 0 {
-			writeJSON(w, http.StatusOK, buildFittedSweepResponse(b.Name(), envs[0].Name, sz.N, sz.Iters, res, 0))
+			request.WriteJSON(w, http.StatusOK, buildFittedSweepResponse(b.Name(), envs[0].Name, sz.N, sz.Iters, res, 0))
 			return
 		}
 		resp := MultiSweepResponse{
 			Benchmark: b.Name(),
 			Size:      sz.N,
 			Iters:     sz.Iters,
-			Mode:      modeFitted,
+			Mode:      request.ModeFitted,
 			Curves:    make([]SweepCurve, len(envs)),
 		}
 		for i, env := range envs {
 			curve := buildFittedSweepResponse(b.Name(), env.Name, sz.N, sz.Iters, res, i)
 			resp.Curves[i] = SweepCurve{Machine: env.Name, Points: curve.Points, Fit: curve.Fit}
 		}
-		writeJSON(w, http.StatusOK, resp)
+		request.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 	var series [][]metrics.Point
@@ -489,7 +490,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		for i, env := range envs {
 			names[i] = env.Name
 		}
-		series, err = s.coord.SweepLadder(r.Context(), b.Name(), workloadBytes(b), sz, names, ladder)
+		series, err = s.coord.SweepLadder(r.Context(), b.Name(), request.WorkloadJSON(b), sz, names, ladder)
 	} else {
 		// One factory serves every machine: the jobs share measurements.
 		factory := b.Factory(sz)
@@ -507,11 +508,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		series, err = s.svc.SweepGrid(r.Context(), grid)
 	}
 	if err != nil {
-		writeError(w, pipelineError(err))
+		request.WriteError(w, pipelineError(err))
 		return
 	}
 	if len(req.Machines) == 0 {
-		writeJSON(w, http.StatusOK, buildSweepResponse(b.Name(), envs[0].Name, sz.N, sz.Iters, series[0]))
+		request.WriteJSON(w, http.StatusOK, buildSweepResponse(b.Name(), envs[0].Name, sz.N, sz.Iters, series[0]))
 		return
 	}
 	resp := MultiSweepResponse{
@@ -524,7 +525,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		curve := buildSweepResponse(b.Name(), env.Name, sz.N, sz.Iters, series[i])
 		resp.Curves[i] = SweepCurve{Machine: env.Name, Points: curve.Points}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	request.WriteJSON(w, http.StatusOK, resp)
 }
 
 // buildSweepResponse renders a sweep series. It is the single rendering
@@ -560,7 +561,7 @@ func buildSweepResponse(bench, machineName string, size, iters int, points []met
 // executor run locally otherwise. The fit itself is deterministic arithmetic, so
 // fitted responses are byte-identical across worker counts and replicas
 // for the same request.
-func (s *Server) runFittedSweep(ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, envs []machine.Env, ladder []int) (*model.Result, *apiError) {
+func (s *Server) runFittedSweep(ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, envs []machine.Env, ladder []int) (*model.Result, *request.Error) {
 	var sim model.Simulator
 	if s.coord != nil {
 		names := make([]string, len(envs))
@@ -568,7 +569,7 @@ func (s *Server) runFittedSweep(ctx context.Context, b benchmarks.Benchmark, sz 
 			names[i] = env.Name
 		}
 		sim = func(ctx context.Context, procs int) ([]vtime.Time, error) {
-			return s.coord.RunPoint(ctx, b.Name(), workloadBytes(b), sz, procs, names)
+			return s.coord.RunPoint(ctx, b.Name(), request.WorkloadJSON(b), sz, procs, names)
 		}
 	} else {
 		sim = func(ctx context.Context, procs int) ([]vtime.Time, error) {
@@ -605,7 +606,7 @@ func buildFittedSweepResponse(bench, machineName string, size, iters int, res *m
 		Machine:   machineName,
 		Size:      size,
 		Iters:     iters,
-		Mode:      modeFitted,
+		Mode:      request.ModeFitted,
 		Points:    make([]SweepPoint, len(cf.Points)),
 		Fit: &FitSummary{
 			Basis:           model.BasisNames[:len(cf.Coeffs)],
@@ -656,7 +657,7 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 			DefaultIters: d.Iters,
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	request.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleMachines serves GET /v1/machines.
@@ -666,7 +667,7 @@ func (s *Server) handleMachines(w http.ResponseWriter, r *http.Request) {
 	for i, e := range presets {
 		out[i] = MachineInfo{Name: e.Name, Description: e.Description}
 	}
-	writeJSON(w, http.StatusOK, out)
+	request.WriteJSON(w, http.StatusOK, out)
 }
 
 // handlePatterns serves GET /v1/patterns: the compose DSL's pattern
@@ -703,24 +704,13 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 			DefaultIters: d.Iters,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// workloadBytes extracts the normalized spec JSON to ship with a shard
-// when the program is an ad-hoc composed workload — peers cannot
-// resolve it from any registry. Registry benchmarks (presets included)
-// return nil: their name suffices.
-func workloadBytes(b benchmarks.Benchmark) []byte {
-	if w, ok := b.(*compose.Workload); ok {
-		return w.SpecJSON()
-	}
-	return nil
+	request.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleHealth serves GET /v1/healthz — a readiness probe for smoke
 // tests and load balancers.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	request.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // statusClientClosedRequest is nginx's non-standard 499 "client closed
@@ -735,40 +725,14 @@ const statusClientClosedRequest = 499
 // measurement past the trace size budget as 413, and anything else as
 // 422 (the input was well-formed but the configuration cannot be
 // extrapolated).
-func pipelineError(err error) *apiError {
+func pipelineError(err error) *request.Error {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
-		return errf(http.StatusGatewayTimeout, "timeout", "request deadline exceeded: %v", err)
+		return request.Errorf(http.StatusGatewayTimeout, "timeout", "request deadline exceeded: %v", err)
 	case errors.Is(err, context.Canceled):
-		return errf(statusClientClosedRequest, "client_closed_request", "request cancelled by client: %v", err)
+		return request.Errorf(statusClientClosedRequest, "client_closed_request", "request cancelled by client: %v", err)
 	case errors.Is(err, core.ErrTraceTooLarge):
-		return errf(http.StatusRequestEntityTooLarge, "trace_too_large", "%v", err)
+		return request.Errorf(http.StatusRequestEntityTooLarge, "trace_too_large", "%v", err)
 	}
-	return errf(http.StatusUnprocessableEntity, "extrapolation_failed", "%v", err)
-}
-
-// writeJSON writes v as the response body with status code.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		writeError(w, errf(http.StatusInternalServerError, "internal", "encoding response: %v", err))
-		return
-	}
-	body = append(body, '\n')
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(status)
-	w.Write(body)
-}
-
-// writeError writes the typed error envelope.
-func writeError(w http.ResponseWriter, e *apiError) {
-	body, _ := json.Marshal(struct {
-		Error *apiError `json:"error"`
-	}{e})
-	body = append(body, '\n')
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(e.Status)
-	w.Write(body)
+	return request.Errorf(http.StatusUnprocessableEntity, "extrapolation_failed", "%v", err)
 }

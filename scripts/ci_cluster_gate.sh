@@ -5,7 +5,9 @@
 # worker replicas. The gate passes only if:
 #
 #   1. a multi-curve sweep through the coordinator answers
-#      byte-for-byte what the solo server answers,
+#      byte-for-byte what the solo server answers, for a grid body and
+#      for a kernel without an iteration count (embar, iters resolve
+#      to 0),
 #   2. the coordinator actually dispatched shards (did not quietly run
 #      everything locally),
 #   3. with one worker SIGKILLed mid-shard, the coordinator re-dispatches
@@ -70,17 +72,27 @@ start_server worker2 "$P2" -role worker -workers 1
 start_server coord "$P3" -role coordinator -workers 4 \
 	-peers "http://127.0.0.1:$P1,http://127.0.0.1:$P2"
 
-# Phase 1: multi-curve sweep, healthy cluster. Raw response bodies must
-# be byte-for-byte identical — no jq normalization allowed.
+# Phase 1: multi-curve sweeps, healthy cluster. Raw response bodies must
+# be byte-for-byte identical — no jq normalization allowed. ZERO_ITERS
+# names no iters: embar has no iteration count, so its shards carry
+# iters 0, which every worker must accept.
 QUICK='{"benchmark":"grid","size":16,"iters":8,"machines":["cm5","generic-dm","shared-mem"],"procs":[1,2,4,8,16]}'
-curl -sf -X POST -H 'Content-Type: application/json' -d "$QUICK" \
-	"http://127.0.0.1:$P0/v1/sweep" -o "$workdir/solo_quick.json"
-curl -sf -X POST -H 'Content-Type: application/json' -d "$QUICK" \
-	"http://127.0.0.1:$P3/v1/sweep" -o "$workdir/dist_quick.json"
-if ! diff -u "$workdir/solo_quick.json" "$workdir/dist_quick.json"; then
-	echo "cluster-gate: distributed sweep differs from solo on a healthy cluster" >&2
-	exit 1
-fi
+ZERO_ITERS='{"benchmark":"embar","size":16,"machines":["cm5","generic-dm"],"procs":[1,2,4,8]}'
+for case in "quick $QUICK" "zero_iters $ZERO_ITERS"; do
+	name=${case%% *}
+	body=${case#* }
+	curl -sf -X POST -H 'Content-Type: application/json' -d "$body" \
+		"http://127.0.0.1:$P0/v1/sweep" -o "$workdir/solo_$name.json"
+	if ! curl -sf -X POST -H 'Content-Type: application/json' -d "$body" \
+		"http://127.0.0.1:$P3/v1/sweep" -o "$workdir/dist_$name.json"; then
+		echo "cluster-gate: coordinator rejected the $name sweep that the solo server answered" >&2
+		exit 1
+	fi
+	if ! diff -u "$workdir/solo_$name.json" "$workdir/dist_$name.json"; then
+		echo "cluster-gate: distributed $name sweep differs from solo on a healthy cluster" >&2
+		exit 1
+	fi
+done
 dispatched=$(coord_stat shards_dispatched)
 if [ "$dispatched" -lt 1 ]; then
 	echo "cluster-gate: coordinator dispatched no shards (dispatched=$dispatched) — sweeps ran locally" >&2
