@@ -22,8 +22,10 @@ import (
 // its default size.
 var traceGoldenEdges = map[string][]benchmarks.Size{
 	"cyclic":  {{N: 600, Iters: 24}, {N: 673, Iters: 32}},
+	"grid":    {{N: 20, Iters: 26}, {N: 63, Iters: 40}},
 	"poisson": {{N: 40, Iters: 1}, {N: 72, Iters: 20}},
 	"sort":    {{N: 16000}, {N: 16659}},
+	"sparse":  {{N: 1200, Iters: 1}, {N: 1859, Iters: 1}},
 }
 
 // TestMeasuredTraceGoldens pins the measured traces themselves, not just
