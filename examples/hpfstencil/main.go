@@ -45,7 +45,7 @@ func main() {
 					if i == 0 || i == n-1 {
 						return 0
 					}
-					return 0.25*r.At(u, i-1) + 0.5*r.At(u, i) + 0.25*r.At(u, i+1)
+					return float64(0.25*r.At(u, i-1)) + float64(0.5*r.At(u, i)) + float64(0.25*r.At(u, i+1))
 				})
 			}
 			checksum = hpfmini.Sum(th, u)

@@ -47,14 +47,30 @@ type Benchmark interface {
 }
 
 // WorkEstimator is implemented by benchmarks whose measurement cost is
-// not captured by the registry-wide N×iters×threads proxy — composed
-// workloads, whose cost depends on the pattern tree. Serving-layer work
-// budgets type-assert for it and fall back to the proxy otherwise.
+// not captured by the registry-wide proxy (ProxyWorkUnits): composed
+// workloads, whose cost depends on the pattern tree, and the kernels
+// that allocate more float64 elements before their first event than the
+// proxy counts. Serving-layer work budgets type-assert for it and fall
+// back to the proxy otherwise.
 type WorkEstimator interface {
 	// WorkUnits estimates the measurement cost of one (size, threads)
 	// instantiation in the same abstract units as the serve budget's
 	// N×iters×threads product.
 	WorkUnits(sz Size, threads int) int64
+}
+
+// ProxyWorkUnits is the registry-wide work proxy: problem size ×
+// iterations (at least one) × measured threads.
+func ProxyWorkUnits(sz Size, threads int) int64 {
+	return int64(sz.N) * int64(max(sz.Iters, 1)) * int64(threads)
+}
+
+// allocWorkUnits is the work estimate of a kernel whose measurement
+// allocates floats float64 elements: the proxy, raised to floats when
+// the allocation is larger, so a budget in work units also bounds the
+// memory one measurement takes.
+func allocWorkUnits(sz Size, threads int, floats int64) int64 {
+	return max(ProxyWorkUnits(sz, threads), floats)
 }
 
 // ErrDuplicate reports a registration whose name is already taken.

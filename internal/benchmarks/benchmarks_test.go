@@ -265,3 +265,68 @@ func TestMergeKeepMatchesFullMerge(t *testing.T) {
 		}
 	}
 }
+
+// TestRadixSortMatchesSortFloat64s: the sort kernel's local radix sort
+// must give sort.Float64s's order element by element, on the kernel's
+// own key blocks and on duplicates, signed zeros, negatives and ±Inf.
+func TestRadixSortMatchesSortFloat64s(t *testing.T) {
+	var inputs [][]float64
+	keys := sortKeys(1 << 14)
+	for _, m := range []int{1 << 14, 2048, 512, 3} {
+		inputs = append(inputs, keys[:m])
+	}
+	rng := vtime.NewRand(21)
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		-1, 1, -math.MaxFloat64, math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
+	for _, m := range []int{0, 1, 2, 7, 300, 5000} {
+		mixed := make([]float64, m)
+		for i := range mixed {
+			switch rng.Intn(4) {
+			case 0:
+				mixed[i] = special[rng.Intn(len(special))]
+			case 1:
+				mixed[i] = float64(rng.Intn(5) - 2) // duplicates
+			default:
+				mixed[i] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(40)-20))
+			}
+		}
+		inputs = append(inputs, mixed)
+	}
+	inputs = append(inputs, []float64{3, 3, 3, 3}, []float64{math.Inf(1), math.Inf(-1)})
+	for _, in := range inputs {
+		got := append([]float64(nil), in...)
+		radixSortFloat64s(got, make([]float64, len(got)))
+		want := append([]float64(nil), in...)
+		sort.Float64s(want)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("len %d: key %d = %v, sort.Float64s gives %v", len(in), i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestCyclicLevelReadsMissWrites: cyclic's snapshot rows alias its rows,
+// which holds only if no forward level reads a neighbour row the same
+// level writes. Level s writes rows 2s−1, 4s−1, … and reads each one's
+// neighbours at ±s.
+func TestCyclicLevelReadsMissWrites(t *testing.T) {
+	const maxM = 4096
+	writtenAt := make([]int, maxM) // the last level that wrote each row
+	level := 0
+	for m := 1; m <= maxM; m++ {
+		for s := 1; s < m; s *= 2 {
+			level++
+			for i := 2*s - 1; i < m; i += 2 * s {
+				writtenAt[i] = level
+			}
+			for i := 2*s - 1; i < m; i += 2 * s {
+				for _, j := range []int{i - s, i + s} {
+					if j >= 0 && j < m && writtenAt[j] == level {
+						t.Fatalf("m=%d level s=%d: row %d is both read and written", m, s, j)
+					}
+				}
+			}
+		}
+	}
+}

@@ -34,8 +34,8 @@ const embarBins = 10
 // the property the verification relies on.
 func embarSample(seed uint64, i int) (x, y float64) {
 	r := vtime.NewRand(seed + uint64(i)*0x9e37)
-	x = 2*r.Float64() - 1
-	y = 2*r.Float64() - 1
+	x = float64(2*r.Float64()) - 1
+	y = float64(2*r.Float64()) - 1
 	return x, y
 }
 
@@ -43,12 +43,12 @@ func embarSample(seed uint64, i int) (x, y float64) {
 func embarReference(seed uint64, samples int) (counts [embarBins]int64, sx, sy float64) {
 	for i := 0; i < samples; i++ {
 		x, y := embarSample(seed, i)
-		t := x*x + y*y
+		t := float64(x*x) + float64(y*y)
 		if t > 1 || t == 0 {
 			continue
 		}
 		f := math.Sqrt(-2 * math.Log(t) / t)
-		gx, gy := x*f, y*f
+		gx, gy := float64(x*f), float64(y*f)
 		sx += gx
 		sy += gy
 		m := math.Max(math.Abs(gx), math.Abs(gy))
@@ -80,13 +80,13 @@ func (Embar) Factory(size Size) core.ProgramFactory {
 					var sx, sy float64
 					for i := lo; i < hi; i++ {
 						x, y := embarSample(seed, i)
-						q := x*x + y*y
+						q := float64(x*x) + float64(y*y)
 						t.Flops(10) // pair generation + acceptance test
 						if q > 1 || q == 0 {
 							continue
 						}
 						f := math.Sqrt(-2 * math.Log(q) / q)
-						gx, gy := x*f, y*f
+						gx, gy := float64(x*f), float64(y*f)
 						sx += gx
 						sy += gy
 						m := math.Max(math.Abs(gx), math.Abs(gy))

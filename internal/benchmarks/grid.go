@@ -38,6 +38,13 @@ func (Grid) Description() string { return "Poisson equation on a two dimensional
 // statistics report for Grid.
 func (Grid) DefaultSize() Size { return Size{N: 64, Iters: 324} }
 
+// WorkUnits counts the cur and next tiles, which cover the grid twice,
+// and each thread's two column-strip buffers.
+func (Grid) WorkUnits(sz Size, threads int) int64 {
+	g := int64(sz.N)
+	return allocWorkUnits(sz, threads, 2*g*g+2*g*int64(threads))
+}
+
 // gridBlock is one thread's tile of the solution grid: current and next
 // Jacobi buffers plus its geometry.
 type gridBlock struct {
@@ -112,10 +119,20 @@ func (Grid) Factory(size Size) core.ProgramFactory {
 					t.Barrier()
 
 					myRow, myCol := t.ID()/pc, t.ID()%pc
+					// Column strips are gathered into these buffers; a
+					// tile's row neighbours share its row count.
+					var leftCol, rightCol []float64
+					if used {
+						leftCol = make([]float64, me.rows)
+						rightCol = make([]float64, me.rows)
+					}
 					for it := 0; it < iters; it++ {
 						if used {
 							// Gather ghost strips from the four tile
 							// neighbors; the actual transfer is one strip.
+							// Row strips are views of the neighbor's cur,
+							// which no thread writes before the swap
+							// barrier.
 							var gUp, gDown, gLeft, gRight []float64
 							t.Phase("exchange", func() {
 								up := t.ID() - pc
@@ -124,19 +141,19 @@ func (Grid) Factory(size Size) core.ProgramFactory {
 								right := t.ID() + 1
 								if myRow > 0 && ownsTile(cells, up) {
 									nb := blocks.ReadPart(t, up, int64(me.cols*8))
-									gUp = lastRow(nb)
+									gUp = nb.cur[(nb.rows-1)*nb.cols:]
 								}
 								if myRow < pr-1 && ownsTile(cells, down) {
 									nb := blocks.ReadPart(t, down, int64(me.cols*8))
-									gDown = firstRow(nb)
+									gDown = nb.cur[:nb.cols]
 								}
 								if myCol > 0 && ownsTile(cells, left) {
 									nb := blocks.ReadPart(t, left, int64(me.rows*8))
-									gLeft = lastCol(nb)
+									gLeft = gatherCol(leftCol, nb, nb.cols-1)
 								}
 								if myCol < pc-1 && ownsTile(cells, right) {
 									nb := blocks.ReadPart(t, right, int64(me.rows*8))
-									gRight = firstCol(nb)
+									gRight = gatherCol(rightCol, nb, 0)
 								}
 							})
 							t.Phase("update", func() {
@@ -211,34 +228,11 @@ func jacobiSweep(t *pcxx.Thread, me *gridBlock, g int, gUp, gDown, gLeft, gRight
 	t.Flops(me.rows * me.cols * 6)
 }
 
-// lastRow copies a block's bottom boundary row.
-func lastRow(b *gridBlock) []float64 {
-	out := make([]float64, b.cols)
-	copy(out, b.cur[(b.rows-1)*b.cols:])
-	return out
-}
-
-// firstRow copies a block's top boundary row.
-func firstRow(b *gridBlock) []float64 {
-	out := make([]float64, b.cols)
-	copy(out, b.cur[:b.cols])
-	return out
-}
-
-// lastCol copies a block's right boundary column.
-func lastCol(b *gridBlock) []float64 {
-	out := make([]float64, b.rows)
-	for r := 0; r < b.rows; r++ {
-		out[r] = b.cur[r*b.cols+b.cols-1]
+// gatherCol copies column c of b's cur into dst (len b.rows) and
+// returns it.
+func gatherCol(dst []float64, b *gridBlock, c int) []float64 {
+	for r := range dst {
+		dst[r] = b.cur[r*b.cols+c]
 	}
-	return out
-}
-
-// firstCol copies a block's left boundary column.
-func firstCol(b *gridBlock) []float64 {
-	out := make([]float64, b.rows)
-	for r := 0; r < b.rows; r++ {
-		out[r] = b.cur[r*b.cols]
-	}
-	return out
+	return dst
 }

@@ -33,6 +33,13 @@ func (Matmul) Description() string { return "Matrix multiplication validation pr
 // distribution.
 func (Matmul) DefaultSize() Size { return Size{N: 32, Verify: true} }
 
+// WorkUnits counts eight n×n matrices: the inputs A and Bᵀ, the
+// collections A, BT, T, S and C, and the verification reference.
+func (Matmul) WorkUnits(sz Size, threads int) int64 {
+	n := int64(sz.N)
+	return allocWorkUnits(sz, threads, 8*n*n)
+}
+
 // Factory builds the default (Block,Block) variant.
 func (Matmul) Factory(size Size) core.ProgramFactory {
 	return MatmulFactory(size, dist.Block, dist.Block)
@@ -213,7 +220,7 @@ func matmulRefStrided(n int, a, bt []float64, segs [][]int) []float64 {
 			for q := range segs {
 				s := 0.0
 				for _, j := range segs[q] {
-					s += a[i*n+j] * bt[r*n+j]
+					s += float64(a[i*n+j] * bt[r*n+j])
 				}
 				partial[q] = s
 			}

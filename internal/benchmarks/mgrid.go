@@ -29,6 +29,16 @@ func (Mgrid) Description() string { return "NAS multigrid solver benchmark" }
 // DefaultSize runs 4 V-cycles on a 64×64 fine grid.
 func (Mgrid) DefaultSize() Size { return Size{N: 64, Iters: 4} }
 
+// WorkUnits counts the four fields (u, f, next, r) every level's tiles
+// hold.
+func (Mgrid) WorkUnits(sz Size, threads int) int64 {
+	var floats int64
+	for _, e := range mgLevels(sz.N) {
+		floats += 4 * int64(e) * int64(e)
+	}
+	return allocWorkUnits(sz, threads, floats)
+}
+
 const (
 	mgOmega        = 0.8 // weighted-Jacobi damping
 	mgPreSweeps    = 2
@@ -56,12 +66,12 @@ func mgLevels(g int) []int {
 // mgSmoothCell is the weighted-Jacobi update shared (verbatim) by the
 // parallel program and the sequential reference so results match exactly.
 func mgSmoothCell(cur, up, down, left, right, f float64) float64 {
-	return (1-mgOmega)*cur + mgOmega*0.25*(up+down+left+right+f)
+	return float64((1-mgOmega)*cur) + float64(mgOmega*0.25*(up+down+left+right+f))
 }
 
 // mgResidualCell is the shared residual computation r = f − (4u − Σnbr).
 func mgResidualCell(u, up, down, left, right, f float64) float64 {
-	return f - (4*u - up - down - left - right)
+	return f - (float64(4*u) - up - down - left - right)
 }
 
 // --- sequential reference ---------------------------------------------------
@@ -109,8 +119,8 @@ func mgRefResidual(l *mgRefLevel) {
 // mgRestrictCell is the shared full-weighting stencil.
 func mgRestrictCell(at func(r, c int) float64, R, C int) float64 {
 	fr, fc := 2*R, 2*C
-	return (4*at(fr, fc) +
-		2*(at(fr-1, fc)+at(fr+1, fc)+at(fr, fc-1)+at(fr, fc+1)) +
+	return (float64(4*at(fr, fc)) +
+		float64(2*(at(fr-1, fc)+at(fr+1, fc)+at(fr, fc-1)+at(fr, fc+1))) +
 		at(fr-1, fc-1) + at(fr-1, fc+1) + at(fr+1, fc-1) + at(fr+1, fc+1)) / 16
 }
 
@@ -189,7 +199,7 @@ func mgridResidualNorm(g int, u []float64) float64 {
 				mgRefAt(u, g, r-1, c), mgRefAt(u, g, r+1, c),
 				mgRefAt(u, g, r, c-1), mgRefAt(u, g, r, c+1),
 				gridF(g, r, c))
-			s += res * res
+			s += float64(res * res)
 		}
 	}
 	return math.Sqrt(s)

@@ -30,6 +30,14 @@ func (Poisson) Description() string { return "Fast Poisson solver" }
 // DefaultSize solves on a 48×48 grid.
 func (Poisson) DefaultSize() Size { return Size{N: 48} }
 
+// WorkUnits counts nine g×g arrays: the right-hand side, the DST basis,
+// the transformed rows, their transpose, the tridiagonal solves' two
+// temporaries and solutions, the transpose back and the result.
+func (Poisson) WorkUnits(sz Size, threads int) int64 {
+	g := int64(sz.N)
+	return allocWorkUnits(sz, threads, 9*g*g)
+}
+
 // rowBlock is one thread's block of matrix rows.
 type rowBlock struct {
 	rows [][]float64
@@ -69,7 +77,7 @@ func dstRow(in, basis []float64) []float64 {
 		row := basis[k*g : (k+1)*g]
 		s := 0.0
 		for j, x := range in {
-			s += x * row[j]
+			s += float64(x * row[j])
 		}
 		out[k] = s
 	}
@@ -93,7 +101,7 @@ func poissonTridiag(lambda float64, d []float64) []float64 {
 	u := make([]float64, g)
 	u[g-1] = dp[g-1]
 	for i := g - 2; i >= 0; i-- {
-		u[i] = dp[i] - cp[i]*u[i+1]
+		u[i] = dp[i] - float64(cp[i]*u[i+1])
 	}
 	return u
 }
@@ -262,7 +270,7 @@ func (Poisson) Factory(size Size) core.ProgramFactory {
 										}
 										return ref[rr][cc]
 									}
-									lap := 4*at(r, c) - at(r-1, c) - at(r+1, c) - at(r, c-1) - at(r, c+1)
+									lap := float64(4*at(r, c)) - at(r-1, c) - at(r+1, c) - at(r, c-1) - at(r, c+1)
 									if e := math.Abs(lap - f[r*g+c]); e > maxErr {
 										maxErr = e
 									}

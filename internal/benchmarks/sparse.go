@@ -108,7 +108,7 @@ func treeDot(a, b []float64, threads int) float64 {
 		lo, hi := segBounds(len(a), threads, t)
 		s := 0.0
 		for i := lo; i < hi; i++ {
-			s += a[i] * b[i]
+			s += float64(a[i] * b[i])
 		}
 		partial[t] = s
 	}
@@ -133,21 +133,21 @@ func sparseCGRef(m *spMatrix, b []float64, iters, threads int) []float64 {
 		for i := 0; i < n; i++ {
 			s := m.diag[i] * p[i]
 			for _, e := range m.rows[i] {
-				s += e.val * p[e.col]
+				s += float64(e.val * p[e.col])
 			}
 			q[i] = s
 		}
 		pq := treeDot(p, q, threads)
 		alpha := rr / pq
 		for i := 0; i < n; i++ {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * q[i]
+			x[i] += float64(alpha * p[i])
+			r[i] -= float64(alpha * q[i])
 		}
 		rr2 := treeDot(r, r, threads)
 		beta := rr2 / rr
 		rr = rr2
 		for i := 0; i < n; i++ {
-			p[i] = r[i] + beta*p[i]
+			p[i] = r[i] + float64(beta*p[i])
 		}
 	}
 	return x
@@ -193,7 +193,7 @@ func (Sparse) Factory(size Size) core.ProgramFactory {
 					// needs[o] lists the remote columns owned by thread o
 					// that this thread's rows reference.
 					needs := make([][]int, threads)
-					seen := make(map[int]bool)
+					seen := make([]bool, n)
 					for i := lo; i < hi; i++ {
 						for _, e := range mat.rows[i] {
 							if (e.col < lo || e.col >= hi) && !seen[e.col] {
@@ -233,7 +233,7 @@ func (Sparse) Factory(size Size) core.ProgramFactory {
 					localDot := func(a, b []float64) float64 {
 						s := 0.0
 						for i := range a {
-							s += a[i] * b[i]
+							s += float64(a[i] * b[i])
 						}
 						t.Flops(2 * len(a))
 						return s
@@ -250,7 +250,7 @@ func (Sparse) Factory(size Size) core.ProgramFactory {
 							for i := lo; i < hi; i++ {
 								s := mat.diag[i] * myP.v[i-lo]
 								for _, e := range mat.rows[i] {
-									s += e.val * readP(e.col)
+									s += float64(e.val * readP(e.col))
 								}
 								q[i-lo] = s
 								t.Flops(2 * (len(mat.rows[i]) + 1))
@@ -259,8 +259,8 @@ func (Sparse) Factory(size Size) core.ProgramFactory {
 						pq := dot(localDot(myP.v, q))
 						alpha := rr / pq
 						for i := 0; i < cnt; i++ {
-							x[i] += alpha * myP.v[i]
-							r[i] -= alpha * q[i]
+							x[i] += float64(alpha * myP.v[i])
+							r[i] -= float64(alpha * q[i])
 						}
 						t.Flops(4 * cnt)
 						rr2 := dot(localDot(r, r))
@@ -269,7 +269,7 @@ func (Sparse) Factory(size Size) core.ProgramFactory {
 						// p update happens after the reduction barrier, so
 						// no thread is still reading the old p.
 						for i := 0; i < cnt; i++ {
-							myP.v[i] = r[i] + beta*myP.v[i]
+							myP.v[i] = r[i] + float64(beta*myP.v[i])
 						}
 						t.Flops(2 * cnt)
 						t.Barrier()
@@ -288,10 +288,10 @@ func (Sparse) Factory(size Size) core.ProgramFactory {
 							for i := 0; i < n; i++ {
 								s := mat.diag[i] * ref[i]
 								for _, e := range mat.rows[i] {
-									s += e.val * ref[e.col]
+									s += float64(e.val * ref[e.col])
 								}
-								res += (s - rhs[i]) * (s - rhs[i])
-								norm += rhs[i] * rhs[i]
+								res += float64((s - rhs[i]) * (s - rhs[i]))
+								norm += float64(rhs[i] * rhs[i])
 							}
 							// CG is run for a fixed iteration budget (it is
 							// a benchmark, not a solver), so require solid

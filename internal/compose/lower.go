@@ -129,7 +129,7 @@ func lowerNode(rt *pcxx.Runtime, n *Node, idx *int, scale int) func(*pcxx.Thread
 				f := imbFactor(seed, k, imb)
 				t.Flops(grainFlops(grain, f))
 				*data.Local(t, k) = float64(k) * f
-				sum += float64(k) * f
+				sum += float64(float64(k) * f)
 			})
 			*part.Local(t, t.ID()) = sum
 			pcxx.ReduceSum(t, part)
@@ -152,7 +152,7 @@ func lowerNode(rt *pcxx.Runtime, n *Node, idx *int, scale int) func(*pcxx.Thread
 						a := grid.Read(t, l)
 						b := grid.Read(t, r)
 						t.Flops(grainFlops(grain, imbFactor(seed, i, imb)))
-						*grid.Local(t, i) = (a+b)/2 + 1
+						*grid.Local(t, i) = float64((a+b)/2) + 1
 					})
 					t.Barrier()
 				}
@@ -180,7 +180,7 @@ func lowerNode(rt *pcxx.Runtime, n *Node, idx *int, scale int) func(*pcxx.Thread
 					v := grid.Read(t, up, c) + grid.Read(t, down, c) +
 						grid.Read(t, r, left) + grid.Read(t, r, right)
 					t.Flops(grainFlops(grain, imbFactor(seed, r*width+c, imb)))
-					*grid.Local(t, r, c) = v/4 + 1
+					*grid.Local(t, r, c) = float64(v/4) + 1
 				})
 				t.Barrier()
 			}
@@ -236,7 +236,7 @@ func imbFactor(seed uint64, k int, imb float64) float64 {
 		return 1
 	}
 	r := vtime.NewRand(seed + uint64(k)*0x100000001b3 + 1)
-	return 1 + imb*r.Float64()
+	return 1 + float64(imb*r.Float64())
 }
 
 // grainFlops scales the node grain by the imbalance factor, flooring at

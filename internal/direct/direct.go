@@ -102,7 +102,7 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 		if cfg.JitterPct == 0 {
 			return t
 		}
-		f := 1 + cfg.JitterPct*(2*jitter.Float64()-1)
+		f := 1 + float64(cfg.JitterPct*(float64(2*jitter.Float64())-1))
 		return t.Scale(f)
 	}
 

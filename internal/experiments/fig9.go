@@ -177,8 +177,8 @@ func rankCorrelation(names []string, grid map[string]map[int]fig9Cell, n int) fl
 	var d2 float64
 	for _, nm := range names {
 		d := float64(pr[nm] - ar[nm])
-		d2 += d * d
+		d2 += float64(d * d)
 	}
 	k := float64(len(names))
-	return 1 - 6*d2/(k*(k*k-1))
+	return 1 - 6*d2/(k*(float64(k*k)-1))
 }

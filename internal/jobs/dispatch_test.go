@@ -151,13 +151,16 @@ func TestDispatchedJobResumesFromStore(t *testing.T) {
 
 	svc1 := experiments.NewService(2, 64, 0)
 	run1 := &localRunner{svc: svc1}
-	m1, _ := newDispatchManager(t, dir, run1)
+	m1, st1 := newDispatchManager(t, dir, run1)
 	id, err := m1.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := waitStatus(t, m1, id, StatusDone)
 	m1.Close()
+	// The store directory is locked until its Store closes, as a crashed
+	// process's lock is dropped by the OS.
+	st1.Close()
 
 	// Crash-shape the job file: running, no recorded points. Cell
 	// records survive in the store.

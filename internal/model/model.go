@@ -455,9 +455,9 @@ func fitCurve(ps []int, ys []float64) curveFit {
 		}
 		w = 1 / w
 		for r := 0; r < k; r++ {
-			bv[r] += x[r] * w * w * ys[i]
+			bv[r] += float64(x[r] * w * w * ys[i])
 			for c := 0; c < k; c++ {
-				a[r][c] += x[r] * x[c] * w * w
+				a[r][c] += float64(x[r] * x[c] * w * w)
 			}
 		}
 	}
@@ -503,7 +503,7 @@ func fitCurve(ps []int, ys []float64) curveFit {
 			den = 1
 		}
 		rel := math.Abs(r) / den
-		rss += rel * rel // weighted residuals, matching the weighted solve
+		rss += float64(rel * rel) // weighted residuals, matching the weighted solve
 		relSum += rel
 		if rel > f.maxRel {
 			f.maxRel = rel
@@ -521,7 +521,7 @@ func (f *curveFit) predict(p int) float64 {
 	x := basisVec(p, f.k)
 	s := 0.0
 	for i := 0; i < f.k; i++ {
-		s += f.coeffs[i] * x[i]
+		s += float64(f.coeffs[i] * x[i])
 	}
 	return s
 }
@@ -532,7 +532,7 @@ func (f *curveFit) stderr(p int) float64 {
 	q := 0.0
 	for r := 0; r < f.k; r++ {
 		for c := 0; c < f.k; c++ {
-			q += x[r] * f.ainv[r][c] * x[c]
+			q += float64(x[r] * f.ainv[r][c] * x[c])
 		}
 	}
 	if q < 0 {
@@ -558,7 +558,7 @@ func cholesky(a, l *[basisTerms][basisTerms]float64, k int) bool {
 		for c := 0; c <= r; c++ {
 			s := a[r][c]
 			for j := 0; j < c; j++ {
-				s -= l[r][j] * l[c][j]
+				s -= float64(l[r][j] * l[c][j])
 			}
 			if r == c {
 				if s <= 0 {
@@ -579,7 +579,7 @@ func cholSolve(l *[basisTerms][basisTerms]float64, b [basisTerms]float64, k int)
 	for r := 0; r < k; r++ {
 		s := b[r]
 		for j := 0; j < r; j++ {
-			s -= l[r][j] * y[j]
+			s -= float64(l[r][j] * y[j])
 		}
 		y[r] = s / l[r][r]
 	}
@@ -587,7 +587,7 @@ func cholSolve(l *[basisTerms][basisTerms]float64, b [basisTerms]float64, k int)
 	for r := k - 1; r >= 0; r-- {
 		s := y[r]
 		for j := r + 1; j < k; j++ {
-			s -= l[j][r] * x[j]
+			s -= float64(l[j][r] * x[j])
 		}
 		x[r] = s / l[r][r]
 	}

@@ -22,7 +22,7 @@ func CalibrateHost() CostModel {
 	mul := 1.0000000001
 	start := time.Now()
 	for i := 0; i < flops/2; i++ {
-		acc = acc*mul + 1e-12 // 2 flops per iteration, loop-carried
+		acc = float64(acc*mul) + 1e-12 // 2 flops per iteration, loop-carried
 	}
 	elapsed := time.Since(start)
 	sink = acc // defeat dead-code elimination

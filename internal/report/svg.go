@@ -44,7 +44,7 @@ func (f *Figure) SVG(w io.Writer) error {
 		return float64(ml) + float64(i)*float64(pw)/float64(len(f.X)-1)
 	}
 	yPos := func(v float64) float64 {
-		return float64(mt) + (1-(v-lo)/(hi-lo))*float64(ph)
+		return float64(mt) + float64((1-(v-lo)/(hi-lo))*float64(ph))
 	}
 
 	var b strings.Builder
@@ -64,7 +64,7 @@ func (f *Figure) SVG(w io.Writer) error {
 
 	// Y grid lines and labels (5 ticks).
 	for i := 0; i <= 4; i++ {
-		v := lo + (hi-lo)*float64(i)/4
+		v := lo + float64((hi-lo)*float64(i)/4)
 		y := yPos(v)
 		fmt.Fprintf(&b, `<line x1="%d" y1="%.1f" x2="%d" y2="%.1f" stroke="#ddd"/>`+"\n", ml, y, ml+pw, y)
 		fmt.Fprintf(&b, `<text x="%d" y="%.1f" font-family="sans-serif" font-size="11" text-anchor="end">%s</text>`+"\n",

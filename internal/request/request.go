@@ -121,17 +121,14 @@ func write(w http.ResponseWriter, status int, body []byte) {
 
 // workUnits is the validation proxy for one measurement's cost. A
 // benchmark that can estimate its own work (composed workloads know
-// their event totals) is asked; everything else uses the proxy of
-// problem size × iterations (at least one) × measured threads.
+// their event totals; the Θ(N²)-memory kernels count their floats) is
+// asked; everything else uses the proxy of problem size × iterations
+// (at least one) × measured threads.
 func workUnits(b benchmarks.Benchmark, sz benchmarks.Size, threads int) int64 {
 	if we, ok := b.(benchmarks.WorkEstimator); ok {
 		return we.WorkUnits(sz, threads)
 	}
-	iters := sz.Iters
-	if iters < 1 {
-		iters = 1
-	}
-	return int64(sz.N) * int64(iters) * int64(threads)
+	return benchmarks.ProxyWorkUnits(sz, threads)
 }
 
 // checkWorkBudget rejects configurations whose combined work product

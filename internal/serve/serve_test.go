@@ -15,6 +15,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"extrap/internal/benchmarks"
+	"extrap/internal/request"
 )
 
 // newTestServer returns a Server with quiet logging and test-friendly
@@ -598,6 +601,41 @@ func TestWorkBudgetBoundsCombinedProduct(t *testing.T) {
 	status, resp = post(t, ts.URL+"/v1/extrapolate", `{"benchmark":"sort","threads":32,"machine":"cm5"}`)
 	if status != http.StatusOK {
 		t.Errorf("paper-scale sort: status %d body %s, want 200", status, resp)
+	}
+}
+
+// TestWorkBudgetCountsKernelMemory: grid, mgrid, poisson and matmul
+// allocate Θ(N²) floats, and cyclic Θ(N·iters), before their first
+// event, so a request the size × iters × threads proxy admits can ask
+// for tens of gigabytes, and running out of memory is a fatal error no
+// recover catches. Each kernel's work estimate counts those floats, so
+// such a request is refused with 400 work_budget_exceeded before
+// anything is measured.
+func TestWorkBudgetCountsKernelMemory(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	cases := []struct {
+		path, body string
+		size       benchmarks.Size
+	}{
+		{"/v1/extrapolate", `{"benchmark":"grid","size":65536,"iters":1,"threads":1,"machine":"ideal"}`, benchmarks.Size{N: 65536, Iters: 1}},
+		{"/v1/extrapolate", `{"benchmark":"mgrid","size":65536,"iters":1,"threads":1,"machine":"ideal"}`, benchmarks.Size{N: 65536, Iters: 1}},
+		{"/v1/extrapolate", `{"benchmark":"poisson","size":65536,"threads":1,"machine":"ideal"}`, benchmarks.Size{N: 65536}},
+		{"/v1/extrapolate", `{"benchmark":"matmul","size":65536,"threads":1,"machine":"ideal"}`, benchmarks.Size{N: 65536}},
+		{"/v1/extrapolate", `{"benchmark":"cyclic","size":65536,"iters":1024,"threads":1,"machine":"ideal"}`, benchmarks.Size{N: 65536, Iters: 1024}},
+		{"/v1/sweep", `{"benchmark":"grid","size":65536,"iters":1,"machine":"ideal","procs":[1]}`, benchmarks.Size{N: 65536, Iters: 1}},
+	}
+	for _, tc := range cases {
+		// The proxy alone would admit every case.
+		if w := benchmarks.ProxyWorkUnits(tc.size, 1); w > request.MaxWorkUnits {
+			t.Fatalf("%s: proxy %d already exceeds the budget", tc.body, w)
+		}
+		status, resp := post(t, ts.URL+tc.path, tc.body)
+		if status != http.StatusBadRequest || !strings.Contains(resp, "work_budget_exceeded") {
+			t.Errorf("%s %s: status %d body %s, want 400 work_budget_exceeded", tc.path, tc.body, status, resp)
+		}
+	}
+	if _, misses := srv.svc.CacheStats(); misses != 0 {
+		t.Errorf("%d measurements started; a refused request must measure nothing", misses)
 	}
 }
 

@@ -37,17 +37,20 @@
 //	<dir>/quarantine/<hash>.art     records that failed verification
 //	<dir>/quarantine/<n>-<off>.tail bytes cut from a segment's torn tail
 //	<dir>/index                     advisory recency index (see index.go)
+//	<dir>/lock                      held locked by the open Store
 //
 // Each record binds itself to its key and payload: magic "XART1", the
 // 32-byte key hash, the payload length, the payload's own SHA-256, then
 // the payload. A Put builds the record and appends it to the active
 // segment with a single write; the active segment rolls over to a new
 // file once it reaches segmentBytes. Appends assume a single writer, so
-// a directory belongs to one open Store at a time. A Get reads the
-// record back with one ReadAt and re-verifies all of it; any mismatch
-// (truncation, flipped byte, wrong key) drops the artifact, copies the
-// bytes read to quarantine/ and reports a miss, so a corrupt artifact
-// is recomputed and never served.
+// a directory belongs to one open Store at a time: Open takes an
+// exclusive lock on <dir>/lock, held until Close, and a second Open of
+// the directory fails while it is held, from this process or another.
+// A Get reads the record back with one ReadAt and re-verifies all of
+// it; any mismatch (truncation, flipped byte, wrong key) drops the
+// artifact, copies the bytes read to quarantine/ and reports a miss, so
+// a corrupt artifact is recomputed and never served.
 //
 // Open walks every segment's record headers in order; payloads are
 // verified on read, not at Open. A record that is short or structurally
@@ -137,8 +140,9 @@ type Stats struct {
 // plugs directly behind a TraceCache via SetBackend.
 type Store struct {
 	dir       string
-	maxBytes  int64 // 0 = unlimited
-	rollBytes int64 // active segment size that starts a new one
+	maxBytes  int64    // 0 = unlimited
+	rollBytes int64    // active segment size that starts a new one
+	lock      *os.File // holds the directory lock; nil where locking is a no-op
 
 	// wmu serializes appends. Fields marked "wmu+mu" are written only
 	// holding both locks and may be read holding either. Lock order:
@@ -172,10 +176,11 @@ type Store struct {
 
 // Open opens (creating if needed) the artifact store rooted at dir,
 // keeping at most maxBytes of artifacts on disk (0 = unlimited). It
-// scans the segments, imports a legacy object directory, applies the
-// advisory index's recency, and starts the background eviction,
-// compaction and flush goroutine. Call Close to stop the goroutine and
-// persist the index.
+// locks the directory, failing with an error naming it if another Store
+// holds it, scans the segments, imports a legacy object directory,
+// applies the advisory index's recency, and starts the background
+// eviction, compaction and flush goroutine. Call Close to stop the
+// goroutine, persist the index and release the lock.
 func Open(dir string, maxBytes int64) (*Store, error) {
 	return open(dir, maxBytes, segmentBytes)
 }
@@ -188,10 +193,15 @@ func open(dir string, maxBytes, rollBytes int64) (*Store, error) {
 			return nil, fmt.Errorf("store: create %s: %w", sub, err)
 		}
 	}
+	lock, err := lockDir(dir)
+	if err != nil {
+		return nil, err
+	}
 	s := &Store{
 		dir:       dir,
 		maxBytes:  maxBytes,
 		rollBytes: rollBytes,
+		lock:      lock,
 		objects:   make(map[[32]byte]*list.Element),
 		order:     list.New(),
 		nextSeg:   1,
@@ -202,6 +212,7 @@ func open(dir string, maxBytes, rollBytes int64) (*Store, error) {
 		for _, seg := range s.segs {
 			seg.f.Close()
 		}
+		s.unlock()
 		return nil, err
 	}
 	s.wg.Add(1)
@@ -217,6 +228,7 @@ const (
 	legacyDirName     = "objects"
 	quarantineDirName = "quarantine"
 	indexFileName     = "index"
+	lockFileName      = "lock"
 )
 
 var errClosed = errors.New("store: closed")
@@ -525,10 +537,18 @@ func (s *Store) Close() error {
 		// failure; closing a file adds no error worth surfacing.
 		seg.f.Close()
 	}
+	s.unlock()
 	if err != nil {
 		return fmt.Errorf("store: close: %w", err)
 	}
 	return nil
+}
+
+// unlock releases the directory lock.
+func (s *Store) unlock() {
+	if s.lock != nil {
+		s.lock.Close()
+	}
 }
 
 func (s *Store) quarantinePath(h [32]byte) string {

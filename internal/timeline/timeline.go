@@ -155,7 +155,7 @@ func (tl *Timeline) SVG(w io.Writer, title string) error {
 		tl.Duration = 1
 	}
 	x := func(t vtime.Time) float64 {
-		return float64(ml) + float64(t)/float64(tl.Duration)*float64(pw)
+		return float64(ml) + float64(float64(t)/float64(tl.Duration)*float64(pw))
 	}
 
 	var b strings.Builder

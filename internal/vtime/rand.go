@@ -24,9 +24,11 @@ func (r *Rand) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Float64 returns a uniform value in [0, 1).
+// Float64 returns a uniform value in [0, 1). The outer conversion rounds
+// the quotient, so no caller it is inlined into can fuse it into a
+// multiply-add (see scripts/ci_fma_lint.sh).
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
@@ -45,9 +47,9 @@ func (r *Rand) Split() *Rand { return NewRand(r.Uint64()) }
 // Normal returns a standard normal deviate via the Marsaglia polar method.
 func (r *Rand) Normal() float64 {
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		u := float64(2*r.Float64()) - 1
+		v := float64(2*r.Float64()) - 1
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}

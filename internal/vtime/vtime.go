@@ -46,9 +46,9 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 // the nearest nanosecond. Model parameters in the paper are given in µs.
 func FromMicros(us float64) Time {
 	if us < 0 {
-		return Time(us*float64(Microsecond) - 0.5)
+		return Time(float64(us*float64(Microsecond)) - 0.5)
 	}
-	return Time(us*float64(Microsecond) + 0.5)
+	return Time(float64(us*float64(Microsecond)) + 0.5)
 }
 
 // FromSeconds builds a Time from floating-point seconds.
@@ -57,7 +57,7 @@ func FromSeconds(s float64) Time { return FromMicros(s * 1e6) }
 // Scale multiplies t by the dimensionless factor f, rounding to the
 // nearest nanosecond. It is the primitive behind MipsRatio scaling.
 func (t Time) Scale(f float64) Time {
-	v := float64(t) * f
+	v := float64(float64(t) * f) // rounded, so ±0.5 cannot fuse into it
 	if v < 0 {
 		return Time(v - 0.5)
 	}
