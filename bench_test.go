@@ -215,7 +215,8 @@ func BenchmarkMeasurement(b *testing.B) {
 
 // measurementSuiteSizes is one mid-range size per sweep-cold kernel, the
 // middle of the (size, iters) range the end-to-end sweep-cold workload
-// draws from.
+// draws from, followed by the three compose presets at their default
+// sizes, the composed programs compose-cold measures.
 var measurementSuiteSizes = []struct {
 	name string
 	size benchmarks.Size
@@ -227,12 +228,15 @@ var measurementSuiteSizes = []struct {
 	{"mgrid", benchmarks.Size{N: 48, Iters: 2}},
 	{"poisson", benchmarks.Size{N: 56}},
 	{"sort", benchmarks.Size{N: 16330}},
+	{"pipeline8", benchmarks.Size{N: 32, Iters: 2}},
+	{"farm-stencil", benchmarks.Size{N: 16, Iters: 1}},
+	{"bsp-reduce", benchmarks.Size{N: 32, Iters: 1}},
 }
 
 // BenchmarkMeasurementSuite times what a cold sweep measures: one
-// operation is the instrumented 1-processor run of a kernel at every
-// thread count of the ladder (1…32), each built from its own program
-// factory as the server builds every cell's.
+// operation is the 1-processor measurement of a program at every thread
+// count of the ladder (1…32), each built from its own program factory as
+// the server builds every cell's.
 func BenchmarkMeasurementSuite(b *testing.B) {
 	for _, k := range measurementSuiteSizes {
 		b.Run(k.name, func(b *testing.B) {
