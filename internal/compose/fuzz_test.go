@@ -1,18 +1,22 @@
 package compose
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"extrap/internal/benchmarks"
+	"extrap/internal/core"
 )
 
 // FuzzComposeSpec feeds hostile, deep, and oversized specs to the full
 // FromJSON path: any input must either parse into a workload whose
 // canonical identity is self-consistent or return an error — never
-// panic. Accepted workloads must stay within the published ceilings and
-// survive a lowering at a small thread count, since lowering runs on
-// worker nodes fed coordinator-relayed client bytes.
+// panic. Accepted workloads must stay within the published ceilings,
+// and every accepted spec of at most 2^14 work units at 3 threads must
+// synthesize, at 1 to 3 threads, the trace its pcxx lowering measures,
+// byte for byte: synthesis runs on worker nodes fed coordinator-relayed
+// client bytes.
 func FuzzComposeSpec(f *testing.F) {
 	f.Add([]byte(nestedSpec))
 	f.Add([]byte(`{"root":{"kind":"bsp"}}`))
@@ -47,10 +51,24 @@ func FuzzComposeSpec(f *testing.F) {
 		if again.Canonical() != w.Canonical() {
 			t.Fatalf("round trip changed canonical:\n%s\n%s", w.Canonical(), again.Canonical())
 		}
-		// Lowering must not panic; instantiate without running.
-		prog := w.Factory(benchmarks.Size{N: 1, Iters: 1})(2)
-		if prog.Threads != 2 || prog.Setup == nil {
-			t.Fatal("bad lowered program")
+		// Synthesis must write the lowering's trace byte for byte. The
+		// size bound keeps each input's pcxx oracle runs cheap.
+		size := benchmarks.Size{N: 1, Iters: 1}
+		if w.WorkUnits(size, 3) > 1<<14 {
+			return
+		}
+		for threads := 1; threads <= 3; threads++ {
+			want, err := core.Measure(oracle(w, size, threads), core.MeasureOptions{})
+			if err != nil {
+				t.Fatalf("%d threads: oracle: %v", threads, err)
+			}
+			got, err := core.Measure(w.Factory(size)(threads), core.MeasureOptions{})
+			if err != nil {
+				t.Fatalf("%d threads: synthesis: %v", threads, err)
+			}
+			if !bytes.Equal(xtrp2(t, got), xtrp2(t, want)) {
+				t.Fatalf("%d threads: synthesized trace differs from the lowering's\n%s", threads, firstDiff(got, want))
+			}
 		}
 	})
 }

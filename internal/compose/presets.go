@@ -29,7 +29,7 @@ func (p Preset) Description() string { return p.desc }
 // DefaultSize returns the underlying workload's spec-level size.
 func (p Preset) DefaultSize() benchmarks.Size { return p.w.DefaultSize() }
 
-// Factory instantiates the underlying workload's lowered program, under
+// Factory instantiates the underlying workload's program, under
 // the preset's registry name so traces and predictions key by it.
 func (p Preset) Factory(size benchmarks.Size) core.ProgramFactory {
 	presetHits.Add(1)

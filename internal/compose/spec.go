@@ -2,16 +2,19 @@
 // small declarative JSON spec of nested parallel design patterns —
 // pipeline, task_farm, stencil, reduction, bsp, and the seq/par
 // combinators — validates it against hard ceilings, canonicalizes it
-// into the deterministic wl/v1 key scheme, and lowers it to a
-// deterministic pcxx program that runs through the measure → translate →
-// simulate pipeline exactly like a registered benchmark.
+// into the deterministic wl/v1 key scheme, and synthesizes the trace a
+// 1-processor measurement of the SPMD program it stands for would
+// record, which then runs through the translate → simulate pipeline
+// exactly like a registered benchmark's measured trace. The synthesized
+// trace is byte-identical to measuring the program's pcxx lowering,
+// which the tests keep as the oracle.
 //
 // A composed workload is indistinguishable from a built-in kernel to
 // every downstream subsystem: its Name() is derived from the canonical
 // encoding ("wl:" + 32 hex digits of the SHA-256), so cache keys, store
 // addresses, coordinator shard affinity, and job resume all work
 // unchanged, and byte-identity across workers/format/restart holds
-// because the lowered program is a pure function of the normalized spec.
+// because the trace is a pure function of the normalized spec.
 package compose
 
 import (
@@ -132,7 +135,7 @@ func isComposite(kind string) bool {
 }
 
 // normalize fills documented defaults in place so canonicalization and
-// lowering see one spelling of each spec. Called only after validate.
+// synthesis see one spelling of each spec. Called only after validate.
 func (n *Node) normalize() {
 	if n.Grain == 0 {
 		n.Grain = 1
@@ -285,9 +288,11 @@ func (n *Node) shape(depth int, nodes, maxDepth *int) {
 // eventsTotal estimates the total trace event volume one iteration of a
 // normalized node produces across th threads — the basis of the
 // WorkEstimator budget and of the MaxSpecEvents validation guard. The
-// coefficients mirror the lowering in lower.go: each task or cell costs
+// coefficients follow the patterns in synth.go: each task or cell costs
 // a compute event plus its communication, each collective costs
 // per-thread rounds, and the flat reduction is deliberately quadratic.
+// It is an estimate, not a count: synthesis counts a trace's events
+// exactly and enforces MaxTraceEvents on the count.
 func (n *Node) eventsTotal(th int64) int64 {
 	if th < 1 {
 		th = 1

@@ -78,8 +78,8 @@ type Counters struct {
 	// key.
 	CacheHits   int64
 	CacheMisses int64
-	// NodesLowered counts pattern nodes lowered into pcxx programs
-	// (accumulated per program instantiation).
+	// NodesLowered counts pattern nodes flattened into synthesized
+	// traces (accumulated per measurement).
 	NodesLowered int64
 	// PresetHits counts preset factory instantiations.
 	PresetHits int64

@@ -12,6 +12,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"extrap/internal/pcxx"
@@ -21,8 +22,11 @@ import (
 	"extrap/internal/vtime"
 )
 
-// Program is an instrumentable data-parallel program: Setup registers
-// collections against the runtime and returns the SPMD body.
+// Program is an instrumentable data-parallel program. Exactly one of
+// Setup and Emit is set: Setup registers collections against the
+// runtime and returns the SPMD body the runtime executes; Emit writes
+// the trace that execution would record, for a program whose events and
+// compute are fixed by its description alone.
 type Program struct {
 	// Name identifies the program in reports.
 	Name string
@@ -30,6 +34,10 @@ type Program struct {
 	Threads int
 	// Setup registers collections and returns the per-thread body.
 	Setup func(rt *pcxx.Runtime) func(*pcxx.Thread)
+	// Emit returns the merged 1-processor trace of the program under
+	// cfg, as the runtime would record it, polling cfg.Interrupt as the
+	// runtime does.
+	Emit func(cfg pcxx.Config) (*trace.Trace, error)
 }
 
 // MeasureOptions configures the 1-processor measurement run.
@@ -60,17 +68,19 @@ func MeasureContext(ctx context.Context, p Program, opts MeasureOptions) (*trace
 	return measure(ctx, p, opts)
 }
 
-// Measure runs the program under the instrumented 1-processor runtime and
-// returns the merged measurement trace (performance information PI₁).
+// Measure runs the program under the instrumented 1-processor runtime, or
+// has it emit that run's trace, and returns the merged measurement trace
+// (performance information PI₁).
 func Measure(p Program, opts MeasureOptions) (*trace.Trace, error) {
 	return measure(context.Background(), p, opts)
 }
 
-// measure builds the instrumented runtime and executes the program; a
-// cancellable ctx is wired in as the runtime's interrupt poll.
+// measure builds the instrumented runtime and executes the program, or
+// has the program emit its trace; a cancellable ctx is wired in as the
+// interrupt poll.
 func measure(ctx context.Context, p Program, opts MeasureOptions) (*trace.Trace, error) {
-	if p.Setup == nil {
-		return nil, fmt.Errorf("core: program %q has no Setup", p.Name)
+	if (p.Setup == nil) == (p.Emit == nil) {
+		return nil, fmt.Errorf("core: program %q must set exactly one of Setup and Emit", p.Name)
 	}
 	if p.Threads <= 0 {
 		return nil, fmt.Errorf("core: program %q has invalid thread count %d", p.Name, p.Threads)
@@ -90,6 +100,19 @@ func measure(ctx context.Context, p Program, opts MeasureOptions) (*trace.Trace,
 	}
 	if ctx.Done() != nil {
 		cfg.Interrupt = ctx.Err
+	}
+	if p.Emit != nil {
+		tr, err := emit(p, cfg)
+		if err == nil && tr == nil {
+			err = errors.New("emit returned no trace")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: measuring %q: %w", p.Name, err)
+		}
+		if err := tr.Validate(); err != nil {
+			return nil, fmt.Errorf("core: measuring %q: program emitted malformed trace: %w", p.Name, err)
+		}
+		return tr, nil
 	}
 	rt := pcxx.NewRuntime(cfg)
 	body, err := setup(p, rt)
@@ -111,14 +134,29 @@ func measure(ctx context.Context, p Program, opts MeasureOptions) (*trace.Trace,
 func setup(p Program, rt *pcxx.Runtime) (body func(*pcxx.Thread), err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if e, ok := r.(error); ok {
-				err = fmt.Errorf("setup failed: %w", e)
-			} else {
-				err = fmt.Errorf("setup panicked: %v", r)
-			}
+			err = recovered("setup", r)
 		}
 	}()
 	return p.Setup(rt), nil
+}
+
+// emit runs the program's Emit, turning a panic into an error as setup
+// does, for the same reason.
+func emit(p Program, cfg pcxx.Config) (tr *trace.Trace, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = recovered("emit", r)
+		}
+	}()
+	return p.Emit(cfg)
+}
+
+// recovered turns a panic value from a program stage into an error.
+func recovered(stage string, r any) error {
+	if e, ok := r.(error); ok {
+		return fmt.Errorf("%s failed: %w", stage, e)
+	}
+	return fmt.Errorf("%s panicked: %v", stage, r)
 }
 
 // Outcome bundles every artifact of one full extrapolation.

@@ -5,8 +5,13 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
+	"unsafe"
 
+	"extrap/internal/compose"
 	"extrap/internal/core"
+	"extrap/internal/request"
+	"extrap/internal/trace"
 )
 
 // TestTraceBudgetReturns413: a server with a tiny per-trace budget must
@@ -53,6 +58,34 @@ func missField(t *testing.T, varsBody string) string {
 		end = len(varsBody) - i
 	}
 	return varsBody[i : i+end]
+}
+
+// TestOversizedComposedTraceReturns413: a composed workload within the
+// work budget whose trace would take gigabytes (a 256-thread tree
+// reduction repeated 43,690 times: 234.8M events, 9.4 GB) is refused
+// with 413 trace_too_large before its events are allocated, and the
+// refusal is memoized. The ceiling is the memory the work budget lets a
+// registry kernel allocate: MaxWorkUnits float64 elements.
+func TestOversizedComposedTraceReturns413(t *testing.T) {
+	if want := int64(request.MaxWorkUnits) * 8 / int64(unsafe.Sizeof(trace.Event{})); compose.MaxTraceEvents != want {
+		t.Fatalf("compose.MaxTraceEvents = %d, want %d", compose.MaxTraceEvents, want)
+	}
+	_, ts := newTestServer(t, Config{})
+	req := `{"workload":{"root":{"kind":"reduction","op":"tree"}},"iters":43690,"threads":256,"machine":"ideal"}`
+	start := time.Now()
+	status, body := post(t, ts.URL+"/v1/extrapolate", req)
+	if status != http.StatusRequestEntityTooLarge || !strings.Contains(body, `"code":"trace_too_large"`) {
+		t.Fatalf("status %d body %s, want 413 trace_too_large", status, body)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("refusal took %v", took)
+	}
+	_, before := get(t, ts.URL+"/debug/vars")
+	post(t, ts.URL+"/v1/extrapolate", req)
+	_, after := get(t, ts.URL+"/debug/vars")
+	if missField(t, before) != missField(t, after) {
+		t.Errorf("repeated refused request re-measured:\n%s\nvs\n%s", before, after)
+	}
 }
 
 // TestTraceTooLargeErrorMapping: the pipeline error mapper recognizes

@@ -52,8 +52,8 @@ type event struct {
 //
 // The heap is 4-ary rather than binary: sift-down dominates (every pop
 // walks from the root), and a fan-out of 4 halves the tree depth while
-// keeping each level's four children in at most two cache lines of
-// 40-byte events. Pop order is a pure function of the (time, seq) total
+// keeping each level's four children in 128 contiguous bytes of 32-byte
+// events. Pop order is a pure function of the (time, seq) total
 // order — seq is unique — so arity cannot change results, only the
 // constant factor.
 type fel struct {
@@ -78,7 +78,7 @@ func (f *fel) less(i, j int) bool {
 
 // up restores the heap invariant after appending at index i. The moving
 // event rides in a register while displaced ancestors drop into the
-// hole, so each level costs one 40-byte copy instead of a swap's three.
+// hole, so each level costs one 32-byte copy instead of a swap's three.
 // The comparison sequence matches the swapping formulation exactly, so
 // the resulting heap shape — and therefore pop order — is unchanged.
 func (f *fel) up(i int) {
