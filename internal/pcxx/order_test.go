@@ -103,7 +103,11 @@ func viewOf(t *testing.T, f core.ProgramFactory, threads int) (*orderView, error
 // fixture, measured with the historical rotating order and with the id
 // order, must give equal per-thread translated traces, equal source and
 // ideal durations, and equal predictions on every machine preset — only
-// the merged trace may differ. It flips a process-wide switch, so it
+// the merged trace may differ. Composed workloads no longer run on the
+// runtime: their traces are synthesized in id order whatever the
+// switch says, and internal/compose checks them byte for byte against
+// their pcxx lowering's id-order run, so here they only confirm that
+// the switch leaves them alone. It flips a process-wide switch, so it
 // must not run in parallel.
 func TestResumeOrderInvariance(t *testing.T) {
 	type program struct {
