@@ -89,13 +89,14 @@ type Runtime struct {
 	interruptCtr int
 }
 
-// interruptEvery is how many recorded events / compute charges pass
+// InterruptEvery is how many recorded events / compute charges pass
 // between Interrupt polls — frequent enough that a cancelled run stops
 // within microseconds of real work, rare enough to stay off the
-// measurement hot path.
-const interruptEvery = 4096
+// measurement hot path. A program that emits its own trace polls at the
+// same rate.
+const InterruptEvery = 4096
 
-// checkInterrupt polls cfg.Interrupt every interruptEvery calls and
+// checkInterrupt polls cfg.Interrupt every InterruptEvery calls and
 // aborts the run by panicking with the returned error; the cooperative
 // scheduler converts the panic into an error from Run and unwinds every
 // thread, so an interrupted measurement leaks nothing.
@@ -103,7 +104,7 @@ func (rt *Runtime) checkInterrupt() {
 	if rt.cfg.Interrupt == nil {
 		return
 	}
-	if rt.interruptCtr++; rt.interruptCtr < interruptEvery {
+	if rt.interruptCtr++; rt.interruptCtr < InterruptEvery {
 		return
 	}
 	rt.interruptCtr = 0

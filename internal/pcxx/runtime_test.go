@@ -568,10 +568,10 @@ func TestInterruptAbortsRun(t *testing.T) {
 	}
 	rt := NewRuntime(cfg)
 	_, err := rt.Run(func(th *Thread) {
-		// Far more compute charges than 3×interruptEvery: without the
+		// Far more compute charges than 3×InterruptEvery: without the
 		// interrupt this loop completes quickly, with it the run must
 		// stop partway through.
-		for i := 0; i < 4*interruptEvery; i++ {
+		for i := 0; i < 4*InterruptEvery; i++ {
 			th.Compute(1)
 		}
 	})
