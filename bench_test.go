@@ -289,6 +289,33 @@ func BenchmarkSimulation(b *testing.B) {
 	b.ReportMetric(float64(pt.Events())/1000, "kevents")
 }
 
+// BenchmarkSimulationWide times the simulation at the largest thread
+// count a request may ask for: mgrid at 256 threads on generic-dm,
+// replayed from a materialized translation. Hundreds of threads keep
+// hundreds of events pending, the future event list's worst case.
+func BenchmarkSimulationWide(b *testing.B) {
+	g, err := benchmarks.ByName("mgrid")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := core.Measure(g.Factory(g.DefaultSize())(256), core.MeasureOptions{SizeMode: pcxx.ActualSize})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pt, err := translate.Translate(tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := machine.GenericDM().Config
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Simulate(context.Background(), nil, pt, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(pt.Events())/1000, "kevents")
+}
+
 // BenchmarkSimulationArena is BenchmarkSimulation with the dense
 // simulator state reused through a sim.Arena across runs — the shape
 // sequential in-memory grid cells now take via the runner's arena pool.
