@@ -282,7 +282,7 @@ func BenchmarkSimulation(b *testing.B) {
 	cfg := machine.GenericDM().Config
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Simulate(context.Background(), nil, pt, cfg); err != nil {
+		if _, err := sim.Simulate(context.Background(), pt, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -309,29 +309,7 @@ func BenchmarkSimulationWide(b *testing.B) {
 	cfg := machine.GenericDM().Config
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Simulate(context.Background(), nil, pt, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(pt.Events())/1000, "kevents")
-}
-
-// BenchmarkSimulationArena is BenchmarkSimulation with the dense
-// simulator state reused through a sim.Arena across runs — the shape
-// sequential in-memory grid cells now take via the runner's arena pool.
-// The B/op delta against BenchmarkSimulation is the pooled-slice
-// saving (~486 KB and ~70 allocs per cell without the arena).
-func BenchmarkSimulationArena(b *testing.B) {
-	tr := measureGrid(b, 16)
-	pt, err := translate.Translate(tr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := machine.GenericDM().Config
-	arena := sim.NewArena()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Simulate(context.Background(), arena, pt, cfg); err != nil {
+		if _, err := sim.Simulate(context.Background(), pt, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -628,7 +606,7 @@ func bigTraceEncoded(b *testing.B, cfg sim.Config) (enc []byte, nEvents int, wan
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := sim.Simulate(context.Background(), nil, pt, cfg)
+	res, err := sim.Simulate(context.Background(), pt, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

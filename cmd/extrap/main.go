@@ -15,6 +15,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -231,9 +232,12 @@ func printPrediction(out io.Writer, env machine.Env, res *sim.Result, ideal vtim
 }
 
 // extrapolateFile runs a measurement trace file through the streaming
-// pipeline. Binary traces (either XTRP format) decode incrementally, so
-// even very large traces extrapolate at buffer-sized memory; text
-// traces are read whole and streamed from memory.
+// pipeline. An XTRP2 file is read whole and compiled, as the server
+// reads its cached bytes, so the simulation can fast-forward steady loop
+// iterations; the format is compact enough that its bytes are far
+// smaller than the events they encode. XTRP1 files decode incrementally,
+// at buffer-sized memory; text traces are read whole and streamed from
+// memory.
 func extrapolateFile(path string, cfg sim.Config) (*core.Prediction, error) {
 	ctx := context.Background()
 	if filepath.Ext(path) != ".txt" {
@@ -242,7 +246,15 @@ func extrapolateFile(path string, cfg sim.Config) (*core.Prediction, error) {
 			return nil, err
 		}
 		defer f.Close()
-		d, err := trace.NewAnyDecoder(f)
+		br := bufio.NewReader(f)
+		if magic, _ := br.Peek(5); trace.IsXTRP2(magic) {
+			enc, err := io.ReadAll(br)
+			if err != nil {
+				return nil, err
+			}
+			return core.ExtrapolateEncoded(ctx, enc, cfg)
+		}
+		d, err := trace.NewAnyDecoder(br)
 		if err == nil {
 			return core.ExtrapolateReader(ctx, d.Header(), d, cfg)
 		}

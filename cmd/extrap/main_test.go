@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 
 	"extrap/internal/core"
 	"extrap/internal/machine"
+	"extrap/internal/sim"
 	"extrap/internal/trace"
 )
 
@@ -169,6 +171,41 @@ func TestSimulateStreamMatchesInMemory(t *testing.T) {
 				t.Errorf("%s: emitted trace differs from the in-memory oracle's", filepath.Base(path))
 			}
 		}
+	}
+}
+
+// TestSimulateFastForwardsXTRP2: `simulate` on an XTRP2 file compiles
+// it, so a loop-heavy grid trace fast-forwards, and it prints the report
+// that replaying every event through the streaming decoder prints.
+func TestSimulateFastForwardsXTRP2(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "grid.xtrp")
+	runCmd(t, "run", "-bench", "grid", "-n", "16", "-o", path)
+	enc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := machine.ByName("cm5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := trace.NewDecoder2(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := core.ExtrapolateReader(context.Background(), d.Header(), d, env.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	printPrediction(&want, env, ref.Result, ref.Ideal)
+
+	before := sim.ReadReplayCounters()
+	got := runCmd(t, "simulate", "-i", path, "-env", "cm5")
+	if after := sim.ReadReplayCounters(); after.FastForwards == before.FastForwards {
+		t.Error("simulate on an XTRP2 grid trace did not fast-forward")
+	}
+	if got != want.String() {
+		t.Errorf("simulate output differs from the event-replay report:\n--- replay ---\n%s\n--- simulate ---\n%s", want.String(), got)
 	}
 }
 

@@ -188,7 +188,7 @@ func ExtrapolateContext(ctx context.Context, tr *trace.Trace, cfg sim.Config) (*
 	if err != nil {
 		return nil, err
 	}
-	res, err := sim.Simulate(ctx, nil, pt, cfg)
+	res, err := sim.Simulate(ctx, pt, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -39,7 +39,7 @@ func TestPipelineInputsReadOnly(t *testing.T) {
 	cfgs := []sim.Config{freeConfig(), freeConfig()}
 	cfgs[1].MipsRatio = 0.5
 	for _, cfg := range cfgs {
-		if _, err := sim.Simulate(context.Background(), nil, pt, cfg); err != nil {
+		if _, err := sim.Simulate(context.Background(), pt, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,7 +63,7 @@ func TestSimulateSharedTraceConcurrently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.Simulate(context.Background(), nil, pt, freeConfig())
+	want, err := sim.Simulate(context.Background(), pt, freeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestSimulateSharedTraceConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := sim.Simulate(context.Background(), nil, pt, freeConfig())
+			res, err := sim.Simulate(context.Background(), pt, freeConfig())
 			if err != nil {
 				t.Error(err)
 				return

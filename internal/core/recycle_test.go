@@ -70,15 +70,17 @@ func measureEncoded(t *testing.T, name string, size benchmarks.Size, threads int
 	return tr, buf.Bytes()
 }
 
-// soloPrediction answers tr under cfg on state nothing else has
-// touched: a materialized translation and a brand-new arena.
+// soloPrediction answers tr under cfg by the in-memory pipeline: a
+// materialized translation simulated on its own, before any concurrent
+// run (package sim's arena tests pin pooled engine state to a fresh
+// engine's answers).
 func soloPrediction(t *testing.T, tr *trace.Trace, cfg sim.Config) *core.Prediction {
 	t.Helper()
 	pt, err := translate.Translate(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Simulate(context.Background(), sim.NewArena(), pt, cfg)
+	res, err := sim.Simulate(context.Background(), pt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,15 +64,18 @@ func ExtrapolateReader(ctx context.Context, hdr trace.Header, src trace.Reader, 
 // decode step stays at chunk-sized memory. For XTRP2 bytes the compiled
 // pattern table and repeat program become a live cursor the whole
 // pipeline can see, letting the simulator fast-forward steady loop
-// iterations; XTRP1 bytes (pre-migration stores) go through the plain
+// iterations, and the compiled trace's storage goes back to a pool when
+// the run ends; XTRP1 bytes (pre-migration stores) go through the plain
 // record decoder. ExtrapolateReader over trace.NewAnyDecoder is the
 // event-replay reference: same predictions, no fast-forward.
 func ExtrapolateEncoded(ctx context.Context, enc []byte, cfg sim.Config) (*Prediction, error) {
 	if trace.IsXTRP2(enc) {
-		ps, err := trace.NewPatternSource(enc)
+		ct, err := trace.CompileBinary(enc)
 		if err != nil {
 			return nil, err
 		}
+		defer ct.Release()
+		ps := ct.Source()
 		return ExtrapolateReader(ctx, ps.Header(), ps, cfg)
 	}
 	d, err := trace.NewAnyDecoder(bytes.NewReader(enc))

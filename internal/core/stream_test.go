@@ -170,7 +170,7 @@ func TestSharedCacheHitPurity(t *testing.T) {
 			if i%2 == 1 {
 				cfg.MipsRatio = 2
 			}
-			if _, err := sim.Simulate(context.Background(), nil, pt, cfg); err != nil {
+			if _, err := sim.Simulate(context.Background(), pt, cfg); err != nil {
 				t.Error(err)
 			}
 		}(g)

@@ -215,7 +215,7 @@ func cellTime(ctx context.Context, cache *core.TraceCache, job *SweepJob, n int)
 	if err != nil {
 		return 0, err
 	}
-	res, err := sim.Simulate(ctx, nil, pt, job.Cfg)
+	res, err := sim.Simulate(ctx, pt, job.Cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -269,5 +269,5 @@ func runGridFitted(ctx context.Context, cache *core.TraceCache, workers int, job
 
 // simulate runs one simulation of an already-translated trace.
 func simulate(pt *translate.ParallelTrace, cfg sim.Config) (*sim.Result, error) {
-	return sim.Simulate(context.Background(), nil, pt, cfg)
+	return sim.Simulate(context.Background(), pt, cfg)
 }

@@ -15,6 +15,11 @@ import (
 	"extrap/internal/vtime"
 )
 
+// simulateIn runs Simulate on arena a instead of a pooled one.
+func simulateIn(ctx context.Context, a *arena, pt *translate.ParallelTrace, cfg Config) (*Result, error) {
+	return a.simulate(ctx, cfg, pt, nil)
+}
+
 // randomWorkload builds a measured-and-translated trace with rng-chosen
 // imbalance, remote traffic, and barrier count, so arena reuse is
 // exercised over many workload shapes rather than one.
@@ -141,13 +146,13 @@ func TestSimulateBatchMatchesPerCell(t *testing.T) {
 		for i := range cfgs {
 			cfgs[i] = randomConfig(rng, n)
 		}
-		a := NewArena()
+		a := newArena()
 		for i, cfg := range cfgs {
-			got, err := Simulate(ctx, a, pt, cfg)
+			got, err := simulateIn(ctx, a, pt, cfg)
 			if err != nil {
 				t.Fatalf("trial %d lane %d: batch: %v", trial, i, err)
 			}
-			want, err := Simulate(ctx, NewArena(), pt, cfg)
+			want, err := simulateIn(ctx, newArena(), pt, cfg)
 			if err != nil {
 				t.Fatalf("trial %d lane %d: per-cell: %v", trial, i, err)
 			}
@@ -192,13 +197,13 @@ func TestArenaReuseAcrossHeterogeneousRuns(t *testing.T) {
 			cells = append(cells, cell{pt, randomConfig(rng, n)})
 		}
 	}
-	a := NewArena()
+	a := newArena()
 	for i, c := range cells {
-		want, err := Simulate(context.Background(), NewArena(), c.pt, c.cfg)
+		want, err := simulateIn(context.Background(), newArena(), c.pt, c.cfg)
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
-		got, err := Simulate(context.Background(), a, c.pt, c.cfg)
+		got, err := simulateIn(context.Background(), a, c.pt, c.cfg)
 		if err != nil {
 			t.Fatalf("cell %d (arena): %v", i, err)
 		}
@@ -225,20 +230,20 @@ func TestSimulateBatchLaneError(t *testing.T) {
 		},
 		Barriers: 1,
 	}
-	a := NewArena()
+	a := newArena()
 	for lane := 0; lane < 4; lane++ {
 		cfg := randomConfig(rng, 2)
 		if lane == 1 {
-			if _, err := Simulate(ctx, a, stuck, zeroConfig()); err == nil || !strings.Contains(err.Error(), "did not finish") {
+			if _, err := simulateIn(ctx, a, stuck, zeroConfig()); err == nil || !strings.Contains(err.Error(), "did not finish") {
 				t.Fatalf("deadlocked lane: err = %v, want a mid-run deadlock error", err)
 			}
 			continue
 		}
-		got, err := Simulate(ctx, a, pt, cfg)
+		got, err := simulateIn(ctx, a, pt, cfg)
 		if err != nil {
 			t.Fatalf("lane %d: %v", lane, err)
 		}
-		want, err := Simulate(ctx, NewArena(), pt, cfg)
+		want, err := simulateIn(ctx, newArena(), pt, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,7 @@ func TestTreeBarrierMessagesProduceValidTrace(t *testing.T) {
 		RequestBytes:     16,
 	}
 	cfg.EmitTrace = true
-	res, err := Simulate(context.Background(), nil, pt, cfg)
+	res, err := Simulate(context.Background(), pt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestTreeBarrierOrdering(t *testing.T) {
 		Topology:    network.Bus{},
 	}
 	cfg.EmitTrace = true
-	res, err := Simulate(context.Background(), nil, pt, cfg)
+	res, err := Simulate(context.Background(), pt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestLinearMessageBarrierReleaseOrder(t *testing.T) {
 		Topology:    network.Bus{},
 	}
 	cfg.EmitTrace = true
-	res, err := Simulate(context.Background(), nil, pt, cfg)
+	res, err := Simulate(context.Background(), pt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestAnalyticVariantsCheaperThanMessages(t *testing.T) {
 				StartupTime: 20 * vtime.Microsecond,
 				Topology:    network.Bus{},
 			}
-			res, err := Simulate(context.Background(), nil, pt, cfg)
+			res, err := Simulate(context.Background(), pt, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +201,7 @@ func TestBarrierRingRejectsRecycledIDs(t *testing.T) {
 		cfg.Barrier = DefaultBarrier()
 		cfg.Barrier.Algorithm = alg
 		for _, ids := range [][]int64{{0, 1, 2}, {0, 7, 9}, {6, 4}} {
-			res, err := Simulate(context.Background(), nil, barrierTrace(ids...), cfg)
+			res, err := Simulate(context.Background(), barrierTrace(ids...), cfg)
 			if err != nil {
 				t.Fatalf("%v ids %v: %v", alg, ids, err)
 			}
@@ -210,7 +210,7 @@ func TestBarrierRingRejectsRecycledIDs(t *testing.T) {
 			}
 		}
 		for _, ids := range [][]int64{{9, 2}, {-1}} {
-			_, err := Simulate(context.Background(), nil, barrierTrace(ids...), cfg)
+			_, err := Simulate(context.Background(), barrierTrace(ids...), cfg)
 			if err == nil || !strings.Contains(err.Error(), "state was recycled") {
 				t.Fatalf("%v ids %v: err = %v, want a recycled-barrier error", alg, ids, err)
 			}

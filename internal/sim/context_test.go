@@ -19,13 +19,13 @@ func TestSimulateContextMatchesSimulate(t *testing.T) {
 			th.Barrier()
 		}
 	})
-	want, err := Simulate(context.Background(), nil, pt, zeroConfig())
+	want, err := Simulate(context.Background(), pt, zeroConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	got, err := Simulate(ctx, nil, pt, zeroConfig())
+	got, err := Simulate(ctx, pt, zeroConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestSimulateContextCancelled(t *testing.T) {
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Simulate(ctx, nil, pt, zeroConfig())
+	_, err := Simulate(ctx, pt, zeroConfig())
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("error = %v, want context.Canceled", err)
 	}

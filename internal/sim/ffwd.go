@@ -53,7 +53,7 @@ const (
 	// ffMaxPeriod is the largest steady-state period (in pattern
 	// iterations) probed from one base snapshot. Engine state is often
 	// periodic with a small multiple of the trace period — rotating
-	// communication partners permute heap layouts and slab labels with
+	// communication partners permute message slab labels with
 	// the rotation's order — so the base is held and the comparison
 	// spacing grows 1, 2, …, ffMaxPeriod before the base is rolled
 	// forward (a mismatch at spacing m also escapes start-up transients
@@ -121,7 +121,7 @@ func ReadReplayCounters() ReplayCounters {
 }
 
 // ffState orchestrates fast-forward for one streaming simulation. It
-// lives in the Arena, so its fingerprint buffers are reused run to run.
+// lives in the arena, so its fingerprint buffers are reused run to run.
 type ffState struct {
 	src *translate.Stream
 	cur *trace.PatternSource
@@ -142,11 +142,10 @@ type ffState struct {
 
 // fpScratch is the engine fingerprint's working memory, kept across
 // probes so a snapshot allocates nothing once the buffers have grown:
-// the canonical FEL order, the message rename table (indexed by slab
-// slot, holding rename+1 so zero means unseen, and zeroed again after
-// every walk), and the slots in first-encounter order.
+// the message rename table (indexed by slab slot, holding rename+1 so
+// zero means unseen, and zeroed again after every walk), and the slots
+// in first-encounter order.
 type fpScratch struct {
-	order     []int32
 	rename    []int64
 	encounter []int32
 }
@@ -154,20 +153,16 @@ type fpScratch struct {
 // engage arms fast-forward for a run when the source pipeline exposes
 // its compiled pattern cursor, keeping the buffers of earlier runs; it
 // returns nil otherwise.
-func (ff *ffState) engage(cfg *Config, src Source) *ffState {
+func (ff *ffState) engage(cfg *Config, src *translate.Stream) *ffState {
 	if src == nil || cfg.EmitTrace {
 		return nil
 	}
-	ts, ok := src.(*translate.Stream)
-	if !ok {
-		return nil
-	}
-	cur := ts.PatternSource()
+	cur := src.PatternSource()
 	if cur == nil {
 		return nil
 	}
 	*ff = ffState{
-		src:     ts,
+		src:     src,
 		cur:     cur,
 		snapOp:  -1,
 		fpA:     ff.fpA,
@@ -213,7 +208,7 @@ func (ff *ffState) observe(ctx context.Context, e *engine, steps int) (int, erro
 	// Pay as you go: a snapshot is worth taking only while the repeat
 	// still owes at least as many rows as the fingerprint pushes slots,
 	// the most a skip from here could save against what it costs.
-	slots := e.fpSlots(ff.src.Pending())
+	slots := e.fpSlots()
 	if repLeft*uint64(bodyLen) < uint64(slots) {
 		return steps, nil
 	}
@@ -315,10 +310,17 @@ func (ff *ffState) appendAll(e *engine, fp *trace.ReplayFingerprint) bool {
 	return e.appendReplayFingerprint(fp, &ff.scratch)
 }
 
-// fpSlots estimates the slot count of one appendAll, given the number
-// of translated events buffered in the stream.
-func (e *engine) fpSlots(pending int) int {
-	return ffSlotsPerThread*e.n + ffSlotsPerProc*e.nprocs + ffSlotsPerFEL*len(e.fel.q) +
+// fpSlots estimates the slot count of one appendAll. A thread's current
+// event is in its ffSlotsPerThread; every other translated event it has
+// buffered, in its own buffer or queued in the stream, is pending.
+func (e *engine) fpSlots() int {
+	pending := e.src.Pending()
+	for i := range e.threads {
+		if t := &e.threads[i]; t.hasCur() {
+			pending += len(t.evs) - t.pos - 1
+		}
+	}
+	return ffSlotsPerThread*e.n + ffSlotsPerProc*e.nprocs + ffSlotsPerFEL*len(e.fel.pending()) +
 		ffSlotsPerPending*pending + ffSlotsFixed
 }
 
@@ -328,42 +330,28 @@ func (e *engine) fpSlots(pending int) int {
 // reporting false when the engine is in a state fast-forward must not
 // touch (sticky source error, or trace emission enabled).
 //
-// Two normalizations make the fingerprint insensitive to semantically
-// inert state. First, the future event list is fingerprinted in
-// canonical (at, seq) order, not physical heap-array order: pops
-// compare only (at, seq), so the array layout — which depends on the
-// whole operation history and can permute forever under rotating
-// communication patterns — never influences behavior. Second, message
-// slab indices are opaque handles (used only for slab addressing and
-// noMsg checks, never compared or output), so they are renamed to
-// canonical first-encounter order along that same walk, and the slab
-// free list — which only decides what name the next allocation gets —
-// is fingerprinted by length alone. Steady states that differ only by
-// heap layout or slab naming are behaviorally identical, and the shift
-// application is order- and name-independent, so skipping from such a
-// state is exact.
+// Three normalizations make the fingerprint insensitive to semantically
+// inert state. First, the future event list is kept in (at, seq) order,
+// the only order pops see, so its layout is canonical already. Second,
+// message slab indices are opaque handles (used only for slab
+// addressing and noMsg checks, never compared or output), so they are
+// renamed to canonical first-encounter order along the list, and the
+// slab free list — which only decides what name the next allocation
+// gets — is fingerprinted by length alone. Third, a thread's unread
+// events are pushed as one sequence, its own buffer's then the stream's
+// queue, since where the last refill split them never matters. Steady
+// states that differ only by slab naming or buffer split are
+// behaviorally identical, and the shift application is name- and
+// split-independent, so skipping from such a state is exact.
 func (e *engine) appendReplayFingerprint(fp *trace.ReplayFingerprint, sc *fpScratch) bool {
 	if e.fail != nil || e.out != nil {
 		return false
 	}
 	now := e.now
 
-	// Canonical FEL order and msg-handle renaming, computed up front so
-	// every section (service queues included) uses the same naming.
-	order := slices.Grow(sc.order[:0], len(e.fel.q))
-	for i := range e.fel.q {
-		order = append(order, int32(i))
-	}
-	slices.SortFunc(order, func(i, j int32) int {
-		switch {
-		case before(&e.fel.q[i], &e.fel.q[j]):
-			return -1
-		case before(&e.fel.q[j], &e.fel.q[i]):
-			return 1
-		}
-		return 0
-	})
-	sc.order = order
+	// Msg-handle renaming, computed up front so every section (service
+	// queues included) uses the same naming.
+	pending := e.fel.pending()
 	if len(sc.rename) < e.msgs.used {
 		sc.rename = make([]int64, e.msgs.used)
 	}
@@ -378,14 +366,8 @@ func (e *engine) appendReplayFingerprint(fp *trace.ReplayFingerprint, sc *fpScra
 			rename[mi] = int64(len(encounter))
 		}
 	}
-	for _, qi := range order {
-		visit(e.fel.q[qi].msg)
-	}
-	if e.fel.topOK {
-		visit(e.fel.top.msg)
-	}
-	if e.contOK {
-		visit(e.cont.msg)
+	for i := range pending {
+		visit(pending[i].msg)
 	}
 	for i := range e.procs {
 		for _, mi := range e.procs[i].svcQueue {
@@ -404,22 +386,13 @@ func (e *engine) appendReplayFingerprint(fp *trace.ReplayFingerprint, sc *fpScra
 	for i := range e.threads {
 		t := &e.threads[i]
 		fp.Push(trace.FPExact, int64(t.state))
-		fp.PushBool(t.curOK)
-		if t.curOK {
-			fp.Push(trace.FPTrans, int64(t.cur.Time))
-			fp.Push(trace.FPExact, int64(t.cur.Kind))
-			fp.Push(trace.FPExact, int64(t.cur.Thread))
-			if t.cur.Kind == trace.KindBarrierEntry || t.cur.Kind == trace.KindBarrierExit {
-				fp.Push(trace.FPBarID, t.cur.Arg0)
-			} else {
-				fp.Push(trace.FPExact, t.cur.Arg0)
-			}
-			fp.Push(trace.FPExact, t.cur.Arg1)
-			fp.Push(trace.FPExact, t.cur.Arg2)
-		} else {
-			for s := 0; s < 6; s++ {
-				fp.Push(trace.FPExact, 0)
-			}
+		own, queued := t.evs[t.pos:], e.src.Queued(i)
+		fp.Push(trace.FPExact, int64(len(own)+len(queued)))
+		for k := range own {
+			translate.PushEvent(fp, &own[k])
+		}
+		for k := range queued {
+			translate.PushEvent(fp, &queued[k])
 		}
 		fp.Push(trace.FPTrans, int64(t.prevT))
 		// Stale-by-state fields are pushed as zero sentinels and never
@@ -471,25 +444,9 @@ func (e *engine) appendReplayFingerprint(fp *trace.ReplayFingerprint, sc *fpScra
 			fp.Push(trace.FPExact, 0)
 		}
 	}
-	fp.Push(trace.FPExact, int64(len(e.fel.q)))
-	for _, qi := range order {
-		e.pushFelEvent(fp, &e.fel.q[qi], rid)
-	}
-	fp.PushBool(e.fel.topOK)
-	if e.fel.topOK {
-		e.pushFelEvent(fp, &e.fel.top, rid)
-	} else {
-		for s := 0; s < 6; s++ {
-			fp.Push(trace.FPExact, 0)
-		}
-	}
-	fp.PushBool(e.contOK)
-	if e.contOK {
-		e.pushFelEvent(fp, &e.cont, rid)
-	} else {
-		for s := 0; s < 6; s++ {
-			fp.Push(trace.FPExact, 0)
-		}
+	fp.Push(trace.FPExact, int64(len(pending)))
+	for i := range pending {
+		e.pushFelEvent(fp, &pending[i], rid)
 	}
 	fp.Push(trace.FPBarID, e.barHi)
 	tree := e.cfg.Barrier.Algorithm == TreeBarrier
@@ -606,22 +563,16 @@ func pushNet(fp *trace.ReplayFingerprint, n *network.Network, now vtime.Time) {
 }
 
 // walkLiveMsgs visits every live message slot exactly once per holder:
-// future-event-list array order, then the cached top, the continuation
-// register, and the per-processor service queues. Dead slots (on the
-// free list) are never visited. Only the shift application uses it,
-// and per-message shifts are order-independent; the fingerprint walks
-// messages in canonical encounter order instead.
+// the future event list, then the per-processor service queues. Dead slots (on the free list) are never
+// visited. Only the shift application uses it, and per-message shifts
+// are order-independent; the fingerprint walks messages in canonical
+// encounter order instead.
 func (e *engine) walkLiveMsgs(f func(m *message)) {
-	for i := range e.fel.q {
-		if mi := e.fel.q[i].msg; mi != noMsg {
+	pending := e.fel.pending()
+	for i := range pending {
+		if mi := pending[i].msg; mi != noMsg {
 			f(e.msgs.at(mi))
 		}
-	}
-	if e.fel.topOK && e.fel.top.msg != noMsg {
-		f(e.msgs.at(e.fel.top.msg))
-	}
-	if e.contOK && e.cont.msg != noMsg {
-		f(e.msgs.at(e.cont.msg))
 	}
 	for i := range e.procs {
 		for _, mi := range e.procs[i].svcQueue {
@@ -643,12 +594,7 @@ func (e *engine) applyReplayShift(j int64, d *trace.ReplayDeltas) {
 	e.nbars += int(j * d.NextAccum())
 	for i := range e.threads {
 		t := &e.threads[i]
-		if t.curOK {
-			t.cur.Time += dTrans
-			if t.cur.Kind == trace.KindBarrierEntry || t.cur.Kind == trace.KindBarrierExit {
-				t.cur.Arg0 += j * d.Bar
-			}
-		}
+		translate.ShiftEvents(t.evs[t.pos:], j, d)
 		t.prevT += dTrans
 		if t.state == tsComputing {
 			t.segEnd += dSim
@@ -676,14 +622,9 @@ func (e *engine) applyReplayShift(j int64, d *trace.ReplayDeltas) {
 			p.svcBusyUntil += dSim
 		}
 	}
-	for i := range e.fel.q {
-		e.fel.q[i].at += dSim
-	}
-	if e.fel.topOK {
-		e.fel.top.at += dSim
-	}
-	if e.contOK {
-		e.cont.at += dSim
+	pending := e.fel.pending()
+	for i := range pending {
+		pending[i].at += dSim
 	}
 	e.shiftBars(j, d)
 	e.walkLiveMsgs(func(m *message) {

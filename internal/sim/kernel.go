@@ -27,8 +27,9 @@ const noMsg int32 = -1
 // deterministically in schedule order; gen invalidates superseded
 // compute-done/poll events (e.g. after an interrupt extends a segment).
 // The struct is deliberately pointer-free (messages are slab indices, not
-// pointers) so heap sift operations move events without GC write
-// barriers; profiles showed the barriers costing as much as the sifts.
+// pointers) so the event list moves events without GC write barriers;
+// profiles of the earlier heap showed the barriers costing as much as
+// its sifts.
 // seq and gen are uint32: both are bounded by the engine's 2^28 event
 // budget, far below overflow.
 type event struct {
@@ -40,26 +41,22 @@ type event struct {
 	kind   evKind
 }
 
-// fel is the future event list: a deterministic min-heap of events by
-// value, ordered by (time, seq), fronted by a one-slot min cache. The
-// cache holds the global minimum whenever occupied (top ≤ every heap
-// element, maintained inductively by schedule), so the common
-// pop-dispatch-schedule ping-pong — a thread scheduling its next segment
-// end before anything else is due — costs two comparisons instead of a
-// sift-down plus sift-up. Storing events inline rather than behind
-// pointers keeps the simulation hot loop free of per-event heap
-// allocations — the backing array is reused as events come and go.
-//
-// The heap is 4-ary rather than binary: sift-down dominates (every pop
-// walks from the root), and a fan-out of 4 halves the tree depth while
-// keeping each level's four children in 128 contiguous bytes of 32-byte
-// events. Pop order is a pure function of the (time, seq) total
-// order — seq is unique — so arity cannot change results, only the
-// constant factor.
+// fel is the future event list: pending events by value, kept in
+// (time, seq) order as they are inserted, so the next event is always the
+// front one and pop costs no comparisons. q[head:] is the list; slots
+// before head are popped events whose room the list reuses. An insert
+// finds its place by binary search and opens a gap by moving the shorter
+// side of the list one slot: toward the free room before head when the
+// place is nearer the front, otherwise toward the back. The common cases
+// — after everything pending, or before it with room at the front — move
+// nothing. Storing events inline rather than behind pointers keeps the
+// simulation hot loop free of per-event heap allocations — the backing
+// array is reused as events come and go. Pop order is a pure function of
+// the (time, seq) total order — seq is unique — so the list's layout
+// cannot change results, only the constant factor.
 type fel struct {
 	q      []event
-	top    event
-	topOK  bool
+	head   int
 	nextSq uint32
 }
 
@@ -71,124 +68,75 @@ func before(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// less orders the heap by (time, schedule sequence).
-func (f *fel) less(i, j int) bool {
-	return before(&f.q[i], &f.q[j])
-}
-
-// up restores the heap invariant after appending at index i. The moving
-// event rides in a register while displaced ancestors drop into the
-// hole, so each level costs one 32-byte copy instead of a swap's three.
-// The comparison sequence matches the swapping formulation exactly, so
-// the resulting heap shape — and therefore pop order — is unchanged.
-func (f *fel) up(i int) {
-	ev := f.q[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !before(&ev, &f.q[parent]) {
-			break
-		}
-		f.q[i] = f.q[parent]
-		i = parent
-	}
-	f.q[i] = ev
-}
-
-// down restores the heap invariant after replacing the root, with the
-// same hole-based single-copy-per-level scheme as up.
-func (f *fel) down(i int) {
-	n := len(f.q)
-	ev := f.q[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		least := first
-		for c := first + 1; c < last; c++ {
-			if f.less(c, least) {
-				least = c
-			}
-		}
-		if !before(&f.q[least], &ev) {
-			break
-		}
-		f.q[i] = f.q[least]
-		i = least
-	}
-	f.q[i] = ev
-}
-
-// push inserts ev into the heap proper, below the min cache.
-func (f *fel) push(ev event) {
-	f.q = append(f.q, ev)
-	f.up(len(f.q) - 1)
-}
-
 func (f *fel) schedule(at vtime.Time, kind evKind, thread int32, gen uint32, msg int32) {
 	ev := event{at: at, seq: f.nextSq, kind: kind, thread: thread, gen: gen, msg: msg}
 	f.nextSq++
 	f.insert(ev)
 }
 
-// insert adds an event whose seq was already assigned (by schedule or by
-// the engine's continuation register), maintaining the min-cache
-// invariant.
+// insert adds ev at its place in (time, seq) order.
 func (f *fel) insert(ev event) {
-	if !f.topOK {
-		// Install as the cached min only when nothing in the heap beats it;
-		// otherwise the invariant top ≤ min(heap) would break.
-		if len(f.q) == 0 || before(&ev, &f.q[0]) {
-			f.top, f.topOK = ev, true
-			return
+	if len(f.q) == cap(f.q) {
+		f.grow()
+	}
+	n := len(f.q)
+	switch {
+	case f.head == n || !before(&ev, &f.q[n-1]):
+		f.q = append(f.q, ev)
+		return
+	case f.head > 0 && before(&ev, &f.q[f.head]):
+		f.head--
+		f.q[f.head] = ev
+		return
+	}
+	// q[n-1] follows ev, so its place is in [head, n-1]: the first event
+	// ev precedes.
+	lo, hi := f.head, n-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if before(&ev, &f.q[mid]) {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
-		f.push(ev)
+	}
+	if f.head > 0 && lo-f.head < n-lo {
+		copy(f.q[f.head-1:lo-1], f.q[f.head:lo])
+		f.head--
+		f.q[lo-1] = ev
 		return
 	}
-	if before(&ev, &f.top) {
-		// New global minimum: demote the cached top into the heap. top was
-		// ≤ every heap element, and ev < top, so the invariant holds.
-		f.push(f.top)
-		f.top = ev
-		return
-	}
-	f.push(ev)
+	f.q = f.q[:n+1]
+	copy(f.q[lo+1:], f.q[lo:n])
+	f.q[lo] = ev
 }
 
-// wouldPopNext reports whether ev precedes everything currently queued —
-// i.e. pop would return ev immediately after an insert(ev). The cached
-// top is ≤ every heap element, so one comparison decides.
-func (f *fel) wouldPopNext(ev *event) bool {
-	if f.topOK {
-		return before(ev, &f.top)
+// grow makes room at the back of a full backing array: it compacts the
+// list to the front when at least half the array is popped room, and
+// otherwise moves it to an array twice the size, so the array stays
+// within a small factor of the list's high-water length and each event
+// is moved O(1) times on average.
+func (f *fel) grow() {
+	live := len(f.q) - f.head
+	if f.head > 0 && f.head >= live {
+		copy(f.q, f.q[f.head:])
+	} else {
+		grown := make([]event, live, max(16, 2*cap(f.q)))
+		copy(grown, f.q[f.head:])
+		f.q = grown
 	}
-	return len(f.q) == 0 || before(ev, &f.q[0])
+	f.q, f.head = f.q[:live], 0
 }
+
+// pending returns the queued events in pop order.
+func (f *fel) pending() []event { return f.q[f.head:] }
 
 func (f *fel) pop() event {
-	if f.topOK {
-		f.topOK = false
-		return f.top
+	ev := f.q[f.head]
+	if f.head++; f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
 	}
-	root := f.q[0]
-	n := len(f.q) - 1
-	f.q[0] = f.q[n]
-	f.q = f.q[:n]
-	if n > 0 {
-		f.down(0)
-	}
-	return root
+	return ev
 }
 
-func (f *fel) empty() bool { return !f.topOK && len(f.q) == 0 }
-
-// reset prepares the list for another run, retaining the backing array.
-func (f *fel) reset() {
-	f.q = f.q[:0]
-	f.topOK = false
-	f.nextSq = 0
-}
+func (f *fel) empty() bool { return f.head == len(f.q) }

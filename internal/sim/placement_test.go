@@ -62,7 +62,7 @@ func TestPlacementAffectsClusterLocality(t *testing.T) {
 	run := func(p Placement) vtime.Time {
 		c := cfg
 		c.Placement = p
-		res, err := Simulate(context.Background(), nil, pt, c)
+		res, err := Simulate(context.Background(), pt, c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,8 +35,8 @@ type message struct {
 // msgSlab hands out messages carved from block allocations, replacing
 // one heap allocation per simulated message with one per msgSlabSize
 // messages. Messages are addressed by dense index — the future event
-// list stores the index, not a pointer, keeping heap events free of GC
-// write barriers. A message's slot is recycled once its handling
+// list stores the index, not a pointer, keeping pending events free of
+// GC write barriers. A message's slot is recycled once its handling
 // completes (the engine releases it at each end-of-life point), so the
 // slab's footprint tracks the in-flight message population, not the
 // total message count of the run; blocks already allocated are retained
@@ -99,18 +99,16 @@ const (
 	tsDone
 )
 
-// thr is the per-thread simulation state: a cursor over the translated
-// trace plus execution bookkeeping. The cursor has two modes sharing one
-// peek/advance API: a slice fast path over a materialized ParallelTrace
-// (evs/pos), and a streaming path (src/cur/curOK) that pulls events on
-// demand so the full trace never needs to be resident.
+// thr is the per-thread simulation state: a cursor over the thread's
+// translated events plus execution bookkeeping. The cursor reads evs by
+// index. Over a materialized ParallelTrace, evs is the thread's whole
+// event list; over a stream, it is the buffer translate.Stream.Refill
+// last handed out, refilled when the thread has read it to the end (see
+// advance), so the full trace never needs to be resident.
 type thr struct {
 	id, proc int
 	evs      []trace.Event
 	pos      int
-	src      trace.Reader // non-nil in streaming mode
-	cur      trace.Event  // current event (streaming mode)
-	curOK    bool
 	prevT    vtime.Time // translated-trace time of the last consumed event
 	state    tstate
 	gen      uint32     // invalidates superseded compute-done/poll events
@@ -122,41 +120,35 @@ type thr struct {
 }
 
 // hasCur reports whether the thread's cursor is positioned on an event.
-func (t *thr) hasCur() bool {
-	if t.src == nil {
-		return t.pos < len(t.evs)
-	}
-	return t.curOK
-}
+func (t *thr) hasCur() bool { return t.pos < len(t.evs) }
 
-// peek returns the current event; valid only when hasCur. The pointer
-// is into the event slice (slice mode) or the cursor register (streaming
-// mode) — in streaming mode it is invalidated by advance/consume, so
-// callers copy any field they need past a consume.
-func (t *thr) peek() *trace.Event {
-	if t.src == nil {
-		return &t.evs[t.pos]
-	}
-	return &t.cur
-}
+// peek returns the current event; valid only when hasCur. The pointer is
+// into the thread's buffer, which a streaming refill hands back to the
+// stream, so advance/consume invalidates it: callers copy any field they
+// need past a consume.
+func (t *thr) peek() *trace.Event { return &t.evs[t.pos] }
 
-// advance moves t's cursor past the current event. In streaming mode a
-// mid-stream source error is recorded on the engine (the event loop
-// aborts with it) and the cursor reads as exhausted.
+// advance moves t's cursor past the current event. A streaming thread
+// that has read its buffer to the end refills it at once, so the source
+// is pulled exactly when the thread's next event is first needed.
 func (e *engine) advance(t *thr) {
-	if t.src == nil {
-		t.pos++
-		return
+	if t.pos++; t.pos == len(t.evs) && e.src != nil {
+		e.refill(t)
 	}
-	ev, err := t.src.Next()
+}
+
+// refill hands t's read buffer back to the stream and takes its next
+// events. A mid-stream source error is recorded on the engine (the event
+// loop aborts with it), and the cursor reads as exhausted.
+func (e *engine) refill(t *thr) {
+	evs, err := e.src.Refill(t.id)
 	if err != nil {
-		t.curOK = false
 		if err != io.EOF && e.fail == nil {
 			e.fail = fmt.Errorf("sim: trace source failed: %w", err)
 		}
-		return
+		evs = nil
 	}
-	t.cur, t.curOK = ev, true
+	t.evs, t.pos = evs, 0
 }
 
 // prc is a simulated processor: the threads mapped to it, its run state,
@@ -192,50 +184,45 @@ type engine struct {
 	barHi int64
 	nbars int // barriers actually encountered
 	msgs  msgSlab
-	out   *trace.Trace
-	now   vtime.Time
-	done  int
+	// src is the stream a streaming run refills thread buffers from; nil
+	// over a materialized trace.
+	src  *translate.Stream
+	out  *trace.Trace
+	now  vtime.Time
+	done int
 	// fail is the sticky mid-run error: a streaming source error, or a
 	// barrier id whose record was already recycled. The event loop
 	// aborts with it.
 	fail error
-	// cont is the continuation register: the one event runSegment just
-	// produced, held out of the heap. The event loop dispatches it
-	// directly when it precedes everything queued (the overwhelmingly
-	// common compute-segment ping-pong), skipping the insert/pop round
-	// trip; otherwise it is inserted with its already-reserved seq, so
-	// ordering is identical to scheduling eagerly.
-	cont   event
-	contOK bool
 }
 
-// Arena holds the dense simulator state — thread and processor records,
+// arena holds the dense simulator state — thread and processor records,
 // the future event list, the barrier ring with its tree tables, the
 // message slab and the fast-forward fingerprint buffers — so repeated
 // simulations reuse the same allocations instead of rebuilding them per
 // run. Every record is fully reinitialized when acquired, so results
 // are bit-identical to a fresh engine, also after a run that failed or
-// was cancelled. Nothing a run returns aliases arena memory. An Arena is
-// not safe for concurrent use; share one per goroutine.
-type Arena struct {
+// was cancelled. Nothing a run returns aliases arena memory. An arena is
+// not safe for concurrent use.
+type arena struct {
 	e  engine
 	ff ffState
 }
 
-// NewArena returns an empty arena; state is allocated on first use and
+// newArena returns an empty arena; state is allocated on first use and
 // grown as needed.
-func NewArena() *Arena { return &Arena{} }
+func newArena() *arena { return &arena{} }
 
-// arenas recycles arenas for simulations that bring none of their own,
-// so every sweep cell and served prediction reuses engine state.
-var arenas = sync.Pool{New: func() any { return NewArena() }}
+// arenas recycles arenas, so every sweep cell and served prediction
+// reuses engine state.
+var arenas = sync.Pool{New: func() any { return newArena() }}
 
 // acquire reinitializes the arena's engine for a run of n threads on
 // nprocs processors: every field a fresh engine would have zero is
 // zeroed, while the backing arrays — including per-processor queues and
 // the barrier slots' tree tables, re-zeroed where bar re-arms them — are
 // kept.
-func (a *Arena) acquire(cfg Config, n, nprocs int) *engine {
+func (a *arena) acquire(cfg Config, n, nprocs int) *engine {
 	e := &a.e
 	threads := e.threads
 	if cap(threads) < n {
@@ -283,12 +270,12 @@ func (a *Arena) acquire(cfg Config, n, nprocs int) *engine {
 }
 
 // release drops the run's references into caller-owned data — event
-// sources, the emitted trace, the network models — so a pooled arena
-// pins nothing between runs.
-func (a *Arena) release() {
+// slices and buffers, the stream, the emitted trace, the network models
+// — so a pooled arena pins nothing between runs.
+func (a *arena) release() {
 	e := &a.e
 	clear(e.threads)
-	e.inter, e.intra, e.out, e.fail = nil, nil, nil, nil
+	e.src, e.inter, e.intra, e.out, e.fail = nil, nil, nil, nil, nil
 	a.ff.release()
 }
 
@@ -303,55 +290,49 @@ const ctxCheckMask = 1<<13 - 1
 // information and metrics. The input trace is read-only: neither the
 // event slices nor the ParallelTrace header are modified, so one
 // translation may be simulated under many configurations (and from many
-// goroutines) concurrently. A non-nil arena a supplies recycled dense
-// state (thread/processor/barrier tables, event list, message slab) that
-// the caller reuses across simulations run one after another; a nil
-// arena takes one from a process-wide pool. Either way repeated simulations
-// allocate almost nothing, and results are bit-identical to a fresh
-// engine. The event loop polls ctx
+// goroutines) concurrently. Engine state (thread/processor/barrier
+// tables, event list, message slab) comes from a process-wide pool, so
+// repeated simulations allocate almost nothing, and results are
+// bit-identical to a fresh engine. The event loop polls ctx
 // periodically and abandons the simulation with ctx's error (wrapped, so
 // errors.Is sees context.Canceled / DeadlineExceeded).
-func Simulate(ctx context.Context, a *Arena, pt *translate.ParallelTrace, cfg Config) (*Result, error) {
-	return simulate(ctx, cfg, pt.NumThreads, pt.Phases, pt.Events(),
-		func(t *thr, i int) { t.evs = pt.Threads[i] }, a, nil)
+func Simulate(ctx context.Context, pt *translate.ParallelTrace, cfg Config) (*Result, error) {
+	a := arenas.Get().(*arena)
+	defer arenas.Put(a)
+	return a.simulate(ctx, cfg, pt, nil)
 }
 
-// Source provides translated per-thread event cursors to a streaming
-// simulation — the interface translate.Stream satisfies. Thread(i) must
-// yield thread i's translated events in order; cursors are consumed
-// interleaved, single-threaded.
-type Source interface {
-	NumThreads() int
-	Phases() []string
-	Thread(i int) trace.Reader
-}
-
-// SimulateStream runs the simulation over single-shot streaming
-// per-thread cursors instead of a materialized ParallelTrace, so peak
-// memory is bounded by the source's buffering rather than the trace
-// size. Results are byte-identical to Simulate on the equivalent
-// materialized trace. When src is a translate stream fed by a compiled
+// SimulateStream runs the simulation over a streaming translation
+// instead of a materialized ParallelTrace: each thread reads the buffers
+// src refills, so peak memory is bounded by the stream's buffering
+// rather than the trace size. Results are byte-identical to Simulate on
+// the equivalent materialized trace. When src is fed by a compiled
 // (XTRP2) pattern cursor and cfg.EmitTrace is off, the engine
 // fast-forwards provably steady pattern iterations (see ffwd.go). Engine
 // state comes from the process-wide arena pool.
-func SimulateStream(ctx context.Context, src Source, cfg Config) (*Result, error) {
-	return simulate(ctx, cfg, src.NumThreads(), src.Phases(), 0,
-		func(t *thr, i int) { t.src = src.Thread(i) }, nil, src)
+func SimulateStream(ctx context.Context, src *translate.Stream, cfg Config) (*Result, error) {
+	a := arenas.Get().(*arena)
+	defer arenas.Put(a)
+	return a.simulate(ctx, cfg, nil, src)
 }
 
-// simulate is the engine core shared by the slice and streaming entry
-// points: bind attaches thread i's event cursor (either mode) to its
-// state record. eventsHint pre-sizes the emitted trace and may be zero
-// when unknown (streaming). A non-nil arena supplies recycled dense
-// state; nil takes one from the pool. A non-nil src (streaming mode
-// only) lets the engine engage pattern fast-forward when the source
-// exposes its compiled-trace cursor.
-func simulate(ctx context.Context, cfg Config, n int, phases []string, eventsHint int, bind func(t *thr, i int), arena *Arena, src Source) (*Result, error) {
+// simulate is the engine core behind both entry points, run on a's
+// state: exactly one of pt (a materialized translation) and src (a
+// streaming one) is non-nil. A stream lets the engine engage pattern
+// fast-forward when it exposes its compiled-trace cursor.
+func (a *arena) simulate(ctx context.Context, cfg Config, pt *translate.ParallelTrace, src *translate.Stream) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("sim: not started: %w", err)
+	}
+	var n int
+	var phases []string
+	if src != nil {
+		n, phases = src.NumThreads(), src.Phases()
+	} else {
+		n, phases = pt.NumThreads, pt.Phases
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("sim: empty parallel trace")
@@ -367,12 +348,8 @@ func simulate(ctx context.Context, cfg Config, n int, phases []string, eventsHin
 		return nil, fmt.Errorf("sim: thread count %d not divisible by processor count %d", n, nprocs)
 	}
 
-	if arena == nil {
-		arena = arenas.Get().(*Arena)
-		defer arenas.Put(arena)
-	}
-	e := arena.acquire(cfg, n, nprocs)
-	defer arena.release()
+	e := a.acquire(cfg, n, nprocs)
+	defer a.release()
 	var err error
 	if e.inter, err = network.New(cfg.Comm, nprocs); err != nil {
 		return nil, err
@@ -387,8 +364,12 @@ func simulate(ctx context.Context, cfg Config, n int, phases []string, eventsHin
 		e.out.Phases = append([]string(nil), phases...)
 		// Emitted events ≈ input events plus a send and a receive per
 		// message; 2× avoids most regrowth without overcommitting. A
-		// streaming source has no count to size from (hint 0).
-		e.out.Events = make([]trace.Event, 0, 2*eventsHint)
+		// stream has no count to size from.
+		hint := 0
+		if pt != nil {
+			hint = pt.Events()
+		}
+		e.out.Events = make([]trace.Event, 0, 2*hint)
 	}
 
 	perProc := n / nprocs
@@ -396,17 +377,18 @@ func simulate(ctx context.Context, cfg Config, n int, phases []string, eventsHin
 		p := placeThread(cfg.Placement, i, n, nprocs, perProc)
 		t := &e.threads[i]
 		t.id, t.proc, t.state = i, p, tsWaitCPU
-		bind(t, i)
-		if t.src != nil {
-			// Prime the streaming cursor onto its first event. A source
-			// error here (e.g. inline trace validation) aborts up front.
-			ev, err := t.src.Next()
+		if src == nil {
+			t.evs = pt.Threads[i]
+		} else {
+			// Take the thread's first events. A source error here (e.g.
+			// inline trace validation) aborts up front.
+			evs, err := src.Refill(i)
 			switch {
 			case err == io.EOF:
 			case err != nil:
 				return nil, err
 			default:
-				t.cur, t.curOK = ev, true
+				t.evs = evs
 			}
 		}
 		if t.hasCur() {
@@ -432,7 +414,8 @@ func simulate(ctx context.Context, cfg Config, n int, phases []string, eventsHin
 		e.requestCPU(t, 0)
 	}
 
-	ff := arena.ff.engage(&cfg, src)
+	e.src = src
+	ff := a.ff.engage(&cfg, src)
 
 	const maxEvents = 1 << 28 // runaway-guard far above any real workload
 	steps := 0
@@ -443,19 +426,10 @@ func simulate(ctx context.Context, cfg Config, n int, phases []string, eventsHin
 				return nil, ferr
 			}
 		}
-		var ev event
-		if e.contOK {
-			ev = e.cont
-			e.contOK = false
-			if !e.fel.wouldPopNext(&ev) {
-				e.fel.insert(ev)
-				ev = e.fel.pop()
-			}
-		} else if !e.fel.empty() {
-			ev = e.fel.pop()
-		} else {
+		if e.fel.empty() {
 			break
 		}
+		ev := e.fel.pop()
 		if ev.at < e.now {
 			return nil, fmt.Errorf("sim: time ran backwards: %v after %v", ev.at, e.now)
 		}
@@ -629,16 +603,7 @@ func (e *engine) runSegment(t *thr, at vtime.Time) {
 		t.segEnd = at + t.pureLeft
 		t.pureLeft = 0
 	}
-	// Park the segment-end event in the continuation register rather than
-	// the heap. Its seq is reserved now, so if another runSegment (or any
-	// schedule) intervenes before the event loop consumes it, flushing it
-	// into the heap reproduces the eager-scheduling order exactly.
-	ev := event{at: t.segEnd, seq: e.fel.nextSq, kind: kind, thread: int32(t.id), gen: t.gen, msg: noMsg}
-	e.fel.nextSq++
-	if e.contOK {
-		e.fel.insert(e.cont)
-	}
-	e.cont, e.contOK = ev, true
+	e.fel.schedule(t.segEnd, kind, int32(t.id), t.gen, noMsg)
 }
 
 // pollTick fires at a poll boundary: pay the poll overhead, service the

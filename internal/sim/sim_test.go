@@ -63,7 +63,7 @@ func TestZeroCostMatchesIdealTime(t *testing.T) {
 			th.Barrier()
 		}
 	})
-	res, err := Simulate(context.Background(), nil, pt, zeroConfig())
+	res, err := Simulate(context.Background(), pt, zeroConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestZeroCostWithRemoteReads(t *testing.T) {
 			th.Barrier()
 		}
 	})
-	res, err := Simulate(context.Background(), nil, pt, zeroConfig())
+	res, err := Simulate(context.Background(), pt, zeroConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestMipsRatioScalesCompute(t *testing.T) {
 	for _, ratio := range []float64{0.5, 1.0, 2.0} {
 		cfg := zeroConfig()
 		cfg.MipsRatio = ratio
-		res, err := Simulate(context.Background(), nil, pt, cfg)
+		res, err := Simulate(context.Background(), pt, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestRemoteReadLatencyHandComputed(t *testing.T) {
 		RequestBytes:     16,
 	}
 	cfg.Policy = Policy{Kind: Interrupt, ServiceTime: 3 * vtime.Microsecond}
-	res, err := Simulate(context.Background(), nil, pt, cfg)
+	res, err := Simulate(context.Background(), pt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestLinearBarrierAnalyticCost(t *testing.T) {
 		ModelTime:     10 * vtime.Microsecond,
 		ByMsgs:        false,
 	}
-	res, err := Simulate(context.Background(), nil, pt, cfg)
+	res, err := Simulate(context.Background(), pt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestLinearMessageBarrierScalesLinearly(t *testing.T) {
 			Topology:         network.Bus{},
 			RequestBytes:     16,
 		}
-		res, err := Simulate(context.Background(), nil, pt, cfg)
+		res, err := Simulate(context.Background(), pt, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestTreeBarrierBeatsLinearAtScale(t *testing.T) {
 			Topology:         network.Bus{},
 			RequestBytes:     16,
 		}
-		res, err := Simulate(context.Background(), nil, pt, cfg)
+		res, err := Simulate(context.Background(), pt, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +270,7 @@ func TestHardwareBarrierConstant(t *testing.T) {
 			Algorithm:    HardwareBarrier,
 			HardwareTime: 3 * vtime.Microsecond,
 		}
-		res, err := Simulate(context.Background(), nil, pt, cfg)
+		res, err := Simulate(context.Background(), pt, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,15 +325,15 @@ func policyConfig(kind PolicyKind, interval vtime.Time) Config {
 
 func TestPolicyOrdering(t *testing.T) {
 	pt := policyScenario(t, 4)
-	interrupt, err := Simulate(context.Background(), nil, pt, policyConfig(Interrupt, 0))
+	interrupt, err := Simulate(context.Background(), pt, policyConfig(Interrupt, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	poll, err := Simulate(context.Background(), nil, pt, policyConfig(Poll, 100*vtime.Microsecond))
+	poll, err := Simulate(context.Background(), pt, policyConfig(Poll, 100*vtime.Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	noInt, err := Simulate(context.Background(), nil, pt, policyConfig(NoInterrupt, 0))
+	noInt, err := Simulate(context.Background(), pt, policyConfig(NoInterrupt, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,11 +359,11 @@ func TestPollIntervalTradeoff(t *testing.T) {
 	// Finer polling answers requests sooner but charges the owner more
 	// overhead; the reader wait must be monotone in the interval.
 	pt := policyScenario(t, 2)
-	w100, err := Simulate(context.Background(), nil, pt, policyConfig(Poll, 100*vtime.Microsecond))
+	w100, err := Simulate(context.Background(), pt, policyConfig(Poll, 100*vtime.Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w1000, err := Simulate(context.Background(), nil, pt, policyConfig(Poll, 1000*vtime.Microsecond))
+	w1000, err := Simulate(context.Background(), pt, policyConfig(Poll, 1000*vtime.Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,11 +382,11 @@ func TestDeterminism(t *testing.T) {
 	pt := policyScenario(t, 8)
 	cfg := policyConfig(Interrupt, 0)
 	cfg.Comm.ContentionFactor = 0.1
-	a, err := Simulate(context.Background(), nil, pt, cfg)
+	a, err := Simulate(context.Background(), pt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(context.Background(), nil, pt, cfg)
+	b, err := Simulate(context.Background(), pt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestMultithreadedProcessors(t *testing.T) {
 	for _, procs := range []int{8, 4, 2, 1} {
 		cfg := zeroConfig()
 		cfg.Procs = procs
-		res, err := Simulate(context.Background(), nil, pt, cfg)
+		res, err := Simulate(context.Background(), pt, cfg)
 		if err != nil {
 			t.Fatalf("procs=%d: %v", procs, err)
 		}
@@ -435,7 +435,7 @@ func TestMultithreadContextSwitchCost(t *testing.T) {
 	cfg := zeroConfig()
 	cfg.Procs = 2
 	cfg.ContextSwitchTime = 7 * vtime.Microsecond
-	res, err := Simulate(context.Background(), nil, pt, cfg)
+	res, err := Simulate(context.Background(), pt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +469,7 @@ func TestInvalidConfigs(t *testing.T) {
 	for i, mutate := range bad {
 		cfg := zeroConfig()
 		mutate(&cfg)
-		if _, err := Simulate(context.Background(), nil, pt, cfg); err == nil {
+		if _, err := Simulate(context.Background(), pt, cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
@@ -489,7 +489,7 @@ func TestEmitTrace(t *testing.T) {
 	cfg := policyConfig(Interrupt, 0)
 	cfg.Barrier = DefaultBarrier() // message barrier → MsgSend events
 	cfg.EmitTrace = true
-	res, err := Simulate(context.Background(), nil, pt, cfg)
+	res, err := Simulate(context.Background(), pt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +530,7 @@ func TestContentionSlowsCommunication(t *testing.T) {
 	run := func(factor float64) vtime.Time {
 		cfg := policyConfig(Interrupt, 0)
 		cfg.Comm.ContentionFactor = factor
-		res, err := Simulate(context.Background(), nil, pt, cfg)
+		res, err := Simulate(context.Background(), pt, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -567,11 +567,11 @@ func TestClusteredCommunication(t *testing.T) {
 		Topology:         network.Bus{},
 		RequestBytes:     16,
 	}
-	intra, err := Simulate(context.Background(), nil, mk(func(int) int { return 0 }), cfg) // 1 reads 0: same cluster
+	intra, err := Simulate(context.Background(), mk(func(int) int { return 0 }), cfg) // 1 reads 0: same cluster
 	if err != nil {
 		t.Fatal(err)
 	}
-	inter, err := Simulate(context.Background(), nil, mk(func(int) int { return 7 }), cfg) // 1 reads 7: cross cluster
+	inter, err := Simulate(context.Background(), mk(func(int) int { return 7 }), cfg) // 1 reads 7: cross cluster
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +594,7 @@ func TestRemoteWriteFireAndForget(t *testing.T) {
 		}
 	})
 	cfg := policyConfig(Interrupt, 0)
-	res, err := Simulate(context.Background(), nil, pt, cfg)
+	res, err := Simulate(context.Background(), pt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +610,7 @@ func TestRemoteWriteFireAndForget(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	pt := policyScenario(t, 4)
-	res, err := Simulate(context.Background(), nil, pt, policyConfig(Interrupt, 0))
+	res, err := Simulate(context.Background(), pt, policyConfig(Interrupt, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -648,7 +648,7 @@ func TestSpeedupShape(t *testing.T) {
 				th.Barrier()
 			}
 		})
-		res, err := Simulate(context.Background(), nil, pt, DefaultConfig())
+		res, err := Simulate(context.Background(), pt, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -680,7 +680,7 @@ func TestTraceWithoutThreadEndEvents(t *testing.T) {
 		},
 		Barriers: 1,
 	}
-	res, err := Simulate(context.Background(), nil, pt, zeroConfig())
+	res, err := Simulate(context.Background(), pt, zeroConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -690,7 +690,7 @@ func TestTraceWithoutThreadEndEvents(t *testing.T) {
 }
 
 func TestEmptyParallelTraceRejected(t *testing.T) {
-	if _, err := Simulate(context.Background(), nil, &translate.ParallelTrace{}, zeroConfig()); err == nil {
+	if _, err := Simulate(context.Background(), &translate.ParallelTrace{}, zeroConfig()); err == nil {
 		t.Error("empty parallel trace accepted")
 	}
 }
@@ -706,7 +706,7 @@ func TestThreadsWithNoEventsFinishImmediately(t *testing.T) {
 			{}, // thread 1 recorded nothing
 		},
 	}
-	res, err := Simulate(context.Background(), nil, pt, zeroConfig())
+	res, err := Simulate(context.Background(), pt, zeroConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -736,7 +736,7 @@ func TestPollWithMultithreading(t *testing.T) {
 	cfg := policyConfig(Poll, 200*vtime.Microsecond)
 	cfg.Procs = 2
 	cfg.ContextSwitchTime = 5 * vtime.Microsecond
-	res, err := Simulate(context.Background(), nil, pt, cfg)
+	res, err := Simulate(context.Background(), pt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func TestStreamMatchesSlice(t *testing.T) {
 	}
 	for name, cfg := range streamEquivConfigs(n) {
 		cfg.EmitTrace = true
-		want, err := Simulate(context.Background(), nil, pt, cfg)
+		want, err := Simulate(context.Background(), pt, cfg)
 		if err != nil {
 			t.Fatalf("%s: slice path: %v", name, err)
 		}
@@ -143,7 +143,7 @@ func TestStreamOverBinaryDecoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Simulate(context.Background(), nil, pt, cfg)
+	want, err := Simulate(context.Background(), pt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

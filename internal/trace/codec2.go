@@ -976,6 +976,10 @@ func (w *wireReader) row() (row, error) {
 // input can encode, and a forged count runs out of bytes before it runs
 // out of slab. A refilled window's extent is unknown, so each run gets
 // its own slice, and a forged count costs append regrowth instead.
+//
+// Rows parse in batches by parseRows while the window holds a whole
+// row's worth of bytes; row parses the rest one at a time, refilling the
+// window, and reports every error.
 func (w *wireReader) rows(n uint64) ([]row, uint64, error) {
 	var out []row
 	if w.slab != nil {
@@ -984,6 +988,11 @@ func (w *wireReader) rows(n uint64) ([]row, uint64, error) {
 		out = make([]row, 0, min(n, 256))
 	}
 	for j := uint64(0); j < n; j++ {
+		var k int
+		w.b, out, k = parseRows(w.b, out, n-j)
+		if j += uint64(k); j == n {
+			break
+		}
 		r, err := w.row()
 		if err != nil {
 			return nil, j, err
@@ -996,10 +1005,46 @@ func (w *wireReader) rows(n uint64) ([]row, uint64, error) {
 	return out, n, nil
 }
 
-// patternTable parses the pattern table that follows the header: the
+// parseRows appends up to n rows parsed from the front of b to out and
+// returns the rest of b, out and the count. It parses a row only while b
+// holds maxWireRow bytes, so no varint can run out of input, in one loop
+// over its own copy of the window: no per-field call, and no store to
+// the heap-held window per varint. It stops at a row with an invalid
+// kind byte or an overflowing varint, leaving it to row, which fails on
+// it with row's own error.
+func parseRows(b []byte, out []row, n uint64) ([]byte, []row, int) {
+	k := 0
+	for ; uint64(k) < n && len(b) >= maxWireRow; k++ {
+		kind := Kind(b[0])
+		if !kind.Valid() {
+			break
+		}
+		var f [5]int64
+		i := 1
+		for j := range f {
+			x := uint64(b[i])
+			if x < 0x80 {
+				i++
+			} else {
+				var m int
+				if x, m = binary.Uvarint(b[i:]); m <= 0 {
+					return b, out, k
+				}
+				i += m
+			}
+			f[j] = unzigzag(x)
+		}
+		out = append(out, row{kind: kind, dTime: f[0], dThread: f[1], dA0: f[2], dA1: f[3], dA2: f[4]})
+		b = b[i:]
+	}
+	return b, out, k
+}
+
+// patternTable parses the pattern table that follows the header — the
 // entry count, then each body's row count and rows, under the
-// MaxPatterns, MaxPatternRows and MaxPatternTableRows caps.
-func (w *wireReader) patternTable() ([][]row, error) {
+// MaxPatterns, MaxPatternRows and MaxPatternTableRows caps — appending
+// the bodies to patterns.
+func (w *wireReader) patternTable(patterns [][]row) ([][]row, error) {
 	var cnt [4]byte
 	if _, err := io.ReadFull(w, cnt[:]); err != nil {
 		return nil, err
@@ -1008,7 +1053,6 @@ func (w *wireReader) patternTable() ([][]row, error) {
 	if npatterns > MaxPatterns {
 		return nil, fmt.Errorf("trace: implausible pattern count %d (max %d)", npatterns, MaxPatterns)
 	}
-	var patterns [][]row
 	tableRows := uint64(0)
 	for i := uint32(0); i < npatterns; i++ {
 		nrows, err := w.uvarint()
@@ -1129,7 +1173,7 @@ func newDecoder2AfterMagic(br *bufio.Reader) (*Decoder2, error) {
 		return nil, err
 	}
 	d := &Decoder2{w: wireReader{br: br}, hdr: hdr, declare: declare}
-	if d.patterns, err = d.w.patternTable(); err != nil {
+	if d.patterns, err = d.w.patternTable(nil); err != nil {
 		return nil, err
 	}
 	return d, nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 )
 
 // Pattern-native replay: the XTRP2 pattern table and replay program as a
@@ -31,7 +32,7 @@ import (
 // CompiledTrace is an eagerly parsed XTRP2 stream: header, pattern
 // table, per-pattern delta sums, and the replay program. It is
 // immutable after CompileBinary and safe to share across any number of
-// concurrently replaying PatternSource cursors.
+// concurrently replaying PatternSource cursors, until Release.
 type CompiledTrace struct {
 	hdr      Header
 	declare  uint64
@@ -41,7 +42,13 @@ type CompiledTrace struct {
 	// lits holds every literal run's rows, materialized so replay never
 	// re-parses wire bytes, back to back in program order.
 	lits []row
+	// slab is the row storage patterns and lits are carved from.
+	slab []row
 }
+
+// compiledTraces recycles released compiled traces: their row slabs and
+// table slices. Rows hold no pointers, so a slab need not be cleared.
+var compiledTraces = sync.Pool{New: func() any { return new(CompiledTrace) }}
 
 // compiledOp is one program op: count replays of pattern id, or, when
 // id is literalOp, the next count rows of the literal runs.
@@ -73,24 +80,55 @@ func IsXTRP2(enc []byte) bool { return bytes.HasPrefix(enc, binary2Magic[:]) }
 // errors — the difference is only when errors surface (compile time
 // instead of first Next). Trailing bytes past the program are ignored,
 // as Decoder2 never reads them. The CompiledTrace does not retain enc.
+// Its storage comes from a pool of released ones when the pool has any.
 func CompileBinary(enc []byte) (*CompiledTrace, error) {
-	w := &wireReader{b: enc, slab: make([]row, 0, len(enc)/minWireRow)}
-	var magic [5]byte
-	if _, err := io.ReadFull(w, magic[:]); err != nil {
+	ct := compiledTraces.Get().(*CompiledTrace)
+	if err := ct.compile(enc); err != nil {
+		ct.Release()
 		return nil, err
 	}
+	return ct, nil
+}
+
+// Release returns the compiled trace's storage to the pool for a later
+// CompileBinary. Neither it nor any cursor over it may be used
+// afterwards; events already read from them stay valid.
+func (ct *CompiledTrace) Release() {
+	clear(ct.patterns)
+	ct.hdr, ct.lits = Header{}, nil
+	compiledTraces.Put(ct)
+}
+
+// compile parses enc into ct, reusing ct's storage.
+func (ct *CompiledTrace) compile(enc []byte) error {
+	slab := ct.slab
+	if need := len(enc) / minWireRow; cap(slab) < need {
+		slab = make([]row, 0, need)
+	}
+	*ct = CompiledTrace{
+		patterns: ct.patterns[:0],
+		sums:     ct.sums[:0],
+		prog:     ct.prog[:0],
+		slab:     slab[:0],
+	}
+	w := &wireReader{b: enc, slab: ct.slab}
+	var magic [5]byte
+	if _, err := io.ReadFull(w, magic[:]); err != nil {
+		return err
+	}
 	if magic != binary2Magic {
-		return nil, ErrBadMagic
+		return ErrBadMagic
 	}
 	hdr, declare, err := readCommonHeader(w)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ct := &CompiledTrace{hdr: hdr, declare: declare}
-	if ct.patterns, err = w.patternTable(); err != nil {
-		return nil, err
+	ct.hdr, ct.declare = hdr, declare
+	if ct.patterns, err = w.patternTable(ct.patterns); err != nil {
+		return err
 	}
-	ct.sums = make([]bodySums, len(ct.patterns))
+	ct.sums = slices.Grow(ct.sums, len(ct.patterns))[:len(ct.patterns)]
+	clear(ct.sums)
 	for i, body := range ct.patterns {
 		s := &ct.sums[i]
 		for j := range body {
@@ -110,7 +148,7 @@ func CompileBinary(enc []byte) (*CompiledTrace, error) {
 	for produced < ct.declare {
 		literal, id, count, err := w.op(produced, ct.declare, ct.patterns)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !literal {
 			ct.prog = append(ct.prog, compiledOp{id: id, count: count})
@@ -118,14 +156,14 @@ func CompileBinary(enc []byte) (*CompiledTrace, error) {
 			continue
 		}
 		if _, j, err := w.rows(count); err != nil {
-			return nil, fmt.Errorf("trace: event %d: %w", produced+j, eofErr(err))
+			return fmt.Errorf("trace: event %d: %w", produced+j, eofErr(err))
 		}
 		ct.prog = append(ct.prog, compiledOp{id: literalOp, count: count})
 		produced += count
 	}
 	n := cap(lits) - cap(w.slab)
 	ct.lits = lits[:n:n]
-	return ct, nil
+	return nil
 }
 
 // Header returns the trace metadata.

@@ -25,14 +25,14 @@ const ffBarWindow = 4
 // PatternSource returns the compiled-trace cursor feeding this stream,
 // or nil when the source is anything else. Fast-forward only engages
 // when the loop structure is available.
-func (s *Stream) PatternSource() *trace.PatternSource {
-	ps, _ := s.src.(*trace.PatternSource)
-	return ps
-}
+func (s *Stream) PatternSource() *trace.PatternSource { return s.ps }
 
-// AppendReplayFingerprint appends the stream's live state to fp. It
+// AppendReplayFingerprint appends the translator's live state to fp. It
 // reports false when the stream is in a state fast-forward must not
-// touch (sticky error or exhausted source).
+// touch (sticky error or exhausted source). The buffered events are not
+// part of it: they are the consumer's next events, and the consumer
+// fingerprints each thread's handed-out and queued (Queued) events as
+// one sequence, so where Refill last split them cannot matter.
 func (s *Stream) AppendReplayFingerprint(fp *trace.ReplayFingerprint) bool {
 	if s.err != nil || s.srcDone {
 		return false
@@ -40,7 +40,6 @@ func (s *Stream) AppendReplayFingerprint(fp *trace.ReplayFingerprint) bool {
 	fp.Push(trace.FPOrig, int64(s.x.lastTime))
 	fp.Push(trace.FPTrans, int64(s.x.maxTranslated))
 	fp.Push(trace.FPAccum, int64(s.x.idx))
-	fp.Push(trace.FPExact, int64(s.pending))
 	for i := range s.x.threads {
 		t := &s.x.threads[i]
 		fp.Push(trace.FPBarID, t.nextBarrier)
@@ -48,21 +47,6 @@ func (s *Stream) AppendReplayFingerprint(fp *trace.ReplayFingerprint) bool {
 		fp.Push(trace.FPOrig, int64(t.lastOrig))
 		fp.Push(trace.FPTrans, int64(t.lastTranslated))
 		fp.PushBool(t.started)
-		q := &s.queues[i]
-		fp.Push(trace.FPExact, int64(q.size))
-		for k := 0; k < q.size; k++ {
-			e := q.at(k)
-			fp.Push(trace.FPTrans, int64(e.Time))
-			fp.Push(trace.FPExact, int64(e.Kind))
-			fp.Push(trace.FPExact, int64(e.Thread))
-			if e.Kind == trace.KindBarrierEntry || e.Kind == trace.KindBarrierExit {
-				fp.Push(trace.FPBarID, e.Arg0)
-			} else {
-				fp.Push(trace.FPExact, e.Arg0)
-			}
-			fp.Push(trace.FPExact, e.Arg1)
-			fp.Push(trace.FPExact, e.Arg2)
-		}
 	}
 	fp.Push(trace.FPBarID, s.x.barHi)
 	for id := max(0, s.x.barHi-ffBarWindow); id < s.x.barHi; id++ {
@@ -82,8 +66,9 @@ func (s *Stream) AppendReplayFingerprint(fp *trace.ReplayFingerprint) bool {
 
 // ApplyReplayShift advances the stream's state by j chunks of the
 // learned per-chunk deltas, exactly as replaying j more chunks event by
-// event would have left it. The traversal mirrors
-// AppendReplayFingerprint slot for slot.
+// event would have left it: the translator state AppendReplayFingerprint
+// pushes, and the queued events. The consumer shifts the events it
+// holds.
 func (s *Stream) ApplyReplayShift(j int64, d *trace.ReplayDeltas) {
 	s.x.lastTime += vtime.Time(j * d.Orig)
 	s.x.maxTranslated += vtime.Time(j * d.Trans)
@@ -93,14 +78,7 @@ func (s *Stream) ApplyReplayShift(j int64, d *trace.ReplayDeltas) {
 		t.nextBarrier += j * d.Bar
 		t.lastOrig += vtime.Time(j * d.Orig)
 		t.lastTranslated += vtime.Time(j * d.Trans)
-		q := &s.queues[i]
-		for k := 0; k < q.size; k++ {
-			e := q.at(k)
-			e.Time += vtime.Time(j * d.Trans)
-			if e.Kind == trace.KindBarrierEntry || e.Kind == trace.KindBarrierExit {
-				e.Arg0 += j * d.Bar
-			}
-		}
+		ShiftEvents(s.bufs[i].fill, j, d)
 	}
 	// Slide the barrier window by j×Δbar ids: each window record moves to
 	// its new id's ring slot with its release advanced. Records already
@@ -121,4 +99,32 @@ func (s *Stream) ApplyReplayShift(j int64, d *trace.ReplayDeltas) {
 		s.x.barriers[b.id&barMask] = b
 	}
 	s.x.barHi += grow
+}
+
+// PushEvent appends one buffered translated event: its time on the
+// translated scale, a barrier id on the barrier-id scale, everything else
+// exact. ShiftEvents is its shift.
+func PushEvent(fp *trace.ReplayFingerprint, e *trace.Event) {
+	fp.Push(trace.FPTrans, int64(e.Time))
+	fp.Push(trace.FPExact, int64(e.Kind))
+	fp.Push(trace.FPExact, int64(e.Thread))
+	if e.Kind == trace.KindBarrierEntry || e.Kind == trace.KindBarrierExit {
+		fp.Push(trace.FPBarID, e.Arg0)
+	} else {
+		fp.Push(trace.FPExact, e.Arg0)
+	}
+	fp.Push(trace.FPExact, e.Arg1)
+	fp.Push(trace.FPExact, e.Arg2)
+}
+
+// ShiftEvents advances buffered translated events by j chunks of the
+// learned deltas, mirroring PushEvent.
+func ShiftEvents(evs []trace.Event, j int64, d *trace.ReplayDeltas) {
+	for k := range evs {
+		e := &evs[k]
+		e.Time += vtime.Time(j * d.Trans)
+		if e.Kind == trace.KindBarrierEntry || e.Kind == trace.KindBarrierExit {
+			e.Arg0 += j * d.Bar
+		}
+	}
 }

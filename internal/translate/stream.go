@@ -22,36 +22,47 @@ type StreamOptions struct {
 }
 
 // Stream is the streaming counterpart of Translate: it consumes the
-// merged 1-processor measurement trace through a cursor and exposes one
-// translated cursor per thread. Events are translated on demand — a
-// Thread(i).Next() call pulls source events (translating and buffering
-// events of other threads) until thread i's next event materializes — so
-// peak memory is O(threads + pending buffer), not O(total events).
+// merged 1-processor measurement trace through a cursor and hands out
+// each thread's translated events in per-thread buffers. Events are
+// translated on demand — Refill(i) pulls source events (translating and
+// buffering events of other threads) until thread i has one — so peak
+// memory is O(threads + pending buffer), not O(total events).
 //
 // Validation is inline: the structural checks of Trace.Validate run as
 // events stream past, and the end-of-trace invariants (no thread stuck
 // in a barrier, all threads completed equally many barriers) run when
 // the source is exhausted. Any violation surfaces as a sticky error on
-// every cursor.
+// every thread.
 //
-// A Stream and its cursors are single-consumer and not safe for
-// concurrent use — exactly like the underlying trace.Reader. Streams
-// come from a pool: Release hands one's buffers to the next NewStream.
+// A Stream is single-consumer and not safe for concurrent use — exactly
+// like the underlying trace.Reader. Streams come from a pool: Release
+// hands one's buffers to the next NewStream.
 type Stream struct {
 	phases []string
 	src    trace.Reader
-	x      translator
+	// ps is src when it is a compiled-trace cursor, called directly so
+	// the per-event pull makes no interface call.
+	ps *trace.PatternSource
+	x  translator
 
-	queues     []eventQueue
-	cursors    []threadCursor
+	bufs       []threadBufs
 	pending    int
 	maxPending int
 	srcDone    bool
 	err        error
 }
 
-// streams recycles released streams: their per-thread queues, cursors
-// and translator tables.
+// threadBufs is one thread's pair of event buffers: pull appends to
+// fill, and Refill hands fill to the consumer as out, taking the spent
+// out back as the next fill. Both arrays stay with the stream, so a
+// pooled stream refills without allocating once they have grown to the
+// thread's buffered skew.
+type threadBufs struct {
+	fill, out []trace.Event
+}
+
+// streams recycles released streams: their per-thread buffers and
+// translator tables.
 var streams = sync.Pool{New: func() any { return new(Stream) }}
 
 // NewStream starts a streaming translation of the trace described by hdr
@@ -69,46 +80,39 @@ func NewStream(hdr trace.Header, src trace.Reader, opts StreamOptions) (*Stream,
 // reset reinitializes s for a new translation, keeping its buffers.
 func (s *Stream) reset(hdr trace.Header, src trace.Reader, opts StreamOptions) {
 	n := hdr.NumThreads
-	queues := s.queues
-	if cap(queues) < n {
-		// Every thread buffers at least a few events, so the queues'
-		// first buffers are carved from one slab instead of n
-		// allocations.
-		queues = make([]eventQueue, n)
-		slab := make([]trace.Event, n*queueSlab)
-		for i := range queues {
-			queues[i].buf = slab[i*queueSlab : (i+1)*queueSlab : (i+1)*queueSlab]
+	bufs := s.bufs
+	if cap(bufs) < n {
+		// Every thread buffers at least a few events, so its first
+		// buffers are carved from one slab instead of 2n allocations.
+		bufs = make([]threadBufs, n)
+		slab := make([]trace.Event, 2*n*bufSlab)
+		for i := range bufs {
+			a := slab[2*i*bufSlab:]
+			bufs[i] = threadBufs{fill: a[:0:bufSlab], out: a[bufSlab : bufSlab : 2*bufSlab]}
 		}
 	}
-	queues = queues[:n]
-	for i := range queues {
-		queues[i].head, queues[i].size = 0, 0
+	bufs = bufs[:n]
+	for i := range bufs {
+		bufs[i].fill, bufs[i].out = bufs[i].fill[:0], bufs[i].out[:0]
 	}
-	cursors := s.cursors
-	if cap(cursors) < n {
-		cursors = make([]threadCursor, n)
-	}
-	cursors = cursors[:n]
-	for i := range cursors {
-		cursors[i] = threadCursor{s: s, id: i}
-	}
+	ps, _ := src.(*trace.PatternSource)
 	x := s.x
 	x.reset(n, hdr.EventOverhead)
 	*s = Stream{
 		phases:     hdr.Phases,
 		src:        src,
+		ps:         ps,
 		x:          x,
-		queues:     queues,
-		cursors:    cursors,
+		bufs:       bufs,
 		maxPending: opts.MaxPending,
 	}
 }
 
 // Release returns the stream's buffers to the pool for a later
-// NewStream. Neither the stream nor any cursor it handed out may be used
-// afterwards; values already returned by them stay valid.
+// NewStream. Neither the stream nor any buffer or cursor it handed out
+// may be used afterwards; events already copied out stay valid.
 func (s *Stream) Release() {
-	s.src, s.phases, s.err = nil, nil, nil
+	s.src, s.ps, s.phases, s.err = nil, nil, nil, nil
 	streams.Put(s)
 }
 
@@ -118,12 +122,11 @@ func (s *Stream) NumThreads() int { return s.x.n }
 // Phases returns the phase-name table carried over from the source.
 func (s *Stream) Phases() []string { return s.phases }
 
-// Thread returns the translated event cursor for thread i.
+// Thread returns an event cursor over thread i's translated events, for
+// consumers that read one event at a time. A thread is read either
+// through its cursor or through Refill, not both.
 func (s *Stream) Thread(i int) trace.Reader {
-	if i < 0 || i >= len(s.cursors) {
-		return &threadCursor{s: s, id: i} // every Next reports the range error
-	}
-	return &s.cursors[i]
+	return &threadCursor{s: s, id: i}
 }
 
 // Barriers reports the number of global barriers seen so far; it is the
@@ -138,9 +141,13 @@ func (s *Stream) SourceDuration() vtime.Time { return s.x.lastTime }
 // idealized parallel execution time once the stream is drained.
 func (s *Stream) Duration() vtime.Time { return s.x.maxTranslated }
 
-// Pending reports how many translated events sit buffered across all
-// per-thread cursors.
+// Pending reports how many translated events sit buffered, pulled from
+// the source but not yet handed out by Refill.
 func (s *Stream) Pending() int { return s.pending }
+
+// Queued returns thread i's buffered events that the next Refill hands
+// out, in order. The slice is valid until the stream is next pulled.
+func (s *Stream) Queued(i int) []trace.Event { return s.bufs[i].fill }
 
 // Err returns the sticky stream error, if any (io.EOF is not an error).
 func (s *Stream) Err() error { return s.err }
@@ -155,39 +162,62 @@ func (s *Stream) Drain() error {
 	return s.err
 }
 
-type threadCursor struct {
-	s  *Stream
-	id int
-}
-
-func (c *threadCursor) Next() (trace.Event, error) { return c.s.next(c.id) }
-
-// next returns thread id's next translated event, pulling the source as
-// needed.
-func (s *Stream) next(id int) (trace.Event, error) {
-	if id < 0 || id >= s.x.n {
-		return trace.Event{}, fmt.Errorf("translate: thread %d out of range [0,%d)", id, s.x.n)
+// Refill hands out thread i's next translated events, in order, pulling
+// the source only while thread i has none buffered. The returned buffer
+// is the consumer's until its next Refill(i), which reuses it: the
+// consumer calls Refill only once it has read every event of the
+// previous one. Refill returns io.EOF when thread i has no events left,
+// or the sticky stream error.
+func (s *Stream) Refill(i int) ([]trace.Event, error) {
+	if i < 0 || i >= s.x.n {
+		return nil, fmt.Errorf("translate: thread %d out of range [0,%d)", i, s.x.n)
 	}
-	for {
-		if q := &s.queues[id]; q.size > 0 {
-			s.pending--
-			return q.pop(), nil
-		}
+	b := &s.bufs[i]
+	for len(b.fill) == 0 {
 		if s.err != nil {
-			return trace.Event{}, s.err
+			return nil, s.err
 		}
 		if s.srcDone {
-			return trace.Event{}, io.EOF
+			return nil, io.EOF
 		}
 		s.pull()
 	}
+	b.fill, b.out = b.out[:0], b.fill
+	s.pending -= len(b.out)
+	return b.out, nil
+}
+
+// threadCursor reads one thread's events a buffer at a time.
+type threadCursor struct {
+	s   *Stream
+	id  int
+	evs []trace.Event
+	pos int
+}
+
+func (c *threadCursor) Next() (trace.Event, error) {
+	if c.pos == len(c.evs) {
+		evs, err := c.s.Refill(c.id)
+		if err != nil {
+			return trace.Event{}, err
+		}
+		c.evs, c.pos = evs, 0
+	}
+	c.pos++
+	return c.evs[c.pos-1], nil
 }
 
 // pull reads, validates, and translates one source event into its
-// thread's queue; on source EOF it runs the end-of-trace checks. Errors
+// thread's buffer; on source EOF it runs the end-of-trace checks. Errors
 // become sticky.
 func (s *Stream) pull() {
-	e, err := s.src.Next()
+	var e trace.Event
+	var err error
+	if s.ps != nil {
+		e, err = s.ps.Next()
+	} else {
+		e, err = s.src.Next()
+	}
 	if err == io.EOF {
 		if s.err = s.x.finish(); s.err == nil {
 			s.srcDone = true
@@ -201,49 +231,13 @@ func (s *Stream) pull() {
 		s.err = err
 		return
 	}
-	s.queues[e.Thread].push(e)
+	b := &s.bufs[e.Thread]
+	b.fill = append(b.fill, e)
 	s.pending++
 	if s.maxPending > 0 && s.pending > s.maxPending {
 		s.err = fmt.Errorf("translate: %d translated events buffered, cap %d — consumer skew exceeds the stream buffer", s.pending, s.maxPending)
 	}
 }
 
-// queueSlab is each thread queue's initial capacity, in events; a power
-// of two, like every capacity the queue grows to.
-const queueSlab = 16
-
-// eventQueue is a growable ring-buffer FIFO of events. Capacity grows to
-// the high-water mark of one thread's buffered skew and is then reused,
-// so steady-state translation does not allocate per event. Capacities
-// are powers of two, so positions wrap by mask, and events hold no
-// pointers, so popped slots are left as they are.
-type eventQueue struct {
-	buf  []trace.Event
-	head int
-	size int
-}
-
-// at returns the k-th queued event, k < size.
-func (q *eventQueue) at(k int) *trace.Event {
-	return &q.buf[(q.head+k)&(len(q.buf)-1)]
-}
-
-func (q *eventQueue) push(e trace.Event) {
-	if q.size == len(q.buf) {
-		grown := make([]trace.Event, max(queueSlab, 2*len(q.buf)))
-		for i := 0; i < q.size; i++ {
-			grown[i] = *q.at(i)
-		}
-		q.buf = grown
-		q.head = 0
-	}
-	*q.at(q.size) = e
-	q.size++
-}
-
-func (q *eventQueue) pop() trace.Event {
-	e := q.buf[q.head]
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.size--
-	return e
-}
+// bufSlab is each thread buffer's initial capacity, in events.
+const bufSlab = 16

@@ -14,7 +14,7 @@
 # profiles alongside the snapshots.
 set -e
 
-PATTERN="${BENCH_PATTERN:-BenchmarkMeasurement\$|BenchmarkMeasurementSuite\$|BenchmarkTranslation\$|BenchmarkSimulation\$|BenchmarkSimulationWide\$|BenchmarkSimulationArena\$|BenchmarkSweepBatch\$|BenchmarkSweepFitted\$|BenchmarkFullPipeline\$|BenchmarkTraceCodec|BenchmarkXTRP2Encode|BenchmarkFig7MgridStartup\$|BenchmarkStoreRoundTrip\$|BenchmarkStorePutParallel\$|BenchmarkPatternReplay|BenchmarkWarmCell}"
+PATTERN="${BENCH_PATTERN:-BenchmarkMeasurement\$|BenchmarkMeasurementSuite\$|BenchmarkTranslation\$|BenchmarkSimulation\$|BenchmarkSimulationWide\$|BenchmarkSweepBatch\$|BenchmarkSweepFitted\$|BenchmarkFullPipeline\$|BenchmarkTraceCodec|BenchmarkXTRP2Encode|BenchmarkFig7MgridStartup\$|BenchmarkStoreRoundTrip\$|BenchmarkStorePutParallel\$|BenchmarkPatternReplay|BenchmarkWarmCell}"
 TIME="${BENCHTIME:-1s}"
 # The streaming-pipeline benchmark takes hundreds of ms per iteration,
 # so a time budget yields low single-digit iteration counts and noisy
