@@ -75,11 +75,12 @@ const (
 )
 
 // Fingerprint size estimate, in slots, from sizes the pipeline already
-// holds (see fpSlots). The per-item counts follow the traversals below:
-// a thread is 22 engine slots plus 6 in translate, a processor about 5
-// plus its NI queue front in each network, a future event 6 plus 6 for
-// the message it may carry, a buffered translated event 6; the fixed
-// part covers the decoder registers, the barrier windows and the scalars.
+// holds (see fpSlots). The per-item counts follow the traversals below,
+// rounded up: a thread is 22 engine slots, its current event among them,
+// plus 5 in translate, a processor about 5 plus its NI queue front in
+// each network, a future event 6 plus 6 for the message it may carry, a
+// buffered translated event 6; the fixed part covers the decoder
+// registers, the barrier windows and the scalars.
 const (
 	ffSlotsPerThread  = 28
 	ffSlotsPerProc    = 7

@@ -27,9 +27,7 @@ const noMsg int32 = -1
 // deterministically in schedule order; gen invalidates superseded
 // compute-done/poll events (e.g. after an interrupt extends a segment).
 // The struct is deliberately pointer-free (messages are slab indices, not
-// pointers) so the event list moves events without GC write barriers;
-// profiles of the earlier heap showed the barriers costing as much as
-// its sifts.
+// pointers) so the event list moves events without GC write barriers.
 // seq and gen are uint32: both are bounded by the engine's 2^28 event
 // budget, far below overflow.
 type event struct {

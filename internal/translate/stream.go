@@ -11,13 +11,13 @@ import (
 
 // StreamOptions configures a streaming translation.
 type StreamOptions struct {
-	// MaxPending caps how many translated events may sit buffered across
-	// all per-thread cursors at once. The consumer (the simulator) drains
-	// threads in simulated-time order while the source arrives in
-	// measurement order, so buffering is bounded by the event skew within
-	// roughly one barrier epoch; a trace that exceeds the cap aborts with
-	// an error instead of ballooning memory. Zero or negative means no
-	// cap.
+	// MaxPending caps how many translated events may sit buffered —
+	// pulled, but not yet handed out by Refill — at once. The consumer
+	// (the simulator) drains threads in simulated-time order while the
+	// source arrives in measurement order, so buffering is bounded by the
+	// event skew within roughly one barrier epoch; a trace that exceeds
+	// the cap aborts with an error instead of ballooning memory. Zero or
+	// negative means no cap.
 	MaxPending int
 }
 
