@@ -80,7 +80,7 @@ const (
 // plus 5 in translate, a processor about 5 plus its NI queue front in
 // each network, a future event 6 plus 6 for the message it may carry, a
 // buffered translated event 6; the fixed part covers the decoder
-// registers, the barrier windows and the scalars.
+// registers, the barrier windows, the scalars and the next event to fire.
 const (
 	ffSlotsPerThread  = 28
 	ffSlotsPerProc    = 7
@@ -313,7 +313,8 @@ func (ff *ffState) appendAll(e *engine, fp *trace.ReplayFingerprint) bool {
 
 // fpSlots estimates the slot count of one appendAll. A thread's current
 // event is in its ffSlotsPerThread; every other translated event it has
-// buffered, in its own buffer or queued in the stream, is pending.
+// buffered, in its own buffer or queued in the stream, is pending. The
+// event list's front event is in ffSlotsFixed.
 func (e *engine) fpSlots() int {
 	pending := e.src.Pending()
 	for i := range e.threads {
@@ -321,7 +322,7 @@ func (e *engine) fpSlots() int {
 			pending += len(t.evs) - t.pos - 1
 		}
 	}
-	return ffSlotsPerThread*e.n + ffSlotsPerProc*e.nprocs + ffSlotsPerFEL*len(e.fel.pending()) +
+	return ffSlotsPerThread*e.n + ffSlotsPerProc*e.nprocs + ffSlotsPerFEL*max(0, len(e.fel.pending())-1) +
 		ffSlotsPerPending*pending + ffSlotsFixed
 }
 
