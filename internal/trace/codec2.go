@@ -970,11 +970,11 @@ func (w *wireReader) row() (row, error) {
 
 // rows parses a run of n rows; on error it also reports the index of
 // the row that failed. Nothing is allocated ahead of the bytes actually
-// supplied. A whole-input window carves every run from one slab sized
-// by the input, len/minWireRow rows (see CompileBinary): every row
-// takes at least minWireRow bytes, so the slab holds all the rows the
-// input can encode, and a forged count runs out of bytes before it runs
-// out of slab. A refilled window's extent is unknown, so each run gets
+// supplied. A whole-input window carves every run from one slab of at
+// least len/minWireRow rows (see CompileBinary): every row takes at
+// least minWireRow bytes, so the slab holds all the rows the input can
+// encode, and a forged count runs out of bytes before it runs out of
+// slab. A refilled window's extent is unknown, so each run gets
 // its own slice, and a forged count costs append regrowth instead.
 //
 // Rows parse in batches by parseRows while the window holds a whole

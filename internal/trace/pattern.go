@@ -74,7 +74,7 @@ func IsXTRP2(enc []byte) bool { return bytes.HasPrefix(enc, binary2Magic[:]) }
 
 // CompileBinary parses a whole XTRP2 stream (magic included) into a
 // CompiledTrace, straight from the bytes: no buffered reader, and every
-// row carved from one slab sized by the rows the bytes can hold.
+// row carved from one slab that holds all the rows the bytes can.
 // Validation is Decoder2's, through the same parser: the same hardening
 // caps, the same op bounds against the declared event count, the same
 // errors — the difference is only when errors surface (compile time
