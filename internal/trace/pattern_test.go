@@ -183,3 +183,31 @@ func makeRotatedTrace(threads, rounds, reads int) *Trace {
 	}
 	return tr
 }
+
+// TestReleaseDropsTables: a released compiled trace waits in a pool with
+// its slab, so it must drop its header's phase table and every row
+// slice that a later compile does not overwrite.
+func TestReleaseDropsTables(t *testing.T) {
+	tr := makeLoopTrace(4, 30)
+	tr.Phases = []string{"solve"}
+	var buf bytes.Buffer
+	if err := WriteBinary2(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	ct, err := CompileBinary(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct.Patterns() == 0 || len(ct.Header().Phases) != 1 {
+		t.Fatalf("compiled %d patterns and phases %v, want a pattern table and one phase", ct.Patterns(), ct.Header().Phases)
+	}
+	ct.Release()
+	if ct.hdr.Phases != nil || ct.lits != nil {
+		t.Errorf("released trace keeps phases %v and %d literal rows", ct.hdr.Phases, len(ct.lits))
+	}
+	for i, body := range ct.patterns {
+		if body != nil {
+			t.Errorf("released trace keeps pattern %d (%d rows)", i, len(body))
+		}
+	}
+}

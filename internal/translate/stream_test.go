@@ -314,3 +314,32 @@ func TestStreamRejectsZeroThreads(t *testing.T) {
 		t.Fatal("NewStream accepted 0 threads")
 	}
 }
+
+// TestReleaseDropsSource: a released stream waits in a pool, so it must
+// not keep the source, the compiled trace behind it or the phase table
+// reachable.
+func TestReleaseDropsSource(t *testing.T) {
+	tr := streamTestTrace(t, 4)
+	var enc bytes.Buffer
+	if err := trace.WriteBinary2(&enc, tr); err != nil {
+		t.Fatal(err)
+	}
+	ps, err := trace.NewPatternSource(enc.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStream(ps.Header(), ps, StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.PatternSource() != ps {
+		t.Fatal("stream does not expose its compiled-trace source")
+	}
+	if _, err := trace.ReadAll(s.Thread(0)); err != nil {
+		t.Fatal(err)
+	}
+	s.Release()
+	if s.src != nil || s.ps != nil || s.phases != nil || s.err != nil {
+		t.Errorf("released stream still holds src %v, ps %v, phases %v, err %v", s.src, s.ps, s.phases, s.err)
+	}
+}
