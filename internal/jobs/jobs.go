@@ -441,15 +441,13 @@ func (m *Manager) Cancel(id string) (Snapshot, bool) {
 	if j.status == StatusQueued {
 		j.status = StatusCancelled
 		m.cancelledJobs.Add(1)
+		_ = m.persistLocked(j) // see persistLocked
 	}
 	if j.cancel != nil {
 		j.cancel()
 	}
 	s := m.snapshotLocked(j)
 	m.mu.Unlock()
-	if s.Status == StatusCancelled {
-		m.persist(j)
-	}
 	return s, true
 }
 
@@ -501,6 +499,22 @@ func (m *Manager) jobPath(id string) string {
 // persist writes the job's current state atomically.
 func (m *Manager) persist(j *Job) error {
 	m.mu.Lock()
+	jf := m.jobFileLocked(j)
+	m.mu.Unlock()
+	return m.writeJobFile(jf)
+}
+
+// persistLocked writes the job's state while the caller holds m.mu, for
+// terminal states: until the caller unlocks, no Get or List can report
+// the state, so a client never learns that a job ended before its file
+// says so — a crash in between would let Open resume it. A failed write
+// costs only that durability, so callers publish the state anyway.
+func (m *Manager) persistLocked(j *Job) error {
+	return m.writeJobFile(m.jobFileLocked(j))
+}
+
+// jobFileLocked is the job's persisted form; the caller holds m.mu.
+func (m *Manager) jobFileLocked(j *Job) jobFile {
 	jf := jobFile{
 		ID:     j.id,
 		Spec:   j.spec,
@@ -513,7 +527,11 @@ func (m *Manager) persist(j *Job) error {
 			jf.Points = append(jf.Points, pointsToRecords(curve)...)
 		}
 	}
-	m.mu.Unlock()
+	return jf
+}
+
+// writeJobFile replaces the job's file with jf atomically.
+func (m *Manager) writeJobFile(jf jobFile) error {
 	body, err := json.Marshal(jf)
 	if err != nil {
 		return fmt.Errorf("jobs: encode: %w", err)
@@ -528,7 +546,7 @@ func (m *Manager) persist(j *Job) error {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, m.jobPath(j.id))
+		err = os.Rename(tmp, m.jobPath(jf.ID))
 	}
 	if err != nil {
 		os.Remove(tmp)
@@ -662,8 +680,8 @@ func (m *Manager) runJob(id string) {
 		j.errMsg = err.Error()
 		m.failedJobs.Add(1)
 	}
+	_ = m.persistLocked(j) // see persistLocked
 	m.mu.Unlock()
-	m.persist(j)
 }
 
 // runCells fans the job's grid (machines × ladder) across the cell
