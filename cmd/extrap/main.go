@@ -15,7 +15,7 @@
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -201,23 +201,28 @@ func sizeMode(s string) pcxx.SizeMode {
 	return pcxx.ActualSize
 }
 
-// readTrace loads a trace in any codec — XTRP1 or XTRP2 binary
-// (detected by magic), or text — by extension then by sniffing.
+// readTrace loads a trace file whole; see decodeTrace.
 func readTrace(path string) (*trace.Trace, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	if filepath.Ext(path) == ".txt" {
-		return trace.ReadText(f)
+	return decodeTrace(path, data)
+}
+
+// decodeTrace decodes a trace file's bytes: text by extension, XTRP2 or
+// (from older releases) XTRP1 binary by magic, and text again when the
+// bytes carry neither magic.
+func decodeTrace(path string, data []byte) (*trace.Trace, error) {
+	switch {
+	case filepath.Ext(path) == ".txt":
+		return trace.ReadText(bytes.NewReader(data))
+	case trace.IsXTRP2(data):
+		return trace.ReadBinary2(data)
 	}
-	tr, err := trace.ReadBinaryAny(f)
+	tr, err := trace.ReadBinary(data)
 	if err == trace.ErrBadMagic {
-		if _, serr := f.Seek(0, 0); serr != nil {
-			return nil, serr
-		}
-		return trace.ReadText(f)
+		return trace.ReadText(bytes.NewReader(data))
 	}
 	return tr, err
 }
@@ -232,37 +237,21 @@ func printPrediction(out io.Writer, env machine.Env, res *sim.Result, ideal vtim
 }
 
 // extrapolateFile runs a measurement trace file through the streaming
-// pipeline. An XTRP2 file is read whole and compiled, as the server
-// reads its cached bytes, so the simulation can fast-forward steady loop
-// iterations; the format is compact enough that its bytes are far
-// smaller than the events they encode. XTRP1 files decode incrementally,
-// at buffer-sized memory; text traces are read whole and streamed from
-// memory.
+// pipeline. An XTRP2 file is compiled, as the server compiles its cached
+// bytes, so the simulation can fast-forward steady loop iterations; the
+// format is compact enough that its bytes are far smaller than the
+// events they encode. XTRP1 and text traces are read whole and streamed
+// from memory.
 func extrapolateFile(path string, cfg sim.Config) (*core.Prediction, error) {
-	ctx := context.Background()
-	if filepath.Ext(path) != ".txt" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		br := bufio.NewReader(f)
-		if magic, _ := br.Peek(5); trace.IsXTRP2(magic) {
-			enc, err := io.ReadAll(br)
-			if err != nil {
-				return nil, err
-			}
-			return core.ExtrapolateEncoded(ctx, enc, cfg)
-		}
-		d, err := trace.NewAnyDecoder(br)
-		if err == nil {
-			return core.ExtrapolateReader(ctx, d.Header(), d, cfg)
-		}
-		if err != trace.ErrBadMagic {
-			return nil, err
-		}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
-	tr, err := readTrace(path)
+	ctx := context.Background()
+	if filepath.Ext(path) != ".txt" && trace.IsXTRP2(data) {
+		return core.ExtrapolateEncoded(ctx, data, cfg)
+	}
+	tr, err := decodeTrace(path, data)
 	if err != nil {
 		return nil, err
 	}

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
+	"extrap/internal/benchmarks"
 	"extrap/internal/core"
 	"extrap/internal/machine"
 	"extrap/internal/sim"
@@ -176,7 +179,8 @@ func TestSimulateStreamMatchesInMemory(t *testing.T) {
 
 // TestSimulateFastForwardsXTRP2: `simulate` on an XTRP2 file compiles
 // it, so a loop-heavy grid trace fast-forwards, and it prints the report
-// that replaying every event through the streaming decoder prints.
+// of the event-replay oracle: the compiled cursor behind a plain
+// trace.Reader, which translation cannot see, so every event replays.
 func TestSimulateFastForwardsXTRP2(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "grid.xtrp")
 	runCmd(t, "run", "-bench", "grid", "-n", "16", "-o", path)
@@ -188,11 +192,11 @@ func TestSimulateFastForwardsXTRP2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := trace.NewDecoder2(bytes.NewReader(enc))
+	ps, err := trace.NewPatternSource(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := core.ExtrapolateReader(context.Background(), d.Header(), d, env.Config)
+	ref, err := core.ExtrapolateReader(context.Background(), ps.Header(), struct{ trace.Reader }{ps}, env.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,6 +210,88 @@ func TestSimulateFastForwardsXTRP2(t *testing.T) {
 	}
 	if got != want.String() {
 		t.Errorf("simulate output differs from the event-replay report:\n--- replay ---\n%s\n--- simulate ---\n%s", want.String(), got)
+	}
+}
+
+// TestXTRP1FilesReadLikeXTRP2: the CLI still reads XTRP1 files from
+// older releases. One measured trace written in both formats prints
+// byte-identical stats, translate and simulate reports, although
+// simulate compiles and fast-forwards only the XTRP2 file.
+func TestXTRP1FilesReadLikeXTRP2(t *testing.T) {
+	b, err := benchmarks.ByName("grid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := core.Measure(b.Factory(benchmarks.Size{N: 16, Iters: 60})(4), core.MeasureOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	paths := [2]string{filepath.Join(dir, "g1.xtrp"), filepath.Join(dir, "g2.xtrp")}
+	for i, write := range []func(io.Writer, *trace.Trace) error{trace.WriteBinary, trace.WriteBinary2} {
+		var buf bytes.Buffer
+		if err := write(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(paths[i], buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, cmd := range [][]string{{"stats"}, {"translate"}, {"simulate", "-env", "cm5"}} {
+		var out [2]string
+		var ffwds [2]uint64
+		for i, path := range paths {
+			before := sim.ReadReplayCounters().FastForwards
+			out[i] = runCmd(t, cmd[0], append([]string{"-i", path}, cmd[1:]...)...)
+			ffwds[i] = sim.ReadReplayCounters().FastForwards - before
+		}
+		if out[0] != out[1] {
+			t.Errorf("%v: XTRP1 file prints\n%s\nXTRP2 file prints\n%s", cmd, out[0], out[1])
+		}
+		if cmd[0] == "simulate" && (ffwds[0] != 0 || ffwds[1] == 0) {
+			t.Errorf("simulate fast-forwarded %d times on the XTRP1 file and %d on the XTRP2 file, want none and some", ffwds[0], ffwds[1])
+		}
+	}
+}
+
+// TestStatsRefusesExpandingXTRP2: a few bytes of XTRP2 repeat op can
+// declare billions of events. `stats` must fail on such a file at once,
+// with memory bounded by the file, never by the declared count: the
+// first file (51 bytes) repeats a one-row pattern 77,594,625 times before
+// an unknown opcode, and the second (48 bytes, valid) declares 2^39
+// events, past the whole-trace read bound.
+func TestStatsRefusesExpandingXTRP2(t *testing.T) {
+	header := "XTRP2\x04" + strings.Repeat("\x00", 15)
+	cases := []struct{ name, data, err string }{
+		{
+			"bad-opcode",
+			header + "\x04\xff\x7f\xff\xff\x00\x00\x00\x01\x00\x00\x00\x01\x01\x00\x00\x00\x00\x00\x01\x00\x81\x80\x80%\x80\x80\x80\x80@",
+			"trace: event 77594625: unknown opcode 0x80",
+		},
+		{
+			// nevents 2^39; one one-row pattern; repeat it 2^39 times.
+			"past-bound",
+			header + "\x00\x00\x00\x00\x80\x00\x00\x00" + "\x01\x00\x00\x00" +
+				"\x01" + "\x01\x00\x00\x00\x00\x00" + "\x01\x00" + "\x80\x80\x80\x80\x80\x10",
+			fmt.Sprintf("trace: %d events declared, more than the %d a whole-trace read holds", uint64(1)<<39, trace.MaxTraceEvents),
+		},
+	}
+	for _, c := range cases {
+		path := filepath.Join(t.TempDir(), c.name+".xtrp")
+		if err := os.WriteFile(path, []byte(c.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		err := dispatch("stats", []string{"-i", path}, io.Discard)
+		runtime.ReadMemStats(&after)
+		if err == nil || err.Error() != c.err {
+			t.Errorf("%s (%d bytes): err = %v, want %q", c.name, len(c.data), err, c.err)
+		}
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+			t.Errorf("%s: stats allocated %d bytes on a %d-byte file", c.name, grown, len(c.data))
+		}
 	}
 }
 

@@ -64,7 +64,7 @@ func TestXTRP2CompressionOnBenchmarks(t *testing.T) {
 		if ratio < 5 {
 			t.Errorf("%s: compression ratio %.2f, want ≥ 5", name, ratio)
 		}
-		got, err := trace.ReadBinaryAny(bytes.NewReader(enc2))
+		got, err := trace.ReadBinary2(enc2)
 		if err != nil {
 			t.Fatalf("%s: decoding XTRP2: %v", name, err)
 		}
@@ -77,8 +77,9 @@ func TestXTRP2CompressionOnBenchmarks(t *testing.T) {
 // TestPredictionsByteIdenticalAcrossFormats asserts the compaction
 // contract end to end: for every combination of kernel, machine model,
 // and barrier algorithm tried, the streaming prediction from XTRP2
-// bytes equals — field for field — the prediction from XTRP1 bytes and
-// the in-memory pipeline's.
+// bytes equals — field for field — the prediction the CLI makes from an
+// XTRP1 file (read whole, then streamed from memory) and the in-memory
+// pipeline's.
 func TestPredictionsByteIdenticalAcrossFormats(t *testing.T) {
 	machines := []sim.Config{
 		machine.GenericDM().Config,
@@ -97,8 +98,12 @@ func TestPredictionsByteIdenticalAcrossFormats(t *testing.T) {
 				cfgs = append(cfgs, cfg)
 			}
 		}
+		tr1, err := trace.ReadBinary(enc1)
+		if err != nil {
+			t.Fatalf("%s: decoding XTRP1: %v", name, err)
+		}
 		for i, cfg := range cfgs {
-			p1, err := core.ExtrapolateEncoded(ctx, enc1, cfg)
+			p1, err := core.ExtrapolateReader(ctx, tr1.Header(), tr1.Reader(), cfg)
 			if err != nil {
 				t.Fatalf("%s cfg %d: xtrp1 stream: %v", name, i, err)
 			}

@@ -292,7 +292,7 @@ func (n *Node) shape(depth int, nodes, maxDepth *int) {
 // a compute event plus its communication, each collective costs
 // per-thread rounds, and the flat reduction is deliberately quadratic.
 // It is an estimate, not a count: synthesis counts a trace's events
-// exactly and enforces MaxTraceEvents on the count.
+// exactly and enforces trace.MaxTraceEvents on the count.
 func (n *Node) eventsTotal(th int64) int64 {
 	if th < 1 {
 		th = 1

@@ -3,7 +3,6 @@ package compose
 import (
 	"errors"
 	"fmt"
-	"unsafe"
 
 	"extrap/internal/benchmarks"
 	"extrap/internal/core"
@@ -55,16 +54,11 @@ import (
 // owns are recorded. The pcxx form of the same program is the test
 // oracle (lower_oracle_test.go); the two traces are byte-identical.
 
-// MaxTraceEvents bounds the events one synthesized trace may hold: 512
-// MiB of trace.Event, the memory request.MaxWorkUnits float64 elements
-// take, which is what the work budget lets a registry kernel allocate.
+// errTooManyEvents stops the counting pass once it passes
+// trace.MaxTraceEvents, the events one materialized trace may hold.
 // WorkUnits only estimates a composed workload's events, so a request
 // within the work budget can still demand more; synthesis counts them
 // exactly and refuses with core.ErrTraceTooLarge before allocating.
-const MaxTraceEvents = (1 << 29) / int64(unsafe.Sizeof(trace.Event{}))
-
-// errTooManyEvents stops the counting pass once it passes
-// MaxTraceEvents.
 var errTooManyEvents = errors.New("compose: too many events")
 
 // Factory implements benchmarks.Benchmark: it instantiates the workload
@@ -99,9 +93,9 @@ func synthesize(root *Node, scale, iters int, cfg pcxx.Config) (*trace.Trace, er
 	if err != nil {
 		return nil, err
 	}
-	if per > MaxTraceEvents/int64(iters) {
+	if per > trace.MaxTraceEvents/int64(iters) {
 		return nil, fmt.Errorf("%w: %d iterations at %d threads write more than %d events",
-			core.ErrTraceTooLarge, iters, n, MaxTraceEvents)
+			core.ErrTraceTooLarge, iters, n, trace.MaxTraceEvents)
 	}
 	w := &writer{
 		n:         n,
@@ -125,7 +119,7 @@ func flatten(root *Node, scale, n int) *flattener {
 }
 
 // count returns how many events one iteration writes, stopping once the
-// count passes MaxTraceEvents.
+// count passes trace.MaxTraceEvents.
 func (f *flattener) count(interrupt func() error) (int64, error) {
 	w := &writer{n: f.n, counting: true, interrupt: interrupt}
 	if err := f.walk(w, 1); err != nil && !errors.Is(err, errTooManyEvents) {
@@ -323,9 +317,9 @@ func (w *writer) record(e trace.Event) {
 func (w *writer) flops(k int64) { w.clock += vtime.Time(k) * w.flopTime }
 
 // poll checks the interrupt every pcxx.InterruptEvery records, and
-// stops a counting pass past MaxTraceEvents.
+// stops a counting pass past trace.MaxTraceEvents.
 func (w *writer) poll() error {
-	if w.counting && w.count > MaxTraceEvents {
+	if w.counting && w.count > trace.MaxTraceEvents {
 		return errTooManyEvents
 	}
 	if w.interrupt == nil || w.count-w.polled < pcxx.InterruptEvery {

@@ -230,7 +230,7 @@ func TestBackendWriteThrough(t *testing.T) {
 	if want := encodeTrace2(t, tr); !bytes.Equal(enc, want) {
 		t.Error("backend bytes differ from the trace's own XTRP2 encoding")
 	}
-	if _, err := trace.ReadBinaryAny(bytes.NewReader(enc)); err != nil {
+	if _, err := trace.ReadBinary2(enc); err != nil {
 		t.Fatalf("backend bytes do not decode: %v", err)
 	}
 }
@@ -322,9 +322,10 @@ func TestEncodedWriteThroughAndBudget(t *testing.T) {
 }
 
 // TestXTRP2CacheFormat: the cache writes XTRP2 artifacts under the v2
-// key, serves them back to a cold cache, and falls back to a store's
-// pre-migration XTRP1 artifact when no v2 artifact exists — with
-// byte-identical decoded traces throughout.
+// key and serves them back to a cold cache. A store's pre-migration
+// XTRP1 artifact is never read: its measurement is re-run, with the
+// same trace, and written through under the v2 key, in both cache
+// modes.
 func TestXTRP2CacheFormat(t *testing.T) {
 	b := newFakeBackend()
 	warm := NewEncodedTraceCache(4, 0)
@@ -337,7 +338,7 @@ func TestXTRP2CacheFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := trace.NewDecoder2(bytes.NewReader(enc)); err != nil {
+	if _, err := trace.CompileBinary(enc); err != nil {
 		t.Fatalf("cache served non-XTRP2 bytes: %v", err)
 	}
 	if _, ok := b.storedFormat(key, trace.FormatXTRP2); !ok {
@@ -365,43 +366,76 @@ func TestXTRP2CacheFormat(t *testing.T) {
 	}
 
 	// A store holding only the XTRP1 artifact (written before the format
-	// migration) still serves both cache modes via fallback.
+	// migration): both cache modes miss, re-measure once, and write the
+	// same trace through as XTRP2.
 	tr, err := measure()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want1 := encodeTrace(t, tr)
-	old := newFakeBackend()
-	old.PutTrace(key, trace.FormatXTRP1, want1)
-	mixed := NewEncodedTraceCache(4, 0)
-	mixed.SetBackend(old)
-	got1, err := mixed.Encoded(key, func() (*trace.Trace, error) {
-		t.Error("encoded cache re-measured despite an XTRP1 fallback artifact")
-		return measure()
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, encoded := range []bool{true, false} {
+		old := newFakeBackend()
+		old.PutTrace(key, trace.FormatXTRP1, encodeTrace(t, tr))
+		c := NewTraceCache()
+		if encoded {
+			c = NewEncodedTraceCache(4, 0)
+		}
+		c.SetBackend(old)
+		var got *trace.Trace
+		if encoded {
+			enc, err := c.Encoded(key, measure)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err = trace.ReadBinary2(enc); err != nil {
+				t.Fatal(err)
+			}
+		} else if got, err = c.Measure(key, measure); err != nil {
+			t.Fatal(err)
+		}
+		if _, misses := c.Stats(); misses != 1 {
+			t.Errorf("encoded=%v: %d measurements over a pre-migration artifact, want 1", encoded, misses)
+		}
+		if !bytes.Equal(encodeTrace(t, got), encodeTrace(t, tr)) {
+			t.Errorf("encoded=%v: re-measured trace differs from the pre-migration one", encoded)
+		}
+		if v2, ok := old.stored(key); !ok || !bytes.Equal(v2, encodeTrace2(t, tr)) {
+			t.Errorf("encoded=%v: re-measured trace not written through under the v2 key", encoded)
+		}
 	}
-	if !bytes.Equal(got1, want1) {
-		t.Fatal("fallback hit did not serve the stored XTRP1 bytes as-is")
+}
+
+// TestOneBackendLookupPerColdMiss: a cold cache consults the durable
+// tier once per lookup, under the XTRP2 key, in both cache modes,
+// whether the tier answers or not — a clustered worker forwards each
+// lookup to a peer as an HTTP request.
+func TestOneBackendLookupPerColdMiss(t *testing.T) {
+	measure := func() (*trace.Trace, error) {
+		return Measure(testProgram(4), MeasureOptions{})
 	}
-	plain := NewTraceCache()
-	plain.SetBackend(old)
-	plainTr, err := plain.Measure(key, func() (*trace.Trace, error) {
-		t.Error("in-memory cache re-measured despite an XTRP1 fallback artifact")
-		return measure()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encodeTrace(t, plainTr), want1) {
-		t.Fatal("in-memory fallback hit decoded to a different trace")
-	}
-	tr2, err := trace.ReadBinaryAny(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encodeTrace(t, tr2), want1) {
-		t.Fatal("XTRP1 and XTRP2 artifacts decode to different traces")
+	b := newFakeBackend()
+	for _, encoded := range []bool{true, false} {
+		key := CacheKey{Bench: "lookups", Threads: 4, Verify: encoded}
+		// The first cold cache misses in the tier and measures; the
+		// second finds what the first wrote through.
+		for _, tier := range []string{"miss", "hit"} {
+			c := NewTraceCache()
+			if encoded {
+				c = NewEncodedTraceCache(4, 0)
+			}
+			c.SetBackend(b)
+			before, _ := b.counts()
+			var err error
+			if encoded {
+				_, err = c.Encoded(key, measure)
+			} else {
+				_, err = c.Measure(key, measure)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gets, _ := b.counts(); gets-before != 1 {
+				t.Errorf("encoded=%v, tier %s: %d backend lookups, want 1", encoded, tier, gets-before)
+			}
+		}
 	}
 }

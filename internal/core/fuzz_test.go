@@ -58,9 +58,10 @@ func fuzzProgram(data []byte) (*trace.Trace, error) {
 // for any measurable program, the XTRP2 encoding replayed through the
 // production path (ExtrapolateEncoded: compiled pattern programs +
 // steady-state fast-forward) must produce a prediction byte-identical
-// to the event-replay oracle (ExtrapolateReader over a plain decoder,
-// which carries no pattern cursor) — same totals, same per-thread
-// breakdowns, same network statistics.
+// to the event-replay oracle (ExtrapolateReader over the compiled
+// cursor behind a plain trace.Reader, which hides it from translation,
+// so nothing fast-forwards) — same totals, same per-thread breakdowns,
+// same network statistics.
 func FuzzPatternReplayEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 12, 2, 0, 0, 9, 17, 4, 1})
@@ -76,11 +77,11 @@ func FuzzPatternReplayEquivalence(f *testing.F) {
 			t.Fatalf("encode: %v", err)
 		}
 		cfg := sim.DefaultConfig()
-		d, err := trace.NewAnyDecoder(bytes.NewReader(buf.Bytes()))
+		ps, err := trace.NewPatternSource(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ExtrapolateReader(context.Background(), d.Header(), d, cfg)
+		want, err := ExtrapolateReader(context.Background(), ps.Header(), struct{ trace.Reader }{ps}, cfg)
 		if err != nil {
 			t.Fatalf("event replay: %v", err)
 		}

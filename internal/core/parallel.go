@@ -59,12 +59,14 @@ type lruNode struct {
 }
 
 // TraceBackend is a durable tier behind a TraceCache: measurements the
-// memory cache does not hold are looked up here (as encoded trace bytes
-// in the named format) before being re-measured, and fresh measurements
-// are written through as XTRP2. internal/store implements it with a
+// memory cache does not hold are looked up here as XTRP2 bytes, once per
+// miss, before being re-measured, and fresh measurements are written
+// through as XTRP2. internal/store implements it with a
 // content-addressed on-disk store, keying each format separately
-// (CacheKey.CanonicalFormat) so XTRP1 artifacts of stores written
-// before the XTRP2 migration stay readable next to XTRP2 ones.
+// (CacheKey.CanonicalFormat). The cache reads and writes only
+// trace.FormatXTRP2: an XTRP1 artifact left by a store written before
+// the XTRP2 migration is never looked up, so its key misses, is
+// re-measured (measurement is deterministic) and is stored as XTRP2.
 //
 // Both methods must be safe for concurrent use. GetTrace returns
 // (payload, true) only for bytes it can vouch for (the store verifies
@@ -160,17 +162,6 @@ type CompressionStats struct {
 // Compression returns the cache's compression accounting.
 func (c *TraceCache) Compression() CompressionStats {
 	return CompressionStats{RawBytes: c.rawBytes.Load(), EncodedBytes: c.encBytes.Load()}
-}
-
-// backendGet looks the key up in the durable tier under the XTRP2 key,
-// falling back to the XTRP1 key so stores written before the format
-// migration keep their value: decode auto-detects by magic, so fallback
-// bytes are served as-is.
-func (c *TraceCache) backendGet(key CacheKey) ([]byte, bool) {
-	if enc, ok := c.backend.GetTrace(key, trace.FormatXTRP2); ok {
-		return enc, true
-	}
-	return c.backend.GetTrace(key, trace.FormatXTRP1)
 }
 
 // encode renders a fresh measurement as XTRP2, enforcing the per-trace
@@ -274,8 +265,8 @@ func (c *TraceCache) measureLocked(key CacheKey, e *cacheEntry, measure func() (
 		return e.tr, e.err
 	}
 	if c.backend != nil {
-		if enc, ok := c.backendGet(key); ok {
-			if tr, err := trace.ReadBinaryAny(bytes.NewReader(enc)); err == nil {
+		if enc, ok := c.backend.GetTrace(key, trace.FormatXTRP2); ok {
+			if tr, err := trace.ReadBinary2(enc); err == nil {
 				e.tr, e.err, e.measured = tr, nil, true
 				c.settle(key, e)
 				return e.tr, nil
@@ -316,7 +307,7 @@ func (c *TraceCache) encodedLocked(key CacheKey, e *cacheEntry, measure func() (
 		return e.enc, e.err
 	}
 	if c.backend != nil {
-		if enc, ok := c.backendGet(key); ok {
+		if enc, ok := c.backend.GetTrace(key, trace.FormatXTRP2); ok {
 			if c.maxB > 0 && int64(len(enc)) > c.maxB {
 				e.err = fmt.Errorf("%w: %d encoded bytes, budget %d", ErrTraceTooLarge, len(enc), c.maxB)
 			} else {
@@ -344,9 +335,8 @@ func (c *TraceCache) encodedLocked(key CacheKey, e *cacheEntry, measure func() (
 	return e.enc, e.err
 }
 
-// Encoded returns the memoized measurement for key as immutable encoded
-// bytes (XTRP2, or XTRP1 read from a pre-migration backend), running
-// measure on first use. Valid only on an encoded cache.
+// Encoded returns the memoized measurement for key as immutable XTRP2
+// bytes, running measure on first use. Valid only on an encoded cache.
 func (c *TraceCache) Encoded(key CacheKey, measure func() (*trace.Trace, error)) ([]byte, error) {
 	if !c.encoded {
 		return nil, errors.New("core: Encoded called on a non-encoded TraceCache")

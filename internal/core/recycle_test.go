@@ -43,17 +43,35 @@ func (c *pollCtx) Err() error {
 	return nil
 }
 
-// recycleCell is one ExtrapolateEncoded call of the mix and its solo
-// answer, computed on fresh state by the in-memory pipeline.
+// recycleCell is one prediction of the mix and its solo answer,
+// computed on fresh state by the in-memory pipeline. A plain cell reads
+// its compiled trace through a plain trace.Reader instead of calling
+// ExtrapolateEncoded, so translation sees no pattern cursor and replays
+// every event.
 type recycleCell struct {
-	name string
-	enc  []byte
-	cfg  sim.Config
-	want *core.Prediction
+	name  string
+	enc   []byte
+	cfg   sim.Config
+	plain bool
+	want  *core.Prediction
 }
 
-// measureEncoded measures a registry kernel and encodes it in format f.
-func measureEncoded(t *testing.T, name string, size benchmarks.Size, threads int, f trace.Format) (*trace.Trace, []byte) {
+// run predicts the cell under ctx.
+func (c *recycleCell) run(ctx context.Context) (*core.Prediction, error) {
+	if !c.plain {
+		return core.ExtrapolateEncoded(ctx, c.enc, c.cfg)
+	}
+	ct, err := trace.CompileBinary(c.enc)
+	if err != nil {
+		return nil, err
+	}
+	defer ct.Release()
+	ps := ct.Source()
+	return core.ExtrapolateReader(ctx, ps.Header(), struct{ trace.Reader }{ps}, c.cfg)
+}
+
+// measureEncoded measures a registry kernel and encodes it as XTRP2.
+func measureEncoded(t *testing.T, name string, size benchmarks.Size, threads int) (*trace.Trace, []byte) {
 	t.Helper()
 	b, err := benchmarks.ByName(name)
 	if err != nil {
@@ -64,7 +82,7 @@ func measureEncoded(t *testing.T, name string, size benchmarks.Size, threads int
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := trace.WriteBinaryFormat(&buf, tr, f); err != nil {
+	if err := trace.WriteBinary2(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	return tr, buf.Bytes()
@@ -89,25 +107,24 @@ func soloPrediction(t *testing.T, tr *trace.Trace, cfg sim.Config) *core.Predict
 
 // recycleMix builds the mixed workload: different thread counts,
 // processors below threads, linear and tree barriers, fast-forwarding
-// and event-replay (XTRP1, emitted trace) runs.
+// and event-replay (plain reader, emitted trace) runs.
 func recycleMix(t *testing.T) []recycleCell {
 	t.Helper()
 	cm5 := machine.CM5().Config
 	dm := machine.GenericDM().Config
 	halfProcs := func(cfg sim.Config, procs int) sim.Config { cfg.Procs = procs; return cfg }
 	emit := func(cfg sim.Config) sim.Config { cfg.EmitTrace = true; return cfg }
-	grid16, grid16enc := measureEncoded(t, "grid", benchmarks.Size{N: 16, Iters: 60}, 16, trace.FormatXTRP2)
-	grid4, grid4enc := measureEncoded(t, "grid", benchmarks.Size{N: 16, Iters: 30}, 4, trace.FormatXTRP2)
-	_, grid4v1 := measureEncoded(t, "grid", benchmarks.Size{N: 16, Iters: 30}, 4, trace.FormatXTRP1)
-	embar, embarEnc := measureEncoded(t, "embar", benchmarks.Size{N: 10}, 8, trace.FormatXTRP2)
-	sorted, sortEnc := measureEncoded(t, "sort", benchmarks.Size{N: 256}, 8, trace.FormatXTRP2)
+	grid16, grid16enc := measureEncoded(t, "grid", benchmarks.Size{N: 16, Iters: 60}, 16)
+	grid4, grid4enc := measureEncoded(t, "grid", benchmarks.Size{N: 16, Iters: 30}, 4)
+	embar, embarEnc := measureEncoded(t, "embar", benchmarks.Size{N: 10}, 8)
+	sorted, sortEnc := measureEncoded(t, "sort", benchmarks.Size{N: 256}, 8)
 	cells := []recycleCell{
 		{name: "grid16/cm5", enc: grid16enc, cfg: cm5},
 		{name: "grid16/tree", enc: grid16enc, cfg: treeConfig()},
 		{name: "grid16/dm-p4", enc: grid16enc, cfg: halfProcs(dm, 4)},
 		{name: "grid16/cm5-emit", enc: grid16enc, cfg: emit(cm5)},
 		{name: "grid4/tree-p2", enc: grid4enc, cfg: halfProcs(treeConfig(), 2)},
-		{name: "grid4/xtrp1", enc: grid4v1, cfg: cm5},
+		{name: "grid4/plain", enc: grid4enc, cfg: cm5, plain: true},
 		{name: "embar/dm-p2", enc: embarEnc, cfg: halfProcs(dm, 2)},
 		{name: "sort/tree-emit", enc: sortEnc, cfg: emit(treeConfig())},
 	}
@@ -147,7 +164,7 @@ func counterDelta(a, b sim.ReplayCounters) sim.ReplayCounters {
 
 // checkCell runs c and compares it with its solo answer.
 func checkCell(ctx context.Context, c *recycleCell) error {
-	got, err := core.ExtrapolateEncoded(ctx, c.enc, c.cfg)
+	got, err := c.run(ctx)
 	if err != nil {
 		return fmt.Errorf("%s: %v", c.name, err)
 	}
@@ -160,7 +177,7 @@ func checkCell(ctx context.Context, c *recycleCell) error {
 // cancelMidRun runs a long event-replay cell whose context cancels at
 // its third poll: after the pre-start checks, inside the event loop.
 func cancelMidRun(c *recycleCell) error {
-	_, err := core.ExtrapolateEncoded(newPollCtx(2), c.enc, c.cfg)
+	_, err := c.run(newPollCtx(2))
 	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "aborted after") {
 		return fmt.Errorf("cancelled run: err = %v, want a mid-simulation cancellation", err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 
@@ -31,7 +30,8 @@ type Prediction struct {
 // measurement arriving from src, simulate the target environment over
 // per-thread cursors — with peak memory bounded by the translation
 // buffer, not the trace length. hdr carries the measurement's metadata
-// (as produced by trace.Decoder or Trace.Header).
+// (as Trace.Header or PatternSource.Header report it). The simulator
+// fast-forwards only when src is a *trace.PatternSource itself.
 func ExtrapolateReader(ctx context.Context, hdr trace.Header, src trace.Reader, cfg sim.Config) (*Prediction, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: extrapolation not started: %w", err)
@@ -58,29 +58,21 @@ func ExtrapolateReader(ctx context.Context, hdr trace.Header, src trace.Reader, 
 	}, nil
 }
 
-// ExtrapolateEncoded is ExtrapolateReader over a binary-encoded
-// measurement in either XTRP format (detected by magic): the trace is
-// decoded incrementally as the pipeline pulls events, so even the
-// decode step stays at chunk-sized memory. For XTRP2 bytes the compiled
-// pattern table and repeat program become a live cursor the whole
-// pipeline can see, letting the simulator fast-forward steady loop
-// iterations, and the compiled trace's storage goes back to a pool when
-// the run ends; XTRP1 bytes (pre-migration stores) go through the plain
-// record decoder. ExtrapolateReader over trace.NewAnyDecoder is the
-// event-replay reference: same predictions, no fast-forward.
+// ExtrapolateEncoded is ExtrapolateReader over an XTRP2-encoded
+// measurement: the bytes are compiled (trace.CompileBinary) and the
+// compiled pattern table and repeat program become a live cursor the
+// whole pipeline can see, letting the simulator fast-forward steady loop
+// iterations. The compiled trace's storage goes back to a pool when the
+// run ends. Bytes in any other format fail with trace.ErrBadMagic. The
+// event-replay oracle is ExtrapolateReader over the same cursor behind a
+// plain trace.Reader, which hides it from translation: same
+// predictions, no fast-forward.
 func ExtrapolateEncoded(ctx context.Context, enc []byte, cfg sim.Config) (*Prediction, error) {
-	if trace.IsXTRP2(enc) {
-		ct, err := trace.CompileBinary(enc)
-		if err != nil {
-			return nil, err
-		}
-		defer ct.Release()
-		ps := ct.Source()
-		return ExtrapolateReader(ctx, ps.Header(), ps, cfg)
-	}
-	d, err := trace.NewAnyDecoder(bytes.NewReader(enc))
+	ct, err := trace.CompileBinary(enc)
 	if err != nil {
 		return nil, err
 	}
-	return ExtrapolateReader(ctx, d.Header(), d, cfg)
+	defer ct.Release()
+	ps := ct.Source()
+	return ExtrapolateReader(ctx, ps.Header(), ps, cfg)
 }

@@ -54,15 +54,19 @@ func TestExtrapolateReaderMatchesExtrapolate(t *testing.T) {
 }
 
 // TestExtrapolateEncodedMatches: decode → translate → simulate from the
-// compact bytes gives the same prediction.
+// compact bytes gives the same prediction, and bytes of any other
+// format are refused.
 func TestExtrapolateEncodedMatches(t *testing.T) {
 	tr, err := Measure(testProgram(4), MeasureOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var enc bytes.Buffer
-	if err := trace.WriteBinary(&enc, tr); err != nil {
+	if err := trace.WriteBinary2(&enc, tr); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := ExtrapolateEncoded(context.Background(), encodeTrace(t, tr), freeConfig()); err != trace.ErrBadMagic {
+		t.Fatalf("XTRP1 bytes: err = %v, want trace.ErrBadMagic", err)
 	}
 	want, err := Extrapolate(tr, freeConfig())
 	if err != nil {
@@ -202,7 +206,7 @@ func TestEncodedCacheMeasureCopies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := trace.ReadBinaryAny(bytes.NewReader(enc))
+		tr, err := trace.ReadBinary2(enc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"math"
 
@@ -83,7 +82,7 @@ func (r *runner) measured(bench string, size benchmarks.Size, threads int, mopts
 	if err != nil {
 		return nil, err
 	}
-	return trace.ReadBinaryAny(bytes.NewReader(enc))
+	return trace.ReadBinary2(enc)
 }
 
 // translated returns the (cached) translated trace for one benchmark run,

@@ -73,7 +73,7 @@ type JobStatusResponse struct {
 type JobArtifact struct {
 	// Procs is the ladder point (the measured thread count).
 	Procs int `json:"procs"`
-	// Format is the artifact's wire format ("xtrp1" or "xtrp2").
+	// Format is the artifact's wire format (always "xtrp2").
 	Format string `json:"format"`
 	// EncodedBytes is the encoded payload size in the store.
 	EncodedBytes int64 `json:"encoded_bytes"`
@@ -214,21 +214,17 @@ func fittedJobResponse(snap jobs.Snapshot, resp JobStatusResponse) (JobStatusRes
 }
 
 // jobArtifacts reports the job's measurement traces resident in the
-// durable store: one entry per ladder point whose trace has been
-// persisted, trying the XTRP2 key first and the XTRP1 key as fallback
-// (a store written before the format migration). The
-// measurement is shared across machines, so the list has one entry per
-// proc count regardless of how many curves the job sweeps.
+// durable store: one entry per ladder point whose XTRP2 trace has been
+// persisted. The measurement is shared across machines, so the list has
+// one entry per proc count regardless of how many curves the job
+// sweeps.
 func (s *Server) jobArtifacts(snap jobs.Snapshot) []JobArtifact {
 	sz := benchmarks.Size{N: snap.Spec.Size, Iters: snap.Spec.Iters}
 	var out []JobArtifact
 	for _, n := range snap.Spec.Procs {
 		key := experiments.MeasurementKey(snap.Spec.Benchmark, sz, n, core.MeasureOptions{SizeMode: pcxx.ActualSize})
-		for _, f := range []trace.Format{trace.FormatXTRP2, trace.FormatXTRP1} {
-			if bytes, ok := s.store.Size(key.CanonicalFormat(f)); ok {
-				out = append(out, JobArtifact{Procs: n, Format: f.String(), EncodedBytes: bytes})
-				break
-			}
+		if bytes, ok := s.store.Size(key.CanonicalFormat(trace.FormatXTRP2)); ok {
+			out = append(out, JobArtifact{Procs: n, Format: trace.FormatXTRP2.String(), EncodedBytes: bytes})
 		}
 	}
 	return out

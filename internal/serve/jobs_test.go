@@ -290,16 +290,17 @@ func seedXTRP1Store(t *testing.T, dir string, threads ...int) {
 	}
 }
 
-// TestMixedFormatStoreAcrossRestart: a store directory holding
-// pre-migration XTRP1 artifacts keeps working. A job over those
-// measurements replays them under their XTRP1 keys (the format
-// fallback) instead of re-measuring, its finished result reads back
-// byte-identically after a restart, and new work persists in XTRP2 —
-// both formats coexisting in one store, with the mixed-store answers
-// matching a fresh all-XTRP2 server's.
+// TestMixedFormatStoreAcrossRestart: a pre-migration store answers
+// byte-identically after re-measuring. The server never reads the
+// store's XTRP1 artifacts: a job over those measurements re-measures
+// each one (measurement is deterministic) and stores it as XTRP2, so
+// the store holds both formats. The job's answer equals a fresh
+// server's, reads back byte-identically after a restart, and lists only
+// XTRP2 artifacts; later work finds the re-measured traces.
 func TestMixedFormatStoreAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	seedXTRP1Store(t, dir, 1, 2)
+	oldProcs := []int{1, 2}
+	seedXTRP1Store(t, dir, oldProcs...)
 	s1, ts1 := newTestServer(t, Config{StoreDir: dir})
 
 	body := `{"benchmark":"grid","size":16,"iters":4,"machine":"cm5","procs":[1,2]}`
@@ -315,8 +316,8 @@ func TestMixedFormatStoreAcrossRestart(t *testing.T) {
 	if first.Status != "done" {
 		t.Fatalf("job finished %+v", first)
 	}
-	if _, misses := s1.svc.CacheStats(); misses != 0 {
-		t.Errorf("server re-measured %d pre-migration traces instead of replaying them", misses)
+	if _, misses := s1.svc.CacheStats(); misses != int64(len(oldProcs)) {
+		t.Errorf("server measured %d traces, want one per pre-migration artifact (%d)", misses, len(oldProcs))
 	}
 	wantResult, err := json.Marshal(first.Result)
 	if err != nil {
@@ -328,7 +329,7 @@ func TestMixedFormatStoreAcrossRestart(t *testing.T) {
 		t.Fatalf("fresh sweep: status %d: %s", status, freshSweep)
 	}
 	if string(wantResult) != strings.TrimSpace(freshSweep) {
-		t.Errorf("XTRP1-store answer differs from fresh server:\n%s\nvs\n%s", wantResult, strings.TrimSpace(freshSweep))
+		t.Errorf("pre-migration store answer differs from fresh server:\n%s\nvs\n%s", wantResult, strings.TrimSpace(freshSweep))
 	}
 	ts1.Close()
 	if err := s1.Close(); err != nil {
@@ -336,7 +337,7 @@ func TestMixedFormatStoreAcrossRestart(t *testing.T) {
 	}
 
 	// Restart on the same directory.
-	_, ts2 := newTestServer(t, Config{StoreDir: dir})
+	s2, ts2 := newTestServer(t, Config{StoreDir: dir})
 	resumed := waitJob(t, ts2.URL, sub.ID)
 	if resumed.Status != "done" {
 		t.Fatalf("restarted job state %+v", resumed)
@@ -348,19 +349,18 @@ func TestMixedFormatStoreAcrossRestart(t *testing.T) {
 	if string(gotResult) != string(wantResult) {
 		t.Errorf("result changed across restart:\n%s\nvs\n%s", gotResult, wantResult)
 	}
-	if len(resumed.Artifacts) != 2 {
+	if len(resumed.Artifacts) != len(oldProcs) {
 		t.Fatalf("artifacts = %+v, want one per ladder point", resumed.Artifacts)
 	}
 	for _, a := range resumed.Artifacts {
-		if a.Format != "xtrp1" || a.EncodedBytes <= 0 {
-			t.Errorf("artifact %+v, want pre-migration format xtrp1 and a positive size", a)
+		if a.Format != "xtrp2" || a.EncodedBytes <= 0 {
+			t.Errorf("artifact %+v, want the re-measured xtrp2 trace and a positive size", a)
 		}
 	}
 
 	// New work on the restarted server: a different machine forces the
 	// predictions to be recomputed from the stored traces, so procs 1–2
-	// replay the old XTRP1 artifacts while proc 4 is measured fresh and
-	// persisted in XTRP2.
+	// replay the re-measured XTRP2 artifacts and only proc 4 is measured.
 	body2 := `{"benchmark":"grid","size":16,"iters":4,"machine":"generic-dm","procs":[1,2,4]}`
 	status, subBody = post(t, ts2.URL+"/v1/jobs", body2)
 	if status != http.StatusAccepted {
@@ -369,35 +369,37 @@ func TestMixedFormatStoreAcrossRestart(t *testing.T) {
 	if err := json.Unmarshal([]byte(subBody), &sub); err != nil {
 		t.Fatal(err)
 	}
-	mixed := waitJob(t, ts2.URL, sub.ID)
-	if mixed.Status != "done" {
-		t.Fatalf("second job finished %+v", mixed)
+	second := waitJob(t, ts2.URL, sub.ID)
+	if second.Status != "done" {
+		t.Fatalf("second job finished %+v", second)
+	}
+	if _, misses := s2.svc.CacheStats(); misses != 1 {
+		t.Errorf("restarted server measured %d traces, want 1 (procs 4)", misses)
 	}
 	formats := map[int]string{}
-	for _, a := range mixed.Artifacts {
+	for _, a := range second.Artifacts {
 		formats[a.Procs] = a.Format
 	}
-	want := map[int]string{1: "xtrp1", 2: "xtrp1", 4: "xtrp2"}
-	for n, f := range want {
-		if formats[n] != f {
-			t.Errorf("procs=%d stored as %q, want %q (all: %v)", n, formats[n], f, formats)
+	for _, n := range []int{1, 2, 4} {
+		if formats[n] != "xtrp2" {
+			t.Errorf("procs=%d stored as %q, want xtrp2 (all: %v)", n, formats[n], formats)
 		}
 	}
 
-	// The mixed-store answer is byte-identical to a fresh all-XTRP2
-	// server computing the same sweep from scratch.
+	// The answer is byte-identical to a fresh server computing the same
+	// sweep from scratch.
 	_, ts3 := newTestServer(t, Config{StoreDir: t.TempDir()})
 	status, fresh := post(t, ts3.URL+"/v1/sweep", body2)
 	if status != http.StatusOK {
 		t.Fatalf("fresh sweep: status %d: %s", status, fresh)
 	}
-	mixedResult, err := json.Marshal(mixed.Result)
+	secondResult, err := json.Marshal(second.Result)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(mixedResult) != strings.TrimSpace(fresh) {
-		t.Errorf("mixed-format store answer differs from fresh server:\n%s\nvs\n%s",
-			mixedResult, strings.TrimSpace(fresh))
+	if string(secondResult) != strings.TrimSpace(fresh) {
+		t.Errorf("restarted store answer differs from fresh server:\n%s\nvs\n%s",
+			secondResult, strings.TrimSpace(fresh))
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 
 	"extrap/internal/benchmarks"
 	"extrap/internal/request"
+	"extrap/internal/sim"
 )
 
 // newTestServer returns a Server with quiet logging and test-friendly
@@ -319,29 +320,27 @@ func TestDebugVarsExportsCacheHits(t *testing.T) {
 
 // TestDebugVarsSimReplaySubmap: /debug/vars exposes the replay kernel
 // counters under extrap_serve.sim — exactly the four counters, whichever
-// replay path served the traffic: pattern replay of a cached XTRP2
-// measurement, or event replay of a pre-migration XTRP1 artifact read
-// from the store (its plain decoder carries no pattern cursor).
+// way the kernel replayed the traffic: skipping steady iterations of a
+// loop-heavy measurement, or replaying every event of one too short for
+// fast-forward to skip.
 func TestDebugVarsSimReplaySubmap(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		xtrp1 bool
+		iters int
+		skips bool
 	}{
-		{"pattern", false},
-		{"event", true},
+		{"pattern", 120, true},
+		{"event", 1, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var cfg Config
-			if tc.xtrp1 {
-				cfg.StoreDir = t.TempDir()
-				seedXTRP1Store(t, cfg.StoreDir, 4)
-			}
-			srv, ts := newTestServer(t, cfg)
-			if status, b := post(t, ts.URL+"/v1/extrapolate", extrapBody("grid", 4, "cm5")); status != http.StatusOK {
+			_, ts := newTestServer(t, Config{})
+			body := fmt.Sprintf(`{"benchmark":"grid","size":16,"iters":%d,"threads":4,"machine":"cm5"}`, tc.iters)
+			before := sim.ReadReplayCounters().IterationsSkipped
+			if status, b := post(t, ts.URL+"/v1/extrapolate", body); status != http.StatusOK {
 				t.Fatalf("extrapolate: status %d: %s", status, b)
 			}
-			if _, misses := srv.svc.CacheStats(); tc.xtrp1 && misses != 0 {
-				t.Fatalf("server re-measured instead of replaying the XTRP1 artifact")
+			if skipped := sim.ReadReplayCounters().IterationsSkipped - before; (skipped > 0) != tc.skips {
+				t.Fatalf("%d iterations skipped, want skipping %v", skipped, tc.skips)
 			}
 			status, varsBody := get(t, ts.URL+"/debug/vars")
 			if status != http.StatusOK {

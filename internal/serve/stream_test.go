@@ -8,7 +8,6 @@ import (
 	"time"
 	"unsafe"
 
-	"extrap/internal/compose"
 	"extrap/internal/core"
 	"extrap/internal/request"
 	"extrap/internal/trace"
@@ -67,8 +66,8 @@ func missField(t *testing.T, varsBody string) string {
 // refusal is memoized. The ceiling is the memory the work budget lets a
 // registry kernel allocate: MaxWorkUnits float64 elements.
 func TestOversizedComposedTraceReturns413(t *testing.T) {
-	if want := int64(request.MaxWorkUnits) * 8 / int64(unsafe.Sizeof(trace.Event{})); compose.MaxTraceEvents != want {
-		t.Fatalf("compose.MaxTraceEvents = %d, want %d", compose.MaxTraceEvents, want)
+	if want := int64(request.MaxWorkUnits) * 8 / int64(unsafe.Sizeof(trace.Event{})); trace.MaxTraceEvents != want {
+		t.Fatalf("trace.MaxTraceEvents = %d, want %d", trace.MaxTraceEvents, want)
 	}
 	_, ts := newTestServer(t, Config{})
 	req := `{"workload":{"root":{"kind":"reduction","op":"tree"}},"iters":43690,"threads":256,"machine":"ideal"}`

@@ -118,19 +118,20 @@ func TestStreamMatchesSlice(t *testing.T) {
 
 // TestStreamOverBinaryDecoder runs the complete bounded-memory chain —
 // binary decode → streaming translate → streaming simulate — and checks
-// the prediction against the in-memory chain.
+// the prediction against the in-memory chain. The compiled cursor sits
+// behind a plain trace.Reader, so every event is replayed.
 func TestStreamOverBinaryDecoder(t *testing.T) {
 	const n = 4
 	tr := richMeasurement(t, n)
 	var enc bytes.Buffer
-	if err := trace.WriteBinary(&enc, tr); err != nil {
+	if err := trace.WriteBinary2(&enc, tr); err != nil {
 		t.Fatal(err)
 	}
-	d, err := trace.NewDecoder(bytes.NewReader(enc.Bytes()))
+	ps, err := trace.NewPatternSource(enc.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := translate.NewStream(d.Header(), d, translate.StreamOptions{})
+	s, err := translate.NewStream(ps.Header(), struct{ trace.Reader }{ps}, translate.StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -342,8 +342,10 @@ func (s *Store) Put(key string, payload []byte) error {
 // GetTrace and PutTrace adapt the store to core.TraceBackend, so a
 // *Store plugs directly behind a TraceCache. Each trace format is
 // addressed under its own key prefix (trace/v1 vs trace/v2), so both
-// encodings of one measurement coexist in a single store directory and
-// a format migration never orphans prior artifacts.
+// encodings of one measurement can coexist in a store directory. The
+// cache reads and writes only XTRP2, so the XTRP1 artifacts of a store
+// written before that migration are never read and age out through
+// eviction.
 func (s *Store) GetTrace(key core.CacheKey, format trace.Format) ([]byte, bool) {
 	return s.Get(key.CanonicalFormat(format))
 }

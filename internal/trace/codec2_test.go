@@ -3,11 +3,12 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
-	"testing/iotest"
 
 	"extrap/internal/vtime"
 )
@@ -108,9 +109,9 @@ func TestXTRP2RoundTripIdentity(t *testing.T) {
 	for name, tr := range cases {
 		t.Run(name, func(t *testing.T) {
 			enc := encode2(t, tr)
-			got, err := ReadBinaryAny(bytes.NewReader(enc))
+			got, err := ReadBinary2(enc)
 			if err != nil {
-				t.Fatalf("ReadBinaryAny: %v", err)
+				t.Fatalf("ReadBinary2: %v", err)
 			}
 			assertSameTrace(t, tr, got)
 
@@ -123,9 +124,12 @@ func TestXTRP2RoundTripIdentity(t *testing.T) {
 	}
 }
 
+// TestXTRP2RoundTripViaStreamDecoder: the compiled cursor, the one
+// XTRP2 stream decoder, declares the encoded event count and yields the
+// encoded events one at a time, then io.EOF.
 func TestXTRP2RoundTripViaStreamDecoder(t *testing.T) {
 	tr := makeLoopTrace(4, 50)
-	d, err := NewDecoder2(bytes.NewReader(encode2(t, tr)))
+	d, err := NewPatternSource(encode2(t, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,38 +150,6 @@ func TestXTRP2RoundTripViaStreamDecoder(t *testing.T) {
 	}
 }
 
-// TestXTRP2DecoderRefillsMatchCompiled: the streaming decoder parses
-// through the same wire reader as the compiler, refilling its window
-// from the input as it goes. Fed in one- and few-byte reads, which put
-// every item across refill boundaries, it must yield the compiled
-// cursor's events exactly.
-func TestXTRP2DecoderRefillsMatchCompiled(t *testing.T) {
-	for _, tr := range []*Trace{makeLoopTrace(8, 120), makeRandomTrace(3000)} {
-		enc := encode2(t, tr)
-		want, err := compiledEvents(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, r := range map[string]io.Reader{
-			"one-byte": iotest.OneByteReader(bytes.NewReader(enc)),
-			"half":     iotest.HalfReader(bytes.NewReader(enc)),
-		} {
-			got, err := ReadBinaryAny(r)
-			if err != nil {
-				t.Fatalf("%s reads: %v", name, err)
-			}
-			if len(got.Events) != len(want) {
-				t.Fatalf("%s reads: %d events, compiled %d", name, len(got.Events), len(want))
-			}
-			for i := range want {
-				if got.Events[i] != want[i] {
-					t.Fatalf("%s reads: event %d = %+v, compiled %+v", name, i, got.Events[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 // TestXTRP2CompresssLoopTraces is the codec-level compression check: a
 // loop-structured trace must shrink at least 5x against its flat XTRP1
 // encoding, and the shrink must come from pattern replay, not luck.
@@ -192,11 +164,11 @@ func TestXTRP2CompressesLoopTraces(t *testing.T) {
 		t.Fatalf("XTRP2 = %d bytes, XTRP1 = %d bytes: ratio %.1fx < 5x", len(enc2), enc1.Len(), ratio)
 	}
 
-	d, err := NewDecoder2(bytes.NewReader(enc2))
+	d, err := NewPatternSource(enc2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.patterns) == 0 {
+	if d.ct.Patterns() == 0 {
 		t.Fatal("no patterns mined from a loop trace")
 	}
 	for {
@@ -227,35 +199,32 @@ func TestXTRP2RandomNotLarger(t *testing.T) {
 	}
 }
 
-func TestNewAnyDecoderDispatchesByMagic(t *testing.T) {
+// TestBinaryReadersCheckMagic: each binary reader decodes its own
+// format and refuses the other's, and any unknown magic, with
+// ErrBadMagic — the CLI relies on that to tell the formats apart.
+func TestBinaryReadersCheckMagic(t *testing.T) {
 	tr := makeBarrierTrace(4, 2)
 	var enc1 bytes.Buffer
 	if err := WriteBinary(&enc1, tr); err != nil {
 		t.Fatal(err)
 	}
-	d1, err := NewAnyDecoder(bytes.NewReader(enc1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	enc2 := encode2(t, tr)
+	for name, read := range map[string]func([]byte) (*Trace, error){"ReadBinary": ReadBinary, "ReadBinary2": ReadBinary2} {
+		own, other := enc1.Bytes(), enc2
+		if name == "ReadBinary2" {
+			own, other = other, own
+		}
+		got, err := read(own)
+		if err != nil {
+			t.Fatalf("%s on its own format: %v", name, err)
+		}
+		assertSameTrace(t, tr, got)
+		for _, data := range [][]byte{other, []byte("XTRP9????")} {
+			if _, err := read(data); err != ErrBadMagic {
+				t.Fatalf("%s on %q: err = %v, want ErrBadMagic", name, data[:5], err)
+			}
+		}
 	}
-	if _, ok := d1.(*Decoder); !ok {
-		t.Fatalf("XTRP1 bytes dispatched to %T", d1)
-	}
-	d2, err := NewAnyDecoder(bytes.NewReader(encode2(t, tr)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d2.(*Decoder2); !ok {
-		t.Fatalf("XTRP2 bytes dispatched to %T", d2)
-	}
-	if _, err := NewAnyDecoder(bytes.NewReader([]byte("XTRP9????"))); err != ErrBadMagic {
-		t.Fatalf("unknown magic: err = %v, want ErrBadMagic", err)
-	}
-
-	got1, err := ReadBinaryAny(bytes.NewReader(enc1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameTrace(t, tr, got1)
 }
 
 func TestWriteBinaryFormat(t *testing.T) {
@@ -268,7 +237,11 @@ func TestWriteBinaryFormat(t *testing.T) {
 		if err := WriteBinaryFormat(&buf, tr, f); err != nil {
 			t.Fatalf("WriteBinaryFormat(%v): %v", f, err)
 		}
-		got, err := ReadBinaryAny(bytes.NewReader(buf.Bytes()))
+		read := ReadBinary2
+		if f == FormatXTRP1 {
+			read = ReadBinary
+		}
+		got, err := read(buf.Bytes())
 		if err != nil {
 			t.Fatalf("decode %v: %v", f, err)
 		}
@@ -388,30 +361,32 @@ func xtrp2HostileCases() map[string][]byte {
 	}
 }
 
-// compiledEvents replays data through the production path — the
-// compiled pattern cursor every served prediction reads — to the end
-// of the stream, returning its events or its first error.
-func compiledEvents(data []byte) ([]Event, error) {
-	ps, err := NewPatternSource(data)
-	if err != nil {
-		return nil, err
-	}
-	var evs []Event
-	for {
-		e, err := ps.Next()
-		if err == io.EOF {
-			return evs, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		evs = append(evs, e)
-	}
+// expandingHostiles are small XTRP2 inputs whose repeat ops declare
+// about 2^40 and 2^39 events, with the error a whole-trace read must
+// give each before it expands a single event. The first, 51 bytes found
+// by fuzzing, repeats a one-row pattern 77,594,625 times and then hits
+// an unknown opcode; the second, 48 bytes, is a valid stream.
+var expandingHostiles = []struct {
+	name string
+	data []byte
+	err  string
+}{
+	{
+		"repeat before bad opcode",
+		[]byte("XTRP2\x04" + strings.Repeat("\x00", 15) +
+			"\x04\xff\x7f\xff\xff\x00\x00\x00\x01\x00\x00\x00\x01\x01\x00\x00\x00\x00\x00\x01\x00\x81\x80\x80%\x80\x80\x80\x80@"),
+		"trace: event 77594625: unknown opcode 0x80",
+	},
+	{
+		"repeat past the read bound",
+		hostile2(4, 1<<39, 1, concat(uvarint(1), wireRow(byte(KindThreadStart)), []byte{opRepeat}, uvarint(0), uvarint(1<<39))),
+		fmt.Sprintf("trace: %d events declared, more than the %d a whole-trace read holds", uint64(1)<<39, MaxTraceEvents),
+	},
 }
 
-// TestXTRP2HostileInputs: every hostile input is rejected by both the
-// streaming decoder and the compiled cursor, with the same error. Where
-// the varint conventions decide the error, it is binary.ReadUvarint's.
+// TestXTRP2HostileInputs: every hostile input is rejected by the
+// whole-trace read, which compiles and then replays it. Where the varint
+// conventions decide the error, it is binary.ReadUvarint's.
 func TestXTRP2HostileInputs(t *testing.T) {
 	wantErr := map[string]string{
 		"varint overflow":        "trace: event 0: literal run: binary: varint overflows a 64-bit integer",
@@ -421,60 +396,49 @@ func TestXTRP2HostileInputs(t *testing.T) {
 	}
 	for name, data := range xtrp2HostileCases() {
 		t.Run(name, func(t *testing.T) {
-			tr, err := ReadBinaryAny(bytes.NewReader(data))
+			tr, err := ReadBinary2(data)
 			if err == nil {
 				t.Fatalf("decoder accepted hostile input: %d events", len(tr.Events))
 			}
 			if want, ok := wantErr[name]; ok && err.Error() != want {
 				t.Fatalf("decoder error %q, want %q", err, want)
 			}
-			evs, cerr := compiledEvents(data)
-			if cerr == nil {
-				t.Fatalf("compiled cursor accepted hostile input: %d events", len(evs))
-			}
-			if cerr.Error() != err.Error() {
-				t.Fatalf("compiled cursor error %q, decoder error %q", cerr, err)
-			}
 		})
 	}
 }
 
-// TestXTRP2HostileAllocationBounded: forged counts must not allocate
-// ahead of the bytes actually supplied, through either the streaming
-// decoder or the compiler.
+// TestXTRP2HostileAllocationBounded: forged counts must not make a
+// whole-trace read allocate ahead of the bytes actually supplied, and a
+// repeat op declaring billions of events must fail before any event is
+// expanded, with the error naming the cause.
 func TestXTRP2HostileAllocationBounded(t *testing.T) {
-	cases := map[string][]byte{
-		"forged npatterns": hostile2(4, 0, MaxPatterns, nil),
-		"forged nrows":     hostile2(4, 0, 1, uvarint(MaxPatternRows)),
-		"forged nevents":   hostile2(4, 1<<39, 0, concat([]byte{opLiteral}, uvarint(1<<39))),
+	type hostile struct {
+		data []byte
+		err  string
 	}
-	decoders := map[string]func([]byte) (int, error){
-		"decoder": func(data []byte) (int, error) {
-			tr, err := ReadBinaryAny(bytes.NewReader(data))
-			if err != nil {
-				return 0, err
-			}
-			return len(tr.Events), nil
-		},
-		"compiled": func(data []byte) (int, error) {
-			evs, err := compiledEvents(data)
-			return len(evs), err
-		},
+	cases := map[string]hostile{
+		"forged npatterns": {data: hostile2(4, 0, MaxPatterns, nil)},
+		"forged nrows":     {data: hostile2(4, 0, 1, uvarint(MaxPatternRows))},
+		"forged nevents":   {data: hostile2(4, 1<<39, 0, concat([]byte{opLiteral}, uvarint(1<<39)))},
 	}
-	for name, data := range cases {
+	for _, h := range expandingHostiles {
+		cases[h.name] = hostile{h.data, h.err}
+	}
+	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
-			for dname, decode := range decoders {
-				var before, after runtime.MemStats
-				runtime.GC()
-				runtime.ReadMemStats(&before)
-				n, err := decode(data)
-				runtime.ReadMemStats(&after)
-				if err == nil {
-					t.Fatalf("%s: decoded hostile trace: %d events", dname, n)
-				}
-				if grown := int64(after.TotalAlloc) - int64(before.TotalAlloc); grown > 1<<20 {
-					t.Fatalf("%s: decoding a %d-byte hostile file allocated %d bytes", dname, len(data), grown)
-				}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			tr, err := ReadBinary2(c.data)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("decoded hostile trace: %d events", len(tr.Events))
+			}
+			if c.err != "" && err.Error() != c.err {
+				t.Fatalf("error %q, want %q", err, c.err)
+			}
+			if grown := int64(after.TotalAlloc) - int64(before.TotalAlloc); grown > 1<<20 {
+				t.Fatalf("decoding a %d-byte hostile file allocated %d bytes", len(c.data), grown)
 			}
 		})
 	}
@@ -486,7 +450,7 @@ func TestXTRP2CountersAdvance(t *testing.T) {
 	tr := makeLoopTrace(8, 100)
 	before := ReadCompressionCounters()
 	enc := encode2(t, tr)
-	if _, err := ReadBinaryAny(bytes.NewReader(enc)); err != nil {
+	if _, err := ReadBinary2(enc); err != nil {
 		t.Fatal(err)
 	}
 	after := ReadCompressionCounters()

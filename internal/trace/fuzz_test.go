@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// FuzzBinaryRoundTrip feeds arbitrary bytes to the binary decoder. The
-// decoder must never panic and never allocate proportionally to forged
+// FuzzBinaryRoundTrip feeds arbitrary bytes to the XTRP1 reader. The
+// reader must never panic and never allocate proportionally to forged
 // header fields; whenever it accepts an input, the re-encoding must be
 // canonical: encode(decode(x)) is a fixed point of decode∘encode, byte
 // for byte.
@@ -36,7 +36,7 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 	f.Add([]byte("not a trace"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadBinary(bytes.NewReader(data))
+		tr, err := ReadBinary(data)
 		if err != nil {
 			return
 		}
@@ -44,7 +44,7 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		if err := WriteBinary(&enc1, tr); err != nil {
 			t.Fatalf("re-encode of accepted trace failed: %v", err)
 		}
-		tr2, err := ReadBinary(bytes.NewReader(enc1.Bytes()))
+		tr2, err := ReadBinary(enc1.Bytes())
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
@@ -58,15 +58,20 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzXTRP2RoundTrip feeds arbitrary bytes to the format-dispatching
-// decoder, seeded with well-formed XTRP2 streams and the hostile
-// pattern-table corpus. The decoder must never panic and never allocate
-// ahead of the input; every accepted input must survive an XTRP2
-// re-encode with identical events, and the XTRP2 encoding of any
-// accepted trace must decode back to the same events (the byte-identity
-// guarantee the prediction pipeline relies on). The compiled cursor
-// that serves predictions must accept exactly the XTRP2 inputs the
-// streaming decoder accepts, yielding identical events.
+// fuzzRoundTripEvents bounds the traces FuzzXTRP2RoundTrip expands and
+// re-encodes. CompileBinary accepts larger ones, up to MaxTraceEvents
+// for a whole-trace read, but at hundreds of bytes per event a fuzz
+// worker would spend its memory and time on a few of them.
+const fuzzRoundTripEvents = 1 << 12
+
+// FuzzXTRP2RoundTrip feeds arbitrary bytes to CompileBinary, seeded with
+// well-formed XTRP2 streams and the hostile pattern-table corpus. The
+// compiler must never panic and never allocate ahead of the input, and
+// a whole-trace read must refuse any stream declaring more than
+// MaxTraceEvents events before expanding one. Every stream it accepts
+// and ReadBinary2 replays must survive an XTRP2 re-encode with identical
+// header and events, and re-encoding that is byte-stable (the
+// byte-identity guarantee the prediction pipeline relies on).
 func FuzzXTRP2RoundTrip(f *testing.F) {
 	// Well-formed streams: a loop-structured trace (pattern table in
 	// use), a barrier trace, and an empty trace.
@@ -93,43 +98,40 @@ func FuzzXTRP2RoundTrip(f *testing.F) {
 	f.Add(hostile2(4, 1<<39, 0, concat([]byte{opLiteral}, uvarint(1<<39))))
 	f.Add(hostile2(4, 4, 0, []byte{0x7f}))
 	f.Add([]byte("XTRP2")) // magic only
+	// Repeat ops declaring about 2^40 and 2^39 events.
+	for _, h := range expandingHostiles {
+		f.Add(h.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadBinaryAny(bytes.NewReader(data))
-		if IsXTRP2(data) {
-			evs, cerr := compiledEvents(data)
-			switch {
-			case (err == nil) != (cerr == nil):
-				t.Fatalf("decoder error %v, compiled cursor error %v", err, cerr)
-			case err == nil && len(evs) != len(tr.Events):
-				t.Fatalf("compiled cursor produced %d events, decoder %d", len(evs), len(tr.Events))
-			case err == nil:
-				for i := range evs {
-					if evs[i] != tr.Events[i] {
-						t.Fatalf("event %d: compiled cursor %+v, decoder %+v", i, evs[i], tr.Events[i])
-					}
-				}
-			}
-		}
+		ct, err := CompileBinary(data)
 		if err != nil {
 			return
+		}
+		declared := ct.Events()
+		ct.Release()
+		if declared > uint64(MaxTraceEvents) {
+			if _, err := ReadBinary2(data); err == nil {
+				t.Fatalf("whole-trace read accepted %d declared events", declared)
+			}
+			return
+		}
+		if declared > fuzzRoundTripEvents {
+			return
+		}
+		tr, err := ReadBinary2(data)
+		if err != nil {
+			return // a thread id out of range surfaces on replay
 		}
 		var enc1 bytes.Buffer
 		if err := WriteBinary2(&enc1, tr); err != nil {
 			t.Fatalf("XTRP2 encode of accepted trace failed: %v", err)
 		}
-		tr2, err := ReadBinaryAny(bytes.NewReader(enc1.Bytes()))
+		tr2, err := ReadBinary2(enc1.Bytes())
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
-		if len(tr2.Events) != len(tr.Events) {
-			t.Fatalf("round trip produced %d events, want %d", len(tr2.Events), len(tr.Events))
-		}
-		for i := range tr.Events {
-			if tr2.Events[i] != tr.Events[i] {
-				t.Fatalf("event %d changed in round trip: %+v vs %+v", i, tr2.Events[i], tr.Events[i])
-			}
-		}
+		assertSameTrace(t, tr, tr2)
 		var enc2 bytes.Buffer
 		if err := WriteBinary2(&enc2, tr2); err != nil {
 			t.Fatalf("second re-encode failed: %v", err)

@@ -11,16 +11,16 @@ import (
 // Pattern-native replay: the XTRP2 pattern table and replay program as a
 // first-class IR instead of a transient decoder detail.
 //
-// Decoder2 interprets the compiled program one event at a time and the
-// structure is gone by the time translate/sim see the stream. A
-// CompiledTrace keeps it: the pattern table, the per-body delta sums,
-// and the op program are parsed once and survive to the simulation
-// layer, where a PatternSource cursor replays them. The cursor produces
-// the exact event stream Decoder2 produces (same validation, same
-// telemetry), but additionally supports O(1) iteration skipping — the
-// delta state machine is linear, so advancing k whole body iterations
-// is k × (per-body delta sums), whatever mid-body position the cursor
-// is at (a full cycle from any rotation sums the same rows).
+// A CompiledTrace is the one parsed form of an XTRP2 stream: the pattern
+// table, the per-body delta sums, and the op program are parsed once and
+// survive to the simulation layer, where a PatternSource cursor replays
+// them. The cursor is an ordinary validated event stream, and it also
+// supports O(1) iteration skipping — the delta state machine is linear,
+// so advancing k whole body iterations is k × (per-body delta sums),
+// whatever mid-body position the cursor is at (a full cycle from any
+// rotation sums the same rows). Behind a plain Reader wrapper, which
+// hides the skipping, the same cursor is the event-replay oracle that
+// fast-forward is checked against.
 //
 // The ReplayFingerprint machinery at the bottom is the safety net the
 // simulator's steady-state fast-forward is built on: every layer of the
@@ -73,14 +73,14 @@ type bodySums struct {
 func IsXTRP2(enc []byte) bool { return bytes.HasPrefix(enc, binary2Magic[:]) }
 
 // CompileBinary parses a whole XTRP2 stream (magic included) into a
-// CompiledTrace, straight from the bytes: no buffered reader, and every
-// row carved from one slab that holds all the rows the bytes can.
-// Validation is Decoder2's, through the same parser: the same hardening
-// caps, the same op bounds against the declared event count, the same
-// errors — the difference is only when errors surface (compile time
-// instead of first Next). Trailing bytes past the program are ignored,
-// as Decoder2 never reads them. The CompiledTrace does not retain enc.
-// Its storage comes from a pool of released ones when the pool has any.
+// CompiledTrace, straight from the bytes, with every row carved from one
+// slab that holds all the rows the bytes can. It is the only XTRP2
+// parser: the header and pattern-table caps and every op's bound against
+// the declared event count are checked here, so no event is expanded
+// from a stream that fails them. Thread ids depend on the delta state,
+// so a PatternSource checks them as it replays. Trailing bytes past the
+// program are ignored. The CompiledTrace does not retain enc. Its
+// storage comes from a pool of released ones when the pool has any.
 func CompileBinary(enc []byte) (*CompiledTrace, error) {
 	ct := compiledTraces.Get().(*CompiledTrace)
 	if err := ct.compile(enc); err != nil {
@@ -112,14 +112,7 @@ func (ct *CompiledTrace) compile(enc []byte) error {
 		slab:     slab[:0],
 	}
 	w := &wireReader{b: enc, slab: ct.slab}
-	var magic [5]byte
-	if _, err := io.ReadFull(w, magic[:]); err != nil {
-		return err
-	}
-	if magic != binary2Magic {
-		return ErrBadMagic
-	}
-	hdr, declare, err := readCommonHeader(w)
+	hdr, declare, err := w.header(binary2Magic)
 	if err != nil {
 		return err
 	}
@@ -183,10 +176,9 @@ func (ct *CompiledTrace) Source() *PatternSource {
 	return &PatternSource{ct: ct}
 }
 
-// PatternSource replays a CompiledTrace as a validated event stream. It
-// implements StreamDecoder and produces byte-for-byte the events (and
-// process-wide codec telemetry) Decoder2 produces from the same bytes,
-// while exposing the loop structure — the active repeat op, completed
+// PatternSource replays a CompiledTrace as a validated event stream:
+// each event is checked to name a thread in [0, NumThreads). It also
+// exposes the loop structure — the active repeat op, completed
 // iteration count, and O(1) SkipIterations — to the simulator's
 // steady-state fast-forward.
 type PatternSource struct {
@@ -278,9 +270,9 @@ func (c *PatternSource) Next() (Event, error) {
 }
 
 // flushCounters publishes this cursor's replay/literal split to the
-// process-wide codec telemetry, exactly once (same contract as
-// Decoder2, so replay-mode and event-mode runs report identical
-// compression counters).
+// process-wide codec telemetry, exactly once. Skipped iterations count
+// as replayed, so runs with and without fast-forward report identical
+// compression counters.
 func (c *PatternSource) flushCounters() {
 	if c.flushed {
 		return

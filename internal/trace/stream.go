@@ -24,11 +24,6 @@ type Reader interface {
 	Next() (Event, error)
 }
 
-// Writer consumes an event stream one record at a time.
-type Writer interface {
-	WriteEvent(Event) error
-}
-
 // SliceReader adapts an in-memory event slice to the Reader cursor, so
 // whole-trace callers and streaming callers share one consumption API.
 // The slice is not copied; it must not be mutated while being read.
@@ -75,24 +70,5 @@ func ReadAll(r Reader) ([]Event, error) {
 			return nil, err
 		}
 		out = append(out, e)
-	}
-}
-
-// CopyEvents streams every event from r to w and reports how many were
-// copied.
-func CopyEvents(w Writer, r Reader) (int, error) {
-	n := 0
-	for {
-		e, err := r.Next()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		if err := w.WriteEvent(e); err != nil {
-			return n, err
-		}
-		n++
 	}
 }

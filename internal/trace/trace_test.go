@@ -198,7 +198,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := WriteBinary(&buf, tr); err != nil {
 		t.Fatalf("WriteBinary: %v", err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := ReadBinary(buf.Bytes())
 	if err != nil {
 		t.Fatalf("ReadBinary: %v", err)
 	}
@@ -247,10 +247,10 @@ func assertTraceEqual(t *testing.T, want, got *Trace) {
 }
 
 func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("not a trace file"))); err == nil {
+	if _, err := ReadBinary([]byte("not a trace file")); err == nil {
 		t.Error("ReadBinary accepted garbage")
 	}
-	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
+	if _, err := ReadBinary(nil); err == nil {
 		t.Error("ReadBinary accepted empty input")
 	}
 }
@@ -293,7 +293,7 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 		if err := WriteBinary(&buf, tr); err != nil {
 			return false
 		}
-		got, err := ReadBinary(&buf)
+		got, err := ReadBinary(buf.Bytes())
 		if err != nil {
 			return false
 		}

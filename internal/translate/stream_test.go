@@ -124,19 +124,19 @@ func TestStreamMatchesTranslate(t *testing.T) {
 }
 
 // TestStreamOverDecoder: streaming translation composed with the
-// streaming binary decoder — the full bounded-memory front end — matches
-// the in-memory path.
+// compiled XTRP2 cursor behind a plain trace.Reader — the bounded-memory
+// front end of the event-replay oracle — matches the in-memory path.
 func TestStreamOverDecoder(t *testing.T) {
 	tr := streamTestTrace(t, 3)
 	var buf bytes.Buffer
-	if err := trace.WriteBinary(&buf, tr); err != nil {
+	if err := trace.WriteBinary2(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	d, err := trace.NewDecoder(bytes.NewReader(buf.Bytes()))
+	ps, err := trace.NewPatternSource(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewStream(d.Header(), d, StreamOptions{})
+	s, err := NewStream(ps.Header(), struct{ trace.Reader }{ps}, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

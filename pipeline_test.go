@@ -89,10 +89,10 @@ func TestTraceMetricsConsistency(t *testing.T) {
 func TestCodecPreservesExtrapolation(t *testing.T) {
 	tr := measureBench(t, "mgrid", 4)
 	var buf bytes.Buffer
-	if err := trace.WriteBinary(&buf, tr); err != nil {
+	if err := trace.WriteBinary2(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	tr2, err := trace.ReadBinary(&buf)
+	tr2, err := trace.ReadBinary2(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,15 +37,16 @@ func encodeKernel(t *testing.T, name string, size benchmarks.Size, threads int) 
 	return buf.Bytes()
 }
 
-// eventReplay is the event-replay oracle: the streaming pipeline over a
-// plain record decoder, which carries no pattern cursor, so the
-// simulator replays every event and never fast-forwards.
+// eventReplay is the event-replay oracle: the streaming pipeline over
+// the compiled cursor behind a plain trace.Reader. Translation cannot
+// see the cursor's type, so the simulator replays every event and never
+// fast-forwards.
 func eventReplay(ctx context.Context, enc []byte, cfg sim.Config) (*core.Prediction, error) {
-	d, err := trace.NewAnyDecoder(bytes.NewReader(enc))
+	ps, err := trace.NewPatternSource(enc)
 	if err != nil {
 		return nil, err
 	}
-	return core.ExtrapolateReader(ctx, d.Header(), d, cfg)
+	return core.ExtrapolateReader(ctx, ps.Header(), struct{ trace.Reader }{ps}, cfg)
 }
 
 // bothModes extrapolates enc under cfg through production
@@ -127,7 +128,7 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 func TestReplayEquivalenceBatch(t *testing.T) {
 	// Grid's default 324 sweeps give fast-forward a loop to skip.
 	enc := encodeKernel(t, "grid", benchmarks.Size{N: 64, Iters: 324}, 8)
-	tr, err := trace.ReadBinaryAny(bytes.NewReader(enc))
+	tr, err := trace.ReadBinary2(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
