@@ -221,11 +221,13 @@ func (p *Profile) TotalBarrierWait() vtime.Time {
 	return t
 }
 
-// HottestPair returns the thread pair exchanging the most messages.
+// HottestPair returns the thread pair exchanging the most messages, the
+// lowest (src, dst) among equals, so a report does not depend on map
+// iteration order.
 func (p *Profile) HottestPair() (src, dst int32, count int64) {
 	for s, row := range p.CommMatrix {
 		for d, c := range row {
-			if c > count {
+			if c > count || c == count && (s < src || s == src && d < dst) {
 				src, dst, count = s, d, c
 			}
 		}
