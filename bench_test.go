@@ -466,9 +466,14 @@ func BenchmarkFullPipeline(b *testing.B) {
 	}
 	f := g.Factory(benchmarks.Size{N: 32, Iters: 60})
 	cfg := machine.GenericDM().Config
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(f(16), core.MeasureOptions{SizeMode: pcxx.ActualSize}, cfg); err != nil {
+		tr, err := core.MeasureContext(ctx, f(16), core.MeasureOptions{SizeMode: pcxx.ActualSize})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.ExtrapolateReader(ctx, tr.Header(), tr.Reader(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -480,7 +485,7 @@ func BenchmarkProfileAnalyze(b *testing.B) {
 	tr := measureGrid(b, 16)
 	cfg := machine.GenericDM().Config
 	cfg.EmitTrace = true
-	out, err := core.Extrapolate(tr, cfg)
+	out, err := Extrapolate(tr, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -498,7 +503,7 @@ func BenchmarkTimelineBuild(b *testing.B) {
 	tr := measureGrid(b, 16)
 	cfg := machine.GenericDM().Config
 	cfg.EmitTrace = true
-	out, err := core.Extrapolate(tr, cfg)
+	out, err := Extrapolate(tr, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -661,12 +666,16 @@ func BenchmarkInMemoryPipelineMemory(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			oc, err := core.Extrapolate(tr, cfg)
+			pt, err := translate.Translate(tr)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if oc.Result.TotalTime != want {
-				b.Fatalf("prediction %v != reference %v", oc.Result.TotalTime, want)
+			res, err := sim.Simulate(context.Background(), pt, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.TotalTime != want {
+				b.Fatalf("prediction %v != reference %v", res.TotalTime, want)
 			}
 		})
 		if live > maxLive {

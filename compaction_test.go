@@ -114,13 +114,13 @@ func TestPredictionsByteIdenticalAcrossFormats(t *testing.T) {
 			if !reflect.DeepEqual(p1, p2) {
 				t.Errorf("%s cfg %d: XTRP1 and XTRP2 streaming predictions differ:\n%+v\nvs\n%+v", name, i, p1, p2)
 			}
-			oc, err := core.Extrapolate(tr, cfg)
+			pt, res, err := inMemory(tr, cfg)
 			if err != nil {
 				t.Fatalf("%s cfg %d: in-memory: %v", name, i, err)
 			}
-			if p2.Result.TotalTime != oc.Result.TotalTime ||
+			if p2.Result.TotalTime != res.TotalTime ||
 				p2.Measured1P != tr.Duration() ||
-				p2.Ideal != oc.Parallel.Duration() {
+				p2.Ideal != pt.Duration() {
 				t.Errorf("%s cfg %d: XTRP2 streaming prediction differs from the in-memory pipeline", name, i)
 			}
 		}

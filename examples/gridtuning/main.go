@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,7 +46,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			o, err := core.Extrapolate(tr, cfg)
+			o, err := core.ExtrapolateReader(context.Background(), tr.Header(), tr.Reader(), cfg)
 			if err != nil {
 				log.Fatal(err)
 			}

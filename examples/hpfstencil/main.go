@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -61,7 +62,7 @@ func main() {
 	for _, d := range []hpfmini.Dist{hpfmini.Block, hpfmini.Cyclic} {
 		tr, sum := measure(d)
 		s := trace.ComputeStats(tr)
-		out, err := core.Extrapolate(tr, env)
+		out, err := core.ExtrapolateReader(context.Background(), tr.Header(), tr.Reader(), env)
 		if err != nil {
 			log.Fatal(err)
 		}

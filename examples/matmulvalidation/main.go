@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,7 +47,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			out, err := core.Extrapolate(tr, machine.CM5().Config)
+			out, err := core.ExtrapolateReader(context.Background(), tr.Header(), tr.Reader(), machine.CM5().Config)
 			if err != nil {
 				log.Fatal(err)
 			}

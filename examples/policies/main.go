@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -56,7 +57,7 @@ func main() {
 			cfg := machine.GenericDM().Config
 			cfg.Comm.StartupTime = 100 * vtime.Microsecond // the Figure 8 setting
 			cfg.Policy = p.pol
-			out, err := core.Extrapolate(tr, cfg)
+			out, err := core.ExtrapolateReader(context.Background(), tr.Header(), tr.Reader(), cfg)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -56,15 +57,16 @@ func main() {
 		stats.Events, stats.Barriers, stats.RemoteReads, stats.Duration)
 
 	// Steps 2+3: translate + simulate, for two very different targets.
+	ctx := context.Background()
 	for _, env := range []machine.Env{machine.GenericDM(), machine.SharedMem()} {
-		out, err := core.Extrapolate(tr, env.Config)
+		out, err := core.ExtrapolateReader(ctx, tr.Header(), tr.Reader(), env.Config)
 		if err != nil {
 			log.Fatal(err)
 		}
 		r := out.Result
 		fmt.Printf("\ntarget %q (%s):\n", env.Name, env.Description)
 		fmt.Printf("  predicted time:   %v (ideal would be %v)\n",
-			r.TotalTime, out.Parallel.Duration())
+			r.TotalTime, out.Ideal)
 		fmt.Printf("  predicted speedup: %.2f of %d processors\n",
 			stats.Duration.Seconds()/r.TotalTime.Seconds(), threads)
 		fmt.Printf("  where the time goes: %v\n", metrics.ComputeBreakdown(r))
@@ -73,7 +75,7 @@ func main() {
 	// Bonus: what if the target processor were 4× faster?
 	cfg := machine.GenericDM().Config
 	cfg.MipsRatio = 0.25
-	out, err := core.Extrapolate(tr, cfg)
+	out, err := core.ExtrapolateReader(ctx, tr.Header(), tr.Reader(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -24,6 +24,8 @@
 package extrap
 
 import (
+	"context"
+
 	"extrap/internal/benchmarks"
 	"extrap/internal/core"
 	"extrap/internal/machine"
@@ -38,9 +40,10 @@ type Program = core.Program
 // MeasureOptions configures the 1-processor measurement run.
 type MeasureOptions = core.MeasureOptions
 
-// Outcome bundles the artifacts of one extrapolation: the measurement
-// trace, the translated parallel trace, and the simulation result.
-type Outcome = core.Outcome
+// Prediction is the outcome of one extrapolation: the measured
+// 1-processor time, the ideal translated parallel time, and the
+// simulation result.
+type Prediction = core.Prediction
 
 // Trace is a measurement or extrapolated event trace.
 type Trace = trace.Trace
@@ -65,13 +68,8 @@ func Measure(p Program, opts MeasureOptions) (*Trace, error) {
 
 // Extrapolate translates a measurement trace and simulates it in the
 // target environment.
-func Extrapolate(tr *Trace, cfg Config) (*Outcome, error) {
-	return core.Extrapolate(tr, cfg)
-}
-
-// Run measures and extrapolates in one call.
-func Run(p Program, opts MeasureOptions, cfg Config) (*Outcome, error) {
-	return core.Run(p, opts, cfg)
+func Extrapolate(tr *Trace, cfg Config) (*Prediction, error) {
+	return core.ExtrapolateReader(context.Background(), tr.Header(), tr.Reader(), cfg)
 }
 
 // Environments returns the built-in target environment presets

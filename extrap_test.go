@@ -28,15 +28,19 @@ func TestFacadePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(p, MeasureOptions{}, env.Config)
+	tr, err := Measure(p, MeasureOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Extrapolate(tr, env.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Result.TotalTime <= 0 {
 		t.Fatal("no predicted time")
 	}
-	if out.Result.TotalTime < out.Parallel.Duration() {
-		t.Fatalf("prediction %v below ideal %v", out.Result.TotalTime, out.Parallel.Duration())
+	if out.Result.TotalTime < out.Ideal {
+		t.Fatalf("prediction %v below ideal %v", out.Result.TotalTime, out.Ideal)
 	}
 }
 

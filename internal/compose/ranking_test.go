@@ -1,6 +1,7 @@
 package compose
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -90,7 +91,7 @@ func TestExtrapolateDirectRankingAgreement(t *testing.T) {
 			pred := make([]vtime.Time, len(machines))
 			act := make([]vtime.Time, len(machines))
 			for mi, m := range machines {
-				outc, err := core.Extrapolate(tr, m.sim)
+				outc, err := core.ExtrapolateReader(context.Background(), tr.Header(), tr.Reader(), m.sim)
 				if err != nil {
 					t.Fatalf("%s: extrapolate: %v", m.name, err)
 				}

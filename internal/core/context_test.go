@@ -16,21 +16,6 @@ func cancelledCtx() context.Context {
 	return ctx
 }
 
-func TestContextVariantsMatchPlainPipeline(t *testing.T) {
-	ctx := context.Background()
-	want, err := Run(testProgram(4), MeasureOptions{}, freeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunContext(ctx, testProgram(4), MeasureOptions{}, freeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Result.TotalTime != want.Result.TotalTime {
-		t.Errorf("RunContext TotalTime = %v, Run = %v", got.Result.TotalTime, want.Result.TotalTime)
-	}
-}
-
 func TestCancelledContextStopsEachStage(t *testing.T) {
 	ctx := cancelledCtx()
 	if _, err := MeasureContext(ctx, testProgram(2), MeasureOptions{}); !errors.Is(err, context.Canceled) {
@@ -40,11 +25,12 @@ func TestCancelledContextStopsEachStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExtrapolateContext(ctx, tr, freeConfig()); !errors.Is(err, context.Canceled) {
-		t.Errorf("ExtrapolateContext error = %v, want context.Canceled", err)
+	if _, err := ExtrapolateReader(ctx, tr.Header(), tr.Reader(), freeConfig()); !errors.Is(err, context.Canceled) {
+		t.Errorf("ExtrapolateReader error = %v, want context.Canceled", err)
 	}
-	if _, err := RunContext(ctx, testProgram(2), MeasureOptions{}, freeConfig()); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunContext error = %v, want context.Canceled", err)
+	enc := encodeTrace2(t, tr)
+	if _, err := ExtrapolateEncoded(ctx, enc, freeConfig()); !errors.Is(err, context.Canceled) {
+		t.Errorf("ExtrapolateEncoded error = %v, want context.Canceled", err)
 	}
 }
 

@@ -4,7 +4,10 @@
 // n-processor timescale, and simulate the target environment to predict
 // performance.
 //
-//	Program ──Measure──▶ Trace ──Translate──▶ ParallelTrace ──Extrapolate──▶ Result
+//	Program ──Measure──▶ Trace ──ExtrapolateReader──▶ Prediction
+//
+// ExtrapolateReader translates and simulates in one streaming pass;
+// ExtrapolateEncoded runs it over XTRP2 bytes.
 //
 // The package also provides the measurement memo cache (TraceCache) the
 // experiment grids and the server share.
@@ -16,9 +19,7 @@ import (
 	"fmt"
 
 	"extrap/internal/pcxx"
-	"extrap/internal/sim"
 	"extrap/internal/trace"
-	"extrap/internal/translate"
 	"extrap/internal/vtime"
 )
 
@@ -157,58 +158,6 @@ func recovered(stage string, r any) error {
 		return fmt.Errorf("%s failed: %w", stage, e)
 	}
 	return fmt.Errorf("%s panicked: %v", stage, r)
-}
-
-// Outcome bundles every artifact of one full extrapolation.
-type Outcome struct {
-	// Measurement is the merged 1-processor trace (PI₁).
-	Measurement *trace.Trace
-	// Parallel is the translated idealized trace.
-	Parallel *translate.ParallelTrace
-	// Result is the predicted performance in the target environment
-	// (PI₂ᵖ and PM₂ᵖ).
-	Result *sim.Result
-}
-
-// Extrapolate translates a measurement trace and simulates it against the
-// target environment.
-func Extrapolate(tr *trace.Trace, cfg sim.Config) (*Outcome, error) {
-	return ExtrapolateContext(context.Background(), tr, cfg)
-}
-
-// ExtrapolateContext is Extrapolate under a caller deadline: the context
-// is checked between the translation and simulation stages and polled
-// inside the simulation event loop, so a cancelled request abandons the
-// pipeline promptly with an error satisfying errors.Is against ctx.Err().
-func ExtrapolateContext(ctx context.Context, tr *trace.Trace, cfg sim.Config) (*Outcome, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: extrapolation not started: %w", err)
-	}
-	pt, err := translate.Translate(tr)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Simulate(ctx, pt, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Outcome{Measurement: tr, Parallel: pt, Result: res}, nil
-}
-
-// Run measures the program and extrapolates it to the target environment
-// in one call.
-func Run(p Program, opts MeasureOptions, cfg sim.Config) (*Outcome, error) {
-	return RunContext(context.Background(), p, opts, cfg)
-}
-
-// RunContext is Run with the caller's context threaded through every
-// pipeline stage.
-func RunContext(ctx context.Context, p Program, opts MeasureOptions, cfg sim.Config) (*Outcome, error) {
-	tr, err := MeasureContext(ctx, p, opts)
-	if err != nil {
-		return nil, err
-	}
-	return ExtrapolateContext(ctx, tr, cfg)
 }
 
 // ProgramFactory builds a program for a given thread count — how

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -65,31 +67,46 @@ func TestMeasureRejectsBadPrograms(t *testing.T) {
 	}
 }
 
+// TestRunPipeline measures a program and extrapolates the measurement,
+// checking the prediction against the in-memory pipeline oracle.
 func TestRunPipeline(t *testing.T) {
-	out, err := Run(testProgram(4), MeasureOptions{}, freeConfig())
+	tr, err := Measure(testProgram(4), MeasureOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Measurement == nil || out.Parallel == nil || out.Result == nil {
-		t.Fatal("incomplete outcome")
+	pt, want := inMemory(t, tr, freeConfig())
+	out, err := ExtrapolateReader(context.Background(), tr.Header(), tr.Reader(), freeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Result == nil {
+		t.Fatal("incomplete prediction")
+	}
+	if !reflect.DeepEqual(out.Result, want) || out.Ideal != pt.Duration() || out.Measured1P != tr.Duration() {
+		t.Fatalf("prediction (%v, %v, %+v) differs from the in-memory pipeline's (%v, %v, %+v)",
+			out.Measured1P, out.Ideal, out.Result, tr.Duration(), pt.Duration(), want)
 	}
 	// Free environment: predicted time equals the translated ideal.
-	if out.Result.TotalTime != out.Parallel.Duration() {
-		t.Fatalf("free-env time %v != ideal %v", out.Result.TotalTime, out.Parallel.Duration())
+	if out.Result.TotalTime != out.Ideal {
+		t.Fatalf("free-env time %v != ideal %v", out.Result.TotalTime, out.Ideal)
 	}
 	// Balanced program: ideal parallel time is 1/4 of serial.
-	if got, want := out.Result.TotalTime, out.Measurement.Duration()/4; got != want {
+	if got, want := out.Result.TotalTime, out.Measured1P/4; got != want {
 		t.Fatalf("parallel %v, want %v", got, want)
 	}
 }
 
-// sweep is the paper's scaling-series method as a loop over Run: each
-// processor count gets its own n-thread, 1-processor measurement,
-// extrapolated to n processors under cfg.
+// sweep is the paper's scaling-series method: each processor count gets
+// its own n-thread, 1-processor measurement, extrapolated to n
+// processors under cfg.
 func sweep(f ProgramFactory, cfg sim.Config, procs []int) ([]metrics.Point, error) {
 	points := make([]metrics.Point, len(procs))
 	for i, n := range procs {
-		out, err := Run(f(n), MeasureOptions{}, cfg)
+		tr, err := Measure(f(n), MeasureOptions{})
+		if err != nil {
+			return nil, err
+		}
+		out, err := ExtrapolateReader(context.Background(), tr.Header(), tr.Reader(), cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -159,7 +176,7 @@ func TestExtrapolateRejectsBadConfig(t *testing.T) {
 	}
 	cfg := freeConfig()
 	cfg.MipsRatio = -1
-	if _, err := Extrapolate(tr, cfg); err == nil {
+	if _, err := ExtrapolateReader(context.Background(), tr.Header(), tr.Reader(), cfg); err == nil {
 		t.Error("invalid config accepted")
 	}
 }

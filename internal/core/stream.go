@@ -10,11 +10,12 @@ import (
 	"extrap/internal/vtime"
 )
 
-// Prediction is the streaming counterpart of Outcome: the scalar
-// artifacts of an extrapolation whose traces flowed through bounded
-// cursors and were never materialized. The predicted metrics are
-// byte-identical to what the in-memory pipeline computes from the same
-// measurement.
+// Prediction is what one extrapolation yields: the scalar artifacts of
+// a measurement whose translation flowed through bounded cursors and
+// was never materialized, and the simulation result. The predicted
+// metrics are byte-identical to what translating the whole trace
+// (translate.Translate) and simulating it (sim.Simulate) compute from
+// the same measurement.
 type Prediction struct {
 	// Measured1P is the 1-processor virtual execution time of the source
 	// measurement (the timestamp of its last event).
@@ -26,12 +27,17 @@ type Prediction struct {
 	Result *sim.Result
 }
 
-// ExtrapolateReader runs the streaming pipeline — translate the merged
-// measurement arriving from src, simulate the target environment over
-// per-thread cursors — with peak memory bounded by the translation
+// ExtrapolateReader is the extrapolation pipeline: translate the merged
+// measurement arriving from src and simulate the target environment
+// over per-thread cursors, with peak memory bounded by the translation
 // buffer, not the trace length. hdr carries the measurement's metadata
-// (as Trace.Header or PatternSource.Header report it). The simulator
-// fast-forwards only when src is a *trace.PatternSource itself.
+// (as Trace.Header or PatternSource.Header report it); a trace held in
+// memory is extrapolated with ExtrapolateReader(ctx, tr.Header(),
+// tr.Reader(), cfg). The simulator fast-forwards only when src is a
+// *trace.PatternSource itself. The context is checked up front and
+// polled inside the simulation event loop, so a cancelled request
+// abandons the pipeline promptly with an error satisfying errors.Is
+// against ctx.Err().
 func ExtrapolateReader(ctx context.Context, hdr trace.Header, src trace.Reader, cfg sim.Config) (*Prediction, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: extrapolation not started: %w", err)

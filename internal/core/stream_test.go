@@ -10,34 +10,48 @@ import (
 
 	"extrap/internal/sim"
 	"extrap/internal/trace"
+	"extrap/internal/translate"
 )
 
-// TestExtrapolateReaderMatchesExtrapolate: the streaming pipeline's
+// inMemory is the in-memory pipeline oracle the streaming pipeline is
+// checked against: the whole measurement translated into a materialized
+// parallel trace, then simulated.
+func inMemory(t *testing.T, tr *trace.Trace, cfg sim.Config) (*translate.ParallelTrace, *sim.Result) {
+	t.Helper()
+	pt, err := translate.Translate(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Simulate(context.Background(), pt, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pt, res
+}
+
+// TestExtrapolateReaderMatchesInMemory: the streaming pipeline's
 // prediction must equal the in-memory pipeline's, field for field,
 // including the emitted trace byte for byte.
-func TestExtrapolateReaderMatchesExtrapolate(t *testing.T) {
+func TestExtrapolateReaderMatchesInMemory(t *testing.T) {
 	tr, err := Measure(testProgram(4), MeasureOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := freeConfig()
 	cfg.EmitTrace = true
-	want, err := Extrapolate(tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pt, want := inMemory(t, tr, cfg)
 	got, err := ExtrapolateReader(context.Background(), tr.Header(), tr.Reader(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Measured1P != want.Measurement.Duration() {
-		t.Errorf("Measured1P = %v, want %v", got.Measured1P, want.Measurement.Duration())
+	if got.Measured1P != tr.Duration() {
+		t.Errorf("Measured1P = %v, want %v", got.Measured1P, tr.Duration())
 	}
-	if got.Ideal != want.Parallel.Duration() {
-		t.Errorf("Ideal = %v, want %v", got.Ideal, want.Parallel.Duration())
+	if got.Ideal != pt.Duration() {
+		t.Errorf("Ideal = %v, want %v", got.Ideal, pt.Duration())
 	}
 	var wantTrace, gotTrace bytes.Buffer
-	if err := trace.WriteBinary(&wantTrace, want.Result.Trace); err != nil {
+	if err := trace.WriteBinary(&wantTrace, want.Trace); err != nil {
 		t.Fatal(err)
 	}
 	if err := trace.WriteBinary(&gotTrace, got.Result.Trace); err != nil {
@@ -46,7 +60,7 @@ func TestExtrapolateReaderMatchesExtrapolate(t *testing.T) {
 	if !bytes.Equal(wantTrace.Bytes(), gotTrace.Bytes()) {
 		t.Error("emitted traces differ between streaming and in-memory pipelines")
 	}
-	wantRes, gotRes := *want.Result, *got.Result
+	wantRes, gotRes := *want, *got.Result
 	wantRes.Trace, gotRes.Trace = nil, nil
 	if !reflect.DeepEqual(wantRes, gotRes) {
 		t.Errorf("results differ:\nin-memory: %+v\nstreaming: %+v", wantRes, gotRes)
@@ -68,16 +82,13 @@ func TestExtrapolateEncodedMatches(t *testing.T) {
 	if _, err := ExtrapolateEncoded(context.Background(), encodeTrace(t, tr), freeConfig()); err != trace.ErrBadMagic {
 		t.Fatalf("XTRP1 bytes: err = %v, want trace.ErrBadMagic", err)
 	}
-	want, err := Extrapolate(tr, freeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, want := inMemory(t, tr, freeConfig())
 	got, err := ExtrapolateEncoded(context.Background(), enc.Bytes(), freeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Result, want.Result) {
-		t.Errorf("results differ:\nin-memory: %+v\nstreaming: %+v", want.Result, got.Result)
+	if !reflect.DeepEqual(got.Result, want) {
+		t.Errorf("results differ:\nin-memory: %+v\nstreaming: %+v", want, got.Result)
 	}
 	if got.Measured1P != tr.Duration() {
 		t.Errorf("Measured1P = %v, want %v", got.Measured1P, tr.Duration())

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"extrap/internal/benchmarks"
@@ -86,7 +87,7 @@ func runAblationCluster(opts Options) (*Output, error) {
 		cfg.IntraComm = intra
 		cfg.Placement = cells[i].pl
 		cfg.ContextSwitchTime = 10 * vtime.Microsecond
-		res, err := simulate(pt, cfg)
+		res, err := sim.Simulate(context.Background(), pt, cfg)
 		if err != nil {
 			return err
 		}

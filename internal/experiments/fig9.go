@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"extrap/internal/benchmarks"
@@ -79,7 +80,7 @@ func runFig9(opts Options) (*Output, error) {
 		if err != nil {
 			return fmt.Errorf("fig9 %s procs=%d: %w", names[di], n, err)
 		}
-		outc, err := core.Extrapolate(tr, env.Config)
+		pred, err := core.ExtrapolateReader(context.Background(), tr.Header(), tr.Reader(), env.Config)
 		if err != nil {
 			return err
 		}
@@ -87,7 +88,7 @@ func runFig9(opts Options) (*Output, error) {
 		if err != nil {
 			return err
 		}
-		cells[di][pi] = fig9Cell{pred: outc.Result.TotalTime, act: act.TotalTime}
+		cells[di][pi] = fig9Cell{pred: pred.Result.TotalTime, act: act.TotalTime}
 		return nil
 	})
 	if err != nil {

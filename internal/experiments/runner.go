@@ -265,8 +265,3 @@ func runGridFitted(ctx context.Context, cache *core.TraceCache, workers int, job
 	}
 	return points, nil
 }
-
-// simulate runs one simulation of an already-translated trace.
-func simulate(pt *translate.ParallelTrace, cfg sim.Config) (*sim.Result, error) {
-	return sim.Simulate(context.Background(), pt, cfg)
-}

@@ -11,12 +11,16 @@ import (
 	"extrap/internal/core"
 	"extrap/internal/pcxx"
 	"extrap/internal/sim"
+	"extrap/internal/translate"
 )
 
-// TestStreamingServiceMatchesInMemory: the Service's streaming pipeline
-// must predict exactly what the in-memory pipeline oracle predicts — the
-// same scalars and Result as core.Extrapolate on the same measurement,
-// and the same sweep points as the experiment runner's in-memory grid.
+// TestStreamingServiceMatchesInMemory: the Service's streaming pipeline,
+// and the library's (core.ExtrapolateReader over the measured trace, as
+// the root facade runs it), must predict exactly what the in-memory
+// pipeline oracle predicts — the same scalars and Result as
+// translate.Translate + sim.Simulate on the same measurement — and
+// Service sweeps the same points as the experiment runner's in-memory
+// grid.
 func TestStreamingServiceMatchesInMemory(t *testing.T) {
 	b := mustBench(t, "grid")
 	size := quickSize(b)
@@ -27,7 +31,11 @@ func TestStreamingServiceMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.Extrapolate(tr, freeCfg())
+	pt, err := translate.Translate(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.Simulate(ctx, pt, freeCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,12 +43,18 @@ func TestStreamingServiceMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Measured1P != want.Measurement.Duration() || got.Ideal != want.Parallel.Duration() {
-		t.Errorf("scalars differ: streaming (%v, %v) vs in-memory (%v, %v)",
-			got.Measured1P, got.Ideal, want.Measurement.Duration(), want.Parallel.Duration())
+	lib, err := core.ExtrapolateReader(ctx, tr.Header(), tr.Reader(), freeCfg())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Result, want.Result) {
-		t.Errorf("results differ:\nstreaming: %+v\nin-memory: %+v", *got.Result, *want.Result)
+	for name, p := range map[string]*core.Prediction{"Service": got, "library": lib} {
+		if p.Measured1P != tr.Duration() || p.Ideal != pt.Duration() {
+			t.Errorf("%s scalars differ: streaming (%v, %v) vs in-memory (%v, %v)",
+				name, p.Measured1P, p.Ideal, tr.Duration(), pt.Duration())
+		}
+		if !reflect.DeepEqual(p.Result, want) {
+			t.Errorf("%s results differ:\nstreaming: %+v\nin-memory: %+v", name, *p.Result, *want)
+		}
 	}
 
 	// The memoized bytes serve repeat predictions without re-measuring.
@@ -73,32 +87,6 @@ func TestStreamingServiceMatchesInMemory(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotPts, wantPts) {
 		t.Errorf("sweep points differ:\nstreaming: %+v\nin-memory: %+v", gotPts, wantPts)
-	}
-}
-
-// TestStreamingServiceOutcomeCompat: callers that need the Outcome
-// shape (the measured trace and its translation) use the core library
-// pipeline; its Outcome agrees with the Service's Prediction on every
-// scalar the Prediction carries.
-func TestStreamingServiceOutcomeCompat(t *testing.T) {
-	b := mustBench(t, "grid")
-	size := quickSize(b)
-	ctx := context.Background()
-	str := NewService(2, 0, 0)
-
-	out, err := core.RunContext(ctx, b.Factory(size)(4), core.MeasureOptions{SizeMode: pcxx.ActualSize}, freeCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := str.Predict(ctx, b, size, 4, pcxx.ActualSize, freeCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Result.TotalTime != pred.Result.TotalTime {
-		t.Errorf("core.Run predicts %v, Predict %v", out.Result.TotalTime, pred.Result.TotalTime)
-	}
-	if out.Measurement.Duration() != pred.Measured1P || out.Parallel.Duration() != pred.Ideal {
-		t.Errorf("measured/ideal %v/%v vs %v/%v", out.Measurement.Duration(), out.Parallel.Duration(), pred.Measured1P, pred.Ideal)
 	}
 }
 

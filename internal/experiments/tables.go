@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"extrap/internal/benchmarks"
@@ -54,7 +55,8 @@ func runTable1(opts Options) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseRes, err := simulate(basePt, baseCfg)
+	ctx := context.Background()
+	baseRes, err := sim.Simulate(ctx, basePt, baseCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +81,7 @@ func runTable1(opts Options) (*Output, error) {
 	err = r.each(len(variants), func(i int) error {
 		cfg := baseCfg
 		variants[i].mutate(&cfg.Barrier)
-		res, err := simulate(basePt, cfg)
+		res, err := sim.Simulate(ctx, basePt, cfg)
 		if err != nil {
 			return err
 		}

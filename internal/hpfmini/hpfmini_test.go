@@ -1,6 +1,7 @@
 package hpfmini
 
 import (
+	"context"
 	"testing"
 
 	"extrap/internal/core"
@@ -178,14 +179,14 @@ func TestHPFProgramExtrapolates(t *testing.T) {
 		})
 	}
 	cfg := machine.GenericDM().Config
-	block, err := core.Extrapolate(mk(Block), cfg)
-	if err != nil {
-		t.Fatal(err)
+	extrapolate := func(tr *trace.Trace) *core.Prediction {
+		out, err := core.ExtrapolateReader(context.Background(), tr.Header(), tr.Reader(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	cyclic, err := core.Extrapolate(mk(Cyclic), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	block, cyclic := extrapolate(mk(Block)), extrapolate(mk(Cyclic))
 	if block.Result.TotalTime >= cyclic.Result.TotalTime {
 		t.Errorf("BLOCK predicted %v, CYCLIC %v — BLOCK should win a stencil",
 			block.Result.TotalTime, cyclic.Result.TotalTime)

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,7 +14,9 @@ import (
 	"extrap/internal/machine"
 	"extrap/internal/metrics"
 	"extrap/internal/pcxx"
+	"extrap/internal/sim"
 	"extrap/internal/store"
+	"extrap/internal/translate"
 )
 
 // testSpec is a sweep small enough to run in milliseconds but with
@@ -69,8 +72,8 @@ func waitStatus(t *testing.T, m *Manager, id string, want Status) Snapshot {
 }
 
 // syncPoints computes the same sweep through the synchronous in-memory
-// library pipeline (core.Run per ladder point) — the byte-identity
-// reference.
+// pipeline (core.Measure, translate.Translate and sim.Simulate per
+// ladder point) — the byte-identity reference.
 func syncPoints(t *testing.T, spec Spec) []metrics.Point {
 	t.Helper()
 	b, err := benchmarks.ByName(spec.Benchmark)
@@ -85,11 +88,19 @@ func syncPoints(t *testing.T, spec Spec) []metrics.Point {
 	sz.N, sz.Iters, sz.Verify = spec.Size, spec.Iters, false
 	points := make([]metrics.Point, len(spec.Procs))
 	for i, n := range spec.Procs {
-		out, err := core.Run(b.Factory(sz)(n), core.MeasureOptions{SizeMode: pcxx.ActualSize}, env.Config)
+		tr, err := core.Measure(b.Factory(sz)(n), core.MeasureOptions{SizeMode: pcxx.ActualSize})
 		if err != nil {
 			t.Fatal(err)
 		}
-		points[i] = metrics.Point{Procs: n, Time: out.Result.TotalTime}
+		pt, err := translate.Translate(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Simulate(context.Background(), pt, env.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points[i] = metrics.Point{Procs: n, Time: res.TotalTime}
 	}
 	return points
 }

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -143,7 +144,7 @@ func TestProfileOnExtrapolatedTrace(t *testing.T) {
 	}
 	cfg := machine.GenericDM().Config
 	cfg.EmitTrace = true
-	out, err := core.Extrapolate(tr, cfg)
+	out, err := core.ExtrapolateReader(context.Background(), tr.Header(), tr.Reader(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package timeline
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -25,7 +26,7 @@ func extrapolatedGrid(t *testing.T, threads int) (*trace.Trace, vtime.Time) {
 	}
 	cfg := machine.GenericDM().Config
 	cfg.EmitTrace = true
-	out, err := core.Extrapolate(tr, cfg)
+	out, err := core.ExtrapolateReader(context.Background(), tr.Header(), tr.Reader(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ package extrap
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -20,6 +21,21 @@ import (
 	"extrap/internal/translate"
 	"extrap/internal/vtime"
 )
+
+// inMemory is the in-memory pipeline oracle the facade's streaming
+// Extrapolate is checked against: the whole measurement translated into
+// a materialized parallel trace, then simulated.
+func inMemory(tr *Trace, cfg sim.Config) (*translate.ParallelTrace, *sim.Result, error) {
+	pt, err := translate.Translate(tr)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := sim.Simulate(context.Background(), pt, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pt, res, nil
+}
 
 // measureBench produces a small trace of the named benchmark.
 func measureBench(t *testing.T, name string, threads int) *Trace {
@@ -51,7 +67,7 @@ func TestTraceMetricsConsistency(t *testing.T) {
 		tr := measureBench(t, name, 4)
 		cfg := machine.GenericDM().Config
 		cfg.EmitTrace = true
-		out, err := core.Extrapolate(tr, cfg)
+		out, err := Extrapolate(tr, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -85,7 +101,8 @@ func TestTraceMetricsConsistency(t *testing.T) {
 }
 
 // TestCodecPreservesExtrapolation: a trace that has been written to disk
-// and read back must extrapolate to the identical prediction.
+// and read back must extrapolate to the prediction the in-memory
+// pipeline makes from the original.
 func TestCodecPreservesExtrapolation(t *testing.T) {
 	tr := measureBench(t, "mgrid", 4)
 	var buf bytes.Buffer
@@ -97,17 +114,17 @@ func TestCodecPreservesExtrapolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := machine.CM5().Config
-	a, err := core.Extrapolate(tr, cfg)
+	_, a, err := inMemory(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := core.Extrapolate(tr2, cfg)
+	b, err := Extrapolate(tr2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Result.TotalTime != b.Result.TotalTime {
+	if a.TotalTime != b.Result.TotalTime {
 		t.Fatalf("prediction changed across codec round trip: %v vs %v",
-			a.Result.TotalTime, b.Result.TotalTime)
+			a.TotalTime, b.Result.TotalTime)
 	}
 }
 
@@ -123,7 +140,7 @@ func TestPredictionNeverBelowIdeal(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, env := range envs {
-			out, err := core.Extrapolate(tr, env.Config)
+			out, err := Extrapolate(tr, env.Config)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, env.Name, err)
 			}
@@ -154,7 +171,7 @@ func TestMonotoneInCostParameters(t *testing.T) {
 		for i, v := range []vtime.Time{0, 20 * vtime.Microsecond, 200 * vtime.Microsecond} {
 			cfg := base
 			mutate(&cfg, v)
-			out, err := core.Extrapolate(tr, cfg)
+			out, err := Extrapolate(tr, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -188,7 +205,7 @@ func TestMipsRatioPropertyOnComputeBound(t *testing.T) {
 		ratio := float64(r%64)/8 + 0.125
 		cfg := machine.Ideal().Config
 		cfg.MipsRatio = ratio
-		out, err := core.Extrapolate(tr, cfg)
+		out, err := Extrapolate(tr, cfg)
 		if err != nil {
 			return false
 		}
@@ -200,7 +217,8 @@ func TestMipsRatioPropertyOnComputeBound(t *testing.T) {
 }
 
 // TestFailureInjectionCorruptTraces: corrupted traces must be rejected at
-// translation, never crash the simulator.
+// translation, never crash the simulator, by the streaming pipeline and
+// the in-memory one alike.
 func TestFailureInjectionCorruptTraces(t *testing.T) {
 	tr := measureBench(t, "grid", 4)
 	corruptions := map[string]func(*trace.Trace){
@@ -230,20 +248,33 @@ func TestFailureInjectionCorruptTraces(t *testing.T) {
 	for name, corrupt := range corruptions {
 		c := tr.Clone()
 		corrupt(c)
-		if _, err := core.Extrapolate(c, machine.GenericDM().Config); err == nil {
+		if _, err := Extrapolate(c, machine.GenericDM().Config); err == nil {
 			t.Errorf("%s: corrupted trace accepted", name)
+		}
+		if _, _, err := inMemory(c, machine.GenericDM().Config); err == nil {
+			t.Errorf("%s: corrupted trace accepted by the in-memory pipeline", name)
 		}
 	}
 }
 
 // TestExtrapolationIsDeterministicEverywhere: the full pipeline produces
-// byte-identical predictions across repeated runs for every benchmark.
+// byte-identical predictions across repeated runs for every benchmark:
+// one run through the in-memory pipeline, one through the facade's
+// streaming one, each from its own measurement.
 func TestExtrapolationIsDeterministicEverywhere(t *testing.T) {
 	for _, b := range benchmarks.All() {
 		name := b.Name()
-		run := func() vtime.Time {
+		run := func(streaming bool) vtime.Time {
 			tr := measureBench(t, name, 4)
-			out, err := core.Extrapolate(tr, machine.GenericDM().Config)
+			cfg := machine.GenericDM().Config
+			if !streaming {
+				_, res, err := inMemory(tr, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				return res.TotalTime
+			}
+			out, err := Extrapolate(tr, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -252,14 +283,15 @@ func TestExtrapolationIsDeterministicEverywhere(t *testing.T) {
 		if name == "matmul" || name == "sparse" || name == "mgrid" || name == "poisson" {
 			continue // covered by the benchmark package's determinism test
 		}
-		if a, b2 := run(), run(); a != b2 {
+		if a, b2 := run(false), run(true); a != b2 {
 			t.Errorf("%s: predictions differ across runs: %v vs %v", name, a, b2)
 		}
 	}
 }
 
 // TestSimulatorDeterminismUnderRandomConfigs: arbitrary (valid) parameter
-// combinations must give identical results across repeated simulations.
+// combinations must give identical results across repeated simulations,
+// streamed or of the in-memory translation.
 func TestSimulatorDeterminismUnderRandomConfigs(t *testing.T) {
 	tr := measureBench(t, "cyclic", 8)
 	f := func(su, btt uint16, pol uint8, cf uint8) bool {
@@ -278,16 +310,20 @@ func TestSimulatorDeterminismUnderRandomConfigs(t *testing.T) {
 				PollInterval: 100 * vtime.Microsecond, PollOverhead: vtime.Microsecond,
 				ServiceTime: 5 * vtime.Microsecond}
 		}
-		a, err := core.Extrapolate(tr, cfg)
+		_, a, err := inMemory(tr, cfg)
 		if err != nil {
 			return false
 		}
-		b, err := core.Extrapolate(tr, cfg)
+		b, err := Extrapolate(tr, cfg)
 		if err != nil {
 			return false
 		}
-		return a.Result.TotalTime == b.Result.TotalTime &&
-			a.Result.Net == b.Result.Net
+		c, err := Extrapolate(tr, cfg)
+		if err != nil {
+			return false
+		}
+		return a.TotalTime == b.Result.TotalTime && a.Net == b.Result.Net &&
+			b.Result.TotalTime == c.Result.TotalTime && b.Result.Net == c.Result.Net
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

@@ -123,8 +123,8 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 // against one measurement, the per-cell production path (pattern replay
 // with fast-forward) must equal the materialized oracle — the decoded
 // trace translated in full and simulated event by event
-// (core.ExtrapolateContext) — and the per-cell side must actually
-// fast-forward, or the comparison proves nothing about it.
+// (translate.Translate + sim.Simulate) — and the per-cell side must
+// actually fast-forward, or the comparison proves nothing about it.
 func TestReplayEquivalenceBatch(t *testing.T) {
 	// Grid's default 324 sweeps give fast-forward a loop to skip.
 	enc := encodeKernel(t, "grid", benchmarks.Size{N: 64, Iters: 324}, 8)
@@ -139,11 +139,11 @@ func TestReplayEquivalenceBatch(t *testing.T) {
 	c.Barrier.Algorithm = sim.TreeBarrier
 	before := sim.ReadReplayCounters()
 	for i, cfg := range []sim.Config{a, b, c} {
-		oc, err := core.ExtrapolateContext(context.Background(), tr, cfg)
+		pt, res, err := inMemory(tr, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := &core.Prediction{Measured1P: tr.Duration(), Ideal: oc.Parallel.Duration(), Result: oc.Result}
+		want := &core.Prediction{Measured1P: tr.Duration(), Ideal: pt.Duration(), Result: res}
 		got, err := core.ExtrapolateEncoded(context.Background(), enc, cfg)
 		if err != nil {
 			t.Fatal(err)
