@@ -280,6 +280,11 @@ func BenchmarkSimulation(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := machine.GenericDM().Config
+	// One untimed run fills the simulator's arena pool, so allocs/op
+	// counts a warm run at every b.N.
+	if _, err := sim.Simulate(context.Background(), pt, cfg); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Simulate(context.Background(), pt, cfg); err != nil {
@@ -307,6 +312,11 @@ func BenchmarkSimulationWide(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := machine.GenericDM().Config
+	// One untimed run fills the simulator's arena pool, so allocs/op
+	// counts a warm run at every b.N.
+	if _, err := sim.Simulate(context.Background(), pt, cfg); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Simulate(context.Background(), pt, cfg); err != nil {
@@ -467,8 +477,7 @@ func BenchmarkFullPipeline(b *testing.B) {
 	f := g.Factory(benchmarks.Size{N: 32, Iters: 60})
 	cfg := machine.GenericDM().Config
 	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	run := func() {
 		tr, err := core.MeasureContext(ctx, f(16), core.MeasureOptions{SizeMode: pcxx.ActualSize})
 		if err != nil {
 			b.Fatal(err)
@@ -476,6 +485,13 @@ func BenchmarkFullPipeline(b *testing.B) {
 		if _, err := core.ExtrapolateReader(ctx, tr.Header(), tr.Reader(), cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+	// One untimed run fills the stream and arena pools, so allocs/op
+	// counts a warm run at every b.N.
+	run()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
 
@@ -858,6 +874,11 @@ func BenchmarkPatternReplay(b *testing.B) {
 			{"pattern", core.ExtrapolateEncoded},
 		} {
 			b.Run(k.label+"/"+arm.mode, func(b *testing.B) {
+				// One untimed run fills the compiled-trace, stream and
+				// arena pools, so allocs/op counts a warm run at every b.N.
+				if _, err := arm.run(context.Background(), enc, cfg); err != nil {
+					b.Fatal(err)
+				}
 				before := sim.ReadReplayCounters()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -916,6 +937,12 @@ func BenchmarkWarmCell(b *testing.B) {
 		enc := buf.Bytes()
 		b.Run(c.label, func(b *testing.B) {
 			b.ReportAllocs()
+			// One untimed call fills the compiled-trace, stream and arena
+			// pools, so allocs/op counts a warm cell at every b.N.
+			if _, err := core.ExtrapolateEncoded(context.Background(), enc, cfg); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.ExtrapolateEncoded(context.Background(), enc, cfg); err != nil {
 					b.Fatal(err)

@@ -244,9 +244,7 @@ func printPrediction(out io.Writer, env machine.Env, res *sim.Result, ideal vtim
 // pipeline once per config. An XTRP2 file is compiled once, as the
 // server compiles its cached bytes, and each config replays a fresh
 // cursor over it, so the simulation can fast-forward steady loop
-// iterations. It is refused, as trace.ReadBinary2 refuses it, if it
-// declares more events than a whole-trace read holds: translation may
-// buffer them all. XTRP1 and text traces are read whole and streamed.
+// iterations. XTRP1 and text traces are read whole and streamed.
 func extrapolateFile(path string, cfgs ...sim.Config) ([]*core.Prediction, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -260,9 +258,6 @@ func extrapolateFile(path string, cfgs ...sim.Config) ([]*core.Prediction, error
 			return nil, err
 		}
 		defer ct.Release()
-		if n := ct.Events(); n > uint64(trace.MaxTraceEvents) {
-			return nil, fmt.Errorf("trace: %d events declared, more than the %d a whole-trace read holds", n, trace.MaxTraceEvents)
-		}
 		hdr, source = ct.Header(), func() trace.Reader { return ct.Source() }
 	} else {
 		tr, err := decodeTrace(path, data)

@@ -374,18 +374,21 @@ func TestXTRP1FilesReadLikeXTRP2(t *testing.T) {
 // TestStatsRefusesExpandingXTRP2: a few bytes of XTRP2 repeat op can
 // declare billions of events. `stats`, and every command that
 // extrapolates a file, must fail on such a file at once, with memory
-// bounded by the file, never by the declared count: the first file (51
-// bytes) repeats a one-row pattern 77,594,625 times before an unknown
-// opcode, and the second (48 bytes, valid) declares 2^39 events, past
-// the whole-trace read bound, which the streaming pipeline would
-// otherwise buffer while it looks for a second thread's first event.
+// bounded by the file, never by the declared count. The first file (51
+// bytes) declares 1,099,503,238,916 events and the second (48 bytes,
+// valid) 2^39, both past trace.MaxTraceEvents, so the header refuses
+// them; the streaming pipeline would otherwise buffer the second's
+// events while it looks for a second thread's first event. The third
+// (47 bytes) declares 2^23 events, under the bound, and repeats a
+// one-row pattern 2^22 times before an unknown opcode, which compiling
+// it refuses before any event is expanded.
 func TestStatsRefusesExpandingXTRP2(t *testing.T) {
 	header := "XTRP2\x04" + strings.Repeat("\x00", 15)
 	cases := []struct{ name, data, err string }{
 		{
 			"bad-opcode",
 			header + "\x04\xff\x7f\xff\xff\x00\x00\x00\x01\x00\x00\x00\x01\x01\x00\x00\x00\x00\x00\x01\x00\x81\x80\x80%\x80\x80\x80\x80@",
-			"trace: event 77594625: unknown opcode 0x80",
+			fmt.Sprintf("trace: 1099503238916 events declared, more than the %d a whole-trace read holds", trace.MaxTraceEvents),
 		},
 		{
 			// nevents 2^39; one one-row pattern; repeat it 2^39 times.
@@ -393,6 +396,14 @@ func TestStatsRefusesExpandingXTRP2(t *testing.T) {
 			header + "\x00\x00\x00\x00\x80\x00\x00\x00" + "\x01\x00\x00\x00" +
 				"\x01" + "\x01\x00\x00\x00\x00\x00" + "\x01\x00" + "\x80\x80\x80\x80\x80\x10",
 			fmt.Sprintf("trace: %d events declared, more than the %d a whole-trace read holds", uint64(1)<<39, trace.MaxTraceEvents),
+		},
+		{
+			// nevents 2^23; one one-row pattern; repeat it 2^22 times;
+			// opcode 0x7f.
+			"under-bound-bad-opcode",
+			header + "\x00\x00\x80\x00\x00\x00\x00\x00" + "\x01\x00\x00\x00" +
+				"\x01" + "\x01\x00\x00\x00\x00\x00" + "\x01\x00" + "\x80\x80\x80\x02" + "\x7f",
+			"trace: event 4194304: unknown opcode 0x7f",
 		},
 	}
 	dir := t.TempDir()

@@ -58,7 +58,7 @@ import (
 // trace.MaxTraceEvents, the events one materialized trace may hold.
 // WorkUnits only estimates a composed workload's events, so a request
 // within the work budget can still demand more; synthesis counts them
-// exactly and refuses with core.ErrTraceTooLarge before allocating.
+// exactly and refuses with trace.ErrTraceTooLarge before allocating.
 var errTooManyEvents = errors.New("compose: too many events")
 
 // Factory implements benchmarks.Benchmark: it instantiates the workload
@@ -95,7 +95,7 @@ func synthesize(root *Node, scale, iters int, cfg pcxx.Config) (*trace.Trace, er
 	}
 	if per > trace.MaxTraceEvents/int64(iters) {
 		return nil, fmt.Errorf("%w: %d iterations at %d threads write more than %d events",
-			core.ErrTraceTooLarge, iters, n, trace.MaxTraceEvents)
+			trace.ErrTraceTooLarge, iters, n, trace.MaxTraceEvents)
 	}
 	w := &writer{
 		n:         n,

@@ -182,7 +182,7 @@ func firstDiff(got, want *trace.Trace) string {
 
 // TestOversizedTraceRefusedBeforeAllocating: requests within the work
 // budget whose traces would take gigabytes fail fast with
-// core.ErrTraceTooLarge, allocating far less than the trace.
+// trace.ErrTraceTooLarge, allocating far less than the trace.
 func TestOversizedTraceRefusedBeforeAllocating(t *testing.T) {
 	for _, c := range []struct {
 		spec           string
@@ -206,7 +206,7 @@ func TestOversizedTraceRefusedBeforeAllocating(t *testing.T) {
 		_, err = core.Measure(w.Factory(size)(c.threads), core.MeasureOptions{})
 		took := time.Since(start)
 		runtime.ReadMemStats(&after)
-		if !errors.Is(err, core.ErrTraceTooLarge) {
+		if !errors.Is(err, trace.ErrTraceTooLarge) {
 			t.Errorf("%s at %d threads × %d iters: error %v, want ErrTraceTooLarge", c.spec, c.threads, c.iters, err)
 		}
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {

@@ -312,7 +312,7 @@ func TestEncodedWriteThroughAndBudget(t *testing.T) {
 		if _, err := tight.Encoded(key, func() (*trace.Trace, error) {
 			t.Error("oversized backend artifact triggered a re-measurement")
 			return Measure(testProgram(4), MeasureOptions{})
-		}); !errors.Is(err, ErrTraceTooLarge) {
+		}); !errors.Is(err, trace.ErrTraceTooLarge) {
 			t.Fatalf("call %d: got %v, want ErrTraceTooLarge", i, err)
 		}
 	}

@@ -116,11 +116,6 @@ type TraceCache struct {
 	encBytes atomic.Int64
 }
 
-// ErrTraceTooLarge reports a measurement whose encoded size exceeds an
-// encoded cache's per-trace budget. Serving layers map it to a
-// payload-too-large response.
-var ErrTraceTooLarge = errors.New("core: measured trace exceeds the trace size budget")
-
 // NewTraceCache returns an empty unbounded cache — the right shape for a
 // one-shot experiment run, whose key population is fixed by the grid.
 func NewTraceCache() *TraceCache {
@@ -173,7 +168,7 @@ func (c *TraceCache) encode(tr *trace.Trace) ([]byte, error) {
 		return nil, err
 	}
 	if c.maxB > 0 && int64(buf.Len()) > c.maxB {
-		return nil, fmt.Errorf("%w: %d encoded bytes, budget %d", ErrTraceTooLarge, buf.Len(), c.maxB)
+		return nil, fmt.Errorf("%w: %d encoded bytes, budget %d", trace.ErrTraceTooLarge, buf.Len(), c.maxB)
 	}
 	c.rawBytes.Add(trace.EncodedSize(tr.Header(), len(tr.Events)))
 	c.encBytes.Add(int64(buf.Len()))
@@ -186,7 +181,7 @@ func (c *TraceCache) encode(tr *trace.Trace) ([]byte, error) {
 // so a hit can never be mutated by another cell, and resident size per
 // entry is the loop-compacted encoding instead of the in-memory event
 // slice plus translation. maxTraceBytes (> 0) rejects any measurement
-// whose encoding exceeds the budget with ErrTraceTooLarge.
+// whose encoding exceeds the budget with trace.ErrTraceTooLarge.
 func NewEncodedTraceCache(maxEntries int, maxTraceBytes int64) *TraceCache {
 	c := NewBoundedTraceCache(maxEntries)
 	c.encoded = true
@@ -295,13 +290,15 @@ func (c *TraceCache) measureLocked(key CacheKey, e *cacheEntry, measure func() (
 // encodedLocked runs or reuses the memoized measurement in encoded form;
 // the caller holds e.mu. A configured backend is consulted before
 // measuring (the stored artifact IS the encoded form, so a durable hit
-// costs no decode at all), and fresh encodings are written through. The
-// measured trace is immediately encoded and released — only the compact
-// immutable bytes stay resident. A trace past the size budget is
-// memoized as an ErrTraceTooLarge failure (the measurement is
-// deterministic, so it would exceed the budget every time) — including
-// one arriving from the backend, whose encoded size is just as
-// deterministic.
+// costs one compile and no decode), and fresh encodings are written
+// through. The measured trace is immediately encoded and released — only
+// the compact immutable bytes stay resident. A trace past the size
+// budget is memoized as a trace.ErrTraceTooLarge failure (the
+// measurement is deterministic, so it would exceed the budget every
+// time) — including one arriving from the backend, whose encoded size is
+// just as deterministic. A backend artifact that does not compile (a
+// peer's bytes past MaxTraceEvents, a format skew, malformed bytes) is a
+// miss: the key is re-measured and the artifact overwritten.
 func (c *TraceCache) encodedLocked(key CacheKey, e *cacheEntry, measure func() (*trace.Trace, error)) ([]byte, error) {
 	if e.measured {
 		return e.enc, e.err
@@ -309,13 +306,16 @@ func (c *TraceCache) encodedLocked(key CacheKey, e *cacheEntry, measure func() (
 	if c.backend != nil {
 		if enc, ok := c.backend.GetTrace(key, trace.FormatXTRP2); ok {
 			if c.maxB > 0 && int64(len(enc)) > c.maxB {
-				e.err = fmt.Errorf("%w: %d encoded bytes, budget %d", ErrTraceTooLarge, len(enc), c.maxB)
-			} else {
-				e.enc = enc
+				e.err, e.measured = fmt.Errorf("%w: %d encoded bytes, budget %d", trace.ErrTraceTooLarge, len(enc), c.maxB), true
+				c.settle(key, e)
+				return nil, e.err
 			}
-			e.measured = true
-			c.settle(key, e)
-			return e.enc, e.err
+			if ct, err := trace.CompileBinary(enc); err == nil {
+				ct.Release()
+				e.enc, e.measured = enc, true
+				c.settle(key, e)
+				return e.enc, nil
+			}
 		}
 	}
 	c.misses.Add(1)

@@ -240,7 +240,7 @@ func TestEncodedCacheTraceTooLarge(t *testing.T) {
 	key := CacheKey{Bench: "test", Threads: 4}
 	measure := func() (*trace.Trace, error) { return Measure(testProgram(4), MeasureOptions{}) }
 	for i := 0; i < 2; i++ {
-		if _, err := c.Encoded(key, measure); !errors.Is(err, ErrTraceTooLarge) {
+		if _, err := c.Encoded(key, measure); !errors.Is(err, trace.ErrTraceTooLarge) {
 			t.Fatalf("call %d: err = %v, want ErrTraceTooLarge", i, err)
 		}
 	}

@@ -38,7 +38,7 @@ type Service struct {
 // that (≤ 0 means unbounded — only appropriate for fixed key
 // populations, never for a server fed client-controlled parameters).
 // maxTraceBytes (> 0) rejects any measurement whose encoding exceeds
-// the budget with core.ErrTraceTooLarge.
+// the budget with trace.ErrTraceTooLarge.
 func NewService(workers, cacheEntries int, maxTraceBytes int64) *Service {
 	return &Service{cache: core.NewEncodedTraceCache(cacheEntries, maxTraceBytes), workers: workers}
 }

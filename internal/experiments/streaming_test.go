@@ -11,6 +11,7 @@ import (
 	"extrap/internal/core"
 	"extrap/internal/pcxx"
 	"extrap/internal/sim"
+	"extrap/internal/trace"
 	"extrap/internal/translate"
 )
 
@@ -91,7 +92,7 @@ func TestStreamingServiceMatchesInMemory(t *testing.T) {
 }
 
 // TestStreamingServiceTraceBudget: a measurement encoding past the
-// budget surfaces core.ErrTraceTooLarge from every prediction entry
+// budget surfaces trace.ErrTraceTooLarge from every prediction entry
 // point, and the deterministic rejection is memoized.
 func TestStreamingServiceTraceBudget(t *testing.T) {
 	b := mustBench(t, "grid")
@@ -100,7 +101,7 @@ func TestStreamingServiceTraceBudget(t *testing.T) {
 	str := NewService(1, 4, 64) // far below any real encoding
 
 	for i := 0; i < 2; i++ {
-		if _, err := str.Predict(ctx, b, size, 4, pcxx.ActualSize, freeCfg()); !errors.Is(err, core.ErrTraceTooLarge) {
+		if _, err := str.Predict(ctx, b, size, 4, pcxx.ActualSize, freeCfg()); !errors.Is(err, trace.ErrTraceTooLarge) {
 			t.Fatalf("Predict call %d: err = %v, want ErrTraceTooLarge", i, err)
 		}
 	}
@@ -108,7 +109,7 @@ func TestStreamingServiceTraceBudget(t *testing.T) {
 		t.Errorf("rejected measurement ran %d times, want 1 (memoized)", misses)
 	}
 	job := SweepJob{Name: b.Name(), Size: size, Factory: b.Factory(size), Mode: pcxx.ActualSize, Cfg: freeCfg(), Procs: []int{2}}
-	if _, err := str.SweepGrid(ctx, []SweepJob{job}); !errors.Is(err, core.ErrTraceTooLarge) {
+	if _, err := str.SweepGrid(ctx, []SweepJob{job}); !errors.Is(err, trace.ErrTraceTooLarge) {
 		t.Errorf("SweepGrid err = %v, want ErrTraceTooLarge", err)
 	}
 }

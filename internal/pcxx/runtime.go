@@ -138,10 +138,19 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 // Now returns the current virtual time of the measurement run.
 func (rt *Runtime) Now() vtime.Time { return rt.clock.Now() }
 
+// maxRecorded is the most events a run may record: trace.MaxTraceEvents,
+// lowered only by tests (SetMaxRecorded).
+var maxRecorded = trace.MaxTraceEvents
+
 // record appends an event at the current virtual time and charges the
-// instrumentation overhead.
+// instrumentation overhead. A run that would record more than
+// maxRecorded events is aborted the way an interrupt aborts it, with an
+// error wrapping trace.ErrTraceTooLarge.
 func (rt *Runtime) record(e trace.Event) {
 	rt.checkInterrupt()
+	if int64(len(rt.tr.Events)) >= maxRecorded {
+		panic(fmt.Errorf("%w: more than %d events recorded", trace.ErrTraceTooLarge, maxRecorded))
+	}
 	e.Time = rt.clock.Now()
 	rt.tr.Append(e)
 	rt.clock.Advance(rt.cfg.EventOverhead)

@@ -441,3 +441,48 @@ func TestDistributedFittedSweepByteIdentical(t *testing.T) {
 		t.Errorf("coordinator fell back to local execution %d times with healthy peers", st.Local)
 	}
 }
+
+// pastBoundTrace is a valid 48-byte XTRP2 stream whose one repeat op
+// declares 2^39 events, past trace.MaxTraceEvents.
+const pastBoundTrace = "XTRP2\x04" + "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
+	"\x00\x00\x00\x00\x80\x00\x00\x00" + "\x01\x00\x00\x00" +
+	"\x01" + "\x01\x00\x00\x00\x00\x00" + "\x01\x00" + "\x80\x80\x80\x80\x80\x10"
+
+// TestWorkerTreatsHostilePeerTraceAsMiss: a worker whose peer answers
+// every artifact fetch with a trace past the event bound treats it as a
+// miss and measures, so a coordinator's sweep through it matches a solo
+// server's byte for byte — with the peer alone behind the worker's
+// cache, and with a local store in front of it, which the refused bytes
+// are written through to and then overwritten in.
+func TestWorkerTreatsHostilePeerTraceAsMiss(t *testing.T) {
+	var fetches atomic.Int64
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fetches.Add(1)
+		io.WriteString(w, pastBoundTrace)
+	}))
+	defer peer.Close()
+	_, solo := newTestServer(t, Config{Workers: 2})
+	body := sweepBodies[0]
+	status, want := post(t, solo.URL+"/v1/sweep", body)
+	if status != http.StatusOK {
+		t.Fatalf("solo sweep: status %d: %s", status, want)
+	}
+	for _, storeDir := range []string{"", t.TempDir()} {
+		before := fetches.Load()
+		_, w := newWorkerServer(t, Config{Workers: 2, Peers: []string{peer.URL}, StoreDir: storeDir})
+		coordSrv, coord := newCoordinatorServer(t, Config{Workers: 2}, w.URL)
+		status, got := post(t, coord.URL+"/v1/sweep", body)
+		if status != http.StatusOK {
+			t.Fatalf("store %q: sweep through the worker: status %d: %s", storeDir, status, got)
+		}
+		if got != want {
+			t.Errorf("store %q: sweep through the worker differs from solo:\n%s\nvs\n%s", storeDir, got, want)
+		}
+		if st := coordSrv.coord.Stats(); st.Dispatched == 0 || st.Local != 0 {
+			t.Errorf("store %q: coordinator stats %+v, want every shard dispatched", storeDir, st)
+		}
+		if fetches.Load() == before {
+			t.Errorf("store %q: the worker never fetched from its peer", storeDir)
+		}
+	}
+}

@@ -45,6 +45,7 @@ import (
 	"extrap/internal/pcxx"
 	"extrap/internal/request"
 	"extrap/internal/store"
+	"extrap/internal/trace"
 	"extrap/internal/vtime"
 )
 
@@ -731,7 +732,7 @@ func pipelineError(err error) *request.Error {
 		return request.Errorf(http.StatusGatewayTimeout, "timeout", "request deadline exceeded: %v", err)
 	case errors.Is(err, context.Canceled):
 		return request.Errorf(statusClientClosedRequest, "client_closed_request", "request cancelled by client: %v", err)
-	case errors.Is(err, core.ErrTraceTooLarge):
+	case errors.Is(err, trace.ErrTraceTooLarge):
 		return request.Errorf(http.StatusRequestEntityTooLarge, "trace_too_large", "%v", err)
 	}
 	return request.Errorf(http.StatusUnprocessableEntity, "extrapolation_failed", "%v", err)

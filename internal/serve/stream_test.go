@@ -8,7 +8,6 @@ import (
 	"time"
 	"unsafe"
 
-	"extrap/internal/core"
 	"extrap/internal/request"
 	"extrap/internal/trace"
 )
@@ -90,7 +89,7 @@ func TestOversizedComposedTraceReturns413(t *testing.T) {
 // TestTraceTooLargeErrorMapping: the pipeline error mapper recognizes
 // wrapped budget errors.
 func TestTraceTooLargeErrorMapping(t *testing.T) {
-	e := pipelineError(fmt.Errorf("measuring grid: %w", core.ErrTraceTooLarge))
+	e := pipelineError(fmt.Errorf("measuring grid: %w", trace.ErrTraceTooLarge))
 	if e.Status != http.StatusRequestEntityTooLarge || e.Code != "trace_too_large" {
 		t.Errorf("pipelineError = %d %q, want 413 trace_too_large", e.Status, e.Code)
 	}

@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -276,11 +274,10 @@ func (s *Store) removeSegment(seg *segment) {
 	os.Remove(s.segmentPath(seg.id))
 }
 
-// warmStart rebuilds the resident set: the segment scan, plus a one-time
-// import of a legacy object directory, decides WHICH artifacts exist
-// and where; the advisory index only contributes recency stamps for
-// hashes it knows. Unknown artifacts (index lost or stale) enter as
-// least recently used.
+// warmStart rebuilds the resident set: the segment scan decides WHICH
+// artifacts exist and where; the advisory index only contributes
+// recency stamps for hashes it knows. Unknown artifacts (index lost or
+// stale) enter as least recently used.
 func (s *Store) warmStart() error {
 	// Reclaim index temp files left by a crash mid-flush.
 	if strays, err := filepath.Glob(filepath.Join(s.dir, "index-*.tmp")); err == nil {
@@ -314,9 +311,6 @@ func (s *Store) warmStart() error {
 		found = append(found, o)
 	}
 	if err := s.loadSegments(adopt); err != nil {
-		return err
-	}
-	if err := s.importLegacy(latest, adopt); err != nil {
 		return err
 	}
 
@@ -399,96 +393,6 @@ func (s *Store) cutTail(seg *segment, end, size int64) error {
 		return fmt.Errorf("store: truncate segment %d: %w", seg.id, err)
 	}
 	return nil
-}
-
-// importLegacy moves artifacts out of an objects/<hh>/<hash>.art tree
-// written by the one-file-per-artifact layout: each file is verified,
-// appended as a record and removed; a corrupt one moves to quarantine/.
-// An import cut short by a crash resumes on the next Open, skipping
-// files whose hash a segment already holds.
-func (s *Store) importLegacy(latest map[[32]byte]*object, adopt func(*object)) error {
-	root := filepath.Join(s.dir, legacyDirName)
-	var files, dirs []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		switch {
-		case err != nil:
-			return err
-		case d.IsDir():
-			dirs = append(dirs, path)
-		default:
-			files = append(files, path)
-		}
-		return nil
-	})
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: scan legacy objects: %w", err)
-	}
-	for _, path := range files {
-		h, ok := parseArtifactName(filepath.Base(path))
-		if !ok || latest[h] != nil {
-			// A temp file of a write the old layout never finished, or
-			// an artifact already imported.
-			os.Remove(path)
-			continue
-		}
-		rec, err := readLegacyFile(path)
-		if err == nil {
-			_, err = verifyRecord(rec, h)
-		}
-		if err != nil {
-			s.corruptions.Add(1)
-			os.Rename(path, s.quarantinePath(h))
-			continue
-		}
-		err = s.writeRecord(rec, func(seg *segment, off int64) {
-			adopt(&object{hash: h, size: int64(len(rec)), seg: seg, off: off})
-		})
-		if err != nil {
-			return fmt.Errorf("store: import legacy objects: %w", err)
-		}
-		os.Remove(path)
-	}
-	for i := len(dirs) - 1; i >= 0; i-- {
-		os.Remove(dirs[i]) // children first; fails harmlessly if not empty
-	}
-	return nil
-}
-
-// parseArtifactName returns the key hash a legacy "<hash>.art" file name
-// spells out.
-func parseArtifactName(name string) ([32]byte, bool) {
-	var h [32]byte
-	digits, ok := strings.CutSuffix(name, ".art")
-	if !ok || hex.DecodedLen(len(digits)) != len(h) {
-		return h, false
-	}
-	_, err := hex.Decode(h[:], []byte(digits))
-	return h, err == nil
-}
-
-// readLegacyFile reads one legacy artifact file, refusing to allocate
-// for one larger than the artifact cap; such a file reads back as its
-// header alone, which then fails verification.
-func readLegacyFile(path string) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	n := info.Size()
-	if n > maxArtifactBytes {
-		n = artifactHeaderSize
-	}
-	buf := make([]byte, n)
-	m, err := readFull(f, buf, 0)
-	return buf[:m], err
 }
 
 // readFull is io.ReadFull for an io.ReaderAt: it reports how many bytes

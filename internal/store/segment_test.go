@@ -4,61 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
-
-	"extrap/internal/benchmarks"
-	"extrap/internal/core"
-	"extrap/internal/experiments"
-	"extrap/internal/machine"
-	"extrap/internal/pcxx"
-	"extrap/internal/trace"
 )
-
-// copyTree copies the regular files under src into dst.
-func copyTree(t *testing.T, src, dst string) {
-	t.Helper()
-	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(src, path)
-		if d.IsDir() {
-			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(dst, rel), raw, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// readTree maps each regular file under root to its bytes.
-func readTree(t *testing.T, root string) map[string]string {
-	t.Helper()
-	out := map[string]string{}
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		raw, err := os.ReadFile(path)
-		out[path] = string(raw)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
 
 // mustOpen opens a store for the test; it is closed at the end of the
 // test unless the test closes it first (Close is idempotent).
@@ -88,107 +40,6 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// TestLegacyObjectsImportedOnce: testdata/legacy is a store directory
-// written by the one-file-per-artifact layout — by `extrap serve` running
-// a grid size-16, 4-iteration cm5 job over procs 1 and 2 — holding the
-// 1-thread XTRP2 trace, the procs-1 pred/v1 record, and the procs-2
-// pred/v1 record with one payload byte flipped. Open must serve the good
-// artifacts under their keys byte-exact, quarantine the corrupt one and
-// leave nothing under objects/; a second Open changes nothing.
-func TestLegacyObjectsImportedOnce(t *testing.T) {
-	b, err := benchmarks.ByName("grid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := machine.ByName("cm5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sz := b.DefaultSize()
-	sz.N, sz.Iters, sz.Verify = 16, 4, false
-	mkey := func(threads int) core.CacheKey {
-		return experiments.MeasurementKey(b.Name(), sz, threads, core.MeasureOptions{SizeMode: pcxx.ActualSize})
-	}
-	good := []string{
-		mkey(1).CanonicalFormat(trace.FormatXTRP2),
-		core.CanonicalPrediction(mkey(1), env.Config),
-	}
-	corrupt := core.CanonicalPrediction(mkey(2), env.Config)
-	fixture := filepath.Join("testdata", "legacy")
-	legacyPath := func(root, key string) string {
-		name := fmt.Sprintf("%x", KeyHash(key))
-		return filepath.Join(root, legacyDirName, name[:2], name+".art")
-	}
-	want := map[string][]byte{}
-	for _, key := range good {
-		raw, err := os.ReadFile(legacyPath(fixture, key))
-		if err != nil {
-			t.Fatalf("fixture lacks %q: %v", key, err)
-		}
-		want[key] = raw[artifactHeaderSize:]
-	}
-	corruptRaw, err := os.ReadFile(legacyPath(fixture, corrupt))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	copyTree(t, fixture, dir)
-	s := mustOpen(t, dir, 0, segmentBytes)
-	for key, payload := range want {
-		if got, ok := s.Get(key); !ok || !bytes.Equal(got, payload) {
-			t.Errorf("imported %q not served byte-exact", key)
-		}
-	}
-	if _, ok := s.Get(corrupt); ok {
-		t.Error("corrupt legacy artifact served")
-	}
-	if st := s.Stats(); st.Corruptions != 1 || st.Objects != 2 || st.Segments != 1 {
-		t.Errorf("stats %+v, want 1 corruption, 2 objects, 1 segment", st)
-	}
-	if q, err := os.ReadFile(s.quarantinePath(KeyHash(corrupt))); err != nil || !bytes.Equal(q, corruptRaw) {
-		t.Errorf("corrupt legacy file not quarantined intact (err %v)", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, legacyDirName)); !os.IsNotExist(err) {
-		t.Errorf("objects/ still present after import: %v", err)
-	}
-	mustClose(t, s)
-
-	before := readTree(t, filepath.Join(dir, segmentsDirName))
-	quarantined := readTree(t, filepath.Join(dir, quarantineDirName))
-	s = mustOpen(t, dir, 0, segmentBytes)
-	for key, payload := range want {
-		if got, ok := s.Get(key); !ok || !bytes.Equal(got, payload) {
-			t.Errorf("%q not served after the second Open", key)
-		}
-	}
-	if st := s.Stats(); st.Corruptions != 0 {
-		t.Errorf("second Open counted %d corruptions", st.Corruptions)
-	}
-	mustClose(t, s)
-	if after := readTree(t, filepath.Join(dir, segmentsDirName)); fmt.Sprint(after) != fmt.Sprint(before) {
-		t.Error("second Open changed the segments")
-	}
-	if after := readTree(t, filepath.Join(dir, quarantineDirName)); fmt.Sprint(after) != fmt.Sprint(quarantined) {
-		t.Error("second Open changed the quarantine")
-	}
-
-	// An import cut short after appending a file but before removing it
-	// resumes by removing the file, without appending it twice.
-	copyTree(t, filepath.Join(fixture, legacyDirName), filepath.Join(dir, legacyDirName))
-	if err := os.Remove(legacyPath(dir, corrupt)); err != nil {
-		t.Fatal(err)
-	}
-	s = mustOpen(t, dir, 0, segmentBytes)
-	mustClose(t, s)
-	if after := readTree(t, filepath.Join(dir, segmentsDirName)); fmt.Sprint(after) != fmt.Sprint(before) {
-		t.Error("resumed import appended already imported artifacts again")
-	}
-	if _, err := os.Stat(filepath.Join(dir, legacyDirName)); !os.IsNotExist(err) {
-		t.Errorf("objects/ still present after the resumed import: %v", err)
 	}
 }
 
@@ -243,6 +94,35 @@ func checkReopen(t *testing.T, seg []byte, end int64, served map[string][]byte, 
 		if got, ok := s.Get(key); !ok || !bytes.Equal(got, payload) {
 			t.Fatalf("%q lost on the second reopen", key)
 		}
+	}
+}
+
+// TestObjectsTreeIgnored: a valid artifact file in the
+// one-file-per-artifact layout that predates segments
+// (objects/<hh>/<hash>.art) is neither served nor moved: Open leaves
+// the tree as it is, and the key misses.
+func TestObjectsTreeIgnored(t *testing.T) {
+	dir := t.TempDir()
+	h := KeyHash("old")
+	name := fmt.Sprintf("%x", h)
+	path := filepath.Join(dir, "objects", name[:2], name+".art")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rec := appendRecord(nil, h, []byte("payload"))
+	if err := os.WriteFile(path, rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, dir, 0, segmentBytes)
+	if _, ok := s.Get("old"); ok {
+		t.Error("artifact under objects/ served")
+	}
+	if st := s.Stats(); st.Objects != 0 || st.Corruptions != 0 {
+		t.Errorf("stats %+v, want no objects and no corruptions", st)
+	}
+	mustClose(t, s)
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, rec) {
+		t.Errorf("objects/ file not left as it was (err %v)", err)
 	}
 }
 

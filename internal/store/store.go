@@ -57,10 +57,7 @@
 // invalid ends its segment, as the torn tail of a write cut by a crash
 // would: the segment is truncated there and the cut bytes move to
 // quarantine/, so every segment stays a sequence of whole records. A
-// later record of a hash supersedes an earlier one. A store directory
-// written in the older one-file-per-artifact layout (objects/<hh>/
-// <hash>.art) is imported once: each file is verified, appended and
-// removed, and a corrupt one moves to quarantine/.
+// later record of a hash supersedes an earlier one.
 //
 // Eviction is LRU per record and only forgets the record; the bytes
 // stay in their segment as dead space. The background goroutine deletes
@@ -177,10 +174,10 @@ type Store struct {
 // Open opens (creating if needed) the artifact store rooted at dir,
 // keeping at most maxBytes of artifacts on disk (0 = unlimited). It
 // locks the directory, failing with an error naming it if another Store
-// holds it, scans the segments, imports a legacy object directory,
-// applies the advisory index's recency, and starts the background
-// eviction, compaction and flush goroutine. Call Close to stop the
-// goroutine, persist the index and release the lock.
+// holds it, scans the segments, applies the advisory index's recency,
+// and starts the background eviction, compaction and flush goroutine.
+// Call Close to stop the goroutine, persist the index and release the
+// lock.
 func Open(dir string, maxBytes int64) (*Store, error) {
 	return open(dir, maxBytes, segmentBytes)
 }
@@ -225,7 +222,6 @@ func open(dir string, maxBytes, rollBytes int64) (*Store, error) {
 
 const (
 	segmentsDirName   = "segments"
-	legacyDirName     = "objects"
 	quarantineDirName = "quarantine"
 	indexFileName     = "index"
 	lockFileName      = "lock"

@@ -73,19 +73,24 @@ const (
 	MaxPhases = 1 << 16
 	// MaxPhaseBytes bounds the cumulative size of all phase names.
 	MaxPhaseBytes = 1 << 22
-	// MaxEvents is a sanity bound on the declared event count. The
-	// readers allocate for declared events only once the input has
-	// proven them (the XTRP1 records are present, the XTRP2 program
-	// produces them), and reject claims past this outright.
-	MaxEvents = 1 << 40
 )
 
-// MaxTraceEvents bounds the events one materialized trace may hold: 512
-// MiB of Event, the memory the request work budget lets a registry
-// kernel allocate. ReadBinary2 refuses a trace declaring more before it
-// expands any event (an XTRP2 repeat op lets a few bytes declare
-// trillions), and compose refuses to synthesize one.
+// MaxTraceEvents is the one bound on the events a trace may hold: 512
+// MiB of Event. The request work budget does not bound events (a kernel
+// records per iteration and per thread whatever its memory), so a trace
+// is checked where it enters the program: the binary header parser
+// refuses a declared count above it before parsing any op (an XTRP2
+// repeat op lets a few bytes declare trillions), and the pcxx recorder
+// fails a measurement that records more, as compose refuses to
+// synthesize one.
 const MaxTraceEvents = (1 << 29) / int64(unsafe.Sizeof(Event{}))
+
+// ErrTraceTooLarge reports a measured trace past a bound: more than
+// MaxTraceEvents events, or an encoding past an encoded cache's byte
+// budget. The bound is a function of the program and its size, so the
+// refusal is deterministic; serving layers map it to a
+// payload-too-large response.
+var ErrTraceTooLarge = errors.New("trace: measured trace too large")
 
 // EncodedSize returns the exact number of bytes the XTRP1 encoding of a
 // trace with this header and event count occupies — the flat baseline

@@ -712,19 +712,15 @@ func writeBinary2(w io.Writer, t *Trace, mine func([]row, patternCaps) ([][]row,
 }
 
 // ReadBinary2 decodes a whole XTRP2 trace into memory. It compiles enc
-// first, so every cap and every op bound has been checked before any
-// event is expanded; a trace declaring more than MaxTraceEvents events is
-// then refused, so a few bytes of repeat op cannot demand gigabytes.
-// The events are those a PatternSource over the compiled trace yields.
+// first, so every cap and every op bound, MaxTraceEvents among them, has
+// been checked before any event is expanded. The events are those a
+// PatternSource over the compiled trace yields.
 func ReadBinary2(enc []byte) (*Trace, error) {
 	ct, err := CompileBinary(enc)
 	if err != nil {
 		return nil, err
 	}
 	defer ct.Release()
-	if ct.declare > uint64(MaxTraceEvents) {
-		return nil, fmt.Errorf("trace: %d events declared, more than the %d a whole-trace read holds", ct.declare, MaxTraceEvents)
-	}
 	t := &Trace{NumThreads: ct.hdr.NumThreads, EventOverhead: ct.hdr.EventOverhead, Phases: ct.hdr.Phases}
 	t.Events = make([]Event, 0, ct.declare)
 	ps := ct.Source()
@@ -785,7 +781,8 @@ func (w *wireReader) take(n int) ([]byte, error) {
 
 // header parses a binary trace header, from the magic (which must equal
 // magic) through the event count, under the hardening caps, and returns
-// it with the declared event count.
+// it with the declared event count. A count past MaxTraceEvents is
+// refused here, before anything of the body is parsed.
 func (w *wireReader) header(magic [5]byte) (Header, uint64, error) {
 	var hdr Header
 	m, err := w.take(len(magic))
@@ -832,8 +829,8 @@ func (w *wireReader) header(magic [5]byte) (Header, uint64, error) {
 		return hdr, 0, err
 	}
 	declare := binary.LittleEndian.Uint64(cnt)
-	if declare > MaxEvents {
-		return hdr, 0, fmt.Errorf("trace: implausible event count %d", declare)
+	if declare > uint64(MaxTraceEvents) {
+		return hdr, 0, fmt.Errorf("trace: %d events declared, more than the %d a whole-trace read holds", declare, MaxTraceEvents)
 	}
 	return hdr, declare, nil
 }
@@ -1019,7 +1016,7 @@ func (w *wireReader) op(produced, declare uint64, patterns [][]row) (literal boo
 		if count == 0 {
 			return false, 0, 0, fmt.Errorf("trace: event %d: repeat count 0", produced)
 		}
-		if count > MaxEvents || count*uint64(len(body)) > declare-produced {
+		if count > declare-produced || count*uint64(len(body)) > declare-produced {
 			return false, 0, 0, fmt.Errorf("trace: event %d: repeat of %d×%d rows exceeds declared %d events", produced, count, len(body), declare)
 		}
 		return false, uint32(pid), count, nil

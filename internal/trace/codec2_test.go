@@ -362,10 +362,14 @@ func xtrp2HostileCases() map[string][]byte {
 }
 
 // expandingHostiles are small XTRP2 inputs whose repeat ops declare
-// about 2^40 and 2^39 events, with the error a whole-trace read must
-// give each before it expands a single event. The first, 51 bytes found
-// by fuzzing, repeats a one-row pattern 77,594,625 times and then hits
-// an unknown opcode; the second, 48 bytes, is a valid stream.
+// many events, with the error a whole-trace read must give each before
+// it expands a single event. The first, 51 bytes found by fuzzing,
+// declares 1,099,503,238,916 events and would repeat a one-row pattern
+// 77,594,625 times before an unknown opcode; the second, 48 bytes, is a
+// valid stream declaring 2^39. The header refuses both, past
+// MaxTraceEvents. The third declares 2^23 events, under the bound, and
+// repeats a one-row pattern 2^22 times before an unknown opcode, so
+// compiling it fails on the opcode, still before any event is expanded.
 var expandingHostiles = []struct {
 	name string
 	data []byte
@@ -375,12 +379,17 @@ var expandingHostiles = []struct {
 		"repeat before bad opcode",
 		[]byte("XTRP2\x04" + strings.Repeat("\x00", 15) +
 			"\x04\xff\x7f\xff\xff\x00\x00\x00\x01\x00\x00\x00\x01\x01\x00\x00\x00\x00\x00\x01\x00\x81\x80\x80%\x80\x80\x80\x80@"),
-		"trace: event 77594625: unknown opcode 0x80",
+		fmt.Sprintf("trace: 1099503238916 events declared, more than the %d a whole-trace read holds", MaxTraceEvents),
 	},
 	{
 		"repeat past the read bound",
 		hostile2(4, 1<<39, 1, concat(uvarint(1), wireRow(byte(KindThreadStart)), []byte{opRepeat}, uvarint(0), uvarint(1<<39))),
 		fmt.Sprintf("trace: %d events declared, more than the %d a whole-trace read holds", uint64(1)<<39, MaxTraceEvents),
+	},
+	{
+		"repeat under the bound before bad opcode",
+		hostile2(4, 1<<23, 1, concat(uvarint(1), wireRow(byte(KindThreadStart)), []byte{opRepeat}, uvarint(0), uvarint(1<<22), []byte{0x7f})),
+		"trace: event 4194304: unknown opcode 0x7f",
 	},
 }
 

@@ -21,12 +21,13 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 	f.Add(buf.Bytes())
 
 	// The hostile-header corpus from the decoder regression tests.
-	f.Add(hostileHeader(4, 0, nil, 1<<39, nil))               // huge declared nevents
-	f.Add(hostileHeader(4, 0, nil, MaxEvents+1, nil))         // nevents past cap
-	f.Add(hostileHeaderNPhase(4, 1<<31, 0))                   // forged nphase
-	f.Add(hostileHeaderNPhase(4, 1000, 0))                    // truncated phase table
-	f.Add(hostileHeader(MaxThreads+1, 0, nil, 0, nil))        // absurd thread count
-	f.Add(hostileHeader(1, 0, nil, 100, encodeEvents([]Event{ // truncated events
+	f.Add(hostileHeader(4, 0, nil, 1<<39, nil))                    // huge declared nevents
+	f.Add(hostileHeader(4, 0, nil, 1<<40+1, nil))                  // nevents just past 2^40
+	f.Add(hostileHeader(4, 0, nil, uint64(MaxTraceEvents)+1, nil)) // nevents past the bound
+	f.Add(hostileHeaderNPhase(4, 1<<31, 0))                        // forged nphase
+	f.Add(hostileHeaderNPhase(4, 1000, 0))                         // truncated phase table
+	f.Add(hostileHeader(MaxThreads+1, 0, nil, 0, nil))             // absurd thread count
+	f.Add(hostileHeader(1, 0, nil, 100, encodeEvents([]Event{      // truncated events
 		{Time: 1, Kind: KindThreadStart, Thread: 0}})))
 	f.Add(hostileHeader(2, 0, nil, 1, encodeEvents([]Event{ // thread out of range
 		{Time: 1, Kind: KindThreadStart, Thread: 9}})))
@@ -59,19 +60,19 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 }
 
 // fuzzRoundTripEvents bounds the traces FuzzXTRP2RoundTrip expands and
-// re-encodes. CompileBinary accepts larger ones, up to MaxTraceEvents
-// for a whole-trace read, but at hundreds of bytes per event a fuzz
-// worker would spend its memory and time on a few of them.
+// re-encodes. CompileBinary accepts larger ones, up to MaxTraceEvents,
+// but at hundreds of bytes per event a fuzz worker would spend its
+// memory and time on a few of them.
 const fuzzRoundTripEvents = 1 << 12
 
 // FuzzXTRP2RoundTrip feeds arbitrary bytes to CompileBinary, seeded with
 // well-formed XTRP2 streams and the hostile pattern-table corpus. The
-// compiler must never panic and never allocate ahead of the input, and
-// a whole-trace read must refuse any stream declaring more than
-// MaxTraceEvents events before expanding one. Every stream it accepts
-// and ReadBinary2 replays must survive an XTRP2 re-encode with identical
-// header and events, and re-encoding that is byte-stable (the
-// byte-identity guarantee the prediction pipeline relies on).
+// compiler must never panic, never allocate ahead of the input, and
+// refuse every stream declaring more than MaxTraceEvents events. Every
+// stream it accepts and ReadBinary2 replays must survive an XTRP2
+// re-encode with identical header and events, and re-encoding that is
+// byte-stable (the byte-identity guarantee the prediction pipeline
+// relies on).
 func FuzzXTRP2RoundTrip(f *testing.F) {
 	// Well-formed streams: a loop-structured trace (pattern table in
 	// use), a barrier trace, and an empty trace.
@@ -96,9 +97,12 @@ func FuzzXTRP2RoundTrip(f *testing.F) {
 	f.Add(hostile2(4, 4, 1, concat(onePattern, []byte{opRepeat}, uvarint(0), uvarint(1<<62))))
 	f.Add(hostile2(4, 4, 0, concat([]byte{opLiteral}, uvarint(4), start)))
 	f.Add(hostile2(4, 1<<39, 0, concat([]byte{opLiteral}, uvarint(1<<39))))
+	f.Add(hostile2(4, 1<<40+1, 0, concat([]byte{opLiteral}, uvarint(1<<40+1))))
+	past := uint64(MaxTraceEvents) + 1
+	f.Add(hostile2(4, past, 1, concat(onePattern, []byte{opRepeat}, uvarint(0), uvarint(past))))
 	f.Add(hostile2(4, 4, 0, []byte{0x7f}))
 	f.Add([]byte("XTRP2")) // magic only
-	// Repeat ops declaring about 2^40 and 2^39 events.
+	// Repeat ops declaring about 2^40, 2^39 and 2^23 events.
 	for _, h := range expandingHostiles {
 		f.Add(h.data)
 	}
@@ -108,13 +112,10 @@ func FuzzXTRP2RoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		declared := ct.Events()
+		declared := ct.declare
 		ct.Release()
 		if declared > uint64(MaxTraceEvents) {
-			if _, err := ReadBinary2(data); err == nil {
-				t.Fatalf("whole-trace read accepted %d declared events", declared)
-			}
-			return
+			t.Fatalf("compiled a stream declaring %d events, past MaxTraceEvents", declared)
 		}
 		if declared > fuzzRoundTripEvents {
 			return

@@ -75,12 +75,13 @@ func IsXTRP2(enc []byte) bool { return bytes.HasPrefix(enc, binary2Magic[:]) }
 // CompileBinary parses a whole XTRP2 stream (magic included) into a
 // CompiledTrace, straight from the bytes, with every row carved from one
 // slab that holds all the rows the bytes can. It is the only XTRP2
-// parser: the header and pattern-table caps and every op's bound against
-// the declared event count are checked here, so no event is expanded
-// from a stream that fails them. Thread ids depend on the delta state,
-// so a PatternSource checks them as it replays. Trailing bytes past the
-// program are ignored. The CompiledTrace does not retain enc. Its
-// storage comes from a pool of released ones when the pool has any.
+// parser: the header caps (MaxTraceEvents among them), the pattern-table
+// caps and every op's bound against the declared event count are
+// checked here, so no event is expanded from a stream that fails them.
+// Thread ids depend on the delta state, so a PatternSource checks them
+// as it replays. Trailing bytes past the program are ignored. The
+// CompiledTrace does not retain enc. Its storage comes from a pool of
+// released ones when the pool has any.
 func CompileBinary(enc []byte) (*CompiledTrace, error) {
 	ct := compiledTraces.Get().(*CompiledTrace)
 	if err := ct.compile(enc); err != nil {
@@ -161,9 +162,6 @@ func (ct *CompiledTrace) compile(enc []byte) error {
 
 // Header returns the trace metadata.
 func (ct *CompiledTrace) Header() Header { return ct.hdr }
-
-// Events returns the declared event count.
-func (ct *CompiledTrace) Events() uint64 { return ct.declare }
 
 // Patterns returns the pattern-table entry count.
 func (ct *CompiledTrace) Patterns() int { return len(ct.patterns) }
@@ -516,11 +514,12 @@ func (d *ReplayDeltas) class(cls uint8) *int64 {
 // MaxShiftChunks bounds how many chunks may be skipped before any
 // fingerprinted time-like slot would cross 2^62 — far past any real
 // virtual time, and low enough that the shift arithmetic (and every
-// comparison downstream of it) can never wrap int64. curr must be the
-// later of the two fingerprints d was derived from.
+// comparison downstream of it) can never wrap int64. It is at most
+// MaxTraceEvents, which no skip over a trace's iterations can exceed.
+// curr must be the later of the two fingerprints d was derived from.
 func MaxShiftChunks(curr *ReplayFingerprint, d *ReplayDeltas) uint64 {
 	const ceiling = int64(1) << 62
-	limit := uint64(MaxEvents)
+	limit := uint64(MaxTraceEvents)
 	for cls, stride := range map[uint8]int64{
 		FPSim: d.Sim, FPTrans: d.Trans, FPOrig: d.Orig, FPBarID: d.Bar,
 		FPBarT: d.BarT, FPBarS: d.BarS,

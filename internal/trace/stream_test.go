@@ -81,12 +81,18 @@ func TestHostileHeaderHugeEventCount(t *testing.T) {
 	}
 }
 
-// TestHostileHeaderEventCountPastCap rejects declared counts above
-// MaxEvents outright, before any record is read.
+// TestHostileHeaderEventCountPastCap: the header parser both formats
+// share rejects a declared count above MaxTraceEvents outright, before
+// any record or op is read.
 func TestHostileHeaderEventCountPastCap(t *testing.T) {
-	data := hostileHeader(4, 0, nil, MaxEvents+1, nil)
-	if _, err := ReadBinary(data); err == nil || !strings.Contains(err.Error(), "implausible event count") {
-		t.Fatalf("event count past MaxEvents: err = %v, want the header refusal", err)
+	for _, n := range []uint64{uint64(MaxTraceEvents) + 1, 1<<40 + 1} {
+		want := fmt.Sprintf("trace: %d events declared, more than the %d a whole-trace read holds", n, MaxTraceEvents)
+		if _, err := ReadBinary(hostileHeader(4, 0, nil, n, nil)); err == nil || err.Error() != want {
+			t.Errorf("XTRP1 declaring %d events: err = %v, want %q", n, err, want)
+		}
+		if _, err := CompileBinary(hostile2(4, n, 0, nil)); err == nil || err.Error() != want {
+			t.Errorf("XTRP2 declaring %d events: err = %v, want %q", n, err, want)
+		}
 	}
 }
 

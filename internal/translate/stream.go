@@ -9,17 +9,10 @@ import (
 	"extrap/internal/vtime"
 )
 
-// StreamOptions configures a streaming translation.
-type StreamOptions struct {
-	// MaxPending caps how many translated events may sit buffered —
-	// pulled, but not yet handed out by Refill — at once. The consumer
-	// (the simulator) drains threads in simulated-time order while the
-	// source arrives in measurement order, so buffering is bounded by the
-	// event skew within roughly one barrier epoch; a trace that exceeds
-	// the cap aborts with an error instead of ballooning memory. Zero or
-	// negative means no cap.
-	MaxPending int
-}
+// StreamOptions is NewStream's options parameter. It has no fields: a
+// stream buffers at most the events of its trace, which
+// trace.MaxTraceEvents bounds where the trace is parsed or recorded.
+type StreamOptions struct{}
 
 // Stream is the streaming counterpart of Translate: it consumes the
 // merged 1-processor measurement trace through a cursor and hands out
@@ -45,11 +38,10 @@ type Stream struct {
 	ps *trace.PatternSource
 	x  translator
 
-	bufs       []threadBufs
-	pending    int
-	maxPending int
-	srcDone    bool
-	err        error
+	bufs    []threadBufs
+	pending int
+	srcDone bool
+	err     error
 }
 
 // threadBufs is one thread's pair of event buffers: pull appends to
@@ -68,17 +60,17 @@ var streams = sync.Pool{New: func() any { return new(Stream) }}
 // NewStream starts a streaming translation of the trace described by hdr
 // whose merged events arrive from src. The stream reuses the buffers of
 // a released one when the pool has any.
-func NewStream(hdr trace.Header, src trace.Reader, opts StreamOptions) (*Stream, error) {
+func NewStream(hdr trace.Header, src trace.Reader, _ StreamOptions) (*Stream, error) {
 	if hdr.NumThreads <= 0 {
 		return nil, fmt.Errorf("translate: NumThreads = %d, want > 0", hdr.NumThreads)
 	}
 	s := streams.Get().(*Stream)
-	s.reset(hdr, src, opts)
+	s.reset(hdr, src)
 	return s, nil
 }
 
 // reset reinitializes s for a new translation, keeping its buffers.
-func (s *Stream) reset(hdr trace.Header, src trace.Reader, opts StreamOptions) {
+func (s *Stream) reset(hdr trace.Header, src trace.Reader) {
 	n := hdr.NumThreads
 	bufs := s.bufs
 	if cap(bufs) < n {
@@ -99,12 +91,11 @@ func (s *Stream) reset(hdr trace.Header, src trace.Reader, opts StreamOptions) {
 	x := s.x
 	x.reset(n, hdr.EventOverhead)
 	*s = Stream{
-		phases:     hdr.Phases,
-		src:        src,
-		ps:         ps,
-		x:          x,
-		bufs:       bufs,
-		maxPending: opts.MaxPending,
+		phases: hdr.Phases,
+		src:    src,
+		ps:     ps,
+		x:      x,
+		bufs:   bufs,
 	}
 }
 
@@ -234,9 +225,6 @@ func (s *Stream) pull() {
 	b := &s.bufs[e.Thread]
 	b.fill = append(b.fill, e)
 	s.pending++
-	if s.maxPending > 0 && s.pending > s.maxPending {
-		s.err = fmt.Errorf("translate: %d translated events buffered, cap %d — consumer skew exceeds the stream buffer", s.pending, s.maxPending)
-	}
 }
 
 // bufSlab is each thread buffer's initial capacity, in events.

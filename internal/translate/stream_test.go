@@ -292,22 +292,6 @@ func TestStreamUnbalancedBarriers(t *testing.T) {
 	}
 }
 
-// TestStreamMaxPending: the buffering guard trips when the consumer's
-// skew exceeds the configured cap.
-func TestStreamMaxPending(t *testing.T) {
-	tr := streamTestTrace(t, 4)
-	s, err := NewStream(tr.Header(), tr.Reader(), StreamOptions{MaxPending: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Draining thread 3 first forces all earlier threads' events to
-	// buffer, blowing the 3-event cap immediately.
-	_, err = trace.ReadAll(s.Thread(3))
-	if err == nil || !strings.Contains(err.Error(), "cap 3") {
-		t.Fatalf("ReadAll = %v, want MaxPending error", err)
-	}
-}
-
 // TestStreamRejectsZeroThreads mirrors Validate's NumThreads check.
 func TestStreamRejectsZeroThreads(t *testing.T) {
 	if _, err := NewStream(trace.Header{}, trace.NewSliceReader(nil), StreamOptions{}); err == nil {

@@ -7,6 +7,13 @@
 # must produce an output line; a renamed or deleted benchmark otherwise
 # silently drops out of the gate and regressions in it go unwatched.
 #
+# Every benchmark runs at -cpu 2 (GOMAXPROCS 2), the core count
+# BENCH_baseline.json was measured at: the worker pools of the
+# experiment benchmarks size themselves by GOMAXPROCS, so their
+# allocs/op depends on it (BenchmarkFig7MgridStartup reads about 15,620
+# at 2 and 15,850 at 4), and the allocs gate must compare like with
+# like on a runner of any size.
+#
 # Set PROFILE_DIR to a directory to also capture CPU and heap profiles
 # of each benchmark binary run (main.cpu.pprof/main.mem.pprof for the
 # main set, stream.*.pprof for the pinned streaming run) — the bench
@@ -42,10 +49,10 @@ trap 'rm -f "$out" "$raw"' EXIT
 # partial JSON snapshot.
 {
   # shellcheck disable=SC2046
-  go test -run '^$' -bench "$PATTERN" -benchtime "$TIME" -benchmem $(profile_flags main) .
+  go test -run '^$' -bench "$PATTERN" -benchtime "$TIME" -cpu 2 -benchmem $(profile_flags main) .
   if [ -z "${BENCH_PATTERN:-}" ]; then
     # shellcheck disable=SC2046
-    go test -run '^$' -bench 'BenchmarkStreamPipelineMemory$' -benchtime "$STREAM_TIME" -benchmem $(profile_flags stream) .
+    go test -run '^$' -bench 'BenchmarkStreamPipelineMemory$' -benchtime "$STREAM_TIME" -cpu 2 -benchmem $(profile_flags stream) .
   fi
 } > "$raw"
 awk '
