@@ -210,21 +210,20 @@ func readTrace(path string) (*trace.Trace, error) {
 	return decodeTrace(path, data)
 }
 
-// decodeTrace decodes a trace file's bytes: text by extension, XTRP2 or
-// (from older releases) XTRP1 binary by magic, and text again when the
-// bytes carry neither magic.
+// decodeTrace decodes a trace file's bytes: text by extension, XTRP2
+// binary by magic, and text again when the bytes carry no XTRP2 magic.
+// A file in XTRP1, the binary format of older releases, is refused with
+// the way forward instead of failing to parse as text.
 func decodeTrace(path string, data []byte) (*trace.Trace, error) {
 	switch {
+	case bytes.HasPrefix(data, []byte("XTRP1")):
+		return nil, fmt.Errorf("%s is an XTRP1 trace, a format this build no longer reads: re-record it with `extrap run`, or convert it with `extrap export -format binary` on an older build", path)
 	case filepath.Ext(path) == ".txt":
 		return trace.ReadText(bytes.NewReader(data))
 	case trace.IsXTRP2(data):
 		return trace.ReadBinary2(data)
 	}
-	tr, err := trace.ReadBinary(data)
-	if err == trace.ErrBadMagic {
-		return trace.ReadText(bytes.NewReader(data))
-	}
-	return tr, err
+	return trace.ReadText(bytes.NewReader(data))
 }
 
 // printPrediction renders simulate's report for one prediction. The
@@ -244,7 +243,7 @@ func printPrediction(out io.Writer, env machine.Env, res *sim.Result, ideal vtim
 // pipeline once per config. An XTRP2 file is compiled once, as the
 // server compiles its cached bytes, and each config replays a fresh
 // cursor over it, so the simulation can fast-forward steady loop
-// iterations. XTRP1 and text traces are read whole and streamed.
+// iterations. A text trace is read whole and streamed.
 func extrapolateFile(path string, cfgs ...sim.Config) ([]*core.Prediction, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -330,11 +330,10 @@ mips          predicted       vs first
 	}
 }
 
-// TestXTRP1FilesReadLikeXTRP2: the CLI still reads XTRP1 files from
-// older releases. One measured trace written in both formats prints
-// byte-identical stats, translate and simulate reports, although
-// simulate compiles and fast-forwards only the XTRP2 file.
-func TestXTRP1FilesReadLikeXTRP2(t *testing.T) {
+// TestTextFilesReadLikeXTRP2: one measured trace written as text and
+// as XTRP2 prints byte-identical stats, translate and simulate reports,
+// although simulate compiles and fast-forwards only the XTRP2 file.
+func TestTextFilesReadLikeXTRP2(t *testing.T) {
 	b, err := benchmarks.ByName("grid")
 	if err != nil {
 		t.Fatal(err)
@@ -344,8 +343,8 @@ func TestXTRP1FilesReadLikeXTRP2(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	paths := [2]string{filepath.Join(dir, "g1.xtrp"), filepath.Join(dir, "g2.xtrp")}
-	for i, write := range []func(io.Writer, *trace.Trace) error{trace.WriteBinary, trace.WriteBinary2} {
+	paths := [2]string{filepath.Join(dir, "g.txt"), filepath.Join(dir, "g.xtrp")}
+	for i, write := range []func(io.Writer, *trace.Trace) error{trace.WriteText, trace.WriteBinary2} {
 		var buf bytes.Buffer
 		if err := write(&buf, tr); err != nil {
 			t.Fatal(err)
@@ -363,10 +362,38 @@ func TestXTRP1FilesReadLikeXTRP2(t *testing.T) {
 			ffwds[i] = sim.ReadReplayCounters().FastForwards - before
 		}
 		if out[0] != out[1] {
-			t.Errorf("%v: XTRP1 file prints\n%s\nXTRP2 file prints\n%s", cmd, out[0], out[1])
+			t.Errorf("%v: text file prints\n%s\nXTRP2 file prints\n%s", cmd, out[0], out[1])
 		}
 		if cmd[0] == "simulate" && (ffwds[0] != 0 || ffwds[1] == 0) {
-			t.Errorf("simulate fast-forwarded %d times on the XTRP1 file and %d on the XTRP2 file, want none and some", ffwds[0], ffwds[1])
+			t.Errorf("simulate fast-forwarded %d times on the text file and %d on the XTRP2 file, want none and some", ffwds[0], ffwds[1])
+		}
+	}
+}
+
+// TestXTRP1FilesRefused: a file in XTRP1, the binary format of older
+// releases, is refused by every command that reads a trace, with an
+// error naming the format and the way forward, not parsed as text.
+func TestXTRP1FilesRefused(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "old.xtrp")
+	// magic, 4 threads, no overhead, no phases, no events.
+	if err := os.WriteFile(path, []byte("XTRP1\x04"+strings.Repeat("\x00", 23)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := path + " is an XTRP1 trace, a format this build no longer reads: re-record it with `extrap run`, or convert it with `extrap export -format binary` on an older build"
+	for _, cmd := range [][]string{
+		{"stats"},
+		{"translate"},
+		{"simulate", "-env", "cm5"},
+		{"profile"},
+		{"profile", "-env", "cm5"},
+		{"timeline", "-o", filepath.Join(dir, "tl.svg")},
+		{"sweep"},
+		{"export", "-o", filepath.Join(dir, "out.sddf")},
+	} {
+		err := dispatch(cmd[0], append([]string{"-i", path}, cmd[1:]...), io.Discard)
+		if err == nil || err.Error() != want {
+			t.Errorf("%v: err = %v, want %q", cmd, err, want)
 		}
 	}
 }

@@ -35,32 +35,29 @@ func measureDefaultSize(t *testing.T, name string) *trace.Trace {
 	return tr
 }
 
-// encodeBoth returns the XTRP1 and XTRP2 encodings of one trace.
-func encodeBoth(t *testing.T, tr *trace.Trace) (enc1, enc2 []byte) {
+// encode2 returns the XTRP2 encoding of one trace.
+func encode2(t *testing.T, tr *trace.Trace) []byte {
 	t.Helper()
-	var b1, b2 bytes.Buffer
-	if err := trace.WriteBinary(&b1, tr); err != nil {
+	var buf bytes.Buffer
+	if err := trace.WriteBinary2(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.WriteBinary2(&b2, tr); err != nil {
-		t.Fatal(err)
-	}
-	return b1.Bytes(), b2.Bytes()
+	return buf.Bytes()
 }
 
 // TestXTRP2CompressionOnBenchmarks pins the headline compression target
 // on real measurement traces: the iterative kernels encode at least 5×
-// smaller under XTRP2 than under flat XTRP1 (in practice 9–15×, but the
-// floor asserted here is what the docs promise). The decoded events
-// must also match exactly — compression that loses information would
-// pass a pure size check.
+// smaller under XTRP2 than their flat fixed-record size,
+// trace.EncodedSize (in practice 9–15×, but the floor asserted here is
+// what the docs promise). The decoded events must also match exactly —
+// compression that loses information would pass a pure size check.
 func TestXTRP2CompressionOnBenchmarks(t *testing.T) {
 	for _, name := range []string{"mgrid", "embar", "grid"} {
 		tr := measureDefaultSize(t, name)
-		enc1, enc2 := encodeBoth(t, tr)
-		ratio := float64(len(enc1)) / float64(len(enc2))
-		t.Logf("%s: %d events, xtrp1=%d B, xtrp2=%d B, ratio=%.2f",
-			name, len(tr.Events), len(enc1), len(enc2), ratio)
+		flat, enc2 := trace.EncodedSize(tr.Header(), len(tr.Events)), encode2(t, tr)
+		ratio := float64(flat) / float64(len(enc2))
+		t.Logf("%s: %d events, flat=%d B, xtrp2=%d B, ratio=%.2f",
+			name, len(tr.Events), flat, len(enc2), ratio)
 		if ratio < 5 {
 			t.Errorf("%s: compression ratio %.2f, want ≥ 5", name, ratio)
 		}
@@ -77,8 +74,8 @@ func TestXTRP2CompressionOnBenchmarks(t *testing.T) {
 // TestPredictionsByteIdenticalAcrossFormats asserts the compaction
 // contract end to end: for every combination of kernel, machine model,
 // and barrier algorithm tried, the streaming prediction from XTRP2
-// bytes equals — field for field — the prediction the CLI makes from an
-// XTRP1 file (read whole, then streamed from memory) and the in-memory
+// bytes equals — field for field — the prediction the CLI makes from a
+// text file (read whole, then streamed from memory) and the in-memory
 // pipeline's.
 func TestPredictionsByteIdenticalAcrossFormats(t *testing.T) {
 	machines := []sim.Config{
@@ -89,7 +86,11 @@ func TestPredictionsByteIdenticalAcrossFormats(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range []string{"mgrid", "embar", "cyclic"} {
 		tr := measureDefaultSize(t, name)
-		enc1, enc2 := encodeBoth(t, tr)
+		enc2 := encode2(t, tr)
+		var text bytes.Buffer
+		if err := trace.WriteText(&text, tr); err != nil {
+			t.Fatal(err)
+		}
 		var cfgs []sim.Config
 		for _, m := range machines {
 			for _, alg := range barriers {
@@ -98,21 +99,21 @@ func TestPredictionsByteIdenticalAcrossFormats(t *testing.T) {
 				cfgs = append(cfgs, cfg)
 			}
 		}
-		tr1, err := trace.ReadBinary(enc1)
+		tr1, err := trace.ReadText(&text)
 		if err != nil {
-			t.Fatalf("%s: decoding XTRP1: %v", name, err)
+			t.Fatalf("%s: decoding text: %v", name, err)
 		}
 		for i, cfg := range cfgs {
 			p1, err := core.ExtrapolateReader(ctx, tr1.Header(), tr1.Reader(), cfg)
 			if err != nil {
-				t.Fatalf("%s cfg %d: xtrp1 stream: %v", name, i, err)
+				t.Fatalf("%s cfg %d: text stream: %v", name, i, err)
 			}
 			p2, err := core.ExtrapolateEncoded(ctx, enc2, cfg)
 			if err != nil {
 				t.Fatalf("%s cfg %d: xtrp2 stream: %v", name, i, err)
 			}
 			if !reflect.DeepEqual(p1, p2) {
-				t.Errorf("%s cfg %d: XTRP1 and XTRP2 streaming predictions differ:\n%+v\nvs\n%+v", name, i, p1, p2)
+				t.Errorf("%s cfg %d: text and XTRP2 streaming predictions differ:\n%+v\nvs\n%+v", name, i, p1, p2)
 			}
 			pt, res, err := inMemory(tr, cfg)
 			if err != nil {

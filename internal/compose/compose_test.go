@@ -148,10 +148,10 @@ func TestLoweredProgramsMeasureDeterministically(t *testing.T) {
 		a := measure(t, w, sz, threads)
 		b := measure(t, w, sz, threads)
 		var ab, bb bytes.Buffer
-		if err := trace.WriteBinary(&ab, a); err != nil {
+		if err := trace.WriteBinary2(&ab, a); err != nil {
 			t.Fatal(err)
 		}
-		if err := trace.WriteBinary(&bb, b); err != nil {
+		if err := trace.WriteBinary2(&bb, b); err != nil {
 			t.Fatal(err)
 		}
 		if ab.String() != bb.String() {

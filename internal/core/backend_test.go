@@ -13,8 +13,8 @@ import (
 
 // fakeBackend is an in-memory TraceBackend recording its traffic, so
 // tests can assert exactly when the durable tier is consulted and what
-// is written through. Like the real store, it keys each trace format
-// separately via CanonicalFormat.
+// is written through. Like the real store, it addresses traces by
+// CanonicalFormat.
 type fakeBackend struct {
 	mu   sync.Mutex
 	data map[string][]byte
@@ -42,13 +42,13 @@ func (b *fakeBackend) PutTrace(key CacheKey, format trace.Format, enc []byte) {
 }
 
 func (b *fakeBackend) stored(key CacheKey) ([]byte, bool) {
-	return b.storedFormat(key, trace.FormatXTRP2)
+	return b.storedAt(key.CanonicalFormat(trace.FormatXTRP2))
 }
 
-func (b *fakeBackend) storedFormat(key CacheKey, format trace.Format) ([]byte, bool) {
+func (b *fakeBackend) storedAt(canonical string) ([]byte, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	enc, ok := b.data[key.CanonicalFormat(format)]
+	enc, ok := b.data[canonical]
 	return enc, ok
 }
 
@@ -59,15 +59,6 @@ func (b *fakeBackend) counts() (gets, puts int) {
 }
 
 func encodeTrace(t *testing.T, tr *trace.Trace) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := trace.WriteBinary(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func encodeTrace2(t *testing.T, tr *trace.Trace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := trace.WriteBinary2(&buf, tr); err != nil {
@@ -227,7 +218,7 @@ func TestBackendWriteThrough(t *testing.T) {
 	if !ok {
 		t.Fatal("fresh measurement was not written through to the backend")
 	}
-	if want := encodeTrace2(t, tr); !bytes.Equal(enc, want) {
+	if want := encodeTrace(t, tr); !bytes.Equal(enc, want) {
 		t.Error("backend bytes differ from the trace's own XTRP2 encoding")
 	}
 	if _, err := trace.ReadBinary2(enc); err != nil {
@@ -277,7 +268,7 @@ func TestBackendServesColdCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(enc, encodeTrace2(t, warmTr)) {
+	if !bytes.Equal(enc, encodeTrace(t, warmTr)) {
 		t.Error("encoded-mode backend hit returned different bytes")
 	}
 }
@@ -322,10 +313,10 @@ func TestEncodedWriteThroughAndBudget(t *testing.T) {
 }
 
 // TestXTRP2CacheFormat: the cache writes XTRP2 artifacts under the v2
-// key and serves them back to a cold cache. A store's pre-migration
-// XTRP1 artifact is never read: its measurement is re-run, with the
-// same trace, and written through under the v2 key, in both cache
-// modes.
+// key and serves them back to a cold cache. An artifact a store wrote
+// before XTRP2, at the trace/v1 address, is never read: its
+// measurement is re-run, with the same trace, and written through under
+// the v2 key, in both cache modes.
 func TestXTRP2CacheFormat(t *testing.T) {
 	b := newFakeBackend()
 	warm := NewEncodedTraceCache(4, 0)
@@ -341,10 +332,10 @@ func TestXTRP2CacheFormat(t *testing.T) {
 	if _, err := trace.CompileBinary(enc); err != nil {
 		t.Fatalf("cache served non-XTRP2 bytes: %v", err)
 	}
-	if _, ok := b.storedFormat(key, trace.FormatXTRP2); !ok {
+	if _, ok := b.stored(key); !ok {
 		t.Fatal("fresh XTRP2 encoding was not written through under the v2 key")
 	}
-	if _, ok := b.storedFormat(key, trace.FormatXTRP1); ok {
+	if _, ok := b.storedAt(key.Canonical()); ok {
 		t.Fatal("cache wrote an artifact under the v1 key")
 	}
 	cs := warm.Compression()
@@ -365,16 +356,16 @@ func TestXTRP2CacheFormat(t *testing.T) {
 		t.Fatal("cold v2 hit returned different bytes")
 	}
 
-	// A store holding only the XTRP1 artifact (written before the format
-	// migration): both cache modes miss, re-measure once, and write the
-	// same trace through as XTRP2.
+	// A store holding only an artifact at the v1 address (written before
+	// XTRP2): both cache modes miss, re-measure once, and write the same
+	// trace through as XTRP2.
 	tr, err := measure()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, encoded := range []bool{true, false} {
 		old := newFakeBackend()
-		old.PutTrace(key, trace.FormatXTRP1, encodeTrace(t, tr))
+		old.data[key.Canonical()] = []byte("pre-XTRP2 artifact")
 		c := NewTraceCache()
 		if encoded {
 			c = NewEncodedTraceCache(4, 0)
@@ -398,7 +389,7 @@ func TestXTRP2CacheFormat(t *testing.T) {
 		if !bytes.Equal(encodeTrace(t, got), encodeTrace(t, tr)) {
 			t.Errorf("encoded=%v: re-measured trace differs from the pre-migration one", encoded)
 		}
-		if v2, ok := old.stored(key); !ok || !bytes.Equal(v2, encodeTrace2(t, tr)) {
+		if v2, ok := old.stored(key); !ok || !bytes.Equal(v2, encodeTrace(t, tr)) {
 			t.Errorf("encoded=%v: re-measured trace not written through under the v2 key", encoded)
 		}
 	}

@@ -48,19 +48,16 @@ func (k CacheKey) Canonical() string {
 	return k.canonicalTrace("trace/v1")
 }
 
-// CanonicalFormat returns the canonical encoding of the measurement key
-// for a given trace encoding. The fields are identical to Canonical's;
-// only the version prefix differs ("trace/v1" addresses XTRP1 bytes,
-// "trace/v2" XTRP2 bytes), so the two encodings of one measurement
-// coexist in a store without colliding. Prediction keys ("pred/v1") are
-// built from the XTRP1-era Canonical regardless of trace format: a
-// prediction is a function of the measurement, not of how its trace was
-// serialized.
-func (k CacheKey) CanonicalFormat(f trace.Format) string {
-	if f == trace.FormatXTRP2 {
-		return k.canonicalTrace("trace/v2")
-	}
-	return k.canonicalTrace("trace/v1")
+// CanonicalFormat returns the canonical encoding under which a store
+// addresses the measurement's XTRP2 bytes, the only trace encoding. The
+// fields are identical to Canonical's; only the version prefix differs
+// ("trace/v2"), so no artifact a store holds under a "trace/v1" address
+// is ever read as XTRP2. Prediction keys ("pred/v1") are built from
+// Canonical: a prediction is a function of the measurement, not of how
+// its trace was serialized. Every caller passes trace.FormatXTRP2; the
+// parameter stays until the benchmark harness stops passing it.
+func (k CacheKey) CanonicalFormat(trace.Format) string {
+	return k.canonicalTrace("trace/v2")
 }
 
 func (k CacheKey) canonicalTrace(prefix string) string {

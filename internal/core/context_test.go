@@ -28,7 +28,7 @@ func TestCancelledContextStopsEachStage(t *testing.T) {
 	if _, err := ExtrapolateReader(ctx, tr.Header(), tr.Reader(), freeConfig()); !errors.Is(err, context.Canceled) {
 		t.Errorf("ExtrapolateReader error = %v, want context.Canceled", err)
 	}
-	enc := encodeTrace2(t, tr)
+	enc := encodeTrace(t, tr)
 	if _, err := ExtrapolateEncoded(ctx, enc, freeConfig()); !errors.Is(err, context.Canceled) {
 		t.Errorf("ExtrapolateEncoded error = %v, want context.Canceled", err)
 	}

@@ -91,7 +91,7 @@ func TestRefusedBackendArtifactIsAMiss(t *testing.T) {
 			} else {
 				var tr *trace.Trace
 				if tr, err = c.Measure(key, measure); err == nil {
-					got = encodeTrace2(t, tr)
+					got = encodeTrace(t, tr)
 				}
 			}
 			name := fmt.Sprintf("%s, encoded=%v", h.name, encoded)

@@ -62,11 +62,10 @@ type lruNode struct {
 // memory cache does not hold are looked up here as XTRP2 bytes, once per
 // miss, before being re-measured, and fresh measurements are written
 // through as XTRP2. internal/store implements it with a
-// content-addressed on-disk store, keying each format separately
-// (CacheKey.CanonicalFormat). The cache reads and writes only
-// trace.FormatXTRP2: an XTRP1 artifact left by a store written before
-// the XTRP2 migration is never looked up, so its key misses, is
-// re-measured (measurement is deterministic) and is stored as XTRP2.
+// content-addressed on-disk store, addressing each trace under
+// CacheKey.CanonicalFormat. An artifact a store wrote under an older
+// address (CacheKey.Canonical) is never looked up, so its key misses,
+// is re-measured (measurement is deterministic) and is stored as XTRP2.
 //
 // Both methods must be safe for concurrent use. GetTrace returns
 // (payload, true) only for bytes it can vouch for (the store verifies
@@ -109,9 +108,9 @@ type TraceCache struct {
 	backend TraceBackend
 	lookups atomic.Int64
 	misses  atomic.Int64
-	// Compression accounting across fresh encodes: rawBytes is what the
-	// flat XTRP1 encoding would have cost, encBytes what XTRP2 actually
-	// cost.
+	// Compression accounting across fresh encodes: rawBytes is the flat
+	// fixed-record baseline (trace.EncodedSize), encBytes what XTRP2
+	// actually cost.
 	rawBytes atomic.Int64
 	encBytes atomic.Int64
 }
@@ -145,8 +144,9 @@ func NewBoundedTraceCache(maxEntries int) *TraceCache {
 func (c *TraceCache) SetBackend(b TraceBackend) { c.backend = b }
 
 // CompressionStats reports the cache's encoding economics across fresh
-// measurements: RawBytes is what the flat 37-byte-per-event XTRP1
-// encoding would occupy, EncodedBytes what XTRP2 actually produced.
+// measurements: RawBytes is the flat fixed-record baseline of 37 bytes
+// per event (trace.EncodedSize), EncodedBytes what XTRP2 actually
+// produced.
 // Backend hits are excluded (their raw size is unknown without a
 // decode).
 type CompressionStats struct {

@@ -51,10 +51,10 @@ func TestExtrapolateReaderMatchesInMemory(t *testing.T) {
 		t.Errorf("Ideal = %v, want %v", got.Ideal, pt.Duration())
 	}
 	var wantTrace, gotTrace bytes.Buffer
-	if err := trace.WriteBinary(&wantTrace, want.Trace); err != nil {
+	if err := trace.WriteBinary2(&wantTrace, want.Trace); err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.WriteBinary(&gotTrace, got.Result.Trace); err != nil {
+	if err := trace.WriteBinary2(&gotTrace, got.Result.Trace); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(wantTrace.Bytes(), gotTrace.Bytes()) {
@@ -79,7 +79,7 @@ func TestExtrapolateEncodedMatches(t *testing.T) {
 	if err := trace.WriteBinary2(&enc, tr); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExtrapolateEncoded(context.Background(), encodeTrace(t, tr), freeConfig()); err != trace.ErrBadMagic {
+	if _, err := ExtrapolateEncoded(context.Background(), append([]byte("XTRP1"), enc.Bytes()[5:]...), freeConfig()); err != trace.ErrBadMagic {
 		t.Fatalf("XTRP1 bytes: err = %v, want trace.ErrBadMagic", err)
 	}
 	_, want := inMemory(t, tr, freeConfig())
@@ -167,7 +167,7 @@ func TestSharedCacheHitPurity(t *testing.T) {
 		t.Fatal(err)
 	}
 	var before bytes.Buffer
-	if err := trace.WriteBinary(&before, tr); err != nil {
+	if err := trace.WriteBinary2(&before, tr); err != nil {
 		t.Fatal(err)
 	}
 
@@ -197,7 +197,7 @@ func TestSharedCacheHitPurity(t *testing.T) {
 		t.Fatal(err)
 	}
 	var afterBuf bytes.Buffer
-	if err := trace.WriteBinary(&afterBuf, after); err != nil {
+	if err := trace.WriteBinary2(&afterBuf, after); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(before.Bytes(), afterBuf.Bytes()) {

@@ -6,9 +6,10 @@
 // execution times with a deliberately different structure — epoch-based
 // processing, a dissemination-style barrier cost, a load-dependent latency
 // model, and deterministic run-to-run jitter — so that comparing the two
-// (Figure 9) genuinely tests whether extrapolation reproduces the ranking
-// and shape an independent "machine" produces, rather than comparing a
-// model against itself.
+// (Figure 9) tests whether extrapolation reproduces the ranking and shape
+// a differently built "machine" produces. Both sides time the same
+// translation of the measured trace (translate.Translate) and share
+// nothing after it, so a translation fault reaches both.
 //
 // Substitution note (also recorded in DESIGN.md): the paper validated
 // against real CM-5 runs; no CM-5 exists here, so the closest faithful

@@ -55,8 +55,9 @@ func (s *Service) CacheStats() (hits, misses int64) { return s.cache.Stats() }
 // without a backend.
 func (s *Service) SetBackend(b core.TraceBackend) { s.cache.SetBackend(b) }
 
-// CompressionStats reports the raw (XTRP1-equivalent) and actual
-// encoded bytes of measurements the cache has encoded so far.
+// CompressionStats reports the raw (flat fixed-record, see
+// trace.EncodedSize) and actual encoded bytes of measurements the cache
+// has encoded so far.
 func (s *Service) CompressionStats() core.CompressionStats { return s.cache.Compression() }
 
 // Workers reports the sweep fan-out bound the Service was built with

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"io"
@@ -18,7 +17,6 @@ import (
 	"extrap/internal/experiments"
 	"extrap/internal/pcxx"
 	"extrap/internal/store"
-	"extrap/internal/trace"
 )
 
 // del sends a DELETE and returns status and body.
@@ -259,10 +257,10 @@ func TestResumedJobRevalidatesCeilings(t *testing.T) {
 	}
 }
 
-// seedXTRP1Store writes flat XTRP1 measurement artifacts for grid
-// (size 16, 4 iterations) at each thread count into the store at dir,
-// under the pre-migration trace/v1 keys — the shape of a store written
-// before the cache moved to XTRP2.
+// seedXTRP1Store writes opaque artifacts for grid (size 16, 4
+// iterations) at each thread count into the store at dir, under the
+// trace/v1 keys where a store written before the cache moved to XTRP2
+// kept its XTRP1 traces.
 func seedXTRP1Store(t *testing.T, dir string, threads ...int) {
 	t.Helper()
 	st, err := store.Open(dir, 0)
@@ -278,15 +276,9 @@ func seedXTRP1Store(t *testing.T, dir string, threads ...int) {
 	sz.N, sz.Iters, sz.Verify = 16, 4, false
 	mopts := core.MeasureOptions{SizeMode: pcxx.ActualSize}
 	for _, n := range threads {
-		tr, err := core.Measure(b.Factory(sz)(n), mopts)
-		if err != nil {
+		if err := st.Put(experiments.MeasurementKey(b.Name(), sz, n, mopts).Canonical(), []byte("pre-XTRP2 artifact")); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := trace.WriteBinary(&buf, tr); err != nil {
-			t.Fatal(err)
-		}
-		st.PutTrace(experiments.MeasurementKey(b.Name(), sz, n, mopts), trace.FormatXTRP1, buf.Bytes())
 	}
 }
 

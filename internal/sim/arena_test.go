@@ -113,10 +113,10 @@ func assertSameResult(t *testing.T, label string, want, got *Result) {
 			}
 		}
 		var wantBuf, gotBuf bytes.Buffer
-		if err := trace.WriteBinary(&wantBuf, want.Trace); err != nil {
+		if err := trace.WriteBinary2(&wantBuf, want.Trace); err != nil {
 			t.Fatal(err)
 		}
-		if err := trace.WriteBinary(&gotBuf, got.Trace); err != nil {
+		if err := trace.WriteBinary2(&gotBuf, got.Trace); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(wantBuf.Bytes(), gotBuf.Bytes()) {

@@ -100,7 +100,6 @@ func goldenKeys() []struct {
 		{"trace-full", fullKey.Canonical()},
 		{"trace-v2-basic", basicKey.CanonicalFormat(trace.FormatXTRP2)},
 		{"trace-v2-full", fullKey.CanonicalFormat(trace.FormatXTRP2)},
-		{"trace-v1-via-format", basicKey.CanonicalFormat(trace.FormatXTRP1)},
 		{"cfg-zero", core.CanonicalConfig(sim.Config{})},
 		{"cfg-default", core.CanonicalConfig(defCfg)},
 		{"cfg-full", core.CanonicalConfig(fullCfg)},

@@ -13,15 +13,16 @@
 // every input that determines the artifact. The canonical encodings are
 // version-locked in internal/core:
 //
-//   - "trace/v1|bench=…|n=…|iters=…|verify=…|threads=…|flop=…|…|seed=…"
-//     (core.CacheKey.Canonical) addresses one deterministic measurement
-//     run — program identity, size parameters, thread count, and the
-//     full measurement options.
+//   - "trace/v2|bench=…|n=…|iters=…|verify=…|threads=…|flop=…|…|seed=…"
+//     (core.CacheKey.CanonicalFormat) addresses the XTRP2 trace of one
+//     deterministic measurement run — program identity, size
+//     parameters, thread count, and the full measurement options.
 //   - "cfg/v1|procs=…|mips=…|policy=…|comm=…|barrier=…|…"
 //     (core.CanonicalConfig) encodes one simulation configuration.
 //   - "pred/v1|<trace/v1…>|<cfg/v1…>" (core.CanonicalPrediction)
 //     addresses one prediction: a pure function of (measurement,
-//     configuration).
+//     configuration). Its trace/v1 part (core.CacheKey.Canonical)
+//     spells the same fields as trace/v2.
 //
 // Because measurement and simulation are seeded and deterministic,
 // equal canonical strings imply byte-identical artifacts; the store
@@ -336,11 +337,9 @@ func (s *Store) Put(key string, payload []byte) error {
 }
 
 // GetTrace and PutTrace adapt the store to core.TraceBackend, so a
-// *Store plugs directly behind a TraceCache. Each trace format is
-// addressed under its own key prefix (trace/v1 vs trace/v2), so both
-// encodings of one measurement can coexist in a store directory. The
-// cache reads and writes only XTRP2, so the XTRP1 artifacts of a store
-// written before that migration are never read and age out through
+// *Store plugs directly behind a TraceCache. Traces are addressed under
+// CacheKey.CanonicalFormat (trace/v2), so the artifacts a store written
+// before XTRP2 holds under trace/v1 are never read and age out through
 // eviction.
 func (s *Store) GetTrace(key core.CacheKey, format trace.Format) ([]byte, bool) {
 	return s.Get(key.CanonicalFormat(format))

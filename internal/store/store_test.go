@@ -275,29 +275,27 @@ func TestWarmStartSurvivesCorruptIndex(t *testing.T) {
 }
 
 // TestTraceBackendAdapter: Store satisfies core.TraceBackend and round
-// trips through the CacheKey canonical encoding, with each trace format
-// addressed under its own key.
+// trips through the CacheKey canonical encoding. An artifact at the
+// trace/v1 address, where a store written before XTRP2 kept its traces,
+// is never read as a trace.
 func TestTraceBackendAdapter(t *testing.T) {
 	s, _ := openTemp(t, 0)
 	var backend core.TraceBackend = s
 	key := core.CacheKey{Bench: "adapter", N: 4, Iters: 2, Threads: 8}
-	enc := []byte("pretend-xtrp1-bytes")
-	backend.PutTrace(key, trace.FormatXTRP1, enc)
-	got, ok := backend.GetTrace(key, trace.FormatXTRP1)
-	if !ok || !bytes.Equal(got, enc) {
-		t.Fatal("TraceBackend adapter did not round trip")
-	}
-	if _, ok := backend.GetTrace(core.CacheKey{Bench: "adapter", N: 5, Iters: 2, Threads: 8}, trace.FormatXTRP1); ok {
-		t.Fatal("distinct key hit the same artifact")
+	if err := s.Put(key.Canonical(), []byte("pre-XTRP2 artifact")); err != nil {
+		t.Fatal(err)
 	}
 	if _, ok := backend.GetTrace(key, trace.FormatXTRP2); ok {
-		t.Fatal("XTRP2 key hit the XTRP1 artifact")
+		t.Fatal("XTRP2 key hit the trace/v1 artifact")
 	}
 	enc2 := []byte("pretend-xtrp2-bytes")
 	backend.PutTrace(key, trace.FormatXTRP2, enc2)
 	got2, ok := backend.GetTrace(key, trace.FormatXTRP2)
 	if !ok || !bytes.Equal(got2, enc2) {
-		t.Fatal("XTRP2 artifact did not round trip beside the XTRP1 one")
+		t.Fatal("TraceBackend adapter did not round trip")
+	}
+	if _, ok := backend.GetTrace(core.CacheKey{Bench: "adapter", N: 5, Iters: 2, Threads: 8}, trace.FormatXTRP2); ok {
+		t.Fatal("distinct key hit the same artifact")
 	}
 
 	// Size reads the index without touching disk or recency, and reports

@@ -13,57 +13,15 @@ import (
 	"extrap/internal/vtime"
 )
 
-// XTRP1, the flat binary trace format (all integers little-endian):
-//
-//	magic   [5]byte  "XTRP1"
-//	threads uint32
-//	ovh     int64    per-event instrumentation overhead (ns)
-//	nphase  uint32
-//	phases  nphase × (uint16 length, bytes)
-//	nevents uint64
-//	events  nevents × (int64 time, uint8 kind, int32 thread,
-//	                   int64 arg0, int64 arg1, int64 arg2)
-//
-// XTRP2 (codec2.go) replaced it on every production path. ReadBinary
-// stays so the CLI can read old trace files, and WriteBinary writes test
-// fixtures.
-
-var binaryMagic = [5]byte{'X', 'T', 'R', 'P', '1'}
-
-// eventRecSize is the wire size of one event record.
-const eventRecSize = 37
-
-// appendEvent appends e's eventRecSize-byte record to b.
-func appendEvent(b []byte, e *Event) []byte {
-	b = binary.LittleEndian.AppendUint64(b, uint64(e.Time))
-	b = append(b, byte(e.Kind))
-	b = binary.LittleEndian.AppendUint32(b, uint32(e.Thread))
-	b = binary.LittleEndian.AppendUint64(b, uint64(e.Arg0))
-	b = binary.LittleEndian.AppendUint64(b, uint64(e.Arg1))
-	return binary.LittleEndian.AppendUint64(b, uint64(e.Arg2))
-}
-
-// getEvent decodes one event record from b.
-func getEvent(b []byte) Event {
-	return Event{
-		Time:   intToTime(binary.LittleEndian.Uint64(b[0:8])),
-		Kind:   Kind(b[8]),
-		Thread: int32(binary.LittleEndian.Uint32(b[9:13])),
-		Arg0:   int64(binary.LittleEndian.Uint64(b[13:21])),
-		Arg1:   int64(binary.LittleEndian.Uint64(b[21:29])),
-		Arg2:   int64(binary.LittleEndian.Uint64(b[29:37])),
-	}
-}
-
 // errors returned by the codecs.
 var (
 	ErrBadMagic = errors.New("trace: bad magic (not an XTRP binary trace)")
 )
 
-// Hardening limits shared by both binary formats. Every header field is
-// attacker-controlled until proven otherwise, so nothing may allocate
-// proportionally to a header count before the corresponding bytes have
-// actually been read.
+// Hardening limits on trace metadata, shared by the binary and text
+// decoders. Every header field is attacker-controlled until proven
+// otherwise, so nothing may allocate proportionally to a header count
+// before the corresponding bytes have actually been read.
 const (
 	// MaxThreads bounds the declared thread count. Thread ids are dense
 	// per-thread state everywhere downstream (translation, simulation),
@@ -92,10 +50,14 @@ const MaxTraceEvents = (1 << 29) / int64(unsafe.Sizeof(Event{}))
 // payload-too-large response.
 var ErrTraceTooLarge = errors.New("trace: measured trace too large")
 
-// EncodedSize returns the exact number of bytes the XTRP1 encoding of a
-// trace with this header and event count occupies — the flat baseline
-// compression is measured against, cheap enough to run before encoding
-// anything.
+// eventRecSize is the size of one flat fixed-width event record: an
+// int64 time, a kind byte, an int32 thread and three int64 args.
+const eventRecSize = 37
+
+// EncodedSize returns the flat fixed-record baseline that compression
+// is measured against: the binary trace header (what WriteBinary2
+// writes up to its pattern count) plus eventRecSize bytes per event. It
+// is cheap enough to run before encoding anything.
 func EncodedSize(hdr Header, nevents int) int64 {
 	n := int64(5 + 16 + 8) // magic + fixed header + event count
 	for _, p := range hdr.Phases {
@@ -104,17 +66,17 @@ func EncodedSize(hdr Header, nevents int) int64 {
 	return n + int64(nevents)*eventRecSize
 }
 
-// appendHeader appends the header both binary formats share — magic,
-// thread count, overhead, phase table and event count — refusing
-// metadata the decoders' caps would refuse.
-func appendHeader(b []byte, magic [5]byte, hdr Header, nevents int) ([]byte, error) {
+// appendHeader appends the XTRP2 header — magic, thread count,
+// overhead, phase table and event count — refusing metadata the
+// decoder's caps would refuse.
+func appendHeader(b []byte, hdr Header, nevents int) ([]byte, error) {
 	if hdr.NumThreads < 0 || hdr.NumThreads > MaxThreads {
 		return nil, fmt.Errorf("trace: thread count %d out of range [0,%d]", hdr.NumThreads, MaxThreads)
 	}
 	if len(hdr.Phases) > MaxPhases {
 		return nil, fmt.Errorf("trace: phase count %d exceeds %d", len(hdr.Phases), MaxPhases)
 	}
-	b = append(b, magic[:]...)
+	b = append(b, binary2Magic[:]...)
 	b = binary.LittleEndian.AppendUint32(b, uint32(hdr.NumThreads))
 	b = binary.LittleEndian.AppendUint64(b, uint64(hdr.EventOverhead))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(hdr.Phases)))
@@ -130,48 +92,6 @@ func appendHeader(b []byte, magic [5]byte, hdr Header, nevents int) ([]byte, err
 		b = append(b, p...)
 	}
 	return binary.LittleEndian.AppendUint64(b, uint64(nevents)), nil
-}
-
-// WriteBinary encodes the trace to w in the XTRP1 format.
-func WriteBinary(w io.Writer, t *Trace) error {
-	hdr := t.Header()
-	b, err := appendHeader(make([]byte, 0, EncodedSize(hdr, len(t.Events))), binaryMagic, hdr, len(t.Events))
-	if err != nil {
-		return err
-	}
-	for i := range t.Events {
-		b = appendEvent(b, &t.Events[i])
-	}
-	_, err = w.Write(b)
-	return err
-}
-
-// ReadBinary decodes a whole XTRP1 trace from enc. Every record is
-// validated: its kind must be defined and its thread id must lie in
-// [0, NumThreads). The event slice is allocated only once the records
-// it holds are known to be present, so a forged count costs nothing.
-func ReadBinary(enc []byte) (*Trace, error) {
-	w := &wireReader{b: enc}
-	hdr, declare, err := w.header(binaryMagic)
-	if err != nil {
-		return nil, err
-	}
-	if have := uint64(len(w.b) / eventRecSize); have < declare {
-		return nil, fmt.Errorf("trace: event %d: %w", have, io.ErrUnexpectedEOF)
-	}
-	t := &Trace{NumThreads: hdr.NumThreads, EventOverhead: hdr.EventOverhead, Phases: hdr.Phases}
-	t.Events = make([]Event, declare)
-	for i := range t.Events {
-		e := getEvent(w.b[i*eventRecSize:])
-		if !e.Kind.Valid() {
-			return nil, fmt.Errorf("trace: event %d has invalid kind %d", i, byte(e.Kind))
-		}
-		if e.Thread < 0 || int(e.Thread) >= hdr.NumThreads {
-			return nil, fmt.Errorf("trace: event %d thread %d out of range [0,%d)", i, e.Thread, hdr.NumThreads)
-		}
-		t.Events[i] = e
-	}
-	return t, nil
 }
 
 // Text trace format: a small header followed by one event per line,

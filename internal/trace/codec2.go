@@ -46,9 +46,6 @@ import (
 //	            0x01 uvarint id, uvarint count    (replay pattern id count times)
 //	row       uint8 kind, 5 × zigzag-uvarint (dtime, dthread, darg0..2)
 //
-// The header through nevents is bit-identical to XTRP1's, so the two
-// formats share one header parser and differ only past the event count.
-//
 // Decoding compiles the stream once (CompileBinary: header, pattern
 // table and program parsed and validated up front) and applies the
 // delta state machine in reverse, replaying pattern bodies from
@@ -173,22 +170,15 @@ func ReadCompressionCounters() CompressionCounters {
 	}
 }
 
-// Format identifies a binary trace encoding.
+// Format identifies a binary trace encoding. XTRP2 is the only one.
 type Format uint8
 
-const (
-	// FormatXTRP1 is the flat fixed-record format (37 bytes/event).
-	FormatXTRP1 Format = 1
-	// FormatXTRP2 is the loop-compacted delta format.
-	FormatXTRP2 Format = 2
-)
+// FormatXTRP2 is the loop-compacted delta format.
+const FormatXTRP2 Format = 2
 
 // String returns the canonical lower-case format name.
 func (f Format) String() string {
-	switch f {
-	case FormatXTRP1:
-		return "xtrp1"
-	case FormatXTRP2:
+	if f == FormatXTRP2 {
 		return "xtrp2"
 	}
 	return fmt.Sprintf("format(%d)", uint8(f))
@@ -196,10 +186,7 @@ func (f Format) String() string {
 
 // WriteBinaryFormat encodes the trace to w in the requested format.
 func WriteBinaryFormat(w io.Writer, t *Trace, f Format) error {
-	switch f {
-	case FormatXTRP1:
-		return WriteBinary(w, t)
-	case FormatXTRP2:
+	if f == FormatXTRP2 {
 		return WriteBinary2(w, t)
 	}
 	return fmt.Errorf("trace: unknown format %d", uint8(f))
@@ -625,8 +612,8 @@ func WriteBinary2(w io.Writer, t *Trace) error {
 // compare bytes.
 func writeBinary2(w io.Writer, t *Trace, mine func([]row, patternCaps) ([][]row, []progOp), caps patternCaps) error {
 	hdr := t.Header()
-	// The header is XTRP1's without records, then the pattern count.
-	head, err := appendHeader(make([]byte, 0, EncodedSize(hdr, 0)+4), binary2Magic, hdr, len(t.Events))
+	// The header (EncodedSize of no events), then the pattern count.
+	head, err := appendHeader(make([]byte, 0, EncodedSize(hdr, 0)+4), hdr, len(t.Events))
 	if err != nil {
 		return err
 	}
@@ -742,10 +729,9 @@ const (
 	opRepeat  = 0x01
 )
 
-// wireReader parses binary trace items — the header, uvarints, delta
-// rows, the pattern table and program op headers — from the front of a
-// whole input. It is the one parser of both formats' headers and of
-// XTRP2's body.
+// wireReader parses XTRP2 items — the header, uvarints, delta rows, the
+// pattern table and program op headers — from the front of a whole
+// input. It is the one XTRP2 parser.
 type wireReader struct {
 	b []byte // unread input
 	// slab is the unused tail of the row storage that row runs are
@@ -779,17 +765,17 @@ func (w *wireReader) take(n int) ([]byte, error) {
 	return b, nil
 }
 
-// header parses a binary trace header, from the magic (which must equal
-// magic) through the event count, under the hardening caps, and returns
-// it with the declared event count. A count past MaxTraceEvents is
-// refused here, before anything of the body is parsed.
-func (w *wireReader) header(magic [5]byte) (Header, uint64, error) {
+// header parses the XTRP2 header, from the magic through the event
+// count, under the hardening caps, and returns it with the declared
+// event count. A count past MaxTraceEvents is refused here, before
+// anything of the body is parsed.
+func (w *wireReader) header() (Header, uint64, error) {
 	var hdr Header
-	m, err := w.take(len(magic))
+	m, err := w.take(len(binary2Magic))
 	if err != nil {
 		return hdr, 0, err
 	}
-	if [5]byte(m) != magic {
+	if [5]byte(m) != binary2Magic {
 		return hdr, 0, ErrBadMagic
 	}
 	fixed, err := w.take(16)

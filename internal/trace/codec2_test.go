@@ -151,17 +151,15 @@ func TestXTRP2RoundTripViaStreamDecoder(t *testing.T) {
 }
 
 // TestXTRP2CompresssLoopTraces is the codec-level compression check: a
-// loop-structured trace must shrink at least 5x against its flat XTRP1
-// encoding, and the shrink must come from pattern replay, not luck.
+// loop-structured trace must shrink at least 5x against its flat
+// fixed-record size (EncodedSize), and the shrink must come from pattern
+// replay, not luck.
 func TestXTRP2CompressesLoopTraces(t *testing.T) {
 	tr := makeLoopTrace(16, 500)
-	var enc1 bytes.Buffer
-	if err := WriteBinary(&enc1, tr); err != nil {
-		t.Fatal(err)
-	}
+	flat := EncodedSize(tr.Header(), len(tr.Events))
 	enc2 := encode2(t, tr)
-	if ratio := float64(enc1.Len()) / float64(len(enc2)); ratio < 5 {
-		t.Fatalf("XTRP2 = %d bytes, XTRP1 = %d bytes: ratio %.1fx < 5x", len(enc2), enc1.Len(), ratio)
+	if ratio := float64(flat) / float64(len(enc2)); ratio < 5 {
+		t.Fatalf("XTRP2 = %d bytes, flat = %d bytes: ratio %.1fx < 5x", len(enc2), flat, ratio)
 	}
 
 	d, err := NewPatternSource(enc2)
@@ -187,68 +185,52 @@ func TestXTRP2CompressesLoopTraces(t *testing.T) {
 // beyond the flat record size).
 func TestXTRP2RandomNotLarger(t *testing.T) {
 	tr := makeRandomTrace(2000)
-	var enc1 bytes.Buffer
-	if err := WriteBinary(&enc1, tr); err != nil {
-		t.Fatal(err)
-	}
+	flat := EncodedSize(tr.Header(), len(tr.Events))
 	enc2 := encode2(t, tr)
 	// Worst-case wire rows are ~1 + 5×10 bytes vs 37 flat, but random
 	// args here are small-delta-free; allow 1.5x headroom.
-	if len(enc2) > enc1.Len()*3/2 {
-		t.Fatalf("XTRP2 = %d bytes on random trace, XTRP1 = %d", len(enc2), enc1.Len())
+	if int64(len(enc2)) > flat*3/2 {
+		t.Fatalf("XTRP2 = %d bytes on random trace, flat = %d", len(enc2), flat)
 	}
 }
 
-// TestBinaryReadersCheckMagic: each binary reader decodes its own
-// format and refuses the other's, and any unknown magic, with
-// ErrBadMagic — the CLI relies on that to tell the formats apart.
+// TestBinaryReadersCheckMagic: the binary reader decodes XTRP2 and
+// refuses any other magic, the retired XTRP1's included, with
+// ErrBadMagic.
 func TestBinaryReadersCheckMagic(t *testing.T) {
 	tr := makeBarrierTrace(4, 2)
-	var enc1 bytes.Buffer
-	if err := WriteBinary(&enc1, tr); err != nil {
+	enc2 := encode2(t, tr)
+	got, err := ReadBinary2(enc2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	enc2 := encode2(t, tr)
-	for name, read := range map[string]func([]byte) (*Trace, error){"ReadBinary": ReadBinary, "ReadBinary2": ReadBinary2} {
-		own, other := enc1.Bytes(), enc2
-		if name == "ReadBinary2" {
-			own, other = other, own
-		}
-		got, err := read(own)
-		if err != nil {
-			t.Fatalf("%s on its own format: %v", name, err)
-		}
-		assertSameTrace(t, tr, got)
-		for _, data := range [][]byte{other, []byte("XTRP9????")} {
-			if _, err := read(data); err != ErrBadMagic {
-				t.Fatalf("%s on %q: err = %v, want ErrBadMagic", name, data[:5], err)
-			}
+	assertSameTrace(t, tr, got)
+	xtrp1 := append([]byte("XTRP1"), enc2[5:]...)
+	for _, data := range [][]byte{xtrp1, []byte("XTRP9????")} {
+		if _, err := ReadBinary2(data); err != ErrBadMagic {
+			t.Fatalf("ReadBinary2 on %q: err = %v, want ErrBadMagic", data[:5], err)
 		}
 	}
 }
 
 func TestWriteBinaryFormat(t *testing.T) {
 	tr := makeBarrierTrace(2, 1)
-	for f, name := range map[Format]string{FormatXTRP1: "xtrp1", FormatXTRP2: "xtrp2"} {
-		if f.String() != name {
-			t.Fatalf("%v.String() = %q, want %q", f, f.String(), name)
-		}
-		var buf bytes.Buffer
-		if err := WriteBinaryFormat(&buf, tr, f); err != nil {
-			t.Fatalf("WriteBinaryFormat(%v): %v", f, err)
-		}
-		read := ReadBinary2
-		if f == FormatXTRP1 {
-			read = ReadBinary
-		}
-		got, err := read(buf.Bytes())
-		if err != nil {
-			t.Fatalf("decode %v: %v", f, err)
-		}
-		assertSameTrace(t, tr, got)
+	if got := FormatXTRP2.String(); got != "xtrp2" {
+		t.Fatalf("FormatXTRP2.String() = %q, want %q", got, "xtrp2")
 	}
-	if err := WriteBinaryFormat(io.Discard, tr, Format(9)); err == nil {
-		t.Fatal("WriteBinaryFormat accepted an unknown format")
+	var buf bytes.Buffer
+	if err := WriteBinaryFormat(&buf, tr, FormatXTRP2); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadBinary2(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameTrace(t, tr, got)
+	for _, f := range []Format{1, 9} {
+		if err := WriteBinaryFormat(io.Discard, tr, f); err == nil {
+			t.Fatalf("WriteBinaryFormat accepted unknown %v", f)
+		}
 	}
 }
 
@@ -271,21 +253,7 @@ func TestXTRP2EncoderRejectsInvalidEvents(t *testing.T) {
 // attacker's control: header fields, the pattern table, and a raw
 // program tail.
 func hostile2(threads uint32, nevents uint64, npatterns uint32, tail []byte) []byte {
-	var buf bytes.Buffer
-	buf.Write(binary2Magic[:])
-	var scratch [8]byte
-	binary.LittleEndian.PutUint32(scratch[:4], threads)
-	buf.Write(scratch[:4])
-	binary.LittleEndian.PutUint64(scratch[:8], 0)
-	buf.Write(scratch[:8])
-	binary.LittleEndian.PutUint32(scratch[:4], 0) // nphase
-	buf.Write(scratch[:4])
-	binary.LittleEndian.PutUint64(scratch[:8], nevents)
-	buf.Write(scratch[:8])
-	binary.LittleEndian.PutUint32(scratch[:4], npatterns)
-	buf.Write(scratch[:4])
-	buf.Write(tail)
-	return buf.Bytes()
+	return hostileHeader(threads, 0, nil, nevents, concat(binary.LittleEndian.AppendUint32(nil, npatterns), tail))
 }
 
 func uvarint(v uint64) []byte {

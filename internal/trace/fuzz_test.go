@@ -5,60 +5,6 @@ import (
 	"testing"
 )
 
-// FuzzBinaryRoundTrip feeds arbitrary bytes to the XTRP1 reader. The
-// reader must never panic and never allocate proportionally to forged
-// header fields; whenever it accepts an input, the re-encoding must be
-// canonical: encode(decode(x)) is a fixed point of decode∘encode, byte
-// for byte.
-func FuzzBinaryRoundTrip(f *testing.F) {
-	// A well-formed trace.
-	good := makeBarrierTrace(4, 2)
-	good.PhaseID("init")
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, good); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-
-	// The hostile-header corpus from the decoder regression tests.
-	f.Add(hostileHeader(4, 0, nil, 1<<39, nil))                    // huge declared nevents
-	f.Add(hostileHeader(4, 0, nil, 1<<40+1, nil))                  // nevents just past 2^40
-	f.Add(hostileHeader(4, 0, nil, uint64(MaxTraceEvents)+1, nil)) // nevents past the bound
-	f.Add(hostileHeaderNPhase(4, 1<<31, 0))                        // forged nphase
-	f.Add(hostileHeaderNPhase(4, 1000, 0))                         // truncated phase table
-	f.Add(hostileHeader(MaxThreads+1, 0, nil, 0, nil))             // absurd thread count
-	f.Add(hostileHeader(1, 0, nil, 100, encodeEvents([]Event{      // truncated events
-		{Time: 1, Kind: KindThreadStart, Thread: 0}})))
-	f.Add(hostileHeader(2, 0, nil, 1, encodeEvents([]Event{ // thread out of range
-		{Time: 1, Kind: KindThreadStart, Thread: 9}})))
-	f.Add(hostileHeader(1, 0, nil, 1, encodeEvents([]Event{ // invalid kind
-		{Time: 1, Kind: 0xee, Thread: 0}})))
-	f.Add([]byte("XTRP1")) // magic only
-	f.Add([]byte("not a trace"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadBinary(data)
-		if err != nil {
-			return
-		}
-		var enc1 bytes.Buffer
-		if err := WriteBinary(&enc1, tr); err != nil {
-			t.Fatalf("re-encode of accepted trace failed: %v", err)
-		}
-		tr2, err := ReadBinary(enc1.Bytes())
-		if err != nil {
-			t.Fatalf("decode of own encoding failed: %v", err)
-		}
-		var enc2 bytes.Buffer
-		if err := WriteBinary(&enc2, tr2); err != nil {
-			t.Fatalf("second re-encode failed: %v", err)
-		}
-		if !bytes.Equal(enc1.Bytes(), enc2.Bytes()) {
-			t.Fatal("encode→decode→encode is not byte-stable")
-		}
-	})
-}
-
 // fuzzRoundTripEvents bounds the traces FuzzXTRP2RoundTrip expands and
 // re-encodes. CompileBinary accepts larger ones, up to MaxTraceEvents,
 // but at hundreds of bytes per event a fuzz worker would spend its
@@ -66,13 +12,13 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 const fuzzRoundTripEvents = 1 << 12
 
 // FuzzXTRP2RoundTrip feeds arbitrary bytes to CompileBinary, seeded with
-// well-formed XTRP2 streams and the hostile pattern-table corpus. The
-// compiler must never panic, never allocate ahead of the input, and
-// refuse every stream declaring more than MaxTraceEvents events. Every
-// stream it accepts and ReadBinary2 replays must survive an XTRP2
-// re-encode with identical header and events, and re-encoding that is
-// byte-stable (the byte-identity guarantee the prediction pipeline
-// relies on).
+// well-formed XTRP2 streams and the hostile header and pattern-table
+// corpora. The compiler must never panic, never allocate ahead of the
+// input, and refuse every stream declaring more than MaxTraceEvents
+// events. Every stream it accepts and ReadBinary2 replays must survive
+// an XTRP2 re-encode with identical header and events, and re-encoding
+// that is byte-stable (the byte-identity guarantee the prediction
+// pipeline relies on).
 func FuzzXTRP2RoundTrip(f *testing.F) {
 	// Well-formed streams: a loop-structured trace (pattern table in
 	// use), a barrier trace, and an empty trace.
@@ -102,6 +48,15 @@ func FuzzXTRP2RoundTrip(f *testing.F) {
 	f.Add(hostile2(4, past, 1, concat(onePattern, []byte{opRepeat}, uvarint(0), uvarint(past))))
 	f.Add(hostile2(4, 4, 0, []byte{0x7f}))
 	f.Add([]byte("XTRP2")) // magic only
+	f.Add([]byte("not a trace"))
+	// The hostile-header corpus: declared counts past the bound, forged
+	// and truncated phase tables, an absurd thread count.
+	f.Add(hostileHeader(4, 0, nil, 1<<39, nil))
+	f.Add(hostileHeader(4, 0, nil, 1<<40+1, nil))
+	f.Add(hostileHeader(4, 0, nil, uint64(MaxTraceEvents)+1, nil))
+	f.Add(hostileHeaderNPhase(4, 1<<31, 0))
+	f.Add(hostileHeaderNPhase(4, 1000, 0))
+	f.Add(hostileHeader(MaxThreads+1, 0, nil, 0, nil))
 	// Repeat ops declaring about 2^40, 2^39 and 2^23 events.
 	for _, h := range expandingHostiles {
 		f.Add(h.data)

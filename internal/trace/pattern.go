@@ -113,7 +113,7 @@ func (ct *CompiledTrace) compile(enc []byte) error {
 		slab:     slab[:0],
 	}
 	w := &wireReader{b: enc, slab: ct.slab}
-	hdr, declare, err := w.header(binary2Magic)
+	hdr, declare, err := w.header()
 	if err != nil {
 		return err
 	}

@@ -12,13 +12,13 @@ import (
 	"extrap/internal/vtime"
 )
 
-// hostileHeader builds a raw XTRP1 header with arbitrary (possibly
+// hostileHeader builds a raw XTRP2 header with arbitrary (possibly
 // absurd) field values, followed by body bytes. It deliberately bypasses
-// WriteBinary so tests can express inputs a well-behaved writer would
+// WriteBinary2 so tests can express inputs a well-behaved writer would
 // never produce.
 func hostileHeader(threads uint32, ovh uint64, phases []string, nevents uint64, body []byte) []byte {
 	var buf bytes.Buffer
-	buf.Write(binaryMagic[:])
+	buf.Write(binary2Magic[:])
 	var scratch [8]byte
 	binary.LittleEndian.PutUint32(scratch[:4], threads)
 	buf.Write(scratch[:4])
@@ -41,7 +41,7 @@ func hostileHeader(threads uint32, ovh uint64, phases []string, nevents uint64, 
 // independently of the phase entries actually present.
 func hostileHeaderNPhase(threads, nphase uint32, nevents uint64) []byte {
 	var buf bytes.Buffer
-	buf.Write(binaryMagic[:])
+	buf.Write(binary2Magic[:])
 	var scratch [8]byte
 	binary.LittleEndian.PutUint32(scratch[:4], threads)
 	buf.Write(scratch[:4])
@@ -54,44 +54,31 @@ func hostileHeaderNPhase(threads, nphase uint32, nevents uint64) []byte {
 	return buf.Bytes()
 }
 
-// encodeEvents encodes events in the raw record format for test bodies.
-func encodeEvents(evs []Event) []byte {
-	var out []byte
-	for i := range evs {
-		out = appendEvent(out, &evs[i])
-	}
-	return out
-}
-
 // TestHostileHeaderHugeEventCount is the regression test for the
-// pre-allocation bug: a 41-byte file declaring 2^39 events must fail
+// pre-allocation bug: a 29-byte header declaring 2^39 events must fail
 // fast with a small, bounded allocation instead of demanding ~18 TB.
 func TestHostileHeaderHugeEventCount(t *testing.T) {
 	data := hostileHeader(4, 0, nil, 1<<39, nil)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	tr, err := ReadBinary(data)
+	ct, err := CompileBinary(data)
 	runtime.ReadMemStats(&after)
 	if err == nil {
-		t.Fatalf("decoded hostile trace: %+v", tr)
+		t.Fatalf("compiled hostile trace declaring %d events", ct.declare)
 	}
 	if grown := int64(after.TotalAlloc) - int64(before.TotalAlloc); grown > 1<<20 {
-		t.Fatalf("decoding a 41-byte hostile file allocated %d bytes", grown)
+		t.Fatalf("decoding a 29-byte hostile header allocated %d bytes", grown)
 	}
 }
 
-// TestHostileHeaderEventCountPastCap: the header parser both formats
-// share rejects a declared count above MaxTraceEvents outright, before
-// any record or op is read.
+// TestHostileHeaderEventCountPastCap: the header parser rejects a
+// declared count above MaxTraceEvents outright, before any op is read.
 func TestHostileHeaderEventCountPastCap(t *testing.T) {
 	for _, n := range []uint64{uint64(MaxTraceEvents) + 1, 1<<40 + 1} {
 		want := fmt.Sprintf("trace: %d events declared, more than the %d a whole-trace read holds", n, MaxTraceEvents)
-		if _, err := ReadBinary(hostileHeader(4, 0, nil, n, nil)); err == nil || err.Error() != want {
-			t.Errorf("XTRP1 declaring %d events: err = %v, want %q", n, err, want)
-		}
 		if _, err := CompileBinary(hostile2(4, n, 0, nil)); err == nil || err.Error() != want {
-			t.Errorf("XTRP2 declaring %d events: err = %v, want %q", n, err, want)
+			t.Errorf("declaring %d events: err = %v, want %q", n, err, want)
 		}
 	}
 }
@@ -104,7 +91,7 @@ func TestHostileHeaderHugePhaseCount(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		_, err := ReadBinary(data)
+		_, err := CompileBinary(data)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Fatalf("nphase=%d: decoder accepted forged phase count", nphase)
@@ -119,7 +106,7 @@ func TestHostileHeaderHugePhaseCount(t *testing.T) {
 // are missing must hit unexpected EOF, growing only by the bytes present.
 func TestHostileHeaderTruncatedPhaseTable(t *testing.T) {
 	data := hostileHeaderNPhase(4, 1000, 0)
-	if _, err := ReadBinary(data); err == nil {
+	if _, err := CompileBinary(data); err == nil {
 		t.Fatal("decoder accepted truncated phase table")
 	}
 }
@@ -132,59 +119,18 @@ func TestHostileHeaderPhaseBytesCap(t *testing.T) {
 	for i := range phases {
 		phases[i] = name
 	}
-	data := hostileHeader(4, 0, phases, 0, nil)
-	if _, err := ReadBinary(data); err == nil {
-		t.Fatal("decoder accepted phase table past MaxPhaseBytes")
+	// An empty pattern table follows, so only the cap can refuse it.
+	data := hostileHeader(4, 0, phases, 0, make([]byte, 4))
+	if _, err := CompileBinary(data); err == nil || !strings.Contains(err.Error(), "phase table exceeds") {
+		t.Fatalf("phase table past MaxPhaseBytes: err = %v", err)
 	}
 }
 
 // TestHostileHeaderThreadCount rejects implausible declared thread
 // counts.
 func TestHostileHeaderThreadCount(t *testing.T) {
-	data := hostileHeader(MaxThreads+1, 0, nil, 0, nil)
-	if _, err := ReadBinary(data); err == nil {
-		t.Fatal("decoder accepted thread count past MaxThreads")
-	}
-}
-
-// TestTruncatedEvents: declared count larger than the records present
-// must surface io.ErrUnexpectedEOF, not a short trace.
-func TestTruncatedEvents(t *testing.T) {
-	evs := []Event{
-		{Time: 1, Kind: KindThreadStart, Thread: 0},
-		{Time: 2, Kind: KindThreadEnd, Thread: 0},
-	}
-	data := hostileHeader(1, 0, nil, 100, encodeEvents(evs))
-	_, err := ReadBinary(data)
-	if err == nil {
-		t.Fatal("decoder accepted truncated event stream")
-	}
-	if !strings.Contains(err.Error(), "unexpected EOF") {
-		t.Fatalf("want unexpected EOF, got %v", err)
-	}
-}
-
-// TestDecodeRejectsThreadOutOfRange: events whose Thread is negative or
-// ≥ NumThreads are rejected at decode time.
-func TestDecodeRejectsThreadOutOfRange(t *testing.T) {
-	for _, th := range []int32{-1, 2, 1 << 30} {
-		evs := []Event{{Time: 1, Kind: KindThreadStart, Thread: th}}
-		data := hostileHeader(2, 0, nil, 1, encodeEvents(evs))
-		if _, err := ReadBinary(data); err == nil {
-			t.Fatalf("decoder accepted event with thread %d of 2", th)
-		}
-	}
-}
-
-// TestDecodeRejectsInvalidKind: undefined kind bytes are rejected at
-// decode time.
-func TestDecodeRejectsInvalidKind(t *testing.T) {
-	for _, k := range []Kind{KindInvalid, kindCount, 0xff} {
-		evs := []Event{{Time: 1, Kind: k, Thread: 0}}
-		data := hostileHeader(1, 0, nil, 1, encodeEvents(evs))
-		if _, err := ReadBinary(data); err == nil {
-			t.Fatalf("decoder accepted event with kind %d", k)
-		}
+	if _, err := CompileBinary(hostile2(MaxThreads+1, 0, 0, nil)); err == nil || !strings.Contains(err.Error(), "implausible thread count") {
+		t.Fatalf("thread count past MaxThreads: err = %v", err)
 	}
 }
 
@@ -252,9 +198,11 @@ func TestDecoderStreamsExactly(t *testing.T) {
 }
 
 // TestSliceReaderAndCopy exercises the slice adapter, ReadAll's copy of
-// a stream, and EncodedSize against the XTRP1 bytes it predicts.
+// a stream, and EncodedSize: the header WriteBinary2 writes, less its
+// 4-byte pattern count, plus 37 bytes per event.
 func TestSliceReaderAndCopy(t *testing.T) {
 	tr := makeBarrierTrace(2, 2)
+	tr.PhaseID("init")
 	r := tr.Reader()
 	if r.Len() != len(tr.Events) {
 		t.Fatalf("Len() = %d, want %d", r.Len(), len(tr.Events))
@@ -274,12 +222,12 @@ func TestSliceReaderAndCopy(t *testing.T) {
 	if _, err := r.Next(); err != io.EOF {
 		t.Fatalf("drained reader: %v, want io.EOF", err)
 	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
+	var head bytes.Buffer
+	if err := WriteBinary2(&head, &Trace{NumThreads: tr.NumThreads, EventOverhead: tr.EventOverhead, Phases: tr.Phases}); err != nil {
 		t.Fatal(err)
 	}
-	if want := EncodedSize(tr.Header(), len(tr.Events)); int64(buf.Len()) != want {
-		t.Fatalf("EncodedSize = %d, encoded %d bytes", want, buf.Len())
+	if got, want := EncodedSize(tr.Header(), len(tr.Events)), int64(head.Len()-4+37*len(tr.Events)); got != want {
+		t.Fatalf("EncodedSize = %d, want %d", got, want)
 	}
 }
 

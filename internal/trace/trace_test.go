@@ -195,12 +195,12 @@ func TestBinaryRoundTrip(t *testing.T) {
 	tr.PhaseID("setup")
 	tr.PhaseID("solve phase")
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
-		t.Fatalf("WriteBinary: %v", err)
+	if err := WriteBinary2(&buf, tr); err != nil {
+		t.Fatalf("WriteBinary2: %v", err)
 	}
-	got, err := ReadBinary(buf.Bytes())
+	got, err := ReadBinary2(buf.Bytes())
 	if err != nil {
-		t.Fatalf("ReadBinary: %v", err)
+		t.Fatalf("ReadBinary2: %v", err)
 	}
 	assertTraceEqual(t, tr, got)
 }
@@ -247,11 +247,11 @@ func assertTraceEqual(t *testing.T, want, got *Trace) {
 }
 
 func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary([]byte("not a trace file")); err == nil {
-		t.Error("ReadBinary accepted garbage")
+	if _, err := ReadBinary2([]byte("not a trace file")); err == nil {
+		t.Error("ReadBinary2 accepted garbage")
 	}
-	if _, err := ReadBinary(nil); err == nil {
-		t.Error("ReadBinary accepted empty input")
+	if _, err := ReadBinary2(nil); err == nil {
+		t.Error("ReadBinary2 accepted empty input")
 	}
 }
 
@@ -290,10 +290,10 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 			})
 		}
 		var buf bytes.Buffer
-		if err := WriteBinary(&buf, tr); err != nil {
+		if err := WriteBinary2(&buf, tr); err != nil {
 			return false
 		}
-		got, err := ReadBinary(buf.Bytes())
+		got, err := ReadBinary2(buf.Bytes())
 		if err != nil {
 			return false
 		}
