@@ -3,15 +3,19 @@
 // The extrapolation grid is embarrassingly parallel across measured-
 // trace groups: every cell of one group shares a measurement (same
 // benchmark, size, and thread count — only the machine model differs),
-// and cells of different groups share nothing. A Coordinator therefore
-// partitions a sweep into one shard per measurement group and
-// dispatches each shard to a worker replica over HTTP. Workers execute
-// shards through their own experiments.Service (the same pipeline the
-// solo server runs), return per-cell results as exact virtual-
-// nanosecond integers, and the coordinator merges them into the same
-// []metrics.Point series the solo path produces — so distributed output
-// is byte-identical to solo output by construction: the numbers are
-// exact integers and the rendering path is shared.
+// and cells of different groups share nothing. One group is one ladder
+// point, the unit an experiments.PointRunner runs, and a Coordinator is
+// the cluster's PointRunner: it turns each ladder point into one shard
+// and dispatches it to a worker replica over HTTP. Workers execute a
+// shard through their own Service.RunPoint — the executor a solo server
+// runs its fitted sweeps and async jobs through — and return per-cell
+// results as exact virtual-nanosecond integers. The coordinator merges
+// them into the same []metrics.Point series the solo path produces, so
+// distributed output is byte-identical to solo output by construction:
+// the numbers are exact integers and the rendering path is shared.
+// Serve hands the Coordinator to a coordinator's fitted sweeps and async
+// jobs; its exact sweeps run through SweepLadder, with every ladder
+// point in flight at once.
 //
 // # Protocol
 //
@@ -30,11 +34,12 @@
 // replicas. A worker whose coordinator dies finishes the in-flight
 // execution (bounded by the shard work budget), restarts the lease
 // clock on completion, stops hearing polls, lets the lease expire, and
-// garbage-collects the entry. A coordinator whose worker dies sees its poll (or
-// the initial dispatch) fail, marks the peer unhealthy, and re-
-// dispatches the shard to a healthy peer — or, when every peer is down,
-// executes it locally. Either way the sweep completes and the output
-// bytes do not depend on which node computed which shard.
+// garbage-collects the entry. A coordinator whose worker dies sees its
+// poll (or the initial dispatch) fail, marks the peer unhealthy, and
+// re-dispatches the shard to a healthy peer — or, when every peer is
+// down, executes it locally through its own Service.RunPoint. Either
+// way the sweep completes and the output bytes do not depend on which
+// node computed which shard.
 //
 // # Cross-node dedup
 //

@@ -19,6 +19,7 @@ import (
 	"extrap/internal/machine"
 	"extrap/internal/request"
 	"extrap/internal/trace"
+	"extrap/internal/vtime"
 )
 
 // newWorkerServer mounts a Worker's endpoints the way serve does and
@@ -436,8 +437,8 @@ func TestRunningShardHoldsLease(t *testing.T) {
 func TestDispatchedShardSurvivesSilentCoordinator(t *testing.T) {
 	const lease = MinLeaseMs * time.Millisecond
 	execDone := make(chan struct{})
-	prev := executeShard
-	executeShard = func(ctx context.Context, svc *experiments.Service, b benchmarks.Benchmark, sz benchmarks.Size, threads int, envs []machine.Env) ([]CellResult, error) {
+	prev := runPoint
+	runPoint = func(svc *experiments.Service, ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, threads int, envs []machine.Env) ([]vtime.Time, error) {
 		defer close(execDone)
 		// Hold execution across several lease windows before running the
 		// real pipeline.
@@ -446,9 +447,9 @@ func TestDispatchedShardSurvivesSilentCoordinator(t *testing.T) {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		return ExecuteShard(ctx, svc, b, sz, threads, envs)
+		return prev(svc, ctx, b, sz, threads, envs)
 	}
-	defer func() { executeShard = prev }()
+	defer func() { runPoint = prev }()
 
 	w, ts := newWorkerServer(t, 5*time.Millisecond)
 	status, body := postShard(t, ts.URL,

@@ -16,8 +16,10 @@ import (
 	"extrap/internal/benchmarks"
 	"extrap/internal/core"
 	"extrap/internal/experiments"
+	"extrap/internal/machine"
 	"extrap/internal/metrics"
 	"extrap/internal/pcxx"
+	"extrap/internal/request"
 	"extrap/internal/vtime"
 )
 
@@ -30,20 +32,14 @@ type CoordinatorConfig struct {
 	// executor when no peer can take a shard. Required — a coordinator
 	// must be able to finish a sweep with every worker dead.
 	Service *experiments.Service
-	// LeaseMs is the lease requested per shard; 0 selects
-	// DefaultLeaseMs. Polls renew it, so it only needs to exceed the
-	// poll interval with margin.
-	LeaseMs int
 	// PollInterval is how often a dispatched shard is polled; ≤ 0
 	// selects 50ms.
 	PollInterval time.Duration
-	// CallTimeout bounds one HTTP call (dispatch or poll) — NOT shard
-	// execution, which is bounded by the caller's context across many
-	// polls; ≤ 0 selects 10s.
-	CallTimeout time.Duration
-	// Client issues the HTTP calls; nil selects a default client.
-	Client *http.Client
 }
+
+// callTimeout bounds one HTTP call (dispatch or poll) — NOT shard
+// execution, which is bounded by the caller's context across many polls.
+const callTimeout = 10 * time.Second
 
 // peer is one worker replica's dispatch bookkeeping.
 type peer struct {
@@ -98,22 +94,10 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Service == nil {
 		return nil, errors.New("cluster: coordinator needs a local Service for fallback execution")
 	}
-	if cfg.LeaseMs == 0 {
-		cfg.LeaseMs = DefaultLeaseMs
-	}
-	if cfg.LeaseMs < MinLeaseMs || cfg.LeaseMs > MaxLeaseMs {
-		return nil, fmt.Errorf("cluster: lease %dms out of [%d, %d]", cfg.LeaseMs, MinLeaseMs, MaxLeaseMs)
-	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 50 * time.Millisecond
 	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 10 * time.Second
-	}
-	c := &Coordinator{cfg: cfg, client: cfg.Client}
-	if c.client == nil {
-		c.client = &http.Client{}
-	}
+	c := &Coordinator{cfg: cfg, client: &http.Client{}}
 	for _, u := range cfg.Peers {
 		p := &peer{url: u}
 		p.healthy.Store(true)
@@ -151,32 +135,36 @@ type permanentError struct{ err error }
 func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
 
-// RunPoint executes one measurement group — benchmark/size at one
-// ladder point (threads), simulated under every named machine — on the
-// cluster, returning one exact total time per machine in machines
-// order. Routing is affinity-first (hash of the canonical measurement
-// key, so repeated requests for one configuration land on one worker
-// and dedup in its single-flight cache), with failover across the
-// remaining peers and local execution as the last resort. The caller's
-// ctx bounds the whole attempt chain.
+// RunPoint implements experiments.PointRunner on the cluster: the
+// ladder point — benchmark b at size sz, measured at threads threads and
+// simulated under every machine in envs — becomes one shard, and the
+// answer is one exact total time per machine in envs order. Routing is
+// affinity-first (hash of the canonical measurement key, so repeated
+// requests for one configuration land on one worker and dedup in its
+// single-flight cache), with failover across the remaining peers and the
+// local Service's RunPoint as the last resort. The caller's ctx bounds
+// the whole attempt chain.
 //
-// workload, when non-nil, is a composed workload's spec JSON shipped
-// alongside bench (which then names the workload's derived content
-// name) so the worker can synthesize the program; nil for registry
-// benchmarks. Affinity still hashes the measurement key — the name —
-// so a composed configuration lands on one worker like any other.
-func (c *Coordinator) RunPoint(ctx context.Context, bench string, workload []byte, sz benchmarks.Size, threads int, machines []string) ([]vtime.Time, error) {
+// A composed workload's shard carries its spec JSON alongside the
+// derived content name, so the worker can synthesize the program.
+// Affinity still hashes the measurement key — the name — so a composed
+// configuration lands on one worker like any other.
+func (c *Coordinator) RunPoint(ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, threads int, envs []machine.Env) ([]vtime.Time, error) {
+	machines := make([]string, len(envs))
+	for i, env := range envs {
+		machines[i] = env.Name
+	}
 	spec := ShardSpec{
-		Benchmark: bench,
-		Workload:  workload,
+		Benchmark: b.Name(),
+		Workload:  request.WorkloadJSON(b),
 		Size:      sz.N,
 		Iters:     sz.Iters,
 		Threads:   threads,
 		Machines:  machines,
-		LeaseMs:   c.cfg.LeaseMs,
+		LeaseMs:   DefaultLeaseMs,
 	}
 	h := fnv.New32a()
-	io.WriteString(h, experiments.MeasurementKey(bench, sz, threads, core.MeasureOptions{SizeMode: pcxx.ActualSize}).Canonical())
+	io.WriteString(h, experiments.MeasurementKey(b.Name(), sz, threads, core.MeasureOptions{SizeMode: pcxx.ActualSize}).Canonical())
 	start := int(h.Sum32()) % len(c.peers)
 	if start < 0 {
 		start += len(c.peers)
@@ -217,16 +205,12 @@ func (c *Coordinator) RunPoint(ctx context.Context, bench string, workload []byt
 	// Results are byte-identical by the pipeline's determinism, so WHERE
 	// a shard ran never shows in the output.
 	c.local.Add(1)
-	b, rsz, envs, apiErr := spec.resolve()
-	if apiErr != nil {
-		return nil, apiErr
-	}
-	cells, err := ExecuteShard(ctx, c.cfg.Service, b, rsz, threads, envs)
+	times, err := c.cfg.Service.RunPoint(ctx, b, sz, threads, envs)
 	if err != nil {
 		return nil, err
 	}
 	c.completed.Add(1)
-	return cellTimes(cells, machines)
+	return times, nil
 }
 
 // runOnPeer dispatches one shard to one peer and polls it to
@@ -303,7 +287,7 @@ func (c *Coordinator) dispatch(ctx context.Context, p *peer, spec ShardSpec) (Sh
 	if err != nil {
 		return ShardAccepted{}, &permanentError{err}
 	}
-	cctx, cancel := context.WithTimeout(ctx, c.cfg.CallTimeout)
+	cctx, cancel := context.WithTimeout(ctx, callTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(cctx, http.MethodPost, p.url+"/v1/internal/shards", bytes.NewReader(body))
 	if err != nil {
@@ -337,7 +321,7 @@ func (c *Coordinator) dispatch(ctx context.Context, p *peer, spec ShardSpec) (Sh
 // a permanentError to signal "this shard is gone on this peer" — the
 // caller translates that into a re-dispatch, not a user-visible error.
 func (c *Coordinator) poll(ctx context.Context, p *peer, id string) (ShardStatus, error) {
-	cctx, cancel := context.WithTimeout(ctx, c.cfg.CallTimeout)
+	cctx, cancel := context.WithTimeout(ctx, callTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(cctx, http.MethodGet, p.url+"/v1/internal/shards/"+id, nil)
 	if err != nil {
@@ -389,14 +373,14 @@ func cellTimes(cells []CellResult, machines []string) ([]vtime.Time, error) {
 	return out, nil
 }
 
-// SweepLadder runs a whole sweep grid — every named machine over every
+// SweepLadder runs a whole sweep grid — every machine in envs over every
 // ladder point — on the cluster: one shard per ladder point (the
 // measured-trace grouping), all points in flight concurrently, merged
-// into one series per machine in machines order. The returned points
+// into one series per machine in envs order. The returned points
 // are exact, so rendering them through the solo path's response builder
 // yields byte-identical output.
-func (c *Coordinator) SweepLadder(ctx context.Context, bench string, workload []byte, sz benchmarks.Size, machines []string, ladder []int) ([][]metrics.Point, error) {
-	points := make([][]metrics.Point, len(machines))
+func (c *Coordinator) SweepLadder(ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, envs []machine.Env, ladder []int) ([][]metrics.Point, error) {
+	points := make([][]metrics.Point, len(envs))
 	for mi := range points {
 		points[mi] = make([]metrics.Point, len(ladder))
 	}
@@ -406,12 +390,12 @@ func (c *Coordinator) SweepLadder(ctx context.Context, bench string, workload []
 		wg.Add(1)
 		go func(pi, n int) {
 			defer wg.Done()
-			times, err := c.RunPoint(ctx, bench, workload, sz, n, machines)
+			times, err := c.RunPoint(ctx, b, sz, n, envs)
 			if err != nil {
 				errs[pi] = err
 				return
 			}
-			for mi := range machines {
+			for mi := range envs {
 				points[mi][pi] = metrics.Point{Procs: n, Time: times[mi]}
 			}
 		}(pi, n)

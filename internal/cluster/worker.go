@@ -10,10 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"extrap/internal/benchmarks"
 	"extrap/internal/experiments"
-	"extrap/internal/machine"
-	"extrap/internal/pcxx"
 	"extrap/internal/request"
 )
 
@@ -46,10 +43,10 @@ type shard struct {
 	expiry time.Time
 }
 
-// Worker executes dispatched shards through a local experiments.Service
-// — the exact pipeline the solo server runs — and answers polls until
-// the coordinator collects the result or the lease expires. Safe for
-// concurrent use.
+// Worker executes each dispatched shard as one ladder point through its
+// local Service's RunPoint — the executor a solo server runs — and
+// answers polls until the coordinator collects the result or the lease
+// expires. Safe for concurrent use.
 type Worker struct {
 	svc  *experiments.Service
 	base context.Context
@@ -199,7 +196,7 @@ func (w *Worker) HandleDispatch(rw http.ResponseWriter, r *http.Request) {
 	go func() {
 		defer w.wg.Done()
 		defer cancel()
-		cells, err := executeShard(ctx, w.svc, b, sz, spec.Threads, envs)
+		times, err := runPoint(w.svc, ctx, b, sz, spec.Threads, envs)
 		sh.mu.Lock()
 		if err != nil {
 			sh.status = ShardFailed
@@ -207,7 +204,10 @@ func (w *Worker) HandleDispatch(rw http.ResponseWriter, r *http.Request) {
 			w.failed.Add(1)
 		} else {
 			sh.status = ShardDone
-			sh.cells = cells
+			sh.cells = make([]CellResult, len(envs))
+			for i, env := range envs {
+				sh.cells[i] = CellResult{Machine: env.Name, Procs: spec.Threads, TotalNs: int64(times[i])}
+			}
 			w.completed.Add(1)
 		}
 		// Execution held the lease (gcLoop skips running shards); restart
@@ -253,26 +253,6 @@ func (w *Worker) HandlePoll(rw http.ResponseWriter, r *http.Request) {
 	request.WriteJSON(rw, http.StatusOK, st)
 }
 
-// executeShard is the dispatch goroutine's executor, indirect so tests
-// can pin execution duration against the lease clock.
-var executeShard = ExecuteShard
-
-// ExecuteShard runs one measurement group's cells through svc: the
-// shared measurement is taken (or found in cache/store) once, then
-// every machine's model is simulated over it cell by cell. Each cell
-// calls the same Predict the solo grid runner and jobs queue use, so
-// the returned TotalNs values are exact integers byte-identical to the
-// solo sweep's cells for the same parameters. Exported because the
-// coordinator runs exactly this as its local-fallback path — one
-// executor, two call sites.
-func ExecuteShard(ctx context.Context, svc *experiments.Service, b benchmarks.Benchmark, sz benchmarks.Size, threads int, envs []machine.Env) ([]CellResult, error) {
-	cells := make([]CellResult, len(envs))
-	for i, env := range envs {
-		pred, err := svc.Predict(ctx, b, sz, threads, pcxx.ActualSize, env.Config)
-		if err != nil {
-			return nil, err
-		}
-		cells[i] = CellResult{Machine: env.Name, Procs: threads, TotalNs: int64(pred.Result.TotalTime)}
-	}
-	return cells, nil
-}
+// runPoint is the dispatch goroutine's executor, indirect so tests can
+// pin execution duration against the lease clock.
+var runPoint = (*experiments.Service).RunPoint

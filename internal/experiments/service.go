@@ -6,10 +6,12 @@ import (
 
 	"extrap/internal/benchmarks"
 	"extrap/internal/core"
+	"extrap/internal/machine"
 	"extrap/internal/metrics"
 	"extrap/internal/pcxx"
 	"extrap/internal/sim"
 	"extrap/internal/trace"
+	"extrap/internal/vtime"
 )
 
 // Service is the experiment engine packaged as a long-lived component:
@@ -85,6 +87,34 @@ func (s *Service) Predict(ctx context.Context, b benchmarks.Benchmark, size benc
 		return nil, err
 	}
 	return core.ExtrapolateEncoded(ctx, enc, cfg)
+}
+
+// PointRunner runs one ladder point: benchmark b at size sz, measured at
+// threads threads and simulated on threads processors of every machine in
+// envs, answering one exact total time per machine in envs order. Which
+// runner serves a process is chosen once, by cluster role: a solo server
+// or worker runs points on its own *Service, a coordinator dispatches
+// them to worker replicas (*cluster.Coordinator). Every runner answers
+// the same integers, so where a point ran never shows in the output.
+type PointRunner interface {
+	RunPoint(ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, threads int, envs []machine.Env) ([]vtime.Time, error)
+}
+
+// RunPoint is the in-process ladder-point executor: the measurement is
+// taken (or found in the cache or its backend) once, then each machine's
+// model is simulated over it through Predict — the call the exact grid
+// runner makes per cell — so every total is byte-identical to the exact
+// sweep's cell for the same parameters.
+func (s *Service) RunPoint(ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, threads int, envs []machine.Env) ([]vtime.Time, error) {
+	times := make([]vtime.Time, len(envs))
+	for i, env := range envs {
+		pred, err := s.Predict(ctx, b, sz, threads, pcxx.ActualSize, env.Config)
+		if err != nil {
+			return nil, err
+		}
+		times[i] = pred.Result.TotalTime
+	}
+	return times, nil
 }
 
 // SweepGrid runs several sweep jobs as one grid, returning one series

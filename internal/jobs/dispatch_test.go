@@ -13,59 +13,27 @@ import (
 	"extrap/internal/compose"
 	"extrap/internal/experiments"
 	"extrap/internal/machine"
-	"extrap/internal/pcxx"
 	"extrap/internal/store"
 	"extrap/internal/vtime"
 )
 
-// localRunner is a PointRunner backed by the local engine — the shape
-// of a coordinator with the cluster stripped away, plus call
-// accounting so tests can see exactly which cells were dispatched.
+// localRunner is the local engine's RunPoint behind call accounting,
+// so tests can see exactly which ladder points and machines ran.
 type localRunner struct {
 	svc      *experiments.Service
 	calls    atomic.Int64
 	machines atomic.Int64 // cells requested across all calls
 }
 
-func (r *localRunner) RunPoint(ctx context.Context, bench string, workload []byte, sz benchmarks.Size, threads int, machines []string) ([]vtime.Time, error) {
+func (r *localRunner) RunPoint(ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, threads int, envs []machine.Env) ([]vtime.Time, error) {
 	r.calls.Add(1)
-	r.machines.Add(int64(len(machines)))
-	b := benchmarks.Benchmark(nil)
-	if len(workload) > 0 {
-		w, err := compose.FromJSON(workload)
-		if err != nil {
-			return nil, err
-		}
-		b = w
-	} else {
-		b = mustBench(bench)
-	}
-	out := make([]vtime.Time, len(machines))
-	for i, name := range machines {
-		env, err := machine.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		pred, err := r.svc.Predict(ctx, b, sz, threads, pcxx.ActualSize, env.Config)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = pred.Result.TotalTime
-	}
-	return out, nil
+	r.machines.Add(int64(len(envs)))
+	return r.svc.RunPoint(ctx, b, sz, threads, envs)
 }
 
-func mustBench(name string) benchmarks.Benchmark {
-	b, err := benchmarks.ByName(name)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-// newDispatchManager builds a manager whose grid runs through a
-// PointRunner, as a coordinator's does.
-func newDispatchManager(t *testing.T, dir string, run PointRunner) (*Manager, *store.Store) {
+// newDispatchManager builds a manager whose ladder points run through
+// run, as a coordinator's run through the cluster.
+func newDispatchManager(t *testing.T, dir string, run experiments.PointRunner) (*Manager, *store.Store) {
 	t.Helper()
 	st, err := store.Open(filepath.Join(dir, "store"), 0)
 	if err != nil {
@@ -110,7 +78,7 @@ func rewriteRunning(t *testing.T, jobsDir, id string) {
 	}
 }
 
-// TestDispatchedJobMatchesLocal: a job run through a PointRunner lands
+// TestDispatchedJobMatchesLocal: a job run through a Dispatch runner lands
 // on the same persisted points as the same job run through the local
 // engine — the dispatch path changes where cells execute, not what
 // they produce.
@@ -138,6 +106,41 @@ func TestDispatchedJobMatchesLocal(t *testing.T) {
 	}
 	if run.calls.Load() != int64(len(spec.Procs)) {
 		t.Errorf("RunPoint called %d times, want one per ladder point (%d)", run.calls.Load(), len(spec.Procs))
+	}
+	if cells := int64(len(spec.Machines) * len(spec.Procs)); run.machines.Load() != cells {
+		t.Errorf("RunPoint asked for %d cells, want each of the %d once", run.machines.Load(), cells)
+	}
+}
+
+// TestDispatchedPointRunsOnlyMissingMachines: a ladder point whose cells
+// are partly in the store — here because a single-machine job already
+// computed one machine's curve — asks its runner for the missing
+// machines alone.
+func TestDispatchedPointRunsOnlyMissingMachines(t *testing.T) {
+	run := &localRunner{svc: experiments.NewService(2, 64, 0)}
+	m, _ := newDispatchManager(t, t.TempDir(), run)
+	first := Spec{Benchmark: "grid", Size: 16, Iters: 4, Machine: "cm5", Procs: []int{1, 2, 4}}
+	id, err := m.Submit(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, m, id, StatusDone)
+	calls, machines := run.calls.Load(), run.machines.Load()
+
+	both := first
+	both.Machine, both.Machines = "", []string{"cm5", "generic-dm"}
+	if id, err = m.Submit(both); err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, m, id, StatusDone)
+	if got := run.calls.Load() - calls; got != int64(len(both.Procs)) {
+		t.Errorf("second job made %d RunPoint calls, want one per ladder point (%d)", got, len(both.Procs))
+	}
+	if got := run.machines.Load() - machines; got != int64(len(both.Procs)) {
+		t.Errorf("second job asked for %d cells, want only generic-dm's %d", got, len(both.Procs))
+	}
+	if st := m.Stats(); st.CellsLoaded != int64(len(both.Procs)) {
+		t.Errorf("cells loaded = %d, want cm5's %d", st.CellsLoaded, len(both.Procs))
 	}
 }
 
@@ -182,9 +185,9 @@ func TestDispatchedJobResumesFromStore(t *testing.T) {
 	}
 }
 
-// TestDispatchedWorkloadJob: a composed-workload job dispatches its
-// spec bytes with every point, the runner synthesizes the program from
-// them, and the curves match the same job run through the local engine.
+// TestDispatchedWorkloadJob: a composed-workload job hands its
+// synthesized program to the Dispatch runner with every point, and the
+// curves match the same job run through the local engine.
 func TestDispatchedWorkloadJob(t *testing.T) {
 	wlSpec := json.RawMessage(`{"size":8,"iters":2,"root":{"kind":"pipeline","stages":[
 		{"kind":"task_farm","tasks":8,"grain":2},

@@ -1,13 +1,16 @@
 // Package jobs is a durable asynchronous job queue for extrapolation
 // sweeps: submit a sweep, get a job ID back immediately, and let a
-// worker pool execute the grid cells through the shared experiment
-// engine while per-cell results are persisted to the artifact store as
-// they land. Because every cell's prediction is content-addressed
+// worker pool run the job's ladder points through an
+// experiments.PointRunner — the local engine's Service.RunPoint, or a
+// coordinator sharding points across worker replicas — while each
+// point's cell results are persisted to the artifact store as the point
+// lands. Because every cell's prediction is content-addressed
 // (core.CanonicalPrediction) and the measurement pipeline is
 // deterministic, a restarted manager resumes incomplete jobs from their
 // persisted partials: cells that finished before the crash are loaded
 // from the store instead of re-simulated, and the completed job's
-// results are byte-identical to a synchronous in-memory sweep.
+// results are byte-identical to a synchronous in-memory sweep. A crash
+// in the middle of a ladder point loses at most that point's cells.
 //
 // Durability model: job specs and statuses live as one JSON file per
 // job under the manager's directory (written atomically, temp file +
@@ -175,34 +178,27 @@ type Stats struct {
 type Config struct {
 	// Dir is where job files persist. Required.
 	Dir string
-	// Service executes the cells; its memo cache should share the same
-	// Store via SetBackend so measurements are durable too. Required.
+	// Service is the local engine: it runs the ladder points unless
+	// Dispatch is set, and its worker bound sets how many points of a job
+	// run at once. Its memo cache should share the same Store via
+	// SetBackend so measurements are durable too. Required.
 	Service *experiments.Service
 	// Store persists per-cell predictions. Required — durability is the
 	// point of the queue.
 	Store *store.Store
 	// Workers bounds concurrently executing jobs; ≤ 0 selects 1.
 	Workers int
-	// QueueDepth bounds jobs waiting for a worker; ≤ 0 selects 64.
-	QueueDepth int
-	// Dispatch, when non-nil, executes ladder points remotely (a
-	// coordinator sharding cells across worker replicas) instead of
-	// through Service. Cells still persist per content address in the
-	// LOCAL Store as results land, so crash resume works identically:
-	// completed cells load from disk, only missing cells re-dispatch.
-	Dispatch PointRunner
+	// Dispatch runs the job's ladder points; nil selects Service. A
+	// coordinator passes itself, so its jobs shard across worker
+	// replicas like its synchronous sweeps. Cells still persist per
+	// content address in the LOCAL Store as each point lands, so crash
+	// resume works identically: completed cells load from disk, and only
+	// the missing machines of a point run again.
+	Dispatch experiments.PointRunner
 }
 
-// PointRunner executes one measurement group — benchmark/size at one
-// ladder point, under every named machine — returning one exact total
-// time per machine in machines order. workload carries a composed
-// workload's spec JSON (nil for registry benchmarks), letting the
-// runner synthesize the program on whatever node executes the point.
-// *cluster.Coordinator implements it; jobs declares the interface so
-// the dependency points outward.
-type PointRunner interface {
-	RunPoint(ctx context.Context, bench string, workload []byte, sz benchmarks.Size, threads int, machines []string) ([]vtime.Time, error)
-}
+// queueDepth bounds jobs waiting for a worker.
+const queueDepth = 64
 
 // Manager owns the queue, the worker pool, and the persisted job set.
 type Manager struct {
@@ -250,8 +246,8 @@ func Open(cfg Config) (*Manager, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
+	if cfg.Dispatch == nil {
+		cfg.Dispatch = cfg.Service
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("jobs: create dir: %w", err)
@@ -261,7 +257,7 @@ func Open(cfg Config) (*Manager, error) {
 		cfg:   cfg,
 		base:  base,
 		stop:  stop,
-		queue: make(chan string, cfg.QueueDepth),
+		queue: make(chan string, queueDepth),
 		jobs:  make(map[string]*Job),
 	}
 	if err := m.loadAll(); err != nil {
@@ -684,54 +680,23 @@ func (m *Manager) runJob(id string) {
 	m.mu.Unlock()
 }
 
-// runCells fans the job's grid (machines × ladder) across the cell
-// pool. Each cell first consults the artifact store for its
-// content-addressed prediction — a hit restores the result without
-// touching the pipeline (that is the resume path after a crash) — and
-// otherwise computes it through the experiment engine and persists it
-// before reporting done.
+// runCells fans the job's ladder points across the pool; every point
+// runs through runPoint.
 func (m *Manager) runCells(ctx context.Context, j *Job, b benchmarks.Benchmark, sz benchmarks.Size, envs []machine.Env) error {
-	procs := j.spec.Procs
-	if m.cfg.Dispatch != nil {
-		return pool.Run(m.cfg.Service.Workers(), len(procs), func(pi int) error {
-			return m.runDispatchedPoint(ctx, j, b, sz, envs, pi)
-		})
-	}
-	return pool.Run(m.cfg.Service.Workers(), len(envs)*len(procs), func(c int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		mi, pi := c/len(procs), c%len(procs)
-		return m.runCell(ctx, j, b, sz, envs[mi], mi, pi)
+	return pool.Run(m.cfg.Service.Workers(), len(j.spec.Procs), func(pi int) error {
+		return m.runPoint(ctx, j, b, sz, envs, pi)
 	})
 }
 
-// runCell executes machine mi's cell at ladder index pi: store lookup
-// first, otherwise one prediction through the Service, persisted under
-// the cell's own content address the moment it lands.
-func (m *Manager) runCell(ctx context.Context, j *Job, b benchmarks.Benchmark, sz benchmarks.Size, env machine.Env, mi, pi int) error {
-	if m.cellHook != nil {
-		m.cellHook(j.id, mi*len(j.spec.Procs)+pi)
-	}
-	n := j.spec.Procs[pi]
-	key := experiments.MeasurementKey(b.Name(), sz, n, core.MeasureOptions{SizeMode: pcxx.ActualSize})
-	if pt, ok := m.loadCell(key, env, n); ok {
-		return m.finishCell(j, mi, pi, pt)
-	}
-	pred, err := m.cfg.Service.Predict(ctx, b, sz, n, pcxx.ActualSize, env.Config)
-	if err != nil {
-		return err
-	}
-	return m.storeCell(j, key, env, mi, pi, n, pred.Result.TotalTime)
-}
-
-// runDispatchedPoint executes one ladder point through the Dispatch
-// runner: store lookups first (the resume path — a cell persisted
-// before a coordinator crash is never re-dispatched), then ONE shard
-// covering exactly the missing machines. The runner returns exact
-// integers, so the persisted records are byte-identical to the ones the
-// local paths write.
-func (m *Manager) runDispatchedPoint(ctx context.Context, j *Job, b benchmarks.Benchmark, sz benchmarks.Size, envs []machine.Env, pi int) error {
+// runPoint executes the ladder point at index pi: each machine's cell
+// first consults the artifact store for its content-addressed
+// prediction — a hit restores it without touching the pipeline, which
+// is the resume path after a crash — then ONE Dispatch.RunPoint call
+// covers exactly the machines still missing, and each of their cells is
+// persisted under its own content address before it counts as done. The
+// runner returns exact integers, so the persisted records do not depend
+// on where the point ran.
+func (m *Manager) runPoint(ctx context.Context, j *Job, b benchmarks.Benchmark, sz benchmarks.Size, envs []machine.Env, pi int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -754,16 +719,16 @@ func (m *Manager) runDispatchedPoint(ctx context.Context, j *Job, b benchmarks.B
 	if len(missing) == 0 {
 		return nil
 	}
-	names := make([]string, len(missing))
+	run := make([]machine.Env, len(missing))
 	for i, mi := range missing {
-		names[i] = envs[mi].Name
+		run[i] = envs[mi]
 	}
-	times, err := m.cfg.Dispatch.RunPoint(ctx, b.Name(), j.spec.Workload, sz, n, names)
+	times, err := m.cfg.Dispatch.RunPoint(ctx, b, sz, n, run)
 	if err != nil {
 		return err
 	}
 	if len(times) != len(missing) {
-		return fmt.Errorf("jobs: dispatch returned %d cells for %d machines", len(times), len(missing))
+		return fmt.Errorf("jobs: ladder point returned %d cells for %d machines", len(times), len(missing))
 	}
 	for i, mi := range missing {
 		if err := m.storeCell(j, key, envs[mi], mi, pi, n, times[i]); err != nil {
@@ -775,15 +740,13 @@ func (m *Manager) runDispatchedPoint(ctx context.Context, j *Job, b benchmarks.B
 
 // runFitted executes a fitted job: the model package's residual-driven
 // refinement picks which ladder points to truly simulate, and each
-// selected anchor runs through the SAME per-point executors the exact
-// grid uses — store lookup first (the resume path), then dispatch or
-// per-cell simulation — so anchors persist under the same content
-// addresses as exact cells. After a SIGKILL the deterministic
-// refinement re-requests exactly the anchors the interrupted run
-// persisted; those load from the store and only the remainder computes.
-// On success the job's curves collapse to the anchor series — all that
-// needs persisting, since model.Replay re-derives the fitted ladder
-// bit-for-bit at render time.
+// selected anchor runs through runPoint, as an exact job's points do, so
+// anchors persist under the same content addresses as exact cells. After
+// a SIGKILL the deterministic refinement re-requests exactly the anchors
+// the interrupted run persisted; those load from the store and only the
+// remainder computes. On success the job's curves collapse to the anchor
+// series — all that needs persisting, since model.Replay re-derives the
+// fitted ladder bit-for-bit at render time.
 func (m *Manager) runFitted(ctx context.Context, j *Job, b benchmarks.Benchmark, sz benchmarks.Size, envs []machine.Env) error {
 	procs := j.spec.Procs
 	sim := func(ctx context.Context, n int) ([]vtime.Time, error) {
@@ -797,7 +760,7 @@ func (m *Manager) runFitted(ctx context.Context, j *Job, b benchmarks.Benchmark,
 		if pi < 0 {
 			return nil, fmt.Errorf("jobs: fitted anchor p=%d is not on the ladder", n)
 		}
-		if err := m.simLadderPoint(ctx, j, b, sz, envs, pi); err != nil {
+		if err := m.runPoint(ctx, j, b, sz, envs, pi); err != nil {
 			return nil, err
 		}
 		m.mu.Lock()
@@ -822,24 +785,6 @@ func (m *Manager) runFitted(ctx context.Context, j *Job, b benchmarks.Benchmark,
 		j.points[mi] = curve
 	}
 	m.mu.Unlock()
-	return nil
-}
-
-// simLadderPoint executes every machine's cell at ladder index pi
-// through whichever executor the manager is configured with — the same
-// split runCells makes for the whole grid, applied to one point.
-func (m *Manager) simLadderPoint(ctx context.Context, j *Job, b benchmarks.Benchmark, sz benchmarks.Size, envs []machine.Env, pi int) error {
-	if m.cfg.Dispatch != nil {
-		return m.runDispatchedPoint(ctx, j, b, sz, envs, pi)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for mi, env := range envs {
-		if err := m.runCell(ctx, j, b, sz, env, mi, pi); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

@@ -106,14 +106,15 @@ func TestMultiMachineCrashResumeBatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cells run sequentially (one service worker) in flat machine-major
-	// order, machine*len(procs)+point. Freezing at machine 2's first
-	// ladder point (flat 6) leaves machines 0 and 1 — six of nine cells
-	// — computed and persisted.
+	// Ladder points run sequentially (one service worker), each looking
+	// up its machines' cells, flat machine-major index
+	// machine*len(procs)+point, before running the missing ones in one
+	// RunPoint. Freezing at machine 0's last ladder point (flat 2) leaves
+	// points 0 and 1 — six of nine cells — computed and persisted.
 	blocked := make(chan struct{})
 	release := make(chan struct{})
 	m1.cellHook = func(_ string, cell int) {
-		if cell == 2*len(spec.Procs) {
+		if cell == 2 {
 			close(blocked)
 			<-release
 		}

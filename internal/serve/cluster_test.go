@@ -9,11 +9,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"extrap/internal/store"
 )
 
 // newWorkerServer starts a worker-role replica and returns its base URL.
@@ -175,17 +178,20 @@ func TestDistributedSweepLocalFallback(t *testing.T) {
 
 // TestDistributedJobsByteIdentical: async jobs on a coordinator shard
 // across workers, and their persisted results render byte-identically
-// to a solo server's job for the same spec.
+// to a solo server's job for the same spec — exact and fitted, registry
+// kernels and composed workloads.
 func TestDistributedJobsByteIdentical(t *testing.T) {
 	_, w1 := newWorkerServer(t, Config{Workers: 2})
 	_, w2 := newWorkerServer(t, Config{Workers: 2})
-	_, coord := newCoordinatorServer(t,
+	coordSrv, coord := newCoordinatorServer(t,
 		Config{Workers: 2, StoreDir: t.TempDir()}, w1.URL, w2.URL)
 	_, solo := newTestServer(t, Config{Workers: 2, StoreDir: t.TempDir()})
 
 	for _, spec := range []string{
 		`{"benchmark":"grid","size":16,"iters":4,"machines":["cm5","generic-dm"],"procs":[1,2,4]}`,
 		`{"benchmark":"embar","size":16,"machines":["cm5","generic-dm"],"procs":[1,2,4]}`,
+		fittedSweepBody(`"machines":["cm5","generic-dm"]`, 24),
+		workloadSweepBody,
 	} {
 		soloJob := waitJob(t, solo.URL, submitJob(t, solo.URL, spec))
 		distJob := waitJob(t, coord.URL, submitJob(t, coord.URL, spec))
@@ -198,6 +204,9 @@ func TestDistributedJobsByteIdentical(t *testing.T) {
 		if got, want := resultJSON(t, distJob), resultJSON(t, soloJob); got != want {
 			t.Errorf("distributed job result differs from solo for %s:\n%s\nvs\n%s", spec, got, want)
 		}
+	}
+	if st := coordSrv.coord.Stats(); st.Dispatched == 0 || st.Local != 0 {
+		t.Errorf("coordinator stats %+v, want every job point dispatched to a worker", st)
 	}
 }
 
@@ -351,6 +360,39 @@ func TestClusterRoleValidation(t *testing.T) {
 			t.Errorf("case %d (%+v): New accepted an invalid topology", i, cfg)
 		}
 	}
+}
+
+// TestNewReleasesWorkerOnError: a worker's New that fails after
+// starting the shard lease collector — here because StoreDir/jobs is a
+// regular file, so the jobs manager cannot open — stops the collector
+// and releases the store's directory lock before returning the error.
+func TestNewReleasesWorkerOnError(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "jobs"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := New(Config{Role: RoleWorker, StoreDir: dir, Logger: discardLogger()}); err == nil {
+		s.Close()
+		t.Fatal("New opened a jobs manager over a regular file")
+	}
+	// A stopped collector may still be unwinding when New returns.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		buf := make([]byte, 1<<20)
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		if !strings.Contains(stacks, "(*Worker).gcLoop") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("New's error path left the worker's lease collector running:\n%s", stacks)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	st, err := store.Open(dir, 0)
+	if err != nil {
+		t.Fatalf("New's error path kept the store open: %v", err)
+	}
+	st.Close()
 }
 
 // TestDistributedConcurrentSweeps: concurrent identical and distinct

@@ -2,9 +2,10 @@ package serve
 
 // The async jobs API: sweeps that outlive the request — and the server
 // process. POST /v1/jobs validates exactly like POST /v1/sweep but
-// returns 202 with a job ID immediately; the jobs manager executes the
-// grid in the background, persisting each cell's result to the artifact
-// store as it lands. GET /v1/jobs/{id} reports progress and, once done,
+// returns 202 with a job ID immediately; the jobs manager runs the
+// ladder points in the background through the server's point runner,
+// persisting each point's cell results to the artifact store as the
+// point lands. GET /v1/jobs/{id} reports progress and, once done,
 // the result — byte-identical to what the synchronous endpoint would
 // have returned. DELETE cancels. A server restarted on the same
 // -store-dir resumes incomplete jobs from their persisted partials.
@@ -139,47 +140,35 @@ func jobSummary(snap jobs.Snapshot) JobStatusResponse {
 	}
 }
 
-// jobResponse renders one job snapshot. Exact results go through
-// buildSweepResponse; fitted results re-derive the dense curve from the
-// persisted anchors via model.Replay and render through the fitted
-// builder — both shared with the synchronous /v1/sweep handler, so a
-// completed job's body is byte-identical to the synchronous response
-// for the same request, across restarts and replicas. A fitted job
-// whose persisted anchors no longer replay (store corruption or
-// tampering) answers 500 rather than serving a curve that cannot be
-// trusted.
+// jobResponse renders one job snapshot. A done job's curves go through
+// renderSweep, the synchronous /v1/sweep handler's wrapping, so its body
+// is byte-identical to the synchronous response for the same request,
+// across restarts and replicas. A fitted job persists only its anchors:
+// model.Replay re-derives the dense curves from them, and a job whose
+// anchors no longer replay (store corruption or tampering) answers 500
+// rather than serving a curve that cannot be trusted.
 func jobResponse(snap jobs.Snapshot) (JobStatusResponse, *request.Error) {
 	resp := jobSummary(snap)
 	if snap.Status != jobs.StatusDone {
 		return resp, nil
 	}
+	var res *model.Result
 	if snap.Spec.Mode == request.ModeFitted {
-		return fittedJobResponse(snap, resp)
+		var err error
+		if res, err = model.Replay(snap.Spec.Procs, jobAnchors(snap), model.Options{}); err != nil {
+			return resp, request.Errorf(http.StatusInternalServerError, "fitted_replay_failed",
+				"job %s: persisted anchors do not replay: %v", snap.ID, err)
+		}
 	}
-	if len(snap.Spec.Machines) == 0 {
-		r := buildSweepResponse(snap.Spec.Benchmark, snap.Spec.Machine, snap.Spec.Size, snap.Spec.Iters, snap.Points)
-		resp.Result = &r
-		return resp, nil
-	}
-	mr := MultiSweepResponse{
-		Benchmark: snap.Spec.Benchmark,
-		Size:      snap.Spec.Size,
-		Iters:     snap.Spec.Iters,
-		Curves:    make([]SweepCurve, len(snap.Spec.Machines)),
-	}
-	for i, name := range snap.Spec.Machines {
-		curve := buildSweepResponse(snap.Spec.Benchmark, name, snap.Spec.Size, snap.Spec.Iters, snap.Curves[i])
-		mr.Curves[i] = SweepCurve{Machine: name, Points: curve.Points}
-	}
-	resp.MultiResult = &mr
+	sp := snap.Spec
+	resp.Result, resp.MultiResult = renderSweep(sp.Benchmark, sp.Size, sp.Iters, sp.Machine, sp.Machines, snap.Curves, res)
 	return resp, nil
 }
 
-// fittedJobResponse re-derives a done fitted job's dense curves from
-// its persisted anchors. Snapshot curves hold the anchors machine-major
-// with identical processor sequences per machine, which is exactly the
-// transpose of model.Anchor's per-point layout.
-func fittedJobResponse(snap jobs.Snapshot, resp JobStatusResponse) (JobStatusResponse, *request.Error) {
+// jobAnchors transposes a done fitted job's curves, which hold the
+// anchors machine-major with identical processor sequences per machine,
+// into model.Anchor's per-point layout.
+func jobAnchors(snap jobs.Snapshot) []model.Anchor {
 	anchors := make([]model.Anchor, len(snap.Curves[0]))
 	for ai := range anchors {
 		times := make([]vtime.Time, len(snap.Curves))
@@ -188,29 +177,7 @@ func fittedJobResponse(snap jobs.Snapshot, resp JobStatusResponse) (JobStatusRes
 		}
 		anchors[ai] = model.Anchor{Procs: snap.Curves[0][ai].Procs, Times: times}
 	}
-	res, err := model.Replay(snap.Spec.Procs, anchors, model.Options{})
-	if err != nil {
-		return resp, request.Errorf(http.StatusInternalServerError, "fitted_replay_failed",
-			"job %s: persisted anchors do not replay: %v", snap.ID, err)
-	}
-	if len(snap.Spec.Machines) == 0 {
-		r := buildFittedSweepResponse(snap.Spec.Benchmark, snap.Spec.Machine, snap.Spec.Size, snap.Spec.Iters, res, 0)
-		resp.Result = &r
-		return resp, nil
-	}
-	mr := MultiSweepResponse{
-		Benchmark: snap.Spec.Benchmark,
-		Size:      snap.Spec.Size,
-		Iters:     snap.Spec.Iters,
-		Mode:      request.ModeFitted,
-		Curves:    make([]SweepCurve, len(snap.Spec.Machines)),
-	}
-	for i, name := range snap.Spec.Machines {
-		curve := buildFittedSweepResponse(snap.Spec.Benchmark, name, snap.Spec.Size, snap.Spec.Iters, res, i)
-		mr.Curves[i] = SweepCurve{Machine: name, Points: curve.Points, Fit: curve.Fit}
-	}
-	resp.MultiResult = &mr
-	return resp, nil
+	return anchors
 }
 
 // jobArtifacts reports the job's measurement traces resident in the

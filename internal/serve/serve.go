@@ -115,23 +115,25 @@ type Config struct {
 	// ClusterPoll overrides the coordinator's shard poll interval
 	// (tests); ≤ 0 selects the cluster default.
 	ClusterPoll time.Duration
-	// ClusterLeaseMs overrides the shard lease the coordinator requests
-	// (tests); 0 selects the cluster default.
-	ClusterLeaseMs int
 	// EnablePprof mounts net/http/pprof handlers under /debug/pprof/.
 	EnablePprof bool
-	// ShutdownGrace bounds how long Serve waits for in-flight requests
-	// on shutdown; ≤ 0 selects the default of 10s.
-	ShutdownGrace time.Duration
 	// Logger receives structured request logs; nil selects a text
 	// logger on stderr.
 	Logger *slog.Logger
 }
 
+// shutdownGrace bounds how long Serve waits for in-flight requests on
+// shutdown.
+const shutdownGrace = 10 * time.Second
+
 // Server is the extrapolation service.
 type Server struct {
-	cfg    Config
-	svc    *experiments.Service
+	cfg Config
+	svc *experiments.Service
+	// points runs ladder points — fitted sweeps' anchors and every async
+	// job's points: svc itself on a solo server or worker, coord on a
+	// coordinator. New chooses it once, by role.
+	points experiments.PointRunner
 	lim    *limiter
 	met    *metricsSet
 	log    *slog.Logger
@@ -154,9 +156,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 30 * time.Second
-	}
-	if cfg.ShutdownGrace <= 0 {
-		cfg.ShutdownGrace = 10 * time.Second
 	}
 	if cfg.CacheEntries <= 0 {
 		cfg.CacheEntries = 256
@@ -223,6 +222,7 @@ func New(cfg Config) (*Server, error) {
 	if backend != nil {
 		s.svc.SetBackend(backend)
 	}
+	s.points = s.svc
 	switch cfg.Role {
 	case RoleWorker:
 		s.worker = cluster.NewWorker(s.svc, 0)
@@ -230,34 +230,28 @@ func New(cfg Config) (*Server, error) {
 		coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
 			Peers:        cfg.Peers,
 			Service:      s.svc,
-			LeaseMs:      cfg.ClusterLeaseMs,
 			PollInterval: cfg.ClusterPoll,
 		})
 		if err != nil {
-			if s.store != nil {
-				s.store.Close()
-			}
+			s.Close()
 			return nil, err
 		}
-		s.coord = coord
+		// A coordinator's fitted sweeps and async jobs shard their
+		// ladder points exactly like its exact sweeps; job cells still
+		// persist in the LOCAL store, so a coordinator SIGKILL resumes
+		// with completed points loaded from disk, not re-dispatched.
+		s.coord, s.points = coord, coord
 	}
 	if s.store != nil {
-		jcfg := jobs.Config{
-			Dir:     filepath.Join(cfg.StoreDir, "jobs"),
-			Service: s.svc,
-			Store:   s.store,
-			Workers: cfg.JobWorkers,
-		}
-		if s.coord != nil {
-			// A coordinator's async jobs shard exactly like its
-			// synchronous sweeps; results still persist per cell in the
-			// LOCAL store, so a coordinator SIGKILL resumes with completed
-			// shards loaded from disk, not re-dispatched.
-			jcfg.Dispatch = s.coord
-		}
-		mgr, err := jobs.Open(jcfg)
+		mgr, err := jobs.Open(jobs.Config{
+			Dir:      filepath.Join(cfg.StoreDir, "jobs"),
+			Service:  s.svc,
+			Store:    s.store,
+			Workers:  cfg.JobWorkers,
+			Dispatch: s.points,
+		})
 		if err != nil {
-			s.store.Close()
+			s.Close()
 			return nil, err
 		}
 		s.jobs = mgr
@@ -316,7 +310,7 @@ func (s *Server) Handler() http.Handler {
 
 // Serve accepts connections on ln until ctx is cancelled, then shuts
 // down gracefully: the listener closes, in-flight requests get up to
-// ShutdownGrace to finish, and Serve returns nil on a clean drain.
+// shutdownGrace to finish, and Serve returns nil on a clean drain.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	hs := &http.Server{
 		Handler:           s.Handler(),
@@ -329,8 +323,8 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		return err
 	case <-ctx.Done():
 	}
-	s.log.Info("shutting down", "grace", s.cfg.ShutdownGrace)
-	shctx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownGrace)
+	s.log.Info("shutting down", "grace", shutdownGrace)
+	shctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 	defer cancel()
 	if err := hs.Shutdown(shctx); err != nil {
 		return err
@@ -456,43 +450,24 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	b, sz, envs, ladder := rs.Bench, rs.Size, rs.Envs, rs.Procs
-	if rs.Mode == request.ModeFitted {
-		res, apiErr := s.runFittedSweep(r.Context(), b, sz, envs, ladder)
-		if apiErr != nil {
-			request.WriteError(w, apiErr)
-			return
-		}
-		if len(req.Machines) == 0 {
-			request.WriteJSON(w, http.StatusOK, buildFittedSweepResponse(b.Name(), envs[0].Name, sz.N, sz.Iters, res, 0))
-			return
-		}
-		resp := MultiSweepResponse{
-			Benchmark: b.Name(),
-			Size:      sz.N,
-			Iters:     sz.Iters,
-			Mode:      request.ModeFitted,
-			Curves:    make([]SweepCurve, len(envs)),
-		}
-		for i, env := range envs {
-			curve := buildFittedSweepResponse(b.Name(), env.Name, sz.N, sz.Iters, res, i)
-			resp.Curves[i] = SweepCurve{Machine: env.Name, Points: curve.Points, Fit: curve.Fit}
-		}
-		request.WriteJSON(w, http.StatusOK, resp)
-		return
-	}
 	var series [][]metrics.Point
+	var res *model.Result
 	var err error
-	if s.coord != nil {
-		// Coordinator: one shard per ladder point, dispatched across the
-		// worker replicas and merged as exact integers. The series feeds
-		// the same rendering below, so distributed output is byte-identical
-		// to a solo server's.
-		names := make([]string, len(envs))
-		for i, env := range envs {
-			names[i] = env.Name
-		}
-		series, err = s.coord.SweepLadder(r.Context(), b.Name(), request.WorkloadJSON(b), sz, names, ladder)
-	} else {
+	switch {
+	case rs.Mode == request.ModeFitted:
+		// An analytic fit over anchors the refinement chooses, each one
+		// ladder point run by the server's point runner. The fit itself is
+		// deterministic arithmetic, so fitted responses are byte-identical
+		// across worker counts and replicas.
+		res, err = model.Run(r.Context(), ladder, len(envs), func(ctx context.Context, procs int) ([]vtime.Time, error) {
+			return s.points.RunPoint(ctx, b, sz, procs, envs)
+		}, model.Options{})
+	case s.coord != nil:
+		// Coordinator: one shard per ladder point, all in flight at once
+		// across the worker replicas and merged as exact integers, so the
+		// rendering below is byte-identical to a solo server's.
+		series, err = s.coord.SweepLadder(r.Context(), b, sz, envs, ladder)
+	default:
 		// One factory serves every machine: the jobs share measurements.
 		factory := b.Factory(sz)
 		grid := make([]experiments.SweepJob, len(envs))
@@ -512,21 +487,39 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		request.WriteError(w, pipelineError(err))
 		return
 	}
-	if len(req.Machines) == 0 {
-		request.WriteJSON(w, http.StatusOK, buildSweepResponse(b.Name(), envs[0].Name, sz.N, sz.Iters, series[0]))
+	one, many := renderSweep(b.Name(), sz.N, sz.Iters, req.Machine, req.Machines, series, res)
+	if many != nil {
+		request.WriteJSON(w, http.StatusOK, many)
 		return
 	}
-	resp := MultiSweepResponse{
-		Benchmark: b.Name(),
-		Size:      sz.N,
-		Iters:     sz.Iters,
-		Curves:    make([]SweepCurve, len(envs)),
+	request.WriteJSON(w, http.StatusOK, one)
+}
+
+// renderSweep wraps a sweep's curves — the exact series, or the fitted
+// result when res is non-nil — in the shape its request named: a
+// request naming one machine (machineName) answers a SweepResponse, one
+// naming several (machines) a MultiSweepResponse. It is the one wrapping
+// for synchronous sweeps and done jobs alike.
+func renderSweep(bench string, size, iters int, machineName string, machines []string, series [][]metrics.Point, res *model.Result) (*SweepResponse, *MultiSweepResponse) {
+	curve := func(i int, name string) SweepResponse {
+		if res != nil {
+			return buildFittedSweepResponse(bench, name, size, iters, res, i)
+		}
+		return buildSweepResponse(bench, name, size, iters, series[i])
 	}
-	for i, env := range envs {
-		curve := buildSweepResponse(b.Name(), env.Name, sz.N, sz.Iters, series[i])
-		resp.Curves[i] = SweepCurve{Machine: env.Name, Points: curve.Points}
+	if len(machines) == 0 {
+		r := curve(0, machineName)
+		return &r, nil
 	}
-	request.WriteJSON(w, http.StatusOK, resp)
+	mr := &MultiSweepResponse{Benchmark: bench, Size: size, Iters: iters, Curves: make([]SweepCurve, len(machines))}
+	if res != nil {
+		mr.Mode = request.ModeFitted
+	}
+	for i, name := range machines {
+		c := curve(i, name)
+		mr.Curves[i] = SweepCurve{Machine: name, Points: c.Points, Fit: c.Fit}
+	}
+	return nil, mr
 }
 
 // buildSweepResponse renders a sweep series. It is the single rendering
@@ -553,43 +546,6 @@ func buildSweepResponse(bench, machineName string, size, iters int, points []met
 		}
 	}
 	return resp
-}
-
-// runFittedSweep runs the sparse fitted pipeline: an analytic fit over
-// anchors the refinement chooses, each anchor simulated through the same
-// executor the exact path uses — the coordinator's shard fan-out when
-// clustered (only the sparse anchors are dispatched), the same shard
-// executor run locally otherwise. The fit itself is deterministic arithmetic, so
-// fitted responses are byte-identical across worker counts and replicas
-// for the same request.
-func (s *Server) runFittedSweep(ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, envs []machine.Env, ladder []int) (*model.Result, *request.Error) {
-	var sim model.Simulator
-	if s.coord != nil {
-		names := make([]string, len(envs))
-		for i, env := range envs {
-			names[i] = env.Name
-		}
-		sim = func(ctx context.Context, procs int) ([]vtime.Time, error) {
-			return s.coord.RunPoint(ctx, b.Name(), request.WorkloadJSON(b), sz, procs, names)
-		}
-	} else {
-		sim = func(ctx context.Context, procs int) ([]vtime.Time, error) {
-			cells, err := cluster.ExecuteShard(ctx, s.svc, b, sz, procs, envs)
-			if err != nil {
-				return nil, err
-			}
-			ts := make([]vtime.Time, len(cells))
-			for i, c := range cells {
-				ts[i] = vtime.Time(c.TotalNs)
-			}
-			return ts, nil
-		}
-	}
-	res, err := model.Run(ctx, ladder, len(envs), sim, model.Options{})
-	if err != nil {
-		return nil, pipelineError(err)
-	}
-	return res, nil
 }
 
 // buildFittedSweepResponse renders curve ci of a fitted result in the
