@@ -25,7 +25,7 @@ import (
 	"extrap/internal/core"
 	"extrap/internal/experiments"
 	"extrap/internal/machine"
-	"extrap/internal/metrics"
+	"extrap/internal/model"
 	"extrap/internal/pcxx"
 	"extrap/internal/profile"
 	"extrap/internal/sim"
@@ -326,52 +326,36 @@ func BenchmarkSimulationWide(b *testing.B) {
 	b.ReportMetric(float64(pt.Events())/1000, "kevents")
 }
 
-// sweepBatchGrid builds the machine-parameter what-if grid for
+// sweepBatchEnvs builds the machine-parameter what-if grid for
 // BenchmarkSweepBatch: 24 GenericDM variants on one processor with the
 // model barrier, varying MIPS ratio × barrier cost. Every cell shares
-// the one 16-thread measurement of the named kernel, so a warm sweep
-// measures nothing and each cell decodes, translates and simulates that
-// shared trace on its own. A zero sz selects the kernel's default size.
-func sweepBatchGrid(b *testing.B, name string, sz benchmarks.Size) []experiments.SweepJob {
-	b.Helper()
-	k, err := benchmarks.ByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if sz == (benchmarks.Size{}) {
-		sz = k.DefaultSize()
-	}
-	base := machine.GenericDM().Config
-	base.Procs = 1
-	base.Barrier.Algorithm = sim.LinearBarrier
-	base.Barrier.ByMsgs = false
-	var jobs []experiments.SweepJob
+// one 16-thread measurement, so a warm sweep measures nothing and each
+// cell decodes, translates and simulates that shared trace on its own.
+func sweepBatchEnvs() []machine.Env {
+	base := machine.GenericDM()
+	base.Config.Procs = 1
+	base.Config.Barrier.Algorithm = sim.LinearBarrier
+	base.Config.Barrier.ByMsgs = false
+	var envs []machine.Env
 	for _, mips := range []float64{0.5, 1, 2, 4} {
 		for _, bt := range []vtime.Time{5, 10, 25, 50, 100, 200} {
-			cfg := base
-			cfg.MipsRatio = mips
-			cfg.Barrier.ModelTime = bt * vtime.Microsecond
-			jobs = append(jobs, experiments.SweepJob{
-				Name:    k.Name(),
-				Size:    sz,
-				Factory: k.Factory(sz),
-				Mode:    pcxx.ActualSize,
-				Cfg:     cfg,
-				Procs:   []int{16},
-			})
+			env := base
+			env.Config.MipsRatio = mips
+			env.Config.Barrier.ModelTime = bt * vtime.Microsecond
+			envs = append(envs, env)
 		}
 	}
-	return jobs
+	return envs
 }
 
 // BenchmarkSweepBatch measures warm sweep throughput over the 24-cell
-// machine-parameter grid on the streaming service, one worker, every
-// cell on the per-cell path. The arms sit on both sides of
-// fast-forward: grid (the "sequential" arm, N=32 for 60 sweeps) is
-// loop-heavy, so each cell skips its steady sweeps; cyclic and
-// pipeline8 (default sizes) are loop-poor, so each cell replays nearly
-// every event and most of its time goes to re-decoding and
-// re-translating a trace that does not depend on the machine.
+// machine-parameter grid on the streaming service: one ladder point at
+// 16 threads, run by one RunPoint call over every machine. The arms sit
+// on both sides of fast-forward: grid (the "sequential" arm, N=32 for
+// 60 sweeps) is loop-heavy, so each cell skips its steady sweeps;
+// cyclic and pipeline8 (default sizes) are loop-poor, so each cell
+// replays nearly every event and most of its time goes to re-decoding
+// and re-translating a trace that does not depend on the machine.
 func BenchmarkSweepBatch(b *testing.B) {
 	for _, bc := range []struct {
 		name, kernel string
@@ -382,87 +366,92 @@ func BenchmarkSweepBatch(b *testing.B) {
 		{"pipeline8", "pipeline8", benchmarks.Size{}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			k, err := benchmarks.ByName(bc.kernel)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sz := bc.size
+			if sz == (benchmarks.Size{}) {
+				sz = k.DefaultSize()
+			}
 			svc := experiments.NewService(1, 64, 0)
-			jobs := sweepBatchGrid(b, bc.kernel, bc.size)
+			envs := sweepBatchEnvs()
+			f := k.Factory(sz)
 			ctx := context.Background()
-			if _, err := svc.SweepGrid(ctx, jobs); err != nil {
+			if _, err := svc.RunPoint(ctx, k, sz, f, 16, envs); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := svc.SweepGrid(ctx, jobs); err != nil {
+				if _, err := svc.RunPoint(ctx, k, sz, f, 16, envs); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
 			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(len(jobs))*float64(b.N)/secs, "cells/s")
+				b.ReportMetric(float64(len(envs))*float64(b.N)/secs, "cells/s")
 			}
 		})
-	}
-}
-
-// sweepFittedJob is the dense-ladder workload for BenchmarkSweepFitted:
-// one Grid curve over every processor count 1..32. The exact arm
-// simulates all 32 cells; the fitted arm simulates only the model
-// package's anchor set (8 cells at the default 25% budget) and answers
-// the rest from the least-squares fit.
-func sweepFittedJob(b *testing.B) experiments.SweepJob {
-	b.Helper()
-	g, err := benchmarks.ByName("grid")
-	if err != nil {
-		b.Fatal(err)
-	}
-	sz := benchmarks.Size{N: 32, Iters: 60}
-	procs := make([]int, 32)
-	for i := range procs {
-		procs[i] = i + 1
-	}
-	return experiments.SweepJob{
-		Name:    g.Name(),
-		Size:    sz,
-		Factory: g.Factory(sz),
-		Mode:    pcxx.ActualSize,
-		Cfg:     machine.GenericDM().Config,
-		Procs:   procs,
 	}
 }
 
 // BenchmarkSweepFitted measures dense-ladder sweep throughput, exact
 // versus fitted, on the streaming service with warm measurement caches
 // — so the arms isolate per-cell simulation against sparse-anchor
-// simulation plus the fit's arithmetic. cells/s counts ladder cells
-// answered, whatever their provenance; the fitted arm's advantage is
-// the 4× fewer simulations behind those answers.
+// simulation plus the fit's arithmetic. The workload is one Grid curve
+// over every processor count 1..32: the exact arm (RunLadder) simulates
+// all 32 cells; the fitted arm (model.Run over RunPoint, as a fitted
+// /v1/sweep runs) simulates only the model package's anchor set (8
+// cells at the default 25% budget) and answers the rest from the
+// least-squares fit. cells/s counts ladder cells answered, whatever
+// their provenance; the fitted arm's advantage is the 4× fewer
+// simulations behind those answers.
 func BenchmarkSweepFitted(b *testing.B) {
+	g, err := benchmarks.ByName("grid")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sz := benchmarks.Size{N: 32, Iters: 60}
+	ladder := make([]int, 32)
+	for i := range ladder {
+		ladder[i] = i + 1
+	}
+	envs := []machine.Env{machine.GenericDM()}
 	for _, bc := range []struct {
 		name   string
 		fitted bool
 	}{{"exact", false}, {"fitted", true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			svc := experiments.NewService(1, 64, 0)
-			jobs := []experiments.SweepJob{sweepFittedJob(b)}
 			ctx := context.Background()
-			run := func() ([][]metrics.Point, error) {
-				if bc.fitted {
-					return svc.SweepGridFitted(ctx, jobs)
+			exact := func() error {
+				_, err := experiments.RunLadder(ctx, svc, svc.Workers(), g, sz, envs, ladder)
+				return err
+			}
+			run := exact
+			if bc.fitted {
+				run = func() error {
+					f := g.Factory(sz)
+					_, err := model.Run(ctx, ladder, len(envs), func(ctx context.Context, procs int) ([]vtime.Time, error) {
+						return svc.RunPoint(ctx, g, sz, f, procs, envs)
+					}, model.Options{})
+					return err
 				}
-				return svc.SweepGrid(ctx, jobs)
 			}
 			// Warm every measurement either arm can touch so the timed
 			// region is simulation + fit, not benchmark measurement.
-			if _, err := svc.SweepGrid(ctx, jobs); err != nil {
+			if err := exact(); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := run(); err != nil {
+				if err := run(); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
 			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(len(jobs[0].Procs))*float64(b.N)/secs, "cells/s")
+				b.ReportMetric(float64(len(ladder))*float64(b.N)/secs, "cells/s")
 			}
 		})
 	}

@@ -32,6 +32,7 @@ import (
 	"extrap/internal/experiments"
 	"extrap/internal/machine"
 	"extrap/internal/metrics"
+	"extrap/internal/model"
 	"extrap/internal/pcxx"
 	"extrap/internal/profile"
 	"extrap/internal/sim"
@@ -732,8 +733,9 @@ func workloadLadder(quick bool) []int {
 }
 
 // runWorkloadSweep parses a composed-workload spec file, synthesizes its
-// pcxx program, and sweeps it over the fixed machine set and ladder
-// through the same Service `extrap serve` runs, printing one exact
+// pcxx program, and sweeps it over the fixed machine set and ladder the
+// way `extrap serve` answers /v1/sweep — RunLadder over a Service, or
+// with -mode fitted model.Run over its RunPoint — printing one
 // integer-nanosecond cell per (procs, machine). The table is
 // byte-identical at any worker count — the same invariant the
 // registered experiments carry.
@@ -754,26 +756,25 @@ func runWorkloadSweep(opts experiments.Options, path string, w io.Writer) error 
 
 	sz := wl.DefaultSize()
 	ladder := workloadLadder(opts.Quick)
-	jobs := make([]experiments.SweepJob, len(workloadMachines))
+	envs := make([]machine.Env, len(workloadMachines))
 	for i, name := range workloadMachines {
-		env, err := machine.ByName(name)
-		if err != nil {
+		if envs[i], err = machine.ByName(name); err != nil {
 			return err
 		}
-		jobs[i] = experiments.SweepJob{
-			Name:    wl.Name(),
-			Size:    sz,
-			Factory: wl.Factory(sz),
-			Mode:    pcxx.ActualSize,
-			Cfg:     env.Config,
-			Procs:   ladder,
-		}
 	}
+	ctx := context.Background()
 	var curves [][]metrics.Point
 	if opts.FitMode == "fitted" {
-		curves, err = svc.SweepGridFitted(context.Background(), jobs)
+		f := wl.Factory(sz)
+		var res *model.Result
+		res, err = model.Run(ctx, ladder, len(envs), func(ctx context.Context, procs int) ([]vtime.Time, error) {
+			return svc.RunPoint(ctx, wl, sz, f, procs, envs)
+		}, model.Options{})
+		if err == nil {
+			curves = experiments.FittedSeries(res)
+		}
 	} else {
-		curves, err = svc.SweepGrid(context.Background(), jobs)
+		curves, err = experiments.RunLadder(ctx, svc, svc.Workers(), wl, sz, envs, ladder)
 	}
 	if err != nil {
 		return err

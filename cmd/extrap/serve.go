@@ -25,7 +25,7 @@ func cmdServe(args []string, out io.Writer) error {
 	maxInflight := fs.Int("max-inflight", 32, "maximum concurrently executing compute requests")
 	queueWait := fs.Duration("queue-wait", 500*time.Millisecond, "how long an excess request may wait for a slot before a 429 (0 rejects immediately)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request pipeline deadline")
-	workers := fs.Int("workers", 0, "worker goroutines per sweep request (0 = all CPUs)")
+	workers := fs.Int("workers", 0, "ladder points a sweep or job runs at once (0 = all CPUs; on a coordinator, shards in flight, 0 = a whole ladder)")
 	cacheEntries := fs.Int("cache-entries", 256, "measurement memo-cache bound (LRU-evicted past it)")
 	maxTraceBytes := fs.Int64("max-trace-bytes", 256<<20, "per-measurement encoded-trace budget in bytes; requests past it get 413 (-1 = unlimited)")
 	storeDir := fs.String("store-dir", "", "durable artifact store directory; enables on-disk trace/prediction reuse and the async jobs API (empty = in-memory only)")

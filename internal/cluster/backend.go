@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"extrap/internal/core"
 	"extrap/internal/request"
@@ -64,20 +63,16 @@ type RemoteBackend struct {
 	base     string // peer base URL
 	client   *http.Client
 	maxBytes int64
-	timeout  time.Duration
 }
 
-// NewRemoteBackend returns a backend fetching from the peer at base.
-// maxBytes caps one fetched payload (≤ 0 selects 256 MiB); client nil
-// selects a default client with a 10s per-call timeout.
-func NewRemoteBackend(base string, maxBytes int64, client *http.Client) *RemoteBackend {
+// NewRemoteBackend returns a backend fetching from the peer at base,
+// each fetch bounded by callTimeout. maxBytes caps one fetched payload
+// (≤ 0 selects 256 MiB).
+func NewRemoteBackend(base string, maxBytes int64) *RemoteBackend {
 	if maxBytes <= 0 {
 		maxBytes = 256 << 20
 	}
-	if client == nil {
-		client = &http.Client{}
-	}
-	return &RemoteBackend{base: base, client: client, maxBytes: maxBytes, timeout: 10 * time.Second}
+	return &RemoteBackend{base: base, client: &http.Client{}, maxBytes: maxBytes}
 }
 
 // GetTrace fetches the encoded trace under key's canonical address for
@@ -90,7 +85,7 @@ func (rb *RemoteBackend) GetTrace(key core.CacheKey, format trace.Format) ([]byt
 	if err != nil {
 		return nil, false
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), rb.timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), callTimeout)
 	defer cancel()
 	resp, err := rb.client.Do(req.WithContext(ctx))
 	if err != nil {

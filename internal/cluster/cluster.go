@@ -8,14 +8,14 @@
 // the cluster's PointRunner: it turns each ladder point into one shard
 // and dispatches it to a worker replica over HTTP. Workers execute a
 // shard through their own Service.RunPoint — the executor a solo server
-// runs its fitted sweeps and async jobs through — and return per-cell
+// runs its sweeps and async jobs through — and return per-cell
 // results as exact virtual-nanosecond integers. The coordinator merges
 // them into the same []metrics.Point series the solo path produces, so
 // distributed output is byte-identical to solo output by construction:
 // the numbers are exact integers and the rendering path is shared.
-// Serve hands the Coordinator to a coordinator's fitted sweeps and async
-// jobs; its exact sweeps run through SweepLadder, with every ladder
-// point in flight at once.
+// Serve hands the Coordinator to every sweep and async job a coordinator
+// runs, through the fan-out a solo server uses (experiments.RunLadder
+// and the jobs queue), so its -workers bounds the shards in flight.
 //
 // # Protocol
 //

@@ -309,7 +309,7 @@ func TestRemoteBackendAndChain(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 
-	rb := NewRemoteBackend(ts.URL, 1<<20, nil)
+	rb := NewRemoteBackend(ts.URL, 1<<20)
 	if got, ok := rb.GetTrace(key, format); !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("remote get: ok=%v got=%q", ok, got)
 	}
@@ -318,7 +318,7 @@ func TestRemoteBackendAndChain(t *testing.T) {
 		t.Error("remote get of absent artifact reported a hit")
 	}
 	// A payload past the cap is a miss, not a truncated hit.
-	tiny := NewRemoteBackend(ts.URL, 4, nil)
+	tiny := NewRemoteBackend(ts.URL, 4)
 	if _, ok := tiny.GetTrace(key, format); ok {
 		t.Error("oversized payload should read as a miss")
 	}
@@ -326,7 +326,7 @@ func TestRemoteBackendAndChain(t *testing.T) {
 	deadTS := httptest.NewServer(http.NotFoundHandler())
 	deadURL := deadTS.URL
 	deadTS.Close()
-	if _, ok := NewRemoteBackend(deadURL, 1<<20, nil).GetTrace(key, format); ok {
+	if _, ok := NewRemoteBackend(deadURL, 1<<20).GetTrace(key, format); ok {
 		t.Error("unreachable peer should read as a miss")
 	}
 
@@ -438,7 +438,7 @@ func TestDispatchedShardSurvivesSilentCoordinator(t *testing.T) {
 	const lease = MinLeaseMs * time.Millisecond
 	execDone := make(chan struct{})
 	prev := runPoint
-	runPoint = func(svc *experiments.Service, ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, threads int, envs []machine.Env) ([]vtime.Time, error) {
+	runPoint = func(svc *experiments.Service, ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, f core.ProgramFactory, threads int, envs []machine.Env) ([]vtime.Time, error) {
 		defer close(execDone)
 		// Hold execution across several lease windows before running the
 		// real pipeline.
@@ -447,7 +447,7 @@ func TestDispatchedShardSurvivesSilentCoordinator(t *testing.T) {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		return prev(svc, ctx, b, sz, threads, envs)
+		return prev(svc, ctx, b, sz, f, threads, envs)
 	}
 	defer func() { runPoint = prev }()
 

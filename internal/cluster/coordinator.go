@@ -9,7 +9,6 @@ import (
 	"hash/fnv"
 	"io"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,7 +16,6 @@ import (
 	"extrap/internal/core"
 	"extrap/internal/experiments"
 	"extrap/internal/machine"
-	"extrap/internal/metrics"
 	"extrap/internal/pcxx"
 	"extrap/internal/request"
 	"extrap/internal/vtime"
@@ -68,10 +66,10 @@ type CoordinatorStats struct {
 	Peers      []PeerHealth
 }
 
-// Coordinator partitions sweep grids into measured-trace shards and
-// dispatches them across worker replicas, merging exact per-cell
-// results. Safe for concurrent use; one Coordinator serves every
-// request of a serve process.
+// Coordinator runs ladder points as measured-trace shards dispatched
+// across worker replicas, answering each with exact per-cell results.
+// Safe for concurrent use; one Coordinator serves every request of a
+// serve process.
 type Coordinator struct {
 	cfg    CoordinatorConfig
 	peers  []*peer
@@ -142,14 +140,14 @@ func (e *permanentError) Unwrap() error { return e.err }
 // affinity-first (hash of the canonical measurement key, so repeated
 // requests for one configuration land on one worker and dedup in its
 // single-flight cache), with failover across the remaining peers and the
-// local Service's RunPoint as the last resort. The caller's ctx bounds
-// the whole attempt chain.
+// local Service's RunPoint, over f, as the last resort. The caller's ctx
+// bounds the whole attempt chain.
 //
 // A composed workload's shard carries its spec JSON alongside the
 // derived content name, so the worker can synthesize the program.
 // Affinity still hashes the measurement key — the name — so a composed
 // configuration lands on one worker like any other.
-func (c *Coordinator) RunPoint(ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, threads int, envs []machine.Env) ([]vtime.Time, error) {
+func (c *Coordinator) RunPoint(ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, f core.ProgramFactory, threads int, envs []machine.Env) ([]vtime.Time, error) {
 	machines := make([]string, len(envs))
 	for i, env := range envs {
 		machines[i] = env.Name
@@ -205,7 +203,7 @@ func (c *Coordinator) RunPoint(ctx context.Context, b benchmarks.Benchmark, sz b
 	// Results are byte-identical by the pipeline's determinism, so WHERE
 	// a shard ran never shows in the output.
 	c.local.Add(1)
-	times, err := c.cfg.Service.RunPoint(ctx, b, sz, threads, envs)
+	times, err := c.cfg.Service.RunPoint(ctx, b, sz, f, threads, envs)
 	if err != nil {
 		return nil, err
 	}
@@ -371,42 +369,4 @@ func cellTimes(cells []CellResult, machines []string) ([]vtime.Time, error) {
 		out[i] = vtime.Time(cell.TotalNs)
 	}
 	return out, nil
-}
-
-// SweepLadder runs a whole sweep grid — every machine in envs over every
-// ladder point — on the cluster: one shard per ladder point (the
-// measured-trace grouping), all points in flight concurrently, merged
-// into one series per machine in envs order. The returned points
-// are exact, so rendering them through the solo path's response builder
-// yields byte-identical output.
-func (c *Coordinator) SweepLadder(ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, envs []machine.Env, ladder []int) ([][]metrics.Point, error) {
-	points := make([][]metrics.Point, len(envs))
-	for mi := range points {
-		points[mi] = make([]metrics.Point, len(ladder))
-	}
-	errs := make([]error, len(ladder))
-	var wg sync.WaitGroup
-	for pi, n := range ladder {
-		wg.Add(1)
-		go func(pi, n int) {
-			defer wg.Done()
-			times, err := c.RunPoint(ctx, b, sz, n, envs)
-			if err != nil {
-				errs[pi] = err
-				return
-			}
-			for mi := range envs {
-				points[mi][pi] = metrics.Point{Procs: n, Time: times[mi]}
-			}
-		}(pi, n)
-	}
-	wg.Wait()
-	// Surface the lowest-indexed error — the one a sequential loop would
-	// hit first — so error output is deterministic too.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return points, nil
 }

@@ -196,7 +196,7 @@ func (w *Worker) HandleDispatch(rw http.ResponseWriter, r *http.Request) {
 	go func() {
 		defer w.wg.Done()
 		defer cancel()
-		times, err := runPoint(w.svc, ctx, b, sz, spec.Threads, envs)
+		times, err := runPoint(w.svc, ctx, b, sz, b.Factory(sz), spec.Threads, envs)
 		sh.mu.Lock()
 		if err != nil {
 			sh.status = ShardFailed

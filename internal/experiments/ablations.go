@@ -38,7 +38,7 @@ func runAblationBarrier(opts Options) (*Output, error) {
 		{"hardware (CM-5 control net)", sim.HardwareBarrier},
 	}
 	r := newRunner(opts)
-	jobs := make([]SweepJob, len(algorithms))
+	jobs := make([]sweepJob, len(algorithms))
 	for i, a := range algorithms {
 		cfg := machine.GenericDM().Config
 		cfg.Barrier.Algorithm = a.alg
@@ -70,7 +70,7 @@ func runAblationContention(opts Options) (*Output, error) {
 	}
 	factors := []float64{0, 0.05, 0.25}
 	r := newRunner(opts)
-	jobs := make([]SweepJob, len(factors))
+	jobs := make([]sweepJob, len(factors))
 	for i, factor := range factors {
 		cfg := machine.GenericDM().Config
 		cfg.Comm.ContentionFactor = factor
@@ -101,7 +101,7 @@ func runAblationMultithread(opts Options) (*Output, error) {
 	// Each benchmark is one 16-thread measurement, memoized across all
 	// five simulated processor counts.
 	r := newRunner(opts)
-	var jobs []SweepJob
+	var jobs []sweepJob
 	for _, name := range benchNames {
 		b, err := benchmarks.ByName(name)
 		if err != nil {

@@ -38,7 +38,7 @@ func runFig4(opts Options) (*Output, error) {
 	}
 	r := newRunner(opts)
 	suite := benchmarks.Suite()
-	jobs := make([]SweepJob, len(suite))
+	jobs := make([]sweepJob, len(suite))
 	for i, b := range suite {
 		jobs[i] = r.job(b, pcxx.CompilerEstimate, env.Config, opts.procs())
 	}

@@ -65,9 +65,9 @@ func runFig5(opts Options) (*Output, error) {
 		Title: "Figure 5: Grid speedup", XLabel: "procs", YLabel: "speedup", X: procs,
 	}
 	r := newRunner(opts)
-	jobs := make([]SweepJob, len(variants))
+	jobs := make([]sweepJob, len(variants))
 	for i, v := range variants {
-		jobs[i] = SweepJob{
+		jobs[i] = sweepJob{
 			Name: grid.Name(), Size: size, Factory: grid.Factory(size),
 			Mode: v.mode, Cfg: v.cfg, Procs: procs,
 		}

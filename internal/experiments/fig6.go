@@ -40,7 +40,7 @@ func runFig6(opts Options) (*Output, error) {
 	// One job per (benchmark, ratio) curve; the memo cache shares each
 	// benchmark's per-ladder measurements across all three ratios.
 	r := newRunner(opts)
-	var jobs []SweepJob
+	var jobs []sweepJob
 	for _, g := range graphs {
 		b, err := benchmarks.ByName(g.bench)
 		if err != nil {

@@ -43,7 +43,7 @@ func runFig7(opts Options) (*Output, error) {
 	// Six configurations over one benchmark: the memo cache measures each
 	// ladder point once and simulates it under all six parameter sets.
 	r := newRunner(opts)
-	var jobs []SweepJob
+	var jobs []sweepJob
 	for _, ratio := range ratios {
 		for _, su := range startups {
 			cfg := machine.GenericDM().Config

@@ -39,7 +39,7 @@ func runFig8(opts Options) (*Output, error) {
 	out := &Output{ID: "fig8", Title: "Remote data request service policies"}
 	benchNames := []string{"cyclic", "grid"}
 	r := newRunner(opts)
-	var jobs []SweepJob
+	var jobs []sweepJob
 	for _, benchName := range benchNames {
 		b, err := benchmarks.ByName(benchName)
 		if err != nil {

@@ -100,13 +100,11 @@ func (r *runner) translated(bench string, size benchmarks.Size, threads int, mop
 	return translate.Translate(tr)
 }
 
-// SweepJob is one curve of a parameter grid: a benchmark swept over the
+// sweepJob is one curve of a parameter grid: a benchmark swept over the
 // processor ladder under one simulation configuration. Jobs naming the
 // same benchmark/size/mode share measurement traces through the memo
-// cache regardless of how their configs differ. SweepJob is exported so
-// callers outside the registered experiments — notably the `extrap
-// serve` API — run the same grid machinery the paper's experiments use.
-type SweepJob struct {
+// cache regardless of how their configs differ.
+type sweepJob struct {
 	// Name identifies the program for the memo cache; include variant
 	// parameters that change program behavior.
 	Name string
@@ -124,8 +122,8 @@ type SweepJob struct {
 
 // job is a convenience constructor for the common benchmark-over-ladder
 // case.
-func (r *runner) job(b benchmarks.Benchmark, mode pcxx.SizeMode, cfg sim.Config, procs []int) SweepJob {
-	return SweepJob{
+func (r *runner) job(b benchmarks.Benchmark, mode pcxx.SizeMode, cfg sim.Config, procs []int) sweepJob {
+	return sweepJob{
 		Name:    b.Name(),
 		Size:    r.opts.size(b),
 		Factory: b.Factory(r.opts.size(b)),
@@ -137,7 +135,7 @@ func (r *runner) job(b benchmarks.Benchmark, mode pcxx.SizeMode, cfg sim.Config,
 
 // runGrid fans the grid across the experiment's worker pool, through
 // the fitted path when the run's FitMode selects it.
-func (r *runner) runGrid(jobs []SweepJob) ([][]metrics.Point, error) {
+func (r *runner) runGrid(jobs []sweepJob) ([][]metrics.Point, error) {
 	if r.opts.FitMode == "fitted" {
 		return runGridFitted(context.Background(), r.cache, r.opts.Workers, jobs)
 	}
@@ -161,7 +159,7 @@ type gridCell struct{ job, pt int }
 // trace. The streaming pipeline is byte-identical to the in-memory
 // one, so the grid's output is the same either way, at any worker
 // count.
-func runGrid(ctx context.Context, cache *core.TraceCache, workers int, jobs []SweepJob) ([][]metrics.Point, error) {
+func runGrid(ctx context.Context, cache *core.TraceCache, workers int, jobs []sweepJob) ([][]metrics.Point, error) {
 	// Flatten the grid so the pool load-balances across cells of every
 	// job, not one job at a time.
 	var cells []gridCell
@@ -193,7 +191,7 @@ func runGrid(ctx context.Context, cache *core.TraceCache, workers int, jobs []Sw
 
 // cellTime measures (through the memo cache) and simulates one cell,
 // returning its exact predicted total.
-func cellTime(ctx context.Context, cache *core.TraceCache, job *SweepJob, n int) (vtime.Time, error) {
+func cellTime(ctx context.Context, cache *core.TraceCache, job *sweepJob, n int) (vtime.Time, error) {
 	mopts := core.MeasureOptions{SizeMode: job.Mode}
 	key := cacheKey(job.Name, job.Size, n, mopts)
 	measure := func() (*trace.Trace, error) {
@@ -228,7 +226,7 @@ func cellTime(ctx context.Context, cache *core.TraceCache, job *SweepJob, n int)
 // whole virtual nanoseconds and clamped non-negative. Jobs fan across
 // the worker pool; each job's refinement is serial and deterministic,
 // so the assembled output is byte-identical at any worker count.
-func runGridFitted(ctx context.Context, cache *core.TraceCache, workers int, jobs []SweepJob) ([][]metrics.Point, error) {
+func runGridFitted(ctx context.Context, cache *core.TraceCache, workers int, jobs []sweepJob) ([][]metrics.Point, error) {
 	points := make([][]metrics.Point, len(jobs))
 	err := pool.Run(workers, len(jobs), func(j int) error {
 		if err := ctx.Err(); err != nil {
@@ -246,22 +244,30 @@ func runGridFitted(ctx context.Context, cache *core.TraceCache, workers int, job
 		if err != nil {
 			return err
 		}
-		points[j] = make([]metrics.Point, len(job.Procs))
-		for i, p := range res.Curves[0].Points {
-			if p.Simulated {
-				points[j][i] = metrics.Point{Procs: p.Procs, Time: p.Exact}
-				continue
-			}
-			v := math.Round(p.Value)
-			if v < 0 {
-				v = 0
-			}
-			points[j][i] = metrics.Point{Procs: p.Procs, Time: vtime.Time(v)}
-		}
+		points[j] = FittedSeries(res)[0]
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return points, nil
+}
+
+// FittedSeries renders a fitted result as one integer series per curve:
+// an anchor carries its exact simulated time, and a fitted cell the
+// fit's value rounded to whole virtual nanoseconds and clamped
+// non-negative.
+func FittedSeries(res *model.Result) [][]metrics.Point {
+	series := make([][]metrics.Point, len(res.Curves))
+	for ci, cf := range res.Curves {
+		series[ci] = make([]metrics.Point, len(cf.Points))
+		for i, p := range cf.Points {
+			t := p.Exact
+			if !p.Simulated {
+				t = vtime.Time(max(math.Round(p.Value), 0))
+			}
+			series[ci][i] = metrics.Point{Procs: p.Procs, Time: t}
+		}
+	}
+	return series
 }

@@ -9,18 +9,19 @@ import (
 	"extrap/internal/machine"
 	"extrap/internal/metrics"
 	"extrap/internal/pcxx"
+	"extrap/internal/pool"
 	"extrap/internal/sim"
 	"extrap/internal/trace"
 	"extrap/internal/vtime"
 )
 
 // Service is the experiment engine packaged as a long-lived component:
-// a shared measurement memo cache plus the grid runner, reusable across
-// many independent requests instead of one experiment run. It backs the
-// `extrap serve` HTTP API and `extrap experiment -workload` — every
-// prediction goes through exactly the pipeline the paper's experiments
-// use, and repeated requests for the same (benchmark, size, threads)
-// share one measurement through the cache.
+// a shared measurement memo cache plus the ladder-point executor,
+// reusable across many independent requests instead of one experiment
+// run. It backs the `extrap serve` HTTP API and `extrap experiment
+// -workload` — every prediction goes through exactly the pipeline the
+// paper's experiments use, and repeated requests for the same
+// (benchmark, size, threads) share one measurement through the cache.
 //
 // Measurements stay resident as compact immutable XTRP2 bytes and every
 // prediction runs the bounded-memory streaming pipeline (incremental
@@ -34,13 +35,13 @@ type Service struct {
 	workers int
 }
 
-// NewService returns a Service whose sweeps fan out over at most workers
-// goroutines (≤ 0 selects GOMAXPROCS) and whose memo cache retains at
-// most cacheEntries measurements, evicting least-recently-used beyond
-// that (≤ 0 means unbounded — only appropriate for fixed key
-// populations, never for a server fed client-controlled parameters).
-// maxTraceBytes (> 0) rejects any measurement whose encoding exceeds
-// the budget with trace.ErrTraceTooLarge.
+// NewService returns a Service whose ladders run at most workers points
+// at once (see Workers) and whose memo cache retains at most
+// cacheEntries measurements, evicting least-recently-used beyond that
+// (≤ 0 means unbounded — only appropriate for fixed key populations,
+// never for a server fed client-controlled parameters). maxTraceBytes
+// (> 0) rejects any measurement whose encoding exceeds the budget with
+// trace.ErrTraceTooLarge.
 func NewService(workers, cacheEntries int, maxTraceBytes int64) *Service {
 	return &Service{cache: core.NewEncodedTraceCache(cacheEntries, maxTraceBytes), workers: workers}
 }
@@ -62,26 +63,33 @@ func (s *Service) SetBackend(b core.TraceBackend) { s.cache.SetBackend(b) }
 // has encoded so far.
 func (s *Service) CompressionStats() core.CompressionStats { return s.cache.Compression() }
 
-// Workers reports the sweep fan-out bound the Service was built with
-// (≤ 0 means GOMAXPROCS), so composed components — notably the jobs
-// queue — can match their cell parallelism to the engine's.
+// Workers reports how many ladder points the Service's owner runs at
+// once (≤ 0 means GOMAXPROCS): the bound RunLadder and the jobs queue
+// fan a ladder's points across.
 func (s *Service) Workers() int { return s.workers }
 
 // Predict predicts one benchmark configuration on one target
-// environment: measure (or reuse) the threads-thread trace and run it
+// environment: measure (or reuse) the threads-thread trace, attributing
+// transfers by the bytes actually moved (pcxx.ActualSize), and run it
 // through the streaming pipeline under cfg. The context bounds every
 // stage, including the measurement (polled at safe points in the
 // runtime); a measurement aborted by the caller's deadline is not
 // memoized — the error goes to that caller alone and the next request
 // re-measures under its own deadline — so a timeout never poisons the
 // cache.
-func (s *Service) Predict(ctx context.Context, b benchmarks.Benchmark, size benchmarks.Size, threads int, mode pcxx.SizeMode, cfg sim.Config) (*core.Prediction, error) {
+func (s *Service) Predict(ctx context.Context, b benchmarks.Benchmark, size benchmarks.Size, threads int, cfg sim.Config) (*core.Prediction, error) {
+	return s.predict(ctx, b, size, b.Factory(size), threads, cfg)
+}
+
+// predict is Predict measuring through f, b's factory at size, so the
+// points of one ladder share the inputs f builds once.
+func (s *Service) predict(ctx context.Context, b benchmarks.Benchmark, size benchmarks.Size, f core.ProgramFactory, threads int, cfg sim.Config) (*core.Prediction, error) {
 	if threads <= 0 {
 		return nil, fmt.Errorf("experiments: invalid thread count %d", threads)
 	}
-	mopts := core.MeasureOptions{SizeMode: mode}
+	mopts := core.MeasureOptions{SizeMode: pcxx.ActualSize}
 	enc, err := s.cache.Encoded(cacheKey(b.Name(), size, threads, mopts), func() (*trace.Trace, error) {
-		return core.MeasureContext(ctx, b.Factory(size)(threads), mopts)
+		return core.MeasureContext(ctx, f(threads), mopts)
 	})
 	if err != nil {
 		return nil, err
@@ -91,24 +99,25 @@ func (s *Service) Predict(ctx context.Context, b benchmarks.Benchmark, size benc
 
 // PointRunner runs one ladder point: benchmark b at size sz, measured at
 // threads threads and simulated on threads processors of every machine in
-// envs, answering one exact total time per machine in envs order. Which
-// runner serves a process is chosen once, by cluster role: a solo server
-// or worker runs points on its own *Service, a coordinator dispatches
-// them to worker replicas (*cluster.Coordinator). Every runner answers
-// the same integers, so where a point ran never shows in the output.
+// envs, answering one exact total time per machine in envs order. f is
+// b's program factory at sz, built once per ladder so its points share
+// the inputs it builds. Which runner serves a process is chosen once, by
+// cluster role: a solo server or worker runs points on its own *Service,
+// a coordinator dispatches them to worker replicas
+// (*cluster.Coordinator). Every runner answers the same integers, so
+// where a point ran never shows in the output.
 type PointRunner interface {
-	RunPoint(ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, threads int, envs []machine.Env) ([]vtime.Time, error)
+	RunPoint(ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, f core.ProgramFactory, threads int, envs []machine.Env) ([]vtime.Time, error)
 }
 
 // RunPoint is the in-process ladder-point executor: the measurement is
 // taken (or found in the cache or its backend) once, then each machine's
-// model is simulated over it through Predict — the call the exact grid
-// runner makes per cell — so every total is byte-identical to the exact
-// sweep's cell for the same parameters.
-func (s *Service) RunPoint(ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, threads int, envs []machine.Env) ([]vtime.Time, error) {
+// model is simulated over it through the pipeline Predict runs, so
+// every total is byte-identical to a single prediction of the same cell.
+func (s *Service) RunPoint(ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, f core.ProgramFactory, threads int, envs []machine.Env) ([]vtime.Time, error) {
 	times := make([]vtime.Time, len(envs))
 	for i, env := range envs {
-		pred, err := s.Predict(ctx, b, sz, threads, pcxx.ActualSize, env.Config)
+		pred, err := s.predict(ctx, b, sz, f, threads, env.Config)
 		if err != nil {
 			return nil, err
 		}
@@ -117,24 +126,34 @@ func (s *Service) RunPoint(ctx context.Context, b benchmarks.Benchmark, sz bench
 	return times, nil
 }
 
-// SweepGrid runs several sweep jobs as one grid, returning one series
-// per job in job order. Every cell runs the per-cell path of Predict:
-// cells that name the same benchmark, size, and thread count share one
-// measurement through the cache, and each streams its own prediction
-// from the cached bytes, fast-forwarding steady loop iterations.
-// Output is byte-identical to running the jobs one at a time, at any
-// worker count.
-func (s *Service) SweepGrid(ctx context.Context, jobs []SweepJob) ([][]metrics.Point, error) {
-	return runGrid(ctx, s.cache, s.workers, jobs)
-}
-
-// SweepGridFitted answers each job's ladder through the analytic fitted
-// path: only the sparse anchor set the model package's refinement
-// selects is simulated (through the same cache and memoization as
-// SweepGrid), and the remaining cells evaluate the least-squares fit,
-// rounded to whole virtual nanoseconds. Anchor cells carry the exact
-// simulated time; fitted cells are approximations. Output is
-// deterministic and byte-identical at any worker count.
-func (s *Service) SweepGridFitted(ctx context.Context, jobs []SweepJob) ([][]metrics.Point, error) {
-	return runGridFitted(ctx, s.cache, s.workers, jobs)
+// RunLadder answers an exact sweep: every point of ladder runs through
+// r, at most workers at once (≤ 0 selects GOMAXPROCS), over one factory
+// for b at sz, and the answers merge into one series per machine in
+// envs order. Points are handed out in ladder order and each writes its
+// own slot, so the series do not depend on the worker count; on failure
+// the lowest-indexed point's error is returned, the one a sequential
+// loop would hit first.
+func RunLadder(ctx context.Context, r PointRunner, workers int, b benchmarks.Benchmark, sz benchmarks.Size, envs []machine.Env, ladder []int) ([][]metrics.Point, error) {
+	f := b.Factory(sz)
+	series := make([][]metrics.Point, len(envs))
+	for mi := range series {
+		series[mi] = make([]metrics.Point, len(ladder))
+	}
+	err := pool.Run(workers, len(ladder), func(pi int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		times, err := r.RunPoint(ctx, b, sz, f, ladder[pi], envs)
+		if err != nil {
+			return err
+		}
+		for mi := range envs {
+			series[mi][pi] = metrics.Point{Procs: ladder[pi], Time: times[mi]}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return series, nil
 }

@@ -3,10 +3,18 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"extrap/internal/benchmarks"
+	"extrap/internal/core"
+	"extrap/internal/machine"
+	"extrap/internal/metrics"
 	"extrap/internal/pcxx"
+	"extrap/internal/vtime"
 )
 
 // quickSize returns the fast test size for a benchmark.
@@ -20,11 +28,11 @@ func TestServiceExtrapolateSharesMeasurements(t *testing.T) {
 	size := quickSize(b)
 	ctx := context.Background()
 
-	first, err := s.Predict(ctx, b, size, 4, pcxx.ActualSize, freeCfg())
+	first, err := s.Predict(ctx, b, size, 4, freeCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := s.Predict(ctx, b, size, 4, pcxx.ActualSize, freeCfg())
+	second, err := s.Predict(ctx, b, size, 4, freeCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,12 +54,12 @@ func TestServiceSweepMatchesRunnerGrid(t *testing.T) {
 	r := newRunner(Options{Quick: true, Procs: procs, Workers: 1})
 	job := r.job(b, pcxx.ActualSize, freeCfg(), procs)
 
-	want, err := r.runGrid([]SweepJob{job})
+	want, err := r.runGrid([]sweepJob{job})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := NewService(3, 0, 0)
-	series, err := s.SweepGrid(context.Background(), []SweepJob{job})
+	series, err := RunLadder(context.Background(), s, s.Workers(), b, job.Size, freeEnvs(), procs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,20 +78,12 @@ func TestServiceSweepSharesCacheWithExtrapolate(t *testing.T) {
 	s := NewService(2, 0, 0)
 	b := mustBench(t, "cyclic")
 	size := quickSize(b)
-	job := SweepJob{
-		Name:    b.Name(),
-		Size:    size,
-		Factory: b.Factory(size),
-		Mode:    pcxx.ActualSize,
-		Cfg:     freeCfg(),
-		Procs:   []int{1, 2, 4},
-	}
-	if _, err := s.SweepGrid(context.Background(), []SweepJob{job}); err != nil {
+	if _, err := RunLadder(context.Background(), s, s.Workers(), b, size, freeEnvs(), []int{1, 2, 4}); err != nil {
 		t.Fatal(err)
 	}
 	_, missesAfterSweep := s.CacheStats()
 	// A single prediction at a ladder point must reuse the sweep's trace.
-	if _, err := s.Predict(context.Background(), b, size, 2, pcxx.ActualSize, freeCfg()); err != nil {
+	if _, err := s.Predict(context.Background(), b, size, 2, freeCfg()); err != nil {
 		t.Fatal(err)
 	}
 	_, misses := s.CacheStats()
@@ -97,14 +97,127 @@ func TestServiceCancellation(t *testing.T) {
 	b := mustBench(t, "grid")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.Predict(ctx, b, quickSize(b), 4, pcxx.ActualSize, freeCfg()); !errors.Is(err, context.Canceled) {
+	if _, err := s.Predict(ctx, b, quickSize(b), 4, freeCfg()); !errors.Is(err, context.Canceled) {
 		t.Errorf("Predict error = %v, want context.Canceled", err)
 	}
-	job := SweepJob{Name: b.Name(), Size: quickSize(b), Factory: b.Factory(quickSize(b)), Cfg: freeCfg(), Procs: []int{1, 2}}
-	if _, err := s.SweepGrid(ctx, []SweepJob{job}); !errors.Is(err, context.Canceled) {
-		t.Errorf("SweepGrid error = %v, want context.Canceled", err)
+	if _, err := RunLadder(ctx, s, s.Workers(), b, quickSize(b), freeEnvs(), []int{1, 2}); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunLadder error = %v, want context.Canceled", err)
 	}
-	if _, err := s.Predict(context.Background(), b, quickSize(b), 0, pcxx.ActualSize, freeCfg()); err == nil {
+	if _, err := s.Predict(context.Background(), b, quickSize(b), 0, freeCfg()); err == nil {
 		t.Error("zero thread count accepted")
+	}
+}
+
+// ladderBench is a stand-in benchmark whose every factory is numbered,
+// so a runner can tell which factory a point was given.
+type ladderBench struct{ factories atomic.Int32 }
+
+func (*ladderBench) Name() string                 { return "ladder" }
+func (*ladderBench) Description() string          { return "" }
+func (*ladderBench) DefaultSize() benchmarks.Size { return benchmarks.Size{N: 1, Iters: 1} }
+func (lb *ladderBench) Factory(benchmarks.Size) core.ProgramFactory {
+	name := fmt.Sprint("factory-", lb.factories.Add(1))
+	return func(threads int) core.Program { return core.Program{Name: name, Threads: threads} }
+}
+
+// ladderRunner answers point p on machine i with p·1000+i, failing the
+// points named in fail. Every call waits until full points are in
+// flight (or a second passes), so a pool that runs fewer at once shows
+// as a lower peak.
+type ladderRunner struct {
+	full      int
+	fail      map[int]error
+	mu        sync.Mutex
+	inFlight  int
+	peak      int
+	calls     int
+	factories map[string]bool
+	filled    chan struct{}
+}
+
+func newLadderRunner(full int, fail map[int]error) *ladderRunner {
+	return &ladderRunner{full: full, fail: fail, factories: map[string]bool{}, filled: make(chan struct{})}
+}
+
+func (r *ladderRunner) RunPoint(ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, f core.ProgramFactory, threads int, envs []machine.Env) ([]vtime.Time, error) {
+	r.mu.Lock()
+	r.calls++
+	r.factories[f(threads).Name] = true
+	r.inFlight++
+	if r.inFlight > r.peak {
+		r.peak = r.inFlight
+		if r.peak == r.full {
+			close(r.filled)
+		}
+	}
+	r.mu.Unlock()
+	select {
+	case <-r.filled:
+	case <-time.After(time.Second):
+	}
+	r.mu.Lock()
+	r.inFlight--
+	r.mu.Unlock()
+	if err := r.fail[threads]; err != nil {
+		return nil, err
+	}
+	times := make([]vtime.Time, len(envs))
+	for i := range envs {
+		times[i] = vtime.Time(threads*1000 + i)
+	}
+	return times, nil
+}
+
+// TestRunLadder pins RunLadder's contract over a fake runner: series are
+// machine-major in envs order with Procs set, the lowest-indexed
+// point's error wins, a cancelled context runs no point, at most
+// workers points run at once, and every point gets the ladder's one
+// factory.
+func TestRunLadder(t *testing.T) {
+	ladder := []int{1, 2, 4, 8, 16, 32}
+	envs := []machine.Env{machine.CM5(), machine.GenericDM()}
+	ctx := context.Background()
+
+	b := &ladderBench{}
+	r := newLadderRunner(3, nil)
+	series, err := RunLadder(ctx, r, 3, b, b.DefaultSize(), envs, ladder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series) != len(envs) {
+		t.Fatalf("%d series for %d machines", len(series), len(envs))
+	}
+	for mi := range envs {
+		for pi, p := range ladder {
+			want := metrics.Point{Procs: p, Time: vtime.Time(p*1000 + mi)}
+			if got := series[mi][pi]; got != want {
+				t.Errorf("series[%d][%d] = %+v, want %+v", mi, pi, got, want)
+			}
+		}
+	}
+	if r.calls != len(ladder) {
+		t.Errorf("%d RunPoint calls for %d points", r.calls, len(ladder))
+	}
+	if r.peak != 3 {
+		t.Errorf("peak %d points in flight, want the worker bound 3", r.peak)
+	}
+	if n := b.factories.Load(); n != 1 || len(r.factories) != 1 {
+		t.Errorf("%d factories built, points saw %d, want one for the ladder", n, len(r.factories))
+	}
+
+	errLow, errHigh := errors.New("p=4"), errors.New("p=16")
+	r = newLadderRunner(3, map[int]error{4: errLow, 16: errHigh})
+	if _, err := RunLadder(ctx, r, 3, b, b.DefaultSize(), envs, ladder); err != errLow {
+		t.Errorf("RunLadder error = %v, want the lowest-indexed point's %v", err, errLow)
+	}
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	r = newLadderRunner(3, nil)
+	if _, err := RunLadder(cancelled, r, 3, b, b.DefaultSize(), envs, ladder); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunLadder error = %v, want context.Canceled", err)
+	}
+	if r.calls != 0 {
+		t.Errorf("cancelled ladder ran %d points, want none", r.calls)
 	}
 }

@@ -40,7 +40,7 @@ func TestStreamingServiceMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := str.Predict(ctx, b, size, 4, pcxx.ActualSize, freeCfg())
+	got, err := str.Predict(ctx, b, size, 4, freeCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,30 +59,31 @@ func TestStreamingServiceMatchesInMemory(t *testing.T) {
 	}
 
 	// The memoized bytes serve repeat predictions without re-measuring.
-	if _, err := str.Predict(ctx, b, size, 4, pcxx.ActualSize, freeCfg()); err != nil {
+	if _, err := str.Predict(ctx, b, size, 4, freeCfg()); err != nil {
 		t.Fatal(err)
 	}
 	if _, misses := str.CacheStats(); misses != 1 {
 		t.Errorf("streaming service measured %d times, want 1", misses)
 	}
 
-	// Sweeps route through runGrid's streaming branch and must match the
-	// in-memory grid point for point.
+	// Ladders run every point through the streaming pipeline and must
+	// match the in-memory grid point for point.
 	sb := mustBench(t, "cyclic")
 	ssize := quickSize(sb)
-	jobs := []SweepJob{{
+	procs := []int{1, 2, 4}
+	jobs := []sweepJob{{
 		Name:    sb.Name(),
 		Size:    ssize,
 		Factory: sb.Factory(ssize),
 		Mode:    pcxx.ActualSize,
 		Cfg:     freeCfg(),
-		Procs:   []int{1, 2, 4},
+		Procs:   procs,
 	}}
 	wantPts, err := runGrid(ctx, core.NewTraceCache(), 2, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotPts, err := str.SweepGrid(ctx, jobs)
+	gotPts, err := RunLadder(ctx, str, str.Workers(), sb, ssize, freeEnvs(), procs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,16 +102,15 @@ func TestStreamingServiceTraceBudget(t *testing.T) {
 	str := NewService(1, 4, 64) // far below any real encoding
 
 	for i := 0; i < 2; i++ {
-		if _, err := str.Predict(ctx, b, size, 4, pcxx.ActualSize, freeCfg()); !errors.Is(err, trace.ErrTraceTooLarge) {
+		if _, err := str.Predict(ctx, b, size, 4, freeCfg()); !errors.Is(err, trace.ErrTraceTooLarge) {
 			t.Fatalf("Predict call %d: err = %v, want ErrTraceTooLarge", i, err)
 		}
 	}
 	if _, misses := str.CacheStats(); misses != 1 {
 		t.Errorf("rejected measurement ran %d times, want 1 (memoized)", misses)
 	}
-	job := SweepJob{Name: b.Name(), Size: size, Factory: b.Factory(size), Mode: pcxx.ActualSize, Cfg: freeCfg(), Procs: []int{2}}
-	if _, err := str.SweepGrid(ctx, []SweepJob{job}); !errors.Is(err, trace.ErrTraceTooLarge) {
-		t.Errorf("SweepGrid err = %v, want ErrTraceTooLarge", err)
+	if _, err := RunLadder(ctx, str, str.Workers(), b, size, freeEnvs(), []int{2}); !errors.Is(err, trace.ErrTraceTooLarge) {
+		t.Errorf("RunLadder err = %v, want ErrTraceTooLarge", err)
 	}
 }
 

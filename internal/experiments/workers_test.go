@@ -20,6 +20,9 @@ func mustBench(t *testing.T, name string) benchmarks.Benchmark {
 
 func freeCfg() sim.Config { return machine.GenericDM().Config }
 
+// freeEnvs is freeCfg's machine as the one-machine list a ladder runs.
+func freeEnvs() []machine.Env { return []machine.Env{machine.GenericDM()} }
+
 // renderExperiment runs one experiment and returns its rendered bytes.
 func renderExperiment(t *testing.T, id string, opts Options) []byte {
 	t.Helper()
@@ -65,7 +68,7 @@ func TestRunnerCachesMeasurements(t *testing.T) {
 	// directly: six same-benchmark jobs over the ladder must report
 	// len(procs) measurements, not jobs×procs.
 	r := newRunner(Options{Quick: true, Procs: procs, Workers: 2})
-	var jobs []SweepJob
+	var jobs []sweepJob
 	for i := 0; i < mgridJobCount; i++ {
 		b := mustBench(t, "mgrid")
 		jobs = append(jobs, r.job(b, 0, freeCfg(), procs))

@@ -11,6 +11,7 @@ import (
 
 	"extrap/internal/benchmarks"
 	"extrap/internal/compose"
+	"extrap/internal/core"
 	"extrap/internal/experiments"
 	"extrap/internal/machine"
 	"extrap/internal/store"
@@ -25,10 +26,10 @@ type localRunner struct {
 	machines atomic.Int64 // cells requested across all calls
 }
 
-func (r *localRunner) RunPoint(ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, threads int, envs []machine.Env) ([]vtime.Time, error) {
+func (r *localRunner) RunPoint(ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, f core.ProgramFactory, threads int, envs []machine.Env) ([]vtime.Time, error) {
 	r.calls.Add(1)
 	r.machines.Add(int64(len(envs)))
-	return r.svc.RunPoint(ctx, b, sz, threads, envs)
+	return r.svc.RunPoint(ctx, b, sz, f, threads, envs)
 }
 
 // newDispatchManager builds a manager whose ladder points run through

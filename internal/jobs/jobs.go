@@ -681,10 +681,11 @@ func (m *Manager) runJob(id string) {
 }
 
 // runCells fans the job's ladder points across the pool; every point
-// runs through runPoint.
+// runs through runPoint, over one factory for the whole ladder.
 func (m *Manager) runCells(ctx context.Context, j *Job, b benchmarks.Benchmark, sz benchmarks.Size, envs []machine.Env) error {
+	f := b.Factory(sz)
 	return pool.Run(m.cfg.Service.Workers(), len(j.spec.Procs), func(pi int) error {
-		return m.runPoint(ctx, j, b, sz, envs, pi)
+		return m.runPoint(ctx, j, b, sz, f, envs, pi)
 	})
 }
 
@@ -696,7 +697,7 @@ func (m *Manager) runCells(ctx context.Context, j *Job, b benchmarks.Benchmark, 
 // persisted under its own content address before it counts as done. The
 // runner returns exact integers, so the persisted records do not depend
 // on where the point ran.
-func (m *Manager) runPoint(ctx context.Context, j *Job, b benchmarks.Benchmark, sz benchmarks.Size, envs []machine.Env, pi int) error {
+func (m *Manager) runPoint(ctx context.Context, j *Job, b benchmarks.Benchmark, sz benchmarks.Size, f core.ProgramFactory, envs []machine.Env, pi int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -723,7 +724,7 @@ func (m *Manager) runPoint(ctx context.Context, j *Job, b benchmarks.Benchmark, 
 	for i, mi := range missing {
 		run[i] = envs[mi]
 	}
-	times, err := m.cfg.Dispatch.RunPoint(ctx, b, sz, n, run)
+	times, err := m.cfg.Dispatch.RunPoint(ctx, b, sz, f, n, run)
 	if err != nil {
 		return err
 	}
@@ -749,6 +750,7 @@ func (m *Manager) runPoint(ctx context.Context, j *Job, b benchmarks.Benchmark, 
 // fitted ladder bit-for-bit at render time.
 func (m *Manager) runFitted(ctx context.Context, j *Job, b benchmarks.Benchmark, sz benchmarks.Size, envs []machine.Env) error {
 	procs := j.spec.Procs
+	f := b.Factory(sz)
 	sim := func(ctx context.Context, n int) ([]vtime.Time, error) {
 		pi := -1
 		for i, p := range procs {
@@ -760,7 +762,7 @@ func (m *Manager) runFitted(ctx context.Context, j *Job, b benchmarks.Benchmark,
 		if pi < 0 {
 			return nil, fmt.Errorf("jobs: fitted anchor p=%d is not on the ladder", n)
 		}
-		if err := m.runPoint(ctx, j, b, sz, envs, pi); err != nil {
+		if err := m.runPoint(ctx, j, b, sz, f, envs, pi); err != nil {
 			return nil, err
 		}
 		m.mu.Lock()

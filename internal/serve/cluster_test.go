@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"extrap/internal/cluster"
 	"extrap/internal/store"
 )
 
@@ -526,5 +527,59 @@ func TestWorkerTreatsHostilePeerTraceAsMiss(t *testing.T) {
 		if fetches.Load() == before {
 			t.Errorf("store %q: the worker never fetched from its peer", storeDir)
 		}
+	}
+}
+
+// TestCoordinatorKeepsLadderInFlight: a coordinator whose Workers is
+// unset dispatches every point of a default exact sweep at once, as a
+// fan-out bounded by GOMAXPROCS would not on a small host. Its one peer
+// reports each shard running until it has accepted all six, then done,
+// so the sweep completes only if all six were in flight together.
+func TestCoordinatorKeepsLadderInFlight(t *testing.T) {
+	const points = 6 // core.DefaultProcCounts
+	var mu sync.Mutex
+	specs := map[string]cluster.ShardSpec{}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/internal/shards", func(w http.ResponseWriter, r *http.Request) {
+		var spec cluster.ShardSpec
+		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		mu.Lock()
+		id := fmt.Sprint("s-", len(specs))
+		specs[id] = spec
+		mu.Unlock()
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(cluster.ShardAccepted{ID: id, Status: cluster.ShardRunning, LeaseMs: cluster.DefaultLeaseMs})
+	})
+	mux.HandleFunc("GET /v1/internal/shards/{id}", func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		spec, ok := specs[r.PathValue("id")]
+		seen := len(specs)
+		mu.Unlock()
+		if !ok {
+			http.NotFound(w, r)
+			return
+		}
+		st := cluster.ShardStatus{ID: r.PathValue("id"), Status: cluster.ShardRunning}
+		if seen >= points {
+			st.Status = cluster.ShardDone
+			for _, m := range spec.Machines {
+				st.Cells = append(st.Cells, cluster.CellResult{Machine: m, Procs: spec.Threads, TotalNs: int64(spec.Threads) * 1000})
+			}
+		}
+		json.NewEncoder(w).Encode(st)
+	})
+	peer := httptest.NewServer(mux)
+	t.Cleanup(peer.Close)
+
+	coordSrv, coord := newCoordinatorServer(t, Config{RequestTimeout: 5 * time.Second}, peer.URL)
+	status, body := post(t, coord.URL+"/v1/sweep", `{"benchmark":"grid","size":16,"iters":4,"machine":"cm5"}`)
+	if status != http.StatusOK {
+		t.Fatalf("sweep: status %d: %s", status, body)
+	}
+	if st := coordSrv.coord.Stats(); st.Dispatched != points || st.Local != 0 {
+		t.Errorf("coordinator stats %+v, want %d dispatched and none local", st, points)
 	}
 }

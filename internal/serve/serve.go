@@ -42,7 +42,6 @@ import (
 	"extrap/internal/machine"
 	"extrap/internal/metrics"
 	"extrap/internal/model"
-	"extrap/internal/pcxx"
 	"extrap/internal/request"
 	"extrap/internal/store"
 	"extrap/internal/trace"
@@ -73,8 +72,10 @@ type Config struct {
 	// RequestTimeout is the per-request pipeline budget; ≤ 0 selects
 	// the default of 30s.
 	RequestTimeout time.Duration
-	// Workers bounds the goroutines a sweep fans its ladder across;
-	// ≤ 0 selects GOMAXPROCS.
+	// Workers bounds the ladder points a sweep or async job runs at
+	// once; ≤ 0 selects GOMAXPROCS, or on a coordinator, whose points
+	// wait on its peers, request.MaxLadderLen, so a whole exact ladder
+	// is in flight.
 	Workers int
 	// CacheEntries bounds the measurement memo cache (LRU-evicted past
 	// the bound) so clients iterating request parameters cannot grow
@@ -100,7 +101,7 @@ type Config struct {
 	// recently used artifacts are evicted past it. ≤ 0 means unlimited.
 	StoreBytes int64
 	// JobWorkers bounds concurrently executing async jobs; ≤ 0 selects 1.
-	// Each job additionally fans its grid cells across Workers.
+	// Each job additionally fans its ladder points across Workers.
 	JobWorkers int
 	// Role selects the cluster role: RoleSolo (or empty — the default),
 	// RoleCoordinator, or RoleWorker. See the Role* constants.
@@ -130,9 +131,10 @@ const shutdownGrace = 10 * time.Second
 type Server struct {
 	cfg Config
 	svc *experiments.Service
-	// points runs ladder points — fitted sweeps' anchors and every async
-	// job's points: svc itself on a solo server or worker, coord on a
-	// coordinator. New chooses it once, by role.
+	// points runs every ladder point — exact and fitted sweeps' and
+	// every async job's, svc.Workers() at a time: svc itself on a solo
+	// server or worker, coord on a coordinator. New chooses it once, by
+	// role.
 	points experiments.PointRunner
 	lim    *limiter
 	met    *metricsSet
@@ -178,6 +180,9 @@ func New(cfg Config) (*Server, error) {
 		if len(cfg.Peers) == 0 {
 			return nil, errors.New("serve: a coordinator needs at least one peer")
 		}
+		if cfg.Workers <= 0 {
+			cfg.Workers = request.MaxLadderLen
+		}
 	case RoleWorker:
 		if len(cfg.Peers) > 1 {
 			return nil, fmt.Errorf("serve: a worker takes at most one peer to read artifacts through, got %d", len(cfg.Peers))
@@ -212,12 +217,12 @@ func New(cfg Config) (*Server, error) {
 	case s.store != nil && cfg.Role == RoleWorker && len(cfg.Peers) == 1:
 		backend = &cluster.ChainBackend{
 			Local:  s.store,
-			Remote: cluster.NewRemoteBackend(cfg.Peers[0], cfg.MaxTraceBytes, nil),
+			Remote: cluster.NewRemoteBackend(cfg.Peers[0], cfg.MaxTraceBytes),
 		}
 	case s.store != nil:
 		backend = s.store
 	case cfg.Role == RoleWorker && len(cfg.Peers) == 1:
-		backend = cluster.NewRemoteBackend(cfg.Peers[0], cfg.MaxTraceBytes, nil)
+		backend = cluster.NewRemoteBackend(cfg.Peers[0], cfg.MaxTraceBytes)
 	}
 	if backend != nil {
 		s.svc.SetBackend(backend)
@@ -236,10 +241,10 @@ func New(cfg Config) (*Server, error) {
 			s.Close()
 			return nil, err
 		}
-		// A coordinator's fitted sweeps and async jobs shard their
-		// ladder points exactly like its exact sweeps; job cells still
-		// persist in the LOCAL store, so a coordinator SIGKILL resumes
-		// with completed points loaded from disk, not re-dispatched.
+		// A coordinator's sweeps and async jobs shard their ladder
+		// points across its peers; job cells still persist in the LOCAL
+		// store, so a coordinator SIGKILL resumes with completed points
+		// loaded from disk, not re-dispatched.
 		s.coord, s.points = coord, coord
 	}
 	if s.store != nil {
@@ -402,7 +407,7 @@ func (s *Server) handleExtrapolate(w http.ResponseWriter, r *http.Request) {
 	}
 	cfg := env.Config
 	cfg.Procs = procs
-	pred, err := s.svc.Predict(r.Context(), b, sz, req.Threads, pcxx.ActualSize, cfg)
+	pred, err := s.svc.Predict(r.Context(), b, sz, req.Threads, cfg)
 	if err != nil {
 		request.WriteError(w, pipelineError(err))
 		return
@@ -434,10 +439,10 @@ func (s *Server) handleExtrapolate(w http.ResponseWriter, r *http.Request) {
 	request.WriteJSON(w, http.StatusOK, resp)
 }
 
-// handleSweep serves POST /v1/sweep. A request naming several machines
-// runs them as one grid sharing the ladder's measurements and answers
-// one curve per machine; a single-machine request keeps the original
-// response shape.
+// handleSweep serves POST /v1/sweep. Each ladder point runs through the
+// server's point runner, measured once and simulated under every named
+// machine; a request naming several machines answers one curve per
+// machine, a single-machine request keeps the original response shape.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if apiErr := request.DecodeJSON(r, &req, maxBodyBytes); apiErr != nil {
@@ -453,35 +458,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var series [][]metrics.Point
 	var res *model.Result
 	var err error
-	switch {
-	case rs.Mode == request.ModeFitted:
+	if rs.Mode == request.ModeFitted {
 		// An analytic fit over anchors the refinement chooses, each one
 		// ladder point run by the server's point runner. The fit itself is
 		// deterministic arithmetic, so fitted responses are byte-identical
 		// across worker counts and replicas.
+		f := b.Factory(sz)
 		res, err = model.Run(r.Context(), ladder, len(envs), func(ctx context.Context, procs int) ([]vtime.Time, error) {
-			return s.points.RunPoint(ctx, b, sz, procs, envs)
+			return s.points.RunPoint(ctx, b, sz, f, procs, envs)
 		}, model.Options{})
-	case s.coord != nil:
-		// Coordinator: one shard per ladder point, all in flight at once
-		// across the worker replicas and merged as exact integers, so the
-		// rendering below is byte-identical to a solo server's.
-		series, err = s.coord.SweepLadder(r.Context(), b, sz, envs, ladder)
-	default:
-		// One factory serves every machine: the jobs share measurements.
-		factory := b.Factory(sz)
-		grid := make([]experiments.SweepJob, len(envs))
-		for i, env := range envs {
-			grid[i] = experiments.SweepJob{
-				Name:    b.Name(),
-				Size:    sz,
-				Factory: factory,
-				Mode:    pcxx.ActualSize,
-				Cfg:     env.Config,
-				Procs:   ladder,
-			}
-		}
-		series, err = s.svc.SweepGrid(r.Context(), grid)
+	} else {
+		series, err = experiments.RunLadder(r.Context(), s.points, s.svc.Workers(), b, sz, envs, ladder)
 	}
 	if err != nil {
 		request.WriteError(w, pipelineError(err))

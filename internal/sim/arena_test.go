@@ -91,6 +91,16 @@ func randomConfig(rng *rand.Rand, n int) Config {
 			cfg.Placement = CyclicPlacement
 		}
 	}
+	if cfg.Procs%2 == 0 && rng.Intn(2) == 0 {
+		cfg.ClusterSize = 2
+		cfg.IntraComm = network.Config{
+			StartupTime:      vtime.Time(rng.Intn(10)) * vtime.Microsecond,
+			ByteTransferTime: vtime.Time(rng.Intn(20)) * vtime.Nanosecond,
+			RecvOccupancy:    vtime.Time(rng.Intn(3)) * vtime.Microsecond,
+			Topology:         network.Bus{},
+			RequestBytes:     16,
+		}
+	}
 	cfg.EmitTrace = true
 	return cfg
 }

@@ -89,19 +89,23 @@ type Network struct {
 	MaxInFlight   int
 }
 
-// New creates the network state for procs processors.
-func New(cfg Config, procs int) (*Network, error) {
+// Reset readies n for a simulation on procs processors under cfg, as a
+// fresh network with no message sent, reusing its receive-queue array.
+func (n *Network) Reset(cfg Config, procs int) error {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if procs <= 0 {
-		return nil, fmt.Errorf("network: invalid processor count %d", procs)
+		return fmt.Errorf("network: invalid processor count %d", procs)
 	}
-	return &Network{
-		cfg:        cfg,
-		procs:      procs,
-		recvFreeAt: make([]vtime.Time, procs),
-	}, nil
+	recv := n.recvFreeAt
+	if cap(recv) < procs {
+		recv = make([]vtime.Time, procs)
+	}
+	recv = recv[:procs]
+	clear(recv)
+	*n = Network{cfg: cfg, procs: procs, recvFreeAt: recv}
+	return nil
 }
 
 // Config returns the network's parameters.

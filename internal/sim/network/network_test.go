@@ -126,7 +126,7 @@ func testConfig() Config {
 }
 
 func TestTransitBase(t *testing.T) {
-	n, err := New(testConfig(), 4)
+	n, err := newNetwork(testConfig(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestTransitBase(t *testing.T) {
 }
 
 func TestSendOverhead(t *testing.T) {
-	n, _ := New(testConfig(), 2)
+	n, _ := newNetwork(testConfig(), 2)
 	want := 12 * vtime.Microsecond // construct 2 + startup 10
 	if got := n.SendOverhead(64); got != want {
 		t.Errorf("SendOverhead = %v, want %v", got, want)
@@ -151,7 +151,7 @@ func TestSendOverhead(t *testing.T) {
 func TestContentionInflation(t *testing.T) {
 	cfg := testConfig()
 	cfg.ContentionFactor = 1.0
-	n, _ := New(cfg, 2)
+	n, _ := newNetwork(cfg, 2)
 	base := n.Transit(0, 1, 1000)
 	// Put one message in flight; the next transit inflates by
 	// factor·1/links = 1.0 on the single bus link.
@@ -169,7 +169,7 @@ func TestContentionInflation(t *testing.T) {
 }
 
 func TestContentionDisabled(t *testing.T) {
-	n, _ := New(testConfig(), 2) // factor 0
+	n, _ := newNetwork(testConfig(), 2) // factor 0
 	n.Inject(0, 0, 1, 1000)
 	n.Inject(0, 0, 1, 1000)
 	a := n.Transit(0, 1, 1000)
@@ -183,7 +183,7 @@ func TestContentionDisabled(t *testing.T) {
 }
 
 func TestDeliverSerializesReceiveQueue(t *testing.T) {
-	n, _ := New(testConfig(), 2)
+	n, _ := newNetwork(testConfig(), 2)
 	n.Inject(0, 0, 1, 10)
 	n.Inject(0, 0, 1, 10)
 	n.Inject(0, 0, 1, 10)
@@ -207,7 +207,7 @@ func TestDeliverSerializesReceiveQueue(t *testing.T) {
 }
 
 func TestDeliverWithoutInjectPanics(t *testing.T) {
-	n, _ := New(testConfig(), 2)
+	n, _ := newNetwork(testConfig(), 2)
 	defer func() {
 		if recover() == nil {
 			t.Error("Deliver without Inject did not panic")
@@ -217,7 +217,7 @@ func TestDeliverWithoutInjectPanics(t *testing.T) {
 }
 
 func TestInjectAccounting(t *testing.T) {
-	n, _ := New(testConfig(), 4)
+	n, _ := newNetwork(testConfig(), 4)
 	n.Inject(0, 0, 1, 100)
 	n.Inject(0, 1, 2, 200)
 	if n.Messages != 2 || n.Bytes != 300 {
@@ -243,7 +243,7 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
-	if _, err := New(good, 0); err == nil {
+	if _, err := newNetwork(good, 0); err == nil {
 		t.Error("New accepted 0 processors")
 	}
 }
@@ -260,7 +260,7 @@ func TestBandwidthMBps(t *testing.T) {
 }
 
 func TestTransitMonotoneInSize(t *testing.T) {
-	n, _ := New(testConfig(), 8)
+	n, _ := newNetwork(testConfig(), 8)
 	f := func(a, b uint16) bool {
 		x, y := int64(a), int64(b)
 		if x > y {
@@ -313,7 +313,7 @@ func TestLinksEdgeCases(t *testing.T) {
 func TestNilTopologyDefaultsToBus(t *testing.T) {
 	cfg := testConfig()
 	cfg.Topology = nil
-	n, err := New(cfg, 2)
+	n, err := newNetwork(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,4 +332,10 @@ func TestBandwidthZero(t *testing.T) {
 	if c.BandwidthMBps() != 0 {
 		t.Error("zero ByteTransferTime should report 0 bandwidth")
 	}
+}
+
+// newNetwork returns a network reset for procs processors under cfg.
+func newNetwork(cfg Config, procs int) (*Network, error) {
+	n := &Network{}
+	return n, n.Reset(cfg, procs)
 }

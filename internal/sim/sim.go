@@ -198,15 +198,17 @@ type engine struct {
 
 // arena holds the dense simulator state — thread and processor records,
 // the future event list, the barrier ring with its tree tables, the
-// message slab and the fast-forward fingerprint buffers — so repeated
+// message slab, the network models and the fast-forward fingerprint
+// buffers — so repeated
 // simulations reuse the same allocations instead of rebuilding them per
 // run. Every record is fully reinitialized when acquired, so results
 // are bit-identical to a fresh engine, also after a run that failed or
 // was cancelled. Nothing a run returns aliases arena memory. An arena is
 // not safe for concurrent use.
 type arena struct {
-	e  engine
-	ff ffState
+	e            engine
+	ff           ffState
+	inter, intra network.Network
 }
 
 // newArena returns an empty arena; state is allocated on first use and
@@ -270,8 +272,8 @@ func (a *arena) acquire(cfg Config, n, nprocs int) *engine {
 }
 
 // release drops the run's references into caller-owned data — event
-// slices and buffers, the stream, the emitted trace, the network models
-// — so a pooled arena pins nothing between runs.
+// slices and buffers, the stream, the emitted trace — so a pooled arena
+// pins nothing between runs.
 func (a *arena) release() {
 	e := &a.e
 	clear(e.threads)
@@ -350,14 +352,15 @@ func (a *arena) simulate(ctx context.Context, cfg Config, pt *translate.Parallel
 
 	e := a.acquire(cfg, n, nprocs)
 	defer a.release()
-	var err error
-	if e.inter, err = network.New(cfg.Comm, nprocs); err != nil {
+	if err := a.inter.Reset(cfg.Comm, nprocs); err != nil {
 		return nil, err
 	}
+	e.inter = &a.inter
 	if cfg.ClusterSize > 1 {
-		if e.intra, err = network.New(cfg.IntraComm, nprocs); err != nil {
+		if err := a.intra.Reset(cfg.IntraComm, nprocs); err != nil {
 			return nil, err
 		}
+		e.intra = &a.intra
 	}
 	if cfg.EmitTrace {
 		e.out = trace.New(n)
