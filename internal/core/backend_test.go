@@ -72,7 +72,7 @@ func encodeTrace(t *testing.T, tr *trace.Trace) []byte {
 // must not detach a later lookup from it — the flights registry hands
 // back the same entry until it settles.
 func TestEntrySurvivesEvictionViaFlights(t *testing.T) {
-	c := NewBoundedTraceCache(1)
+	c := NewTraceCache(1, 0)
 	key := CacheKey{Bench: "flight", Threads: 2}
 	e1 := c.entry(key)
 	// Churn on other keys pushes key out of the single-entry LRU.
@@ -95,7 +95,7 @@ func TestEntrySurvivesEvictionViaFlights(t *testing.T) {
 // other keys — a concurrent request for the same key joins it instead
 // of starting a second measurement.
 func TestSingleflightUnderEviction(t *testing.T) {
-	c := NewBoundedTraceCache(1)
+	c := NewTraceCache(1, 0)
 	key := CacheKey{Bench: "flight", Threads: 4}
 
 	started := make(chan struct{})
@@ -115,20 +115,20 @@ func TestSingleflightUnderEviction(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	results := make([]*trace.Trace, 2)
+	results := make([][]byte, 2)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		tr, err := c.Measure(key, measure)
+		enc, err := c.Encoded(key, measure)
 		if err != nil {
 			t.Error(err)
 		}
-		results[0] = tr
+		results[0] = enc
 	}()
 	<-started
 
 	// Evict the in-flight entry, then issue a second request for it.
-	if _, err := c.Measure(CacheKey{Bench: "churn", Threads: 2}, func() (*trace.Trace, error) {
+	if _, err := c.Encoded(CacheKey{Bench: "churn", Threads: 2}, func() (*trace.Trace, error) {
 		return Measure(testProgram(2), MeasureOptions{})
 	}); err != nil {
 		t.Fatal(err)
@@ -137,11 +137,11 @@ func TestSingleflightUnderEviction(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		tr, err := c.Measure(key, measure)
+		enc, err := c.Encoded(key, measure)
 		if err != nil {
 			t.Error(err)
 		}
-		results[1] = tr
+		results[1] = enc
 	}()
 	// Release the first measurement only once the second request has
 	// looked the key up (the third lookup, after the first request's
@@ -159,8 +159,8 @@ func TestSingleflightUnderEviction(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("measurement ran %d times, want 1 (second request should join the evicted flight)", calls)
 	}
-	if results[0] != results[1] {
-		t.Error("concurrent requests did not share the single measurement's trace")
+	if len(results[0]) == 0 || len(results[1]) == 0 || &results[0][0] != &results[1][0] {
+		t.Error("concurrent requests did not share the single measurement's bytes")
 	}
 	c.mu.Lock()
 	leaked := len(c.flights)
@@ -174,10 +174,10 @@ func TestSingleflightUnderEviction(t *testing.T) {
 // memoized, and its flight must still be unregistered — otherwise every
 // never-retried key leaks a map entry.
 func TestFlightsSettledAfterContextAbort(t *testing.T) {
-	c := NewBoundedTraceCache(2)
+	c := NewTraceCache(2, 0)
 	key := CacheKey{Bench: "abort", Threads: 2}
 	var calls int
-	if _, err := c.Measure(key, func() (*trace.Trace, error) {
+	if _, err := c.Encoded(key, func() (*trace.Trace, error) {
 		calls++
 		return nil, context.Canceled
 	}); !errors.Is(err, context.Canceled) {
@@ -190,7 +190,7 @@ func TestFlightsSettledAfterContextAbort(t *testing.T) {
 		t.Errorf("%d flights left registered after a context-aborted measurement", leaked)
 	}
 	// The abort was not memoized: the next caller re-measures.
-	if _, err := c.Measure(key, func() (*trace.Trace, error) {
+	if _, err := c.Encoded(key, func() (*trace.Trace, error) {
 		calls++
 		return Measure(testProgram(2), MeasureOptions{})
 	}); err != nil {
@@ -202,84 +202,78 @@ func TestFlightsSettledAfterContextAbort(t *testing.T) {
 }
 
 // TestBackendWriteThrough: a fresh measurement is written through to the
-// backend as decodable XTRP2 bytes matching the trace's own encoding.
+// backend as the bytes the cache serves, which are the trace's own
+// XTRP2 encoding.
 func TestBackendWriteThrough(t *testing.T) {
 	b := newFakeBackend()
-	c := NewTraceCache()
+	c := NewTraceCache(0, 0)
 	c.SetBackend(b)
 	key := CacheKey{Bench: "wt", Threads: 4}
-	tr, err := c.Measure(key, func() (*trace.Trace, error) {
+	measure := func() (*trace.Trace, error) {
 		return Measure(testProgram(4), MeasureOptions{})
-	})
+	}
+	enc, err := c.Encoded(key, measure)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, ok := b.stored(key)
+	stored, ok := b.stored(key)
 	if !ok {
 		t.Fatal("fresh measurement was not written through to the backend")
 	}
-	if want := encodeTrace(t, tr); !bytes.Equal(enc, want) {
+	if !bytes.Equal(stored, enc) {
+		t.Error("written-through bytes differ from the served encoding")
+	}
+	tr, err := measure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := encodeTrace(t, tr); !bytes.Equal(stored, want) {
 		t.Error("backend bytes differ from the trace's own XTRP2 encoding")
 	}
-	if _, err := trace.ReadBinary2(enc); err != nil {
+	if _, err := trace.ReadBinary2(stored); err != nil {
 		t.Fatalf("backend bytes do not decode: %v", err)
 	}
 }
 
 // TestBackendServesColdCache: a cold cache sharing the backend serves
-// the durable artifact instead of re-measuring, in both plain and
-// encoded modes, with byte-identical results.
+// the durable artifact instead of re-measuring, byte-identical to what
+// the warm cache served.
 func TestBackendServesColdCache(t *testing.T) {
 	b := newFakeBackend()
-	warm := NewTraceCache()
+	warm := NewTraceCache(4, 0)
 	warm.SetBackend(b)
 	key := CacheKey{Bench: "cold", Threads: 4}
 	measure := func() (*trace.Trace, error) {
 		return Measure(testProgram(4), MeasureOptions{})
 	}
-	warmTr, err := warm.Measure(key, measure)
+	want, err := warm.Encoded(key, measure)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := encodeTrace(t, warmTr)
 
-	cold := NewTraceCache()
+	cold := NewTraceCache(4, 0)
 	cold.SetBackend(b)
-	coldTr, err := cold.Measure(key, func() (*trace.Trace, error) {
+	got, err := cold.Encoded(key, func() (*trace.Trace, error) {
 		t.Error("cold cache re-measured despite a backend hit")
 		return measure()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := encodeTrace(t, coldTr); !bytes.Equal(got, want) {
-		t.Error("plain-mode backend hit decoded to a different trace")
+	if !bytes.Equal(got, want) {
+		t.Error("backend hit returned different bytes")
 	}
 	if _, misses := cold.Stats(); misses != 0 {
 		t.Errorf("cold cache recorded %d measurement misses, want 0", misses)
 	}
-
-	coldEnc := NewEncodedTraceCache(4, 0)
-	coldEnc.SetBackend(b)
-	enc, err := coldEnc.Encoded(key, func() (*trace.Trace, error) {
-		t.Error("encoded cold cache re-measured despite a backend hit")
-		return measure()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc, encodeTrace(t, warmTr)) {
-		t.Error("encoded-mode backend hit returned different bytes")
-	}
 }
 
-// TestEncodedWriteThroughAndBudget: encoded mode writes fresh encodings
-// through, and a backend artifact exceeding the per-trace budget is
-// memoized as ErrTraceTooLarge — deterministically too large, never
-// half-served.
+// TestEncodedWriteThroughAndBudget: a backend artifact exceeding the
+// per-trace budget is memoized as ErrTraceTooLarge — deterministically
+// too large, never half-served.
 func TestEncodedWriteThroughAndBudget(t *testing.T) {
 	b := newFakeBackend()
-	warm := NewEncodedTraceCache(4, 0)
+	warm := NewTraceCache(4, 0)
 	warm.SetBackend(b)
 	key := CacheKey{Bench: "budget", Threads: 4}
 	enc, err := warm.Encoded(key, func() (*trace.Trace, error) {
@@ -288,16 +282,9 @@ func TestEncodedWriteThroughAndBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, ok := b.stored(key)
-	if !ok {
-		t.Fatal("encoded measurement was not written through")
-	}
-	if !bytes.Equal(stored, enc) {
-		t.Error("written-through bytes differ from the served encoding")
-	}
 
 	before, _ := b.counts()
-	tight := NewEncodedTraceCache(4, int64(len(enc))-1)
+	tight := NewTraceCache(4, int64(len(enc))-1)
 	tight.SetBackend(b)
 	for i := 0; i < 2; i++ {
 		if _, err := tight.Encoded(key, func() (*trace.Trace, error) {
@@ -316,10 +303,10 @@ func TestEncodedWriteThroughAndBudget(t *testing.T) {
 // key and serves them back to a cold cache. An artifact a store wrote
 // before XTRP2, at the trace/v1 address, is never read: its
 // measurement is re-run, with the same trace, and written through under
-// the v2 key, in both cache modes.
+// the v2 key.
 func TestXTRP2CacheFormat(t *testing.T) {
 	b := newFakeBackend()
-	warm := NewEncodedTraceCache(4, 0)
+	warm := NewTraceCache(4, 0)
 	warm.SetBackend(b)
 	key := CacheKey{Bench: "fmt2", Threads: 4}
 	measure := func() (*trace.Trace, error) {
@@ -343,7 +330,7 @@ func TestXTRP2CacheFormat(t *testing.T) {
 		t.Fatalf("compression stats did not advance: %+v", cs)
 	}
 
-	cold := NewEncodedTraceCache(4, 0)
+	cold := NewTraceCache(4, 0)
 	cold.SetBackend(b)
 	got, err := cold.Encoded(key, func() (*trace.Trace, error) {
 		t.Error("cold cache re-measured despite a v2 backend hit")
@@ -357,76 +344,47 @@ func TestXTRP2CacheFormat(t *testing.T) {
 	}
 
 	// A store holding only an artifact at the v1 address (written before
-	// XTRP2): both cache modes miss, re-measure once, and write the same
+	// XTRP2): the cache misses, re-measures once, and writes the same
 	// trace through as XTRP2.
-	tr, err := measure()
-	if err != nil {
+	old := newFakeBackend()
+	old.data[key.Canonical()] = []byte("pre-XTRP2 artifact")
+	c := NewTraceCache(4, 0)
+	c.SetBackend(old)
+	if got, err = c.Encoded(key, measure); err != nil {
 		t.Fatal(err)
 	}
-	for _, encoded := range []bool{true, false} {
-		old := newFakeBackend()
-		old.data[key.Canonical()] = []byte("pre-XTRP2 artifact")
-		c := NewTraceCache()
-		if encoded {
-			c = NewEncodedTraceCache(4, 0)
-		}
-		c.SetBackend(old)
-		var got *trace.Trace
-		if encoded {
-			enc, err := c.Encoded(key, measure)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, err = trace.ReadBinary2(enc); err != nil {
-				t.Fatal(err)
-			}
-		} else if got, err = c.Measure(key, measure); err != nil {
-			t.Fatal(err)
-		}
-		if _, misses := c.Stats(); misses != 1 {
-			t.Errorf("encoded=%v: %d measurements over a pre-migration artifact, want 1", encoded, misses)
-		}
-		if !bytes.Equal(encodeTrace(t, got), encodeTrace(t, tr)) {
-			t.Errorf("encoded=%v: re-measured trace differs from the pre-migration one", encoded)
-		}
-		if v2, ok := old.stored(key); !ok || !bytes.Equal(v2, encodeTrace(t, tr)) {
-			t.Errorf("encoded=%v: re-measured trace not written through under the v2 key", encoded)
-		}
+	if _, misses := c.Stats(); misses != 1 {
+		t.Errorf("%d measurements over a pre-migration artifact, want 1", misses)
+	}
+	if !bytes.Equal(got, enc) {
+		t.Error("re-measured trace differs from the pre-migration one")
+	}
+	if v2, ok := old.stored(key); !ok || !bytes.Equal(v2, enc) {
+		t.Error("re-measured trace not written through under the v2 key")
 	}
 }
 
 // TestOneBackendLookupPerColdMiss: a cold cache consults the durable
-// tier once per lookup, under the XTRP2 key, in both cache modes,
-// whether the tier answers or not — a clustered worker forwards each
-// lookup to a peer as an HTTP request.
+// tier once per lookup, under the XTRP2 key, whether the tier answers or
+// not — a clustered worker forwards each lookup to a peer as an HTTP
+// request.
 func TestOneBackendLookupPerColdMiss(t *testing.T) {
 	measure := func() (*trace.Trace, error) {
 		return Measure(testProgram(4), MeasureOptions{})
 	}
 	b := newFakeBackend()
-	for _, encoded := range []bool{true, false} {
-		key := CacheKey{Bench: "lookups", Threads: 4, Verify: encoded}
-		// The first cold cache misses in the tier and measures; the
-		// second finds what the first wrote through.
-		for _, tier := range []string{"miss", "hit"} {
-			c := NewTraceCache()
-			if encoded {
-				c = NewEncodedTraceCache(4, 0)
-			}
-			c.SetBackend(b)
-			before, _ := b.counts()
-			var err error
-			if encoded {
-				_, err = c.Encoded(key, measure)
-			} else {
-				_, err = c.Measure(key, measure)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gets, _ := b.counts(); gets-before != 1 {
-				t.Errorf("encoded=%v, tier %s: %d backend lookups, want 1", encoded, tier, gets-before)
-			}
+	key := CacheKey{Bench: "lookups", Threads: 4}
+	// The first cold cache misses in the tier and measures; the second
+	// finds what the first wrote through.
+	for _, tier := range []string{"miss", "hit"} {
+		c := NewTraceCache(4, 0)
+		c.SetBackend(b)
+		before, _ := b.counts()
+		if _, err := c.Encoded(key, measure); err != nil {
+			t.Fatal(err)
+		}
+		if gets, _ := b.counts(); gets-before != 1 {
+			t.Errorf("tier %s: %d backend lookups, want 1", tier, gets-before)
 		}
 	}
 }

@@ -9,8 +9,8 @@
 // ExtrapolateReader translates and simulates in one streaming pass;
 // ExtrapolateEncoded runs it over XTRP2 bytes.
 //
-// The package also provides the measurement memo cache (TraceCache) the
-// experiment grids and the server share.
+// The package also provides the server's measurement memo cache
+// (TraceCache), which keeps each measurement as XTRP2 bytes.
 package core
 
 import (

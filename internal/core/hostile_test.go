@@ -66,47 +66,32 @@ func TestExtrapolateEncodedRefusesHostile(t *testing.T) {
 
 // TestRefusedBackendArtifactIsAMiss: a backend artifact that does not
 // compile — a hostile peer's bytes, past the event bound or malformed —
-// is a miss. A cache in either mode answers exactly as a cache with no
-// backend does, measuring once, and overwrites the artifact with the
-// fresh encoding.
+// is a miss. The cache answers exactly as a cache with no backend does,
+// measuring once, and overwrites the artifact with the fresh encoding.
 func TestRefusedBackendArtifactIsAMiss(t *testing.T) {
 	key := CacheKey{Bench: "hostile", Threads: 4}
 	measure := func() (*trace.Trace, error) { return Measure(testProgram(4), MeasureOptions{}) }
-	want, err := NewEncodedTraceCache(4, 0).Encoded(key, measure)
+	want, err := NewTraceCache(4, 0).Encoded(key, measure)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, h := range hostileEncodings {
-		for _, encoded := range []bool{true, false} {
-			b := newFakeBackend()
-			b.PutTrace(key, trace.FormatXTRP2, []byte(h.data))
-			c := NewTraceCache()
-			if encoded {
-				c = NewEncodedTraceCache(4, 0)
-			}
-			c.SetBackend(b)
-			var got []byte
-			if encoded {
-				got, err = c.Encoded(key, measure)
-			} else {
-				var tr *trace.Trace
-				if tr, err = c.Measure(key, measure); err == nil {
-					got = encodeTrace(t, tr)
-				}
-			}
-			name := fmt.Sprintf("%s, encoded=%v", h.name, encoded)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s: answer differs from a cache with no backend", name)
-			}
-			if _, misses := c.Stats(); misses != 1 {
-				t.Errorf("%s: %d measurements, want 1", name, misses)
-			}
-			if stored, _ := b.stored(key); !bytes.Equal(stored, want) {
-				t.Errorf("%s: hostile artifact not overwritten with the fresh encoding", name)
-			}
+		b := newFakeBackend()
+		b.PutTrace(key, trace.FormatXTRP2, []byte(h.data))
+		c := NewTraceCache(4, 0)
+		c.SetBackend(b)
+		got, err := c.Encoded(key, measure)
+		if err != nil {
+			t.Fatalf("%s: %v", h.name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: answer differs from a cache with no backend", h.name)
+		}
+		if _, misses := c.Stats(); misses != 1 {
+			t.Errorf("%s: %d measurements, want 1", h.name, misses)
+		}
+		if stored, _ := b.stored(key); !bytes.Equal(stored, want) {
+			t.Errorf("%s: hostile artifact not overwritten with the fresh encoding", h.name)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"extrap/internal/trace"
-	"extrap/internal/translate"
 )
 
 // CacheKey identifies one deterministic measurement run for memoization:
@@ -34,21 +33,16 @@ type CacheKey struct {
 	Opts MeasureOptions
 }
 
-// cacheEntry holds one memoized measurement and its lazily computed
-// translation, guarded by its own mutex so concurrent requests for the
-// same key share one measurement run (singleflight) while requests for
-// other keys proceed independently. In an encoded cache, enc holds the
-// compact binary trace instead of tr: bytes are immutable, so aliasing
-// between concurrent consumers is impossible by construction.
+// cacheEntry holds one memoized measurement as compact XTRP2 bytes,
+// guarded by its own mutex so concurrent requests for the same key share
+// one measurement run (singleflight) while requests for other keys
+// proceed independently. The bytes are immutable, so aliasing between
+// concurrent consumers is impossible by construction.
 type cacheEntry struct {
-	mu         sync.Mutex
-	measured   bool
-	tr         *trace.Trace
-	enc        []byte
-	err        error
-	translated bool
-	pt         *translate.ParallelTrace
-	terr       error
+	mu       sync.Mutex
+	measured bool
+	enc      []byte
+	err      error
 }
 
 // lruNode is what the recency list holds: the key (for map removal on
@@ -58,14 +52,15 @@ type lruNode struct {
 	e   *cacheEntry
 }
 
-// TraceBackend is a durable tier behind a TraceCache: measurements the
-// memory cache does not hold are looked up here as XTRP2 bytes, once per
-// miss, before being re-measured, and fresh measurements are written
-// through as XTRP2. internal/store implements it with a
-// content-addressed on-disk store, addressing each trace under
-// CacheKey.CanonicalFormat. An artifact a store wrote under an older
-// address (CacheKey.Canonical) is never looked up, so its key misses,
-// is re-measured (measurement is deterministic) and is stored as XTRP2.
+// TraceBackend is a durable tier behind a TraceCache (and behind a figure
+// run's memo, experiments.Options.Backend): measurements the memory does
+// not hold are looked up here as XTRP2 bytes, once per miss, before
+// being re-measured, and fresh measurements are written through as
+// XTRP2. internal/store implements it with a content-addressed on-disk
+// store, addressing each trace under CacheKey.CanonicalFormat. An
+// artifact a store wrote under an older address (CacheKey.Canonical) is
+// never looked up, so its key misses, is re-measured (measurement is
+// deterministic) and is stored as XTRP2.
 //
 // Both methods must be safe for concurrent use. GetTrace returns
 // (payload, true) only for bytes it can vouch for (the store verifies
@@ -77,27 +72,16 @@ type TraceBackend interface {
 	PutTrace(key CacheKey, format trace.Format, enc []byte)
 }
 
-// TraceCache memoizes measurement traces across the cells of a
-// parameter grid. Grids vary only the simulation Config between cells,
-// so each distinct measurement runs once and is then simulated under
-// every configuration. It has two modes serving two callers:
-//
-//   - in-memory (NewTraceCache, NewBoundedTraceCache): shared
-//     *trace.Trace values and their memoized translations, read through
-//     Measure and Translated — the experiment grids' shape. Sharing is
-//     safe because Translate and Simulate treat their inputs as
-//     read-only (a guard test enforces this); callers must not mutate
-//     what they get.
-//   - encoded (NewEncodedTraceCache): compact immutable XTRP2 bytes,
-//     read through Encoded and replayed by the streaming pipeline — the
-//     bounded-memory server's shape.
-//
-// Either mode writes fresh measurements through to a backend as XTRP2.
-// A TraceCache is safe for concurrent use.
+// TraceCache memoizes measurements across the requests of a long-lived
+// server: each distinct measurement runs once, is kept as compact
+// immutable XTRP2 bytes read through Encoded, and is replayed by the
+// streaming pipeline under every configuration that asks for it. The
+// cache is bounded in entries and in bytes per trace, and writes fresh
+// measurements through to a backend. A TraceCache is safe for
+// concurrent use.
 type TraceCache struct {
 	mu      sync.Mutex
 	max     int
-	encoded bool  // cache compact encoded bytes instead of shared traces
 	maxB    int64 // per-trace encoded-size budget (0 = unlimited)
 	entries map[CacheKey]*list.Element
 	order   *list.List // front = most recently used; values are *lruNode
@@ -115,21 +99,20 @@ type TraceCache struct {
 	encBytes atomic.Int64
 }
 
-// NewTraceCache returns an empty unbounded cache — the right shape for a
-// one-shot experiment run, whose key population is fixed by the grid.
-func NewTraceCache() *TraceCache {
-	return NewBoundedTraceCache(0)
-}
-
-// NewBoundedTraceCache returns a cache holding at most maxEntries
+// NewTraceCache returns an empty cache holding at most maxEntries
 // distinct measurements, evicting the least recently used beyond that
 // (maxEntries ≤ 0 means unbounded). Long-lived serving paths must use a
 // bound: cache keys derive from client-controlled request parameters, so
 // an unbounded cache lets a client iterating sizes grow server memory
-// without limit.
-func NewBoundedTraceCache(maxEntries int) *TraceCache {
+// without limit. maxTraceBytes (> 0) rejects any measurement whose
+// encoding exceeds the budget with trace.ErrTraceTooLarge. Resident size
+// per entry is the loop-compacted encoding, and consumers decode their
+// own streaming cursor from the immutable bytes, so a hit can never be
+// mutated by another cell.
+func NewTraceCache(maxEntries int, maxTraceBytes int64) *TraceCache {
 	return &TraceCache{
 		max:     maxEntries,
+		maxB:    maxTraceBytes,
 		entries: make(map[CacheKey]*list.Element),
 		order:   list.New(),
 		flights: make(map[CacheKey]*cacheEntry),
@@ -174,24 +157,6 @@ func (c *TraceCache) encode(tr *trace.Trace) ([]byte, error) {
 	c.encBytes.Add(int64(buf.Len()))
 	return buf.Bytes(), nil
 }
-
-// NewEncodedTraceCache returns a bounded cache that stores measurements
-// as compact XTRP2 bytes rather than live *trace.Trace values.
-// Consumers decode their own streaming cursor from the immutable bytes,
-// so a hit can never be mutated by another cell, and resident size per
-// entry is the loop-compacted encoding instead of the in-memory event
-// slice plus translation. maxTraceBytes (> 0) rejects any measurement
-// whose encoding exceeds the budget with trace.ErrTraceTooLarge.
-func NewEncodedTraceCache(maxEntries int, maxTraceBytes int64) *TraceCache {
-	c := NewBoundedTraceCache(maxEntries)
-	c.encoded = true
-	c.maxB = maxTraceBytes
-	return c
-}
-
-// Streams reports whether the cache stores encoded bytes (the streaming
-// serving mode) rather than shared in-memory traces.
-func (c *TraceCache) Streams() bool { return c.encoded }
 
 // entry returns (creating if needed) the entry for key, refreshing its
 // recency and evicting the least recently used entry past the bound.
@@ -246,60 +211,32 @@ func (c *TraceCache) Len() int {
 	return c.order.Len()
 }
 
-// measure runs or reuses the memoized measurement; the caller holds
-// e.mu. A configured backend is consulted before measuring — a durable
-// hit decodes the stored bytes instead of re-running the program — and
-// fresh measurements are written through. Context cancellations are NOT
-// memoized: an aborted measurement returns its error to that caller
-// only, and the next caller re-runs the measurement under its own
-// deadline — one impatient request never poisons the cache for everyone
-// else. Deterministic failures (bad program, malformed trace) are
-// memoized like successes.
-func (c *TraceCache) measureLocked(key CacheKey, e *cacheEntry, measure func() (*trace.Trace, error)) (*trace.Trace, error) {
-	if e.measured {
-		return e.tr, e.err
-	}
-	if c.backend != nil {
-		if enc, ok := c.backend.GetTrace(key, trace.FormatXTRP2); ok {
-			if tr, err := trace.ReadBinary2(enc); err == nil {
-				e.tr, e.err, e.measured = tr, nil, true
-				c.settle(key, e)
-				return e.tr, nil
-			}
-			// An artifact that passed the store's checksum but fails to
-			// decode means a format skew, not corruption; fall through to
-			// a fresh measurement (and overwrite it below).
-		}
-	}
-	c.misses.Add(1)
-	tr, err := measure()
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		c.settle(key, e)
-		return nil, err
-	}
-	e.tr, e.err, e.measured = tr, err, true
-	if err == nil && c.backend != nil {
-		if enc, werr := c.encode(tr); werr == nil {
-			c.backend.PutTrace(key, trace.FormatXTRP2, enc)
-		}
-	}
-	c.settle(key, e)
-	return e.tr, e.err
-}
-
-// encodedLocked runs or reuses the memoized measurement in encoded form;
-// the caller holds e.mu. A configured backend is consulted before
-// measuring (the stored artifact IS the encoded form, so a durable hit
-// costs one compile and no decode), and fresh encodings are written
-// through. The measured trace is immediately encoded and released — only
-// the compact immutable bytes stay resident. A trace past the size
-// budget is memoized as a trace.ErrTraceTooLarge failure (the
-// measurement is deterministic, so it would exceed the budget every
-// time) — including one arriving from the backend, whose encoded size is
-// just as deterministic. A backend artifact that does not compile (a
-// peer's bytes past MaxTraceEvents, a format skew, malformed bytes) is a
-// miss: the key is re-measured and the artifact overwritten.
-func (c *TraceCache) encodedLocked(key CacheKey, e *cacheEntry, measure func() (*trace.Trace, error)) ([]byte, error) {
+// Encoded returns the memoized measurement for key as immutable XTRP2
+// bytes, running measure on first use. Concurrent callers with the same
+// key block until the single measurement completes and then share its
+// bytes.
+//
+// A configured backend is consulted before measuring (the stored
+// artifact IS the encoded form, so a durable hit costs one compile and
+// no decode), and fresh encodings are written through. The measured
+// trace is immediately encoded and released — only the compact bytes
+// stay resident. A backend artifact that does not compile (a peer's
+// bytes past MaxTraceEvents, a format skew, malformed bytes) is a miss:
+// the key is re-measured and the fresh encoding written through.
+//
+// Context cancellations are NOT memoized: an aborted measurement
+// returns its error to that caller only, and the next caller re-runs the
+// measurement under its own deadline — one impatient request never
+// poisons the cache for everyone else. Deterministic failures (bad
+// program, malformed trace) are memoized like successes, and so is a
+// trace past the size budget, as trace.ErrTraceTooLarge: the
+// measurement is deterministic, so it would exceed the budget every time
+// — including one arriving from the backend, whose encoded size is just
+// as deterministic.
+func (c *TraceCache) Encoded(key CacheKey, measure func() (*trace.Trace, error)) ([]byte, error) {
+	e := c.entry(key)
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.measured {
 		return e.enc, e.err
 	}
@@ -335,55 +272,10 @@ func (c *TraceCache) encodedLocked(key CacheKey, e *cacheEntry, measure func() (
 	return e.enc, e.err
 }
 
-// Encoded returns the memoized measurement for key as immutable XTRP2
-// bytes, running measure on first use. Valid only on an encoded cache.
-func (c *TraceCache) Encoded(key CacheKey, measure func() (*trace.Trace, error)) ([]byte, error) {
-	if !c.encoded {
-		return nil, errors.New("core: Encoded called on a non-encoded TraceCache")
-	}
-	e := c.entry(key)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return c.encodedLocked(key, e, measure)
-}
-
-// Measure returns the memoized measurement trace for key, running
-// measure on first use. Concurrent callers with the same key block until
-// the single measurement completes and then share its trace. Valid only
-// on an in-memory cache.
-func (c *TraceCache) Measure(key CacheKey, measure func() (*trace.Trace, error)) (*trace.Trace, error) {
-	if c.encoded {
-		return nil, errors.New("core: Measure called on an encoded TraceCache")
-	}
-	e := c.entry(key)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return c.measureLocked(key, e, measure)
-}
-
-// Translated returns the memoized translation of the measurement for
-// key, measuring and translating on first use. Valid only on an
-// in-memory cache.
-func (c *TraceCache) Translated(key CacheKey, measure func() (*trace.Trace, error)) (*translate.ParallelTrace, error) {
-	if c.encoded {
-		return nil, errors.New("core: Translated called on an encoded TraceCache")
-	}
-	e := c.entry(key)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	tr, err := c.measureLocked(key, e, measure)
-	if err != nil {
-		return nil, err
-	}
-	if !e.translated {
-		e.pt, e.terr = translate.Translate(tr)
-		e.translated = true
-	}
-	return e.pt, e.terr
-}
-
-// Stats reports cache effectiveness: hits is the number of lookups
-// served from memory, misses the number of measurement runs performed.
+// Stats reports cache effectiveness: misses is the number of
+// measurement runs performed, and hits the number of lookups that ran
+// none — served from memory or from the backend, a memoized refusal
+// included.
 func (c *TraceCache) Stats() (hits, misses int64) {
 	m := c.misses.Load()
 	return c.lookups.Load() - m, m

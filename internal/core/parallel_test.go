@@ -11,9 +11,9 @@ import (
 )
 
 // TestTraceCacheSingleflight: concurrent lookups of one key run the
-// measurement exactly once and share the resulting trace pointer.
+// measurement exactly once and share the resulting bytes.
 func TestTraceCacheSingleflight(t *testing.T) {
-	c := NewTraceCache()
+	c := NewTraceCache(0, 0)
 	key := CacheKey{Bench: "test", N: 8, Iters: 3, Threads: 4}
 	var calls int
 	var mu sync.Mutex
@@ -25,18 +25,18 @@ func TestTraceCacheSingleflight(t *testing.T) {
 	}
 
 	const goroutines = 8
-	got := make([]*trace.Trace, goroutines)
+	got := make([][]byte, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			tr, err := c.Measure(key, measure)
+			enc, err := c.Encoded(key, measure)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			got[g] = tr
+			got[g] = enc
 		}(g)
 	}
 	wg.Wait()
@@ -45,8 +45,8 @@ func TestTraceCacheSingleflight(t *testing.T) {
 		t.Errorf("measurement ran %d times, want 1", calls)
 	}
 	for g := 1; g < goroutines; g++ {
-		if got[g] != got[0] {
-			t.Errorf("goroutine %d got a different trace pointer", g)
+		if &got[g][0] != &got[0][0] {
+			t.Errorf("goroutine %d got different bytes", g)
 		}
 	}
 	hits, misses := c.Stats()
@@ -55,11 +55,12 @@ func TestTraceCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestTraceCacheKeysDistinct: distinct keys are measured independently.
+// TestTraceCacheKeysDistinct: distinct keys are measured independently,
+// and a measure error is surfaced.
 func TestTraceCacheKeysDistinct(t *testing.T) {
-	c := NewTraceCache()
+	c := NewTraceCache(0, 0)
 	for _, threads := range []int{2, 4, 2, 4, 2} {
-		_, err := c.Measure(CacheKey{Bench: "test", Threads: threads}, func() (*trace.Trace, error) {
+		_, err := c.Encoded(CacheKey{Bench: "test", Threads: threads}, func() (*trace.Trace, error) {
 			return Measure(testProgram(threads), MeasureOptions{})
 		})
 		if err != nil {
@@ -70,32 +71,9 @@ func TestTraceCacheKeysDistinct(t *testing.T) {
 	if misses != 2 || hits != 3 {
 		t.Errorf("Stats() = %d hits, %d misses; want 3, 2", hits, misses)
 	}
-}
-
-// TestTraceCacheTranslated: translation is memoized on top of the
-// measurement and the measure error is surfaced without caching a trace.
-func TestTraceCacheTranslated(t *testing.T) {
-	c := NewTraceCache()
-	key := CacheKey{Bench: "test", Threads: 4}
-	pt1, err := c.Translated(key, func() (*trace.Trace, error) {
-		return Measure(testProgram(4), MeasureOptions{})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt2, err := c.Translated(key, func() (*trace.Trace, error) {
-		t.Error("measure ran again on a cached key")
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt1 != pt2 {
-		t.Error("translation not shared between lookups")
-	}
 
 	boom := errors.New("measure failed")
-	if _, err := c.Translated(CacheKey{Bench: "bad"}, func() (*trace.Trace, error) {
+	if _, err := c.Encoded(CacheKey{Bench: "bad"}, func() (*trace.Trace, error) {
 		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Errorf("got %v, want %v", err, boom)
@@ -105,7 +83,7 @@ func TestTraceCacheTranslated(t *testing.T) {
 // TestBoundedTraceCacheEvictsLRU: past the bound, the least recently
 // used entry is evicted and a later lookup for it re-measures.
 func TestBoundedTraceCacheEvictsLRU(t *testing.T) {
-	c := NewBoundedTraceCache(2)
+	c := NewTraceCache(2, 0)
 	var calls int
 	measureFor := func(threads int) func() (*trace.Trace, error) {
 		return func() (*trace.Trace, error) {
@@ -119,7 +97,7 @@ func TestBoundedTraceCacheEvictsLRU(t *testing.T) {
 
 	mustMeasure := func(key CacheKey, threads int) {
 		t.Helper()
-		if _, err := c.Measure(key, measureFor(threads)); err != nil {
+		if _, err := c.Encoded(key, measureFor(threads)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,33 +122,22 @@ func TestBoundedTraceCacheEvictsLRU(t *testing.T) {
 }
 
 // TestTraceCacheDoesNotMemoizeContextErrors: a measurement aborted by a
-// caller's deadline must not poison the cache — the next caller re-runs
-// it and gets the real trace.
+// caller's deadline or cancellation must not poison the cache — the
+// next caller re-runs it and gets the real trace.
 func TestTraceCacheDoesNotMemoizeContextErrors(t *testing.T) {
-	c := NewTraceCache()
-	key := CacheKey{Bench: "test", Threads: 4}
-	aborted := fmt.Errorf("measuring: %w", context.DeadlineExceeded)
-	if _, err := c.Measure(key, func() (*trace.Trace, error) {
-		return nil, aborted
-	}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("first lookup error = %v, want DeadlineExceeded", err)
-	}
-	tr, err := c.Measure(key, func() (*trace.Trace, error) {
-		return Measure(testProgram(4), MeasureOptions{})
-	})
-	if err != nil || tr == nil {
-		t.Fatalf("second lookup = (%v, %v), want a real trace", tr, err)
-	}
-	// Same contract through Translated with a Canceled abort.
-	key2 := CacheKey{Bench: "test2", Threads: 2}
-	if _, err := c.Translated(key2, func() (*trace.Trace, error) {
-		return nil, context.Canceled
-	}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Translated abort = %v, want Canceled", err)
-	}
-	if _, err := c.Translated(key2, func() (*trace.Trace, error) {
-		return Measure(testProgram(2), MeasureOptions{})
-	}); err != nil {
-		t.Fatalf("Translated retry = %v, want success", err)
+	c := NewTraceCache(0, 0)
+	for _, abort := range []error{fmt.Errorf("measuring: %w", context.DeadlineExceeded), context.Canceled} {
+		key := CacheKey{Bench: abort.Error(), Threads: 4}
+		if _, err := c.Encoded(key, func() (*trace.Trace, error) {
+			return nil, abort
+		}); !errors.Is(err, abort) {
+			t.Fatalf("first lookup error = %v, want %v", err, abort)
+		}
+		enc, err := c.Encoded(key, func() (*trace.Trace, error) {
+			return Measure(testProgram(4), MeasureOptions{})
+		})
+		if err != nil || len(enc) == 0 {
+			t.Fatalf("retry after %v = (%d bytes, %v), want a real trace", abort, len(enc), err)
+		}
 	}
 }

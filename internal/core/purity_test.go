@@ -10,8 +10,8 @@ import (
 	"extrap/internal/translate"
 )
 
-// TestPipelineInputsReadOnly guards the contract the memo cache depends
-// on: Translate must not mutate the measurement trace, and Simulate must
+// TestPipelineInputsReadOnly guards the contract the figure runner's
+// memo depends on: Translate must not mutate the measurement trace, and Simulate must
 // not mutate the translated trace, so both can be shared across many
 // configurations and goroutines.
 func TestPipelineInputsReadOnly(t *testing.T) {
@@ -52,7 +52,7 @@ func TestPipelineInputsReadOnly(t *testing.T) {
 }
 
 // TestSimulateSharedTraceConcurrently: one translated trace simulated
-// from many goroutines (the cache's sharing pattern) must race-cleanly
+// from many goroutines (the figure runner's sharing pattern) must race-cleanly
 // produce the same result everywhere.
 func TestSimulateSharedTraceConcurrently(t *testing.T) {
 	tr, err := Measure(testProgram(4), MeasureOptions{})

@@ -100,7 +100,7 @@ func TestExtrapolateEncodedMatches(t *testing.T) {
 // before and after — the aliasing guarantee of the encoded cache. Under
 // -race this also proves the hit path is data-race free.
 func TestEncodedCachePurity(t *testing.T) {
-	c := NewEncodedTraceCache(4, 0)
+	c := NewTraceCache(4, 0)
 	key := CacheKey{Bench: "test", Threads: 4}
 	measure := func() (*trace.Trace, error) { return Measure(testProgram(4), MeasureOptions{}) }
 
@@ -154,62 +154,11 @@ func TestEncodedCachePurity(t *testing.T) {
 	}
 }
 
-// TestSharedCacheHitPurity is the same guarantee for the shared
-// (in-memory) cache: two cells simulating one cached translation must
-// leave the cached measurement bit-identical.
-func TestSharedCacheHitPurity(t *testing.T) {
-	c := NewTraceCache()
-	key := CacheKey{Bench: "test", Threads: 4}
-	measure := func() (*trace.Trace, error) { return Measure(testProgram(4), MeasureOptions{}) }
-
-	tr, err := c.Measure(key, measure)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var before bytes.Buffer
-	if err := trace.WriteBinary2(&before, tr); err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			pt, err := c.Translated(key, measure)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			cfg := freeConfig()
-			if i%2 == 1 {
-				cfg.MipsRatio = 2
-			}
-			if _, err := sim.Simulate(context.Background(), pt, cfg); err != nil {
-				t.Error(err)
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	after, err := c.Measure(key, measure)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var afterBuf bytes.Buffer
-	if err := trace.WriteBinary2(&afterBuf, after); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before.Bytes(), afterBuf.Bytes()) {
-		t.Fatal("cached measurement mutated by concurrent cells")
-	}
-}
-
 // TestEncodedCacheMeasureCopies: a trace decoded from an encoded cache's
 // bytes is a private copy — mutating it never corrupts later hits,
 // because the cache only ever hands out the immutable encoding.
 func TestEncodedCacheMeasureCopies(t *testing.T) {
-	c := NewEncodedTraceCache(4, 0)
+	c := NewTraceCache(4, 0)
 	key := CacheKey{Bench: "test", Threads: 4}
 	measure := func() (*trace.Trace, error) { return Measure(testProgram(4), MeasureOptions{}) }
 	decode := func() *trace.Trace {
@@ -236,7 +185,7 @@ func TestEncodedCacheMeasureCopies(t *testing.T) {
 // the budget is rejected with ErrTraceTooLarge, and the failure is
 // memoized like any deterministic outcome.
 func TestEncodedCacheTraceTooLarge(t *testing.T) {
-	c := NewEncodedTraceCache(4, 64) // smaller than any real header+events
+	c := NewTraceCache(4, 64) // smaller than any real header+events
 	key := CacheKey{Bench: "test", Threads: 4}
 	measure := func() (*trace.Trace, error) { return Measure(testProgram(4), MeasureOptions{}) }
 	for i := 0; i < 2; i++ {
@@ -246,27 +195,5 @@ func TestEncodedCacheTraceTooLarge(t *testing.T) {
 	}
 	if _, misses := c.Stats(); misses != 1 {
 		t.Errorf("misses = %d, want 1 (failure memoized)", misses)
-	}
-}
-
-// TestEncodedOnNonEncodedCache: misuse is an error, not silent decay —
-// in either direction.
-func TestEncodedOnNonEncodedCache(t *testing.T) {
-	c := NewTraceCache()
-	if _, err := c.Encoded(CacheKey{Bench: "x"}, nil); err == nil {
-		t.Fatal("Encoded on shared cache succeeded")
-	}
-	enc := NewEncodedTraceCache(1, 0)
-	if _, err := enc.Measure(CacheKey{Bench: "x"}, nil); err == nil {
-		t.Fatal("Measure on encoded cache succeeded")
-	}
-	if _, err := enc.Translated(CacheKey{Bench: "x"}, nil); err == nil {
-		t.Fatal("Translated on encoded cache succeeded")
-	}
-	if c.Streams() {
-		t.Fatal("shared cache claims to stream")
-	}
-	if !NewEncodedTraceCache(1, 0).Streams() {
-		t.Fatal("encoded cache does not claim to stream")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"extrap/internal/core"
 	"extrap/internal/machine"
 	"extrap/internal/pcxx"
+	"extrap/internal/pool"
 	"extrap/internal/report"
 	"extrap/internal/sim"
 	"extrap/internal/sim/network"
@@ -80,7 +81,7 @@ func runAblationCluster(opts Options) (*Output, error) {
 			cells = append(cells, cell{cs: cs, pl: pl})
 		}
 	}
-	err = r.each(len(cells), func(i int) error {
+	err = pool.Run(opts.Workers, len(cells), func(i int) error {
 		cfg := machine.GenericDM().Config
 		cfg.Procs = procs
 		cfg.ClusterSize = cells[i].cs

@@ -32,10 +32,10 @@ type Options struct {
 	// and results are assembled in a fixed order.
 	Workers int
 	// Backend, when non-nil, is a durable tier behind the run's memo
-	// cache (typically a *store.Store): measurements missing from memory
-	// are looked up on disk before being re-run, and fresh measurements
-	// are written through. Repeated runs against the same store replay
-	// at disk speed; results are byte-identical either way.
+	// (typically a *store.Store): a measurement the run has not taken
+	// yet is looked up on disk before being run, and a fresh measurement
+	// is written through as XTRP2. Repeated runs against the same store
+	// replay at disk speed; results are byte-identical either way.
 	Backend core.TraceBackend
 	// FitMode selects how grids produce their ladder cells: "" or
 	// "exact" simulates every cell; "fitted" simulates only the sparse

@@ -88,7 +88,7 @@ func runFig5(opts Options) (*Output, error) {
 		Columns: []string{"attribution", "barriers", "remote reads", "remote bytes", "bytes/read"},
 	}
 	// Both attributions were already measured at this processor count by
-	// the sweep above, so these lookups are memo-cache hits.
+	// the sweep above, so these lookups are memo hits.
 	n := procs[len(procs)-1]
 	for _, mode := range []pcxx.SizeMode{pcxx.CompilerEstimate, pcxx.ActualSize} {
 		tr, err := r.measured(grid.Name(), size, n, core.MeasureOptions{SizeMode: mode}, grid.Factory(size))

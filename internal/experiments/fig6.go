@@ -37,7 +37,7 @@ func runFig6(opts Options) (*Output, error) {
 		{"mgrid", "speedup", "(iv) Mgrid speedup"},
 		{"poisson", "speedup", "(extra) Poisson speedup"},
 	}
-	// One job per (benchmark, ratio) curve; the memo cache shares each
+	// One job per (benchmark, ratio) curve; the run's memo shares each
 	// benchmark's per-ladder measurements across all three ratios.
 	r := newRunner(opts)
 	var jobs []sweepJob

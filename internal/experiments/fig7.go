@@ -40,7 +40,7 @@ func runFig7(opts Options) (*Output, error) {
 		Title:   "Minimum-time processor count",
 		Columns: []string{"MipsRatio", "CommStartupTime", "best procs", "best time"},
 	}
-	// Six configurations over one benchmark: the memo cache measures each
+	// Six configurations over one benchmark: the run's memo measures each
 	// ladder point once and simulates it under all six parameter sets.
 	r := newRunner(opts)
 	var jobs []sweepJob

@@ -10,6 +10,7 @@ import (
 	"extrap/internal/machine"
 	"extrap/internal/pcxx"
 	"extrap/internal/pcxx/dist"
+	"extrap/internal/pool"
 	"extrap/internal/report"
 	"extrap/internal/vtime"
 )
@@ -72,7 +73,7 @@ func runFig9(opts Options) (*Output, error) {
 	for di := range cells {
 		cells[di] = make([]fig9Cell, len(procs))
 	}
-	err = r.each(len(dists)*len(procs), func(c int) error {
+	err = pool.Run(opts.Workers, len(dists)*len(procs), func(c int) error {
 		di, pi := c/len(procs), c%len(procs)
 		n := procs[pi]
 		factory := benchmarks.MatmulFactory(size, dists[di][0], dists[di][1])

@@ -8,6 +8,7 @@ import (
 	"extrap/internal/core"
 	"extrap/internal/machine"
 	"extrap/internal/pcxx"
+	"extrap/internal/pool"
 	"extrap/internal/report"
 	"extrap/internal/vtime"
 )
@@ -52,7 +53,7 @@ func runAblationOverhead(opts Options) (*Output, error) {
 	}
 	rows := make([]row, len(overheads))
 	r := newRunner(opts)
-	err = r.each(len(overheads), func(i int) error {
+	err = pool.Run(opts.Workers, len(overheads), func(i int) error {
 		mopts := core.MeasureOptions{SizeMode: pcxx.ActualSize, EventOverhead: overheads[i]}
 		tr, err := r.measured(g.Name(), size, threads, mopts, g.Factory(size))
 		if err != nil {

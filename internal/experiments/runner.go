@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"math"
+	"sync"
 
 	"extrap/internal/benchmarks"
 	"extrap/internal/core"
@@ -17,40 +19,69 @@ import (
 )
 
 // runner executes an experiment's measurement/simulation grid across the
-// configured worker pool, memoizing measurement traces so each distinct
-// (benchmark, size, threads, measure options) combination is measured and
-// translated once and then simulated under every configuration. Results
-// are always written to index-addressed slots and assembled sequentially,
-// so the Output is byte-identical at any worker count.
+// configured worker pool. It memoizes the run's measurements: each
+// distinct (benchmark, size, threads, measure options) combination — one
+// core.CacheKey — is measured once, translated once the first time a
+// caller needs it, and then simulated under every configuration. A run's
+// keys are fixed by its grid, so the memo keeps every point until the
+// run ends. Results are always written to index-addressed slots and
+// assembled sequentially, so the Output is byte-identical at any worker
+// count.
 type runner struct {
-	opts  Options
-	cache *core.TraceCache
+	opts   Options
+	mu     sync.Mutex
+	points map[core.CacheKey]*point
 }
 
-// newRunnerCache builds an experiment run's memo cache. Experiment grids
-// simulate each measurement under many configurations, so the in-memory
-// cache (one shared translation per measurement) is the production
-// choice; tests swap in the encoded cache to run the suite through the
-// server's streaming pipeline.
-var newRunnerCache = core.NewTraceCache
+// point is one memoized measurement of a run and its translation. Every
+// caller of a point waits on its sync.Once guards, so no worker repeats
+// a measurement or translation another has started. Callers share the
+// trace and translation read-only: Translate and Simulate never mutate
+// their input (a guard test in internal/core enforces this).
+type point struct {
+	measure       func() (*trace.Trace, error)
+	measureOnce   sync.Once
+	tr            *trace.Trace
+	err           error
+	translateOnce sync.Once
+	pt            *translate.ParallelTrace
+	terr          error
+}
+
+// trace returns the point's measurement, taking it on first use.
+func (p *point) trace() (*trace.Trace, error) {
+	p.measureOnce.Do(func() { p.tr, p.err = p.measure() })
+	return p.tr, p.err
+}
+
+// translated returns the point's translation, measuring and translating
+// on first use.
+func (p *point) translated() (*translate.ParallelTrace, error) {
+	p.translateOnce.Do(func() {
+		tr, err := p.trace()
+		if err != nil {
+			p.terr = err
+			return
+		}
+		p.pt, p.terr = translate.Translate(tr)
+	})
+	return p.pt, p.terr
+}
+
+// measureProgram is the runner's measurement step; tests wrap it to
+// count measurements.
+var measureProgram = core.Measure
 
 func newRunner(opts Options) *runner {
-	r := &runner{opts: opts, cache: newRunnerCache()}
-	if opts.Backend != nil {
-		r.cache.SetBackend(opts.Backend)
-	}
-	return r
+	return &runner{opts: opts, points: make(map[core.CacheKey]*point)}
 }
 
-// each runs fn(i) for i in [0, n) on the experiment's worker pool,
-// returning the lowest-indexed error (the one a sequential loop would
-// report first).
-func (r *runner) each(n int, fn func(i int) error) error {
-	return pool.Run(r.opts.Workers, n, fn)
-}
-
-// cacheKey builds the memo-cache key for one measurement.
-func cacheKey(bench string, size benchmarks.Size, threads int, mopts core.MeasureOptions) core.CacheKey {
+// MeasurementKey is the memo key of one measurement, exported so layers
+// above the engine (the jobs queue, the artifact store wiring) can
+// address the same measurement the engine will run — the content
+// address of a job cell's trace must be the key the engine would use, or
+// durability would split into two namespaces.
+func MeasurementKey(bench string, size benchmarks.Size, threads int, mopts core.MeasureOptions) core.CacheKey {
 	return core.CacheKey{
 		Bench:   bench,
 		N:       size.N,
@@ -61,51 +92,62 @@ func cacheKey(bench string, size benchmarks.Size, threads int, mopts core.Measur
 	}
 }
 
-// MeasurementKey is the exported form of the engine's memo-cache key
-// constructor, so layers above the engine (the jobs queue, the artifact
-// store wiring) can address the same measurement the engine will run —
-// the content address of a job cell's trace must be the key the cache
-// would use, or durability would split into two namespaces.
-func MeasurementKey(bench string, size benchmarks.Size, threads int, mopts core.MeasureOptions) core.CacheKey {
-	return cacheKey(bench, size, threads, mopts)
+// point returns (creating if needed) the run's point for key, whose
+// program is f at key.Threads threads. f must be the same program
+// whenever key is the same.
+func (r *runner) point(key core.CacheKey, f core.ProgramFactory) *point {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	p, ok := r.points[key]
+	if !ok {
+		p = &point{measure: func() (*trace.Trace, error) { return r.measure(key, f) }}
+		r.points[key] = p
+	}
+	return p
 }
 
-// measured returns the (cached) measurement trace for one benchmark run.
+// measure takes one measurement. With a backend, a stored trace is
+// decoded instead of re-running the program, and a fresh measurement is
+// written through as XTRP2 — the only time the runner encodes a trace.
+// A stored artifact that does not decode is a miss: the program is
+// measured afresh.
+func (r *runner) measure(key core.CacheKey, f core.ProgramFactory) (*trace.Trace, error) {
+	b := r.opts.Backend
+	if b != nil {
+		if enc, ok := b.GetTrace(key, trace.FormatXTRP2); ok {
+			if tr, err := trace.ReadBinary2(enc); err == nil {
+				return tr, nil
+			}
+		}
+	}
+	tr, err := measureProgram(f(key.Threads), key.Opts)
+	if err == nil && b != nil {
+		var buf bytes.Buffer
+		if trace.WriteBinary2(&buf, tr) == nil {
+			b.PutTrace(key, trace.FormatXTRP2, buf.Bytes())
+		}
+	}
+	return tr, err
+}
+
+// measured returns the memoized measurement trace for one benchmark run.
 // The returned trace is shared — callers must treat it as read-only.
 func (r *runner) measured(bench string, size benchmarks.Size, threads int, mopts core.MeasureOptions, f core.ProgramFactory) (*trace.Trace, error) {
-	key := cacheKey(bench, size, threads, mopts)
-	measure := func() (*trace.Trace, error) { return core.Measure(f(threads), mopts) }
-	if !r.cache.Streams() {
-		return r.cache.Measure(key, measure)
-	}
-	enc, err := r.cache.Encoded(key, measure)
-	if err != nil {
-		return nil, err
-	}
-	return trace.ReadBinary2(enc)
+	return r.point(MeasurementKey(bench, size, threads, mopts), f).trace()
 }
 
-// translated returns the (cached) translated trace for one benchmark run,
-// measuring and translating on first use.
+// translated returns the memoized translated trace for one benchmark
+// run, measuring and translating on first use.
 func (r *runner) translated(bench string, size benchmarks.Size, threads int, mopts core.MeasureOptions, f core.ProgramFactory) (*translate.ParallelTrace, error) {
-	if !r.cache.Streams() {
-		return r.cache.Translated(cacheKey(bench, size, threads, mopts), func() (*trace.Trace, error) {
-			return core.Measure(f(threads), mopts)
-		})
-	}
-	tr, err := r.measured(bench, size, threads, mopts, f)
-	if err != nil {
-		return nil, err
-	}
-	return translate.Translate(tr)
+	return r.point(MeasurementKey(bench, size, threads, mopts), f).translated()
 }
 
 // sweepJob is one curve of a parameter grid: a benchmark swept over the
 // processor ladder under one simulation configuration. Jobs naming the
-// same benchmark/size/mode share measurement traces through the memo
-// cache regardless of how their configs differ.
+// same benchmark/size/mode share measurement traces through the run's
+// memo regardless of how their configs differ.
 type sweepJob struct {
-	// Name identifies the program for the memo cache; include variant
+	// Name identifies the program for the memo; include variant
 	// parameters that change program behavior.
 	Name string
 	Size benchmarks.Size
@@ -137,31 +179,11 @@ func (r *runner) job(b benchmarks.Benchmark, mode pcxx.SizeMode, cfg sim.Config,
 // the fitted path when the run's FitMode selects it.
 func (r *runner) runGrid(jobs []sweepJob) ([][]metrics.Point, error) {
 	if r.opts.FitMode == "fitted" {
-		return runGridFitted(context.Background(), r.cache, r.opts.Workers, jobs)
+		return r.runGridFitted(jobs)
 	}
-	return runGrid(context.Background(), r.cache, r.opts.Workers, jobs)
-}
-
-// gridCell addresses one (job, ladder index) cell of a flattened grid.
-type gridCell struct{ job, pt int }
-
-// runGrid fans every (job, processor count) cell of the grid across a
-// worker pool and returns one point series per job, in job order. Each
-// cell measures through the memo cache (so cells sharing a measurement
-// wait for one run, then share the trace) and simulates independently
-// under ctx, which bounds the measurement and simulation work of every
-// cell; ctx-aborted measurements are not memoized.
-//
-// On an encoded cache (cache.Streams()) each cell instead pulls the
-// compact immutable bytes and runs the bounded-memory streaming
-// pipeline — decode, translate, and simulate flow through cursors, so
-// a cell's transient footprint is the translation buffer, not the
-// trace. The streaming pipeline is byte-identical to the in-memory
-// one, so the grid's output is the same either way, at any worker
-// count.
-func runGrid(ctx context.Context, cache *core.TraceCache, workers int, jobs []sweepJob) ([][]metrics.Point, error) {
 	// Flatten the grid so the pool load-balances across cells of every
 	// job, not one job at a time.
+	type gridCell struct{ job, pt int }
 	var cells []gridCell
 	points := make([][]metrics.Point, len(jobs))
 	for j := range jobs {
@@ -170,13 +192,10 @@ func runGrid(ctx context.Context, cache *core.TraceCache, workers int, jobs []sw
 			cells = append(cells, gridCell{j, i})
 		}
 	}
-	err := pool.Run(workers, len(cells), func(c int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	err := pool.Run(r.opts.Workers, len(cells), func(c int) error {
 		job := &jobs[cells[c].job]
 		n := job.Procs[cells[c].pt]
-		total, err := cellTime(ctx, cache, job, n)
+		total, err := r.cellTime(job, n)
 		if err != nil {
 			return err
 		}
@@ -189,30 +208,22 @@ func runGrid(ctx context.Context, cache *core.TraceCache, workers int, jobs []sw
 	return points, nil
 }
 
-// cellTime measures (through the memo cache) and simulates one cell,
+// cellTime simulates one cell on its point's memoized measurement,
 // returning its exact predicted total.
-func cellTime(ctx context.Context, cache *core.TraceCache, job *sweepJob, n int) (vtime.Time, error) {
-	mopts := core.MeasureOptions{SizeMode: job.Mode}
-	key := cacheKey(job.Name, job.Size, n, mopts)
-	measure := func() (*trace.Trace, error) {
-		return core.MeasureContext(ctx, job.Factory(n), mopts)
-	}
-	if cache.Streams() {
-		enc, err := cache.Encoded(key, measure)
-		if err != nil {
-			return 0, err
-		}
-		pred, err := core.ExtrapolateEncoded(ctx, enc, job.Cfg)
-		if err != nil {
-			return 0, err
-		}
-		return pred.Result.TotalTime, nil
-	}
-	pt, err := cache.Translated(key, measure)
+func (r *runner) cellTime(job *sweepJob, n int) (vtime.Time, error) {
+	key := MeasurementKey(job.Name, job.Size, n, core.MeasureOptions{SizeMode: job.Mode})
+	return simulateCell(r.point(key, job.Factory), job.Cfg)
+}
+
+// simulateCell is a grid cell's simulate step: the point's translation
+// simulated under cfg. Tests swap in the streaming pipeline over the
+// point's XTRP2 bytes, which must answer the same total.
+var simulateCell = func(p *point, cfg sim.Config) (vtime.Time, error) {
+	pt, err := p.translated()
 	if err != nil {
 		return 0, err
 	}
-	res, err := sim.Simulate(ctx, pt, job.Cfg)
+	res, err := sim.Simulate(context.Background(), pt, cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -221,26 +232,23 @@ func cellTime(ctx context.Context, cache *core.TraceCache, job *sweepJob, n int)
 
 // runGridFitted answers each job's ladder through the analytic fitted
 // path: the model package's refinement picks a sparse anchor set per
-// job, anchors simulate exactly like sequential grid cells (same memo
-// cache, same keys), and non-anchor cells evaluate the fit, rounded to
-// whole virtual nanoseconds and clamped non-negative. Jobs fan across
-// the worker pool; each job's refinement is serial and deterministic,
-// so the assembled output is byte-identical at any worker count.
-func runGridFitted(ctx context.Context, cache *core.TraceCache, workers int, jobs []sweepJob) ([][]metrics.Point, error) {
+// job, anchors simulate exactly like grid cells (same memo, same keys),
+// and non-anchor cells evaluate the fit, rounded to whole virtual
+// nanoseconds and clamped non-negative. Jobs fan across the worker pool;
+// each job's refinement is serial and deterministic, so the assembled
+// output is byte-identical at any worker count.
+func (r *runner) runGridFitted(jobs []sweepJob) ([][]metrics.Point, error) {
 	points := make([][]metrics.Point, len(jobs))
-	err := pool.Run(workers, len(jobs), func(j int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	err := pool.Run(r.opts.Workers, len(jobs), func(j int) error {
 		job := &jobs[j]
-		sim := func(ctx context.Context, n int) ([]vtime.Time, error) {
-			t, err := cellTime(ctx, cache, job, n)
+		anchor := func(_ context.Context, n int) ([]vtime.Time, error) {
+			t, err := r.cellTime(job, n)
 			if err != nil {
 				return nil, err
 			}
 			return []vtime.Time{t}, nil
 		}
-		res, err := model.Run(ctx, job.Procs, 1, sim, model.Options{})
+		res, err := model.Run(context.Background(), job.Procs, 1, anchor, model.Options{})
 		if err != nil {
 			return err
 		}

@@ -43,11 +43,12 @@ type Service struct {
 // (> 0) rejects any measurement whose encoding exceeds the budget with
 // trace.ErrTraceTooLarge.
 func NewService(workers, cacheEntries int, maxTraceBytes int64) *Service {
-	return &Service{cache: core.NewEncodedTraceCache(cacheEntries, maxTraceBytes), workers: workers}
+	return &Service{cache: core.NewTraceCache(cacheEntries, maxTraceBytes), workers: workers}
 }
 
 // CacheStats reports the memo cache's lookup effectiveness: lookups
-// served from memory and measurement runs performed.
+// that ran no measurement (served from memory or from the backend) and
+// measurement runs performed.
 func (s *Service) CacheStats() (hits, misses int64) { return s.cache.Stats() }
 
 // SetBackend attaches a durable tier (typically a *store.Store) behind
@@ -88,7 +89,7 @@ func (s *Service) predict(ctx context.Context, b benchmarks.Benchmark, size benc
 		return nil, fmt.Errorf("experiments: invalid thread count %d", threads)
 	}
 	mopts := core.MeasureOptions{SizeMode: pcxx.ActualSize}
-	enc, err := s.cache.Encoded(cacheKey(b.Name(), size, threads, mopts), func() (*trace.Trace, error) {
+	enc, err := s.cache.Encoded(MeasurementKey(b.Name(), size, threads, mopts), func() (*trace.Trace, error) {
 		return core.MeasureContext(ctx, f(threads), mopts)
 	})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"extrap/internal/core"
@@ -13,6 +14,7 @@ import (
 	"extrap/internal/sim"
 	"extrap/internal/trace"
 	"extrap/internal/translate"
+	"extrap/internal/vtime"
 )
 
 // TestStreamingServiceMatchesInMemory: the Service's streaming pipeline,
@@ -20,8 +22,7 @@ import (
 // the root facade runs it), must predict exactly what the in-memory
 // pipeline oracle predicts — the same scalars and Result as
 // translate.Translate + sim.Simulate on the same measurement — and
-// Service sweeps the same points as the experiment runner's in-memory
-// grid.
+// Service sweeps the same points as the experiment runner's grid.
 func TestStreamingServiceMatchesInMemory(t *testing.T) {
 	b := mustBench(t, "grid")
 	size := quickSize(b)
@@ -79,7 +80,7 @@ func TestStreamingServiceMatchesInMemory(t *testing.T) {
 		Cfg:     freeCfg(),
 		Procs:   procs,
 	}}
-	wantPts, err := runGrid(ctx, core.NewTraceCache(), 2, jobs)
+	wantPts, err := newRunner(Options{Workers: 2}).runGrid(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +116,12 @@ func TestStreamingServiceTraceBudget(t *testing.T) {
 }
 
 // TestQuickSuiteThroughEncodedCache runs the whole -quick experiment
-// suite through the encoded XTRP2 cache — the server's streaming
-// pipeline, fast-forward included — and demands output byte-identical
-// to the production in-memory run. The replay counters must show at
-// least one fast-forward, so the pattern-replay path is provably on
-// the hot path rather than vacuously equal.
+// suite with every grid cell simulated by the server's streaming
+// pipeline — core.ExtrapolateEncoded over the point's XTRP2 bytes,
+// fast-forward included — and demands output byte-identical to the
+// production in-memory run. The replay counters must show at least one
+// fast-forward, so the pattern-replay path is provably on the hot path
+// rather than vacuously equal.
 func TestQuickSuiteThroughEncodedCache(t *testing.T) {
 	render := func() []byte {
 		var buf bytes.Buffer
@@ -134,8 +136,27 @@ func TestQuickSuiteThroughEncodedCache(t *testing.T) {
 	}
 	want := render()
 
-	defer func(orig func() *core.TraceCache) { newRunnerCache = orig }(newRunnerCache)
-	newRunnerCache = func() *core.TraceCache { return core.NewEncodedTraceCache(0, 0) }
+	defer func(orig func(*point, sim.Config) (vtime.Time, error)) { simulateCell = orig }(simulateCell)
+	var encs sync.Map // *point → its trace's XTRP2 bytes
+	simulateCell = func(p *point, cfg sim.Config) (vtime.Time, error) {
+		enc, ok := encs.Load(p)
+		if !ok {
+			tr, err := p.trace()
+			if err != nil {
+				return 0, err
+			}
+			var buf bytes.Buffer
+			if err := trace.WriteBinary2(&buf, tr); err != nil {
+				return 0, err
+			}
+			enc, _ = encs.LoadOrStore(p, buf.Bytes())
+		}
+		pred, err := core.ExtrapolateEncoded(context.Background(), enc.([]byte), cfg)
+		if err != nil {
+			return 0, err
+		}
+		return pred.Result.TotalTime, nil
+	}
 	before := sim.ReadReplayCounters()
 	got := render()
 	ff := sim.ReadReplayCounters().FastForwards - before.FastForwards
@@ -144,12 +165,12 @@ func TestQuickSuiteThroughEncodedCache(t *testing.T) {
 		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if gl[i] != wl[i] {
-				t.Fatalf("encoded-cache suite differs at line %d:\n got: %q\nwant: %q", i+1, gl[i], wl[i])
+				t.Fatalf("encoded-cell suite differs at line %d:\n got: %q\nwant: %q", i+1, gl[i], wl[i])
 			}
 		}
-		t.Fatalf("encoded-cache suite output has %d lines, in-memory %d", len(gl), len(wl))
+		t.Fatalf("encoded-cell suite output has %d lines, in-memory %d", len(gl), len(wl))
 	}
 	if ff == 0 {
-		t.Error("encoded-cache suite made no fast-forward")
+		t.Error("encoded-cell suite made no fast-forward")
 	}
 }

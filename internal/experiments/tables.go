@@ -8,6 +8,7 @@ import (
 	"extrap/internal/core"
 	"extrap/internal/machine"
 	"extrap/internal/pcxx"
+	"extrap/internal/pool"
 	"extrap/internal/report"
 	"extrap/internal/sim"
 	"extrap/internal/trace"
@@ -78,7 +79,7 @@ func runTable1(opts Options) (*Output, error) {
 		{"BarrierByMsgs→0", func(b *sim.BarrierConfig) { b.ByMsgs = false }},
 	}
 	results := make([]*sim.Result, len(variants))
-	err = r.each(len(variants), func(i int) error {
+	err = pool.Run(opts.Workers, len(variants), func(i int) error {
 		cfg := baseCfg
 		variants[i].mutate(&cfg.Barrier)
 		res, err := sim.Simulate(ctx, basePt, cfg)
@@ -121,7 +122,7 @@ func runTable2(opts Options) (*Output, error) {
 		err error
 	}
 	rows := make([]row, len(suite))
-	_ = r.each(len(suite), func(i int) error {
+	_ = pool.Run(opts.Workers, len(suite), func(i int) error {
 		size := opts.size(suite[i])
 		size.Verify = true
 		rows[i].tr, rows[i].err = r.measured(suite[i].Name(), size, n,

@@ -45,7 +45,7 @@ func TestRecorderBoundRefusesMeasurement(t *testing.T) {
 	if _, err := core.Measure(prog(), core.MeasureOptions{}); !errors.Is(err, trace.ErrTraceTooLarge) {
 		t.Fatalf("bound one below the trace's %d events: err = %v, want ErrTraceTooLarge", n, err)
 	}
-	c := core.NewEncodedTraceCache(0, 0)
+	c := core.NewTraceCache(0, 0)
 	key := core.CacheKey{Bench: "grid", N: 16, Iters: 4, Threads: 4}
 	measure := func() (*trace.Trace, error) { return core.Measure(prog(), core.MeasureOptions{}) }
 	for i := 0; i < 2; i++ {

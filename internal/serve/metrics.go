@@ -11,30 +11,21 @@ import (
 	"extrap/internal/trace"
 )
 
-// metricsSet is the server's observability slice, held as expvar vars.
-// The vars are deliberately NOT published into the process-global expvar
-// registry — expvar.Publish panics on duplicate names, which would
-// forbid running more than one Server per process (tests do, and
-// embedders may). Instead the server's own GET /debug/vars handler
-// renders this set alongside the globals expvar publishes by default
-// (cmdline, memstats).
+// metricsSet is the server's live counters, held as expvar vars; the
+// other sections of GET /debug/vars are snapshots of component stats
+// built per request. The vars are deliberately NOT published into the
+// process-global expvar registry — expvar.Publish panics on duplicate
+// names, which would forbid running more than one Server per process
+// (tests do, and embedders may). Instead the server's own GET
+// /debug/vars handler renders this set alongside the globals expvar
+// publishes by default (cmdline, memstats).
 type metricsSet struct {
-	requests    *expvar.Map // request count by route
-	statuses    *expvar.Map // response count by status class ("2xx", ...)
-	rejected    *expvar.Int // requests shed by the in-flight limiter
-	inflight    *expvar.Int // compute requests currently holding a slot
-	latencyUs   *expvar.Int // cumulative handler wall time, µs
-	cacheHits   *expvar.Int // trace-cache lookups served from memory
-	cacheMisses *expvar.Int // measurement runs performed
-
+	requests      *expvar.Map // request count by route
+	statuses      *expvar.Map // response count by status class ("2xx", ...)
+	rejected      *expvar.Int // requests shed by the in-flight limiter
+	inflight      *expvar.Int // compute requests currently holding a slot
+	latencyUs     *expvar.Int // cumulative handler wall time, µs
 	jobsSubmitted *expvar.Int // jobs accepted via POST /v1/jobs
-	storeVars     *expvar.Map // artifact store hit/miss/evict/corrupt (set when a store is open)
-	jobsVars      *expvar.Map // jobs queued/running/done/failed (set when jobs are enabled)
-	compVars      *expvar.Map // trace-compaction counters (raw/encoded bytes, replay vs literal)
-	clusterVars   *expvar.Map // shard routing/execution counters (set when Role isn't solo)
-	fittedVars    *expvar.Map // fitted-sweep counters (runs, iterations, anchors, fitted cells)
-	composeVars   *expvar.Map // workload-DSL counters (specs parsed, programs synthesized, cache hits)
-	simVars       *expvar.Map // replay fast-forward counters (attempts, fast_forwards, iterations_skipped, fallbacks)
 }
 
 func newMetricsSet() *metricsSet {
@@ -44,52 +35,38 @@ func newMetricsSet() *metricsSet {
 		rejected:      new(expvar.Int),
 		inflight:      new(expvar.Int),
 		latencyUs:     new(expvar.Int),
-		cacheHits:     new(expvar.Int),
-		cacheMisses:   new(expvar.Int),
 		jobsSubmitted: new(expvar.Int),
-		storeVars:     new(expvar.Map).Init(),
-		jobsVars:      new(expvar.Map).Init(),
-		compVars:      new(expvar.Map).Init(),
-		clusterVars:   new(expvar.Map).Init(),
-		fittedVars:    new(expvar.Map).Init(),
-		composeVars:   new(expvar.Map).Init(),
-		simVars:       new(expvar.Map).Init(),
 	}
 }
 
-// setInt upserts an *expvar.Int value in a map (expvar.Map has no typed
-// getter, so keep the upsert in one place).
+// setInt sets key in m to an *expvar.Int holding v (expvar.Map has no
+// typed setter, so keep the boxing in one place).
 func setInt(m *expvar.Map, key string, v int64) {
 	i := new(expvar.Int)
 	i.Set(v)
 	m.Set(key, i)
 }
 
-// vars assembles the set as one expvar.Map for rendering.
-func (m *metricsSet) vars() *expvar.Map {
-	v := new(expvar.Map).Init()
-	v.Set("requests", m.requests)
-	v.Set("responses_by_status", m.statuses)
-	v.Set("rejected", m.rejected)
-	v.Set("inflight", m.inflight)
-	v.Set("latency_us_total", m.latencyUs)
-	v.Set("cache_hits", m.cacheHits)
-	v.Set("cache_misses", m.cacheMisses)
-	return v
-}
-
 // handleVars serves GET /debug/vars in the standard expvar JSON shape:
 // the server's own counters under "extrap_serve", then every var
-// published in the process-global registry.
+// published in the process-global registry. expvar.Map renders its keys
+// sorted, so the body does not depend on the order sections are built.
 func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
+	root := new(expvar.Map).Init()
+	root.Set("requests", s.met.requests)
+	root.Set("responses_by_status", s.met.statuses)
+	root.Set("rejected", s.met.rejected)
+	root.Set("inflight", s.met.inflight)
+	root.Set("latency_us_total", s.met.latencyUs)
+	// A cache hit is a lookup that ran no measurement: served from
+	// memory or from the durable tier (store or peer).
 	hits, misses := s.svc.CacheStats()
-	s.met.cacheHits.Set(hits)
-	s.met.cacheMisses.Set(misses)
+	setInt(root, "cache_hits", hits)
+	setInt(root, "cache_misses", misses)
 
-	root := s.met.vars()
 	cs := s.svc.CompressionStats()
 	tc := trace.ReadCompressionCounters()
-	cv := s.met.compVars
+	cv := new(expvar.Map).Init()
 	setInt(cv, "raw_bytes", cs.RawBytes)
 	setInt(cv, "encoded_bytes", cs.EncodedBytes)
 	setInt(cv, "encoded_traces", int64(tc.EncodedTraces))
@@ -98,14 +75,14 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	setInt(cv, "literal_events", int64(tc.LiteralEvents))
 	root.Set("compression", cv)
 	fc := model.ReadCounters()
-	fv := s.met.fittedVars
+	fv := new(expvar.Map).Init()
 	setInt(fv, "runs", fc.Runs)
 	setInt(fv, "fit_iterations", fc.FitIterations)
 	setInt(fv, "anchors_simulated", fc.AnchorsSimulated)
 	setInt(fv, "cells_fitted", fc.CellsFitted)
 	root.Set("fitted", fv)
 	cc := compose.ReadCounters()
-	cmv := s.met.composeVars
+	cmv := new(expvar.Map).Init()
 	setInt(cmv, "specs_parsed", cc.SpecsParsed)
 	setInt(cmv, "programs_synthesized", cc.Synthesized)
 	setInt(cmv, "cache_hits", cc.CacheHits)
@@ -114,7 +91,7 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	setInt(cmv, "preset_hits", cc.PresetHits)
 	root.Set("compose", cmv)
 	rc := sim.ReadReplayCounters()
-	rv := s.met.simVars
+	rv := new(expvar.Map).Init()
 	setInt(rv, "ff_attempts", int64(rc.Attempts))
 	setInt(rv, "fast_forwards", int64(rc.FastForwards))
 	setInt(rv, "iterations_skipped", int64(rc.IterationsSkipped))
@@ -122,7 +99,7 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	root.Set("sim", rv)
 	if s.store != nil {
 		st := s.store.Stats()
-		sv := s.met.storeVars
+		sv := new(expvar.Map).Init()
 		setInt(sv, "hits", st.Hits)
 		setInt(sv, "misses", st.Misses)
 		setInt(sv, "evictions", st.Evictions)
@@ -138,7 +115,7 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.coord != nil {
 		ct := s.coord.Stats()
-		cl := s.met.clusterVars
+		cl := new(expvar.Map).Init()
 		setInt(cl, "role_coordinator", 1)
 		setInt(cl, "shards_dispatched", ct.Dispatched)
 		setInt(cl, "shards_completed", ct.Completed)
@@ -162,7 +139,7 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.worker != nil {
 		wt := s.worker.Stats()
-		cl := s.met.clusterVars
+		cl := new(expvar.Map).Init()
 		setInt(cl, "role_worker", 1)
 		setInt(cl, "shards_accepted", wt.Accepted)
 		setInt(cl, "shards_completed", wt.Completed)
@@ -174,7 +151,7 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.jobs != nil {
 		jt := s.jobs.Stats()
-		jv := s.met.jobsVars
+		jv := new(expvar.Map).Init()
 		setInt(jv, "queued", jt.Queued)
 		setInt(jv, "running", jt.Running)
 		setInt(jv, "done", jt.Done)

@@ -3,9 +3,9 @@
 // threads, procs, machine} configuration, POST /v1/sweep a processor
 // ladder, and GET /v1/benchmarks and /v1/machines enumerate the
 // registries. Requests run through the shared experiment engine
-// (measurement memo cache + grid runner), so repeated and concurrent
-// requests for the same configuration share one measurement and return
-// byte-identical bodies.
+// (measurement memo cache + ladder-point executor), so repeated and
+// concurrent requests for the same configuration share one measurement
+// and return byte-identical bodies.
 //
 // Operationally the server is load-shaped: compute endpoints pass
 // through a bounded in-flight limiter (excess requests queue briefly,

@@ -1,10 +1,11 @@
 // Package store implements a content-addressed, checksummed, on-disk
 // artifact store for the expensive products of the extrapolation
 // pipeline: encoded measurement traces and serialized prediction
-// results. It is the durable tier behind core.TraceCache — memory in
-// front, disk behind, one measurement pipeline — so a restarted server
-// (or a repeated CLI run pointed at the same directory) replays work it
-// has already done at disk speed instead of re-simulating it.
+// results. It is the durable tier behind the server's core.TraceCache
+// and behind a figure run's memo (experiment -store) — memory in front,
+// disk behind, one measurement pipeline — so a restarted server (or a
+// repeated CLI run pointed at the same directory) replays work it has
+// already done at disk speed instead of re-simulating it.
 //
 // # Key scheme
 //
@@ -135,7 +136,8 @@ type Stats struct {
 
 // Store is a content-addressed artifact store with an LRU byte budget.
 // It is safe for concurrent use and implements core.TraceBackend, so it
-// plugs directly behind a TraceCache via SetBackend.
+// plugs directly behind a TraceCache via SetBackend, or behind a figure
+// run as experiments.Options.Backend.
 type Store struct {
 	dir       string
 	maxBytes  int64    // 0 = unlimited
