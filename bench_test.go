@@ -25,7 +25,6 @@ import (
 	"extrap/internal/core"
 	"extrap/internal/experiments"
 	"extrap/internal/machine"
-	"extrap/internal/model"
 	"extrap/internal/pcxx"
 	"extrap/internal/profile"
 	"extrap/internal/sim"
@@ -400,12 +399,11 @@ func BenchmarkSweepBatch(b *testing.B) {
 // — so the arms isolate per-cell simulation against sparse-anchor
 // simulation plus the fit's arithmetic. The workload is one Grid curve
 // over every processor count 1..32: the exact arm (RunLadder) simulates
-// all 32 cells; the fitted arm (model.Run over RunPoint, as a fitted
-// /v1/sweep runs) simulates only the model package's anchor set (8
-// cells at the default 25% budget) and answers the rest from the
-// least-squares fit. cells/s counts ladder cells answered, whatever
-// their provenance; the fitted arm's advantage is the 4× fewer
-// simulations behind those answers.
+// all 32 cells; the fitted arm (FitLadder, as a fitted /v1/sweep runs)
+// simulates only the model package's anchor set (8 cells at the default
+// 25% budget) and answers the rest from the least-squares fit. cells/s
+// counts ladder cells answered, whatever their provenance; the fitted
+// arm's advantage is the 4× fewer simulations behind those answers.
 func BenchmarkSweepFitted(b *testing.B) {
 	g, err := benchmarks.ByName("grid")
 	if err != nil {
@@ -431,10 +429,7 @@ func BenchmarkSweepFitted(b *testing.B) {
 			run := exact
 			if bc.fitted {
 				run = func() error {
-					f := g.Factory(sz)
-					_, err := model.Run(ctx, ladder, len(envs), func(ctx context.Context, procs int) ([]vtime.Time, error) {
-						return svc.RunPoint(ctx, g, sz, f, procs, envs)
-					}, model.Options{})
+					_, err := experiments.FitLadder(ctx, svc, g, sz, envs, ladder)
 					return err
 				}
 			}

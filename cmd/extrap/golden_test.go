@@ -11,11 +11,11 @@ import (
 
 // TestExperimentGoldens pins what the extrapolator computes, not just
 // that its paths agree: the full experiment suite and the composed-
-// workload sweeps (nested.json exact and fitted, plus every compose
-// preset fed in as an ad-hoc spec file) must reproduce committed outputs
-// byte for byte. A failure means some prediction changed. If the change
-// is deliberate, regenerate with EXTRAP_GOLDEN_UPDATE=1 and say why in
-// the change; never regenerate to silence an accidental drift.
+// workload sweeps (nested.json, plus every compose preset fed in as an
+// ad-hoc spec file) must reproduce committed outputs byte for byte. A
+// failure means some prediction changed. If the change is deliberate,
+// regenerate with EXTRAP_GOLDEN_UPDATE=1 and say why in the change;
+// never regenerate to silence an accidental drift.
 func TestExperimentGoldens(t *testing.T) {
 	nested := filepath.Join("..", "..", "internal", "compose", "testdata", "nested.json")
 	cases := []struct {
@@ -24,7 +24,6 @@ func TestExperimentGoldens(t *testing.T) {
 	}{
 		{"experiment_all.golden", []string{"all"}},
 		{"workload_nested.golden", []string{"-workload", nested}},
-		{"workload_nested_fitted.golden", []string{"-mode", "fitted", "-workload", nested}},
 	}
 	dir := t.TempDir()
 	for _, p := range compose.Presets() {

@@ -32,7 +32,6 @@ import (
 	"extrap/internal/experiments"
 	"extrap/internal/machine"
 	"extrap/internal/metrics"
-	"extrap/internal/model"
 	"extrap/internal/pcxx"
 	"extrap/internal/profile"
 	"extrap/internal/sim"
@@ -647,7 +646,6 @@ func parseExperimentFlags(args []string) (opts experiments.Options, id, workload
 	csv := fs.String("csv", "", "also write each table as CSV into this directory")
 	svg := fs.String("svg", "", "also write each figure as SVG into this directory")
 	storeFlag := fs.String("store", "", "durable artifact store directory: measurements persist there and repeated runs reuse them instead of re-measuring (empty = in-memory only)")
-	modeFlag := fs.String("mode", "", "grid mode: exact (default — simulate every ladder cell) or fitted (simulate sparse anchors, answer the rest from an analytic least-squares fit)")
 	workloadFlag := fs.String("workload", "", "sweep a composed workload (JSON pattern spec file) over the modeled machines instead of running a registered experiment")
 	if err = fs.Parse(args); err != nil {
 		return opts, "", "", "", "", "", err
@@ -661,15 +659,7 @@ func parseExperimentFlags(args []string) (opts experiments.Options, id, workload
 	case *workloadFlag != "" && fs.NArg() != 0:
 		return opts, "", "", "", "", "", fmt.Errorf("experiment: -workload replaces the experiment id; drop %q", fs.Arg(0))
 	}
-	mode := *modeFlag
-	switch mode {
-	case "", "exact":
-		mode = ""
-	case "fitted":
-	default:
-		return opts, "", "", "", "", "", fmt.Errorf("experiment: -mode must be \"exact\" or \"fitted\", got %q", mode)
-	}
-	return experiments.Options{Quick: *quick, Workers: *workers, FitMode: mode}, fs.Arg(0), *workloadFlag, *csv, *svg, *storeFlag, nil
+	return experiments.Options{Quick: *quick, Workers: *workers}, fs.Arg(0), *workloadFlag, *csv, *svg, *storeFlag, nil
 }
 
 func cmdExperiment(args []string, w io.Writer) error {
@@ -734,11 +724,10 @@ func workloadLadder(quick bool) []int {
 
 // runWorkloadSweep parses a composed-workload spec file, synthesizes its
 // pcxx program, and sweeps it over the fixed machine set and ladder the
-// way `extrap serve` answers /v1/sweep — RunLadder over a Service, or
-// with -mode fitted model.Run over its RunPoint — printing one
-// integer-nanosecond cell per (procs, machine). The table is
-// byte-identical at any worker count — the same invariant the
-// registered experiments carry.
+// way `extrap serve` answers an exact /v1/sweep — RunLadder over a
+// Service — printing one integer-nanosecond cell per (procs, machine).
+// The table is byte-identical at any worker count — the same invariant
+// the registered experiments carry.
 func runWorkloadSweep(opts experiments.Options, path string, w io.Writer) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -762,20 +751,7 @@ func runWorkloadSweep(opts experiments.Options, path string, w io.Writer) error 
 			return err
 		}
 	}
-	ctx := context.Background()
-	var curves [][]metrics.Point
-	if opts.FitMode == "fitted" {
-		f := wl.Factory(sz)
-		var res *model.Result
-		res, err = model.Run(ctx, ladder, len(envs), func(ctx context.Context, procs int) ([]vtime.Time, error) {
-			return svc.RunPoint(ctx, wl, sz, f, procs, envs)
-		}, model.Options{})
-		if err == nil {
-			curves = experiments.FittedSeries(res)
-		}
-	} else {
-		curves, err = experiments.RunLadder(ctx, svc, svc.Workers(), wl, sz, envs, ladder)
-	}
+	curves, err := experiments.RunLadder(context.Background(), svc, svc.Workers(), wl, sz, envs, ladder)
 	if err != nil {
 		return err
 	}

@@ -744,54 +744,6 @@ func TestCalibrateCommand(t *testing.T) {
 	}
 }
 
-// TestExperimentModeFlag: -mode plumbs through to the engine options —
-// exact and empty normalize to the default, fitted selects the sparse
-// path, and anything else is rejected before any work runs.
-func TestExperimentModeFlag(t *testing.T) {
-	cases := []struct {
-		args    []string
-		want    string
-		wantErr bool
-	}{
-		{[]string{"table3"}, "", false},
-		{[]string{"-mode", "exact", "table3"}, "", false},
-		{[]string{"-mode", "fitted", "table3"}, "fitted", false},
-		{[]string{"-mode", "approximate", "table3"}, "", true},
-	}
-	for _, tc := range cases {
-		opts, id, _, _, _, _, err := parseExperimentFlags(tc.args)
-		if tc.wantErr {
-			if err == nil || !strings.Contains(err.Error(), "-mode") {
-				t.Errorf("args %v: err = %v, want -mode error", tc.args, err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("args %v: %v", tc.args, err)
-			continue
-		}
-		if opts.FitMode != tc.want || id != "table3" {
-			t.Errorf("args %v: FitMode %q id %q, want %q table3", tc.args, opts.FitMode, id, tc.want)
-		}
-	}
-}
-
-// TestExperimentFittedRuns: a quick fitted experiment runs end to end
-// and renders the same table shape as the exact path.
-func TestExperimentFittedRuns(t *testing.T) {
-	var buf bytes.Buffer
-	if err := cmdExperiment([]string{"-quick", "-mode", "fitted", "fig6"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var exact bytes.Buffer
-	if err := cmdExperiment([]string{"-quick", "fig6"}, &exact); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := strings.Count(buf.String(), "\n"), strings.Count(exact.String(), "\n"); got != want {
-		t.Errorf("fitted output shape differs: %d lines vs exact %d", got, want)
-	}
-}
-
 // TestExperimentWorkloadSweep: `-workload spec.json` synthesizes the
 // composed program and prints a table that is byte-identical across
 // worker counts — the determinism CI diffs exactly this output.

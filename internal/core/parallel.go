@@ -204,13 +204,6 @@ func (c *TraceCache) settle(key CacheKey, e *cacheEntry) {
 	c.mu.Unlock()
 }
 
-// Len reports the number of entries currently cached.
-func (c *TraceCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
 // Encoded returns the memoized measurement for key as immutable XTRP2
 // bytes, running measure on first use. Concurrent callers with the same
 // key block until the single measurement completes and then share its

@@ -37,13 +37,6 @@ type Options struct {
 	// is written through as XTRP2. Repeated runs against the same store
 	// replay at disk speed; results are byte-identical either way.
 	Backend core.TraceBackend
-	// FitMode selects how grids produce their ladder cells: "" or
-	// "exact" simulates every cell; "fitted" simulates only the sparse
-	// anchor set the model package's refinement selects and evaluates
-	// the analytic fit for the rest (rounded to whole virtual
-	// nanoseconds). Fitted output trades exactness on non-anchor cells
-	// for a fraction of the simulation work; anchor cells stay exact.
-	FitMode string
 }
 
 func (o Options) procs() []int {

@@ -3,13 +3,11 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"math"
 	"sync"
 
 	"extrap/internal/benchmarks"
 	"extrap/internal/core"
 	"extrap/internal/metrics"
-	"extrap/internal/model"
 	"extrap/internal/pcxx"
 	"extrap/internal/pool"
 	"extrap/internal/sim"
@@ -175,12 +173,8 @@ func (r *runner) job(b benchmarks.Benchmark, mode pcxx.SizeMode, cfg sim.Config,
 	}
 }
 
-// runGrid fans the grid across the experiment's worker pool, through
-// the fitted path when the run's FitMode selects it.
+// runGrid fans the grid across the experiment's worker pool.
 func (r *runner) runGrid(jobs []sweepJob) ([][]metrics.Point, error) {
-	if r.opts.FitMode == "fitted" {
-		return r.runGridFitted(jobs)
-	}
 	// Flatten the grid so the pool load-balances across cells of every
 	// job, not one job at a time.
 	type gridCell struct{ job, pt int }
@@ -228,54 +222,4 @@ var simulateCell = func(p *point, cfg sim.Config) (vtime.Time, error) {
 		return 0, err
 	}
 	return res.TotalTime, nil
-}
-
-// runGridFitted answers each job's ladder through the analytic fitted
-// path: the model package's refinement picks a sparse anchor set per
-// job, anchors simulate exactly like grid cells (same memo, same keys),
-// and non-anchor cells evaluate the fit, rounded to whole virtual
-// nanoseconds and clamped non-negative. Jobs fan across the worker pool;
-// each job's refinement is serial and deterministic, so the assembled
-// output is byte-identical at any worker count.
-func (r *runner) runGridFitted(jobs []sweepJob) ([][]metrics.Point, error) {
-	points := make([][]metrics.Point, len(jobs))
-	err := pool.Run(r.opts.Workers, len(jobs), func(j int) error {
-		job := &jobs[j]
-		anchor := func(_ context.Context, n int) ([]vtime.Time, error) {
-			t, err := r.cellTime(job, n)
-			if err != nil {
-				return nil, err
-			}
-			return []vtime.Time{t}, nil
-		}
-		res, err := model.Run(context.Background(), job.Procs, 1, anchor, model.Options{})
-		if err != nil {
-			return err
-		}
-		points[j] = FittedSeries(res)[0]
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return points, nil
-}
-
-// FittedSeries renders a fitted result as one integer series per curve:
-// an anchor carries its exact simulated time, and a fitted cell the
-// fit's value rounded to whole virtual nanoseconds and clamped
-// non-negative.
-func FittedSeries(res *model.Result) [][]metrics.Point {
-	series := make([][]metrics.Point, len(res.Curves))
-	for ci, cf := range res.Curves {
-		series[ci] = make([]metrics.Point, len(cf.Points))
-		for i, p := range cf.Points {
-			t := p.Exact
-			if !p.Simulated {
-				t = vtime.Time(max(math.Round(p.Value), 0))
-			}
-			series[ci][i] = metrics.Point{Procs: p.Procs, Time: t}
-		}
-	}
-	return series
 }

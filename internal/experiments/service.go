@@ -8,6 +8,7 @@ import (
 	"extrap/internal/core"
 	"extrap/internal/machine"
 	"extrap/internal/metrics"
+	"extrap/internal/model"
 	"extrap/internal/pcxx"
 	"extrap/internal/pool"
 	"extrap/internal/sim"
@@ -157,4 +158,16 @@ func RunLadder(ctx context.Context, r PointRunner, workers int, b benchmarks.Ben
 		return nil, err
 	}
 	return series, nil
+}
+
+// FitLadder answers a fitted sweep: model.Run's refinement picks the
+// anchors, and each one runs through r as a ladder point, over one
+// factory for b at sz, yielding one curve per machine in envs order.
+// The refinement asks for anchors one at a time, ascending within each
+// round, so the fit does not depend on where r runs a point.
+func FitLadder(ctx context.Context, r PointRunner, b benchmarks.Benchmark, sz benchmarks.Size, envs []machine.Env, ladder []int) (*model.Result, error) {
+	f := b.Factory(sz)
+	return model.Run(ctx, ladder, len(envs), func(ctx context.Context, threads int) ([]vtime.Time, error) {
+		return r.RunPoint(ctx, b, sz, f, threads, envs)
+	}, model.Options{})
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"extrap/internal/core"
 	"extrap/internal/machine"
 	"extrap/internal/metrics"
+	"extrap/internal/model"
 	"extrap/internal/pcxx"
 	"extrap/internal/vtime"
 )
@@ -219,5 +222,125 @@ func TestRunLadder(t *testing.T) {
 	}
 	if r.calls != 0 {
 		t.Errorf("cancelled ladder ran %d points, want none", r.calls)
+	}
+}
+
+// anchorRunner answers each point from answer and records the points it
+// was asked for, the machines each call carried and the factories it
+// saw.
+type anchorRunner struct {
+	answer    func(threads, machines int) []vtime.Time
+	threads   []int
+	machines  [][]string
+	factories map[string]bool
+}
+
+func (r *anchorRunner) RunPoint(ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, f core.ProgramFactory, threads int, envs []machine.Env) ([]vtime.Time, error) {
+	r.threads = append(r.threads, threads)
+	names := make([]string, len(envs))
+	for i, env := range envs {
+		names[i] = env.Name
+	}
+	r.machines = append(r.machines, names)
+	r.factories[f(threads).Name] = true
+	return r.answer(threads, len(envs)), nil
+}
+
+// TestFitLadder pins FitLadder's contract over a fake runner: the
+// ladder's one factory is built once, the runner is asked for each
+// anchor once, in the order model.Run asks for it (ascending when the
+// initial anchors already fit), always with every machine in envs
+// order, the result is model.Run's over the same answers, and a
+// cancelled context calls no runner.
+func TestFitLadder(t *testing.T) {
+	var ladder []int
+	for p := 1; p <= 32; p++ {
+		ladder = append(ladder, p)
+	}
+	ladder = append(ladder, 8) // a repeated entry is one anchor
+	envs := []machine.Env{machine.CM5(), machine.GenericDM()}
+	ctx := context.Background()
+
+	// linear fits the basis exactly, so the initial anchors converge;
+	// step (Fig 4's plateaus) does not, so refinement adds anchors.
+	linear := func(threads, machines int) []vtime.Time {
+		out := make([]vtime.Time, machines)
+		for i := range out {
+			out[i] = vtime.Time(threads*1000 + i)
+		}
+		return out
+	}
+	step := func(threads, machines int) []vtime.Time {
+		s := 1
+		for (s+1)*(s+1) <= threads {
+			s++
+		}
+		out := make([]vtime.Time, machines)
+		for i := range out {
+			out[i] = vtime.Time(10_000_000/(s*s) + 2000*threads + 7*i)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name    string
+		answer  func(threads, machines int) []vtime.Time
+		refines bool
+	}{{"linear", linear, false}, {"step", step, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := &ladderBench{}
+			r := &anchorRunner{answer: tc.answer, factories: map[string]bool{}}
+			got, err := FitLadder(ctx, r, b, b.DefaultSize(), envs, ladder)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var order []int
+			want, err := model.Run(ctx, ladder, len(envs), func(_ context.Context, threads int) ([]vtime.Time, error) {
+				order = append(order, threads)
+				return tc.answer(threads, len(envs)), nil
+			}, model.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("FitLadder result differs from model.Run over the same answers:\n got %+v\nwant %+v", got, want)
+			}
+			if !reflect.DeepEqual(r.threads, order) {
+				t.Errorf("runner asked for points %v, model.Run for %v", r.threads, order)
+			}
+			anchors := make([]int, len(got.Anchors))
+			for i, a := range got.Anchors {
+				anchors[i] = a.Procs
+			}
+			asked := append([]int(nil), r.threads...)
+			sort.Ints(asked)
+			if !reflect.DeepEqual(asked, anchors) {
+				t.Errorf("runner asked for %v, want each anchor %v once", r.threads, anchors)
+			}
+			if refined := got.Iterations > 1; refined != tc.refines {
+				t.Errorf("%d fit rounds, want refinement %v", got.Iterations, tc.refines)
+			}
+			if !tc.refines && !sort.IntsAreSorted(r.threads) {
+				t.Errorf("initial anchors asked for out of order: %v", r.threads)
+			}
+			for i, names := range r.machines {
+				if !reflect.DeepEqual(names, []string{"cm5", "generic-dm"}) {
+					t.Errorf("call %d carried machines %v, want cm5 and generic-dm in order", i, names)
+				}
+			}
+			if n := b.factories.Load(); n != 1 || len(r.factories) != 1 {
+				t.Errorf("%d factories built, points saw %d, want one for the ladder", n, len(r.factories))
+			}
+		})
+	}
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	b := &ladderBench{}
+	r := &anchorRunner{answer: linear, factories: map[string]bool{}}
+	if _, err := FitLadder(cancelled, r, b, b.DefaultSize(), envs, ladder); !errors.Is(err, context.Canceled) {
+		t.Errorf("FitLadder error = %v, want context.Canceled", err)
+	}
+	if len(r.threads) != 0 {
+		t.Errorf("cancelled fit ran points %v, want none", r.threads)
 	}
 }

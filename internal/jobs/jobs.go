@@ -1,16 +1,19 @@
 // Package jobs is a durable asynchronous job queue for extrapolation
 // sweeps: submit a sweep, get a job ID back immediately, and let a
-// worker pool run the job's ladder points through an
-// experiments.PointRunner — the local engine's Service.RunPoint, or a
-// coordinator sharding points across worker replicas — while each
-// point's cell results are persisted to the artifact store as the point
-// lands. Because every cell's prediction is content-addressed
-// (core.CanonicalPrediction) and the measurement pipeline is
-// deterministic, a restarted manager resumes incomplete jobs from their
-// persisted partials: cells that finished before the crash are loaded
-// from the store instead of re-simulated, and the completed job's
-// results are byte-identical to a synchronous in-memory sweep. A crash
-// in the middle of a ladder point loses at most that point's cells.
+// worker pool answer it with the two calls a synchronous /v1/sweep
+// makes — experiments.RunLadder for an exact job, experiments.FitLadder
+// for a fitted one — over the job's own point runner. That runner loads
+// each cell it can from the artifact store, runs the rest through
+// Config.Dispatch (the local engine's Service.RunPoint, or a coordinator
+// sharding points across worker replicas), and persists each point's
+// cells as the point lands. Because every cell's prediction is
+// content-addressed (core.CanonicalPrediction) and the measurement
+// pipeline is deterministic, a restarted manager resumes incomplete jobs
+// from their persisted partials: cells that finished before the crash
+// are loaded from the store instead of re-simulated, and the completed
+// job's results are byte-identical to a synchronous in-memory sweep. A
+// crash in the middle of a ladder point loses at most that point's
+// cells.
 //
 // Durability model: job specs and statuses live as one JSON file per
 // job under the manager's directory (written atomically, temp file +
@@ -41,7 +44,6 @@ import (
 	"extrap/internal/metrics"
 	"extrap/internal/model"
 	"extrap/internal/pcxx"
-	"extrap/internal/pool"
 	"extrap/internal/request"
 	"extrap/internal/store"
 	"extrap/internal/vtime"
@@ -92,7 +94,7 @@ type Spec struct {
 	Procs    []int    `json:"procs"`
 	// Mode is "" (exact: every cell simulated) or request.ModeFitted
 	// (sparse anchors simulated, dense curve fitted at render time; see
-	// runFitted). Persisted as "" for exact, so pre-mode job files load
+	// runJob). Persisted as "" for exact, so pre-mode job files load
 	// unchanged.
 	Mode string `json:"mode,omitempty"`
 }
@@ -137,8 +139,7 @@ type Job struct {
 	status   Status
 	errMsg   string
 	done     int
-	points   [][]metrics.Point // one curve per machine, ladder-indexed
-	havePt   [][]bool
+	points   [][]metrics.Point // one curve per machine (a fitted job's anchors), set when done
 	cancel   context.CancelFunc
 	userStop bool // Cancel was called (vs. manager shutdown)
 }
@@ -188,12 +189,12 @@ type Config struct {
 	Store *store.Store
 	// Workers bounds concurrently executing jobs; ≤ 0 selects 1.
 	Workers int
-	// Dispatch runs the job's ladder points; nil selects Service. A
-	// coordinator passes itself, so its jobs shard across worker
-	// replicas like its synchronous sweeps. Cells still persist per
-	// content address in the LOCAL Store as each point lands, so crash
-	// resume works identically: completed cells load from disk, and only
-	// the missing machines of a point run again.
+	// Dispatch runs the machines of a ladder point whose cells are not
+	// in Store; nil selects Service. A coordinator passes itself, so its
+	// jobs shard across worker replicas like its synchronous sweeps.
+	// Cells still persist per content address in the LOCAL Store as each
+	// point lands, so crash resume works identically: completed cells
+	// load from disk, and only the missing machines of a point run again.
 	Dispatch experiments.PointRunner
 }
 
@@ -218,16 +219,18 @@ type Manager struct {
 	cellsLoaded   atomic.Int64
 	cellsComputed atomic.Int64
 
-	// cellHook, when set (tests only), runs before each cell executes;
-	// it lets the crash/resume test freeze a job mid-grid.
-	cellHook func(jobID string, cell int)
+	// cellHook, when set (tests only), runs before each cell's store
+	// lookup; it lets the crash/resume test freeze a job mid-grid.
+	cellHook func(jobID string, threads, machine int)
 }
 
-// SetCellHook installs a hook that runs before each grid cell executes.
-// Test instrumentation only: it lets cancellation and crash/restart
-// tests freeze a job deterministically mid-grid. Call it before any
-// job is submitted; the hook must not call back into the Manager.
-func (m *Manager) SetCellHook(hook func(jobID string, cell int)) {
+// SetCellHook installs a hook that runs before each cell's store
+// lookup, with the cell's ladder point (its thread count) and the index
+// of its machine in the job's machine list. Test instrumentation only:
+// it lets cancellation and crash/restart tests freeze a job
+// deterministically mid-grid. Call it before any job is submitted; the
+// hook must not call back into the Manager.
+func (m *Manager) SetCellHook(hook func(jobID string, threads, machine int)) {
 	m.cellHook = hook
 }
 
@@ -609,7 +612,13 @@ func (m *Manager) worker() {
 	}
 }
 
-// runJob executes one job's grid, persisting progress per cell.
+// runJob answers one job's ladder through the job's point runner:
+// RunLadder for an exact job, FitLadder for a fitted one, the two calls
+// a synchronous /v1/sweep makes. A fitted job's anchors persist under
+// the same content addresses as exact cells, and the refinement is
+// deterministic, so after a SIGKILL it re-requests exactly the anchors
+// the interrupted run persisted: those load from the store and only the
+// rest computes.
 func (m *Manager) runJob(id string) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
@@ -623,43 +632,35 @@ func (m *Manager) runJob(id string) {
 	j.status = StatusRunning
 	j.cancel = cancel
 	j.done = 0
-	nm := len(j.spec.machineNames())
 	m.mu.Unlock()
 	m.persist(j)
 
 	// A resumed job's spec comes from a file on disk, so every run passes
 	// the resolver again — ceilings included — before a cell is allocated.
+	var curves [][]metrics.Point
 	var err error
 	rs, apiErr := request.Sweep(j.spec).Resolve()
-	if apiErr != nil {
+	switch {
+	case apiErr != nil:
 		err = apiErr
-	} else {
-		m.mu.Lock()
-		j.points = make([][]metrics.Point, nm)
-		j.havePt = make([][]bool, nm)
-		for mi := range j.points {
-			j.points[mi] = make([]metrics.Point, len(j.spec.Procs))
-			j.havePt[mi] = make([]bool, len(j.spec.Procs))
+	case rs.Mode == request.ModeFitted:
+		var res *model.Result
+		if res, err = experiments.FitLadder(ctx, jobRunner{m, j}, rs.Bench, rs.Size, rs.Envs, rs.Procs); err == nil {
+			curves = anchorCurves(res, len(rs.Envs))
 		}
-		m.mu.Unlock()
-		if rs.Mode == request.ModeFitted {
-			err = m.runFitted(ctx, j, rs.Bench, rs.Size, rs.Envs)
-		} else {
-			err = m.runCells(ctx, j, rs.Bench, rs.Size, rs.Envs)
-		}
+	default:
+		curves, err = experiments.RunLadder(ctx, jobRunner{m, j}, m.cfg.Service.Workers(), rs.Bench, rs.Size, rs.Envs, rs.Procs)
 	}
 
 	m.mu.Lock()
 	j.cancel = nil
 	switch {
 	case err == nil:
+		// The done count is the cells the runner answered: the whole grid
+		// for an exact job, anchors × machines for a fitted one — the gap
+		// to TotalCells is the work the fit saved.
 		j.status = StatusDone
-		if j.spec.Mode != request.ModeFitted {
-			j.done = nm * len(j.spec.Procs)
-		}
-		// A fitted job's done count stays at anchors × machines — the
-		// cells actually simulated; the gap to TotalCells is the work
-		// the fit saved.
+		j.points = curves
 		m.doneJobs.Add(1)
 	case j.userStop:
 		j.status = StatusCancelled
@@ -680,154 +681,103 @@ func (m *Manager) runJob(id string) {
 	m.mu.Unlock()
 }
 
-// runCells fans the job's ladder points across the pool; every point
-// runs through runPoint, over one factory for the whole ladder.
-func (m *Manager) runCells(ctx context.Context, j *Job, b benchmarks.Benchmark, sz benchmarks.Size, envs []machine.Env) error {
-	f := b.Factory(sz)
-	return pool.Run(m.cfg.Service.Workers(), len(j.spec.Procs), func(pi int) error {
-		return m.runPoint(ctx, j, b, sz, f, envs, pi)
-	})
+// anchorCurves is what a done fitted job keeps: one curve of anchors
+// per machine, from which model.Replay re-derives the fitted ladder
+// bit-for-bit at render time.
+func anchorCurves(res *model.Result, machines int) [][]metrics.Point {
+	curves := make([][]metrics.Point, machines)
+	for mi := range curves {
+		curves[mi] = make([]metrics.Point, len(res.Anchors))
+		for ai, a := range res.Anchors {
+			curves[mi][ai] = metrics.Point{Procs: a.Procs, Time: a.Times[mi]}
+		}
+	}
+	return curves
 }
 
-// runPoint executes the ladder point at index pi: each machine's cell
+// jobRunner is one job's experiments.PointRunner. Each machine's cell
 // first consults the artifact store for its content-addressed
 // prediction — a hit restores it without touching the pipeline, which
 // is the resume path after a crash — then ONE Dispatch.RunPoint call
 // covers exactly the machines still missing, and each of their cells is
-// persisted under its own content address before it counts as done. The
-// runner returns exact integers, so the persisted records do not depend
-// on where the point ran.
-func (m *Manager) runPoint(ctx context.Context, j *Job, b benchmarks.Benchmark, sz benchmarks.Size, f core.ProgramFactory, envs []machine.Env, pi int) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	procs := j.spec.Procs
-	n := procs[pi]
-	key := experiments.MeasurementKey(b.Name(), sz, n, core.MeasureOptions{SizeMode: pcxx.ActualSize})
+// persisted under its own content address. The point's cells then count
+// as done and the job file is rewritten. Dispatch returns exact
+// integers, so the persisted records do not depend on where the point
+// ran.
+type jobRunner struct {
+	m *Manager
+	j *Job
+}
+
+func (r jobRunner) RunPoint(ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, f core.ProgramFactory, threads int, envs []machine.Env) ([]vtime.Time, error) {
+	m := r.m
+	key := experiments.MeasurementKey(b.Name(), sz, threads, core.MeasureOptions{SizeMode: pcxx.ActualSize})
+	times := make([]vtime.Time, len(envs))
 	var missing []int // machine indices whose cell is not in the store
-	for mi := range envs {
+	for mi, env := range envs {
 		if m.cellHook != nil {
-			m.cellHook(j.id, mi*len(procs)+pi)
+			m.cellHook(r.j.id, threads, mi)
 		}
-		if pt, ok := m.loadCell(key, envs[mi], n); ok {
-			if err := m.finishCell(j, mi, pi, pt); err != nil {
-				return err
-			}
+		if t, ok := m.loadCell(key, env, threads); ok {
+			times[mi] = t
 			continue
 		}
 		missing = append(missing, mi)
 	}
-	if len(missing) == 0 {
-		return nil
-	}
-	run := make([]machine.Env, len(missing))
-	for i, mi := range missing {
-		run[i] = envs[mi]
-	}
-	times, err := m.cfg.Dispatch.RunPoint(ctx, b, sz, f, n, run)
-	if err != nil {
-		return err
-	}
-	if len(times) != len(missing) {
-		return fmt.Errorf("jobs: ladder point returned %d cells for %d machines", len(times), len(missing))
-	}
-	for i, mi := range missing {
-		if err := m.storeCell(j, key, envs[mi], mi, pi, n, times[i]); err != nil {
-			return err
+	if len(missing) > 0 {
+		run := make([]machine.Env, len(missing))
+		for i, mi := range missing {
+			run[i] = envs[mi]
 		}
-	}
-	return nil
-}
-
-// runFitted executes a fitted job: the model package's residual-driven
-// refinement picks which ladder points to truly simulate, and each
-// selected anchor runs through runPoint, as an exact job's points do, so
-// anchors persist under the same content addresses as exact cells. After
-// a SIGKILL the deterministic refinement re-requests exactly the anchors
-// the interrupted run persisted; those load from the store and only the
-// remainder computes. On success the job's curves collapse to the anchor
-// series — all that needs persisting, since model.Replay re-derives the
-// fitted ladder bit-for-bit at render time.
-func (m *Manager) runFitted(ctx context.Context, j *Job, b benchmarks.Benchmark, sz benchmarks.Size, envs []machine.Env) error {
-	procs := j.spec.Procs
-	f := b.Factory(sz)
-	sim := func(ctx context.Context, n int) ([]vtime.Time, error) {
-		pi := -1
-		for i, p := range procs {
-			if p == n {
-				pi = i
-				break
-			}
-		}
-		if pi < 0 {
-			return nil, fmt.Errorf("jobs: fitted anchor p=%d is not on the ladder", n)
-		}
-		if err := m.runPoint(ctx, j, b, sz, f, envs, pi); err != nil {
+		got, err := m.cfg.Dispatch.RunPoint(ctx, b, sz, f, threads, run)
+		if err != nil {
 			return nil, err
 		}
-		m.mu.Lock()
-		times := make([]vtime.Time, len(envs))
-		for mi := range envs {
-			times[mi] = j.points[mi][pi].Time
+		if len(got) != len(missing) {
+			return nil, fmt.Errorf("jobs: ladder point returned %d cells for %d machines", len(got), len(missing))
 		}
-		m.mu.Unlock()
-		return times, nil
-	}
-	res, err := model.Run(ctx, procs, len(envs), sim, model.Options{})
-	if err != nil {
-		return err
+		for i, mi := range missing {
+			if err := m.storeCell(key, envs[mi], threads, got[i]); err != nil {
+				return nil, err
+			}
+			times[mi] = got[i]
+		}
 	}
 	m.mu.Lock()
-	j.points = make([][]metrics.Point, len(envs))
-	for mi := range envs {
-		curve := make([]metrics.Point, len(res.Anchors))
-		for ai, a := range res.Anchors {
-			curve[ai] = metrics.Point{Procs: a.Procs, Time: a.Times[mi]}
-		}
-		j.points[mi] = curve
-	}
+	r.j.done += len(envs)
 	m.mu.Unlock()
-	return nil
+	if err := m.persist(r.j); err != nil {
+		return nil, err
+	}
+	return times, nil
 }
 
 // loadCell restores one cell's prediction from the artifact store, if
 // present and decodable. An undecodable record under a verified
 // checksum is format skew; the caller recomputes and overwrites.
-func (m *Manager) loadCell(key core.CacheKey, env machine.Env, n int) (metrics.Point, bool) {
+func (m *Manager) loadCell(key core.CacheKey, env machine.Env, n int) (vtime.Time, bool) {
 	raw, ok := m.cfg.Store.Get(core.CanonicalPrediction(key, env.Config))
 	if !ok {
-		return metrics.Point{}, false
+		return 0, false
 	}
 	var rec cellRecord
 	if err := json.Unmarshal(raw, &rec); err != nil || rec.Procs != n {
-		return metrics.Point{}, false
+		return 0, false
 	}
 	m.cellsLoaded.Add(1)
-	return metrics.Point{Procs: rec.Procs, Time: vtime.Time(rec.TotalNs)}, true
+	return vtime.Time(rec.TotalNs), true
 }
 
 // storeCell persists one computed cell's exact total under its content
-// address and records it done.
-func (m *Manager) storeCell(j *Job, key core.CacheKey, env machine.Env, mi, pi, n int, total vtime.Time) error {
+// address.
+func (m *Manager) storeCell(key core.CacheKey, env machine.Env, n int, total vtime.Time) error {
 	rec, err := json.Marshal(cellRecord{Procs: n, TotalNs: int64(total)})
 	if err != nil {
 		return err
 	}
 	m.cfg.Store.Put(core.CanonicalPrediction(key, env.Config), rec)
 	m.cellsComputed.Add(1)
-	return m.finishCell(j, mi, pi, metrics.Point{Procs: n, Time: total})
-}
-
-// finishCell records one completed cell and persists progress.
-func (m *Manager) finishCell(j *Job, mi, pi int, pt metrics.Point) error {
-	m.mu.Lock()
-	if !j.havePt[mi][pi] {
-		j.havePt[mi][pi] = true
-		j.points[mi][pi] = pt
-		j.done++
-	}
-	m.mu.Unlock()
-	return m.persist(j)
+	return nil
 }
 
 func pointsToRecords(pts []metrics.Point) []cellRecord {

@@ -165,17 +165,18 @@ func TestCrashResume(t *testing.T) {
 	svc := experiments.NewService(1, 64, 0)
 	svc.SetBackend(st)
 
-	// Freeze the job after its second cell completes: cells run
-	// sequentially (one service worker), so when the hook blocks on
-	// cell index 2, cells 0 and 1 have finished and persisted.
+	// Freeze the job after its second cell completes: ladder points run
+	// sequentially (one service worker), so when the hook blocks on the
+	// third point (4 threads), the points at 1 and 2 threads have
+	// finished and persisted.
 	blocked := make(chan struct{})
 	release := make(chan struct{})
 	m1, err := Open(Config{Dir: filepath.Join(dir, "jobs"), Service: svc, Store: st, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1.cellHook = func(_ string, cell int) {
-		if cell == 2 {
+	m1.cellHook = func(_ string, threads, _ int) {
+		if threads == 4 {
 			close(blocked)
 			<-release
 		}
@@ -242,8 +243,8 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	blocked := make(chan struct{})
 	release := make(chan struct{})
 	var hookOnce bool
-	m.cellHook = func(_ string, cell int) {
-		if cell == 0 && !hookOnce {
+	m.cellHook = func(_ string, threads, _ int) {
+		if threads == 1 && !hookOnce {
 			hookOnce = true
 			close(blocked)
 			<-release

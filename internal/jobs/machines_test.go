@@ -107,14 +107,14 @@ func TestMultiMachineCrashResumeBatched(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Ladder points run sequentially (one service worker), each looking
-	// up its machines' cells, flat machine-major index
-	// machine*len(procs)+point, before running the missing ones in one
-	// RunPoint. Freezing at machine 0's last ladder point (flat 2) leaves
-	// points 0 and 1 — six of nine cells — computed and persisted.
+	// up its machines' cells before running the missing ones in one
+	// RunPoint. Freezing at machine 0 of the last ladder point (4
+	// threads) leaves the points at 1 and 2 threads — six of nine cells —
+	// computed and persisted.
 	blocked := make(chan struct{})
 	release := make(chan struct{})
-	m1.cellHook = func(_ string, cell int) {
-		if cell == 2 {
+	m1.cellHook = func(_ string, threads, machine int) {
+		if threads == 4 && machine == 0 {
 			close(blocked)
 			<-release
 		}

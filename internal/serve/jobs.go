@@ -2,9 +2,10 @@ package serve
 
 // The async jobs API: sweeps that outlive the request — and the server
 // process. POST /v1/jobs validates exactly like POST /v1/sweep but
-// returns 202 with a job ID immediately; the jobs manager runs the
-// ladder points in the background through the server's point runner,
-// persisting each point's cell results to the artifact store as the
+// returns 202 with a job ID immediately; the jobs manager answers it in
+// the background with the call POST /v1/sweep makes (RunLadder or
+// FitLadder), its ladder points run by the server's point runner, and
+// persists each point's cell results to the artifact store as the
 // point lands. GET /v1/jobs/{id} reports progress and, once done,
 // the result — byte-identical to what the synchronous endpoint would
 // have returned. DELETE cancels. A server restarted on the same

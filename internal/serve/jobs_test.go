@@ -530,7 +530,7 @@ func TestJobCancel(t *testing.T) {
 	// Cells run on pool goroutines, so the first-cell latch must be
 	// race-free; later cells block in Do until the first is released.
 	var once sync.Once
-	srv.jobs.SetCellHook(func(string, int) {
+	srv.jobs.SetCellHook(func(string, int, int) {
 		once.Do(func() {
 			close(frozen)
 			<-release

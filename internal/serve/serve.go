@@ -45,7 +45,6 @@ import (
 	"extrap/internal/request"
 	"extrap/internal/store"
 	"extrap/internal/trace"
-	"extrap/internal/vtime"
 )
 
 // Cluster roles. A solo server (the default) owns its whole pipeline; a
@@ -131,10 +130,10 @@ const shutdownGrace = 10 * time.Second
 type Server struct {
 	cfg Config
 	svc *experiments.Service
-	// points runs every ladder point — exact and fitted sweeps' and
-	// every async job's, svc.Workers() at a time: svc itself on a solo
-	// server or worker, coord on a coordinator. New chooses it once, by
-	// role.
+	// points runs every ladder point of exact and fitted sweeps and of
+	// async jobs (an exact ladder svc.Workers() points at a time): svc
+	// itself on a solo server or worker, coord on a coordinator. New
+	// chooses it once, by role.
 	points experiments.PointRunner
 	lim    *limiter
 	met    *metricsSet
@@ -463,10 +462,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		// ladder point run by the server's point runner. The fit itself is
 		// deterministic arithmetic, so fitted responses are byte-identical
 		// across worker counts and replicas.
-		f := b.Factory(sz)
-		res, err = model.Run(r.Context(), ladder, len(envs), func(ctx context.Context, procs int) ([]vtime.Time, error) {
-			return s.points.RunPoint(ctx, b, sz, f, procs, envs)
-		}, model.Options{})
+		res, err = experiments.FitLadder(r.Context(), s.points, b, sz, envs, ladder)
 	} else {
 		series, err = experiments.RunLadder(r.Context(), s.points, s.svc.Workers(), b, sz, envs, ladder)
 	}
