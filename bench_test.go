@@ -420,6 +420,14 @@ func BenchmarkSweepFitted(b *testing.B) {
 		fitted bool
 	}{{"exact", false}, {"fitted", true}} {
 		b.Run(bc.name, func(b *testing.B) {
+			// Both arms run one point at a time on the calling goroutine.
+			// With a second P, that goroutine's moves between Ps strand
+			// the pooled compiled traces, streams and arenas in the other
+			// P's private slot, and the exact arm read 292 to 330
+			// allocs/op with no code change; one P makes the count a
+			// property of the code. (The testing package sets -cpu's
+			// value before each run of this function.)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			svc := experiments.NewService(1, 64, 0)
 			ctx := context.Background()
 			exact := func() error {
@@ -928,6 +936,52 @@ func BenchmarkWarmCell(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.ExtrapolateEncoded(context.Background(), enc, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkWarmPoint is one warm what-if ladder point: one
+// Service.RunPoint over every machine preset on a service whose cache
+// holds the measurement, the work a four-machine /v1/sweep repeats per
+// ladder point. mgrid at 32 threads streams the compiled trace once per
+// machine (its program holds repeats fast-forward could attempt);
+// matmul at 32 threads is translated once and replayed per machine;
+// grid at 32 threads fast-forwards on every machine.
+func BenchmarkWarmPoint(b *testing.B) {
+	envs := machine.Presets()
+	for _, c := range []struct {
+		label, name string
+		threads     int
+	}{
+		{"grid32", "grid", 32},
+		{"mgrid32", "mgrid", 32},
+		{"matmul32", "matmul", 32},
+	} {
+		k, err := benchmarks.ByName(c.name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sz := k.DefaultSize()
+		f := k.Factory(sz)
+		svc := experiments.NewService(1, 64, 0)
+		ctx := context.Background()
+		b.Run(c.label, func(b *testing.B) {
+			// One P, as in BenchmarkSweepFitted: the points run on this
+			// goroutine, and its moves between Ps would strand pooled
+			// state and make allocs/op vary with no code change.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			b.ReportAllocs()
+			// One untimed point measures and fills the pools, so the
+			// timed points are warm.
+			if _, err := svc.RunPoint(ctx, k, sz, f, c.threads, envs); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := svc.RunPoint(ctx, k, sz, f, c.threads, envs); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -239,39 +239,28 @@ func printPrediction(out io.Writer, env machine.Env, res *sim.Result, ideal vtim
 	fmt.Fprintln(out, metrics.ComputeBreakdown(res))
 }
 
-// extrapolateFile runs a measurement trace file through the streaming
-// pipeline once per config. An XTRP2 file is compiled once, as the
-// server compiles its cached bytes, and each config replays a fresh
-// cursor over it, so the simulation can fast-forward steady loop
-// iterations. A text trace is read whole and streamed.
-func extrapolateFile(path string, cfgs ...sim.Config) ([]*core.Prediction, error) {
+// extrapolateFile extrapolates a measurement trace file under every
+// config with core.ExtrapolateEncodedAll, as the server extrapolates its
+// cached bytes: the trace is compiled once, and translated once for all
+// configs when no run over it could fast-forward. An XTRP2 file is used
+// as it is; a text trace is read whole and XTRP2-encoded first.
+func extrapolateFile(path string, cfgs ...sim.Config) ([]core.Prediction, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var hdr trace.Header
-	var source func() trace.Reader
-	if filepath.Ext(path) != ".txt" && trace.IsXTRP2(data) {
-		ct, err := trace.CompileBinary(data)
-		if err != nil {
-			return nil, err
-		}
-		defer ct.Release()
-		hdr, source = ct.Header(), func() trace.Reader { return ct.Source() }
-	} else {
+	if filepath.Ext(path) == ".txt" || !trace.IsXTRP2(data) {
 		tr, err := decodeTrace(path, data)
 		if err != nil {
 			return nil, err
 		}
-		hdr, source = tr.Header(), func() trace.Reader { return tr.Reader() }
-	}
-	preds := make([]*core.Prediction, len(cfgs))
-	for i, cfg := range cfgs {
-		if preds[i], err = core.ExtrapolateReader(context.Background(), hdr, source(), cfg); err != nil {
+		var buf bytes.Buffer
+		if err := trace.WriteBinary2(&buf, tr); err != nil {
 			return nil, err
 		}
+		data = buf.Bytes()
 	}
-	return preds, nil
+	return core.ExtrapolateEncodedAll(context.Background(), data, cfgs)
 }
 
 func cmdStats(args []string, out io.Writer) error {

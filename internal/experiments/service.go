@@ -80,23 +80,25 @@ func (s *Service) Workers() int { return s.workers }
 // re-measures under its own deadline — so a timeout never poisons the
 // cache.
 func (s *Service) Predict(ctx context.Context, b benchmarks.Benchmark, size benchmarks.Size, threads int, cfg sim.Config) (*core.Prediction, error) {
-	return s.predict(ctx, b, size, b.Factory(size), threads, cfg)
-}
-
-// predict is Predict measuring through f, b's factory at size, so the
-// points of one ladder share the inputs f builds once.
-func (s *Service) predict(ctx context.Context, b benchmarks.Benchmark, size benchmarks.Size, f core.ProgramFactory, threads int, cfg sim.Config) (*core.Prediction, error) {
-	if threads <= 0 {
-		return nil, fmt.Errorf("experiments: invalid thread count %d", threads)
-	}
-	mopts := core.MeasureOptions{SizeMode: pcxx.ActualSize}
-	enc, err := s.cache.Encoded(MeasurementKey(b.Name(), size, threads, mopts), func() (*trace.Trace, error) {
-		return core.MeasureContext(ctx, f(threads), mopts)
-	})
+	enc, err := s.encoded(ctx, b, size, b.Factory(size), threads)
 	if err != nil {
 		return nil, err
 	}
 	return core.ExtrapolateEncoded(ctx, enc, cfg)
+}
+
+// encoded returns the XTRP2 bytes of b's threads-thread measurement at
+// size, measured through f, b's factory at size, on a cache miss; the
+// points of one ladder pass one f, so they share the inputs it builds
+// once.
+func (s *Service) encoded(ctx context.Context, b benchmarks.Benchmark, size benchmarks.Size, f core.ProgramFactory, threads int) ([]byte, error) {
+	if threads <= 0 {
+		return nil, fmt.Errorf("experiments: invalid thread count %d", threads)
+	}
+	mopts := core.MeasureOptions{SizeMode: pcxx.ActualSize}
+	return s.cache.Encoded(MeasurementKey(b.Name(), size, threads, mopts), func() (*trace.Trace, error) {
+		return core.MeasureContext(ctx, f(threads), mopts)
+	})
 }
 
 // PointRunner runs one ladder point: benchmark b at size sz, measured at
@@ -113,17 +115,31 @@ type PointRunner interface {
 }
 
 // RunPoint is the in-process ladder-point executor: the measurement is
-// taken (or found in the cache or its backend) once, then each machine's
-// model is simulated over it through the pipeline Predict runs, so
-// every total is byte-identical to a single prediction of the same cell.
+// taken (or found in the cache or its backend) once, and
+// core.ExtrapolateEncodedAll extrapolates it under every machine's
+// model, compiling it once and translating it once when no machine's
+// run could fast-forward, so every total is byte-identical to a single
+// prediction of the same cell.
 func (s *Service) RunPoint(ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, f core.ProgramFactory, threads int, envs []machine.Env) ([]vtime.Time, error) {
+	enc, err := s.encoded(ctx, b, sz, f, threads)
+	if err != nil {
+		return nil, err
+	}
+	var presets [4]sim.Config // a point on every machine preset allocates no list
+	cfgs := presets[:0]
+	if len(envs) > len(presets) {
+		cfgs = make([]sim.Config, 0, len(envs))
+	}
+	for _, env := range envs {
+		cfgs = append(cfgs, env.Config)
+	}
+	preds, err := core.ExtrapolateEncodedAll(ctx, enc, cfgs)
+	if err != nil {
+		return nil, err
+	}
 	times := make([]vtime.Time, len(envs))
-	for i, env := range envs {
-		pred, err := s.predict(ctx, b, sz, f, threads, env.Config)
-		if err != nil {
-			return nil, err
-		}
-		times[i] = pred.Result.TotalTime
+	for i := range preds {
+		times[i] = preds[i].Result.TotalTime
 	}
 	return times, nil
 }

@@ -121,6 +121,35 @@ func ReadReplayCounters() ReplayCounters {
 	}
 }
 
+// NeverFastForwards reports whether no streaming run over ct, on any
+// machine, can attempt a fast-forward, judged from the repeat program
+// alone. An attempt compares two snapshots of one repeat op taken at
+// least stride iterations apart (ffSnapSpacing), with at least
+// ffMinRepLeft iterations still owed and as many rows owed as the
+// fingerprint has slots (fpSlots) at the second. The first snapshot
+// owes at most the op's count, and fpSlots is at least
+// ffSlotsPerThread·n + ffSlotsPerProc + ffSlotsFixed at n threads, so
+// an op can be attempted only if count − stride ≥ ffMinRepLeft and
+// (count − stride) · bodyLen reaches that bound. The answer depends only
+// on ct, never on the config.
+func NeverFastForwards(ct *trace.CompiledTrace) bool {
+	minSlots := uint64(ffSlotsPerThread*ct.Header().NumThreads + ffSlotsPerProc + ffSlotsFixed)
+	for i := 0; i < ct.Ops(); i++ {
+		count, bodyLen := ct.Op(i)
+		if bodyLen == 0 {
+			continue
+		}
+		stride := uint64(1)
+		if bodyLen < ffSnapSpacing {
+			stride = uint64((ffSnapSpacing + bodyLen - 1) / bodyLen)
+		}
+		if count >= stride+ffMinRepLeft && (count-stride)*uint64(bodyLen) >= minSlots {
+			return false
+		}
+	}
+	return true
+}
+
 // ffState orchestrates fast-forward for one streaming simulation. It
 // lives in the arena, so its fingerprint buffers are reused run to run.
 type ffState struct {
@@ -137,6 +166,7 @@ type ffState struct {
 	snapOp    int    // repeat-op instance fpA belongs to
 	fails     int
 	abandoned bool
+	attempts  int // fingerprint comparisons this run
 
 	scratch fpScratch
 }
@@ -238,6 +268,7 @@ func (ff *ffState) observe(ctx context.Context, e *engine, steps int) (int, erro
 		return steps, nil
 	}
 	ffAttempts.Add(1)
+	ff.attempts++
 	if !trace.DiffFingerprints(&ff.fpA, &ff.fpB, &ff.deltas) {
 		ffFallbacks.Add(1)
 		if ff.fails++; ff.fails >= ffMaxFails {

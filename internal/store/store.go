@@ -27,11 +27,13 @@
 //
 // Because measurement and simulation are seeded and deterministic,
 // equal canonical strings imply byte-identical artifacts; the store
-// never has to compare payloads to decide freshness. The flip side is
-// that the canonical encoding is a compatibility contract: changing it
-// orphans every artifact ever written. A golden test in this package
-// locks the format against committed fixtures; bump the embedded
-// version component ("/v1") to migrate deliberately.
+// never has to compare payloads to decide freshness. A Put of a
+// resident key only compares payload checksums, so an artifact whose
+// reader refused it and recomputed it replaces the refused bytes. The
+// flip side is that the canonical encoding is a compatibility contract:
+// changing it orphans every artifact ever written. A golden test in this
+// package locks the format against committed fixtures; bump the
+// embedded version component ("/v1") to migrate deliberately.
 //
 // # On-disk layout
 //
@@ -76,6 +78,7 @@
 package store
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"errors"
@@ -285,11 +288,14 @@ func (s *Store) GetByHash(h [32]byte) ([]byte, bool) {
 }
 
 // Put stores payload under key with one append to the active segment.
-// A key already resident is a no-op: artifacts are deterministic
-// functions of their key, so the resident bytes are already correct.
-// Put failures lose durability, never correctness — the error is
-// returned for logging and counted in Stats, and the caller's in-memory
-// result is unaffected.
+// A key already resident with this very payload is only touched:
+// artifacts are deterministic functions of their key, so its bytes are
+// already right. A resident record holding other bytes, such as an
+// artifact its reader could not decode and recomputed, is superseded:
+// the new record is appended and the key repointed to it, as a restart
+// would (Open takes a hash's newest record). Put failures lose
+// durability, never correctness — the error is returned for logging and
+// counted in Stats, and the caller's in-memory result is unaffected.
 func (s *Store) Put(key string, payload []byte) error {
 	h := KeyHash(key)
 	s.mu.Lock()
@@ -297,12 +303,16 @@ func (s *Store) Put(key string, payload []byte) error {
 		s.mu.Unlock()
 		return errClosed
 	}
-	if el, ok := s.objects[h]; ok {
+	el, resident := s.objects[h]
+	var old object
+	if resident {
 		s.touchLocked(el)
-		s.mu.Unlock()
-		return nil
+		old = *el.Value.(*object)
 	}
 	s.mu.Unlock()
+	if resident && old.size == artifactHeaderSize+int64(len(payload)) && holds(&old, payload) {
+		return nil
+	}
 
 	if int64(len(payload)) > maxArtifactBytes-artifactHeaderSize {
 		s.putErrors.Add(1)
@@ -321,10 +331,15 @@ func (s *Store) Put(key string, payload []byte) error {
 	}()
 	over := false
 	err := s.writeRecord(rec, func(seg *segment, off int64) {
-		if _, ok := s.objects[h]; ok {
-			return // a concurrent Put of the same key won; this copy is dead
+		if el, ok := s.objects[h]; ok {
+			if resident {
+				s.repointLocked(el, seg, off, int64(len(rec)))
+			}
+			// Otherwise a concurrent Put of the same key won; this copy
+			// is dead.
+		} else {
+			s.insertLocked(&object{hash: h, size: int64(len(rec)), seg: seg, off: off})
 		}
-		s.insertLocked(&object{hash: h, size: int64(len(rec)), seg: seg, off: off})
 		over = s.maxBytes > 0 && s.bytes > s.maxBytes
 	})
 	if err != nil {
@@ -336,6 +351,17 @@ func (s *Store) Put(key string, payload []byte) error {
 		s.signalEvict()
 	}
 	return nil
+}
+
+// holds reports whether resident record o carries payload, by the
+// payload checksum in its header. A record it cannot read does not.
+func holds(o *object, payload []byte) bool {
+	var hdr [artifactHeaderSize]byte
+	if n, err := readFull(o.seg.f, hdr[:], o.off); err != nil || n < artifactHeaderSize {
+		return false
+	}
+	sum := sha256.Sum256(payload)
+	return bytes.Equal(hdr[45:77], sum[:])
 }
 
 // GetTrace and PutTrace adapt the store to core.TraceBackend, so a
@@ -385,6 +411,18 @@ func (s *Store) touchLocked(el *list.Element) {
 	el.Value.(*object).seq = s.seq
 	s.order.MoveToFront(el)
 	s.dirty = true
+}
+
+// repointLocked moves resident artifact el to its new record of size
+// bytes at (seg, off); the old record becomes dead bytes in its
+// segment. The caller holds s.mu.
+func (s *Store) repointLocked(el *list.Element, seg *segment, off, size int64) {
+	o := el.Value.(*object)
+	s.bytes += size - o.size
+	o.seg.live -= o.size
+	seg.live += size
+	o.seg, o.off, o.size = seg, off, size
+	s.touchLocked(el)
 }
 
 // removeLocked forgets a resident object; its record becomes dead

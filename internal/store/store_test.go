@@ -56,6 +56,37 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPutSupersedesOtherBytes: a Put of a resident key whose payload
+// differs appends a new record and repoints the key, with the old record
+// counted as dead bytes; a reopened store serves the new payload, and
+// putting the same bytes again writes nothing.
+func TestPutSupersedesOtherBytes(t *testing.T) {
+	s, dir := openTemp(t, 0)
+	key := "pred/v1|heal"
+	if err := s.Put(key, []byte("garbage")); err != nil {
+		t.Fatal(err)
+	}
+	fresh := bytes.Repeat([]byte{0x5A}, 300)
+	for range 2 {
+		if err := s.Put(key, fresh); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, ok := s.Get(key); !ok || !bytes.Equal(got, fresh) {
+		t.Fatalf("Get = %q, %v; want the superseding payload", got, ok)
+	}
+	st := s.Stats()
+	if st.Puts != 2 || st.Objects != 1 || st.Bytes != int64(artifactHeaderSize+len(fresh)) ||
+		st.DeadBytes != int64(artifactHeaderSize+len("garbage")) {
+		t.Errorf("stats = %+v, want 2 puts, 1 object of %d bytes, the old record dead", st, artifactHeaderSize+len(fresh))
+	}
+	mustClose(t, s)
+	s = mustOpen(t, dir, 0, segmentBytes)
+	if got, ok := s.Get(key); !ok || !bytes.Equal(got, fresh) {
+		t.Fatalf("reopened store serves %q, %v; want the superseding payload", got, ok)
+	}
+}
+
 // recordAt returns the segment path, offset and length of key's
 // resident record.
 func recordAt(t *testing.T, s *Store, key string) (string, int64, int64) {

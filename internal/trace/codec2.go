@@ -8,8 +8,6 @@ import (
 	"io"
 	"slices"
 	"sync/atomic"
-
-	"extrap/internal/vtime"
 )
 
 // XTRP2: a loop-compacted binary trace format.
@@ -88,8 +86,9 @@ type row struct {
 }
 
 // deltaState is the shared encoder/decoder state machine of the delta
-// transform. Arg deltas are tracked per kind so structurally identical
-// loop iterations produce identical rows.
+// transform (rowOf encodes, PatternSource.Decode decodes). Arg deltas
+// are tracked per kind so structurally identical loop iterations
+// produce identical rows.
 type deltaState struct {
 	prevTime   int64
 	prevThread int64
@@ -111,25 +110,6 @@ func (s *deltaState) rowOf(e *Event) row {
 	s.prevThread = int64(e.Thread)
 	a[0], a[1], a[2] = e.Arg0, e.Arg1, e.Arg2
 	return r
-}
-
-// apply reconstructs the event a row encodes and advances the state.
-// The thread id is validated by the caller (it is delta-dependent, so
-// it cannot be checked at parse time the way the kind byte is).
-func (s *deltaState) apply(r *row) Event {
-	a := &s.args[r.kind]
-	e := Event{
-		Time:   vtime.Time(s.prevTime + r.dTime),
-		Kind:   r.kind,
-		Thread: int32(s.prevThread + r.dThread),
-		Arg0:   a[0] + r.dA0,
-		Arg1:   a[1] + r.dA1,
-		Arg2:   a[2] + r.dA2,
-	}
-	s.prevTime = int64(e.Time)
-	s.prevThread = s.prevThread + r.dThread
-	a[0], a[1], a[2] = e.Arg0, e.Arg1, e.Arg2
-	return e
 }
 
 // zigzag maps signed deltas onto small unsigned varints.
@@ -709,18 +689,16 @@ func ReadBinary2(enc []byte) (*Trace, error) {
 	}
 	defer ct.Release()
 	t := &Trace{NumThreads: ct.hdr.NumThreads, EventOverhead: ct.hdr.EventOverhead, Phases: ct.hdr.Phases}
-	t.Events = make([]Event, 0, ct.declare)
+	t.Events = make([]Event, ct.declare)
 	ps := ct.Source()
-	for {
-		e, err := ps.Next()
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
+	for i := range t.Events {
+		if _, err := ps.NextThread(); err != nil {
 			return nil, err
 		}
-		t.Events = append(t.Events, e)
+		ps.Decode(&t.Events[i])
 	}
+	ps.NextThread() // io.EOF: publishes the cursor's replay counters
+	return t, nil
 }
 
 // Program opcodes.

@@ -46,3 +46,24 @@ func (r DeltaRows) Mine(oracle bool) (patterns, ops int) {
 	p, o := mine(r, formatCaps)
 	return len(p), len(o)
 }
+
+// XTRP2HostileCases is the hostile XTRP2 corpus TestXTRP2HostileInputs
+// reads, for the external tests that feed it to the pipeline.
+var XTRP2HostileCases = xtrp2HostileCases
+
+// HostileXTRP2 builds an XTRP2 stream with every count under the
+// caller's control, as the hostile corpus does.
+var HostileXTRP2 = hostile2
+
+// Wire-level pieces of the hostile corpus.
+var (
+	Uvarint = uvarint
+	WireRow = wireRow
+	Concat  = concat
+)
+
+// Program opcodes.
+const (
+	OpLiteral = opLiteral
+	OpRepeat  = opRepeat
+)

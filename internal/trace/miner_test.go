@@ -113,6 +113,20 @@ func TestMinerMatchesOracle(t *testing.T) {
 		tr, maxPatterns, maxTableRows := plantedTrace(append([]byte{2, 0}, plantedSeed(3, 381, 0, 128)...), topPlantedEvents)
 		assertMinerMatchesOracle(t, tr, maxPatterns, maxTableRows)
 	})
+	// Runs just under and just over the second rung's bar (2^11 rows),
+	// with a short and a long body, one split by a perturbed event: the
+	// fuzz budget is too small to plant them.
+	for _, seed := range [][]byte{
+		plantedSeed(1, 3, 1, 0),
+		plantedSeed(1, 3, 1, 255),
+		plantedSeed(3, 150, 1, 100),
+		plantedSeed(35, 40, 1, 200),
+	} {
+		t.Run(fmt.Sprintf("planted-second-rung/%x", seed[:4]), func(t *testing.T) {
+			tr, maxPatterns, maxTableRows := plantedTrace(append([]byte{4, 0}, seed...), secondPlantedEvents)
+			assertMinerMatchesOracle(t, tr, maxPatterns, maxTableRows)
+		})
+	}
 
 	spec, err := os.ReadFile("../compose/testdata/nested.json")
 	if err != nil {
@@ -131,12 +145,15 @@ func TestMinerMatchesOracle(t *testing.T) {
 }
 
 // Event budgets of planted traces. Fuzz inputs stay small enough that
-// the quadratic oracle runs in milliseconds, which leaves runs near every
-// bar but the top rung's (16k rows, seconds of oracle time); the top rung
-// gets a budget of its own in TestMinerMatchesOracle.
+// the quadratic oracle runs in about a millisecond, so the fuzz step
+// checks thousands of inputs, which leaves runs near the bars of the
+// three lowest rungs (256, 32 and 8 rows); the two top rungs (2k and
+// 16k rows, tenths of a second to seconds of oracle time) get budgets of
+// their own in TestMinerMatchesOracle.
 const (
-	fuzzPlantedEvents = 1 << 12
-	topPlantedEvents  = 1 << 15
+	fuzzPlantedEvents   = 1 << 9
+	secondPlantedEvents = 1 << 12
+	topPlantedEvents    = 1 << 15
 )
 
 // byteStream hands out fuzzer bytes, then zeros once they run out.

@@ -6,6 +6,8 @@ import (
 	"io"
 	"slices"
 	"sync"
+
+	"extrap/internal/vtime"
 )
 
 // Pattern-native replay: the XTRP2 pattern table and replay program as a
@@ -169,6 +171,68 @@ func (ct *CompiledTrace) Patterns() int { return len(ct.patterns) }
 // Ops returns the replay-program op count.
 func (ct *CompiledTrace) Ops() int { return len(ct.prog) }
 
+// Declared returns the event count the header claims, which the
+// program produces exactly.
+func (ct *CompiledTrace) Declared() uint64 { return ct.declare }
+
+// Op returns program op i: a repeat op's iteration count and body
+// length, or a literal run's row count and a body length of 0.
+func (ct *CompiledTrace) Op(i int) (count uint64, bodyLen int) {
+	op := ct.prog[i]
+	if op.id == literalOp {
+		return op.count, 0
+	}
+	return op.count, len(ct.patterns[op.id])
+}
+
+// CountThreads sets counts[i] (len(counts) ≥ NumThreads) to the number
+// of events of thread i, walking only the thread deltas. It fails on
+// the first event whose thread is out of range, with the error a
+// PatternSource reports there. A repeat body whose thread deltas sum to
+// zero visits the same threads every iteration, so it is walked once.
+func (ct *CompiledTrace) CountThreads(counts []int) error {
+	n := ct.hdr.NumThreads
+	clear(counts[:n])
+	var th int64
+	var k uint64 // events walked
+	walk := func(rows []row, times int) error {
+		for i := range rows {
+			th += rows[i].dThread
+			t := int32(th)
+			if t < 0 || int(t) >= n {
+				return threadRangeError(k+uint64(i), t, n)
+			}
+			counts[t] += times
+		}
+		k += uint64(len(rows))
+		return nil
+	}
+	lits := ct.lits
+	for _, op := range ct.prog {
+		if op.id == literalOp {
+			if err := walk(lits[:op.count], 1); err != nil {
+				return err
+			}
+			lits = lits[op.count:]
+			continue
+		}
+		body := ct.patterns[op.id]
+		if ct.sums[op.id].dThread == 0 {
+			if err := walk(body, int(op.count)); err != nil {
+				return err
+			}
+			k += (op.count - 1) * uint64(len(body))
+			continue
+		}
+		for it := uint64(0); it < op.count; it++ {
+			if err := walk(body, 1); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // Source returns a fresh replay cursor over the compiled trace.
 func (ct *CompiledTrace) Source() *PatternSource {
 	return &PatternSource{ct: ct}
@@ -193,6 +257,8 @@ type PatternSource struct {
 	bodyID  uint32
 	bodyPos int
 	repLeft uint64 // replays still owed, including the current one
+
+	cur *row // the row NextThread stepped onto, for Decode
 
 	iters    uint64 // completed body iterations across all repeat ops
 	replayed uint64
@@ -220,51 +286,93 @@ func (c *PatternSource) Declared() uint64 { return c.ct.declare }
 // Next returns the next event, io.EOF after the declared count, or a
 // validation error. The error is sticky.
 func (c *PatternSource) Next() (Event, error) {
+	var e Event
+	if _, err := c.NextThread(); err != nil {
+		return e, err
+	}
+	c.Decode(&e)
+	return e, nil
+}
+
+// NextThread steps the cursor onto its next event and returns that
+// event's thread, checked to name a thread in [0, NumThreads). It
+// returns io.EOF after the declared count, or a validation error; the
+// error is sticky. Decode then writes the event itself, so a consumer
+// that files events by thread writes each one straight into its slot.
+// Decode must follow a successful NextThread before the cursor is
+// stepped, fingerprinted or skipped again.
+func (c *PatternSource) NextThread() (int, error) {
 	if c.err != nil {
-		return Event{}, c.err
+		return 0, c.err
 	}
 	var r *row
-	switch {
-	case c.body != nil:
-		r = &c.body[c.bodyPos]
-		if c.bodyPos++; c.bodyPos == len(c.body) {
-			c.bodyPos = 0
-			c.iters++
-			if c.repLeft--; c.repLeft == 0 {
-				c.body = nil
+	for r == nil {
+		switch {
+		case c.body != nil:
+			r = &c.body[c.bodyPos]
+			if c.bodyPos++; c.bodyPos == len(c.body) {
+				c.bodyPos = 0
+				c.iters++
+				if c.repLeft--; c.repLeft == 0 {
+					c.body = nil
+					c.opIdx++
+				}
+			}
+			c.replayed++
+		case c.lit != nil:
+			r = &c.lit[c.litPos]
+			if c.litPos++; c.litPos == len(c.lit) {
+				c.lit, c.litPos = nil, 0
 				c.opIdx++
 			}
+			c.literal++
+		default:
+			if c.produced == c.ct.declare {
+				c.err = io.EOF
+				c.flushCounters()
+				return 0, c.err
+			}
+			op := &c.ct.prog[c.opIdx]
+			if op.id == literalOp {
+				end := c.litNext + int(op.count)
+				c.lit, c.litPos, c.litNext = c.ct.lits[c.litNext:end], 0, end
+			} else {
+				c.body, c.bodyID, c.bodyPos, c.repLeft = c.ct.patterns[op.id], op.id, 0, op.count
+			}
 		}
-		c.replayed++
-	case c.lit != nil:
-		r = &c.lit[c.litPos]
-		if c.litPos++; c.litPos == len(c.lit) {
-			c.lit, c.litPos = nil, 0
-			c.opIdx++
-		}
-		c.literal++
-	default:
-		if c.produced == c.ct.declare {
-			c.err = io.EOF
-			c.flushCounters()
-			return Event{}, c.err
-		}
-		op := &c.ct.prog[c.opIdx]
-		if op.id == literalOp {
-			end := c.litNext + int(op.count)
-			c.lit, c.litPos, c.litNext = c.ct.lits[c.litNext:end], 0, end
-		} else {
-			c.body, c.bodyID, c.bodyPos, c.repLeft = c.ct.patterns[op.id], op.id, 0, op.count
-		}
-		return c.Next()
 	}
-	e := c.st.apply(r)
-	if e.Thread < 0 || int(e.Thread) >= c.ct.hdr.NumThreads {
-		c.err = fmt.Errorf("trace: event %d thread %d out of range [0,%d)", c.produced, e.Thread, c.ct.hdr.NumThreads)
-		return Event{}, c.err
+	// The thread id is delta-dependent, so it is checked here rather
+	// than at parse time the way the kind byte is.
+	c.st.prevThread += r.dThread
+	th := int32(c.st.prevThread)
+	if th < 0 || int(th) >= c.ct.hdr.NumThreads {
+		c.err = threadRangeError(c.produced, th, c.ct.hdr.NumThreads)
+		return 0, c.err
 	}
+	c.cur = r
 	c.produced++
-	return e, nil
+	return int(th), nil
+}
+
+// Decode writes the event the last NextThread stepped onto into *e,
+// field by field, and advances the delta state past it.
+func (c *PatternSource) Decode(e *Event) {
+	r, s := c.cur, &c.st
+	a := &s.args[r.kind]
+	s.prevTime += r.dTime
+	a[0] += r.dA0
+	a[1] += r.dA1
+	a[2] += r.dA2
+	e.Time = vtime.Time(s.prevTime)
+	e.Kind = r.kind
+	e.Thread = int32(s.prevThread)
+	e.Arg0, e.Arg1, e.Arg2 = a[0], a[1], a[2]
+}
+
+// threadRangeError is the fault of event k naming thread th of an
+// n-thread trace.
+func threadRangeError(k uint64, th int32, n int) error {
+	return fmt.Errorf("trace: event %d thread %d out of range [0,%d)", k, th, n)
 }
 
 // flushCounters publishes this cursor's replay/literal split to the

@@ -3,6 +3,7 @@ package translate
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"extrap/internal/trace"
@@ -200,31 +201,61 @@ func (c *threadCursor) Next() (trace.Event, error) {
 
 // pull reads, validates, and translates one source event into its
 // thread's buffer; on source EOF it runs the end-of-trace checks. Errors
-// become sticky.
+// become sticky. A compiled-trace cursor decodes the event straight into
+// its thread's next buffer slot, where it is translated in place.
 func (s *Stream) pull() {
-	var e trace.Event
-	var err error
-	if s.ps != nil {
-		e, err = s.ps.Next()
-	} else {
-		e, err = s.src.Next()
-	}
-	if err == io.EOF {
-		if s.err = s.x.finish(); s.err == nil {
-			s.srcDone = true
-		}
+	if s.ps == nil {
+		s.pullReader()
 		return
 	}
-	if err == nil {
-		err = s.x.step(&e)
-	}
+	th, err := s.ps.NextThread()
 	if err != nil {
+		s.end(err)
+		return
+	}
+	b := &s.bufs[th]
+	k := len(b.fill)
+	if k == cap(b.fill) {
+		b.fill = slices.Grow(b.fill, 1)
+	}
+	b.fill = b.fill[:k+1]
+	e := &b.fill[k]
+	s.ps.Decode(e)
+	if err := s.x.step(e); err != nil {
+		b.fill = b.fill[:k]
+		s.err = err
+		return
+	}
+	s.pending++
+}
+
+// pullReader is pull for any other source, which hands out events by
+// value.
+func (s *Stream) pullReader() {
+	e, err := s.src.Next()
+	if err != nil {
+		s.end(err)
+		return
+	}
+	if err := s.x.step(&e); err != nil {
 		s.err = err
 		return
 	}
 	b := &s.bufs[e.Thread]
 	b.fill = append(b.fill, e)
 	s.pending++
+}
+
+// end handles the source's error: io.EOF runs the end-of-trace checks,
+// anything else becomes the sticky error.
+func (s *Stream) end(err error) {
+	if err == io.EOF {
+		if s.err = s.x.finish(); s.err == nil {
+			s.srcDone = true
+		}
+		return
+	}
+	s.err = err
 }
 
 // bufSlab is each thread buffer's initial capacity, in events.
