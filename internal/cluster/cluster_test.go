@@ -27,7 +27,7 @@ import (
 func newWorkerServer(t *testing.T, gc time.Duration) (*Worker, *httptest.Server) {
 	t.Helper()
 	svc := experiments.NewService(2, 64, 256<<20)
-	w := NewWorker(svc, gc)
+	w := newWorker(svc, gc)
 	t.Cleanup(w.Close)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/internal/shards", w.HandleDispatch)
@@ -68,7 +68,7 @@ const validShard = `{"benchmark":"grid","size":16,"iters":4,"threads":2,"machine
 // answers a typed 4xx — never a panic, never an accept. The worker's
 // counters must classify them all as rejections.
 func TestDispatchRejectsHostileSpecs(t *testing.T) {
-	w, ts := newWorkerServer(t, 0)
+	w, ts := newWorkerServer(t, leaseGCInterval)
 	manyMachines := `["cm5"` + strings.Repeat(`,"cm5"`, request.MaxMachines) + `]`
 	cases := []struct {
 		name, body, wantCode string
@@ -105,7 +105,7 @@ func TestDispatchRejectsHostileSpecs(t *testing.T) {
 // carrying it is accepted and runs to done — the shape every
 // coordinator sends for embar, sort, poisson and matmul.
 func TestDispatchAcceptsZeroIterationKernel(t *testing.T) {
-	w, ts := newWorkerServer(t, 0)
+	w, ts := newWorkerServer(t, leaseGCInterval)
 	status, body := postShard(t, ts.URL, `{"benchmark":"embar","size":16,"iters":0,"threads":2,"machines":["cm5"]}`)
 	if status != http.StatusAccepted {
 		t.Fatalf("dispatch: status %d: %s, want 202", status, body)
@@ -146,7 +146,7 @@ func TestDispatchAcceptsZeroIterationKernel(t *testing.T) {
 // TestDispatchRejectsOversizedBody: a spec past MaxShardBodyBytes is
 // cut off by the body cap and answers 400, whatever its content.
 func TestDispatchRejectsOversizedBody(t *testing.T) {
-	_, ts := newWorkerServer(t, 0)
+	_, ts := newWorkerServer(t, leaseGCInterval)
 	huge := `{"benchmark":"` + strings.Repeat("a", MaxShardBodyBytes) + `"}`
 	status, body := postShard(t, ts.URL, huge)
 	if status != http.StatusBadRequest || !strings.Contains(body, "invalid_json") {
@@ -157,7 +157,7 @@ func TestDispatchRejectsOversizedBody(t *testing.T) {
 // TestPollUnknownShard: polling an ID that was never dispatched — or a
 // forged one — answers 404 with the typed envelope.
 func TestPollUnknownShard(t *testing.T) {
-	_, ts := newWorkerServer(t, 0)
+	_, ts := newWorkerServer(t, leaseGCInterval)
 	status, body := getURL(t, ts.URL+"/v1/internal/shards/s-deadbeef")
 	if status != http.StatusNotFound || !strings.Contains(body, "unknown_shard") {
 		t.Errorf("unknown poll: status %d body %s, want 404 unknown_shard", status, body)
@@ -168,7 +168,7 @@ func TestPollUnknownShard(t *testing.T) {
 // its result is delivered, so REPLAYING the poll answers 404 — a stale
 // or duplicated coordinator cannot keep a worker's memory pinned.
 func TestPollReplayedAfterCollection(t *testing.T) {
-	_, ts := newWorkerServer(t, 0)
+	_, ts := newWorkerServer(t, leaseGCInterval)
 	status, body := postShard(t, ts.URL, validShard)
 	if status != http.StatusAccepted {
 		t.Fatalf("dispatch: status %d: %s", status, body)
@@ -375,7 +375,7 @@ func TestRetryAfterSeconds(t *testing.T) {
 // clock age it out.
 func TestRunningShardHoldsLease(t *testing.T) {
 	svc := experiments.NewService(1, 64, 0)
-	w := NewWorker(svc, 5*time.Millisecond)
+	w := newWorker(svc, 5*time.Millisecond)
 	t.Cleanup(w.Close)
 
 	// A running shard whose expiry lapsed long ago — the shape the gc
@@ -492,7 +492,7 @@ func TestDispatchedShardSurvivesSilentCoordinator(t *testing.T) {
 // TestDispatchCapacityRejectionRetryAfter: a worker at its shard limit
 // answers 429 with an integer backlog-derived Retry-After.
 func TestDispatchCapacityRejectionRetryAfter(t *testing.T) {
-	w, ts := newWorkerServer(t, 0)
+	w, ts := newWorkerServer(t, leaseGCInterval)
 	w.mu.Lock()
 	for i := 0; i < maxActiveShards; i++ {
 		id := fmt.Sprintf("s-fill%04d", i)

@@ -63,13 +63,16 @@ type Worker struct {
 	rejected  atomic.Int64
 }
 
-// NewWorker returns a Worker executing shards on svc. gcInterval bounds
-// how often expired leases are collected; ≤ 0 selects 250ms. Call Close
-// to cancel running shards and stop the collector.
-func NewWorker(svc *experiments.Service, gcInterval time.Duration) *Worker {
-	if gcInterval <= 0 {
-		gcInterval = 250 * time.Millisecond
-	}
+// leaseGCInterval is how often a worker collects expired leases.
+const leaseGCInterval = 250 * time.Millisecond
+
+// NewWorker returns a Worker executing shards on svc. Call Close to
+// cancel running shards and stop the lease collector.
+func NewWorker(svc *experiments.Service) *Worker { return newWorker(svc, leaseGCInterval) }
+
+// newWorker is NewWorker with the lease collector's interval, which
+// tests shorten.
+func newWorker(svc *experiments.Service, gcInterval time.Duration) *Worker {
 	base, stop := context.WithCancel(context.Background())
 	w := &Worker{
 		svc:    svc,

@@ -20,7 +20,7 @@ const workloadShardSpec = `{"size":8,"iters":2,"root":{"kind":"pipeline","stages
 // alongside its derived name executes like a registry benchmark — the
 // worker synthesizes the program from the spec bytes and reports cells.
 func TestWorkloadShardRoundTrip(t *testing.T) {
-	_, ts := newWorkerServer(t, 0)
+	_, ts := newWorkerServer(t, leaseGCInterval)
 	wl, err := compose.FromJSON([]byte(workloadShardSpec))
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestWorkloadShardRoundTrip(t *testing.T) {
 // answer typed 4xx — the worker never executes a program whose content
 // address it cannot verify.
 func TestWorkloadShardRejections(t *testing.T) {
-	w, ts := newWorkerServer(t, 0)
+	w, ts := newWorkerServer(t, leaseGCInterval)
 	wl, err := compose.FromJSON([]byte(workloadShardSpec))
 	if err != nil {
 		t.Fatal(err)

@@ -165,7 +165,14 @@ func lowerNode(rt *pcxx.Runtime, n *Node, idx *int, scale int) func(*pcxx.Thread
 			t.Flops(grainFlops(grain, imbFactor(seed, t.ID(), imb)))
 			*part.Local(t, t.ID()) = float64(t.ID() + 1)
 			if flat {
-				_ = pcxx.AllGatherSum(t, part)
+				// The flat all-gather: after one barrier every thread
+				// reads every partial, n·(n−1) remote reads in all.
+				t.Barrier()
+				for i := 0; i < t.N(); i++ {
+					_ = part.Read(t, i)
+				}
+				t.Flops(t.N())
+				t.Barrier()
 			} else {
 				pcxx.ReduceSum(t, part)
 			}

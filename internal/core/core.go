@@ -51,7 +51,8 @@ type MeasureOptions struct {
 	EventOverhead vtime.Time
 	// SizeMode selects remote transfer-size attribution.
 	SizeMode pcxx.SizeMode
-	// Seed feeds deterministic program randomness.
+	// Seed is part of a measurement's cache key. No program draws on
+	// it, so it leaves the trace unchanged.
 	Seed uint64
 }
 
@@ -91,13 +92,9 @@ func measure(ctx context.Context, p Program, opts MeasureOptions) (*trace.Trace,
 		Cost:          opts.Cost,
 		EventOverhead: opts.EventOverhead,
 		SizeMode:      opts.SizeMode,
-		Seed:          opts.Seed,
 	}
 	if cfg.Cost == (pcxx.CostModel{}) {
 		cfg.Cost = pcxx.Sun4()
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 0x5eed
 	}
 	if ctx.Done() != nil {
 		cfg.Interrupt = ctx.Err

@@ -6,8 +6,8 @@ import (
 	"reflect"
 	"testing"
 
+	"extrap/internal/machine"
 	"extrap/internal/pcxx"
-	"extrap/internal/sim"
 	"extrap/internal/trace"
 	"extrap/internal/vtime"
 )
@@ -76,7 +76,7 @@ func FuzzPatternReplayEquivalence(f *testing.F) {
 		if err := trace.WriteBinary2(&buf, tr); err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		cfg := sim.DefaultConfig()
+		cfg := machine.GenericDM().Config
 		ps, err := trace.NewPatternSource(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)

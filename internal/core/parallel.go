@@ -72,6 +72,22 @@ type TraceBackend interface {
 	PutTrace(key CacheKey, format trace.Format, enc []byte)
 }
 
+// UsableArtifact reports whether enc, a backend's XTRP2 artifact for
+// key, can stand for key's measurement: it compiles, and its header
+// declares key.Threads threads. Bytes that do not compile (a peer's
+// bytes past MaxTraceEvents, a format skew, malformed bytes) or that
+// declare another thread count are a miss, which the caller re-measures
+// and writes through. The count is checked on the compiled header,
+// before anything is sized from it.
+func UsableArtifact(key CacheKey, enc []byte) bool {
+	ct, err := trace.CompileBinary(enc)
+	if err != nil {
+		return false
+	}
+	defer ct.Release()
+	return ct.Header().NumThreads == key.Threads
+}
+
 // TraceCache memoizes measurements across the requests of a long-lived
 // server: each distinct measurement runs once, is kept as compact
 // immutable XTRP2 bytes read through Encoded, and is replayed by the
@@ -213,9 +229,8 @@ func (c *TraceCache) settle(key CacheKey, e *cacheEntry) {
 // artifact IS the encoded form, so a durable hit costs one compile and
 // no decode), and fresh encodings are written through. The measured
 // trace is immediately encoded and released — only the compact bytes
-// stay resident. A backend artifact that does not compile (a peer's
-// bytes past MaxTraceEvents, a format skew, malformed bytes) is a miss:
-// the key is re-measured and the fresh encoding written through.
+// stay resident. A backend artifact that is not a UsableArtifact is a
+// miss: the key is re-measured and the fresh encoding written through.
 //
 // Context cancellations are NOT memoized: an aborted measurement
 // returns its error to that caller only, and the next caller re-runs the
@@ -240,8 +255,7 @@ func (c *TraceCache) Encoded(key CacheKey, measure func() (*trace.Trace, error))
 				c.settle(key, e)
 				return nil, e.err
 			}
-			if ct, err := trace.CompileBinary(enc); err == nil {
-				ct.Release()
+			if UsableArtifact(key, enc) {
 				e.enc, e.measured = enc, true
 				c.settle(key, e)
 				return e.enc, nil

@@ -19,7 +19,10 @@ func TestPipelineInputsReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := tr.Clone()
+	orig, err := Measure(testProgram(4), MeasureOptions{}) // measurement is deterministic
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	pt, err := translate.Translate(tr)
 	if err != nil {
@@ -29,7 +32,7 @@ func TestPipelineInputsReadOnly(t *testing.T) {
 		t.Fatal("Translate mutated its input trace")
 	}
 
-	// A reference translation of the untouched clone, to detect any
+	// A reference translation of the untouched copy, to detect any
 	// mutation of pt by Simulate.
 	ptRef, err := translate.Translate(orig)
 	if err != nil {

@@ -107,12 +107,12 @@ func (r *runner) point(key core.CacheKey, f core.ProgramFactory) *point {
 // measure takes one measurement. With a backend, a stored trace is
 // decoded instead of re-running the program, and a fresh measurement is
 // written through as XTRP2 — the only time the runner encodes a trace.
-// A stored artifact that does not decode is a miss: the program is
-// measured afresh.
+// A stored artifact that is not a core.UsableArtifact is a miss: the
+// program is measured afresh.
 func (r *runner) measure(key core.CacheKey, f core.ProgramFactory) (*trace.Trace, error) {
 	b := r.opts.Backend
 	if b != nil {
-		if enc, ok := b.GetTrace(key, trace.FormatXTRP2); ok {
+		if enc, ok := b.GetTrace(key, trace.FormatXTRP2); ok && core.UsableArtifact(key, enc) {
 			if tr, err := trace.ReadBinary2(enc); err == nil {
 				return tr, nil
 			}

@@ -127,10 +127,10 @@ func (b *mapBackend) PutTrace(key core.CacheKey, _ trace.Format, enc []byte) {
 }
 
 // TestRunnerBackend: with Options.Backend set, a run looks each key up
-// once, measures what the backend lacks or holds undecodable bytes for,
-// and writes every fresh measurement through as XTRP2; a second run over
-// the same backend measures nothing. Output never depends on the
-// backend.
+// once, measures what the backend lacks or holds undecodable bytes or a
+// trace of another thread count for, and writes every fresh measurement
+// through as XTRP2; a second run over the same backend measures nothing.
+// Output never depends on the backend.
 func TestRunnerBackend(t *testing.T) {
 	measured := countMeasurements(t)
 	procs := []int{1, 2, 4}
@@ -142,7 +142,19 @@ func TestRunnerBackend(t *testing.T) {
 	for _, n := range procs {
 		keys = append(keys, MeasurementKey("mgrid", opts.size(mgrid), n, core.MeasureOptions{SizeMode: pcxx.ActualSize}))
 	}
-	b := &mapBackend{data: map[core.CacheKey][]byte{keys[1]: []byte("not an XTRP2 trace")}}
+	twoThreads := trace.New(2)
+	for th := int32(0); th < 2; th++ {
+		twoThreads.Append(trace.Event{Kind: trace.KindThreadStart, Thread: th, Arg0: 2})
+		twoThreads.Append(trace.Event{Kind: trace.KindThreadEnd, Thread: th})
+	}
+	var misfiled bytes.Buffer
+	if err := trace.WriteBinary2(&misfiled, twoThreads); err != nil {
+		t.Fatal(err)
+	}
+	b := &mapBackend{data: map[core.CacheKey][]byte{
+		keys[1]: []byte("not an XTRP2 trace"),
+		keys[2]: misfiled.Bytes(),
+	}}
 	opts.Backend = b
 	for i, wantMeasured := range []int64{int64(len(keys)), 0} {
 		before := measured()
@@ -161,6 +173,9 @@ func TestRunnerBackend(t *testing.T) {
 		if err != nil {
 			t.Errorf("threads=%d: backend holds no XTRP2 trace: %v", k.Threads, err)
 			continue
+		}
+		if n := ct.Header().NumThreads; n != k.Threads {
+			t.Errorf("threads=%d: backend holds a %d-thread trace", k.Threads, n)
 		}
 		ct.Release()
 	}

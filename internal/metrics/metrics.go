@@ -6,7 +6,6 @@ package metrics
 
 import (
 	"fmt"
-	"strings"
 
 	"extrap/internal/sim"
 	"extrap/internal/trace"
@@ -18,12 +17,6 @@ import (
 type Point struct {
 	Procs int
 	Time  vtime.Time
-}
-
-// Series is a labelled sequence of scaling samples.
-type Series struct {
-	Label  string
-	Points []Point
 }
 
 // Speedup returns the speedup of each point relative to the 1-processor
@@ -159,14 +152,4 @@ func FromTrace(tr *trace.Trace) (TraceMetrics, error) {
 		m.Barriers = exits / int64(tr.NumThreads)
 	}
 	return m, nil
-}
-
-// FormatSeries renders a speedup/time series compactly for logs.
-func FormatSeries(s Series) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s:", s.Label)
-	for _, p := range s.Points {
-		fmt.Fprintf(&b, " P%d=%v", p.Procs, p.Time)
-	}
-	return b.String()
 }

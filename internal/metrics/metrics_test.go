@@ -159,11 +159,3 @@ func TestFromTraceRejectsOrphanExit(t *testing.T) {
 		t.Error("orphan barrier exit accepted")
 	}
 }
-
-func TestFormatSeries(t *testing.T) {
-	s := Series{Label: "grid", Points: []Point{{Procs: 1, Time: vtime.Millisecond}}}
-	got := FormatSeries(s)
-	if !strings.Contains(got, "grid:") || !strings.Contains(got, "P1=") {
-		t.Errorf("FormatSeries = %q", got)
-	}
-}

@@ -42,23 +42,8 @@ func NewCollection[E any](rt *Runtime, name string, d dist.Distribution, elemByt
 	return c
 }
 
-// Name returns the collection's name.
-func (c *Collection[E]) Name() string { return c.name }
-
-// Size returns the number of elements.
-func (c *Collection[E]) Size() int { return len(c.elems) }
-
-// Dist returns the collection's distribution.
-func (c *Collection[E]) Dist() dist.Distribution { return c.dist }
-
-// ElemBytes returns the compiler-estimated element transfer size.
-func (c *Collection[E]) ElemBytes() int64 { return c.elemBytes }
-
 // Owner returns the thread owning element i.
 func (c *Collection[E]) Owner(i int) int { return c.dist.Owner(i) }
-
-// IsLocal reports whether element i is owned by thread t.
-func (c *Collection[E]) IsLocal(t *Thread, i int) bool { return c.dist.Owner(i) == t.id }
 
 // Local returns a pointer to element i, which must be owned by t; it
 // panics otherwise, enforcing the owner-computes discipline.
@@ -149,25 +134,11 @@ func NewCollection2D[E any](rt *Runtime, name string, d2 *dist.Dist2D, elemBytes
 	}
 }
 
-// Name returns the collection's name.
-func (c *Collection2D[E]) Name() string { return c.flat.name }
-
 // Dist returns the 2-D distribution.
 func (c *Collection2D[E]) Dist() *dist.Dist2D { return c.d2 }
 
-// ElemBytes returns the compiler-estimated element transfer size.
-func (c *Collection2D[E]) ElemBytes() int64 { return c.flat.elemBytes }
-
 // index linearizes (r, c) row-major.
 func (c *Collection2D[E]) index(r, col int) int { return r*c.d2.Cols() + col }
-
-// Owner returns the thread owning element (r, col).
-func (c *Collection2D[E]) Owner(r, col int) int { return c.d2.OwnerRC(r, col) }
-
-// IsLocal reports whether (r, col) is owned by t.
-func (c *Collection2D[E]) IsLocal(t *Thread, r, col int) bool {
-	return c.d2.OwnerRC(r, col) == t.id
-}
 
 // Local returns a pointer to (r, col), which must be owned by t.
 func (c *Collection2D[E]) Local(t *Thread, r, col int) *E {
@@ -178,17 +149,6 @@ func (c *Collection2D[E]) Local(t *Thread, r, col int) *E {
 // is not the owner.
 func (c *Collection2D[E]) Read(t *Thread, r, col int) E {
 	return c.flat.Read(t, c.index(r, col))
-}
-
-// ReadPart returns a view of (r, col) transferring only actualBytes.
-func (c *Collection2D[E]) ReadPart(t *Thread, r, col int, actualBytes int64) *E {
-	return c.flat.ReadPart(t, c.index(r, col), actualBytes)
-}
-
-// Write stores v into (r, col), recording a remote write when t is not
-// the owner.
-func (c *Collection2D[E]) Write(t *Thread, r, col int, v E) {
-	c.flat.Write(t, c.index(r, col), v)
 }
 
 // ForOwned calls f for every (r, col) owned by t, row-major.

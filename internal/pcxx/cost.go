@@ -17,7 +17,9 @@ type CostModel struct {
 	// MemByteTime is charged per byte moved through the local memory
 	// system (copies, initialization).
 	MemByteTime vtime.Time
-	// CallTime is charged per runtime call (method invocation overhead).
+	// CallTime is the overhead of one runtime call (method invocation).
+	// No runtime operation charges it; it is part of a measurement's
+	// cache key.
 	CallTime vtime.Time
 }
 
@@ -32,17 +34,6 @@ func Sun4() CostModel {
 		MemByteTime: 25 * vtime.Nanosecond,
 		CallTime:    2 * vtime.Microsecond,
 	}
-}
-
-// MFLOPS reports the model's floating-point rating in millions of
-// floating-point operations per second, the figure the paper's processor
-// microbenchmark produces (1.1360 for the Sun 4, 2.7645 for the CM-5
-// node).
-func (c CostModel) MFLOPS() float64 {
-	if c.FlopTime <= 0 {
-		return 0
-	}
-	return 1e3 / float64(c.FlopTime) // (1e9 ns/s) / (ns/flop) / 1e6
 }
 
 // CM5Node returns a cost model matching the CM-5 scalar rating the paper

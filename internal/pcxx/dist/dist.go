@@ -58,18 +58,6 @@ type Distribution interface {
 	Name() string
 }
 
-// Owned returns the global indices owned by thread, ascending. It is a
-// convenience over any Distribution.
-func Owned(d Distribution, thread int) []int {
-	var out []int
-	for i := 0; i < d.Size(); i++ {
-		if d.Owner(i) == thread {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // block1D distributes size elements in contiguous blocks of ceil(size/n).
 type block1D struct{ size, n, blk int }
 
@@ -119,27 +107,6 @@ func (d cyclic1D) LocalCount(thread int) int {
 	return c
 }
 func (d cyclic1D) Name() string { return fmt.Sprintf("Cyclic(%d/%d)", d.size, d.n) }
-
-// whole1D maps everything to thread 0.
-type whole1D struct{ size, n int }
-
-// NewWhole returns a 1-D distribution placing all elements on thread 0.
-func NewWhole(size, n int) Distribution {
-	checkArgs(size, n)
-	return whole1D{size: size, n: n}
-}
-
-func (d whole1D) Size() int            { return d.size }
-func (d whole1D) NumThreads() int      { return d.n }
-func (d whole1D) Owner(int) int        { return 0 }
-func (d whole1D) LocalIndex(i int) int { return i }
-func (d whole1D) LocalCount(thread int) int {
-	if thread == 0 {
-		return d.size
-	}
-	return 0
-}
-func (d whole1D) Name() string { return fmt.Sprintf("Whole(%d/%d)", d.size, d.n) }
 
 func checkArgs(size, n int) {
 	if size < 0 {

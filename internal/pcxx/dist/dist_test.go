@@ -55,19 +55,6 @@ func TestCyclicPartition(t *testing.T) {
 	}
 }
 
-func TestWholePartition(t *testing.T) {
-	d := NewWhole(12, 4)
-	checkPartition(t, d)
-	for i := 0; i < 12; i++ {
-		if d.Owner(i) != 0 {
-			t.Fatalf("Whole: Owner(%d) = %d", i, d.Owner(i))
-		}
-	}
-	if d.LocalCount(0) != 12 || d.LocalCount(3) != 0 {
-		t.Fatal("Whole: local counts wrong")
-	}
-}
-
 func TestBlockOwnership(t *testing.T) {
 	d := NewBlock(10, 3) // blocks of 4: [0..3]→0, [4..7]→1, [8..9]→2
 	wantOwners := []int{0, 0, 0, 0, 1, 1, 1, 1, 2, 2}
@@ -94,32 +81,15 @@ func TestCyclicOwnership(t *testing.T) {
 	}
 }
 
-func TestOwnedHelper(t *testing.T) {
-	d := NewCyclic(6, 2)
-	got := Owned(d, 1)
-	want := []int{1, 3, 5}
-	if len(got) != len(want) {
-		t.Fatalf("Owned = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Owned = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestPartitionProperty(t *testing.T) {
 	f := func(size uint8, n uint8, kind uint8) bool {
 		nn := int(n%32) + 1
 		sz := int(size)
 		var d Distribution
-		switch kind % 3 {
-		case 0:
+		if kind%2 == 0 {
 			d = NewBlock(sz, nn)
-		case 1:
+		} else {
 			d = NewCyclic(sz, nn)
-		default:
-			d = NewWhole(sz, nn)
 		}
 		total := 0
 		for th := 0; th < nn; th++ {

@@ -69,18 +69,3 @@ func AllReduceWith(t *Thread, c *Collection[float64], op func(a, b float64) floa
 	ReduceWith(t, c, op)
 	return BroadcastRead(t, c, 0)
 }
-
-// AllGatherSum is the flat alternative to AllReduceSum: after one
-// barrier, every thread reads every other thread's partial and sums
-// locally. It produces n·(n−1) small messages instead of ~2n, which makes
-// it a deliberately communication-heavy pattern for experiments.
-func AllGatherSum(t *Thread, c *Collection[float64]) float64 {
-	t.Barrier()
-	sum := 0.0
-	for i := 0; i < t.N(); i++ {
-		sum += c.Read(t, i)
-	}
-	t.Flops(t.N())
-	t.Barrier()
-	return sum
-}

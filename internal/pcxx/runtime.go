@@ -53,8 +53,6 @@ type Config struct {
 	EventOverhead vtime.Time
 	// SizeMode selects transfer-size attribution for remote accesses.
 	SizeMode SizeMode
-	// Seed feeds the per-thread deterministic random streams.
-	Seed uint64
 	// Interrupt, when non-nil, is polled periodically during the run (at
 	// event records and compute charges); a non-nil return aborts the
 	// measurement with that error. This is how callers bound the
@@ -68,7 +66,7 @@ type Config struct {
 // DefaultConfig returns a measurement configuration for n threads on the
 // Sun-4 cost model with zero instrumentation overhead.
 func DefaultConfig(n int) Config {
-	return Config{Threads: n, Cost: Sun4(), Seed: 0x5eed}
+	return Config{Threads: n, Cost: Sun4()}
 }
 
 // Runtime is the shared state of one measurement run: the global virtual
@@ -132,12 +130,6 @@ func NewRuntime(cfg Config) *Runtime {
 // Threads returns n, the number of program threads.
 func (rt *Runtime) Threads() int { return rt.cfg.Threads }
 
-// Config returns the run configuration.
-func (rt *Runtime) Config() Config { return rt.cfg }
-
-// Now returns the current virtual time of the measurement run.
-func (rt *Runtime) Now() vtime.Time { return rt.clock.Now() }
-
 // maxRecorded is the most events a run may record: trace.MaxTraceEvents,
 // lowered only by tests (SetMaxRecorded).
 var maxRecorded = trace.MaxTraceEvents
@@ -162,18 +154,8 @@ func (rt *Runtime) record(e trace.Event) {
 // divergent barrier structure) and is reported as an error.
 func (rt *Runtime) Run(body func(*Thread)) (*trace.Trace, error) {
 	rt.threadCtxs = make([]*Thread, rt.cfg.Threads)
-	rng := vtime.NewRand(rt.cfg.Seed)
-	seeds := make([]uint64, rt.cfg.Threads)
-	for i := range seeds {
-		seeds[i] = rng.Uint64()
-	}
 	sched := threads.New(rt.cfg.Threads, func(th *threads.Thread) {
-		t := &Thread{
-			id:  th.ID(),
-			rt:  rt,
-			th:  th,
-			rng: vtime.NewRand(seeds[th.ID()]),
-		}
+		t := &Thread{id: th.ID(), rt: rt, th: th}
 		rt.threadCtxs[th.ID()] = t
 		rt.record(trace.Event{Kind: trace.KindThreadStart, Thread: int32(t.id), Arg0: int64(rt.cfg.Threads)})
 		body(t)
@@ -188,18 +170,13 @@ func (rt *Runtime) Run(body func(*Thread)) (*trace.Trace, error) {
 	return rt.tr, nil
 }
 
-// Trace exposes the trace under construction (used by collections to
-// intern phase names).
-func (rt *Runtime) Trace() *trace.Trace { return rt.tr }
-
 // Thread is the per-thread execution context handed to the program body:
 // the pC++ "processor object" view. All computation-time charging, barrier
 // synchronization, and collection access flow through it.
 type Thread struct {
-	id  int
-	rt  *Runtime
-	th  *threads.Thread
-	rng *vtime.Rand
+	id int
+	rt *Runtime
+	th *threads.Thread
 }
 
 // ID returns the thread index in [0, n).
@@ -207,12 +184,6 @@ func (t *Thread) ID() int { return t.id }
 
 // N returns the total number of program threads.
 func (t *Thread) N() int { return t.rt.cfg.Threads }
-
-// Rand returns the thread's private deterministic random stream.
-func (t *Thread) Rand() *vtime.Rand { return t.rng }
-
-// Now returns the current virtual time.
-func (t *Thread) Now() vtime.Time { return t.rt.clock.Now() }
 
 // Compute charges d of raw computation time to the virtual clock.
 func (t *Thread) Compute(d vtime.Time) {
@@ -236,11 +207,6 @@ func (t *Thread) Ops(n int) {
 // Mem charges the cost of moving n bytes through local memory.
 func (t *Thread) Mem(n int) {
 	t.Compute(vtime.Time(n) * t.rt.cfg.Cost.MemByteTime)
-}
-
-// Call charges one runtime-call overhead.
-func (t *Thread) Call() {
-	t.Compute(t.rt.cfg.Cost.CallTime)
 }
 
 // rotateResume restores the historical resume order, in which the last

@@ -33,8 +33,8 @@ func newCoordinatorServer(t *testing.T, cfg Config, peers ...string) (*Server, *
 	t.Helper()
 	cfg.Role = RoleCoordinator
 	cfg.Peers = peers
-	if cfg.ClusterPoll == 0 {
-		cfg.ClusterPoll = 2 * time.Millisecond
+	if cfg.clusterPoll == 0 {
+		cfg.clusterPoll = 2 * time.Millisecond
 	}
 	return newTestServer(t, cfg)
 }
@@ -278,7 +278,7 @@ func TestDistributedJobResumesFromPersistedShards(t *testing.T) {
 	dir := t.TempDir()
 	_, w1 := newWorkerServer(t, Config{Workers: 2})
 	srv1, err := New(Config{Workers: 2, StoreDir: dir, Role: RoleCoordinator,
-		Peers: []string{w1.URL}, ClusterPoll: 2 * time.Millisecond, Logger: discardLogger()})
+		Peers: []string{w1.URL}, clusterPoll: 2 * time.Millisecond, Logger: discardLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestDistributedJobResumesFromPersistedShards(t *testing.T) {
 	deadPeer := w1.URL // keep the URL; the server behind it stays up but
 	// the point is cells must load, not re-dispatch — assert via stats.
 	srv2, err := New(Config{Workers: 2, StoreDir: dir, Role: RoleCoordinator,
-		Peers: []string{deadPeer}, ClusterPoll: 2 * time.Millisecond, Logger: discardLogger()})
+		Peers: []string{deadPeer}, clusterPoll: 2 * time.Millisecond, Logger: discardLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}

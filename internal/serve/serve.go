@@ -112,14 +112,15 @@ type Config struct {
 	// the local store, so a re-routed shard reuses an already-measured
 	// trace instead of re-measuring it. Solo servers take no peers.
 	Peers []string
-	// ClusterPoll overrides the coordinator's shard poll interval
-	// (tests); ≤ 0 selects the cluster default.
-	ClusterPoll time.Duration
 	// EnablePprof mounts net/http/pprof handlers under /debug/pprof/.
 	EnablePprof bool
 	// Logger receives structured request logs; nil selects a text
 	// logger on stderr.
 	Logger *slog.Logger
+
+	// clusterPoll is a coordinator's shard poll interval; zero selects
+	// the cluster default. Only tests set it, to converge quickly.
+	clusterPoll time.Duration
 }
 
 // shutdownGrace bounds how long Serve waits for in-flight requests on
@@ -229,12 +230,12 @@ func New(cfg Config) (*Server, error) {
 	s.points = s.svc
 	switch cfg.Role {
 	case RoleWorker:
-		s.worker = cluster.NewWorker(s.svc, 0)
+		s.worker = cluster.NewWorker(s.svc)
 	case RoleCoordinator:
 		coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
 			Peers:        cfg.Peers,
 			Service:      s.svc,
-			PollInterval: cfg.ClusterPoll,
+			PollInterval: cfg.clusterPoll,
 		})
 		if err != nil {
 			s.Close()

@@ -230,29 +230,3 @@ func (c *Config) Validate() error {
 	}
 	return c.Barrier.Validate()
 }
-
-// DefaultConfig returns a distributed-memory target close to the paper's
-// Figure 4 parameter set: modest 20 MB/s links, relatively high
-// communication start-up and synchronization costs, no speed scaling.
-func DefaultConfig() Config {
-	return Config{
-		MipsRatio: 1.0,
-		Policy: Policy{
-			Kind:              Interrupt,
-			InterruptOverhead: 10 * vtime.Microsecond,
-			ServiceTime:       15 * vtime.Microsecond,
-		},
-		Comm: network.Config{
-			StartupTime:      50 * vtime.Microsecond,
-			ByteTransferTime: 50 * vtime.Nanosecond, // 20 MB/s
-			MsgConstructTime: 10 * vtime.Microsecond,
-			HopTime:          500 * vtime.Nanosecond,
-			RecvOverhead:     10 * vtime.Microsecond,
-			RecvOccupancy:    2 * vtime.Microsecond,
-			Topology:         network.Mesh2D{},
-			ContentionFactor: 0.05,
-			RequestBytes:     16,
-		},
-		Barrier: DefaultBarrier(),
-	}
-}

@@ -101,17 +101,6 @@ func TestMesh2DManhattan(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"bus", "ring", "mesh2d", "hypercube", "fattree", "dragonfly"} {
-		if _, err := ByName(name); err != nil {
-			t.Errorf("ByName(%q): %v", name, err)
-		}
-	}
-	if _, err := ByName("torus9d"); err == nil {
-		t.Error("ByName accepted unknown topology")
-	}
-}
-
 func testConfig() Config {
 	return Config{
 		StartupTime:      10 * vtime.Microsecond,

@@ -254,23 +254,3 @@ func (d Dragonfly) Links(procs int) int {
 	}
 	return l
 }
-
-// ByName returns the topology with the given name (as produced by Name,
-// modulo the fat-tree arity and dragonfly shape suffixes).
-func ByName(name string) (Topology, error) {
-	switch name {
-	case "bus":
-		return Bus{}, nil
-	case "ring":
-		return Ring{}, nil
-	case "mesh2d":
-		return Mesh2D{}, nil
-	case "hypercube":
-		return Hypercube{}, nil
-	case "fattree", "fattree4":
-		return FatTree{}, nil
-	case "dragonfly", "dragonfly4x2":
-		return Dragonfly{}, nil
-	}
-	return nil, fmt.Errorf("network: unknown topology %q", name)
-}

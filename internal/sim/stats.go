@@ -46,14 +46,6 @@ type NetStats struct {
 	MaxInFlight   int
 }
 
-// AvgTransit returns the mean in-network time per message.
-func (n NetStats) AvgTransit() vtime.Time {
-	if n.Messages == 0 {
-		return 0
-	}
-	return n.TotalTransit / vtime.Time(n.Messages)
-}
-
 // Result is the outcome of one extrapolation: the predicted performance
 // information PI₂ᵖ and the metrics derived from it.
 type Result struct {
@@ -97,26 +89,6 @@ func (r *Result) sum(f func(ThreadStats) vtime.Time) vtime.Time {
 		t += f(s)
 	}
 	return t
-}
-
-// CompCommRatio returns total computation divided by total communication
-// wait — one of the paper's standard performance metrics. It returns +Inf
-// (as math.Inf would) encoded as a large value when there is no
-// communication; callers format it with FormatRatio.
-func (r *Result) CompCommRatio() float64 {
-	comm := r.TotalCommWait()
-	if comm == 0 {
-		return -1 // sentinel: no communication
-	}
-	return float64(r.TotalCompute()) / float64(comm)
-}
-
-// FormatRatio renders a CompCommRatio value.
-func FormatRatio(v float64) string {
-	if v < 0 {
-		return "∞"
-	}
-	return fmt.Sprintf("%.2f", v)
 }
 
 // String renders a one-paragraph summary of the result.

@@ -30,35 +30,11 @@ func TestResultAccessors(t *testing.T) {
 	if r.TotalService() != 20 {
 		t.Errorf("TotalService = %v", r.TotalService())
 	}
-	if got := r.CompCommRatio(); got != 2.5 {
-		t.Errorf("CompCommRatio = %v", got)
-	}
-	if FormatRatio(2.5) != "2.50" {
-		t.Errorf("FormatRatio = %q", FormatRatio(2.5))
-	}
-	if FormatRatio(-1) != "∞" {
-		t.Errorf("FormatRatio(-1) = %q", FormatRatio(-1))
-	}
-	// No communication → sentinel.
-	empty := &Result{Threads: []ThreadStats{{Compute: 10}}}
-	if empty.CompCommRatio() >= 0 {
-		t.Error("zero-comm ratio should be the ∞ sentinel")
-	}
 	s := r.String()
 	for _, want := range []string{"procs=4", "barriers=3", "comm-wait="} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() missing %q: %s", want, s)
 		}
-	}
-}
-
-func TestNetStatsAvgTransit(t *testing.T) {
-	n := NetStats{Messages: 4, TotalTransit: 100 * vtime.Microsecond}
-	if n.AvgTransit() != 25*vtime.Microsecond {
-		t.Errorf("AvgTransit = %v", n.AvgTransit())
-	}
-	if (NetStats{}).AvgTransit() != 0 {
-		t.Error("empty AvgTransit should be 0")
 	}
 }
 

@@ -45,7 +45,26 @@ func goldenKeys() []struct {
 			Seed:          0xDEADBEEF,
 		},
 	}
-	defCfg := sim.DefaultConfig()
+	defCfg := sim.Config{
+		MipsRatio: 1.0,
+		Policy: sim.Policy{
+			Kind:              sim.Interrupt,
+			InterruptOverhead: 10 * vtime.Microsecond,
+			ServiceTime:       15 * vtime.Microsecond,
+		},
+		Comm: network.Config{
+			StartupTime:      50 * vtime.Microsecond,
+			ByteTransferTime: 50 * vtime.Nanosecond,
+			MsgConstructTime: 10 * vtime.Microsecond,
+			HopTime:          500 * vtime.Nanosecond,
+			RecvOverhead:     10 * vtime.Microsecond,
+			RecvOccupancy:    2 * vtime.Microsecond,
+			Topology:         network.Mesh2D{},
+			ContentionFactor: 0.05,
+			RequestBytes:     16,
+		},
+		Barrier: sim.DefaultBarrier(),
+	}
 	fullCfg := sim.Config{
 		Procs:     32,
 		MipsRatio: 0.41,

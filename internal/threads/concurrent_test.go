@@ -100,9 +100,9 @@ func checkComplete(n int) error {
 	if err := s.Run(); err != nil {
 		return err
 	}
-	for _, th := range s.Threads() {
-		if th.State() != StateDone {
-			return fmt.Errorf("thread %d ended %v", th.ID(), th.State())
+	for _, th := range s.threads {
+		if th.state != StateDone {
+			return fmt.Errorf("thread %d ended %v", th.ID(), th.state)
 		}
 	}
 	return sameOrder(order, roundRobin(n, rounds))
@@ -131,7 +131,7 @@ func checkParkUnpark(n int) error {
 			order = append(order, th.ID())
 		}
 	})
-	threads = s.Threads()
+	threads = s.threads
 	if err := s.Run(); err != nil {
 		return err
 	}

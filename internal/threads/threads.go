@@ -79,10 +79,6 @@ type Thread struct {
 // ID returns the thread's index in [0, N).
 func (t *Thread) ID() int { return t.id }
 
-// State returns the thread's current lifecycle state. Only meaningful when
-// called from scheduler context or from the thread itself.
-func (t *Thread) State() State { return t.state }
-
 // Yield gives up the processor; the thread remains runnable and will run
 // again after every other ready thread has had a turn.
 func (t *Thread) Yield() {
@@ -218,9 +214,6 @@ func New(n int, body func(*Thread)) *Scheduler {
 	}
 	return s
 }
-
-// Threads returns the scheduler's threads, indexed by id.
-func (s *Scheduler) Threads() []*Thread { return s.threads }
 
 // handOff passes the baton from the thread giving up the processor: to
 // the next ready thread while the run is healthy, otherwise back to Run

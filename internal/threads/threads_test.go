@@ -82,7 +82,7 @@ func TestParkUnpark(t *testing.T) {
 			threads[0].Unpark()
 		}
 	})
-	threads = s.Threads()
+	threads = s.threads
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestUnparkNotParkedPanics(t *testing.T) {
 		}()
 		threads[0].Unpark() // thread 0 is ready, not parked
 	})
-	threads = s.Threads()
+	threads = s.threads
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +141,11 @@ func TestUnparkNotParkedPanics(t *testing.T) {
 func TestStateTransitions(t *testing.T) {
 	var sawRunning bool
 	s := New(1, func(th *Thread) {
-		sawRunning = th.State() == StateRunning
+		sawRunning = th.state == StateRunning
 	})
-	th := s.Threads()[0]
-	if th.State() != StateReady {
-		t.Fatalf("initial state = %v, want ready", th.State())
+	th := s.threads[0]
+	if th.state != StateReady {
+		t.Fatalf("initial state = %v, want ready", th.state)
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -153,8 +153,8 @@ func TestStateTransitions(t *testing.T) {
 	if !sawRunning {
 		t.Error("thread did not observe itself running")
 	}
-	if th.State() != StateDone {
-		t.Fatalf("final state = %v, want done", th.State())
+	if th.state != StateDone {
+		t.Fatalf("final state = %v, want done", th.state)
 	}
 }
 

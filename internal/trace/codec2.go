@@ -745,9 +745,13 @@ func (w *wireReader) take(n int) ([]byte, error) {
 
 // header parses the XTRP2 header, from the magic through the event
 // count, under the hardening caps, and returns it with the declared
-// event count. A count past MaxTraceEvents is refused here, before
-// anything of the body is parsed.
-func (w *wireReader) header() (Header, uint64, error) {
+// event count. A count past MaxTraceEvents, and more threads than
+// max(1, declared events), are refused here, before anything of the
+// body is parsed. table is a phase table from an earlier header, which
+// is never written: when the input repeats it, the header shares it;
+// otherwise the header gets a fresh table that still shares each name
+// whose bytes the input repeats at the same index.
+func (w *wireReader) header(table []string) (Header, uint64, error) {
 	var hdr Header
 	m, err := w.take(len(binary2Magic))
 	if err != nil {
@@ -770,6 +774,7 @@ func (w *wireReader) header() (Header, uint64, error) {
 	if nphase > MaxPhases {
 		return hdr, 0, fmt.Errorf("trace: implausible phase count %d (max %d)", nphase, MaxPhases)
 	}
+	var fresh []string // nil while every name so far repeats table's
 	phaseBytes := 0
 	for i := uint32(0); i < nphase; i++ {
 		ln, err := w.take(2)
@@ -784,9 +789,26 @@ func (w *wireReader) header() (Header, uint64, error) {
 		if err != nil {
 			return hdr, 0, err
 		}
+		if int(i) < len(table) && table[i] == string(name) {
+			if fresh != nil {
+				fresh = append(fresh, table[i])
+			}
+			continue
+		}
 		// Grown incrementally: each name's bytes were just read, so the
 		// table can never outgrow the input actually supplied.
-		hdr.Phases = append(hdr.Phases, string(name))
+		if fresh == nil {
+			fresh = append(make([]string, 0, i+1), table[:i]...)
+		}
+		fresh = append(fresh, string(name))
+	}
+	// Capped, so appending to a trace's table never writes into one
+	// another header shares.
+	switch {
+	case fresh != nil:
+		hdr.Phases = slices.Clip(fresh)
+	case nphase > 0:
+		hdr.Phases = table[:nphase:nphase]
 	}
 	cnt, err := w.take(8)
 	if err != nil {
@@ -795,6 +817,13 @@ func (w *wireReader) header() (Header, uint64, error) {
 	declare := binary.LittleEndian.Uint64(cnt)
 	if declare > uint64(MaxTraceEvents) {
 		return hdr, 0, fmt.Errorf("trace: %d events declared, more than the %d a whole-trace read holds", declare, MaxTraceEvents)
+	}
+	// Every thread records at least one event (every program measured or
+	// synthesized here records a start and an end per thread), and
+	// readers size per-thread state by the thread count before reading
+	// any event.
+	if uint64(nthreads) > max(1, declare) {
+		return hdr, 0, fmt.Errorf("trace: %d threads declared with %d events; every thread records at least one", nthreads, declare)
 	}
 	return hdr, declare, nil
 }

@@ -7,7 +7,9 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"extrap/internal/vtime"
@@ -97,9 +99,95 @@ func assertSameTrace(t *testing.T, want, got *Trace) {
 	}
 }
 
+// TestPhaseTableAcrossCompiles: pooled compiled traces share the names
+// a later compile repeats, yet every header and every ReadBinary2 trace
+// keeps its own names past Release, and a trace that adds a phase
+// changes no other's table: compiled in turn, with headers and traces
+// kept while others compile, and from several goroutines at once.
+func TestPhaseTableAcrossCompiles(t *testing.T) {
+	tables := [][]string{{"init", "solve"}, {"init", "smooth", "restrict"}, {"init"}, {"solve"}, nil, {"init", "solve"}, {"restrict", "init"}}
+	encs := make([][]byte, len(tables))
+	for i, names := range tables {
+		tr := makeBarrierTrace(2, 2)
+		for _, name := range names {
+			tr.PhaseID(name)
+		}
+		encs[i] = encode2(t, tr)
+	}
+	type kept struct {
+		i      int
+		phases []string // a header's table, kept past Release
+		tr     *Trace
+	}
+	// read compiles encs[i], releases it, and reads it whole; the trace
+	// then adds a phase of its own.
+	read := func(i int) (kept, error) {
+		ct, err := CompileBinary(encs[i])
+		if err != nil {
+			return kept{}, err
+		}
+		phases := ct.Header().Phases
+		ct.Release()
+		tr, err := ReadBinary2(encs[i])
+		if err != nil {
+			return kept{}, err
+		}
+		tr.PhaseID("added")
+		return kept{i, phases, tr}, nil
+	}
+	check := func(k kept) error {
+		if !slices.Equal(k.phases, tables[k.i]) {
+			return fmt.Errorf("table %d: kept header's phases became %q", k.i, k.phases)
+		}
+		if want := append(slices.Clone(tables[k.i]), "added"); !slices.Equal(k.tr.Phases, want) {
+			return fmt.Errorf("table %d: kept trace's phases became %q, want %q", k.i, k.tr.Phases, want)
+		}
+		return nil
+	}
+	var all []kept
+	for round := 0; round < 4; round++ {
+		for i := range encs {
+			k, err := read(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, k)
+		}
+	}
+	for _, k := range all {
+		if err := check(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var mine []kept
+			for r := 0; r < 50; r++ {
+				k, err := read((g + r) % len(encs))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mine = append(mine, k)
+			}
+			for _, k := range mine {
+				if err := check(k); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 func TestXTRP2RoundTripIdentity(t *testing.T) {
 	cases := map[string]*Trace{
-		"empty":    New(4),
+		"empty":    New(1),
 		"barriers": makeBarrierTrace(4, 3),
 		"loop":     makeLoopTrace(8, 200),
 		"random":   makeRandomTrace(3000),
@@ -166,7 +254,7 @@ func TestXTRP2CompressesLoopTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.ct.Patterns() == 0 {
+	if len(d.ct.patterns) == 0 {
 		t.Fatal("no patterns mined from a loop trace")
 	}
 	for {
@@ -288,12 +376,16 @@ func xtrp2HostileCases() map[string][]byte {
 	start := wireRow(byte(KindThreadStart))
 	onePattern := concat(uvarint(1), start) // 1-row pattern table
 	return map[string][]byte{
-		"pattern count past cap": hostile2(4, 0, MaxPatterns+1, nil),
-		"truncated table":        hostile2(4, 0, 1000, nil),
-		"empty pattern":          hostile2(4, 0, 1, uvarint(0)),
-		"pattern rows past cap":  hostile2(4, 0, 1, uvarint(MaxPatternRows+1)),
-		"pattern rows truncated": hostile2(4, 0, 1, concat(uvarint(64), start)),
-		"pattern invalid kind":   hostile2(4, 0, 1, concat(uvarint(1), wireRow(0xee))),
+		// 33 bytes declaring threads that no event backs: each thread
+		// would cost per-thread buffers before a single event is read.
+		"threads without events":        hostile2(16384, 0, 0, nil),
+		"threads without events at cap": hostile2(MaxThreads, 0, 0, nil),
+		"pattern count past cap":        hostile2(1, 0, MaxPatterns+1, nil),
+		"truncated table":               hostile2(1, 0, 1000, nil),
+		"empty pattern":                 hostile2(1, 0, 1, uvarint(0)),
+		"pattern rows past cap":         hostile2(1, 0, 1, uvarint(MaxPatternRows+1)),
+		"pattern rows truncated":        hostile2(1, 0, 1, concat(uvarint(64), start)),
+		"pattern invalid kind":          hostile2(1, 0, 1, concat(uvarint(1), wireRow(0xee))),
 		"repeat id out of range": hostile2(4, 4, 1,
 			concat(onePattern, []byte{opRepeat}, uvarint(7), uvarint(2))),
 		// The self-referencing flavor of a cyclic pattern ref: the table
@@ -308,23 +400,23 @@ func xtrp2HostileCases() map[string][]byte {
 			concat(onePattern, []byte{opRepeat}, uvarint(0), uvarint(5))),
 		"literal count zero": hostile2(4, 4, 0,
 			concat([]byte{opLiteral}, uvarint(0))),
-		"literal past declared": hostile2(4, 1, 0,
+		"literal past declared": hostile2(1, 1, 0,
 			concat([]byte{opLiteral}, uvarint(2), start, start)),
 		"truncated delta block": hostile2(4, 4, 0,
 			concat([]byte{opLiteral}, uvarint(4), start)),
 		"program truncated": hostile2(4, 4, 0, nil),
 		"unknown opcode":    hostile2(4, 4, 0, []byte{0x7f}),
-		"literal invalid kind": hostile2(4, 1, 0,
+		"literal invalid kind": hostile2(1, 1, 0,
 			concat([]byte{opLiteral}, uvarint(1), wireRow(0xee))),
-		"thread delta out of range": hostile2(4, 1, 0,
+		"thread delta out of range": hostile2(1, 1, 0,
 			concat([]byte{opLiteral}, uvarint(1), wireRow(byte(KindThreadStart), 0, 99))),
-		"thread delta negative": hostile2(4, 2, 0,
+		"thread delta negative": hostile2(2, 2, 0,
 			concat([]byte{opLiteral}, uvarint(2),
 				wireRow(byte(KindThreadStart), 0, 1),
 				wireRow(byte(KindThreadStart), 0, -2))),
-		"varint overflow": hostile2(4, 1, 0,
+		"varint overflow": hostile2(1, 1, 0,
 			concat([]byte{opLiteral}, bytes.Repeat([]byte{0xff}, binary.MaxVarintLen64), []byte{0x01})),
-		"varint overlong at end": hostile2(4, 1, 0,
+		"varint overlong at end": hostile2(1, 1, 0,
 			concat([]byte{opLiteral}, bytes.Repeat([]byte{0x80}, binary.MaxVarintLen64))),
 	}
 }
@@ -384,6 +476,46 @@ func TestXTRP2HostileInputs(t *testing.T) {
 	}
 }
 
+// TestThreadsNeedEvents: a 33-byte header declaring more threads than
+// max(1, declared events) fails before any op is parsed, on
+// CompileBinary and ReadBinary2 alike, with an error naming both counts,
+// and allocates under 1 MiB doing so.
+func TestThreadsNeedEvents(t *testing.T) {
+	reads := map[string]func([]byte) error{
+		"CompileBinary": func(b []byte) error {
+			ct, err := CompileBinary(b)
+			if err == nil {
+				ct.Release()
+			}
+			return err
+		},
+		"ReadBinary2": func(b []byte) error {
+			_, err := ReadBinary2(b)
+			return err
+		},
+	}
+	for _, n := range []uint32{16384, MaxThreads} {
+		data := hostile2(n, 0, 0, nil)
+		if len(data) != 33 {
+			t.Fatalf("%d-thread input is %d bytes, want 33", n, len(data))
+		}
+		want := fmt.Sprintf("trace: %d threads declared with 0 events; every thread records at least one", n)
+		for name, read := range reads {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			err := read(data)
+			runtime.ReadMemStats(&after)
+			if err == nil || err.Error() != want {
+				t.Fatalf("%s at %d threads: err = %v, want %q", name, n, err, want)
+			}
+			if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+				t.Fatalf("%s at %d threads allocated %d bytes", name, n, grown)
+			}
+		}
+	}
+}
+
 // TestXTRP2HostileAllocationBounded: forged counts must not make a
 // whole-trace read allocate ahead of the bytes actually supplied, and a
 // repeat op declaring billions of events must fail before any event is
@@ -394,8 +526,8 @@ func TestXTRP2HostileAllocationBounded(t *testing.T) {
 		err  string
 	}
 	cases := map[string]hostile{
-		"forged npatterns": {data: hostile2(4, 0, MaxPatterns, nil)},
-		"forged nrows":     {data: hostile2(4, 0, 1, uvarint(MaxPatternRows))},
+		"forged npatterns": {data: hostile2(1, 0, MaxPatterns, nil)},
+		"forged nrows":     {data: hostile2(1, 0, 1, uvarint(MaxPatternRows))},
 		"forged nevents":   {data: hostile2(4, 1<<39, 0, concat([]byte{opLiteral}, uvarint(1<<39)))},
 	}
 	for _, h := range expandingHostiles {

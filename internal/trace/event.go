@@ -123,13 +123,6 @@ func (e Event) String() string {
 		int64(e.Time), e.Kind, e.Thread, e.Arg0, e.Arg1, e.Arg2)
 }
 
-// IsSync reports whether the event is a barrier synchronization event.
-// Trace translation treats these specially: their translated timestamps
-// are derived from barrier semantics, not from inter-event deltas.
-func (e Event) IsSync() bool {
-	return e.Kind == KindBarrierEntry || e.Kind == KindBarrierExit
-}
-
 // IsRemote reports whether the event is a remote element access.
 func (e Event) IsRemote() bool {
 	return e.Kind == KindRemoteRead || e.Kind == KindRemoteWrite

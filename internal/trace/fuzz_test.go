@@ -22,7 +22,7 @@ const fuzzRoundTripEvents = 1 << 12
 func FuzzXTRP2RoundTrip(f *testing.F) {
 	// Well-formed streams: a loop-structured trace (pattern table in
 	// use), a barrier trace, and an empty trace.
-	for _, tr := range []*Trace{makeLoopTrace(4, 30), makeBarrierTrace(4, 2), New(2)} {
+	for _, tr := range []*Trace{makeLoopTrace(4, 30), makeBarrierTrace(4, 2), New(1)} {
 		var buf bytes.Buffer
 		if err := WriteBinary2(&buf, tr); err != nil {
 			f.Fatal(err)
@@ -34,11 +34,11 @@ func FuzzXTRP2RoundTrip(f *testing.F) {
 	// pattern refs, count overflows, truncated delta blocks.
 	start := wireRow(byte(KindThreadStart))
 	onePattern := concat(uvarint(1), start)
-	f.Add(hostile2(4, 0, MaxPatterns+1, nil))
-	f.Add(hostile2(4, 0, 1000, nil))
-	f.Add(hostile2(4, 0, 1, uvarint(0)))
-	f.Add(hostile2(4, 0, 1, uvarint(MaxPatternRows+1)))
-	f.Add(hostile2(4, 0, 1, concat(uvarint(64), start)))
+	f.Add(hostile2(1, 0, MaxPatterns+1, nil))
+	f.Add(hostile2(1, 0, 1000, nil))
+	f.Add(hostile2(1, 0, 1, uvarint(0)))
+	f.Add(hostile2(1, 0, 1, uvarint(MaxPatternRows+1)))
+	f.Add(hostile2(1, 0, 1, concat(uvarint(64), start)))
 	f.Add(hostile2(4, 4, 1, concat(onePattern, []byte{opRepeat}, uvarint(1), uvarint(2))))
 	f.Add(hostile2(4, 4, 1, concat(onePattern, []byte{opRepeat}, uvarint(0), uvarint(1<<62))))
 	f.Add(hostile2(4, 4, 0, concat([]byte{opLiteral}, uvarint(4), start)))

@@ -46,6 +46,10 @@ type CompiledTrace struct {
 	lits []row
 	// slab is the row storage patterns and lits are carved from.
 	slab []row
+	// phases is the last compile's phase table, kept across Release so
+	// a later compile that repeats its names shares them. It is never
+	// written, so a header keeps its table past Release.
+	phases []string
 }
 
 // compiledTraces recycles released compiled traces: their row slabs and
@@ -95,7 +99,8 @@ func CompileBinary(enc []byte) (*CompiledTrace, error) {
 
 // Release returns the compiled trace's storage to the pool for a later
 // CompileBinary. Neither it nor any cursor over it may be used
-// afterwards; events already read from them stay valid.
+// afterwards; events already read from them stay valid, and so does the
+// phase table of Header.
 func (ct *CompiledTrace) Release() {
 	clear(ct.patterns)
 	ct.hdr, ct.lits = Header{}, nil
@@ -113,13 +118,17 @@ func (ct *CompiledTrace) compile(enc []byte) error {
 		sums:     ct.sums[:0],
 		prog:     ct.prog[:0],
 		slab:     slab[:0],
+		phases:   ct.phases,
 	}
 	w := &wireReader{b: enc, slab: ct.slab}
-	hdr, declare, err := w.header()
+	hdr, declare, err := w.header(ct.phases)
 	if err != nil {
 		return err
 	}
 	ct.hdr, ct.declare = hdr, declare
+	if hdr.Phases != nil {
+		ct.phases = hdr.Phases
+	}
 	if ct.patterns, err = w.patternTable(ct.patterns); err != nil {
 		return err
 	}
@@ -164,9 +173,6 @@ func (ct *CompiledTrace) compile(enc []byte) error {
 
 // Header returns the trace metadata.
 func (ct *CompiledTrace) Header() Header { return ct.hdr }
-
-// Patterns returns the pattern-table entry count.
-func (ct *CompiledTrace) Patterns() int { return len(ct.patterns) }
 
 // Ops returns the replay-program op count.
 func (ct *CompiledTrace) Ops() int { return len(ct.prog) }
@@ -532,9 +538,6 @@ func (f *ReplayFingerprint) PushBool(v bool) {
 	}
 	f.Push(FPExact, b)
 }
-
-// Len returns the slot count.
-func (f *ReplayFingerprint) Len() int { return len(f.vals) }
 
 // ReplayDeltas is the per-chunk advance learned from two matching
 // fingerprints: one stride per timescale plus the per-slot strides of

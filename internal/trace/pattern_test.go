@@ -8,12 +8,12 @@ import (
 	"extrap/internal/vtime"
 )
 
-// drain streams every event out of a PatternSource.
-func drain(t *testing.T, ps *PatternSource) []Event {
+// drain streams every event out of r.
+func drain(t *testing.T, r Reader) []Event {
 	t.Helper()
 	var out []Event
 	for {
-		e, err := ps.Next()
+		e, err := r.Next()
 		if err == io.EOF {
 			return out
 		}
@@ -195,8 +195,8 @@ func TestReleaseDropsTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ct.Patterns() == 0 || len(ct.Header().Phases) != 1 {
-		t.Fatalf("compiled %d patterns and phases %v, want a pattern table and one phase", ct.Patterns(), ct.Header().Phases)
+	if len(ct.patterns) == 0 || len(ct.Header().Phases) != 1 {
+		t.Fatalf("compiled %d patterns and phases %v, want a pattern table and one phase", len(ct.patterns), ct.Header().Phases)
 	}
 	ct.Release()
 	if ct.hdr.Phases != nil || ct.lits != nil {

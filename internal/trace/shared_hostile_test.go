@@ -15,17 +15,17 @@ import (
 // TestSharedBranchRefusesHostile: every input of the hostile corpus, a
 // repeat op whose thread deltas walk out of range on its fourth event,
 // and a barrier exit without entry ahead of an out-of-range thread each
-// fails a two-config core.ExtrapolateEncodedAll, which translates a
-// program the fast-forward predicate clears once for both configs, with
-// exactly the error a single streaming ExtrapolateEncoded gives, and
-// allocates under 1 MiB doing so. Where the bytes compile, the shared
+// fails a single streaming ExtrapolateEncoded and a two-config
+// core.ExtrapolateEncodedAll, which translates a program the
+// fast-forward predicate clears once for both configs, with exactly the
+// same error, and each call allocates under 1 MiB doing so. Where the bytes compile, the shared
 // translation itself refuses them.
 func TestSharedBranchRefusesHostile(t *testing.T) {
 	cases := trace.XTRP2HostileCases()
 	start := trace.WireRow(byte(trace.KindThreadStart), 0, 1)
 	cases["repeat walks thread out of range"] = trace.HostileXTRP2(4, 8, 1,
 		trace.Concat(trace.Uvarint(1), start, []byte{trace.OpRepeat}, trace.Uvarint(0), trace.Uvarint(8)))
-	cases["translation fault before a thread fault"] = trace.HostileXTRP2(4, 3, 0,
+	cases["translation fault before a thread fault"] = trace.HostileXTRP2(3, 3, 0,
 		trace.Concat([]byte{trace.OpLiteral}, trace.Uvarint(3),
 			trace.WireRow(byte(trace.KindThreadStart)),
 			trace.WireRow(byte(trace.KindBarrierExit), 1),
@@ -35,11 +35,16 @@ func TestSharedBranchRefusesHostile(t *testing.T) {
 	compiled := 0
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			_, streamErr := core.ExtrapolateEncoded(ctx, data, cfgs[0])
+			runtime.ReadMemStats(&after)
 			if streamErr == nil {
 				t.Fatal("streaming extrapolation accepted a hostile input")
 			}
-			var before, after runtime.MemStats
+			if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+				t.Fatalf("streaming call allocated %d bytes on a %d-byte input", grown, len(data))
+			}
 			runtime.ReadMemStats(&before)
 			_, err := core.ExtrapolateEncodedAll(ctx, data, cfgs)
 			runtime.ReadMemStats(&after)

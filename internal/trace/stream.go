@@ -45,9 +45,6 @@ func (r *SliceReader) Next() (Event, error) {
 	return e, nil
 }
 
-// Len reports the number of events remaining.
-func (r *SliceReader) Len() int { return len(r.evs) - r.pos }
-
 // Header returns the trace's metadata. The Phases slice is shared, not
 // copied.
 func (t *Trace) Header() Header {
@@ -56,19 +53,3 @@ func (t *Trace) Header() Header {
 
 // Reader returns a cursor over the trace's events.
 func (t *Trace) Reader() *SliceReader { return NewSliceReader(t.Events) }
-
-// ReadAll drains r into a slice — the adapter from the streaming world
-// back to the in-memory one.
-func ReadAll(r Reader) ([]Event, error) {
-	var out []Event
-	for {
-		e, err := r.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-}

@@ -177,10 +177,7 @@ func TestDecoderStreamsExactly(t *testing.T) {
 		t.Fatalf("header mismatch: %+v", hdr)
 	}
 	for name, r := range map[string]Reader{"cursor": ps, "wrapped": struct{ Reader }{wrapped}} {
-		got, err := ReadAll(r)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := drain(t, r)
 		if len(got) != len(tr.Events) {
 			t.Fatalf("%s: streamed %d events, want %d", name, len(got), len(tr.Events))
 		}
@@ -197,27 +194,21 @@ func TestDecoderStreamsExactly(t *testing.T) {
 	}
 }
 
-// TestSliceReaderAndCopy exercises the slice adapter, ReadAll's copy of
-// a stream, and EncodedSize: the header WriteBinary2 writes, less its
-// 4-byte pattern count, plus 37 bytes per event.
+// TestSliceReaderAndCopy exercises the slice adapter, a copy of the
+// stream it yields, and EncodedSize: the header WriteBinary2 writes,
+// less its 4-byte pattern count, plus 37 bytes per event.
 func TestSliceReaderAndCopy(t *testing.T) {
 	tr := makeBarrierTrace(2, 2)
 	tr.PhaseID("init")
 	r := tr.Reader()
-	if r.Len() != len(tr.Events) {
-		t.Fatalf("Len() = %d, want %d", r.Len(), len(tr.Events))
-	}
-	got, err := ReadAll(r)
-	if err != nil || len(got) != len(tr.Events) {
-		t.Fatalf("ReadAll = %d events, %v", len(got), err)
+	got := drain(t, r)
+	if len(got) != len(tr.Events) {
+		t.Fatalf("copied %d events, want %d", len(got), len(tr.Events))
 	}
 	for i := range got {
 		if got[i] != tr.Events[i] {
 			t.Fatalf("event %d: copied %+v, want %+v", i, got[i], tr.Events[i])
 		}
-	}
-	if r.Len() != 0 {
-		t.Fatalf("reader not drained: %d left", r.Len())
 	}
 	if _, err := r.Next(); err != io.EOF {
 		t.Fatalf("drained reader: %v, want io.EOF", err)

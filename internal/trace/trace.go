@@ -75,17 +75,6 @@ func (t *Trace) PhaseName(id int64) string {
 	return fmt.Sprintf("phase(%d)", id)
 }
 
-// Clone returns a deep copy of the trace.
-func (t *Trace) Clone() *Trace {
-	c := &Trace{
-		NumThreads:    t.NumThreads,
-		EventOverhead: t.EventOverhead,
-		Phases:        append([]string(nil), t.Phases...),
-		Events:        append([]Event(nil), t.Events...),
-	}
-	return c
-}
-
 // SortByTime stably sorts events by timestamp, preserving the relative
 // order of equal-time events (which encodes scheduler order on the
 // 1-processor run).

@@ -88,7 +88,7 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		},
 	}
 	for name, mutate := range mutations {
-		tr := base.Clone()
+		tr := &Trace{NumThreads: base.NumThreads, EventOverhead: base.EventOverhead, Phases: base.Phases, Events: append([]Event(nil), base.Events...)}
 		mutate(tr)
 		if err := tr.Validate(); err == nil {
 			t.Errorf("%s: Validate() accepted malformed trace", name)
@@ -279,7 +279,12 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 		if len(threads) < n {
 			n = len(threads)
 		}
+		// A start per thread backs the header's 256 threads, so the
+		// random thread ids below span 0–255.
 		tr := New(256)
+		for th := int32(0); th < 256; th++ {
+			tr.Append(Event{Kind: KindThreadStart, Thread: th, Arg0: 256})
+		}
 		var clock vtime.Time
 		for i := 0; i < n; i++ {
 			clock += vtime.Time(times[i] % 10000)
@@ -371,12 +376,6 @@ func TestWriteSDDF(t *testing.T) {
 }
 
 func TestEventClassifiers(t *testing.T) {
-	if !(Event{Kind: KindBarrierEntry}).IsSync() || !(Event{Kind: KindBarrierExit}).IsSync() {
-		t.Error("barrier events must be sync")
-	}
-	if (Event{Kind: KindRemoteRead}).IsSync() {
-		t.Error("remote read is not sync")
-	}
 	if !(Event{Kind: KindRemoteRead}).IsRemote() || !(Event{Kind: KindRemoteWrite}).IsRemote() {
 		t.Error("remote events must be remote")
 	}

@@ -121,10 +121,6 @@ func (s *Stream) Thread(i int) trace.Reader {
 	return &threadCursor{s: s, id: i}
 }
 
-// Barriers reports the number of global barriers seen so far; it is the
-// program's total once the stream is drained.
-func (s *Stream) Barriers() int { return int(s.x.barHi) }
-
 // SourceDuration reports the timestamp of the last source event pulled —
 // the 1-processor virtual execution time once the stream is drained.
 func (s *Stream) SourceDuration() vtime.Time { return s.x.lastTime }
@@ -140,9 +136,6 @@ func (s *Stream) Pending() int { return s.pending }
 // Queued returns thread i's buffered events that the next Refill hands
 // out, in order. The slice is valid until the stream is next pulled.
 func (s *Stream) Queued(i int) []trace.Event { return s.bufs[i].fill }
-
-// Err returns the sticky stream error, if any (io.EOF is not an error).
-func (s *Stream) Err() error { return s.err }
 
 // Drain consumes any source events not yet pulled, completing validation
 // and the duration/barrier totals. Buffered translated events remain

@@ -37,6 +37,21 @@ func streamTestTrace(t *testing.T, n int) *trace.Trace {
 	return tr
 }
 
+// readAll reads r to its end.
+func readAll(r trace.Reader) ([]trace.Event, error) {
+	var out []trace.Event
+	for {
+		e, err := r.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, e)
+	}
+}
+
 // drainStream reads every thread's cursor fully, in the given order of
 // thread visits (a permutation strategy), returning per-thread events.
 func drainStream(t *testing.T, s *Stream, order string) [][]trace.Event {
@@ -48,7 +63,7 @@ func drainStream(t *testing.T, s *Stream, order string) [][]trace.Event {
 	switch order {
 	case "sequential": // thread 0 fully first — maximum buffering skew
 		for i := 0; i < s.NumThreads(); i++ {
-			evs, err := trace.ReadAll(s.Thread(i))
+			evs, err := readAll(s.Thread(i))
 			if err != nil {
 				t.Fatalf("thread %d: %v", i, err)
 			}
@@ -111,8 +126,8 @@ func TestStreamMatchesTranslate(t *testing.T) {
 		if err := s.Drain(); err != nil {
 			t.Fatalf("%s: Drain: %v", order, err)
 		}
-		if s.Barriers() != pt.Barriers {
-			t.Errorf("%s: Barriers = %d, want %d", order, s.Barriers(), pt.Barriers)
+		if int(s.x.barHi) != pt.Barriers {
+			t.Errorf("%s: barriers = %d, want %d", order, s.x.barHi, pt.Barriers)
 		}
 		if s.Duration() != pt.Duration() {
 			t.Errorf("%s: Duration = %v, want %v", order, s.Duration(), pt.Duration())
@@ -319,7 +334,7 @@ func TestReleaseDropsSource(t *testing.T) {
 	if s.PatternSource() != ps {
 		t.Fatal("stream does not expose its compiled-trace source")
 	}
-	if _, err := trace.ReadAll(s.Thread(0)); err != nil {
+	if _, err := readAll(s.Thread(0)); err != nil {
 		t.Fatal(err)
 	}
 	s.Release()

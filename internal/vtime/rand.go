@@ -1,7 +1,5 @@
 package vtime
 
-import "math"
-
 // Rand is a deterministic SplitMix64 pseudo-random generator. Every source
 // of randomness in the repository (benchmark inputs, NAS EP sample streams,
 // perturbation in the direct-execution simulator) derives from a seeded
@@ -37,21 +35,4 @@ func (r *Rand) Intn(n int) int {
 		panic("vtime: Intn with non-positive n")
 	}
 	return int(r.Uint64() % uint64(n))
-}
-
-// Split returns a new independent generator derived from r's stream, so
-// that components can be given private streams without coupling their
-// consumption rates.
-func (r *Rand) Split() *Rand { return NewRand(r.Uint64()) }
-
-// Normal returns a standard normal deviate via the Marsaglia polar method.
-func (r *Rand) Normal() float64 {
-	for {
-		u := float64(2*r.Float64()) - 1
-		v := float64(2*r.Float64()) - 1
-		s := float64(u*u) + float64(v*v)
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
 }

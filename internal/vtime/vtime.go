@@ -9,10 +9,7 @@
 // tests are meaningful.
 package vtime
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is a point in virtual time (or a duration between two such points),
 // measured in integer nanoseconds since the start of the run.
@@ -39,9 +36,6 @@ func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 // Seconds converts t to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Duration converts t to a time.Duration (both are int64 nanoseconds).
-func (t Time) Duration() time.Duration { return time.Duration(t) }
-
 // FromMicros builds a Time from floating-point microseconds, rounding to
 // the nearest nanosecond. Model parameters in the paper are given in µs.
 func FromMicros(us float64) Time {
@@ -50,9 +44,6 @@ func FromMicros(us float64) Time {
 	}
 	return Time(float64(us*float64(Microsecond)) + 0.5)
 }
-
-// FromSeconds builds a Time from floating-point seconds.
-func FromSeconds(s float64) Time { return FromMicros(s * 1e6) }
 
 // Scale multiplies t by the dimensionless factor f, rounding to the
 // nearest nanosecond. It is the primitive behind MipsRatio scaling.
@@ -90,27 +81,10 @@ func Max(a, b Time) Time {
 	return b
 }
 
-// Min returns the earlier of a and b.
-func Min(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Clock is a source of virtual time that can be advanced by a running
-// computation. The 1-processor measurement runtime advances a single
-// global VirtualClock; the direct-execution simulator advances one clock
-// per thread.
-type Clock interface {
-	// Now reports the current virtual time.
-	Now() Time
-	// Advance moves the clock forward by d (d must be non-negative).
-	Advance(d Time)
-}
-
-// VirtualClock is the trivial Clock implementation: a counter.
-// The zero value is a clock at time 0, ready to use.
+// VirtualClock is a source of virtual time that a running computation
+// advances: a counter. The 1-processor measurement runtime advances a
+// single global VirtualClock. The zero value is a clock at time 0,
+// ready to use.
 type VirtualClock struct {
 	now Time
 }
@@ -129,12 +103,4 @@ func (c *VirtualClock) Advance(d Time) {
 		panic(fmt.Sprintf("vtime: negative clock advance %d", d))
 	}
 	c.now += d
-}
-
-// Set jumps the clock to an absolute time ≥ the current time.
-func (c *VirtualClock) Set(t Time) {
-	if t < c.now {
-		panic(fmt.Sprintf("vtime: clock set backwards from %v to %v", c.now, t))
-	}
-	c.now = t
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestUnitConversions(t *testing.T) {
@@ -86,9 +85,6 @@ func TestMaxMin(t *testing.T) {
 	if Max(1, 2) != 2 || Max(2, 1) != 2 {
 		t.Error("Max broken")
 	}
-	if Min(1, 2) != 1 || Min(2, 1) != 1 {
-		t.Error("Min broken")
-	}
 }
 
 func TestVirtualClock(t *testing.T) {
@@ -101,19 +97,11 @@ func TestVirtualClock(t *testing.T) {
 	if c.Now() != 5*Microsecond {
 		t.Fatalf("clock at %v, want 5µs", c.Now())
 	}
-	c.Set(7 * Microsecond)
-	if c.Now() != 7*Microsecond {
-		t.Fatalf("clock at %v after Set, want 7µs", c.Now())
-	}
 }
 
 func TestVirtualClockPanics(t *testing.T) {
 	mustPanic(t, "negative advance", func() {
 		NewVirtualClock(0).Advance(-1)
-	})
-	mustPanic(t, "set backwards", func() {
-		c := NewVirtualClock(10)
-		c.Set(5)
 	})
 }
 
@@ -192,50 +180,7 @@ func TestRandIntn(t *testing.T) {
 	mustPanic(t, "Intn(0)", func() { r.Intn(0) })
 }
 
-func TestRandNormalMoments(t *testing.T) {
-	r := NewRand(11)
-	const n = 50000
-	var sum, sumsq float64
-	for i := 0; i < n; i++ {
-		v := r.Normal()
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean = %g, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("normal variance = %g, want ~1", variance)
-	}
-}
-
-func TestRandSplitIndependence(t *testing.T) {
-	r := NewRand(5)
-	s := r.Split()
-	// The split stream must not be a suffix/prefix of the parent stream.
-	parent := make([]uint64, 32)
-	for i := range parent {
-		parent[i] = r.Uint64()
-	}
-	for i := 0; i < 32; i++ {
-		v := s.Uint64()
-		for _, p := range parent {
-			if v == p {
-				t.Fatalf("split stream value %d collides with parent stream", i)
-			}
-		}
-	}
-}
-
-func TestDurationAndFromSeconds(t *testing.T) {
-	if (2 * Millisecond).Duration() != 2*time.Millisecond {
-		t.Error("Duration conversion wrong")
-	}
-	if FromSeconds(1.5) != 1500*Millisecond {
-		t.Errorf("FromSeconds(1.5) = %v", FromSeconds(1.5))
-	}
+func TestNegativeConversions(t *testing.T) {
 	if FromMicros(-2) != -2*Microsecond {
 		t.Errorf("FromMicros(-2) = %v", FromMicros(-2))
 	}

@@ -246,7 +246,8 @@ func TestFailureInjectionCorruptTraces(t *testing.T) {
 		},
 	}
 	for name, corrupt := range corruptions {
-		c := tr.Clone()
+		c := &trace.Trace{NumThreads: tr.NumThreads, EventOverhead: tr.EventOverhead, Phases: tr.Phases,
+			Events: append([]trace.Event(nil), tr.Events...)}
 		corrupt(c)
 		if _, err := Extrapolate(c, machine.GenericDM().Config); err == nil {
 			t.Errorf("%s: corrupted trace accepted", name)
